@@ -2,9 +2,10 @@
 
 Subcommands
 
-* ``wpneck verify <suite>``: run a named invariant suite and write a JSON
-  report {suite, checks: [{name, value, bound, pass}]}; exit 0 iff all
-  checks pass, 1 on any failure, 2 for usage/config errors.
+* ``wpneck verify <suite>``: run a named invariant suite and write a strict
+  JSON report {suite, checks: [{name, value, bound, pass}]}, with null for
+  a missing or non-finite value or bound; exit 0 iff all checks pass, 1 on
+  any failure, 2 for usage/config errors.
 * ``wpneck sweep <quantity>``: CSV emission (header ``ell,quantity,value``;
   the wp quantity uses ``ell,g_ll,g_lw,g_ww``), full double precision,
   rows sorted by ell; reruns are byte-identical.
@@ -31,9 +32,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check(name: str, value: float, bound: float, ok=None) -> dict:
+def _number(x) -> float | None:
+    """A finite float, or None (JSON null) for a missing or non-finite one."""
+    return float(x) if x is not None and np.isfinite(x) else None
+
+
+def _check(name: str, value: float, bound: float | None, ok=None) -> dict:
     passed = bool(value <= bound) if ok is None else bool(ok)
-    return {"name": name, "value": float(value), "bound": float(bound),
+    return {"name": name, "value": _number(value), "bound": _number(bound),
             "pass": passed}
 
 
@@ -91,8 +97,9 @@ def _suite_weitzenboeck(cfg: RunConfig) -> list[dict]:
                 m, ModeField(k, Rank.ONE_FORM, grid, data)))
         checks.append(_check(f"weitzenboeck_residual(k={k})", res[1],
                              cfg.identity_tol))
-        checks.append(_check(f"weitzenboeck_order(k={k})", 3.5, res[0] / res[1],
-                             ok=res[0] / res[1] >= 3.5))
+        ratio = res[0] / res[1]
+        checks.append(_check(f"weitzenboeck_order(k={k})", ratio, 3.5,
+                             ok=ratio >= 3.5))
     return checks
 
 
@@ -175,13 +182,13 @@ def _suite_parametrix(cfg: RunConfig) -> list[dict]:
     checks = []
     grid = periodic_grid(-2, 2, min(cfg.grid_n, 2048))
     fam = ParametrixFamily(grid, ks=range(0, min(cfg.modes, 4) + 1))
-    prev = np.inf
+    prev = None
     for ell in (0.4, 0.2, 0.1, 0.05):
         rep = fam.report(ell, norm_seed=cfg.seed)
         checks.append(_check(f"S_norm(l={ell})", rep.norm_S, 1.0,
                              ok=rep.norm_S < 1.0))
         checks.append(_check(f"S_decreasing(l={ell})", rep.norm_S, prev,
-                             ok=rep.norm_S < prev))
+                             ok=prev is None or rep.norm_S < prev))
         checks.append(_check(f"neumann_residual(l={ell})", rep.residual,
                              cfg.identity_tol))
         prev = rep.norm_S
@@ -370,7 +377,8 @@ def main(argv=None) -> int:
                   f"{', '.join(sorted(SUITES))}", file=sys.stderr)
             return 2
         report = run_suite(args.suite, cfg)
-        _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", cfg.out)
+        _write_out(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                   + "\n", cfg.out)
         return 0 if report["pass"] else 1
 
     if args.command == "sweep":
@@ -422,7 +430,8 @@ def main(argv=None) -> int:
             "residual_path": list(fit.residual_path),
             "samples": fit.sample_count,
         }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+        _write_out(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                   + "\n", cfg.out)
         return 0
 
     return 2

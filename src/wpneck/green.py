@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .cylinder import CylinderMetric
 from .grids import ArcsinhGrid, RadialGrid, arcsinh_grid
@@ -229,13 +230,13 @@ def solve_zero_mode_fd(ell, h, eta_plus=0.0, eta_minus=0.0, *,
 
     Second-order FD in t = arcsinh(tau/ell); returns (tau nodes, solution).
     """
-    sol = _channel_bvp_t(ell, 0, +1, h, eta_plus, eta_minus, tau_bound, n)
-    return sol
+    return _channel_bvp_t(arcsinh_grid(ell, tau_bound, n), 0, +1, h,
+                          eta_plus, eta_minus)
 
 
-def _channel_bvp_t(ell, k, sign, h, eta_plus, eta_minus, tau_bound, n):
-    agrid = arcsinh_grid(ell, tau_bound, n)
-    t = agrid.t
+def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
+    ell, t = agrid.ell, agrid.t
+    n = t.size
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     ht = t[1] - t[0]
@@ -253,7 +254,6 @@ def _channel_bvp_t(ell, k, sign, h, eta_plus, eta_minus, tau_bound, n):
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
-    from scipy.linalg import solve_banded
 
     w = np.empty(n)
     w[0], w[-1] = eta_minus, eta_plus
@@ -289,7 +289,7 @@ def solve_nonzero_mode(
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     if enforce_gap:
         _enforce_support_gap(tau, hv, c, "nonzero-mode rhs")
-    return _channel_bvp_t(ell, abs(k), sign, hv, eta_plus, eta_minus, tau_bound, n)
+    return _channel_bvp_t(agrid, abs(k), sign, hv, eta_plus, eta_minus)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ A stretched "arcsinh" grid is provided for the cylinder: uniform in
 t = arcsinh(tau/ell), so the node spacing in tau scales like
 sqrt(tau^2 + ell^2).  That resolves the ell-scale turning region near
 tau = 0 without a uniform grid of size ~1/ell.
+
+Finite-difference stencils are built on the first read of ``d1``/``d2``, so
+callers that use only nodes and weights never pay for them.  Threads first
+reading one grid at once (``--jobs``) may build them twice, with equal results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,7 +74,9 @@ class RadialGrid:
 
     ``d1``/``d2`` act on samples at ``nodes``; ``weights`` integrate against
     them.  ``scheme`` is one of ``uniform``, ``chebyshev``, ``periodic``.
-    Instances are immutable and safe to share.
+    ``_stencils()`` returns (d1, d2) and runs on the first read of either
+    (twice, with equal results, if two threads read first at once).
+    Instances are otherwise immutable and safe to share.
     """
 
     nodes: np.ndarray
@@ -77,8 +84,7 @@ class RadialGrid:
     scheme: str
     order: int
     periodic: bool = False
-    _d1: object = field(repr=False, default=None)
-    _d2: object = field(repr=False, default=None)
+    _stencils: object = field(repr=False, default=None)
 
     def __post_init__(self):
         if not np.all(np.diff(self.nodes) > 0):
@@ -100,13 +106,17 @@ class RadialGrid:
             return float(self.nodes[0] + self.n * (self.nodes[1] - self.nodes[0]))
         return float(self.nodes[-1])
 
+    @cached_property
+    def _built(self) -> tuple:
+        return self._stencils()
+
     @property
     def d1(self):
-        return self._d1
+        return self._built[0]
 
     @property
     def d2(self):
-        return self._d2
+        return self._built[1]
 
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ f)
@@ -122,55 +132,60 @@ class RadialGrid:
         raise ValueError(self.scheme)
 
 
+def _stencil(n: int, weights, ends=None) -> sp.csr_matrix:
+    """CSR matrix of the 3-point stencil ``weights`` at offsets (-1, 0, +1).
+
+    With ``ends`` = (first, last), rows 0 and n-1 hold the one-sided
+    closures ``first`` on the leading columns and ``last`` on the trailing
+    ones; without, the stencil wraps around.  Zero weights are not stored.
+    """
+    rows = np.arange(n) if ends is None else np.arange(1, n - 1)
+    parts = [(rows, (rows + off) % n, np.full(rows.size, w))
+             for off, w in zip((-1, 0, 1), weights) if w != 0.0]
+    if ends is not None:
+        first, last = ends
+        parts += [(np.zeros(first.size, int), np.arange(first.size), first),
+                  (np.full(last.size, n - 1), np.arange(n - last.size, n), last)]
+    r, c, v = (np.concatenate(p) for p in zip(*parts))
+    return sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
+
+
+def _fd_stencils(n: int, h: float, periodic: bool) -> tuple:
+    """O(h^2) first and second derivative stencils on n nodes of spacing h."""
+    ends1 = ends2 = None
+    if not periodic:  # one-sided boundary closures; solves replace these rows
+        ends1 = (np.array([-1.5, 2.0, -0.5]) / h, np.array([0.5, -2.0, 1.5]) / h)
+        ends2 = (np.array([2.0, -5.0, 4.0, -1.0]) / h**2,
+                 np.array([-1.0, 4.0, -5.0, 2.0]) / h**2)
+    return (_stencil(n, (-0.5 / h, 0.0, 0.5 / h), ends1),
+            _stencil(n, (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), ends2))
+
+
 def uniform_grid(a: float, b: float, n: int) -> RadialGrid:
     """Uniform interval grid, n odd, with O(h^2) stencils and Simpson weights."""
     if n % 2 == 0:
         n += 1
     x = np.linspace(a, b, n)
     h = x[1] - x[0]
-
-    d1 = sp.lil_matrix((n, n))
-    d2 = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        d1[i, i - 1], d1[i, i + 1] = -0.5 / h, 0.5 / h
-        d2[i, i - 1], d2[i, i], d2[i, i + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
-    # one-sided boundary closures; solves replace these rows anyway
-    d1[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    d1[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    d2[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-    d2[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-
     return RadialGrid(
         nodes=x,
         weights=simpson_weights(n, h),
         scheme="uniform",
         order=2,
-        _d1=d1.tocsr(),
-        _d2=d2.tocsr(),
+        _stencils=partial(_fd_stencils, n, h, False),
     )
 
 
 def periodic_grid(a: float, b: float, n: int) -> RadialGrid:
     """Uniform periodic grid on [a, b) with wrap-around O(h^2) stencils."""
     h = (b - a) / n
-    x = a + h * np.arange(n)
-
-    e = np.ones(n)
-    d1 = sp.diags([e * 0.5 / h, -e * 0.5 / h], [1, -1], shape=(n, n)).tolil()
-    d1[0, -1] = -0.5 / h
-    d1[-1, 0] = 0.5 / h
-    d2 = sp.diags([e / h**2, -2.0 * e / h**2, e / h**2], [-1, 0, 1], shape=(n, n)).tolil()
-    d2[0, -1] = 1.0 / h**2
-    d2[-1, 0] = 1.0 / h**2
-
     return RadialGrid(
-        nodes=x,
+        nodes=a + h * np.arange(n),
         weights=np.full(n, h),
         scheme="periodic",
         order=2,
         periodic=True,
-        _d1=d1.tocsr(),
-        _d2=d2.tocsr(),
+        _stencils=partial(_fd_stencils, n, h, True),
     )
 
 
@@ -181,13 +196,13 @@ def chebyshev_grid(a: float, b: float, n: int) -> RadialGrid:
     x = a + scale * (x01 + 1.0)
     d1 = D / scale
     w = clenshaw_curtis_weights(n)[::-1] * scale
+    stencils = (d1, d1 @ d1)  # dense and built now, unlike the FD grids
     return RadialGrid(
         nodes=x,
         weights=w.copy(),
         scheme="chebyshev",
         order=n,  # spectral; refinement tests treat residuals as floor-limited
-        _d1=d1,
-        _d2=d1 @ d1,
+        _stencils=lambda: stencils,
     )
 
 

@@ -21,11 +21,11 @@ reference lengths:
 (Freezing at a single small reference is not enough at desk scale: the
 error operator's band-local ell^2 sensitivity times ||R|| ~ 10 pushes
 ||S|| past 1 already at ell ~ 0.2.  Each added node cuts the interpolation
-error by roughly the distance to the new node; the default five nodes keep
-the worst measured norm over ell <= 0.4 below ~0.7.)  Reference nodes are
-clustered near the ends of the working window and kept outside the
-standard sweep: ||S|| vanishes at the nodes, so an interior node would
-break the monotone decrease of ||S_ell|| toward small ell.  With
+error by roughly the distance to the new node.)  With the default five
+nodes, measured at k = 0 on the 2048-node periodic grid, ||S|| vanishes at
+the reference nodes and is >= 1 for ell ~ 0.358-0.374 (1.015 at 0.365),
+where ``report`` raises; the nodes 0.06 and 0.25 lie inside [0.05, 0.4],
+so ||S_ell|| is not monotone in ell there.  With
 
     Gbar = Gtilde + F,    S = R - P F,
 

@@ -224,6 +224,8 @@ def fit_polyhomogeneous(
         raise ValueError("need matching 1-D sample arrays")
     if np.any(ell <= 0):
         raise ValueError("lengths must be positive")
+    if not (np.all(np.isfinite(ell)) and np.all(np.isfinite(val))):
+        raise ValueError("samples must be finite")
     K, J = int(max_half_power), int(max_log_power)
     n_terms = (K + 1) * (J + 1)
     if ell.size < 3 * n_terms:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from wpneck.cli import main, run_suite
+from wpneck.cli import _check, main, run_suite
 from wpneck.config import RunConfig, load_config
 
 
@@ -128,3 +128,40 @@ def test_verify_failure_exits_one(tmp_path):
     assert code == 1
     report = json.loads(out.read_text())
     assert report["pass"] is False
+    orders = [c for c in report["checks"]
+              if c["name"].startswith("weitzenboeck_order")]
+    assert len(orders) == 3
+    for check in orders:
+        # value is the measured refinement ratio, bound the required 3.5
+        assert check["bound"] == 3.5
+        assert check["value"] >= 3.5 and check["pass"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_parametrix_report_is_strict_json(tmp_path):
+    out = tmp_path / "parametrix.json"
+    assert main(["verify", "parametrix", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    first = next(c for c in report["checks"]
+                 if c["name"].startswith("S_decreasing"))
+    assert first["bound"] is None and first["pass"] is True
+
+
+def test_check_writes_null_for_non_finite_numbers():
+    entry = _check("margin", -np.inf, 0.0, ok=False)
+    assert entry["value"] is None and entry["bound"] == 0.0
+    json.dumps(entry, allow_nan=False)
+
+
+def test_fit_rejects_non_finite_samples(tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    ells = np.geomspace(1e-3, 1e-1, 36)
+    rows = ["ell,value"] + [f"{e},{'nan' if i == 3 else 1.0}"
+                            for i, e in enumerate(ells)]
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert main(["fit", str(csv_path), "--half-powers", "2",
+                 "--log-powers", "0"]) == 2
+    assert "finite" in capsys.readouterr().err

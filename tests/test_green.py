@@ -85,6 +85,12 @@ def test_nonzero_mode_maximum_principle_and_trivial():
     assert np.max(np.abs(w)) <= C * (1.0 + 1e-12)
 
 
+def test_nonzero_mode_even_node_count_is_promoted():
+    tau, w = solve_nonzero_mode(0.05, 2, BUMP, n=512)
+    assert tau.size == w.size == 513
+    assert np.all(np.isfinite(w))
+
+
 def test_barrier_certificate_structure():
     cert = certify_barrier([1e-3, 1e-2, 0.1], range(1, 33), alpha=0.3)
     assert not cert.full_pass  # positivity provably fails near tau = 0

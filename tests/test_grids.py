@@ -1,8 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import wpneck.green
 from wpneck.grids import (arcsinh_grid, chebyshev_grid, periodic_grid,
                           simpson_weights, uniform_grid)
+
+from conftest import smooth_bump
 
 
 def test_simpson_exact_on_cubics():
@@ -71,3 +78,103 @@ def test_refine_doubles():
     assert g.refine().n == 129
     gp = periodic_grid(-2, 2, 64)
     assert gp.refine().n == 128
+
+
+def _lil_uniform_stencils(a, b, n):
+    """Element-by-element construction of the uniform stencils (oracle)."""
+    if n % 2 == 0:
+        n += 1
+    x = np.linspace(a, b, n)
+    h = x[1] - x[0]
+    d1 = sp.lil_matrix((n, n))
+    d2 = sp.lil_matrix((n, n))
+    for i in range(1, n - 1):
+        d1[i, i - 1], d1[i, i + 1] = -0.5 / h, 0.5 / h
+        d2[i, i - 1], d2[i, i], d2[i, i + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
+    d1[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    d1[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    d2[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
+    d2[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
+    return d1.tocsr(), d2.tocsr()
+
+
+def _lil_periodic_stencils(a, b, n):
+    """Banded construction with assigned wrap-around corners (oracle)."""
+    h = (b - a) / n
+    e = np.ones(n)
+    d1 = sp.diags([e * 0.5 / h, -e * 0.5 / h], [1, -1], shape=(n, n)).tolil()
+    d1[0, -1] = -0.5 / h
+    d1[-1, 0] = 0.5 / h
+    d2 = sp.diags([e / h**2, -2.0 * e / h**2, e / h**2], [-1, 0, 1],
+                  shape=(n, n)).tolil()
+    d2[0, -1] = 1.0 / h**2
+    d2[-1, 0] = 1.0 / h**2
+    return d1.tocsr(), d2.tocsr()
+
+
+def _assert_same_csr(got, want):
+    for attr in ("data", "indices", "indptr"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and np.array_equal(g, w), attr
+
+
+@pytest.mark.parametrize("n", [9, 64, 65, 2049, 4097])
+def test_uniform_stencils_match_elementwise_construction(n):
+    g = uniform_grid(-1.3, 2.0, n)  # an even n is promoted to n + 1
+    d1, d2 = _lil_uniform_stencils(-1.3, 2.0, n)
+    assert g.n == d1.shape[0]
+    _assert_same_csr(g.d1, d1)
+    _assert_same_csr(g.d2, d2)
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_periodic_stencils_match_banded_construction(n):
+    g = periodic_grid(-2.0, 2.0, n)
+    d1, d2 = _lil_periodic_stencils(-2.0, 2.0, n)
+    _assert_same_csr(g.d1, d1)
+    _assert_same_csr(g.d2, d2)
+
+
+def test_stencils_built_on_first_read_and_kept():
+    g = uniform_grid(-1.0, 1.0, 65)
+    assert not any(sp.issparse(v) for v in vars(g).values())
+    d1 = g.d1
+    assert g.d1 is d1 and g.d2 is g.d2
+
+
+def test_concurrent_first_reads_see_equal_stencils():
+    g = periodic_grid(-2.0, 2.0, 2048)
+    d1, d2 = _lil_periodic_stencils(-2.0, 2.0, 2048)
+    seen, start = [], threading.Barrier(8)
+
+    def read():
+        start.wait(timeout=10)
+        seen.append((g.d1, g.d2))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    for got1, got2 in seen:
+        _assert_same_csr(got1, d1)
+        _assert_same_csr(got2, d2)
+
+
+def test_nonzero_mode_solve_builds_one_grid(monkeypatch):
+    calls = []
+    real = wpneck.green.arcsinh_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wpneck.green, "arcsinh_grid", counting)
+    wpneck.green.solve_nonzero_mode(0.01, 3, smooth_bump(0.5, 0.75), n=257)
+    assert len(calls) == 1
