@@ -150,8 +150,11 @@ def _suite_barrier(cfg: RunConfig) -> list[dict]:
     ells = (1e-3, 1e-2, 0.1)
     ks = tuple(range(1, 33))
     cert = certify_barrier(ells, ks, cfg.barrier_alpha, cfg.cutoff_c)
+    # an ell certified at no radius inside the cutoff leaves nothing to
+    # compare against, so both checks fail instead of passing vacuously
+    covered = all(cert.inner_radius[ell] <= cfg.cutoff_c for ell in ells)
     checks.append(_check("barrier_certified_margin", -cert.min_margin_certified,
-                         0.0, ok=cert.min_margin_certified >= 0.0))
+                         0.0, ok=covered and cert.min_margin_certified >= 0.0))
 
     def bump(x):
         y = np.zeros_like(x)
@@ -160,8 +163,8 @@ def _suite_barrier(cfg: RunConfig) -> list[dict]:
         y[m] = np.exp(-1.0 / np.maximum(z * (1 - z), 1e-300))
         return y
 
-    worst = 0.0
-    for ell in ells:
+    worst = 0.0 if covered else np.inf
+    for ell in (ells if covered else ()):
         r_in = cert.inner_radius[ell]
         for k in (1, 4, 16, 32):
             tau, w = solve_nonzero_mode(ell, k, bump, n=2049,

@@ -24,11 +24,9 @@ class RunConfig:
     grid_n: int = 16384
     sweep_grid_n: int = 16384
     modes: int = 8
-    solver_tol: float = 1e-10
     identity_tol: float = 1e-6
     cutoff_c: float = 0.5
     barrier_alpha: float = 0.3
-    frame_size: int = 6
     tt_k_max: int = 8
     fit_half_powers: int = 4
     fit_log_powers: int = 1
@@ -41,9 +39,13 @@ class RunConfig:
             raise ValueError("need 0 < ell_min < ell_max")
         if self.ell_count < 2:
             raise ValueError("need at least two sweep points")
-        for name in ("solver_tol", "identity_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("grid_n", "sweep_grid_n", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.modes < 0:
+            raise ValueError("modes must be non-negative")
+        if self.identity_tol <= 0:
+            raise ValueError("identity_tol must be positive")
         if not 0.0 < self.barrier_alpha < 1.0:
             raise ValueError("barrier_alpha must lie in (0, 1)")
 

@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .cylinder import CylinderMetric
-from .grids import ArcsinhGrid, RadialGrid, arcsinh_grid
+from .grids import ArcsinhGrid, RadialGrid, arcsinh_grid, solve_tridiagonal
 from .modefields import ModeField, ModeKey, Rank
 from .operators import mode_operators
 
@@ -250,14 +249,10 @@ def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
     rhs = hv[1:-1].copy()
     rhs[0] -= lower[0] * eta_minus
     rhs[-1] -= upper[-1] * eta_plus
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
 
     w = np.empty(n)
     w[0], w[-1] = eta_minus, eta_plus
-    w[1:-1] = solve_banded((1, 1), ab, rhs)
+    w[1:-1] = solve_tridiagonal(lower, diag, upper, rhs)
     return tau, w
 
 

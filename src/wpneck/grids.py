@@ -24,6 +24,7 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -159,6 +160,16 @@ def _fd_stencils(n: int, h: float, periodic: bool) -> tuple:
                  np.array([-1.0, 4.0, -5.0, 2.0]) / h**2)
     return (_stencil(n, (-0.5 / h, 0.0, 0.5 / h), ends1),
             _stencil(n, (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), ends2))
+
+
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system given row-wise: row i is
+    (lower[i], diag[i], upper[i]), so lower[0] and upper[-1] are unused."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = diag
+    ab[2, :-1] = lower[1:]
+    return solve_banded((1, 1), ab, rhs)
 
 
 def uniform_grid(a: float, b: float, n: int) -> RadialGrid:

@@ -56,8 +56,6 @@ __all__ = [
     "ModeKey",
     "mode_inner_product",
     "mode_norm",
-    "multimode_inner_product",
-    "multimode_norm",
 ]
 
 
@@ -224,20 +222,3 @@ def mode_inner_product(f1: ModeField, f2: ModeField,
 
 def mode_norm(f: ModeField, weight: np.ndarray | None = None) -> float:
     return float(np.sqrt(max(mode_inner_product(f, f, weight), 0.0)))
-
-
-def multimode_inner_product(fs1: dict[ModeKey, ModeField],
-                            fs2: dict[ModeKey, ModeField],
-                            weight: np.ndarray | None = None) -> float:
-    """Pairing of multi-mode fields keyed by (k, variant); modes are orthogonal."""
-    total = 0.0
-    for key, f1 in fs1.items():
-        f2 = fs2.get(key)
-        if f2 is not None:
-            total += mode_inner_product(f1, f2, weight)
-    return total
-
-
-def multimode_norm(fs: dict[ModeKey, ModeField],
-                   weight: np.ndarray | None = None) -> float:
-    return float(np.sqrt(max(multimode_inner_product(fs, fs, weight), 0.0)))

@@ -24,8 +24,6 @@ D(divergence h0) when K = -1, so the kernel is {f = 0, divergence h0 = 0}.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -63,7 +61,9 @@ class ModeOperators:
     """Assembled mode-k operator matrices for one profile on one grid.
 
     Matrices act on stacked sigma-frame component vectors.  Assembly is lazy
-    and cached; instances are immutable in practice and safe to share.
+    and cached on the instance, which is immutable in practice and safe to
+    share.  There is no global cache: whoever builds an instance holds it
+    for as long as its matrices are needed and passes it on.
     """
 
     def __init__(self, profile, grid: RadialGrid, k: int):
@@ -257,8 +257,9 @@ class ModeOperators:
         return self._cache["DK"]
 
 
-@lru_cache(maxsize=512)
 def mode_operators(profile, grid: RadialGrid, k: int) -> ModeOperators:
+    """A fresh :class:`ModeOperators` on every call; nothing is cached
+    globally, so a caller that needs the same operators again holds them."""
     return ModeOperators(profile, grid, k)
 
 

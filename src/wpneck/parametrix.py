@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import RadialGrid
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
@@ -58,6 +57,7 @@ from .surface import (
     GlobalModeSolver,
     ModelSurfaceMetric,
     SubdomainSolver,
+    channel_matrices,
     default_cutoffs,
     smoothstep,
     smoothstep_d1,
@@ -99,32 +99,19 @@ class ModeParametrix:
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int,
                  cutoffs: CutoffPair,
-                 refs: "tuple[ModeParametrix, ...] | None" = None,
-                 build_global: bool = False):
+                 refs: "tuple[ModeParametrix, ...] | None" = None):
         self.surface = surface
         self.grid = grid
         self.k = int(k)
         self.cutoffs = cutoffs
-        ops = mode_operators(surface, grid, k)
-        self.P = [sp.csr_matrix(ops.channel_matrix(+1, 0.5)),
-                  sp.csr_matrix(ops.channel_matrix(-1, 0.5))]
-        self.G0 = SubdomainSolver(surface, grid, k, thick_indices(grid))
-        self.G1 = SubdomainSolver(surface, grid, k, thin_indices(grid))
-        t = grid.nodes
-        self.chi = [cutoffs.chi0(t), cutoffs.chi1(t)]
-        self.chiw = [cutoffs.chi0_widened(t), cutoffs.chi1_widened(t)]
         self.refs = refs
-        self.glob = (GlobalModeSolver(surface, grid, k)
-                     if (build_global or refs is None) else None)
-        if self.k == 0:
-            from .surface import discrete_near_null
-
-            q = discrete_near_null(sp.csc_matrix(self.P[0]),
-                                   np.sqrt(np.asarray(surface.F(t), float)))
-            self.kernel = q / math.sqrt(float(grid.weights @ (q * q)))
+        if refs is None:
+            # a reference block: its global solver builds the channel matrices
+            self.glob = GlobalModeSolver(surface, grid, k)
+            self.P, self.kernel = self.glob.P, self.glob.kernel
         else:
-            self.kernel = None
-        if refs is not None:
+            self.glob = None
+            self.P, self.kernel = channel_matrices(surface, grid, self.k)
             s = surface.ell**2
             s_nodes = [r.surface.ell**2 for r in refs]
             self._lagrange = [
@@ -132,6 +119,11 @@ class ModeParametrix:
                           for i, si in enumerate(s_nodes) if i != j)
                 for j, sj in enumerate(s_nodes)
             ]
+        self.G0 = SubdomainSolver(self.P, thick_indices(grid))
+        self.G1 = SubdomainSolver(self.P, thin_indices(grid))
+        t = grid.nodes
+        self.chi = [cutoffs.chi0(t), cutoffs.chi1(t)]
+        self.chiw = [cutoffs.chi0_widened(t), cutoffs.chi1_widened(t)]
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
@@ -294,8 +286,7 @@ class ParametrixFamily:
         self._ref = {}
         for k in self.ks:
             self._ref[k] = tuple(
-                ModeParametrix(ModelSurfaceMetric(ell=e), grid, k, self.cutoffs,
-                               build_global=True)
+                ModeParametrix(ModelSurfaceMetric(ell=e), grid, k, self.cutoffs)
                 for e in self.ell_refs
             )
         self._cache: dict[tuple[float, int], ModeParametrix] = {}
@@ -341,7 +332,11 @@ class ParametrixFamily:
 # -- TT projection -------------------------------------------------------------
 
 class SolverBank:
-    """Per-(surface, grid) cache of factored global mode solvers."""
+    """Per-(surface, grid) cache of factored global mode solvers.
+
+    Each solver keeps its mode operators, so the bank is the only store of
+    operators for one surface; they are freed together with the bank.
+    """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid):
         self.surface = surface
@@ -378,7 +373,8 @@ def project_tt(
         k, variant = key
         if h.rank is Rank.SYM2_TRACEFREE:
             h = h.as_full()
-        opk = mode_operators(surface, grid, k)
+        opk = (bank.get(k).ops if family is None
+               else mode_operators(surface, grid, k))
         b = opk.bianchi @ h.data.reshape(-1)
         bf = ModeField(k, Rank.ONE_FORM, grid, b.reshape(2, -1), variant)
         if family is not None:
@@ -438,7 +434,7 @@ def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
     div_norm = math.sqrt(2.0 * math.pi * amp**2
                          * float(grid.integrate(chid**2 / F)))
 
-    div1 = mode_operators(surface, grid, 0).divergence_tf @ mu_hat[0].data.reshape(-1)
+    div1 = bank.get(0).ops.divergence_tf @ mu_hat[0].data.reshape(-1)
     div_field = ModeField(0, Rank.ONE_FORM, grid, div1.reshape(2, -1))
     div_norm_discrete = mode_norm(div_field)
 

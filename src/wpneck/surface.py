@@ -258,21 +258,15 @@ def default_cutoffs() -> CutoffPair:
 class SubdomainSolver:
     """Dirichlet inverse of the mode gauge Laplacian on a node subset.
 
+    ``P`` is the pair of CSC channel matrices from :func:`channel_matrices`.
     Extracting the submatrix on ``idx`` and solving with zero exterior
     values is exactly the Dirichlet problem on the subdomain; the solution
     is returned zero-padded to the full grid.
     """
 
-    def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int,
-                 idx: np.ndarray):
-        ops = mode_operators(surface, grid, k)
+    def __init__(self, P, idx: np.ndarray):
         self.idx = np.asarray(idx, dtype=int)
-        self.n = grid.n
-        self._lus = []
-        for sign in (+1, -1):
-            mat = sp.csc_matrix(ops.channel_matrix(sign, 0.5))
-            sub = mat[self.idx][:, self.idx]
-            self._lus.append(spla.splu(sub))
+        self._lus = [spla.splu(mat[self.idx][:, self.idx]) for mat in P]
 
     def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
         """w shape (2, n) channel pairs; returns zero-padded solution."""
@@ -304,6 +298,21 @@ def discrete_near_null(mat_csc, seed: np.ndarray, iters: int = 3) -> np.ndarray:
     return q
 
 
+def channel_matrices(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
+    """The CSC channel matrices [(1/2) P_k^+, (1/2) P_k^-] and their kernel.
+
+    At k = 0 both channels share the near-null vector sqrt(F), sharpened on
+    (1/2) P_0^+ by :func:`discrete_near_null` and normalized in the grid's
+    weighted L^2; for k != 0 the kernel is None.
+    """
+    ops = mode_operators(surface, grid, k)
+    P = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+    if k != 0:
+        return P, None
+    q = discrete_near_null(P[0], ops.sqF)
+    return P, q / math.sqrt(float(grid.weights @ (q * q)))
+
+
 class GlobalModeSolver:
     """Direct solve of the mode-k gauge Laplacian on the closed surface.
 
@@ -311,31 +320,21 @@ class GlobalModeSolver:
     one-dimensional kernel sqrt(F) (sharpened to the discrete near-null
     vector); the solve is a bordered system that constrains the solution to
     the weighted complement of the kernel and absorbs any kernel component
-    of the right-hand side in the multiplier.
+    of the right-hand side in the multiplier.  ``P`` and ``kernel`` keep
+    what :func:`channel_matrices` built.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        ops = mode_operators(surface, grid, k)
-        self.kernel = None
-        self._lus = []
-        if self.k == 0:
-            mat0 = sp.csc_matrix(ops.channel_matrix(+1, 0.5))
-            q = discrete_near_null(mat0, np.sqrt(np.asarray(surface.F(grid.nodes),
-                                                            float)))
-            q = q / math.sqrt(float(grid.weights @ (q * q)))
-            self.kernel = q
-            wq = grid.weights * q
-            for sign in (+1, -1):
-                mat = sp.csc_matrix(ops.channel_matrix(sign, 0.5))
-                bordered = sp.bmat(
-                    [[mat, wq[:, None]], [wq[None, :], None]], format="csc"
-                )
-                self._lus.append(spla.splu(bordered))
+        self.P, self.kernel = channel_matrices(surface, grid, self.k)
+        if self.kernel is None:
+            self._lus = [spla.splu(mat) for mat in self.P]
         else:
-            for sign in (+1, -1):
-                self._lus.append(spla.splu(sp.csc_matrix(ops.channel_matrix(sign, 0.5))))
+            wq = grid.weights * self.kernel
+            self._lus = [spla.splu(sp.bmat([[mat, wq[:, None]], [wq[None, :], None]],
+                                           format="csc"))
+                         for mat in self.P]
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
         if self.kernel is None:
@@ -378,17 +377,17 @@ class FactoredGlobalSolver:
 
     At k = 0 the discrete kernel is spanned by the conformal Killing
     one-forms d tau and F d theta; the bordered system constrains both.
+    ``ops`` keeps the mode operators for the projection that uses the solver.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        ops = mode_operators(surface, grid, k)
+        self.ops = ops = mode_operators(surface, grid, k)
         mat = sp.csc_matrix(ops.divergence_tf @ ops.conformal_killing)
         n = grid.n
         if self.k == 0:
-            F = np.asarray(surface.F(grid.nodes), float)
-            sqF = np.sqrt(F)
+            sqF = ops.sqF
             kers = []
             for a, b in ((sqF, np.zeros(n)), (np.zeros(n), sqF)):
                 v = np.concatenate([a, b])

@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .grids import RadialGrid, uniform_grid
+from .grids import RadialGrid, solve_tridiagonal, uniform_grid
 from .surface import ModelSurfaceMetric
 
 __all__ = ["ConformalFactor", "solve_conformal_factor", "curvature_after"]
@@ -57,15 +56,6 @@ class ConformalFactor:
         inside = np.abs(t) <= self.grid.b
         out[inside] = np.exp(-2.0 * np.interp(t[inside], self.grid.nodes, self.u))
         return out
-
-
-def _banded_tridiag(diag, lower, upper, rhs):
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
 
 
 def solve_conformal_factor(
@@ -107,7 +97,7 @@ def solve_conformal_factor(
             break
         rnorm = float(np.sqrt(np.mean(resid[1:-1] ** 2)))
         jac_diag = diag_lap - 2.0 * np.exp(2.0 * u[1:-1])
-        step = _banded_tridiag(jac_diag, lower, upper, -resid[1:-1])
+        step = solve_tridiagonal(lower, jac_diag, upper, -resid[1:-1])
         # damped step accepted on an Armijo-style RMS decrease (the sup norm
         # is too brittle for the boundary layers of shifted problems)
         lam = 1.0

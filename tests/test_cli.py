@@ -101,15 +101,42 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(bad))
     with pytest.raises(ValueError):
         load_config(None, overrides={"nonsense": 3})
+    for retired in ("frame_size = 6", "solver_tol = 1e-10"):
+        bad.write_text(retired + "\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config(str(bad))
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(ValueError):
         RunConfig(ell_min=0.5, ell_max=0.1)
     with pytest.raises(ValueError):
         RunConfig(barrier_alpha=1.5)
+    for bad in ({"grid_n": 0}, {"grid_n": -5}, {"sweep_grid_n": 0},
+                {"jobs": 0}, {"modes": -1}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+    assert RunConfig(modes=0, jobs=1, grid_n=1).modes == 0
+    for flag in (["--grid-n", "-5"], ["--modes", "-1"], ["--jobs", "0"]):
+        assert main(["verify", "cylinder"] + flag) == 2
+        assert "wpneck: config error" in capsys.readouterr().err
     grid = RunConfig(ell_min=1e-2, ell_max=1e-1, ell_count=4).ell_grid()
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
+
+
+def test_verify_barrier_fails_when_nothing_is_certified(tmp_path):
+    # alpha near 1 certifies no radius at any ell: both checks must fail,
+    # in a strict JSON report, rather than crash or pass on an inf margin
+    cfg_file = tmp_path / "alpha.cfg"
+    cfg_file.write_text("barrier_alpha = 0.99\n")
+    out = tmp_path / "barrier.json"
+    assert main(["verify", "barrier", "--config", str(cfg_file),
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["pass"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert set(checks) == {"barrier_certified_margin", "barrier_bound_excess"}
+    assert all(c["pass"] is False for c in checks.values())
 
 
 def test_run_suite_registry():

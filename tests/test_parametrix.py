@@ -3,8 +3,8 @@ import pytest
 
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
-from wpneck.operators import (apply_div_star, apply_divergence, apply_bianchi,
-                              mode_operators)
+from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
+                              apply_bianchi, mode_operators)
 from wpneck.parametrix import (ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
@@ -109,6 +109,20 @@ def test_trivial_series_when_error_zero(family, grid):
     assert terms <= 3
     gbar = blk._project(blk.apply_Gbar(rhs))
     assert np.linalg.norm(sol - gbar) < 1e-9 * np.linalg.norm(gbar)
+
+
+def test_block_builds_its_channel_matrices_once(family, monkeypatch):
+    # the block's two subdomain solvers reuse the block's own pair
+    calls = []
+    real = ModeOperators.channel_matrix
+
+    def counting(self, sign, scale=1.0):
+        calls.append(sign)
+        return real(self, sign, scale)
+
+    monkeypatch.setattr(ModeOperators, "channel_matrix", counting)
+    family.block(0.123, 3)
+    assert sorted(calls) == [-1, +1]
 
 
 def test_refuses_outside_working_range(grid):

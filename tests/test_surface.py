@@ -5,8 +5,8 @@ from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.surface import (CutoffPair, FactoredGlobalSolver, GlobalModeSolver,
                             ModelSurfaceMetric, SubdomainSolver,
-                            build_model_surface, default_cutoffs,
-                            thick_indices)
+                            build_model_surface, channel_matrices,
+                            default_cutoffs, thick_indices)
 
 
 def test_profile_regions():
@@ -83,7 +83,8 @@ def test_cutoff_bad_geometry_rejected():
 def test_subdomain_solver_is_dirichlet(surface_grid):
     surf = ModelSurfaceMetric(ell=0.1)
     idx = thick_indices(surface_grid)
-    sub = SubdomainSolver(surf, surface_grid, 2, idx)
+    P, _ = channel_matrices(surf, surface_grid, 2)
+    sub = SubdomainSolver(P, idx)
     x = surface_grid.nodes
     rhs = np.vstack([np.cos(np.pi * x / 2.0), np.sin(np.pi * x)])
     mask = np.zeros(surface_grid.n)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,17 @@ def _rows_equal(r1, r2):
             if not (va == vb or (np.isnan(va) and np.isnan(vb))):
                 return False
     return len(r1) == len(r2)
+
+
+def test_wp_matrix_keeps_no_reference_to_the_surface():
+    # operators live in the row's solver bank, which wp_matrix drops
+    grid = periodic_grid(-2.0, 2.0, 1024)
+    surf = ModelSurfaceMetric(ell=0.05)
+    wp_matrix(surf, grid)
+    ref = weakref.ref(surf)
+    del surf
+    gc.collect()
+    assert ref() is None
 
 
 def test_sweep_slopes_and_determinism():
