@@ -45,6 +45,14 @@ def _check(name: str, value: float, bound: float | None, ok=None) -> dict:
 
 # -- verification suites -------------------------------------------------------
 
+def _capped(where: str, name: str, value: int, cap: int) -> int:
+    """min(value, cap), with a note on stderr when the cap changes the value."""
+    if value > cap:
+        print(f"wpneck: note: {where} caps {name} at {cap} (got {value})",
+              file=sys.stderr)
+    return min(value, cap)
+
+
 def _suite_cylinder(cfg: RunConfig) -> list[dict]:
     from .cylinder import (CylinderMetric, boundary_distance, make_chart,
                            metric_components, plumbing_substitution_check,
@@ -183,8 +191,10 @@ def _suite_parametrix(cfg: RunConfig) -> list[dict]:
     from .parametrix import ParametrixFamily
 
     checks = []
-    grid = periodic_grid(-2, 2, min(cfg.grid_n, 2048))
-    fam = ParametrixFamily(grid, ks=range(0, min(cfg.modes, 4) + 1))
+    grid = periodic_grid(-2, 2, _capped("verify parametrix", "grid_n",
+                                        cfg.grid_n, 2048))
+    modes = _capped("verify parametrix", "modes", cfg.modes, 4)
+    fam = ParametrixFamily(grid, ks=range(0, modes + 1))
     prev = None
     for ell in (0.4, 0.2, 0.1, 0.05):
         rep = fam.report(ell, norm_seed=cfg.seed)
@@ -206,7 +216,8 @@ def _suite_projection(cfg: RunConfig) -> list[dict]:
     from .surface import ModelSurfaceMetric
 
     checks = []
-    grid = periodic_grid(-2, 2, min(cfg.grid_n, 4096))
+    grid = periodic_grid(-2, 2, _capped("verify projection", "grid_n",
+                                        cfg.grid_n, 4096))
     x = grid.nodes
     for ell in (0.1, 0.05):
         surf = ModelSurfaceMetric(ell=ell)
@@ -286,7 +297,8 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
         from .parametrix import build_cutoff_tensors
         from .surface import ModelSurfaceMetric
 
-        grid = periodic_grid(-2, 2, min(cfg.sweep_grid_n, 16384))
+        grid = periodic_grid(-2, 2, _capped("sweep divergence", "sweep_grid_n",
+                                            cfg.sweep_grid_n, 16384))
         for ell in ells:
             ct = build_cutoff_tensors(ModelSurfaceMetric(ell=ell), grid)
             out.append([_fmt(ell), "divergence_norm", _fmt(ct.div_norm)])
@@ -368,6 +380,9 @@ def main(argv=None) -> int:
     overrides = {k: getattr(args, k, None)
                  for k in ("ell_min", "ell_max", "ell_count", "grid_n",
                            "modes", "jobs", "out")}
+    if args.command == "sweep":
+        # sweeps run on sweep_grid_n; --grid-n names that grid here
+        overrides["sweep_grid_n"] = overrides.pop("grid_n")
     try:
         cfg = load_config(args.config, overrides)
     except (ValueError, OSError) as exc:

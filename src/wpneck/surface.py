@@ -132,7 +132,9 @@ class ModelSurfaceMetric:
 
     def _base(self, r):
         r = np.asarray(r, float)
-        x = r - 0.875
+        # clamped: the cap branch sees the same x, and the discarded branch
+        # never raises a negative base to a power (slow in libm's pow)
+        x = np.maximum(r - 0.875, 0.0)
         inside = r <= 0.875
         Q = np.where(inside, r * r,
                      49.0 / 64.0 + 1.75 * x + x * x + _C4 * x**4 + _C5 * x**5)
@@ -376,7 +378,12 @@ class FactoredGlobalSolver:
     the operator-identity checks.
 
     At k = 0 the discrete kernel is spanned by the conformal Killing
-    one-forms d tau and F d theta; the bordered system constrains both.
+    one-forms d tau and F d theta, and k / sqrt(F) = 0 decouples the two
+    sigma components: the operator is blockdiag(M, M).  One LU of the
+    bordered channel matrix [[M, c], [c^T, 0]] then serves both components,
+    solved as one two-column right-hand side; ``kernel`` keeps the two
+    directions in the coupled (2, 2n) layout.  For k >= 1 the components
+    couple and the whole matrix is factored.
     ``ops`` keeps the mode operators for the projection that uses the solver.
     """
 
@@ -393,22 +400,20 @@ class FactoredGlobalSolver:
                 v = np.concatenate([a, b])
                 kers.append(v / np.linalg.norm(v))
             self.kernel = np.vstack(kers)
-            wei = np.concatenate([grid.weights, grid.weights])
-            B = (wei[:, None] * self.kernel.T)
-            bordered = sp.bmat([[mat, B], [B.T, None]], format="csc")
-            self._lu = spla.splu(bordered)
+            c = (grid.weights * self.kernel[0, :n])[:, None]
+            self._lu = spla.splu(sp.bmat([[mat[:n, :n], c], [c.T, None]],
+                                         format="csc"))
         else:
             self.kernel = None
             self._lu = spla.splu(mat)
 
     def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components."""
-        v = rhs.reshape(-1)
         if self.k == 0:
-            out = self._lu.solve(np.concatenate([v, [0.0, 0.0]]))[:-2]
-        else:
-            out = self._lu.solve(v)
-        return out.reshape(2, -1)
+            cols = np.zeros((rhs.shape[1] + 1, 2))
+            cols[:-1] = rhs.T
+            return self._lu.solve(cols)[:-1].T
+        return self._lu.solve(rhs.reshape(-1)).reshape(2, -1)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wpneck.cli import _check, main, run_suite
 from wpneck.config import RunConfig, load_config
+from wpneck.wp import sweep_wp_coefficients
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -47,6 +49,55 @@ def test_sweep_wp_header(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0].strip()
     assert header == "ell,g_ll,g_lw,g_ww"
+
+
+def test_sweep_honours_grid_n(tmp_path):
+    # on sweep, --grid-n sets sweep_grid_n, as a config file line would
+    flag, conf, plain = (tmp_path / f"{x}.csv" for x in ("flag", "conf", "plain"))
+    cfg_file = tmp_path / "n.cfg"
+    cfg_file.write_text("sweep_grid_n = 512\n")
+    args = ["sweep", "wp", "--ell-count", "2"]
+    assert main(args + ["--grid-n", "512", "--out", str(flag)]) == 0
+    assert main(args + ["--config", str(cfg_file), "--out", str(conf)]) == 0
+    assert main(args + ["--out", str(plain)]) == 0
+    assert flag.read_bytes() == conf.read_bytes()
+    assert flag.read_bytes() != plain.read_bytes()
+    row = sweep_wp_coefficients(RunConfig(ell_count=2).ell_grid(), grid_n=512)[0]
+    assert float(flag.read_text().splitlines()[1].split(",")[1]) == row["g_ll"]
+
+
+def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
+    for cmd, cap, name in ((["sweep", "divergence", "--ell-count", "2"], 16384,
+                            "sweep divergence caps sweep_grid_n"),
+                           (["verify", "projection"], 4096,
+                            "verify projection caps grid_n")):
+        assert main(cmd + ["--grid-n", str(cap)]) == 0
+        exact = capsys.readouterr()
+        assert exact.err == ""
+        assert main(cmd + ["--grid-n", str(cap + 1)]) == 0
+        capped = capsys.readouterr()
+        assert capped.out == exact.out
+        assert capped.err == f"wpneck: note: {name} at {cap} (got {cap + 1})\n"
+
+    import wpneck.parametrix
+
+    built = []
+
+    class Family:  # stands in for the costly parametrix family
+        def __init__(self, grid, ks):
+            built.append((grid.n, list(ks)))
+
+        def report(self, ell, norm_seed):
+            return SimpleNamespace(norm_S=ell, residual=0.0)
+
+    monkeypatch.setattr(wpneck.parametrix, "ParametrixFamily", Family)
+    run_suite("parametrix", RunConfig(grid_n=4096, modes=6))
+    assert built == [(2048, [0, 1, 2, 3, 4])]
+    assert capsys.readouterr().err.splitlines() == [
+        "wpneck: note: verify parametrix caps grid_n at 2048 (got 4096)",
+        "wpneck: note: verify parametrix caps modes at 4 (got 6)"]
+    run_suite("parametrix", RunConfig(grid_n=2048, modes=4))
+    assert capsys.readouterr().err == ""
 
 
 def test_fit_roundtrip_through_files(tmp_path):

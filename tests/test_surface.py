@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
-from wpneck.surface import (CutoffPair, FactoredGlobalSolver, GlobalModeSolver,
-                            ModelSurfaceMetric, SubdomainSolver,
-                            build_model_surface, channel_matrices,
-                            default_cutoffs, thick_indices)
+from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
+                            GlobalModeSolver, ModelSurfaceMetric,
+                            SubdomainSolver, build_model_surface,
+                            channel_matrices, default_cutoffs, thick_indices)
 
 
 def test_profile_regions():
@@ -49,6 +52,38 @@ def test_derivatives_consistent():
     dF = surf.dF_dell(t)
     assert np.allclose(dF[np.abs(t) <= 0.75], 2.0 * 0.2)
     assert np.allclose(dF[np.abs(t) >= 0.875], 0.0)
+
+
+def _base_unclamped(r):
+    """The cap profile as written before its argument was clamped at 0."""
+    r = np.asarray(r, float)
+    x = r - 0.875
+    inside = r <= 0.875
+    Q = np.where(inside, r * r,
+                 49.0 / 64.0 + 1.75 * x + x * x + _C4 * x**4 + _C5 * x**5)
+    Qp = np.where(inside, 2.0 * r,
+                  1.75 + 2.0 * x + 4.0 * _C4 * x**3 + 5.0 * _C5 * x**4)
+    Qpp = np.where(inside, 2.0, 2.0 + 12.0 * _C4 * x**2 + 20.0 * _C5 * x**3)
+    return Q, Qp, Qpp
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_base_clamp_is_bit_identical():
+    surf = ModelSurfaceMetric(ell=0.1)
+    seam = 0.875 + np.array([-1e-9, -1e-16, 0.0, 1e-16, 1e-9])
+    r = np.concatenate([np.linspace(0.0, 2.0, 4097), seam,
+                        np.nextafter(0.875, [0.0, 2.0])])
+    for got, want in zip(surf._base(r), _base_unclamped(r)):
+        assert _same_bits(got, want)
+    # 0-d scalars, as build_model_surface passes them
+    for r0 in (0.0, 0.5, 0.875, 0.8750001, 1.3, 2.0):
+        for got, want in zip(surf._base(r0), _base_unclamped(r0)):
+            assert np.ndim(got) == 0 and _same_bits(got, want)
+    assert np.ndim(surf.F(0.875 + 1e-7)) == 0
 
 
 def test_build_report():
@@ -146,6 +181,49 @@ def test_factored_solver_telescopes(surface_grid):
                 v = v - (kv @ v) * kv
             res = v.reshape(2, -1)
         assert np.max(np.abs(res)) < 2e-7 * np.max(np.abs(rhs))
+
+
+def _factored_k0(ell, grid):
+    ops = mode_operators(ModelSurfaceMetric(ell=ell), grid, 0)
+    return sp.csc_matrix(ops.divergence_tf @ ops.conformal_killing)
+
+
+def test_factored_k0_operator_is_two_equal_channels(surface_grid):
+    n = surface_grid.n
+    for ell in (0.01, 0.1, 0.365):
+        mat = _factored_k0(ell, surface_grid)
+        assert mat[:n, n:].count_nonzero() == 0
+        assert mat[n:, :n].count_nonzero() == 0
+        assert (mat[:n, :n] != mat[n:, n:]).nnz == 0
+
+
+def _coupled_k0_solve(ell, grid, kernel, rhs):
+    """The (2n+2) bordered solve that one channel LU replaced."""
+    mat = _factored_k0(ell, grid)
+    wei = np.concatenate([grid.weights, grid.weights])
+    B = wei[:, None] * kernel.T
+    lu = spla.splu(sp.bmat([[mat, B], [B.T, None]], format="csc"))
+    return lu.solve(np.concatenate([rhs.reshape(-1), [0.0, 0.0]]))[:-2].reshape(2, -1)
+
+
+def test_factored_k0_channel_solve_matches_coupled(surface_grid):
+    rng = np.random.default_rng(7)
+    for grid in (surface_grid, periodic_grid(-2.0, 2.0, 2049)):
+        x = grid.nodes
+        smooth = np.vstack([np.cos(np.pi * x / 2.0), 0.3 * np.sin(np.pi * x)])
+        for ell in (0.05, 0.1, 0.365):
+            fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
+            if grid is surface_grid:
+                # power-of-two grids (256 to 16384 checked) order both LUs
+                # alike, so the solutions agree to the bit
+                for rhs in (smooth, rng.standard_normal((2, grid.n))):
+                    want = _coupled_k0_solve(ell, grid, fs.kernel, rhs)
+                    assert _same_bits(fs.solve_sigma(rhs), want)
+            else:
+                # elsewhere the orderings differ, and so does the round-off
+                want = _coupled_k0_solve(ell, grid, fs.kernel, smooth)
+                err = np.max(np.abs(fs.solve_sigma(smooth) - want))
+                assert err <= 1e-14 * np.max(np.abs(want))
 
 
 def test_gauge_laplacian_consistent_on_surface(surface_grid):
