@@ -53,6 +53,15 @@ def _capped(where: str, name: str, value: int, cap: int) -> int:
     return min(value, cap)
 
 
+def _note_coarse_grid(quantity: str, ells: list[float], n: int) -> None:
+    """Note on stderr the sweep rows whose ell the period-4 grid cannot resolve."""
+    h = 4.0 / n
+    below = sum(ell < h for ell in ells)
+    if below:
+        print(f"wpneck: note: sweep {quantity}: {below} of {len(ells)} rows "
+              f"have ell below the grid spacing 4/{n} = {h:.6g}", file=sys.stderr)
+
+
 def _suite_cylinder(cfg: RunConfig) -> list[dict]:
     from .cylinder import (CylinderMetric, boundary_distance, make_chart,
                            metric_components, plumbing_substitution_check,
@@ -285,6 +294,7 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
     if quantity == "wp":
         from .wp import sweep_wp_coefficients
 
+        _note_coarse_grid(quantity, ells, cfg.sweep_grid_n)
         rows = sweep_wp_coefficients(ells, grid_n=cfg.sweep_grid_n,
                                      jobs=cfg.jobs)
         header = ["ell", "g_ll", "g_lw", "g_ww"]
@@ -299,6 +309,7 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
 
         grid = periodic_grid(-2, 2, _capped("sweep divergence", "sweep_grid_n",
                                             cfg.sweep_grid_n, 16384))
+        _note_coarse_grid(quantity, ells, grid.n)
         for ell in ells:
             ct = build_cutoff_tensors(ModelSurfaceMetric(ell=ell), grid)
             out.append([_fmt(ell), "divergence_norm", _fmt(ct.div_norm)])

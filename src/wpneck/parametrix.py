@@ -35,10 +35,14 @@ complement of the conformal Killing directions (see :mod:`wpneck.surface`);
 right-hand sides produced by the Bianchi operator are orthogonal to them
 analytically, which the tests verify.
 
-Operator norms of R and S are estimated by power iteration on S^T S
-(matvec/rmatvec through transposed LU solves); on the uniform periodic
-grid the Euclidean norm is the L^2 norm up to a constant, so the estimate
-is the L^2 operator norm.
+Each block acts on both rho channels at once, stacked as the flattened
+(2, n) array: P is one block-diagonal matrix, each Dirichlet inverse G_j one
+banded factorization of the stacked tridiagonal subdomain band, and each
+reference block's global inverse one sparse LU.  Operator norms of R and S
+are estimated by power iteration on S^T S (matvec/rmatvec through the
+transposed matrix and transposed banded and LU solves); on the uniform
+periodic grid the Euclidean norm is the L^2 norm up to a constant, so the
+estimate is the L^2 operator norm.
 """
 
 from __future__ import annotations
@@ -119,6 +123,8 @@ class ModeParametrix:
                           for i, si in enumerate(s_nodes) if i != j)
                 for j, sj in enumerate(s_nodes)
             ]
+        # P acts on both channels at once; PT is its transpose view
+        self.PT = self.P.T
         self.G0 = SubdomainSolver(self.P, thick_indices(grid))
         self.G1 = SubdomainSolver(self.P, thin_indices(grid))
         t = grid.nodes
@@ -127,10 +133,8 @@ class ModeParametrix:
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
-        out = np.empty_like(w)
-        for i in (0, 1):
-            out[i] = (self.P[i].T @ w[i]) if trans == "T" else (self.P[i] @ w[i])
-        return out
+        mat = self.PT if trans == "T" else self.P
+        return (mat @ w.reshape(-1)).reshape(w.shape)
 
     def _commutator(self, j: int, w):
         cw = self.chiw[j]

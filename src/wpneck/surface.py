@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import svdvals
+from scipy.linalg import lapack, svdvals
 
 from .grids import RadialGrid, periodic_grid
 from .modefields import ModeField, Rank
@@ -258,24 +258,45 @@ def default_cutoffs() -> CutoffPair:
 
 
 class SubdomainSolver:
-    """Dirichlet inverse of the mode gauge Laplacian on a node subset.
+    """Dirichlet inverse of the mode gauge Laplacian on one run of nodes.
 
-    ``P`` is the pair of CSC channel matrices from :func:`channel_matrices`.
-    Extracting the submatrix on ``idx`` and solving with zero exterior
-    values is exactly the Dirichlet problem on the subdomain; the solution
-    is returned zero-padded to the full grid.
+    ``P`` is the block-diagonal CSC matrix of the two rho channels from
+    :func:`channel_matrices`.  ``idx`` must be one run of consecutive nodes
+    in period order (the thick run wraps across tau = +-2); it is rolled
+    into that order, in which each channel's Dirichlet submatrix is
+    tridiagonal.  The two channels are stacked into one tridiagonal band of
+    size 2 len(idx), with zero coupling between them, and factored once by
+    LAPACK ``gttrf``; a solve is one ``gttrs`` call.  Solving with zero
+    exterior values is exactly the Dirichlet problem on the subdomain; the
+    solution is returned zero-padded to the full grid.
     """
 
     def __init__(self, P, idx: np.ndarray):
-        self.idx = np.asarray(idx, dtype=int)
-        self._lus = [spla.splu(mat[self.idx][:, self.idx]) for mat in P]
+        n = P.shape[0] // 2
+        idx = np.asarray(idx, dtype=int)
+        breaks = np.nonzero(np.diff(idx) != 1)[0]
+        if breaks.size == 1 and idx[0] == 0 and idx[-1] == n - 1:
+            idx = np.roll(idx, -(breaks[0] + 1))
+        elif breaks.size or idx.size == 0:
+            raise ValueError("subdomain nodes must form one run in period order")
+        self.idx = idx
+        # position of each stacked unknown in the flattened (2, n) channels
+        self._flat = np.concatenate([idx, n + idx])
+        band = P[self._flat][:, self._flat].tocoo()
+        if np.any(np.abs(band.col - band.row) > 1):
+            raise ValueError("the Dirichlet submatrix is not tridiagonal")
+        *lu, info = lapack.dgttrf(band.diagonal(-1), band.diagonal(),
+                                  band.diagonal(1))
+        if info:
+            raise RuntimeError("Dirichlet submatrix is exactly singular")
+        self._lu = lu
 
     def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
         """w shape (2, n) channel pairs; returns zero-padded solution."""
-        out = np.zeros_like(w)
-        for i in (0, 1):
-            out[i, self.idx] = self._lus[i].solve(w[i, self.idx], trans=trans)
-        return out
+        x, _ = lapack.dgttrs(*self._lu, w.reshape(-1)[self._flat], trans=trans)
+        out = np.zeros(w.size)
+        out[self._flat] = x
+        return out.reshape(w.shape)
 
 
 def discrete_near_null(mat_csc, seed: np.ndarray, iters: int = 3) -> np.ndarray:
@@ -301,42 +322,51 @@ def discrete_near_null(mat_csc, seed: np.ndarray, iters: int = 3) -> np.ndarray:
 
 
 def channel_matrices(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
-    """The CSC channel matrices [(1/2) P_k^+, (1/2) P_k^-] and their kernel.
+    """The channel operators blockdiag((1/2) P_k^+, (1/2) P_k^-) and their kernel.
 
-    At k = 0 both channels share the near-null vector sqrt(F), sharpened on
-    (1/2) P_0^+ by :func:`discrete_near_null` and normalized in the grid's
-    weighted L^2; for k != 0 the kernel is None.
+    One (2n, 2n) CSC matrix acts on both rho channels stacked as the
+    flattened (2, n) array.  At k = 0 both channels share the near-null
+    vector sqrt(F), sharpened on (1/2) P_0^+ by :func:`discrete_near_null`
+    and normalized in the grid's weighted L^2; for k != 0 the kernel is None.
     """
     ops = mode_operators(surface, grid, k)
-    P = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+    pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+    P = sp.block_diag(pair, format="csc")
     if k != 0:
         return P, None
-    q = discrete_near_null(P[0], ops.sqF)
+    q = discrete_near_null(pair[0], ops.sqF)
     return P, q / math.sqrt(float(grid.weights @ (q * q)))
 
 
 class GlobalModeSolver:
     """Direct solve of the mode-k gauge Laplacian on the closed surface.
 
-    k >= 1: plain sparse LU per rho channel.  k = 0: each channel has the
-    one-dimensional kernel sqrt(F) (sharpened to the discrete near-null
-    vector); the solve is a bordered system that constrains the solution to
-    the weighted complement of the kernel and absorbs any kernel component
-    of the right-hand side in the multiplier.  ``P`` and ``kernel`` keep
-    what :func:`channel_matrices` built.
+    Both rho channels are solved as one stacked system by one sparse LU.
+    k >= 1: the LU is of the block-diagonal channel matrix ``P``.  k = 0:
+    each channel has the one-dimensional kernel sqrt(F) (sharpened to the
+    discrete near-null vector), and the LU is of the block-diagonal of the
+    two bordered channel matrices [[P_k^+-, c], [c^T, 0]]: each constrains
+    its channel's solution to the weighted complement of the kernel and
+    absorbs any kernel component of the right-hand side in its multiplier.
+    ``P`` and ``kernel`` keep what :func:`channel_matrices` built.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
         self.P, self.kernel = channel_matrices(surface, grid, self.k)
+        n = grid.n
         if self.kernel is None:
-            self._lus = [spla.splu(mat) for mat in self.P]
+            self._rows = np.arange(2 * n)
+            self._lu = spla.splu(self.P)
         else:
-            wq = grid.weights * self.kernel
-            self._lus = [spla.splu(sp.bmat([[mat, wq[:, None]], [wq[None, :], None]],
-                                           format="csc"))
-                         for mat in self.P]
+            # the channel unknowns of the stacked bordered system; the two
+            # multipliers sit at n and 2n + 1
+            self._rows = np.concatenate([np.arange(n), n + 1 + np.arange(n)])
+            c = sp.csc_matrix((grid.weights * self.kernel)[:, None])
+            self._lu = spla.splu(sp.block_diag(
+                [sp.bmat([[mat, c], [c.T, None]])
+                 for mat in (self.P[:n, :n], self.P[n:, n:])], format="csc"))
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
         if self.kernel is None:
@@ -349,15 +379,10 @@ class GlobalModeSolver:
         return out
 
     def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
-        out = np.empty_like(w)
-        if self.k == 0:
-            for i in (0, 1):
-                rhs = np.append(w[i], 0.0)
-                out[i] = self._lus[i].solve(rhs, trans=trans)[:-1]
-        else:
-            for i in (0, 1):
-                out[i] = self._lus[i].solve(w[i], trans=trans)
-        return out
+        """w shape (2, n) channel pairs; one stacked LU solve."""
+        rhs = np.zeros(self._lu.shape[0])
+        rhs[self._rows] = w.reshape(-1)
+        return self._lu.solve(rhs, trans=trans)[self._rows].reshape(w.shape)
 
     def solve(self, f: ModeField) -> ModeField:
         if f.rank is not Rank.ONE_FORM:

@@ -100,6 +100,20 @@ def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_coarse_sweep_grid_is_noted_on_stderr(tmp_path, capsys):
+    # at --grid-n 512 the spacing 4/512 exceeds the five smallest of the
+    # twelve default ells; the CSV itself is unchanged by the note
+    for quantity in ("wp", "divergence"):
+        out = tmp_path / f"{quantity}.csv"
+        assert main(["sweep", quantity, "--grid-n", "512", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"wpneck: note: sweep {quantity}: 5 of 12 rows have ell below "
+            "the grid spacing 4/512 = 0.0078125\n")
+    for args in (["divergence"], ["wp", "--ell-count", "2"]):
+        assert main(["sweep", *args, "--out", str(tmp_path / "d.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_fit_roundtrip_through_files(tmp_path):
     csv_path = tmp_path / "series.csv"
     ells = np.geomspace(1e-3, 1e-1, 36)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
 from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
                               apply_bianchi, mode_operators)
-from wpneck.parametrix import (ParametrixFamily, SolverBank,
+from wpneck.parametrix import (ModeParametrix, ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
-from wpneck.surface import ModelSurfaceMetric
+from wpneck.surface import ModelSurfaceMetric, default_cutoffs
 from wpneck.ttbasis import tt_element
 
 
@@ -123,6 +124,22 @@ def test_block_builds_its_channel_matrices_once(family, monkeypatch):
     monkeypatch.setattr(ModeOperators, "channel_matrix", counting)
     family.block(0.123, 3)
     assert sorted(calls) == [-1, +1]
+
+
+def test_block_diagonal_apply_P_matches_per_channel_matvecs():
+    # oracle: the per-channel sparse matvecs of the two rho channels
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    surf = ModelSurfaceMetric(ell=0.1)
+    x = grid.nodes
+    w = np.vstack([np.cos(np.pi * x / 2.0), np.exp(np.sin(np.pi * x))])
+    for k in (0, 3):
+        blk = ModeParametrix(surf, grid, k, default_cutoffs())
+        ops = mode_operators(surf, grid, k)
+        pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+        assert np.array_equal(blk.apply_P(w),
+                              np.vstack([mat @ wi for mat, wi in zip(pair, w)]))
+        assert np.array_equal(blk.apply_P(w, trans="T"),
+                              np.vstack([mat.T @ wi for mat, wi in zip(pair, w)]))
 
 
 def test_refuses_outside_working_range(grid):

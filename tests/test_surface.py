@@ -9,7 +9,8 @@ from wpneck.operators import mode_operators
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, build_model_surface,
-                            channel_matrices, default_cutoffs, thick_indices)
+                            channel_matrices, default_cutoffs, thick_indices,
+                            thin_indices)
 
 
 def test_profile_regions():
@@ -116,23 +117,66 @@ def test_cutoff_bad_geometry_rejected():
 
 
 def test_subdomain_solver_is_dirichlet(surface_grid):
+    # thick (a run that wraps across tau = +-2) and thin subdomains, forward
+    # and transposed solves: zero off the run, backward stable on it
     surf = ModelSurfaceMetric(ell=0.1)
-    idx = thick_indices(surface_grid)
-    P, _ = channel_matrices(surf, surface_grid, 2)
-    sub = SubdomainSolver(P, idx)
+    n = surface_grid.n
     x = surface_grid.nodes
     rhs = np.vstack([np.cos(np.pi * x / 2.0), np.sin(np.pi * x)])
-    mask = np.zeros(surface_grid.n)
-    mask[idx] = 1.0
-    sol = sub.solve_channels(rhs * mask)
-    # zero off the subdomain, equation satisfied inside
-    off = np.setdiff1d(np.arange(surface_grid.n), idx)
-    assert np.max(np.abs(sol[:, off])) == 0.0
-    ops = mode_operators(surf, surface_grid, 2)
-    for i, sign in enumerate((+1, -1)):
-        res = (ops.channel_matrix(sign, 0.5) @ sol[i] - rhs[i] * mask)
-        interior = idx[(np.abs(x[idx]) > 0.52)]
-        assert np.max(np.abs(res[interior])) < 1e-8 * np.max(np.abs(rhs))
+    for k in (0, 2):
+        P, _ = channel_matrices(surf, surface_grid, k)
+        ops = mode_operators(surf, surface_grid, k)
+        pair = [sp.csr_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+        for idx in (thick_indices(surface_grid), thin_indices(surface_grid)):
+            sub = SubdomainSolver(P, idx)
+            mask = np.zeros(n)
+            mask[idx] = 1.0
+            off = np.setdiff1d(np.arange(n), idx)
+            A = sp.block_diag([mat[idx][:, idx] for mat in pair], format="csr")
+            for trans in ("N", "T"):
+                sol = sub.solve_channels(rhs * mask, trans=trans)
+                assert np.max(np.abs(sol[:, off])) == 0.0
+                xs, b = sol[:, idx].reshape(-1), rhs[:, idx].reshape(-1)
+                At = A.T if trans == "T" else A
+                berr = (np.max(np.abs(At @ xs - b))
+                        / (spla.norm(At, np.inf) * np.max(np.abs(xs))))
+                assert berr <= 1e-14, (k, idx.size, trans, berr)
+
+
+def test_subdomain_solver_needs_one_run(surface_grid):
+    P, _ = channel_matrices(ModelSurfaceMetric(ell=0.1), surface_grid, 2)
+    n = surface_grid.n
+    for idx in (np.r_[10:20, 30:40],            # two runs
+                np.r_[0:5, 100:200, n - 5:n],   # wraps, but with a gap
+                np.arange(20, 10, -1),          # not in period order
+                np.arange(n),                   # the whole circle: cyclic
+                np.arange(0)):
+        with pytest.raises(ValueError):
+            SubdomainSolver(P, idx)
+
+
+def test_stacked_global_solve_matches_per_channel_lus():
+    # oracle: one LU per rho channel, bordered at k = 0, as solved before
+    # the channels were stacked into one system
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    surf = ModelSurfaceMetric(ell=0.1)
+    x = grid.nodes
+    w = np.vstack([np.exp(np.cos(np.pi * x / 2.0)), 0.4 * np.sin(np.pi * x)])
+    for k in (0, 3):
+        gs = GlobalModeSolver(surf, grid, k)
+        ops = mode_operators(surf, grid, k)
+        pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+        if k == 0:
+            c = sp.csc_matrix((grid.weights * gs.kernel)[:, None])
+            lus = [spla.splu(sp.bmat([[mat, c], [c.T, None]], format="csc"))
+                   for mat in pair]
+        else:
+            lus = [spla.splu(mat) for mat in pair]
+        for trans in ("N", "T"):
+            ref = np.vstack([lu.solve(np.append(w[i], 0.0) if k == 0 else w[i],
+                                      trans=trans)[:grid.n]
+                             for i, lu in enumerate(lus)])
+            assert np.array_equal(gs.solve_channels(w, trans=trans), ref), (k, trans)
 
 
 def test_global_solver_residual_and_kernel(surface_grid):
