@@ -132,29 +132,31 @@ def _suite_l2norms(cfg: RunConfig) -> list[dict]:
     return checks
 
 
+def _bump(x):
+    """C-infinity bump on (1/2, 3/4), the source of the green and barrier checks."""
+    y = np.zeros_like(x)
+    m = (x > 0.5) & (x < 0.75)
+    z = (x[m] - 0.5) / 0.25
+    y[m] = np.exp(-1.0 / np.maximum(z * (1 - z), 1e-300))
+    return y
+
+
 def _suite_green(cfg: RunConfig) -> list[dict]:
     from .green import HomogeneousSolutions, solve_zero_mode, solve_zero_mode_fd
 
     checks = []
 
-    def bump(x):
-        y = np.zeros_like(x)
-        m = (x > 0.5) & (x < 0.75)
-        z = (x[m] - 0.5) / 0.25
-        y[m] = np.exp(-1.0 / np.maximum(z * (1 - z), 1e-300))
-        return y
-
     for ell in (1.0, 0.1, 0.01):
         hom = HomogeneousSolutions(ell)
         ts = np.linspace(-1, 1, 257)
         checks.append(_check(f"wronskian(l={ell})", hom.wronskian_check(ts), 1e-9))
-        rep = solve_zero_mode(ell, bump, 0.2, -0.1, n=4097)
+        rep = solve_zero_mode(ell, _bump, 0.2, -0.1, n=4097)
         checks.append(_check(f"explicit_zero_mode_residual(l={ell})",
                              rep.residual, 1e-8))
         checks.append(_check(f"explicit_zero_mode_bc(l={ell})", rep.bc_error, 1e-10))
     ell = 0.1
-    rep = solve_zero_mode(ell, bump, 0.2, -0.1, n=8193)
-    tau_fd, w_fd = solve_zero_mode_fd(ell, bump, 0.2, -0.1, n=8193)
+    rep = solve_zero_mode(ell, _bump, 0.2, -0.1, n=8193)
+    tau_fd, w_fd = solve_zero_mode_fd(ell, _bump, 0.2, -0.1, n=8193)
     rel = float(np.max(np.abs(rep.solution - w_fd)) / np.max(np.abs(w_fd)))
     checks.append(_check("explicit_vs_fd_oracle(l=0.1)", rel, 1e-6))
     return checks
@@ -173,20 +175,13 @@ def _suite_barrier(cfg: RunConfig) -> list[dict]:
     checks.append(_check("barrier_certified_margin", -cert.min_margin_certified,
                          0.0, ok=covered and cert.min_margin_certified >= 0.0))
 
-    def bump(x):
-        y = np.zeros_like(x)
-        m = (x > 0.5) & (x < 0.75)
-        z = (x[m] - 0.5) / 0.25
-        y[m] = np.exp(-1.0 / np.maximum(z * (1 - z), 1e-300))
-        return y
-
     worst = 0.0 if covered else np.inf
     for ell in (ells if covered else ()):
         r_in = cert.inner_radius[ell]
         for k in (1, 4, 16, 32):
-            tau, w = solve_nonzero_mode(ell, k, bump, n=2049,
+            tau, w = solve_nonzero_mode(ell, k, _bump, n=2049,
                                         c=cfg.cutoff_c)
-            C = float(np.max(np.abs(bump(tau))))
+            C = float(np.max(np.abs(_bump(tau))))
             zeta = BarrierProfile(cfg.barrier_alpha, cfg.cutoff_c, C, k)(tau)
             mask = (np.abs(tau) >= r_in) & (np.abs(tau) <= cfg.cutoff_c)
             excess = np.max((np.abs(w) - zeta)[mask]) / C

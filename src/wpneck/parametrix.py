@@ -22,10 +22,10 @@ reference lengths:
 error operator's band-local ell^2 sensitivity times ||R|| ~ 10 pushes
 ||S|| past 1 already at ell ~ 0.2.  Each added node cuts the interpolation
 error by roughly the distance to the new node.)  With the default five
-nodes, measured at k = 0 on the 2048-node periodic grid, ||S|| vanishes at
-the reference nodes and is >= 1 for ell ~ 0.358-0.374 (1.015 at 0.365),
-where ``report`` raises; the nodes 0.06 and 0.25 lie inside [0.05, 0.4],
-so ||S_ell|| is not monotone in ell there.  With
+nodes ||S|| vanishes at the reference nodes, but it is not below 1 over
+the whole span of the nodes: :data:`DEFAULT_ELL_REFS` says where
+``report`` raises.  The nodes 0.06 and 0.25 lie inside [0.05, 0.4], so
+||S_ell|| is not monotone in ell there.  With
 
     Gbar = Gtilde + F,    S = R - P F,
 
@@ -36,13 +36,25 @@ right-hand sides produced by the Bianchi operator are orthogonal to them
 analytically, which the tests verify.
 
 Each block acts on both rho channels at once, stacked as the flattened
-(2, n) array: P is one block-diagonal matrix, each Dirichlet inverse G_j one
-banded factorization of the stacked tridiagonal subdomain band, and each
-reference block's global inverse one sparse LU.  Operator norms of R and S
-are estimated by power iteration on S^T S (matvec/rmatvec through the
-transposed matrix and transposed banded and LU solves); on the uniform
-periodic grid the Euclidean norm is the L^2 norm up to a constant, so the
-estimate is the L^2 operator norm.
+(2, n) array, and keeps band data only:
+
+* P as the channels' cyclic tridiagonal diagonals (L, D, U), each (2, n)
+  (:func:`~wpneck.surface.cyclic_diagonals`); P and P^T are band matvecs.
+* G_0 and G_1 as one :class:`~wpneck.surface.SubdomainSolver`: the
+  Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
+  with zero coupling and factored once, so each application of Gtilde, R
+  or R^T is one banded solve.
+* The commutators, precomputed.  [P, chi~_j] has zero diagonal and the
+  off-diagonals L_i (chi~_j(i-1) - chi~_j(i)) and U_i (chi~_j(i+1) -
+  chi~_j(i)), which vanish outside the widener transition layers (~170 of
+  2048 nodes per channel).  So R reads the stacked Dirichlet solution at
+  those nodes only, and R^T writes the band's right-hand side there only.
+* A reference block's global inverse: one sparse LU.
+
+Operator norms of R and S are estimated by power iteration on S^T S
+(matvec/rmatvec through the transposed band, banded and LU solves); on the
+uniform periodic grid the Euclidean norm is the L^2 norm up to a constant,
+so the estimate is the L^2 operator norm.
 """
 
 from __future__ import annotations
@@ -61,8 +73,11 @@ from .surface import (
     GlobalModeSolver,
     ModelSurfaceMetric,
     SubdomainSolver,
+    band_matvec,
     channel_matrices,
+    cyclic_diagonals,
     default_cutoffs,
+    kernel_complement,
     smoothstep,
     smoothstep_d1,
     thick_indices,
@@ -112,55 +127,80 @@ class ModeParametrix:
         if refs is None:
             # a reference block: its global solver builds the channel matrices
             self.glob = GlobalModeSolver(surface, grid, k)
-            self.P, self.kernel = self.glob.P, self.glob.kernel
+            self.diags, self.kernel = self.glob.diags, self.glob.kernel
         else:
             self.glob = None
-            self.P, self.kernel = channel_matrices(surface, grid, self.k)
+            P, self.kernel = channel_matrices(surface, grid, self.k)
+            self.diags = cyclic_diagonals(P)
             s = surface.ell**2
             s_nodes = [r.surface.ell**2 for r in refs]
-            self._lagrange = [
+            lagrange = [
                 math.prod((s - si) / (sj - si)
                           for i, si in enumerate(s_nodes) if i != j)
                 for j, sj in enumerate(s_nodes)
             ]
-        # P acts on both channels at once; PT is its transpose view
-        self.PT = self.P.T
-        self.G0 = SubdomainSolver(self.P, thick_indices(grid))
-        self.G1 = SubdomainSolver(self.P, thin_indices(grid))
+            self._terms = [(lam, ref) for lam, ref in zip(lagrange, refs)
+                           if lam != 0.0]
+        runs = (thick_indices(grid), thin_indices(grid))
+        self.G = SubdomainSolver(self.diags, runs)
+        n = grid.n
+        chan, node = np.divmod(self.G.flat, n)
+        # the band's stacked order: run by run, both channels of each
+        run = np.repeat([0, 1], [2 * r.size for r in runs])
         t = grid.nodes
-        self.chi = [cutoffs.chi0(t), cutoffs.chi1(t)]
-        self.chiw = [cutoffs.chi0_widened(t), cutoffs.chi1_widened(t)]
+        chi = np.vstack([cutoffs.chi0(t), cutoffs.chi1(t)])
+        chiw = np.vstack([cutoffs.chi0_widened(t), cutoffs.chi1_widened(t)])
+        self._chi = chi[run, node]
+        self._chiw = chiw[run, node]
+        # R = -sum_j [P, chi~_j] G_j chi_j as one (2n) x (stacked) matrix:
+        # [P, chi~_j] has zero diagonal, so the solution at node i of run j
+        # reaches only rows i +- 1, through L_{i+1} (chi~_j(i) - chi~_j(i+1))
+        # and U_{i-1} (chi~_j(i) - chi~_j(i-1)); it is nonzero only where
+        # chi~_j changes, in the transition layers.
+        L, _, U = self.diags
+        rows, cols, vals = [], [], []
+        for step, coupling in ((1, L), (-1, U)):
+            r = (node + step) % n
+            coef = coupling[chan, r] * (self._chiw - chiw[run, r])
+            p = np.flatnonzero(coef)
+            rows.append(chan[p] * n + r[p])
+            cols.append(p)
+            vals.append(-coef[p])
+        self._R_rows = np.concatenate(rows)
+        self._R_cols = np.concatenate(cols)
+        self._R_vals = np.concatenate(vals)
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
-        mat = self.PT if trans == "T" else self.P
-        return (mat @ w.reshape(-1)).reshape(w.shape)
+        return band_matvec(self.diags, w, trans)
 
-    def _commutator(self, j: int, w):
-        cw = self.chiw[j]
-        return self.apply_P(cw * w) - cw * self.apply_P(w)
+    def _solve_pieces(self, w):
+        """G_j chi_j w for both subdomains, in the band's stacked order."""
+        return self.G.solve_channels(self._chi * w.reshape(-1)[self.G.flat])
 
-    def _commutator_T(self, j: int, w):
-        cw = self.chiw[j]
-        return cw * self.apply_P(w, trans="T") - self.apply_P(cw * w, trans="T")
+    def _scatter(self, x):
+        """A stacked vector summed onto the (2, n) channels."""
+        return np.bincount(self.G.flat, x, minlength=2 * self.grid.n).reshape(2, -1)
+
+    def _commute(self, x):
+        """-sum_j [P, chi~_j] x_j for a stacked x; reads x on the layers only."""
+        return np.bincount(self._R_rows, self._R_vals * x[self._R_cols],
+                           minlength=2 * self.grid.n).reshape(2, -1)
+
+    def _commute_T(self, w):
+        """The transpose of :meth:`_commute`: (2, n) in, stacked out."""
+        return np.bincount(self._R_cols, self._R_vals * w.reshape(-1)[self._R_rows],
+                           minlength=self.G.flat.size)
 
     def apply_Gtilde(self, w):
-        out = np.zeros_like(w)
-        for j, G in enumerate((self.G0, self.G1)):
-            out += self.chiw[j] * G.solve_channels(self.chi[j] * w)
-        return out
+        return self._scatter(self._chiw * self._solve_pieces(w))
 
     def apply_R(self, w):
-        out = np.zeros_like(w)
-        for j, G in enumerate((self.G0, self.G1)):
-            out -= self._commutator(j, G.solve_channels(self.chi[j] * w))
-        return out
+        return self._commute(self._solve_pieces(w))
 
     def apply_R_T(self, w):
-        out = np.zeros_like(w)
-        for j, G in enumerate((self.G0, self.G1)):
-            out -= self.chi[j] * G.solve_channels(self._commutator_T(j, w), trans="T")
-        return out
+        return self._scatter(self._chi * self.G.solve_channels(self._commute_T(w),
+                                                               trans="T"))
 
     def _ref_correct(self, ref: "ModeParametrix", w):
         r = ref.apply_R(w)
@@ -178,21 +218,25 @@ class ModeParametrix:
         directions: any kernel ride-along is harmless analytically but its
         O(h^2) discrete image under P would pollute the Neumann solution.
         """
-        if self.refs is None:
-            raise ValueError("this block was built as a reference; no correction")
+        terms = self._weighted_refs()
         out = np.zeros_like(np.asarray(w, float))
-        for lam, ref in zip(self._lagrange, self.refs):
-            if lam != 0.0:
-                out += lam * self._ref_correct(ref, w)
+        for lam, ref in terms:
+            out += lam * self._ref_correct(ref, w)
         return self._project(out)
 
     def apply_F_T(self, w):
+        terms = self._weighted_refs()
         w = self._project(np.asarray(w, float))
         out = np.zeros_like(w)
-        for lam, ref in zip(self._lagrange, self.refs):
-            if lam != 0.0:
-                out += lam * self._ref_correct_T(ref, w)
+        for lam, ref in terms:
+            out += lam * self._ref_correct_T(ref, w)
         return out
+
+    def _weighted_refs(self):
+        """The (Lagrange weight, reference) pairs with a nonzero weight."""
+        if self.refs is None:
+            raise ValueError("this block was built as a reference; no correction")
+        return self._terms
 
     def apply_S(self, w):
         return self.apply_R(w) - self.apply_P(self.apply_F(w))
@@ -204,13 +248,7 @@ class ModeParametrix:
         return self.apply_Gtilde(w) + self.apply_F(w)
 
     def _project(self, w):
-        if self.kernel is None:
-            return w
-        out = np.asarray(w, float).copy()
-        wei = self.grid.weights
-        for i in (0, 1):
-            out[i] -= (wei @ (self.kernel * out[i])) * self.kernel
-        return out
+        return kernel_complement(w, self.kernel, self.grid.weights)
 
     def operator_norm(self, which: str = "S", iters: int = 20,
                       tol: float = 1e-6, seed: int = 0) -> float:
@@ -256,8 +294,12 @@ class ModeParametrix:
         return self._project(self.apply_Gbar(acc)), terms
 
 
-#: default interpolation nodes: clustered at the ends of the working window
-#: (0, 0.52], none inside the standard ell sweep {0.4, 0.2, 0.1, 0.05}
+#: default interpolation nodes, none inside the standard ell sweep
+#: {0.4, 0.2, 0.1, 0.05}.  They do not make (0, 0.52] a working window: on
+#: the 2048-node grid with ks 0-4, ||S|| >= 1 at ell = 0.36, 0.37 and
+#: 0.45-0.51 of 51 lengths evenly spaced over [0.02, 0.52] (3.25 at 0.49),
+#: so ``report`` raises there; one global interpolant in ell^2 swings
+#: between the sparse upper nodes
 DEFAULT_ELL_REFS = (0.035, 0.06, 0.25, 0.42, 0.52)
 
 

@@ -50,6 +50,9 @@ __all__ = [
     "default_cutoffs",
     "GlobalModeSolver",
     "SubdomainSolver",
+    "band_matvec",
+    "cyclic_diagonals",
+    "kernel_complement",
     "thick_indices",
     "thin_indices",
 ]
@@ -257,46 +260,64 @@ def default_cutoffs() -> CutoffPair:
     return CutoffPair()
 
 
-class SubdomainSolver:
-    """Dirichlet inverse of the mode gauge Laplacian on one run of nodes.
+def _period_run(idx: np.ndarray, n: int) -> np.ndarray:
+    """``idx`` as one run of consecutive nodes in period order.
 
-    ``P`` is the block-diagonal CSC matrix of the two rho channels from
-    :func:`channel_matrices`.  ``idx`` must be one run of consecutive nodes
-    in period order (the thick run wraps across tau = +-2); it is rolled
-    into that order, in which each channel's Dirichlet submatrix is
-    tridiagonal.  The two channels are stacked into one tridiagonal band of
-    size 2 len(idx), with zero coupling between them, and factored once by
-    LAPACK ``gttrf``; a solve is one ``gttrs`` call.  Solving with zero
-    exterior values is exactly the Dirichlet problem on the subdomain; the
-    solution is returned zero-padded to the full grid.
+    A sorted run that wraps across tau = +-2 is rolled into that order; the
+    whole circle is no run (its operator is cyclic, not Dirichlet).
+    """
+    idx = np.asarray(idx, dtype=int)
+    breaks = np.nonzero(np.diff(idx) != 1)[0]
+    if breaks.size == 1 and idx[0] == 0 and idx[-1] == n - 1:
+        idx = np.roll(idx, -(breaks[0] + 1))
+    elif breaks.size or idx.size == 0 or idx.size >= n:
+        raise ValueError("subdomain nodes must form one run in period order")
+    return idx
+
+
+class SubdomainSolver:
+    """Dirichlet inverses of the mode gauge Laplacian on runs of nodes, as one band.
+
+    ``diags`` are the (L, D, U) diagonals of the two rho channels from
+    :func:`cyclic_diagonals`.  Each of ``runs`` must be one run of
+    consecutive nodes in period order (the thick run wraps across
+    tau = +-2 and is rolled into that order); runs may overlap.  On a run
+    each channel's Dirichlet submatrix is tridiagonal.  These pieces, run
+    by run and in each run channel + then channel -, are stacked into one
+    tridiagonal band with zero coupling between pieces, factored once by
+    LAPACK ``gttrf``; a solve is one ``gttrs`` call for all pieces.  The
+    zero coupling leaves each piece's factors and solution bit for bit as
+    if it were factored and solved alone.  Solving a piece with zero
+    exterior values is exactly the Dirichlet problem on its run.
+
+    Right-hand sides and solutions are in the band's stacked order:
+    ``flat[p]`` is the position of unknown p in the flattened (2, n)
+    channels, so a node in two overlapping runs appears there twice.
     """
 
-    def __init__(self, P, idx: np.ndarray):
-        n = P.shape[0] // 2
-        idx = np.asarray(idx, dtype=int)
-        breaks = np.nonzero(np.diff(idx) != 1)[0]
-        if breaks.size == 1 and idx[0] == 0 and idx[-1] == n - 1:
-            idx = np.roll(idx, -(breaks[0] + 1))
-        elif breaks.size or idx.size == 0:
-            raise ValueError("subdomain nodes must form one run in period order")
-        self.idx = idx
-        # position of each stacked unknown in the flattened (2, n) channels
-        self._flat = np.concatenate([idx, n + idx])
-        band = P[self._flat][:, self._flat].tocoo()
-        if np.any(np.abs(band.col - band.row) > 1):
-            raise ValueError("the Dirichlet submatrix is not tridiagonal")
-        *lu, info = lapack.dgttrf(band.diagonal(-1), band.diagonal(),
-                                  band.diagonal(1))
+    def __init__(self, diags, runs):
+        L, D, U = diags
+        n = D.shape[1]
+        flat, lower, main, upper = [], [], [], []
+        for idx in runs:
+            idx = _period_run(idx, n)
+            for c in (0, 1):
+                flat.append(c * n + idx)
+                main.append(D[c, idx])
+                # each piece ends with a zero coupling to the next one
+                lower.append(np.append(L[c, idx[1:]], 0.0))
+                upper.append(np.append(U[c, idx[:-1]], 0.0))
+        self.flat = np.concatenate(flat)
+        *lu, info = lapack.dgttrf(np.concatenate(lower)[:-1], np.concatenate(main),
+                                  np.concatenate(upper)[:-1])
         if info:
             raise RuntimeError("Dirichlet submatrix is exactly singular")
         self._lu = lu
 
-    def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
-        """w shape (2, n) channel pairs; returns zero-padded solution."""
-        x, _ = lapack.dgttrs(*self._lu, w.reshape(-1)[self._flat], trans=trans)
-        out = np.zeros(w.size)
-        out[self._flat] = x
-        return out.reshape(w.shape)
+    def solve_channels(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """One ``gttrs`` solve; ``b`` and the solution are in stacked order."""
+        x, _ = lapack.dgttrs(*self._lu, b, trans=trans)
+        return x
 
 
 def discrete_near_null(mat_csc, seed: np.ndarray, iters: int = 3) -> np.ndarray:
@@ -338,6 +359,60 @@ def channel_matrices(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
     return P, q / math.sqrt(float(grid.weights @ (q * q)))
 
 
+def cyclic_diagonals(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonals (L, D, U) of a block-diagonal channel matrix ``P``.
+
+    Each is a (2, n) array, one row per rho channel: row i of channel c of
+    ``P`` reads L[c, i] x[i - 1] + D[c, i] x[i] + U[c, i] x[i + 1] with
+    indices mod n, so the periodic corners sit in L[:, 0] and U[:, n - 1].
+    """
+    n = P.shape[0] // 2
+    coo = P.tocoo()
+    chan, row = np.divmod(coo.row, n)
+    slot = (coo.col - coo.row + 1) % n
+    if np.any(coo.col // n != chan) or np.any(slot > 2):
+        raise ValueError("P is not block-diagonal cyclic tridiagonal")
+    diags = np.zeros((3, 2, n))
+    diags[slot, chan, row] = coo.data
+    return diags[0], diags[1], diags[2]
+
+
+def band_matvec(diags, w: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``P @ w`` (or ``P.T @ w``) for w of shape (2, n), from ``diags``.
+
+    Each row sums its three terms in column order, as scipy's CSC and CSR
+    matvecs of the same matrix do, so the result matches them bit for bit.
+    """
+    L, D, U = diags
+    if trans == "T":
+        L, U = np.roll(U, 1, axis=1), np.roll(L, -1, axis=1)
+    L, D, U = L.reshape(-1), D.reshape(-1), U.reshape(-1)
+    x = w.reshape(-1)
+    n = w.shape[-1]
+    y = np.empty_like(x)
+    # both channels as one flat band; the first and last row of each channel
+    # (wrong here, and the only rows with a periodic corner) are redone below
+    y[1:-1] = L[1:-1] * x[:-2] + D[1:-1] * x[1:-1] + U[1:-1] * x[2:]
+    for a in (0, n):
+        b = a + n - 1
+        y[a] = D[a] * x[a] + U[a] * x[a + 1] + L[a] * x[b]
+        y[b] = U[b] * x[a] + L[b] * x[b - 1] + D[b] * x[b]
+    return y.reshape(w.shape)
+
+
+def kernel_complement(w: np.ndarray, kernel, weights) -> np.ndarray:
+    """w with each channel's weighted-L^2 component along ``kernel`` removed.
+
+    Returns w itself when ``kernel`` is None (k != 0), otherwise a new array.
+    """
+    if kernel is None:
+        return w
+    out = np.array(w, dtype=float)
+    for i in (0, 1):
+        out[i] -= (weights @ (kernel * out[i])) * kernel
+    return out
+
+
 class GlobalModeSolver:
     """Direct solve of the mode-k gauge Laplacian on the closed surface.
 
@@ -348,17 +423,19 @@ class GlobalModeSolver:
     two bordered channel matrices [[P_k^+-, c], [c^T, 0]]: each constrains
     its channel's solution to the weighted complement of the kernel and
     absorbs any kernel component of the right-hand side in its multiplier.
-    ``P`` and ``kernel`` keep what :func:`channel_matrices` built.
+    ``diags`` (see :func:`cyclic_diagonals`) and ``kernel`` keep what
+    :func:`channel_matrices` built, for the parametrix blocks that share them.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        self.P, self.kernel = channel_matrices(surface, grid, self.k)
+        P, self.kernel = channel_matrices(surface, grid, self.k)
+        self.diags = cyclic_diagonals(P)
         n = grid.n
         if self.kernel is None:
             self._rows = np.arange(2 * n)
-            self._lu = spla.splu(self.P)
+            self._lu = spla.splu(P)
         else:
             # the channel unknowns of the stacked bordered system; the two
             # multipliers sit at n and 2n + 1
@@ -366,17 +443,10 @@ class GlobalModeSolver:
             c = sp.csc_matrix((grid.weights * self.kernel)[:, None])
             self._lu = spla.splu(sp.block_diag(
                 [sp.bmat([[mat, c], [c.T, None]])
-                 for mat in (self.P[:n, :n], self.P[n:, n:])], format="csc"))
+                 for mat in (P[:n, :n], P[n:, n:])], format="csc"))
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
-        if self.kernel is None:
-            return w
-        q = self.kernel
-        wei = self.grid.weights
-        out = w.copy()
-        for i in (0, 1):
-            out[i] -= (wei @ (q * out[i])) * q
-        return out
+        return kernel_complement(w, self.kernel, self.grid.weights)
 
     def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
         """w shape (2, n) channel pairs; one stacked LU solve."""

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
@@ -9,7 +11,8 @@ from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
 from wpneck.parametrix import (ModeParametrix, ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
-from wpneck.surface import ModelSurfaceMetric, default_cutoffs
+from wpneck.surface import (ModelSurfaceMetric, channel_matrices, default_cutoffs,
+                            thick_indices, thin_indices)
 from wpneck.ttbasis import tt_element
 
 
@@ -140,6 +143,103 @@ def test_block_diagonal_apply_P_matches_per_channel_matvecs():
                               np.vstack([mat @ wi for mat, wi in zip(pair, w)]))
         assert np.array_equal(blk.apply_P(w, trans="T"),
                               np.vstack([mat.T @ wi for mat, wi in zip(pair, w)]))
+
+
+def test_band_commutators_match_the_commutator_formula():
+    # oracle: [P, chi~_j] v formed as P(chi~ v) - chi~ P v with the sparse
+    # channel matrix, as the blocks computed it before the commutators
+    # became precomputed bands
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    surf = ModelSurfaceMetric(ell=0.1)
+    cut = default_cutoffs()
+    chiw = [cut.chi0_widened(grid.nodes), cut.chi1_widened(grid.nodes)]
+    rng = np.random.default_rng(7)
+    for k in (0, 3):
+        blk = ModeParametrix(surf, grid, k, cut)
+        P, _ = channel_matrices(surf, grid, k)
+
+        def apply(v, trans="N"):
+            mat = P.T if trans == "T" else P
+            return (mat @ v.reshape(-1)).reshape(v.shape)
+
+        def commutator(j, v):
+            return apply(chiw[j] * v) - chiw[j] * apply(v)
+
+        def commutator_T(j, v):
+            return chiw[j] * apply(v, "T") - apply(chiw[j] * v, "T")
+
+        scale = spla.norm(P, np.inf)
+        x = rng.standard_normal(blk.G.flat.size)
+        # the stacked unknowns of the thick run come first, then the thin run's
+        split = 2 * thick_indices(grid).size
+        flats = [blk.G.flat[:split], blk.G.flat[split:]]
+        pads = [np.zeros(2 * grid.n), np.zeros(2 * grid.n)]
+        for pad, flat, xj in zip(pads, flats, (x[:split], x[split:])):
+            pad[flat] = xj
+        ref = -sum(commutator(j, v.reshape(2, -1)) for j, v in enumerate(pads))
+        got = blk._commute(x)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale * np.max(np.abs(x)), k
+
+        w = rng.standard_normal((2, grid.n))
+        ref_T = np.concatenate([-commutator_T(j, w).reshape(-1)[flat]
+                                for j, flat in enumerate(flats)])
+        got_T = blk._commute_T(w)
+        assert np.max(np.abs(got_T - ref_T)) <= 1e-12 * scale * np.max(np.abs(w)), k
+
+
+def test_stacked_gtilde_matches_per_subdomain_solves():
+    # oracle: one gttrf band per subdomain (both channels stacked), taken
+    # from the sparse channel matrix, as each block solved before the two
+    # subdomains shared one band
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    cut = default_cutoffs()
+    x = grid.nodes
+    n = grid.n
+    w = np.vstack([np.exp(np.cos(np.pi * x / 2.0)), 0.4 * np.sin(np.pi * x)])
+    runs = []
+    for idx in (thick_indices(grid), thin_indices(grid)):
+        brk = np.nonzero(np.diff(idx) != 1)[0]
+        runs.append(np.roll(idx, -(brk[0] + 1)) if brk.size else idx)
+    pairs = [(cut.chi0(x), cut.chi0_widened(x)), (cut.chi1(x), cut.chi1_widened(x))]
+    for ell in (0.035, 0.1, 0.4):
+        surf = ModelSurfaceMetric(ell=ell)
+        for k in (0, 3, 8):
+            blk = ModeParametrix(surf, grid, k, cut)
+            P, _ = channel_matrices(surf, grid, k)
+            ref = np.zeros_like(w)
+            for idx, (chi, chiw) in zip(runs, pairs):
+                flat = np.concatenate([idx, n + idx])
+                band = P[flat][:, flat].tocoo()
+                *lu, info = lapack.dgttrf(band.diagonal(-1), band.diagonal(),
+                                          band.diagonal(1))
+                sol, _ = lapack.dgttrs(*lu, (chi * w).reshape(-1)[flat])
+                pad = np.zeros(2 * n)
+                pad[flat] = sol
+                ref += chiw * pad.reshape(2, n)
+            assert np.array_equal(blk.apply_Gtilde(w), ref), (ell, k)
+
+
+def test_error_operator_is_zero_off_the_transition_layers(family, grid):
+    # R = -sum_j [P, chi~_j] G_j chi_j lives on the rows of the commutators,
+    # the nodes where chi~_j differs from a neighbour; elsewhere it is 0.0
+    cut = default_cutoffs()
+    layers = np.zeros(grid.n, bool)
+    for cw in (cut.chi0_widened(grid.nodes), cut.chi1_widened(grid.nodes)):
+        layers |= (np.roll(cw, 1) != cw) | (np.roll(cw, -1) != cw)
+    assert layers.sum() < 0.15 * grid.n
+    rng = np.random.default_rng(3)
+    for k in (0, 1, 3):
+        out = family.block(0.15, k).apply_R(rng.standard_normal((2, grid.n)))
+        assert np.all(out[:, ~layers] == 0.0), k
+        assert np.any(out[:, layers] != 0.0), k
+
+
+def test_reference_block_has_no_correction(family):
+    ref = family._ref[0][0]
+    w = np.ones((2, family.grid.n))
+    for name in ("apply_F", "apply_F_T", "apply_S", "apply_S_T"):
+        with pytest.raises(ValueError, match="built as a reference"):
+            getattr(ref, name)(w)
 
 
 def test_refuses_outside_working_range(grid):

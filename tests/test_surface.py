@@ -8,9 +8,9 @@ from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             GlobalModeSolver, ModelSurfaceMetric,
-                            SubdomainSolver, build_model_surface,
-                            channel_matrices, default_cutoffs, thick_indices,
-                            thin_indices)
+                            SubdomainSolver, band_matvec, build_model_surface,
+                            channel_matrices, cyclic_diagonals, default_cutoffs,
+                            thick_indices, thin_indices)
 
 
 def test_profile_regions():
@@ -128,13 +128,16 @@ def test_subdomain_solver_is_dirichlet(surface_grid):
         ops = mode_operators(surf, surface_grid, k)
         pair = [sp.csr_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
         for idx in (thick_indices(surface_grid), thin_indices(surface_grid)):
-            sub = SubdomainSolver(P, idx)
+            sub = SubdomainSolver(cyclic_diagonals(P), [idx])
             mask = np.zeros(n)
             mask[idx] = 1.0
             off = np.setdiff1d(np.arange(n), idx)
             A = sp.block_diag([mat[idx][:, idx] for mat in pair], format="csr")
             for trans in ("N", "T"):
-                sol = sub.solve_channels(rhs * mask, trans=trans)
+                sol = np.zeros(2 * n)
+                sol[sub.flat] = sub.solve_channels(
+                    (rhs * mask).reshape(-1)[sub.flat], trans=trans)
+                sol = sol.reshape(2, n)
                 assert np.max(np.abs(sol[:, off])) == 0.0
                 xs, b = sol[:, idx].reshape(-1), rhs[:, idx].reshape(-1)
                 At = A.T if trans == "T" else A
@@ -152,7 +155,22 @@ def test_subdomain_solver_needs_one_run(surface_grid):
                 np.arange(n),                   # the whole circle: cyclic
                 np.arange(0)):
         with pytest.raises(ValueError):
-            SubdomainSolver(P, idx)
+            SubdomainSolver(cyclic_diagonals(P), [idx])
+
+
+def test_band_matvec_sums_like_the_sparse_matvecs():
+    # random inputs of mixed magnitude make any change in the order of a
+    # row's three terms, periodic corners included, show in the last bits
+    grid = periodic_grid(-2.0, 2.0, 64)
+    rng = np.random.default_rng(11)
+    for k in (0, 3):
+        P, _ = channel_matrices(ModelSurfaceMetric(ell=0.1), grid, k)
+        diags = cyclic_diagonals(P)
+        for _ in range(20):
+            w = rng.standard_normal((2, grid.n)) * 10.0 ** rng.integers(-3, 4, (2, grid.n))
+            for trans, mat in (("N", P), ("T", P.T)):
+                assert np.array_equal(band_matvec(diags, w, trans),
+                                      (mat @ w.reshape(-1)).reshape(2, -1)), (k, trans)
 
 
 def test_stacked_global_solve_matches_per_channel_lus():
