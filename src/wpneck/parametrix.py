@@ -39,7 +39,8 @@ Each block acts on both rho channels at once, stacked as the flattened
 (2, n) array, and keeps band data only:
 
 * P as the channels' cyclic tridiagonal diagonals (L, D, U), each (2, n)
-  (:func:`~wpneck.surface.cyclic_diagonals`); P and P^T are band matvecs.
+  (:func:`~wpneck.surface.cyclic_diagonals`), and those of P^T, built
+  once; P and P^T are band matvecs.
 * G_0 and G_1 as one :class:`~wpneck.surface.SubdomainSolver`: the
   Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
   with zero coupling and factored once, so each application of Gtilde, R
@@ -82,6 +83,7 @@ from .surface import (
     smoothstep_d1,
     thick_indices,
     thin_indices,
+    transposed_diagonals,
 )
 from .ttbasis import tt_element, tt_limit
 
@@ -141,6 +143,7 @@ class ModeParametrix:
             ]
             self._terms = [(lam, ref) for lam, ref in zip(lagrange, refs)
                            if lam != 0.0]
+        self._diags_T = transposed_diagonals(self.diags)
         runs = (thick_indices(grid), thin_indices(grid))
         self.G = SubdomainSolver(self.diags, runs)
         n = grid.n
@@ -172,7 +175,7 @@ class ModeParametrix:
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
-        return band_matvec(self.diags, w, trans)
+        return band_matvec(self._diags_T if trans == "T" else self.diags, w)
 
     def _solve_pieces(self, w):
         """G_j chi_j w for both subdomains, in the band's stacked order."""
@@ -335,15 +338,19 @@ class ParametrixFamily:
                 ModeParametrix(ModelSurfaceMetric(ell=e), grid, k, self.cutoffs)
                 for e in self.ell_refs
             )
-        self._cache: dict[tuple[float, int], ModeParametrix] = {}
+        self._ell: float | None = None
+        self._blocks: dict[int, ModeParametrix] = {}
 
     def block(self, ell: float, k: int) -> ModeParametrix:
-        key = (float(ell), int(k))
-        if key not in self._cache:
-            surf = ModelSurfaceMetric(ell=float(ell))
-            self._cache[key] = ModeParametrix(surf, self.grid, k, self.cutoffs,
-                                              refs=self._ref[k])
-        return self._cache[key]
+        """The block at (ell, k).  Only the blocks of the last length asked
+        for are kept, so a scan over ell does not grow memory."""
+        ell, k = float(ell), int(k)
+        if ell != self._ell:
+            self._ell, self._blocks = ell, {}
+        if k not in self._blocks:
+            self._blocks[k] = ModeParametrix(ModelSurfaceMetric(ell=ell), self.grid,
+                                             k, self.cutoffs, refs=self._ref[k])
+        return self._blocks[k]
 
     def report(self, ell: float, norm_seed: int = 0) -> ParametrixReport:
         """Norm estimates plus a Neumann-vs-identity residual on a test rhs."""
@@ -380,8 +387,10 @@ class ParametrixFamily:
 class SolverBank:
     """Per-(surface, grid) cache of factored global mode solvers.
 
-    Each solver keeps its mode operators, so the bank is the only store of
-    operators for one surface; they are freed together with the bank.
+    Each solver keeps the operators the projection applies (stencil
+    coefficients at k = 0, the mode operators for k >= 1), so the bank is
+    the only store of operators for one surface; they are freed together
+    with the bank.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid):
@@ -409,9 +418,12 @@ def project_tt(
     (the trace-free part of the symmetrized derivative).  By default G
     inverts the factored discrete operator divergence o D, which makes T an
     exact discrete projector: outputs are divergence-free and T^2 = T to
-    solver precision.  With ``family`` given, G is instead the
-    Neumann-series parametrix built on the direct channel stencils; the
-    two agree up to discretization order.
+    solver precision.  B, G and D then come from the bank's
+    :class:`~wpneck.surface.FactoredGlobalSolver`; at k = 0, the only mode a
+    WP row projects, all three are stencils and one banded solve, with no
+    sparse matrix.  With ``family`` given, G is instead the Neumann-series
+    parametrix built on the direct channel stencils, and B and D are the
+    sparse mode operators; the two agree up to discretization order.
     """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     out: dict[ModeKey, ModeField] = {}
@@ -419,20 +431,17 @@ def project_tt(
         k, variant = key
         if h.rank is Rank.SYM2_TRACEFREE:
             h = h.as_full()
-        opk = (bank.get(k).ops if family is None
-               else mode_operators(surface, grid, k))
-        b = opk.bianchi @ h.data.reshape(-1)
-        bf = ModeField(k, Rank.ONE_FORM, grid, b.reshape(2, -1), variant)
-        if family is not None:
-            blk = family.block(surface.ell, k)
-            sol, _ = blk.neumann_solve(bf.rho())
-            w = ModeField.one_form_rho(k, grid, sol[0], sol[1], variant)
+        if family is None:
+            fs = bank.get(k)
+            corr = fs.conformal_killing(fs.solve_sigma(fs.bianchi(h.data)))
         else:
-            sol = bank.get(k).solve_sigma(bf.data)
-            w = ModeField(k, Rank.ONE_FORM, grid, sol, variant)
-        corr = opk.conformal_killing @ w.data.reshape(-1)
-        h0 = h.data[:2] - corr.reshape(2, -1)
-        out[key] = ModeField(k, Rank.SYM2_TRACEFREE, grid, h0, variant)
+            opk = mode_operators(surface, grid, k)
+            b = (opk.bianchi @ h.data.reshape(-1)).reshape(2, -1)
+            sol, _ = family.block(surface.ell, k).neumann_solve(
+                ModeField(k, Rank.ONE_FORM, grid, b, variant).rho())
+            w = ModeField.one_form_rho(k, grid, sol[0], sol[1], variant)
+            corr = (opk.conformal_killing @ w.data.reshape(-1)).reshape(2, -1)
+        out[key] = ModeField(k, Rank.SYM2_TRACEFREE, grid, h.data[:2] - corr, variant)
     return out
 
 
@@ -475,13 +484,14 @@ def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
                                 np.vstack([chi * phi, chi * psi])))
     mu_hat = tuple(fields)
 
-    F = np.asarray(surface.F(tau), float)
+    F = surface.grid_jet(grid)[0]
     amp = ell**1.5 / math.sqrt(math.atan(1.0 / ell))
     div_norm = math.sqrt(2.0 * math.pi * amp**2
                          * float(grid.integrate(chid**2 / F)))
 
-    div1 = bank.get(0).ops.divergence_tf @ mu_hat[0].data.reshape(-1)
-    div_field = ModeField(0, Rank.ONE_FORM, grid, div1.reshape(2, -1))
+    # mu_hat is trace-free, so its Bianchi image is its divergence
+    div1 = bank.get(0).bianchi(mu_hat[0].as_full().data)
+    div_field = ModeField(0, Rank.ONE_FORM, grid, div1)
     div_norm_discrete = mode_norm(div_field)
 
     # both kinds share the key (0, COS); project one at a time

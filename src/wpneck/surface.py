@@ -23,6 +23,13 @@ deflate it with a bordered system; the downstream projection is unaffected
 because the symmetrized derivative annihilates both directions.  This is a
 genuine departure from a genus >= 2 surface, where no (conformal) Killing
 fields exist and the operator is invertible outright.
+
+The factored k = 0 operator divergence o D that the TT projection inverts
+has, on an even grid, a second null direction: the checkerboard
+(-1)^i / sqrt(F) of the central difference.  :class:`FactoredGlobalSolver`
+borders both, in one LAPACK band built from the stencil coefficients.
+SuperLU remains for k >= 1, :class:`GlobalModeSolver` and
+:func:`discrete_near_null`.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "SubdomainSolver",
     "band_matvec",
     "cyclic_diagonals",
+    "transposed_diagonals",
     "kernel_complement",
     "thick_indices",
     "thin_indices",
@@ -119,6 +127,7 @@ class ModelSurfaceMetric:
     period: float = 4.0
     thin_plateau: float = 0.75
     thin_support: float = 0.875
+    _grid_jet: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.ell < 0:
@@ -149,23 +158,32 @@ class ModelSurfaceMetric:
     def _weight(self, r):
         return _plateau(r, self.thin_plateau, self.thin_support)
 
+    def jet(self, tau):
+        """(F, F', F'') at tau from one fold, cap and plateau evaluation."""
+        r, s = self._fold(tau)
+        Q, Qp, Qpp = self._base(r)
+        w, wp, wpp = self._weight(r)
+        e2 = self.ell**2
+        return Q + e2 * w, s * (Qp + e2 * wp), Qpp + e2 * wpp
+
+    def grid_jet(self, grid: RadialGrid):
+        """:meth:`jet` at the nodes of ``grid``, kept for the last grid asked.
+
+        A WP row evaluates the profile on its grid once: the variations and
+        the k = 0 solver all read this.
+        """
+        if not self._grid_jet or self._grid_jet[0] is not grid:
+            self._grid_jet[:] = [grid, self.jet(grid.nodes)]
+        return self._grid_jet[1]
+
     def F(self, tau):
-        r, _ = self._fold(tau)
-        Q, _, _ = self._base(r)
-        w, _, _ = self._weight(r)
-        return Q + self.ell**2 * w
+        return self.jet(tau)[0]
 
     def Fp(self, tau):
-        r, s = self._fold(tau)
-        _, Qp, _ = self._base(r)
-        _, wp, _ = self._weight(r)
-        return s * (Qp + self.ell**2 * wp)
+        return self.jet(tau)[1]
 
     def Fpp(self, tau):
-        r, _ = self._fold(tau)
-        _, _, Qpp = self._base(r)
-        _, _, wpp = self._weight(r)
-        return Qpp + self.ell**2 * wpp
+        return self.jet(tau)[2]
 
     def dF_dell(self, tau):
         """ell-derivative of the profile: 2 ell w(tau)."""
@@ -377,16 +395,23 @@ def cyclic_diagonals(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diags[0], diags[1], diags[2]
 
 
+def transposed_diagonals(diags):
+    """The diagonals of P^T from the diagonals (L, D, U) of P."""
+    L, D, U = diags
+    return np.roll(U, 1, axis=1), D, np.roll(L, -1, axis=1)
+
+
 def band_matvec(diags, w: np.ndarray, trans: str = "N") -> np.ndarray:
     """``P @ w`` (or ``P.T @ w``) for w of shape (2, n), from ``diags``.
 
     Each row sums its three terms in column order, as scipy's CSC and CSR
     matvecs of the same matrix do, so the result matches them bit for bit.
+    A caller that applies P^T often passes :func:`transposed_diagonals`,
+    built once, with ``trans="N"``.
     """
-    L, D, U = diags
     if trans == "T":
-        L, U = np.roll(U, 1, axis=1), np.roll(L, -1, axis=1)
-    L, D, U = L.reshape(-1), D.reshape(-1), U.reshape(-1)
+        diags = transposed_diagonals(diags)
+    L, D, U = (d.reshape(-1) for d in diags)
     x = w.reshape(-1)
     n = w.shape[-1]
     y = np.empty_like(x)
@@ -461,6 +486,15 @@ class GlobalModeSolver:
         return ModeField.one_form_rho(f.k, f.grid, sol[0], sol[1], f.variant)
 
 
+def _central(u: np.ndarray, c: float) -> np.ndarray:
+    """The periodic d1 stencil c (u[i + 1] - u[i - 1]) along the last axis."""
+    return c * (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1))
+
+
+# half-bandwidth of the k = 0 channel in the folded node order
+_KL = 4
+
+
 class FactoredGlobalSolver:
     """Global inverse of the *factored* gauge Laplacian divergence o D.
 
@@ -470,45 +504,119 @@ class FactoredGlobalSolver:
     h0 - D G (divergence h0) is discretely divergence-free to solver
     precision, so the TT projection is an exact discrete projector.  The
     direct channel stencils remain the independent discretization used by
-    the operator-identity checks.
+    the operator-identity checks.  :meth:`bianchi` and
+    :meth:`conformal_killing` apply the two operators the projection needs.
 
-    At k = 0 the discrete kernel is spanned by the conformal Killing
-    one-forms d tau and F d theta, and k / sqrt(F) = 0 decouples the two
-    sigma components: the operator is blockdiag(M, M).  One LU of the
-    bordered channel matrix [[M, c], [c^T, 0]] then serves both components,
-    solved as one two-column right-hand side; ``kernel`` keeps the two
-    directions in the coupled (2, 2n) layout.  For k >= 1 the components
-    couple and the whole matrix is factored.
-    ``ops`` keeps the mode operators for the projection that uses the solver.
+    At k = 0 the sigma components decouple (k / sqrt(F) = 0) and the
+    operator is blockdiag(M, M), M = -A B with A = sqrt(F) d1 + 2 beta
+    (minus the divergence), B = (sqrt(F) d1 - beta) / 2 (the conformal
+    Killing operator) and beta = F'/(2 sqrt F): five cyclic diagonals,
+    ``diagonals[j, i] = M[i, i + j - 2 (mod n)]``, formed from the stencil
+    coefficients with no sparse matrix.  On an even grid M has two null
+    directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F) of the
+    central difference; one border leaves the system singular, with an
+    arbitrary checkerboard in the solution.  So the solve is
+    [[M, C], [C^T, 0]] with C the weighted sqrt(F) and, on even grids, the
+    weighted checkerboard.  The band is factored by LAPACK ``dgbtrf`` in
+    the folded node order 0, n - 1, 1, n - 2, ..., which puts the periodic
+    corners inside a half-width of 4, with the rows of node 0 (tau = -2)
+    and node n // 2 (the neck, where the checkerboard's left null vector
+    lives; two cap pins leave a condition number of 6e14 at ell = 1e-3,
+    n = 2048) pinned to unit rows.  A small Schur system closes the pins
+    and the borders, so a solve is one ``dgbtrs`` with both components as
+    columns.
+    ``kernel`` keeps sqrt(F) in each component, in the (2, 2n) layout.
+    For k >= 1 the components couple, and SuperLU factors the sparse
+    product of the mode operators.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        self.ops = ops = mode_operators(surface, grid, k)
-        mat = sp.csc_matrix(ops.divergence_tf @ ops.conformal_killing)
         n = grid.n
-        if self.k == 0:
-            sqF = ops.sqF
-            kers = []
-            for a, b in ((sqF, np.zeros(n)), (np.zeros(n), sqF)):
-                v = np.concatenate([a, b])
-                kers.append(v / np.linalg.norm(v))
-            self.kernel = np.vstack(kers)
-            c = (grid.weights * self.kernel[0, :n])[:, None]
-            self._lu = spla.splu(sp.bmat([[mat[:n, :n], c], [c.T, None]],
-                                         format="csc"))
-        else:
+        if self.k:
             self.kernel = None
-            self._lu = spla.splu(mat)
+            self._ops = ops = mode_operators(surface, grid, k)
+            self._lu = spla.splu(sp.csc_matrix(ops.divergence_tf @ ops.conformal_killing))
+            return
+        F, Fp, _ = surface.grid_jet(grid)
+        self.sqF = sqF = np.sqrt(F)
+        self.beta = beta = Fp / (2.0 * sqF)
+        self._c = c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
+        v = np.concatenate([sqF, np.zeros(n)])
+        v /= np.linalg.norm(v)
+        self.kernel = np.vstack([v, np.roll(v, n)])
+
+        # M = -A B, multiplied as bands: (A B)[i, i + s + t] = a_s[i] b_t[i + s]
+        a = (-c * sqF, 2.0 * beta, c * sqF)
+        b = (-0.5 * c * sqF, -0.5 * beta, 0.5 * c * sqF)
+        self.diagonals = diags = np.zeros((5, n))
+        for s in (-1, 0, 1):
+            for t in (-1, 0, 1):
+                diags[s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
+
+        node = np.arange(n)
+        self._perm = perm = np.empty(n, dtype=int)
+        perm[0::2] = node[: (n + 1) // 2]
+        perm[1::2] = node[::-1][: n // 2]
+        self._pos = pos = np.argsort(perm)  # node i sits at pos[i]
+        pins = np.array([0, n // 2])
+        band = diags.copy()
+        band[:, pins] = 0.0
+        band[2, pins] = 1.0
+        ab = np.zeros((3 * _KL + 1, n))
+        for j in range(5):
+            col = pos[(node + j - 2) % n]
+            ab[2 * _KL + pos - col, col] = band[j]
+        *self._band, info = lapack.dgbtrf(ab, _KL, _KL)
+        if info:
+            raise RuntimeError("pinned k = 0 band is exactly singular")
+
+        # M = Mpin + E R, with E the pins' unit columns and R = E^T (M - I).
+        # The bordered system becomes Mpin x = r - E mu - C lam with
+        # mu = R x and C^T x = 0: x = y - Y (mu, lam) for y = Mpin^-1 r and
+        # Y = Mpin^-1 [E, C], where H (mu, lam) = [R; C^T] y and
+        # H = [R; C^T] Y + diag(I, 0).  _T is [R; C^T] in the folded order.
+        borders = [sqF] if n % 2 else [sqF, np.where(node % 2, -1.0, 1.0) / sqF]
+        C = np.array([grid.weights * u / np.linalg.norm(u) for u in borders])
+        R = np.zeros((2, n))
+        for j in range(5):
+            R[[0, 1], (pins + j - 2) % n] += diags[j, pins]
+        R[[0, 1], pins] -= 1.0
+        self._T = np.vstack([R, C])[:, perm]
+        cols = np.zeros((n, self._T.shape[0]))
+        cols[pos[pins], [0, 1]] = 1.0
+        cols[:, 2:] = self._T[2:].T
+        self._Y = self._band_solve(cols)
+        self._H = self._T @ self._Y
+        self._H[[0, 1], [0, 1]] += 1.0
+
+    def _band_solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dgbtrs(self._band[0], _KL, _KL, b, self._band[1])[0]
 
     def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components."""
-        if self.k == 0:
-            cols = np.zeros((rhs.shape[1] + 1, 2))
-            cols[:-1] = rhs.T
-            return self._lu.solve(cols)[:-1].T
-        return self._lu.solve(rhs.reshape(-1)).reshape(2, -1)
+        if self.k:
+            return self._lu.solve(rhs.reshape(-1)).reshape(2, -1)
+        y = self._band_solve(rhs[:, self._perm].T)
+        y -= self._Y @ np.linalg.solve(self._H, self._T @ y)
+        return y[self._pos].T
+
+    def bianchi(self, h: np.ndarray) -> np.ndarray:
+        """The Bianchi operator: sym2_full data (3, n) -> sigma components.
+
+        At k = 0 the trace column cancels exactly, so this is -(A phi, A psi).
+        """
+        if self.k:
+            return (self._ops.bianchi @ h.reshape(-1)).reshape(2, -1)
+        u = h[:2]
+        return -(self.sqF * _central(u, self._c) + 2.0 * self.beta * u)
+
+    def conformal_killing(self, w: np.ndarray) -> np.ndarray:
+        """The conformal Killing operator: sigma components -> (phi, psi)."""
+        if self.k:
+            return (self._ops.conformal_killing @ w.reshape(-1)).reshape(2, -1)
+        return 0.5 * (self.sqF * _central(w, self._c) - self.beta * w)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,8 @@ __all__ = [
 
 def length_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
     """d g / d ell as a k = 0 full tensor mode (trace-free in this gauge)."""
-    tau = grid.nodes
-    F = np.asarray(surface.F(tau), float)
-    dF = np.asarray(surface.dF_dell(tau), float)
+    F = surface.grid_jet(grid)[0]
+    dF = np.asarray(surface.dF_dell(grid.nodes), float)
     phi = -dF / F
     zeros = np.zeros_like(phi)
     return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([phi, zeros, zeros]))
@@ -69,9 +68,8 @@ def twist_step_d1(tau):
 
 def twist_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
     """d g / d omega of theta -> theta + omega s(tau): F s'(tau) dtau dtheta (sym)."""
-    tau = np.mod(grid.nodes + 2.0, 4.0) - 2.0
-    F = np.asarray(surface.F(tau), float)
-    psi = F * twist_step_d1(tau)
+    F = surface.grid_jet(grid)[0]
+    psi = F * twist_step_d1(np.mod(grid.nodes + 2.0, 4.0) - 2.0)
     zeros = np.zeros_like(psi)
     return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([zeros, psi, zeros]))
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -127,6 +130,25 @@ def test_block_builds_its_channel_matrices_once(family, monkeypatch):
     monkeypatch.setattr(ModeOperators, "channel_matrix", counting)
     family.block(0.123, 3)
     assert sorted(calls) == [-1, +1]
+
+
+def test_family_keeps_only_the_current_lengths_blocks(grid, monkeypatch):
+    family = ParametrixFamily(grid, ks=[1])
+    built = []
+    real = ModeParametrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0].ell)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeParametrix, "__init__", counting)
+    first = weakref.ref(family.block(0.1, 1))
+    # a report and then its blocks again, as parametrix_norms asks for them
+    family.report(0.2)
+    family.block(0.2, 1)
+    assert built == [0.1, 0.2]
+    gc.collect()
+    assert first() is None
 
 
 def test_block_diagonal_apply_P_matches_per_channel_matvecs():

@@ -121,6 +121,27 @@ def test_wp_matrix_keeps_no_reference_to_the_surface():
     assert ref() is None
 
 
+def test_wp_row_builds_no_sparse_matrix(monkeypatch):
+    # a row projects at k = 0 only, with stencils and one LAPACK band: no
+    # mode operators, no SuperLU, no scipy.sparse matrix
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from wpneck.operators import ModeOperators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a WP row built a sparse matrix")
+
+    monkeypatch.setattr(ModeOperators, "__init__", refuse)
+    for name in ("splu", "spsolve"):
+        monkeypatch.setattr(spla, name, refuse)
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "bmat", "diags",
+                 "block_diag", "eye"):
+        monkeypatch.setattr(sp, name, refuse)
+    rows = sweep_wp_coefficients([1e-3, 0.05, 0.1], grid_n=1024)
+    assert all(r["g_ll"] > 0 and r["g_ww"] > 0 for r in rows)
+
+
 def test_sweep_slopes_and_determinism():
     ells = np.geomspace(1e-3, 1e-1, 9)
     rows = sweep_wp_coefficients(ells, grid_n=8192, use_conformal=False)
