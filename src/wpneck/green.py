@@ -41,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cylinder import CylinderMetric
 from .grids import ArcsinhGrid, RadialGrid, arcsinh_grid, solve_tridiagonal
@@ -402,13 +400,16 @@ def cylinder_dirichlet_inverse(
 ) -> dict[ModeKey, ModeField]:
     """Dirichlet inverse of the one-form gauge Laplacian on an interval grid.
 
-    Solves (1/2) P_k^+- per rho channel with row-replaced boundary rows, so
-    the returned modes invert ``apply_gauge_laplacian`` up to solver
-    accuracy on the given grid.  ``boundary`` maps a mode key to channel
+    Solves (1/2) P_k^+- per rho channel with identity boundary rows, one
+    tridiagonal band solve per channel, so the returned modes invert
+    ``apply_gauge_laplacian`` up to solver accuracy on the given
+    finite-difference grid.  ``boundary`` maps a mode key to channel
     boundary values (w1-, w1+, w2-, w2+); default zero Dirichlet data.
     ``enforce_gap`` applies the standing support hypothesis used by the
     expansion statements; the parametrix disables it.
     """
+    if grid.scheme == "chebyshev":
+        raise ValueError("cylinder inverse needs a finite-difference grid")
     out: dict[ModeKey, ModeField] = {}
     for key, f in rhs.items():
         if f.rank is not Rank.ONE_FORM:
@@ -424,14 +425,13 @@ def cylinder_dirichlet_inverse(
         bvals = (boundary or {}).get(key, (0.0, 0.0, 0.0, 0.0))
         sols = []
         for i, sign in enumerate((+1, -1)):
-            mat = sp.csr_matrix(opk.channel_matrix(sign, 0.5))
-            mat = mat.tolil()
-            mat[0, :] = 0.0
-            mat[0, 0] = 1.0
-            mat[-1, :] = 0.0
-            mat[-1, -1] = 1.0
+            mat = opk.channel_matrix(sign, 0.5)
+            # tridiagonal interior rows, identity boundary rows
+            lower, diag, upper = (np.append(0.0, mat.diagonal(-1)), mat.diagonal(),
+                                  np.append(mat.diagonal(1), 0.0))
+            diag[[0, -1]], upper[0], lower[-1] = 1.0, 0.0, 0.0
             b = w[i].copy()
             b[0], b[-1] = bvals[2 * i], bvals[2 * i + 1]
-            sols.append(spla.spsolve(mat.tocsc(), b))
+            sols.append(solve_tridiagonal(lower, diag, upper, b))
         out[key] = ModeField.one_form_rho(k, grid, sols[0], sols[1], variant)
     return out

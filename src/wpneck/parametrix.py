@@ -38,9 +38,10 @@ analytically, which the tests verify.
 Each block acts on both rho channels at once, stacked as the flattened
 (2, n) array, and keeps band data only:
 
-* P as the channels' cyclic tridiagonal diagonals (L, D, U), each (2, n)
-  (:func:`~wpneck.surface.cyclic_diagonals`), and those of P^T, built
-  once; P and P^T are band matvecs.
+* P as the channels' cyclic tridiagonal diagonals (L, D, U), each (2, n),
+  built from the stencils (:func:`~wpneck.surface.channel_diagonals`),
+  and those of P^T, built once; P and P^T are band matvecs.  No block
+  assembles a sparse matrix or :class:`~wpneck.operators.ModeOperators`.
 * G_0 and G_1 as one :class:`~wpneck.surface.SubdomainSolver`: the
   Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
   with zero coupling and factored once, so each application of Gtilde, R
@@ -50,10 +51,11 @@ Each block acts on both rho channels at once, stacked as the flattened
   chi~_j(i)), which vanish outside the widener transition layers (~170 of
   2048 nodes per channel).  So R reads the stacked Dirichlet solution at
   those nodes only, and R^T writes the band's right-hand side there only.
-* A reference block's global inverse: one sparse LU.
+* A reference block's global inverse: a
+  :class:`~wpneck.surface.GlobalModeSolver`, also a band.
 
 Operator norms of R and S are estimated by power iteration on S^T S
-(matvec/rmatvec through the transposed band, banded and LU solves); on the
+(matvec/rmatvec through the transposed band, and banded solves); on the
 uniform periodic grid the Euclidean norm is the L^2 norm up to a constant,
 so the estimate is the L^2 operator norm.
 """
@@ -75,8 +77,7 @@ from .surface import (
     ModelSurfaceMetric,
     SubdomainSolver,
     band_matvec,
-    channel_matrices,
-    cyclic_diagonals,
+    channel_diagonals,
     default_cutoffs,
     kernel_complement,
     smoothstep,
@@ -126,14 +127,15 @@ class ModeParametrix:
         self.k = int(k)
         self.cutoffs = cutoffs
         self.refs = refs
-        if refs is None:
-            # a reference block: its global solver builds the channel matrices
-            self.glob = GlobalModeSolver(surface, grid, k)
-            self.diags, self.kernel = self.glob.diags, self.glob.kernel
+        if refs is None or self.k == 0:
+            # the global solver builds the channel diagonals and the kernel;
+            # only a reference block keeps it
+            glob = GlobalModeSolver(surface, grid, k)
+            self.diags, self.kernel = glob.diags, glob.kernel
         else:
-            self.glob = None
-            P, self.kernel = channel_matrices(surface, grid, self.k)
-            self.diags = cyclic_diagonals(P)
+            self.diags, self.kernel = channel_diagonals(surface, grid, self.k), None
+        self.glob = glob if refs is None else None
+        if refs is not None:
             s = surface.ell**2
             s_nodes = [r.surface.ell**2 for r in refs]
             lagrange = [

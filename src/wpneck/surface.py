@@ -28,14 +28,16 @@ The factored k = 0 operator divergence o D that the TT projection inverts
 has, on an even grid, a second null direction: the checkerboard
 (-1)^i / sqrt(F) of the central difference.  :class:`FactoredGlobalSolver`
 borders both, in one LAPACK band built from the stencil coefficients.
-SuperLU remains for k >= 1, :class:`GlobalModeSolver` and
-:func:`discrete_near_null`.
+:class:`GlobalModeSolver` is a cyclic tridiagonal band with a corner (and
+k = 0 border) update.  SuperLU remains only for the k >= 1
+:class:`FactoredGlobalSolver`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +45,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, svdvals
 
 from .grids import RadialGrid, periodic_grid
-from .modefields import ModeField, Rank
-from .operators import mode_operators
+from .operators import channel_potential, mode_operators
 
 __all__ = [
     "smoothstep",
@@ -58,7 +59,7 @@ __all__ = [
     "GlobalModeSolver",
     "SubdomainSolver",
     "band_matvec",
-    "cyclic_diagonals",
+    "channel_diagonals",
     "transposed_diagonals",
     "kernel_complement",
     "thick_indices",
@@ -194,15 +195,6 @@ class ModelSurfaceMetric:
     def curvature(self, tau):
         return -0.5 * self.Fpp(tau)
 
-    # -- regions ---------------------------------------------------------------
-    def in_thin(self, tau):
-        r, _ = self._fold(tau)
-        return r < 0.75
-
-    def in_thick(self, tau):
-        r, _ = self._fold(tau)
-        return r > 0.5
-
 
 def thick_indices(grid: RadialGrid, margin: float = 0.0) -> np.ndarray:
     """Node indices of the thick subdomain |tau| > 1/2 (+ margin)."""
@@ -293,106 +285,118 @@ def _period_run(idx: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
+def _stacked_band(diags, runs):
+    """``(flat, lu)``: the tridiagonal pieces of ``diags`` on ``runs``, one band.
+
+    Run by run, channel + then channel -, the pieces are stacked with zero
+    coupling (so each is factored and solved bit for bit as if alone) and
+    factored by LAPACK ``gttrf``; ``flat[p]`` is the position of stacked
+    unknown p in the flattened (2, n) channels.
+    """
+    L, D, U = diags
+    n = D.shape[1]
+    flat, lower, main, upper = [], [], [], []
+    for idx in runs:
+        for c in (0, 1):
+            flat.append(c * n + idx)
+            main.append(D[c, idx])
+            # each piece ends with a zero coupling to the next one
+            lower.append(np.append(L[c, idx[1:]], 0.0))
+            upper.append(np.append(U[c, idx[:-1]], 0.0))
+    *lu, info = lapack.dgttrf(np.concatenate(lower)[:-1], np.concatenate(main),
+                              np.concatenate(upper)[:-1])
+    if info:
+        raise RuntimeError("tridiagonal band is exactly singular")
+    return np.concatenate(flat), lu
+
+
+def _gttrs(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    return lapack.dgttrs(*lu, b, trans=trans)[0]
+
+
+class _Closure:
+    """Solves with A = A0 + U W, bordered by C^T x = 0, from solves with A0.
+
+    The Sherman–Morrison–Woodbury form (Numerical Recipes §2.7): with
+    y = A0^-1 r, Y = A0^-1 [U, C] (``cols``) and T = [W; C^T], the solution
+    is x = y - Y H^-1 T y for H = T Y + diag(I_m, 0), m the number of
+    columns of U; H is LU-factored once and the multipliers are dropped.
+    """
+
+    def __init__(self, solve, cols, T, m: int):
+        self._solve = solve
+        self._Y = solve(cols)
+        self._T = T
+        H = T @ self._Y
+        H[np.arange(m), np.arange(m)] += 1.0
+        *self._H, info = lapack.dgetrf(H)
+        if info:
+            raise np.linalg.LinAlgError("Schur closure is exactly singular")
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        y = self._solve(r)
+        y -= self._Y @ lapack.dgetrs(*self._H, self._T @ y)[0]
+        return y
+
+
 class SubdomainSolver:
     """Dirichlet inverses of the mode gauge Laplacian on runs of nodes, as one band.
 
     ``diags`` are the (L, D, U) diagonals of the two rho channels from
-    :func:`cyclic_diagonals`.  Each of ``runs`` must be one run of
+    :func:`channel_diagonals`.  Each of ``runs`` must be one run of
     consecutive nodes in period order (the thick run wraps across
-    tau = +-2 and is rolled into that order); runs may overlap.  On a run
-    each channel's Dirichlet submatrix is tridiagonal.  These pieces, run
-    by run and in each run channel + then channel -, are stacked into one
-    tridiagonal band with zero coupling between pieces, factored once by
-    LAPACK ``gttrf``; a solve is one ``gttrs`` call for all pieces.  The
-    zero coupling leaves each piece's factors and solution bit for bit as
-    if it were factored and solved alone.  Solving a piece with zero
-    exterior values is exactly the Dirichlet problem on its run.
-
-    Right-hand sides and solutions are in the band's stacked order:
-    ``flat[p]`` is the position of unknown p in the flattened (2, n)
-    channels, so a node in two overlapping runs appears there twice.
+    tau = +-2 and is rolled into that order); runs may overlap.  Each
+    channel's Dirichlet submatrix on each run is a piece of one band
+    (:func:`_stacked_band`), so a solve is one ``gttrs`` call, in the band's
+    stacked order (a node in two overlapping runs appears there twice).
     """
 
     def __init__(self, diags, runs):
-        L, D, U = diags
-        n = D.shape[1]
-        flat, lower, main, upper = [], [], [], []
-        for idx in runs:
-            idx = _period_run(idx, n)
-            for c in (0, 1):
-                flat.append(c * n + idx)
-                main.append(D[c, idx])
-                # each piece ends with a zero coupling to the next one
-                lower.append(np.append(L[c, idx[1:]], 0.0))
-                upper.append(np.append(U[c, idx[:-1]], 0.0))
-        self.flat = np.concatenate(flat)
-        *lu, info = lapack.dgttrf(np.concatenate(lower)[:-1], np.concatenate(main),
-                                  np.concatenate(upper)[:-1])
-        if info:
-            raise RuntimeError("Dirichlet submatrix is exactly singular")
-        self._lu = lu
+        n = diags[1].shape[1]
+        self.flat, self._lu = _stacked_band(diags, [_period_run(idx, n) for idx in runs])
 
     def solve_channels(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """One ``gttrs`` solve; ``b`` and the solution are in stacked order."""
-        x, _ = lapack.dgttrs(*self._lu, b, trans=trans)
-        return x
+        return _gttrs(self._lu, b, trans)
 
 
-def discrete_near_null(mat_csc, seed: np.ndarray, iters: int = 3) -> np.ndarray:
+def discrete_near_null(solve, seed: np.ndarray, iters: int = 3) -> np.ndarray:
     """Near-null vector of an almost-singular matrix by inverse iteration.
 
     The analytic kernel sampled on the grid only annihilates the discrete
-    operator to O(h^2); a few inverse-power steps sharpen it to the actual
-    smallest singular direction, which matters when projecting solutions.
-    Falls back to the (normalized) seed if the factorization breaks down.
+    operator to O(h^2); a few inverse-power steps (``solve`` applies the
+    inverse) sharpen it to the actual smallest singular direction.  Falls
+    back to the (normalized) seed if a solve breaks down.
     """
     q = seed / np.linalg.norm(seed)
-    try:
-        lu = spla.splu(mat_csc)
-        for _ in range(iters):
-            y = lu.solve(q)
-            ny = np.linalg.norm(y)
-            if not np.isfinite(ny) or ny == 0.0:
-                return q
-            q = y / ny
-    except RuntimeError:
-        pass
+    for _ in range(iters):
+        y = solve(q)
+        ny = np.linalg.norm(y)
+        if not np.isfinite(ny) or ny == 0.0:
+            return q
+        q = y / ny
     return q
 
 
-def channel_matrices(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
-    """The channel operators blockdiag((1/2) P_k^+, (1/2) P_k^-) and their kernel.
+def channel_diagonals(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
+    """The diagonals (L, D, U) of blockdiag((1/2) P_k^+, (1/2) P_k^-).
 
-    One (2n, 2n) CSC matrix acts on both rho channels stacked as the
-    flattened (2, n) array.  At k = 0 both channels share the near-null
-    vector sqrt(F), sharpened on (1/2) P_0^+ by :func:`discrete_near_null`
-    and normalized in the grid's weighted L^2; for k != 0 the kernel is None.
+    Each is a (2, n) array, one row per rho channel: row i of channel c
+    reads L[c, i] x[i - 1] + D[c, i] x[i] + U[c, i] x[i + 1] with indices
+    mod n, so the periodic corners sit in L[:, 0] and U[:, n - 1].  The
+    stencil weights enter as in the sparse
+    :meth:`~wpneck.operators.ModeOperators.channel_matrix`, bit for bit.
     """
-    ops = mode_operators(surface, grid, k)
-    pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
-    P = sp.block_diag(pair, format="csc")
-    if k != 0:
-        return P, None
-    q = discrete_near_null(pair[0], ops.sqF)
-    return P, q / math.sqrt(float(grid.weights @ (q * q)))
-
-
-def cyclic_diagonals(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonals (L, D, U) of a block-diagonal channel matrix ``P``.
-
-    Each is a (2, n) array, one row per rho channel: row i of channel c of
-    ``P`` reads L[c, i] x[i - 1] + D[c, i] x[i] + U[c, i] x[i + 1] with
-    indices mod n, so the periodic corners sit in L[:, 0] and U[:, n - 1].
-    """
-    n = P.shape[0] // 2
-    coo = P.tocoo()
-    chan, row = np.divmod(coo.row, n)
-    slot = (coo.col - coo.row + 1) % n
-    if np.any(coo.col // n != chan) or np.any(slot > 2):
-        raise ValueError("P is not block-diagonal cyclic tridiagonal")
-    diags = np.zeros((3, 2, n))
-    diags[slot, chan, row] = coo.data
-    return diags[0], diags[1], diags[2]
+    if grid.scheme != "periodic":
+        raise ValueError("channel diagonals need a periodic finite-difference grid")
+    F, Fp, Fpp = surface.grid_jet(grid)
+    h = grid.weights[0]
+    side, mid = -F * (1.0 / h**2), -F * (-2.0 / h**2)
+    L = np.tile(0.5 * (side + (-Fp) * (-0.5 / h)), (2, 1))
+    U = np.tile(0.5 * (side + (-Fp) * (0.5 / h)), (2, 1))
+    D = np.array([0.5 * (mid + channel_potential(F, Fp, Fpp, k, sign))
+                  for sign in (+1, -1)])
+    return L, D, U
 
 
 def transposed_diagonals(diags):
@@ -441,49 +445,49 @@ def kernel_complement(w: np.ndarray, kernel, weights) -> np.ndarray:
 class GlobalModeSolver:
     """Direct solve of the mode-k gauge Laplacian on the closed surface.
 
-    Both rho channels are solved as one stacked system by one sparse LU.
-    k >= 1: the LU is of the block-diagonal channel matrix ``P``.  k = 0:
-    each channel has the one-dimensional kernel sqrt(F) (sharpened to the
-    discrete near-null vector), and the LU is of the block-diagonal of the
-    two bordered channel matrices [[P_k^+-, c], [c^T, 0]]: each constrains
-    its channel's solution to the weighted complement of the kernel and
-    absorbs any kernel component of the right-hand side in its multiplier.
-    ``diags`` (see :func:`cyclic_diagonals`) and ``kernel`` keep what
-    :func:`channel_matrices` built, for the parametrix blocks that share them.
+    Both rho channels (:func:`channel_diagonals`) form one tridiagonal band
+    A0 with their periodic corners cut, A = A0 + E R (E the unit columns of
+    the four corner rows, R their corner entries), factored once.  At k = 0
+    each channel's kernel sqrt(F), sharpened to the discrete near-null
+    vector by inverse iteration, borders it: [[P_0^+-, c], [c^T, 0]] with c
+    the weighted kernel keeps the solution in the kernel's weighted
+    complement, and the multiplier absorbs any kernel component of the
+    right-hand side.  A solve is one ``gttrs`` and a 4 x 4 (k = 0: 6 x 6)
+    Schur closure (:class:`_Closure`; for ``trans="T"``, A^T = A0^T + R^T E^T).
+    ``diags`` and ``kernel`` are kept for the parametrix blocks.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        P, self.kernel = channel_matrices(surface, grid, self.k)
-        self.diags = cyclic_diagonals(P)
+        self.diags = L, _, U = channel_diagonals(surface, grid, self.k)
         n = grid.n
-        if self.kernel is None:
-            self._rows = np.arange(2 * n)
-            self._lu = spla.splu(P)
-        else:
-            # the channel unknowns of the stacked bordered system; the two
-            # multipliers sit at n and 2n + 1
-            self._rows = np.concatenate([np.arange(n), n + 1 + np.arange(n)])
-            c = sp.csc_matrix((grid.weights * self.kernel)[:, None])
-            self._lu = spla.splu(sp.block_diag(
-                [sp.bmat([[mat, c], [c.T, None]])
-                 for mat in (P[:n, :n], P[n:, n:])], format="csc"))
+        _, lu = _stacked_band(self.diags, [np.arange(n)])
+        rows = np.array([0, n - 1, n, 2 * n - 1])
+        E = np.zeros((2 * n, 4))
+        E[rows, np.arange(4)] = 1.0
+        R = np.zeros((4, 2 * n))
+        R[np.arange(4), rows[[1, 0, 3, 2]]] = (L[0, 0], U[0, -1], L[1, 0], U[1, -1])
+        C = np.zeros((2 * n, 0))
+        self.kernel = None
+        if self.k == 0:
+            # inverse iteration on channel +, with channel - kept at zero
+            seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
+            q = discrete_near_null(_Closure(partial(_gttrs, lu), E, R, 4), seed)[:n]
+            self.kernel = q / math.sqrt(float(grid.weights @ (q * q)))
+            C = np.zeros((2 * n, 2))
+            C[:n, 0] = C[n:, 1] = grid.weights * self.kernel
+        self._solvers = {
+            trans: _Closure(partial(_gttrs, lu, trans=trans), np.hstack([cols, C]),
+                            np.vstack([T, C.T]), 4)
+            for trans, cols, T in (("N", E, R), ("T", R.T, E.T))}
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
         return kernel_complement(w, self.kernel, self.grid.weights)
 
     def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
-        """w shape (2, n) channel pairs; one stacked LU solve."""
-        rhs = np.zeros(self._lu.shape[0])
-        rhs[self._rows] = w.reshape(-1)
-        return self._lu.solve(rhs, trans=trans)[self._rows].reshape(w.shape)
-
-    def solve(self, f: ModeField) -> ModeField:
-        if f.rank is not Rank.ONE_FORM:
-            raise ValueError("global solver acts on one-forms")
-        sol = self.solve_channels(f.rho())
-        return ModeField.one_form_rho(f.k, f.grid, sol[0], sol[1], f.variant)
+        """w shape (2, n) channel pairs; one stacked band solve."""
+        return self._solvers[trans](w.reshape(-1)).reshape(w.shape)
 
 
 def _central(u: np.ndarray, c: float) -> np.ndarray:
@@ -568,39 +572,33 @@ class FactoredGlobalSolver:
         for j in range(5):
             col = pos[(node + j - 2) % n]
             ab[2 * _KL + pos - col, col] = band[j]
-        *self._band, info = lapack.dgbtrf(ab, _KL, _KL)
+        lu, piv, info = lapack.dgbtrf(ab, _KL, _KL)
         if info:
             raise RuntimeError("pinned k = 0 band is exactly singular")
 
-        # M = Mpin + E R, with E the pins' unit columns and R = E^T (M - I).
-        # The bordered system becomes Mpin x = r - E mu - C lam with
-        # mu = R x and C^T x = 0: x = y - Y (mu, lam) for y = Mpin^-1 r and
-        # Y = Mpin^-1 [E, C], where H (mu, lam) = [R; C^T] y and
-        # H = [R; C^T] Y + diag(I, 0).  _T is [R; C^T] in the folded order.
+        # M = Mpin + E R, with E the pins' unit columns and R = E^T (M - I),
+        # bordered by C and closed by a Schur system (:class:`_Closure`),
+        # all in the folded order
         borders = [sqF] if n % 2 else [sqF, np.where(node % 2, -1.0, 1.0) / sqF]
         C = np.array([grid.weights * u / np.linalg.norm(u) for u in borders])
         R = np.zeros((2, n))
         for j in range(5):
             R[[0, 1], (pins + j - 2) % n] += diags[j, pins]
         R[[0, 1], pins] -= 1.0
-        self._T = np.vstack([R, C])[:, perm]
-        cols = np.zeros((n, self._T.shape[0]))
+        T = np.vstack([R, C])[:, perm]
+        cols = np.zeros((n, T.shape[0]))
         cols[pos[pins], [0, 1]] = 1.0
-        cols[:, 2:] = self._T[2:].T
-        self._Y = self._band_solve(cols)
-        self._H = self._T @ self._Y
-        self._H[[0, 1], [0, 1]] += 1.0
-
-    def _band_solve(self, b: np.ndarray) -> np.ndarray:
-        return lapack.dgbtrs(self._band[0], _KL, _KL, b, self._band[1])[0]
+        cols[:, 2:] = T[2:].T
+        # the solve holds the factors, not self: a cycle would keep the
+        # solver alive until the garbage collector runs
+        self._solve = _Closure(lambda b: lapack.dgbtrs(lu, _KL, _KL, b, piv)[0],
+                               cols, T, 2)
 
     def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components."""
         if self.k:
             return self._lu.solve(rhs.reshape(-1)).reshape(2, -1)
-        y = self._band_solve(rhs[:, self._perm].T)
-        y -= self._Y @ np.linalg.solve(self._H, self._T @ y)
-        return y[self._pos].T
+        return self._solve(rhs[:, self._perm].T)[self._pos].T
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wpneck.cylinder import CylinderMetric
 from wpneck.grids import chebyshev_grid, periodic_grid, uniform_grid
+from wpneck.operators import mode_operators
+from wpneck.surface import GlobalModeSolver
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +45,35 @@ def smooth_bump(a: float, b: float):
         return y
 
     return f
+
+
+def channel_matrices(surface, grid, k: int):
+    """Oracle: blockdiag((1/2) P_k^+, (1/2) P_k^-) as one sparse CSC matrix.
+
+    Assembled from the mode operators' sparse channel matrices, acting on
+    both rho channels stacked as the flattened (2, n) array, as the program
+    built it before the channel diagonals came straight from the stencils;
+    returned with the global solver's k = 0 kernel (None for k != 0).
+    """
+    ops = mode_operators(surface, grid, k)
+    P = sp.block_diag([sp.csc_matrix(ops.channel_matrix(sign, 0.5))
+                       for sign in (+1, -1)], format="csc")
+    return P, GlobalModeSolver(surface, grid, 0).kernel if k == 0 else None
+
+
+def cyclic_diagonals(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle: the diagonals (L, D, U) of a block-diagonal channel matrix ``P``.
+
+    Each is a (2, n) array, one row per rho channel: row i of channel c of
+    ``P`` reads L[c, i] x[i - 1] + D[c, i] x[i] + U[c, i] x[i + 1] with
+    indices mod n, so the periodic corners sit in L[:, 0] and U[:, n - 1].
+    """
+    n = P.shape[0] // 2
+    coo = P.tocoo()
+    chan, row = np.divmod(coo.row, n)
+    slot = (coo.col - coo.row + 1) % n
+    if np.any(coo.col // n != chan) or np.any(slot > 2):
+        raise ValueError("P is not block-diagonal cyclic tridiagonal")
+    diags = np.zeros((3, 2, n))
+    diags[slot, chan, row] = coo.data
+    return diags[0], diags[1], diags[2]

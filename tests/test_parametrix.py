@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+from wpneck import parametrix, surface
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
 from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
@@ -14,9 +15,11 @@ from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
 from wpneck.parametrix import (ModeParametrix, ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
-from wpneck.surface import (ModelSurfaceMetric, channel_matrices, default_cutoffs,
+from wpneck.surface import (GlobalModeSolver, ModelSurfaceMetric, default_cutoffs,
                             thick_indices, thin_indices)
 from wpneck.ttbasis import tt_element
+
+from conftest import channel_matrices
 
 
 @pytest.fixture(scope="module")
@@ -119,17 +122,47 @@ def test_trivial_series_when_error_zero(family, grid):
 
 
 def test_block_builds_its_channel_matrices_once(family, monkeypatch):
-    # the block's two subdomain solvers reuse the block's own pair
+    # a block forms its channel diagonals once, from the stencils, and its
+    # subdomain band (and at k = 0 its kernel) reuse them; no block builds
+    # mode operators
     calls = []
-    real = ModeOperators.channel_matrix
+    real = parametrix.channel_diagonals
 
-    def counting(self, sign, scale=1.0):
-        calls.append(sign)
-        return real(self, sign, scale)
+    def counting(surf, grid, k):
+        calls.append(k)
+        return real(surf, grid, k)
 
-    monkeypatch.setattr(ModeOperators, "channel_matrix", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parametrix block built mode operators")
+
+    for module in (parametrix, surface):
+        monkeypatch.setattr(module, "channel_diagonals", counting)
+    monkeypatch.setattr(ModeOperators, "__init__", refuse)
     family.block(0.123, 3)
-    assert sorted(calls) == [-1, +1]
+    family.block(0.123, 0)
+    assert calls == [3, 0]
+
+
+def test_parametrix_and_global_solver_build_no_sparse_matrix(monkeypatch):
+    # the blocks, their references and the direct global solve are bands:
+    # no mode operators, no SuperLU, no scipy.sparse matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parametrix built a sparse matrix")
+
+    monkeypatch.setattr(ModeOperators, "__init__", refuse)
+    for name in ("splu", "spsolve"):
+        monkeypatch.setattr(spla, name, refuse)
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "bmat", "diags",
+                 "block_diag", "eye"):
+        monkeypatch.setattr(sp, name, refuse)
+    grid = periodic_grid(-2.0, 2.0, 512)
+    rep = ParametrixFamily(grid, ks=[0, 2]).report(0.1)
+    assert rep.norm_S < 1.0 and rep.residual < 1e-8
+    x = grid.nodes
+    for k in (0, 2):
+        gs = GlobalModeSolver(ModelSurfaceMetric(ell=0.1), grid, k)
+        rhs = gs.project_out_kernel(np.vstack([np.cos(np.pi * x / 2.0), 0 * x]))
+        assert np.all(np.isfinite(gs.solve_channels(rhs, trans="T")))
 
 
 def test_family_keeps_only_the_current_lengths_blocks(grid, monkeypatch):

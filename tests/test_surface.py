@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,9 +12,11 @@ from wpneck.operators import mode_operators
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, build_model_surface,
-                            channel_matrices, cyclic_diagonals, default_cutoffs,
-                            thick_indices, thin_indices)
+                            channel_diagonals, default_cutoffs, thick_indices,
+                            thin_indices)
 from wpneck.wp import length_variation, twist_variation
+
+from conftest import channel_matrices, cyclic_diagonals
 
 
 def test_profile_regions():
@@ -174,28 +179,78 @@ def test_band_matvec_sums_like_the_sparse_matvecs():
                                       (mat @ w.reshape(-1)).reshape(2, -1)), (k, trans)
 
 
+def test_channel_diagonals_match_the_sparse_channel_matrices():
+    # oracle: the diagonals read back out of the mode operators' sparse
+    # channel matrices, as the program formed them before
+    for n in (64, 2048, 2049):
+        grid = periodic_grid(-2.0, 2.0, n)
+        for ell in (1e-3, 0.1, 0.4):
+            surf = ModelSurfaceMetric(ell=ell)
+            for k in (0, 3):
+                got = channel_diagonals(surf, grid, k)
+                ref = cyclic_diagonals(channel_matrices(surf, grid, k)[0])
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (n, ell, k)
+
+
 def test_stacked_global_solve_matches_per_channel_lus():
-    # oracle: one LU per rho channel, bordered at k = 0, as solved before
-    # the channels were stacked into one system
+    # oracle: one SuperLU per rho channel, bordered at k = 0, as solved
+    # before the band.  Off the kernel the two agree to round-off; along it
+    # the oracle leaks up to ~1e-9 of the solution at small ell (its
+    # constraint c^T x = 0 holds only that well), so there the band is held
+    # to the constraint instead
     grid = periodic_grid(-2.0, 2.0, 2048)
-    surf = ModelSurfaceMetric(ell=0.1)
     x = grid.nodes
     w = np.vstack([np.exp(np.cos(np.pi * x / 2.0)), 0.4 * np.sin(np.pi * x)])
-    for k in (0, 3):
-        gs = GlobalModeSolver(surf, grid, k)
-        ops = mode_operators(surf, grid, k)
-        pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
-        if k == 0:
-            c = sp.csc_matrix((grid.weights * gs.kernel)[:, None])
-            lus = [spla.splu(sp.bmat([[mat, c], [c.T, None]], format="csc"))
-                   for mat in pair]
-        else:
-            lus = [spla.splu(mat) for mat in pair]
-        for trans in ("N", "T"):
-            ref = np.vstack([lu.solve(np.append(w[i], 0.0) if k == 0 else w[i],
-                                      trans=trans)[:grid.n]
-                             for i, lu in enumerate(lus)])
-            assert np.array_equal(gs.solve_channels(w, trans=trans), ref), (k, trans)
+    for ell in (1e-3, 0.1, 0.4):
+        surf = ModelSurfaceMetric(ell=ell)
+        for k in (0, 3):
+            gs = GlobalModeSolver(surf, grid, k)
+            ops = mode_operators(surf, grid, k)
+            pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
+            if k == 0:
+                c = sp.csc_matrix((grid.weights * gs.kernel)[:, None])
+                lus = [spla.splu(sp.bmat([[mat, c], [c.T, None]], format="csc"))
+                       for mat in pair]
+            else:
+                lus = [spla.splu(mat) for mat in pair]
+            for trans in ("N", "T"):
+                ref = np.vstack([lu.solve(np.append(w[i], 0.0) if k == 0 else w[i],
+                                          trans=trans)[:grid.n]
+                                 for i, lu in enumerate(lus)])
+                got = gs.solve_channels(w, trans=trans)
+                diff = gs.project_out_kernel(got) - gs.project_out_kernel(ref)
+                rel = np.max(np.abs(diff)) / np.max(np.abs(ref))
+                assert rel <= 2e-12, (ell, k, trans, rel)
+                if k == 0:
+                    cw = grid.weights * gs.kernel
+                    lead = np.max(np.abs(got @ cw)) / (np.linalg.norm(cw)
+                                                       * np.max(np.abs(got)))
+                    assert lead <= 1e-13, (ell, trans, lead)
+
+
+def test_bordered_cyclic_solve_residual():
+    # the band with its corner update (and the borders at k = 0) against the
+    # sparse channel matrix: backward stable for P x = w and P^T x = w, up
+    # to the multiplier's c component at k = 0
+    for n in (2048, 1023):
+        grid = periodic_grid(-2.0, 2.0, n)
+        x = grid.nodes
+        w = np.vstack([np.cos(np.pi * x / 2.0) + 0.3, np.exp(np.sin(np.pi * x))])
+        for ell in (1e-3, 0.1, 0.4):
+            surf = ModelSurfaceMetric(ell=ell)
+            for k in (0, 3):
+                gs = GlobalModeSolver(surf, grid, k)
+                P, _ = channel_matrices(surf, grid, k)
+                for trans in ("N", "T"):
+                    A = P.T if trans == "T" else P
+                    sol = gs.solve_channels(w, trans=trans)
+                    r = (A @ sol.reshape(-1)).reshape(2, -1) - w
+                    if k == 0:
+                        cw = grid.weights * gs.kernel
+                        r -= np.outer(r @ cw / (cw @ cw), cw)
+                    scale = spla.norm(A, np.inf) * np.max(np.abs(sol))
+                    berr = np.max(np.abs(r)) / scale
+                    assert berr <= 1e-14, (n, ell, k, trans, berr)
 
 
 def test_global_solver_residual_and_kernel(surface_grid):
@@ -221,6 +276,21 @@ def test_global_solver_residual_and_kernel(surface_grid):
             mat = ops.channel_matrix(+1, 0.5)
             assert (np.linalg.norm(mat @ q) <
                     0.1 * np.linalg.norm(mat @ raw))
+
+
+def test_global_solvers_are_freed_without_the_collector(surface_grid):
+    # a solver that referred to itself (say, through a bound method kept by
+    # its Schur closure) would live until the garbage collector ran, and a
+    # sweep that builds one per row would grow in memory meanwhile
+    surf = ModelSurfaceMetric(ell=0.1)
+    gc.disable()
+    try:
+        for cls in (FactoredGlobalSolver, GlobalModeSolver):
+            for k in (0, 2):
+                ref = weakref.ref(cls(surf, surface_grid, k))
+                assert ref() is None, (cls.__name__, k)
+    finally:
+        gc.enable()
 
 
 def test_factored_solver_telescopes(surface_grid):
