@@ -42,6 +42,11 @@ class RunConfig:
         for name in ("grid_n", "sweep_grid_n", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in ("grid_n", "sweep_grid_n"):
+            # the TT projection's factored solver borders the k = 0 null
+            # directions of an even grid only
+            if getattr(self, name) % 2:
+                raise ValueError(f"{name} must be even")
         if self.modes < 0:
             raise ValueError("modes must be non-negative")
         if self.identity_tol <= 0:

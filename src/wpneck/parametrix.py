@@ -389,10 +389,9 @@ class ParametrixFamily:
 class SolverBank:
     """Per-(surface, grid) cache of factored global mode solvers.
 
-    Each solver keeps the operators the projection applies (stencil
-    coefficients at k = 0, the mode operators for k >= 1), so the bank is
-    the only store of operators for one surface; they are freed together
-    with the bank.
+    Each solver keeps the stencil coefficients of the operators the
+    projection applies, so the bank is the only store of operators for one
+    surface; they are freed together with the bank.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid):
@@ -421,11 +420,11 @@ def project_tt(
     inverts the factored discrete operator divergence o D, which makes T an
     exact discrete projector: outputs are divergence-free and T^2 = T to
     solver precision.  B, G and D then come from the bank's
-    :class:`~wpneck.surface.FactoredGlobalSolver`; at k = 0, the only mode a
-    WP row projects, all three are stencils and one banded solve, with no
-    sparse matrix.  With ``family`` given, G is instead the Neumann-series
-    parametrix built on the direct channel stencils, and B and D are the
-    sparse mode operators; the two agree up to discretization order.
+    :class:`~wpneck.surface.FactoredGlobalSolver`: at every k they are
+    stencils and banded solves, with no sparse matrix.  With ``family``
+    given, G is instead the Neumann-series parametrix built on the direct
+    channel stencils, and B and D are the sparse mode operators; the two
+    agree up to discretization order.
     """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     out: dict[ModeKey, ModeField] = {}

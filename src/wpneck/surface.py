@@ -24,13 +24,17 @@ because the symmetrized derivative annihilates both directions.  This is a
 genuine departure from a genus >= 2 surface, where no (conformal) Killing
 fields exist and the operator is invertible outright.
 
-The factored k = 0 operator divergence o D that the TT projection inverts
-has, on an even grid, a second null direction: the checkerboard
-(-1)^i / sqrt(F) of the central difference.  :class:`FactoredGlobalSolver`
-borders both, in one LAPACK band built from the stencil coefficients.
-:class:`GlobalModeSolver` is a cyclic tridiagonal band with a corner (and
-k = 0 border) update.  SuperLU remains only for the k >= 1
-:class:`FactoredGlobalSolver`.
+Two banded solvers invert the gauge Laplacian on the closed surface, both
+built from the stencil coefficients with no sparse matrix.
+:class:`GlobalModeSolver` solves the direct rho-channel stencils: a cyclic
+tridiagonal band with a corner (and k = 0 border) update.
+:class:`FactoredGlobalSolver` solves the factored operator divergence o D
+that the TT projection inverts: at every k it splits into two rho channels
+with five cyclic diagonals each, one LAPACK band per channel.  At k = 0 the
+channel has, on an even grid, a second null direction: the checkerboard
+(-1)^i / sqrt(F) of the central difference; the band borders both.  The
+solver refuses odd grids, where the exact null direction is a checkerboard
+remnant that no border removes.
 """
 
 from __future__ import annotations
@@ -40,20 +44,16 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack, svdvals
+from scipy.linalg import lapack
 
-from .grids import RadialGrid, periodic_grid
-from .operators import channel_potential, mode_operators
+from .grids import RadialGrid
+from .operators import channel_potential
 
 __all__ = [
     "smoothstep",
     "smoothstep_d1",
     "smoothstep_d2",
     "ModelSurfaceMetric",
-    "build_model_surface",
-    "BuildReport",
     "CutoffPair",
     "default_cutoffs",
     "GlobalModeSolver",
@@ -495,8 +495,37 @@ def _central(u: np.ndarray, c: float) -> np.ndarray:
     return c * (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1))
 
 
-# half-bandwidth of the k = 0 channel in the folded node order
+# half-bandwidth of a factored channel in the folded node order
 _KL = 4
+
+
+def _factored_diagonals(sqF, c, a_mid, b_mid) -> np.ndarray:
+    """The five cyclic diagonals of -(sqrt(F) d1 + a_mid)(sqrt(F) d1 / 2 + b_mid).
+
+    Multiplied as bands, (A B)[i, i + s + t] = a_s[i] b_t[i + s], with the
+    d1 weight ``c`` = 1 / (2h); ``out[j, i] = M[i, i + j - 2 (mod n)]``.
+    """
+    a = (-c * sqF, a_mid, c * sqF)
+    b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
+    out = np.zeros((5, sqF.size))
+    for s in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            out[s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
+    return out
+
+
+def _folded_band(diags: np.ndarray, pos: np.ndarray):
+    """``(lu, piv)``: LAPACK ``dgbtrf`` of five cyclic diagonals in the order ``pos``."""
+    n = diags.shape[1]
+    node = np.arange(n)
+    ab = np.zeros((3 * _KL + 1, n))
+    for j in range(5):
+        col = pos[(node + j - 2) % n]
+        ab[2 * _KL + pos - col, col] = diags[j]
+    lu, piv, info = lapack.dgbtrf(ab, _KL, _KL)
+    if info:
+        raise RuntimeError("factored band is exactly singular")
+    return lu, piv
 
 
 class FactoredGlobalSolver:
@@ -511,82 +540,78 @@ class FactoredGlobalSolver:
     the operator-identity checks.  :meth:`bianchi` and
     :meth:`conformal_killing` apply the two operators the projection needs.
 
-    At k = 0 the sigma components decouple (k / sqrt(F) = 0) and the
-    operator is blockdiag(M, M), M = -A B with A = sqrt(F) d1 + 2 beta
-    (minus the divergence), B = (sqrt(F) d1 - beta) / 2 (the conformal
-    Killing operator) and beta = F'/(2 sqrt F): five cyclic diagonals,
-    ``diagonals[j, i] = M[i, i + j - 2 (mod n)]``, formed from the stencil
-    coefficients with no sparse matrix.  On an even grid M has two null
-    directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F) of the
-    central difference; one border leaves the system singular, with an
-    arbitrary checkerboard in the solution.  So the solve is
-    [[M, C], [C^T, 0]] with C the weighted sqrt(F) and, on even grids, the
-    weighted checkerboard.  The band is factored by LAPACK ``dgbtrf`` in
-    the folded node order 0, n - 1, 1, n - 2, ..., which puts the periodic
-    corners inside a half-width of 4, with the rows of node 0 (tau = -2)
-    and node n // 2 (the neck, where the checkerboard's left null vector
-    lives; two cap pins leave a condition number of 6e14 at ell = 1e-3,
-    n = 2048) pinned to unit rows.  A small Schur system closes the pins
-    and the borders, so a solve is one ``dgbtrs`` with both components as
-    columns.
-    ``kernel`` keeps sqrt(F) in each component, in the (2, 2n) layout.
-    For k >= 1 the components couple, and SuperLU factors the sparse
-    product of the mode operators.
+    On sigma components P_fact = -[[A, K], [K, A]] [[B, -K/2], [-K/2, B]]
+    with A = sqrt(F) d1 + 2 beta (minus the divergence), B = (sqrt(F) d1 -
+    beta) / 2 (the conformal Killing operator), beta = F'/(2 sqrt F) and
+    K = k / sqrt(F).  It splits into the rho channels a +- b,
+
+        M+- = -(A +- K)(B -+ K/2),
+
+    five cyclic diagonals each (``diagonals[c]``), formed from the stencil
+    coefficients with no sparse matrix.  A channel is factored by LAPACK
+    ``dgbtrf`` in the folded node order 0, n - 1, 1, n - 2, ..., which puts
+    the periodic corners inside a half-width of 4.  For k >= 1 both channels
+    are invertible, and a solve is one ``dgbtrs`` per channel, then a sum
+    and a difference.
+
+    At k = 0 the channels are one matrix M = -A B (``diagonals`` holds it
+    once), solved with both sigma components as the columns of one
+    ``dgbtrs``.  M has two null directions, sqrt(F) and the checkerboard
+    (-1)^i / sqrt(F) of the central difference, so the solve is
+    [[M, C], [C^T, 0]] with C the weighted pair.  The rows of node 0
+    (tau = -2) and node n // 2 (the neck, where the checkerboard's left null
+    vector lives; two cap pins leave a condition number of 6e14 at
+    ell = 1e-3, n = 2048) are pinned to unit rows, and a small Schur system
+    closes the pins and the borders.  ``kernel`` keeps sqrt(F) in each
+    component, in the (2, 2n) layout.  Odd grids are refused: there the
+    exact null direction is a checkerboard remnant that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
         n = grid.n
-        if self.k:
-            self.kernel = None
-            self._ops = ops = mode_operators(surface, grid, k)
-            self._lu = spla.splu(sp.csc_matrix(ops.divergence_tf @ ops.conformal_killing))
-            return
+        if n % 2:
+            raise ValueError(f"the factored solver needs an even grid (got n = {n})")
         F, Fp, _ = surface.grid_jet(grid)
         self.sqF = sqF = np.sqrt(F)
         self.beta = beta = Fp / (2.0 * sqF)
         self._c = c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
+        node = np.arange(n)
+        self._perm = perm = np.empty(n, dtype=int)
+        perm[0::2] = node[: n // 2]
+        perm[1::2] = node[::-1][: n // 2]
+        self._pos = pos = np.argsort(perm)  # node i sits at pos[i]
+        self.kernel = self._K = None
+        if self.k:
+            self._K = K = self.k / sqF
+            self.diagonals = np.array([
+                _factored_diagonals(sqF, c, 2.0 * beta + sign * K,
+                                    -0.5 * (beta + sign * K)) for sign in (+1, -1)])
+            self._bands = [_folded_band(d, pos) for d in self.diagonals]
+            return
         v = np.concatenate([sqF, np.zeros(n)])
         v /= np.linalg.norm(v)
         self.kernel = np.vstack([v, np.roll(v, n)])
-
-        # M = -A B, multiplied as bands: (A B)[i, i + s + t] = a_s[i] b_t[i + s]
-        a = (-c * sqF, 2.0 * beta, c * sqF)
-        b = (-0.5 * c * sqF, -0.5 * beta, 0.5 * c * sqF)
-        self.diagonals = diags = np.zeros((5, n))
-        for s in (-1, 0, 1):
-            for t in (-1, 0, 1):
-                diags[s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
-
-        node = np.arange(n)
-        self._perm = perm = np.empty(n, dtype=int)
-        perm[0::2] = node[: (n + 1) // 2]
-        perm[1::2] = node[::-1][: n // 2]
-        self._pos = pos = np.argsort(perm)  # node i sits at pos[i]
+        diags = _factored_diagonals(sqF, c, 2.0 * beta, -0.5 * beta)
+        self.diagonals = diags[None]
         pins = np.array([0, n // 2])
         band = diags.copy()
         band[:, pins] = 0.0
         band[2, pins] = 1.0
-        ab = np.zeros((3 * _KL + 1, n))
-        for j in range(5):
-            col = pos[(node + j - 2) % n]
-            ab[2 * _KL + pos - col, col] = band[j]
-        lu, piv, info = lapack.dgbtrf(ab, _KL, _KL)
-        if info:
-            raise RuntimeError("pinned k = 0 band is exactly singular")
+        lu, piv = _folded_band(band, pos)
 
         # M = Mpin + E R, with E the pins' unit columns and R = E^T (M - I),
         # bordered by C and closed by a Schur system (:class:`_Closure`),
         # all in the folded order
-        borders = [sqF] if n % 2 else [sqF, np.where(node % 2, -1.0, 1.0) / sqF]
+        borders = (sqF, np.where(node % 2, -1.0, 1.0) / sqF)
         C = np.array([grid.weights * u / np.linalg.norm(u) for u in borders])
         R = np.zeros((2, n))
         for j in range(5):
             R[[0, 1], (pins + j - 2) % n] += diags[j, pins]
         R[[0, 1], pins] -= 1.0
         T = np.vstack([R, C])[:, perm]
-        cols = np.zeros((n, T.shape[0]))
+        cols = np.zeros((n, 4))
         cols[pos[pins], [0, 1]] = 1.0
         cols[:, 2:] = T[2:].T
         # the solve holds the factors, not self: a cycle would keep the
@@ -596,118 +621,29 @@ class FactoredGlobalSolver:
 
     def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components."""
+        perm, pos = self._perm, self._pos
         if self.k:
-            return self._lu.solve(rhs.reshape(-1)).reshape(2, -1)
-        return self._solve(rhs[:, self._perm].T)[self._pos].T
+            p, m = (lapack.dgbtrs(lu, _KL, _KL, r[perm], piv)[0][pos]
+                    for (lu, piv), r in zip(self._bands,
+                                            (rhs[0] + rhs[1], rhs[0] - rhs[1])))
+            return 0.5 * np.array([p + m, p - m])
+        return self._solve(rhs[:, perm].T)[pos].T
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.
 
-        At k = 0 the trace column cancels exactly, so this is -(A phi, A psi).
+        The trace column cancels exactly, so this is -(A phi + K psi,
+        K phi + A psi).
         """
-        if self.k:
-            return (self._ops.bianchi @ h.reshape(-1)).reshape(2, -1)
         u = h[:2]
-        return -(self.sqF * _central(u, self._c) + 2.0 * self.beta * u)
+        out = -(self.sqF * _central(u, self._c) + 2.0 * self.beta * u)
+        if self.k:
+            out -= self._K * u[::-1]
+        return out
 
     def conformal_killing(self, w: np.ndarray) -> np.ndarray:
         """The conformal Killing operator: sigma components -> (phi, psi)."""
+        out = 0.5 * (self.sqF * _central(w, self._c) - self.beta * w)
         if self.k:
-            return (self._ops.conformal_killing @ w.reshape(-1)).reshape(2, -1)
-        return 0.5 * (self.sqF * _central(w, self._c) - self.beta * w)
-
-
-@dataclass(frozen=True)
-class BuildReport:
-    """Build-time diagnostics for the model surface.
-
-    ``sigma_min_global[0]`` is deflated (the two conformal Killing
-    directions removed); ``kernel_residual_k0`` measures how well sqrt(F)
-    spans the discrete k = 0 kernel (relative to the operator scale).
-    """
-
-    ell: float
-    f_min: float
-    curvature_thin_dev: float
-    seam_jumps: dict[str, float]
-    sigma_min_global: dict[int, float]
-    sigma_min_thick: dict[int, float]
-    sigma_raw_k0: float
-    kernel_residual_k0: float
-
-
-def build_model_surface(
-    ell: float,
-    *,
-    n_check: int = 512,
-    k_check: int = 16,
-    check: bool = True,
-    sigma_tol: float = 1e-8,
-) -> tuple[ModelSurfaceMetric, BuildReport | None]:
-    """Construct the surface and (optionally) run invertibility prechecks.
-
-    Reports the smallest singular value of the global mode operators (after
-    deflating the two k = 0 conformal Killing directions) and of the thick
-    Dirichlet operators, at a coarse resolution.  Aborts if any deflated
-    operator is numerically singular.
-    """
-    surf = ModelSurfaceMetric(ell=ell)
-    if not check:
-        return surf, None
-    grid = periodic_grid(-2.0, 2.0, n_check)
-    tau = grid.nodes
-    F = surf.F(tau)
-    if np.any(F <= 0):
-        raise ValueError("profile not positive")
-    thin = np.abs(np.mod(tau + 2.0, 4.0) - 2.0) <= 0.75
-    kdev = float(np.max(np.abs(surf.curvature(tau[thin]) + 1.0)))
-
-    # C^2 seams at 3/4, 7/8 (third derivative may jump)
-    seams = {}
-    for r0 in (0.75, 0.875):
-        eps = 1e-7
-        for name, fn in (("F", surf.F), ("Fp", surf.Fp), ("Fpp", surf.Fpp)):
-            jump = abs(float(fn(r0 + eps)) - float(fn(r0 - eps)))
-            seams[f"{name}@{r0}"] = jump
-
-    sig_glob: dict[int, float] = {}
-    sig_thick: dict[int, float] = {}
-    idx_thick = thick_indices(grid)
-    sigma_raw_k0 = np.inf
-    kernel_res = 0.0
-    for k in range(0, k_check + 1):
-        ops = mode_operators(surf, grid, k)
-        worst_g = np.inf
-        worst_t = np.inf
-        for sign in (+1, -1):
-            mat = np.asarray(sp.csr_matrix(ops.channel_matrix(sign, 0.5)).todense())
-            vals = svdvals(mat)
-            if k == 0:
-                sigma_raw_k0 = min(sigma_raw_k0, float(vals[-1]))
-                q = np.sqrt(F)
-                q = q / np.linalg.norm(q)
-                kernel_res = max(kernel_res,
-                                 float(np.linalg.norm(mat @ q) / vals[0]))
-                worst_g = min(worst_g, float(vals[-2]))  # deflated
-            else:
-                worst_g = min(worst_g, float(vals[-1]))
-            sub = mat[np.ix_(idx_thick, idx_thick)]
-            worst_t = min(worst_t, float(svdvals(sub)[-1]))
-        sig_glob[k] = worst_g
-        sig_thick[k] = worst_t
-        if worst_g < sigma_tol or worst_t < sigma_tol:
-            raise ArithmeticError(
-                f"mode {k} operator numerically singular after deflation "
-                f"(global {worst_g:.3e}, thick {worst_t:.3e})"
-            )
-    report = BuildReport(
-        ell=ell,
-        f_min=float(np.min(F)),
-        curvature_thin_dev=kdev,
-        seam_jumps=seams,
-        sigma_min_global=sig_glob,
-        sigma_min_thick=sig_thick,
-        sigma_raw_k0=float(sigma_raw_k0),
-        kernel_residual_k0=kernel_res,
-    )
-    return surf, report
+            out -= 0.5 * self._K * w[::-1]
+        return out

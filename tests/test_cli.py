@@ -74,10 +74,10 @@ def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
         assert main(cmd + ["--grid-n", str(cap)]) == 0
         exact = capsys.readouterr()
         assert exact.err == ""
-        assert main(cmd + ["--grid-n", str(cap + 1)]) == 0
+        assert main(cmd + ["--grid-n", str(cap + 2)]) == 0
         capped = capsys.readouterr()
         assert capped.out == exact.out
-        assert capped.err == f"wpneck: note: {name} at {cap} (got {cap + 1})\n"
+        assert capped.err == f"wpneck: note: {name} at {cap} (got {cap + 2})\n"
 
     import wpneck.parametrix
 
@@ -178,13 +178,17 @@ def test_config_validation(capsys):
     with pytest.raises(ValueError):
         RunConfig(barrier_alpha=1.5)
     for bad in ({"grid_n": 0}, {"grid_n": -5}, {"sweep_grid_n": 0},
-                {"jobs": 0}, {"modes": -1}):
+                {"jobs": 0}, {"modes": -1}, {"grid_n": 1}, {"grid_n": 2049},
+                {"sweep_grid_n": 16383}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    assert RunConfig(modes=0, jobs=1, grid_n=1).modes == 0
-    for flag in (["--grid-n", "-5"], ["--modes", "-1"], ["--jobs", "0"]):
+    assert RunConfig(modes=0, jobs=1, grid_n=2).modes == 0
+    for flag in (["--grid-n", "-5"], ["--grid-n", "2049"], ["--modes", "-1"],
+                 ["--jobs", "0"]):
         assert main(["verify", "cylinder"] + flag) == 2
         assert "wpneck: config error" in capsys.readouterr().err
+    assert main(["sweep", "wp", "--grid-n", "2049"]) == 2
+    assert "sweep_grid_n must be even" in capsys.readouterr().err
     grid = RunConfig(ell_min=1e-2, ell_max=1e-1, ell_count=4).ell_grid()
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
 

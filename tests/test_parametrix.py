@@ -165,6 +165,38 @@ def test_parametrix_and_global_solver_build_no_sparse_matrix(monkeypatch):
         assert np.all(np.isfinite(gs.solve_channels(rhs, trans="T")))
 
 
+def test_tt_projection_at_k_ge_1_builds_no_sparse_matrix(monkeypatch):
+    # the k >= 1 projection is two rho-channel bands: no mode operators, no
+    # SuperLU, no scipy.sparse matrix.  The torus surrogate has no TT tensor
+    # at k >= 1, so a tensor and a gauge direction both project to zero
+    grid = periodic_grid(-2.0, 2.0, 512)
+    surf = ModelSurfaceMetric(ell=0.1)
+    x = grid.nodes
+    inputs = {}
+    for k in (1, 3):
+        w = ModeField(k, Rank.ONE_FORM, grid,
+                      np.vstack([np.sin(np.pi * x / 2.0), np.cos(np.pi * x)]))
+        inputs[k] = (apply_div_star(surf, w),
+                     ModeField(k, Rank.SYM2_FULL, grid,
+                               np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2.0),
+                                          0.1 * np.sin(np.pi * x / 2.0)])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the projection built a sparse matrix")
+
+    monkeypatch.setattr(ModeOperators, "__init__", refuse)
+    for name in ("splu", "spsolve"):
+        monkeypatch.setattr(spla, name, refuse)
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "bmat", "diags",
+                 "block_diag", "eye"):
+        monkeypatch.setattr(sp, name, refuse)
+    bank = SolverBank(surf, grid)
+    for k, fields in inputs.items():
+        for h in fields:
+            T = project_tt(surf, grid, {h.key: h}, solvers=bank)[h.key]
+            assert mode_norm(T) / mode_norm(h) < 1e-9, (k, h.rank)
+
+
 def test_family_keeps_only_the_current_lengths_blocks(grid, monkeypatch):
     family = ParametrixFamily(grid, ks=[1])
     built = []

@@ -11,9 +11,8 @@ from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             GlobalModeSolver, ModelSurfaceMetric,
-                            SubdomainSolver, band_matvec, build_model_surface,
-                            channel_diagonals, default_cutoffs, thick_indices,
-                            thin_indices)
+                            SubdomainSolver, band_matvec, channel_diagonals,
+                            default_cutoffs, thick_indices, thin_indices)
 from wpneck.wp import length_variation, twist_variation
 
 from conftest import channel_matrices, cyclic_diagonals
@@ -86,21 +85,11 @@ def test_base_clamp_is_bit_identical():
                         np.nextafter(0.875, [0.0, 2.0])])
     for got, want in zip(surf._base(r), _base_unclamped(r)):
         assert _same_bits(got, want)
-    # 0-d scalars, as build_model_surface passes them
+    # 0-d scalars, as a seam check passes them
     for r0 in (0.0, 0.5, 0.875, 0.8750001, 1.3, 2.0):
         for got, want in zip(surf._base(r0), _base_unclamped(r0)):
             assert np.ndim(got) == 0 and _same_bits(got, want)
     assert np.ndim(surf.F(0.875 + 1e-7)) == 0
-
-
-def test_build_report():
-    surf, rep = build_model_surface(0.1, n_check=256, k_check=4)
-    assert rep.f_min > 0
-    assert rep.curvature_thin_dev < 1e-12
-    assert min(rep.sigma_min_global.values()) > 1e-2
-    assert min(rep.sigma_min_thick.values()) > 1e-2
-    assert rep.sigma_raw_k0 < 1e-3  # conformal Killing near-kernel
-    assert rep.kernel_residual_k0 < 1e-5
 
 
 def test_cutoff_partition_properties(surface_grid):
@@ -347,37 +336,54 @@ def test_factored_k0_channel_solve_matches_coupled(surface_grid):
     # operator, nearly annihilates that direction), so compare that, with
     # the sparse B and D, for both WP variations and a random tensor.
     # Bounds: measured worst 1.7e-12 (smooth) and 1.6e-10 (random), x3.
+    # Odd grids are refused: their exact null direction is a checkerboard
+    # remnant that neither border removes.
     rng = np.random.default_rng(7)
-    for grid in (surface_grid, periodic_grid(-2.0, 2.0, 2049)):
-        for ell in (1e-3, 0.05, 0.1, 0.365):
-            surf = ModelSurfaceMetric(ell=ell)
-            fs = FactoredGlobalSolver(surf, grid, 0)
-            ops = mode_operators(surf, grid, 0)
-            noise = ModeField(0, Rank.SYM2_FULL, grid, rng.standard_normal((3, grid.n)))
-            for h, bound in ((length_variation(surf, grid), 5e-12),
-                             (twist_variation(surf, grid), 5e-12), (noise, 5e-10)):
-                b = (ops.bianchi @ h.data.reshape(-1)).reshape(2, -1)
-                want = _coupled_k0_solve(ell, grid, fs.kernel, b)
-                got, want = (ops.conformal_killing @ x.reshape(-1)
-                             for x in (fs.solve_sigma(b), want))
-                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                assert err <= bound, (grid.n, ell, err)
+    grid = surface_grid
+    for ell in (1e-3, 0.05, 0.1, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        fs = FactoredGlobalSolver(surf, grid, 0)
+        ops = mode_operators(surf, grid, 0)
+        noise = ModeField(0, Rank.SYM2_FULL, grid, rng.standard_normal((3, grid.n)))
+        for h, bound in ((length_variation(surf, grid), 5e-12),
+                         (twist_variation(surf, grid), 5e-12), (noise, 5e-10)):
+            b = (ops.bianchi @ h.data.reshape(-1)).reshape(2, -1)
+            want = _coupled_k0_solve(ell, grid, fs.kernel, b)
+            got, want = (ops.conformal_killing @ x.reshape(-1)
+                         for x in (fs.solve_sigma(b), want))
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= bound, (grid.n, ell, err)
+    with pytest.raises(ValueError, match="even grid"):
+        FactoredGlobalSolver(ModelSurfaceMetric(ell=0.1),
+                             periodic_grid(-2.0, 2.0, 2049), 0)
 
 
 def test_factored_k0_band_is_the_matmat(surface_grid):
-    # the five diagonals come from sqrt(F) and beta, not from the product
-    # divergence_tf @ conformal_killing that they replace
-    for grid in (surface_grid, periodic_grid(-2.0, 2.0, 2049)):
-        n = grid.n
-        i = np.arange(n)
-        for ell in (1e-3, 0.1, 0.365):
-            fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
-            cols = (i + np.arange(-2, 3)[:, None]).reshape(-1) % n
-            band = sp.csr_matrix((fs.diagonals.reshape(-1), (np.tile(i, 5), cols)),
-                                 shape=(n, n))
-            want = _factored_k0(ell, grid)[:n, :n]
-            # measured 1.8e-16 at n = 2048 and 0 at n = 2049
-            assert abs(band - want).max() <= 1e-15 * abs(want).max(), (n, ell)
+    # the five diagonals come from sqrt(F), beta and k / sqrt(F), not from the
+    # product divergence_tf @ conformal_killing that they replace: at k = 0
+    # its equal diagonal blocks P, at k >= 1 its rho channels P +- Q, with
+    # [[P, Q], [Q, P]] the product in sigma components
+    n = surface_grid.n
+    i = np.arange(n)
+    cols = (i + np.arange(-2, 3)[:, None]).reshape(-1) % n
+    for ell in (1e-3, 0.1, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        for k in (0, 1, 4):
+            fs = FactoredGlobalSolver(surf, surface_grid, k)
+            ops = mode_operators(surf, surface_grid, k)
+            mat = sp.csr_matrix(ops.divergence_tf @ ops.conformal_killing)
+            P, Q = mat[:n, :n], mat[:n, n:]
+            wants = [P] if k == 0 else [P + Q, P - Q]
+            assert len(fs.diagonals) == len(wants)
+            for diags, want in zip(fs.diagonals, wants):
+                band = sp.csr_matrix((diags.reshape(-1), (np.tile(i, 5), cols)),
+                                     shape=(n, n))
+                # measured <= 3.6e-16
+                assert abs(band - want).max() <= 1e-15 * abs(want).max(), (ell, k)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="even grid"):
+            FactoredGlobalSolver(ModelSurfaceMetric(ell=0.1),
+                                 periodic_grid(-2.0, 2.0, 2049), k)
 
 
 @pytest.mark.parametrize("ell", [0.05, 0.365])
