@@ -16,7 +16,7 @@ from .green import (BarrierProfile, GreenSolveReport, HomogeneousSolutions,
 from .modefields import ModeField, Rank, Variant, mode_inner_product, mode_norm
 from .parametrix import (ParametrixFamily, SolverBank, assemble_tt_frame,
                          build_cutoff_tensors, project_tt)
-from .surface import ModelSurfaceMetric, default_cutoffs
+from .surface import CutoffPair, ModelSurfaceMetric
 from .ttbasis import (TTBasisElement, growing_solutions, tt_element,
                       tt_l2norm, tt_limit, tt_rescaled_zero_mode)
 from .uniformize import ConformalFactor, solve_conformal_factor
@@ -35,7 +35,7 @@ __all__ = [
     "ModeField", "Rank", "Variant", "mode_inner_product", "mode_norm",
     "ParametrixFamily", "SolverBank", "assemble_tt_frame",
     "build_cutoff_tensors", "project_tt",
-    "ModelSurfaceMetric", "default_cutoffs",
+    "CutoffPair", "ModelSurfaceMetric",
     "TTBasisElement", "growing_solutions", "tt_element", "tt_l2norm",
     "tt_limit", "tt_rescaled_zero_mode",
     "ConformalFactor", "solve_conformal_factor",

@@ -229,8 +229,8 @@ def _suite_projection(cfg: RunConfig) -> list[dict]:
         h = ModeField(0, Rank.SYM2_FULL, grid,
                       np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2),
                                  0.1 * np.sin(np.pi * x / 2)]))
-        T1 = project_tt(surf, grid, {h.key: h}, solvers=bank)[h.key]
-        T2 = project_tt(surf, grid, {T1.key: T1}, solvers=bank)[T1.key]
+        T1 = project_tt(surf, grid, h, solvers=bank)
+        T2 = project_tt(surf, grid, T1, solvers=bank)
         checks.append(_check(f"idempotency(l={ell})",
                              mode_norm(T2 - T1) / mode_norm(T1), 1e-10))
         checks.append(_check(f"divergence_free(l={ell})",
@@ -239,7 +239,7 @@ def _suite_projection(cfg: RunConfig) -> list[dict]:
         w = ModeField(1, Rank.ONE_FORM, grid,
                       np.vstack([np.sin(np.pi * x / 2), np.cos(np.pi * x)]))
         gauge = apply_div_star(surf, w)
-        Tg = project_tt(surf, grid, {gauge.key: gauge}, solvers=bank)[gauge.key]
+        Tg = project_tt(surf, grid, gauge, solvers=bank)
         checks.append(_check(f"gauge_annihilated(l={ell})",
                              mode_norm(Tg) / mode_norm(gauge), 1e-6))
         ct = build_cutoff_tensors(surf, grid, solvers=bank)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .cylinder import CylinderMetric
 from .grids import ArcsinhGrid, RadialGrid, arcsinh_grid, solve_tridiagonal
-from .modefields import ModeField, ModeKey, Rank
+from .modefields import ModeField, Rank
 from .operators import mode_operators
 
 __all__ = [
@@ -149,7 +149,6 @@ def solve_zero_mode(
     tau_bound: float = 1.0,
     n: int = 4097,
     enforce_gap: bool = True,
-    grid: ArcsinhGrid | None = None,
 ) -> GreenSolveReport:
     """Explicit inverse of the unscaled zero-mode operator on [-b, b].
 
@@ -163,7 +162,7 @@ def solve_zero_mode(
     """
     if ell <= 0:
         raise ValueError("explicit zero-mode inverse needs ell > 0")
-    agrid = grid if grid is not None else arcsinh_grid(ell, tau_bound, n)
+    agrid = arcsinh_grid(ell, tau_bound, n)
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     if hv.shape != tau.shape:
@@ -392,46 +391,37 @@ def certify_barrier(
 def cylinder_dirichlet_inverse(
     m: CylinderMetric,
     grid: RadialGrid,
-    rhs: dict[ModeKey, ModeField],
+    f: ModeField,
     *,
     c: float = 0.5,
     enforce_gap: bool = True,
-    boundary: dict[ModeKey, tuple[float, float, float, float]] | None = None,
-) -> dict[ModeKey, ModeField]:
+) -> ModeField:
     """Dirichlet inverse of the one-form gauge Laplacian on an interval grid.
 
-    Solves (1/2) P_k^+- per rho channel with identity boundary rows, one
-    tridiagonal band solve per channel, so the returned modes invert
-    ``apply_gauge_laplacian`` up to solver accuracy on the given
-    finite-difference grid.  ``boundary`` maps a mode key to channel
-    boundary values (w1-, w1+, w2-, w2+); default zero Dirichlet data.
-    ``enforce_gap`` applies the standing support hypothesis used by the
-    expansion statements; the parametrix disables it.
+    Solves (1/2) P_k^+- per rho channel with identity boundary rows and
+    zero boundary values, one tridiagonal band solve per channel, so the
+    returned mode inverts ``apply_gauge_laplacian`` up to solver accuracy
+    on the given finite-difference grid.  ``enforce_gap`` applies the
+    standing support hypothesis used by the expansion statements.
     """
     if grid.scheme == "chebyshev":
         raise ValueError("cylinder inverse needs a finite-difference grid")
-    out: dict[ModeKey, ModeField] = {}
-    for key, f in rhs.items():
-        if f.rank is not Rank.ONE_FORM:
-            raise ValueError("cylinder inverse expects one-form modes")
-        if f.grid is not grid:
-            raise ValueError("rhs mode lives on a different grid")
-        k, variant = key
-        if enforce_gap:
-            _enforce_support_gap(grid.nodes, np.max(np.abs(f.data), axis=0), c,
-                                 f"mode {key} rhs")
-        opk = mode_operators(m, grid, k)
-        w = f.rho()
-        bvals = (boundary or {}).get(key, (0.0, 0.0, 0.0, 0.0))
-        sols = []
-        for i, sign in enumerate((+1, -1)):
-            mat = opk.channel_matrix(sign, 0.5)
-            # tridiagonal interior rows, identity boundary rows
-            lower, diag, upper = (np.append(0.0, mat.diagonal(-1)), mat.diagonal(),
-                                  np.append(mat.diagonal(1), 0.0))
-            diag[[0, -1]], upper[0], lower[-1] = 1.0, 0.0, 0.0
-            b = w[i].copy()
-            b[0], b[-1] = bvals[2 * i], bvals[2 * i + 1]
-            sols.append(solve_tridiagonal(lower, diag, upper, b))
-        out[key] = ModeField.one_form_rho(k, grid, sols[0], sols[1], variant)
-    return out
+    if f.rank is not Rank.ONE_FORM:
+        raise ValueError("cylinder inverse expects one-form modes")
+    if f.grid is not grid:
+        raise ValueError("rhs mode lives on a different grid")
+    if enforce_gap:
+        _enforce_support_gap(grid.nodes, np.max(np.abs(f.data), axis=0), c,
+                             f"mode {f.key} rhs")
+    opk = mode_operators(m, grid, f.k)
+    sols = []
+    for sign, b in zip((+1, -1), f.rho()):
+        mat = opk.channel_matrix(sign, 0.5)
+        # tridiagonal interior rows, identity boundary rows
+        lower, diag, upper = (np.append(0.0, mat.diagonal(-1)), mat.diagonal(),
+                              np.append(mat.diagonal(1), 0.0))
+        diag[[0, -1]], upper[0], lower[-1] = 1.0, 0.0, 0.0
+        b = b.copy()
+        b[[0, -1]] = 0.0
+        sols.append(solve_tridiagonal(lower, diag, upper, b))
+    return ModeField.one_form_rho(f.k, grid, sols[0], sols[1], f.variant)

@@ -78,7 +78,6 @@ from .surface import (
     SubdomainSolver,
     band_matvec,
     channel_diagonals,
-    default_cutoffs,
     kernel_complement,
     smoothstep,
     smoothstep_d1,
@@ -324,15 +323,14 @@ class ParametrixFamily:
     """Parametrices over an ell-family sharing frozen reference blocks."""
 
     def __init__(self, grid: RadialGrid, ks,
-                 ell_refs: tuple[float, ...] = DEFAULT_ELL_REFS,
-                 cutoffs: CutoffPair | None = None):
+                 ell_refs: tuple[float, ...] = DEFAULT_ELL_REFS):
         if len(ell_refs) < 2 or any(b <= a for a, b in zip(ell_refs, ell_refs[1:])) \
                 or ell_refs[0] <= 0:
             raise ValueError("ell_refs must be increasing positive lengths")
         self.grid = grid
         self.ks = tuple(int(k) for k in ks)
         self.ell_refs = tuple(float(e) for e in ell_refs)
-        self.cutoffs = cutoffs if cutoffs is not None else default_cutoffs()
+        self.cutoffs = CutoffPair()
         self.cutoffs.validate(grid)
         self._ref = {}
         for k in self.ks:
@@ -408,11 +406,11 @@ class SolverBank:
 def project_tt(
     surface: ModelSurfaceMetric,
     grid: RadialGrid,
-    gdot: dict[ModeKey, ModeField],
+    h: ModeField,
     solvers: SolverBank | None = None,
     family: ParametrixFamily | None = None,
-) -> dict[ModeKey, ModeField]:
-    """L^2-orthogonal projection onto transverse-traceless tensors.
+) -> ModeField:
+    """L^2-orthogonal projection of one mode onto transverse-traceless tensors.
 
     T(g.) = pi(g.) - D(G(B g.)) with B the Bianchi operator, G the global
     inverse of the gauge Laplacian, and D the conformal Killing operator
@@ -426,24 +424,20 @@ def project_tt(
     channel stencils, and B and D are the sparse mode operators; the two
     agree up to discretization order.
     """
-    bank = solvers if solvers is not None else SolverBank(surface, grid)
-    out: dict[ModeKey, ModeField] = {}
-    for key, h in gdot.items():
-        k, variant = key
-        if h.rank is Rank.SYM2_TRACEFREE:
-            h = h.as_full()
-        if family is None:
-            fs = bank.get(k)
-            corr = fs.conformal_killing(fs.solve_sigma(fs.bianchi(h.data)))
-        else:
-            opk = mode_operators(surface, grid, k)
-            b = (opk.bianchi @ h.data.reshape(-1)).reshape(2, -1)
-            sol, _ = family.block(surface.ell, k).neumann_solve(
-                ModeField(k, Rank.ONE_FORM, grid, b, variant).rho())
-            w = ModeField.one_form_rho(k, grid, sol[0], sol[1], variant)
-            corr = (opk.conformal_killing @ w.data.reshape(-1)).reshape(2, -1)
-        out[key] = ModeField(k, Rank.SYM2_TRACEFREE, grid, h.data[:2] - corr, variant)
-    return out
+    if h.rank is Rank.SYM2_TRACEFREE:
+        h = h.as_full()
+    if family is None:
+        bank = solvers if solvers is not None else SolverBank(surface, grid)
+        fs = bank.get(h.k)
+        corr = fs.conformal_killing(fs.solve_sigma(fs.bianchi(h.data)))
+    else:
+        opk = mode_operators(surface, grid, h.k)
+        b = (opk.bianchi @ h.data.reshape(-1)).reshape(2, -1)
+        sol, _ = family.block(surface.ell, h.k).neumann_solve(
+            ModeField(h.k, Rank.ONE_FORM, grid, b, h.variant).rho())
+        w = ModeField.one_form_rho(h.k, grid, sol[0], sol[1], h.variant)
+        corr = (opk.conformal_killing @ w.data.reshape(-1)).reshape(2, -1)
+    return ModeField(h.k, Rank.SYM2_TRACEFREE, grid, h.data[:2] - corr, h.variant)
 
 
 @dataclass(frozen=True)
@@ -495,11 +489,10 @@ def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
     div_field = ModeField(0, Rank.ONE_FORM, grid, div1)
     div_norm_discrete = mode_norm(div_field)
 
-    # both kinds share the key (0, COS); project one at a time
     mu_proj = []
     corr = []
     for f in mu_hat:
-        proj = project_tt(surface, grid, {f.key: f}, solvers=bank)[f.key]
+        proj = project_tt(surface, grid, f, solvers=bank)
         mu_proj.append(proj)
         corr.append(mode_norm(proj - f))
     return CutoffTensors(
@@ -547,8 +540,7 @@ def assemble_tt_frame(surface: ModelSurfaceMetric, grid: RadialGrid, m: int,
             phi, psi = lim.profiles(tau)
             f = ModeField(k, Rank.SYM2_TRACEFREE, grid,
                           np.vstack([chi * phi, chi * psi]), lim.variant)
-            proj = project_tt(surface, grid, {f.key: f}, solvers=bank)[f.key]
-            members.append(proj)
+            members.append(project_tt(surface, grid, f, solvers=bank))
             if len(members) >= m + 2:
                 break
         k += 1

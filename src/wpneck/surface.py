@@ -55,7 +55,6 @@ __all__ = [
     "smoothstep_d2",
     "ModelSurfaceMetric",
     "CutoffPair",
-    "default_cutoffs",
     "GlobalModeSolver",
     "SubdomainSolver",
     "band_matvec",
@@ -103,6 +102,9 @@ def _plateau(r, lo, hi):
 # so the far pole carries K = +1 (a torus cannot avoid positive curvature
 # somewhere; Gauss-Bonnet forces the total to vanish).
 _CAP_DELTA = 9.0 / 8.0
+# the ell^2 plateau w: 1 on |tau| <= 3/4, 0 on |tau| >= 7/8 (the cap's join)
+_THIN_PLATEAU = 0.75
+_THIN_SUPPORT = 0.875
 
 
 def _cap_coeffs() -> tuple[float, float]:
@@ -125,16 +127,11 @@ class ModelSurfaceMetric:
     """Periodic profile metric d tau^2/F + F d theta^2 on the model torus."""
 
     ell: float
-    period: float = 4.0
-    thin_plateau: float = 0.75
-    thin_support: float = 0.875
     _grid_jet: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError("ell must be >= 0")
-        if self.period != 4.0:
-            raise ValueError("the fixed thick cap assumes period 4")
 
     # -- profile pieces ------------------------------------------------------
     def _fold(self, tau):
@@ -157,7 +154,7 @@ class ModelSurfaceMetric:
         return Q, Qp, Qpp
 
     def _weight(self, r):
-        return _plateau(r, self.thin_plateau, self.thin_support)
+        return _plateau(r, _THIN_PLATEAU, _THIN_SUPPORT)
 
     def jet(self, tau):
         """(F, F', F'') at tau from one fold, cap and plateau evaluation."""
@@ -264,10 +261,6 @@ class CutoffPair:
             raise AssertionError("thick widener leaks into the deep thin part")
         if np.any((r > self.chi1w_support) & (w1 != 0.0)):
             raise AssertionError("thin widener leaks outside the thin region")
-
-
-def default_cutoffs() -> CutoffPair:
-    return CutoffPair()
 
 
 def _period_run(idx: np.ndarray, n: int) -> np.ndarray:

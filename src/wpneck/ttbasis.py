@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cylinder import CylinderMetric
 from .grids import RadialGrid
@@ -51,6 +50,7 @@ __all__ = [
 ]
 
 _VARIANT = {"kappa": Variant.COS, "nu": Variant.SIN}
+_NORM_RTOL = 1e-8  # closed form vs quadrature in tt_l2norm
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,14 @@ def tt_limit(kind: str, k: int) -> TTBasisElement:
     return TTBasisElement(kind, k, 0.0)
 
 
-def _closed_norm_sq(k: int, ell: float) -> float:
+def _closed_norm_sq(kind: str, k: int, ell: float) -> float:
     """||kappa_{ell,k}||^2 with C^2 folded in, evaluated in log space."""
+    if ell <= 0:
+        raise ValueError("norms of the ell = 0 tensors diverge toward the cusp "
+                         "only in derivative norms; this routine needs ell > 0")
+    if kind not in _VARIANT:
+        raise ValueError("kind must be 'kappa' or 'nu'")
+    # kappa and nu share radial profiles, hence norms
     if k == 0:
         at = math.atan(1.0 / ell)
         return 4.0 * math.pi * (1.0 + ell / ((1.0 + ell**2) * at))
@@ -156,6 +162,8 @@ def _closed_norm_sq(k: int, ell: float) -> float:
 
 def _quad_norm_sq(k: int, ell: float) -> float:
     """2D quadrature of the squared norm, log-shifted to avoid overflow."""
+    from scipy.integrate import quad  # the oracle alone needs it
+
     if k == 0:
         val, _ = quad(lambda t: 1.0 / (t**2 + ell**2) ** 2, 0.0, 1.0,
                       epsabs=1e-14, epsrel=1e-12, limit=400)
@@ -178,13 +186,13 @@ def _quad_norm_sq(k: int, ell: float) -> float:
     return math.pi * 2.0 * 2.0 * (k / 2.0) * val
 
 
-def tt_l2norm(kind: str, k: int, ell: float, *, check: bool = True,
-              rtol: float = 1e-8) -> float:
-    """L^2 norm over the cylinder, closed form cross-checked by quadrature."""
-    closed, quadval = tt_l2norm_pair(kind, k, ell)
+def tt_l2norm(kind: str, k: int, ell: float, *, check: bool = True) -> float:
+    """L^2 norm over the cylinder; with ``check`` the closed form is
+    cross-checked by quadrature to ``_NORM_RTOL`` relative."""
+    closed = _closed_norm_sq(kind, k, ell)
     if check:
-        rel = abs(closed - quadval) / closed
-        if rel > rtol:
+        rel = abs(closed - _quad_norm_sq(k, ell)) / closed
+        if rel > _NORM_RTOL:
             raise ArithmeticError(
                 f"closed-form vs quadrature norm disagree: rel err {rel:.3e}"
             )
@@ -193,13 +201,7 @@ def tt_l2norm(kind: str, k: int, ell: float, *, check: bool = True,
 
 def tt_l2norm_pair(kind: str, k: int, ell: float) -> tuple[float, float]:
     """(closed-form, quadrature) values of the squared L^2 norm."""
-    if ell <= 0:
-        raise ValueError("norms of the ell = 0 tensors diverge toward the cusp "
-                         "only in derivative norms; this routine needs ell > 0")
-    if kind not in _VARIANT:
-        raise ValueError("kind must be 'kappa' or 'nu'")
-    # kappa and nu share radial profiles, hence norms
-    return _closed_norm_sq(k, ell), _quad_norm_sq(k, ell)
+    return _closed_norm_sq(kind, k, ell), _quad_norm_sq(k, ell)
 
 
 def tt_rescaled_zero_mode(kind: str, ell: float, T: np.ndarray):

@@ -84,9 +84,8 @@ def wp_inner_product(
 ) -> float:
     """<T g1, T g2> with weight exp(-2 phi) dA (phi = 0 when no factor given)."""
     bank = solvers if solvers is not None else SolverBank(surface, grid)
-    t1 = project_tt(surface, grid, {g1.key: g1}, solvers=bank)[g1.key]
-    t2 = (t1 if g2 is g1
-          else project_tt(surface, grid, {g2.key: g2}, solvers=bank)[g2.key])
+    t1 = project_tt(surface, grid, g1, solvers=bank)
+    t2 = t1 if g2 is g1 else project_tt(surface, grid, g2, solvers=bank)
     weight = None if conformal is None else conformal.weight(grid.nodes)
     return mode_inner_product(t1, t2, weight)
 
@@ -98,8 +97,8 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     gl = length_variation(surface, grid)
     gw = twist_variation(surface, grid)
-    tl = project_tt(surface, grid, {gl.key: gl}, solvers=bank)[gl.key]
-    tw = project_tt(surface, grid, {gw.key: gw}, solvers=bank)[gw.key]
+    tl = project_tt(surface, grid, gl, solvers=bank)
+    tw = project_tt(surface, grid, gw, solvers=bank)
     weight = None if conformal is None else conformal.weight(grid.nodes)
     return {
         "g_ll": mode_inner_product(tl, tl, weight),

@@ -246,14 +246,14 @@ def test_criterion_08_projection_with_uniformization_bound():
         h = ModeField(0, Rank.SYM2_FULL, grid,
                       np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2.0),
                                  0.1 * np.sin(np.pi * x / 2.0)]))
-        T1 = project_tt(surf, grid, {h.key: h}, solvers=bank)[h.key]
-        T2 = project_tt(surf, grid, {T1.key: T1}, solvers=bank)[T1.key]
+        T1 = project_tt(surf, grid, h, solvers=bank)
+        T2 = project_tt(surf, grid, T1, solvers=bank)
         worst_idem = max(worst_idem, mode_norm(T2 - T1) / mode_norm(T1))
 
         w = ModeField(1, Rank.ONE_FORM, grid,
                       np.vstack([np.sin(np.pi * x / 2.0), np.cos(np.pi * x)]))
         gauge = ops.apply_div_star(surf, w)
-        Tg = project_tt(surf, grid, {gauge.key: gauge}, solvers=bank)[gauge.key]
+        Tg = project_tt(surf, grid, gauge, solvers=bank)
         worst_gauge = max(worst_gauge, mode_norm(Tg) / mode_norm(gauge))
 
         ct = build_cutoff_tensors(surf, grid, solvers=bank)

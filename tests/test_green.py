@@ -173,15 +173,14 @@ def test_green_family_polyhomogeneous_fit():
 def test_cylinder_dirichlet_inverse_inverts_gauge_laplacian(cyl_half):
     grid = uniform_grid(-1, 1, 2049)
     x = grid.nodes
-    rhs_fields = {}
     for k, variant in ((0, Variant.COS), (2, Variant.COS), (3, Variant.SIN)):
-        data = np.vstack([BUMP(x), 0.5 * BUMP(x)])
-        rhs_fields[(k, variant)] = ModeField(k, Rank.ONE_FORM, grid, data, variant)
-    sols = cylinder_dirichlet_inverse(cyl_half, grid, rhs_fields)
-    for key, w in sols.items():
+        rhs = ModeField(k, Rank.ONE_FORM, grid,
+                        np.vstack([BUMP(x), 0.5 * BUMP(x)]), variant)
+        w = cylinder_dirichlet_inverse(cyl_half, grid, rhs)
+        assert w.key == rhs.key
         res = apply_gauge_laplacian(cyl_half, w)
-        err = np.max(np.abs((res.data - rhs_fields[key].data)[:, 1:-1]))
-        assert err / np.max(np.abs(rhs_fields[key].data)) < 1e-8
+        err = np.max(np.abs((res.data - rhs.data)[:, 1:-1]))
+        assert err / np.max(np.abs(rhs.data)) < 1e-8
         assert abs(w.data[:, 0]).max() < 1e-10 and abs(w.data[:, -1]).max() < 1e-10
 
 
@@ -191,7 +190,7 @@ def test_cylinder_dirichlet_inverse_zero_mode_delegates_to_explicit(cyl_half):
     grid = uniform_grid(-1, 1, 4097)
     x = grid.nodes
     rhs = ModeField.one_form_rho(0, grid, BUMP(x), np.zeros_like(x))
-    sol = cylinder_dirichlet_inverse(cyl_half, grid, {rhs.key: rhs})[rhs.key]
+    sol = cylinder_dirichlet_inverse(cyl_half, grid, rhs)
     rep = solve_zero_mode(0.5, lambda t: 2.0 * BUMP(t), 0.0, 0.0, n=8193)
     w1 = sol.rho()[0]
     expect = np.interp(x, rep.tau, rep.solution)
@@ -204,8 +203,7 @@ def test_cylinder_dirichlet_inverse_support_rejection(cyl_half):
     bad = ModeField(1, Rank.ONE_FORM, grid,
                     np.vstack([smooth_bump(-0.2, 0.2)(x), np.zeros_like(x)]))
     with pytest.raises(ValueError):
-        cylinder_dirichlet_inverse(cyl_half, grid, {bad.key: bad})
+        cylinder_dirichlet_inverse(cyl_half, grid, bad)
     # and accepted when the gap check is waived
-    out = cylinder_dirichlet_inverse(cyl_half, grid, {bad.key: bad},
-                                     enforce_gap=False)
-    assert (1, Variant.COS) in out
+    out = cylinder_dirichlet_inverse(cyl_half, grid, bad, enforce_gap=False)
+    assert out.key == (1, Variant.COS)

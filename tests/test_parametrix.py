@@ -15,9 +15,10 @@ from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
 from wpneck.parametrix import (ModeParametrix, ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
-from wpneck.surface import (GlobalModeSolver, ModelSurfaceMetric, default_cutoffs,
+from wpneck.surface import (CutoffPair, GlobalModeSolver, ModelSurfaceMetric,
                             thick_indices, thin_indices)
 from wpneck.ttbasis import tt_element
+from wpneck.wp import length_variation, twist_variation
 
 from conftest import channel_matrices
 
@@ -193,7 +194,7 @@ def test_tt_projection_at_k_ge_1_builds_no_sparse_matrix(monkeypatch):
     bank = SolverBank(surf, grid)
     for k, fields in inputs.items():
         for h in fields:
-            T = project_tt(surf, grid, {h.key: h}, solvers=bank)[h.key]
+            T = project_tt(surf, grid, h, solvers=bank)
             assert mode_norm(T) / mode_norm(h) < 1e-9, (k, h.rank)
 
 
@@ -223,7 +224,7 @@ def test_block_diagonal_apply_P_matches_per_channel_matvecs():
     x = grid.nodes
     w = np.vstack([np.cos(np.pi * x / 2.0), np.exp(np.sin(np.pi * x))])
     for k in (0, 3):
-        blk = ModeParametrix(surf, grid, k, default_cutoffs())
+        blk = ModeParametrix(surf, grid, k, CutoffPair())
         ops = mode_operators(surf, grid, k)
         pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
         assert np.array_equal(blk.apply_P(w),
@@ -238,7 +239,7 @@ def test_band_commutators_match_the_commutator_formula():
     # became precomputed bands
     grid = periodic_grid(-2.0, 2.0, 2048)
     surf = ModelSurfaceMetric(ell=0.1)
-    cut = default_cutoffs()
+    cut = CutoffPair()
     chiw = [cut.chi0_widened(grid.nodes), cut.chi1_widened(grid.nodes)]
     rng = np.random.default_rng(7)
     for k in (0, 3):
@@ -279,7 +280,7 @@ def test_stacked_gtilde_matches_per_subdomain_solves():
     # from the sparse channel matrix, as each block solved before the two
     # subdomains shared one band
     grid = periodic_grid(-2.0, 2.0, 2048)
-    cut = default_cutoffs()
+    cut = CutoffPair()
     x = grid.nodes
     n = grid.n
     w = np.vstack([np.exp(np.cos(np.pi * x / 2.0)), 0.4 * np.sin(np.pi * x)])
@@ -309,7 +310,7 @@ def test_stacked_gtilde_matches_per_subdomain_solves():
 def test_error_operator_is_zero_off_the_transition_layers(family, grid):
     # R = -sum_j [P, chi~_j] G_j chi_j lives on the rows of the commutators,
     # the nodes where chi~_j differs from a neighbour; elsewhere it is 0.0
-    cut = default_cutoffs()
+    cut = CutoffPair()
     layers = np.zeros(grid.n, bool)
     for cw in (cut.chi0_widened(grid.nodes), cut.chi1_widened(grid.nodes)):
         layers |= (np.roll(cw, 1) != cw) | (np.roll(cw, -1) != cw)
@@ -350,8 +351,8 @@ def test_projection_idempotent_and_divergence_free(proj_setup):
     h = ModeField(0, Rank.SYM2_FULL, grid,
                   np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2.0),
                              0.1 * np.sin(np.pi * x / 2.0)]))
-    T1 = project_tt(surf, grid, {h.key: h}, solvers=bank)[h.key]
-    T2 = project_tt(surf, grid, {T1.key: T1}, solvers=bank)[T1.key]
+    T1 = project_tt(surf, grid, h, solvers=bank)
+    T2 = project_tt(surf, grid, T1, solvers=bank)
     assert mode_norm(T2 - T1) / mode_norm(T1) < 1e-10
     assert mode_norm(apply_divergence(surf, T1)) / mode_norm(T1) < 1e-9
 
@@ -363,7 +364,7 @@ def test_projection_annihilates_gauge_directions(proj_setup):
         w = ModeField(k, Rank.ONE_FORM, grid,
                       np.vstack([np.sin(np.pi * x / 2.0), np.cos(np.pi * x)]))
         gauge = apply_div_star(surf, w)
-        Tg = project_tt(surf, grid, {gauge.key: gauge}, solvers=bank)[gauge.key]
+        Tg = project_tt(surf, grid, gauge, solvers=bank)
         assert mode_norm(Tg) / mode_norm(gauge) < 1e-9
 
 
@@ -372,8 +373,42 @@ def test_projection_fixes_global_tt_pair(proj_setup):
     F = surf.F(grid.nodes)
     for data in (np.vstack([1.0 / F, 0.0 * F]), np.vstack([0.0 * F, 1.0 / F])):
         tt = ModeField(0, Rank.SYM2_TRACEFREE, grid, data)
-        out = project_tt(surf, grid, {tt.key: tt}, solvers=bank)[tt.key]
+        out = project_tt(surf, grid, tt, solvers=bank)
         assert mode_norm(out - tt) / mode_norm(tt) < 1e-4
+
+
+# measured worst cases over both variations and ell in {0.1, 0.05}: relative
+# tensor difference 4.99e-4 and 1.25e-4, relative self-pairing difference
+# 1.47e-7 and 9.2e-9; each bound is at least 5x above its measurement
+FAMILY_ROUTE_BOUNDS = {2048: (2.5e-3, 1e-6), 4096: (7e-4, 6e-8)}
+
+
+def test_parametrix_route_agrees_with_the_factored_projection():
+    # the Neumann-series G on the direct channel stencils against the exact
+    # discrete projector: the two agree to discretization order
+    diffs = {}
+    for n, (tensor_tol, pairing_tol) in FAMILY_ROUTE_BOUNDS.items():
+        grid = periodic_grid(-2.0, 2.0, n)
+        family = ParametrixFamily(grid, ks=[0])
+        for ell in (0.1, 0.05):
+            surf = ModelSurfaceMetric(ell=ell)
+            bank = SolverBank(surf, grid)
+            for variation in (length_variation, twist_variation):
+                h = variation(surf, grid)
+                exact = project_tt(surf, grid, h, solvers=bank)
+                glued = project_tt(surf, grid, h, family=family)
+                assert glued.key == exact.key and glued.rank is exact.rank
+                rel = mode_norm(glued - exact) / mode_norm(exact)
+                self_exact = mode_inner_product(exact, exact)
+                self_glued = mode_inner_product(glued, glued)
+                assert rel < tensor_tol, (n, ell, variation.__name__)
+                assert abs(self_glued - self_exact) / self_exact < pairing_tol, \
+                    (n, ell, variation.__name__)
+                diffs[n, ell, variation] = rel
+    # second order: the difference falls about 4x per doubling of n
+    for (n, ell, variation), rel in diffs.items():
+        if n == 2048:
+            assert diffs[4096, ell, variation] < rel / 2.0, (ell, variation.__name__)
 
 
 def test_projection_self_adjoint(proj_setup):
@@ -383,8 +418,8 @@ def test_projection_self_adjoint(proj_setup):
                    np.vstack([np.cos(np.pi * x / 2.0), np.sin(np.pi * x)]))
     h2 = ModeField(2, Rank.SYM2_TRACEFREE, grid,
                    np.vstack([np.sin(np.pi * x), 0.2 * np.cos(np.pi * x)]))
-    T1 = project_tt(surf, grid, {h1.key: h1}, solvers=bank)[h1.key]
-    T2 = project_tt(surf, grid, {h2.key: h2}, solvers=bank)[h2.key]
+    T1 = project_tt(surf, grid, h1, solvers=bank)
+    T2 = project_tt(surf, grid, h2, solvers=bank)
     lhs = mode_inner_product(T1, h2)
     rhs = mode_inner_product(h1, T2)
     scale = mode_norm(h1) * mode_norm(h2)

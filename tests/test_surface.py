@@ -12,7 +12,7 @@ from wpneck.operators import mode_operators
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
-                            default_cutoffs, thick_indices, thin_indices)
+                            thick_indices, thin_indices)
 from wpneck.wp import length_variation, twist_variation
 
 from conftest import channel_matrices, cyclic_diagonals
@@ -93,7 +93,7 @@ def test_base_clamp_is_bit_identical():
 
 
 def test_cutoff_partition_properties(surface_grid):
-    cp = default_cutoffs()
+    cp = CutoffPair()
     cp.validate(surface_grid)
     t = surface_grid.nodes
     assert np.allclose(cp.chi0(t) + cp.chi1(t), 1.0)
@@ -419,5 +419,3 @@ def test_gauge_laplacian_consistent_on_surface(surface_grid):
 def test_build_rejects_bad_profile():
     with pytest.raises(ValueError):
         ModelSurfaceMetric(ell=-0.1)
-    with pytest.raises(ValueError):
-        ModelSurfaceMetric(ell=0.1, period=6.0)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,37 @@ def test_norms_finite_at_extreme_parameters():
     # k/ell ~ 2.5e5: naive cosh would overflow at ~700
     val = tt_l2norm("kappa", 256, 1e-3, check=False)
     assert np.isfinite(val) and 0.1 < val < 100.0
+
+
+def test_import_leaves_the_quadrature_oracle_unloaded():
+    # only the closed-form cross-check needs scipy.integrate
+    import wpneck
+
+    src = Path(wpneck.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wpneck; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
+
+
+def test_unchecked_norm_runs_no_quadrature(monkeypatch):
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tt_l2norm(check=False) ran the quadrature")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    # the values the closed form gave while the quadrature still ran
+    for args, want in ((("kappa", 3, 0.2), 2.045390412398593),
+                       (("nu", 0, 0.1), 3.662255187092959),
+                       (("kappa", 256, 1e-3), 1.7759181609615966)):
+        assert tt_l2norm(*args, check=False) == want
+    with pytest.raises(AssertionError, match="ran the quadrature"):
+        tt_l2norm("kappa", 3, 0.2)
+    with pytest.raises(ValueError):
+        tt_l2norm("kappa", 3, 0.0, check=False)
 
 
 def test_normalization_band():
