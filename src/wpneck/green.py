@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cylinder import CylinderMetric
-from .grids import ArcsinhGrid, RadialGrid, arcsinh_grid, solve_tridiagonal
+from .grids import (ArcsinhGrid, RadialGrid, arcsinh_grid, tridiagonal_lu,
+                    tridiagonal_solve)
 from .modefields import ModeField, Rank
 from .operators import mode_operators
 
@@ -139,6 +140,9 @@ def _enforce_support_gap(tau: np.ndarray, h: np.ndarray, c: float, what: str):
         )
 
 
+_TAU_BOUND = 1.0  # b: the channel solves and the barrier check cover |tau| <= b
+
+
 def solve_zero_mode(
     ell: float,
     h,
@@ -146,11 +150,10 @@ def solve_zero_mode(
     eta_minus: float = 0.0,
     *,
     c: float = 0.5,
-    tau_bound: float = 1.0,
     n: int = 4097,
     enforce_gap: bool = True,
 ) -> GreenSolveReport:
-    """Explicit inverse of the unscaled zero-mode operator on [-b, b].
+    """Explicit inverse of the unscaled zero-mode operator on [-b, b], b = 1.
 
     ``h`` is a callable or samples on the solver grid.  The full one-form
     gauge Laplacian is half the channel operator, so to invert it on a
@@ -162,7 +165,7 @@ def solve_zero_mode(
     """
     if ell <= 0:
         raise ValueError("explicit zero-mode inverse needs ell > 0")
-    agrid = arcsinh_grid(ell, tau_bound, n)
+    agrid = arcsinh_grid(ell, _TAU_BOUND, n)
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     if hv.shape != tau.shape:
@@ -221,12 +224,12 @@ def _cumulative_simpson(f: np.ndarray, tgrid: RadialGrid) -> np.ndarray:
 
 
 def solve_zero_mode_fd(ell, h, eta_plus=0.0, eta_minus=0.0, *,
-                       tau_bound: float = 1.0, n: int = 4097) -> tuple[np.ndarray, np.ndarray]:
+                       n: int = 4097) -> tuple[np.ndarray, np.ndarray]:
     """Independent finite-difference oracle for the zero-mode Dirichlet solve.
 
     Second-order FD in t = arcsinh(tau/ell); returns (tau nodes, solution).
     """
-    return _channel_bvp_t(arcsinh_grid(ell, tau_bound, n), 0, +1, h,
+    return _channel_bvp_t(arcsinh_grid(ell, _TAU_BOUND, n), 0, +1, h,
                           eta_plus, eta_minus)
 
 
@@ -246,10 +249,12 @@ def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
     rhs = hv[1:-1].copy()
     rhs[0] -= lower[0] * eta_minus
     rhs[-1] -= upper[-1] * eta_plus
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs samples and boundary values must be finite")
 
     w = np.empty(n)
     w[0], w[-1] = eta_minus, eta_plus
-    w[1:-1] = solve_tridiagonal(lower, diag, upper, rhs)
+    w[1:-1] = tridiagonal_solve(tridiagonal_lu(lower, diag, upper), rhs)
     return tau, w
 
 
@@ -262,7 +267,6 @@ def solve_nonzero_mode(
     *,
     sign: int = +1,
     c: float = 0.5,
-    tau_bound: float = 1.0,
     n: int = 4097,
     enforce_gap: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +280,7 @@ def solve_nonzero_mode(
         raise ValueError("use solve_zero_mode for k = 0")
     if ell <= 0:
         raise ValueError("nonzero-mode solve needs ell > 0")
-    agrid = arcsinh_grid(ell, tau_bound, n)
+    agrid = arcsinh_grid(ell, _TAU_BOUND, n)
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     if enforce_gap:
@@ -327,14 +331,10 @@ class BarrierCertificate:
     min_margin_full: float = 0.0
 
 
-def certify_barrier(
-    ells,
-    ks,
-    alpha: float,
-    c: float = 0.5,
-    n: int = 2001,
-    tau_max: float = 1.0,
-) -> BarrierCertificate:
+_BARRIER_NODES = 2001  # radii the barrier check samples in (0, b]
+
+
+def certify_barrier(ells, ks, alpha: float, c: float = 0.5) -> BarrierCertificate:
     """Evaluate P_k^+- zeta_k / zeta_k on fine grids and report positivity.
 
     Failure (negative margin near tau = 0, or everywhere for alpha too
@@ -349,10 +349,11 @@ def certify_barrier(
     inner_radius: dict[float, float] = {}
     min_marg_cert = np.inf
     min_marg_full = np.inf
+    n = _BARRIER_NODES
     for ell in ells:
         worst = np.full(n, np.inf)
         # symmetric grid avoiding tau = 0 exactly
-        tau = np.linspace(tau_max / n, tau_max, n)
+        tau = np.linspace(_TAU_BOUND / n, _TAU_BOUND, n)
         F = tau**2 + ell**2
         for k in ks:
             ak = alpha * abs(k)
@@ -410,6 +411,8 @@ def cylinder_dirichlet_inverse(
         raise ValueError("cylinder inverse expects one-form modes")
     if f.grid is not grid:
         raise ValueError("rhs mode lives on a different grid")
+    if not np.all(np.isfinite(f.data)):
+        raise ValueError(f"mode {f.key} rhs must be finite")
     if enforce_gap:
         _enforce_support_gap(grid.nodes, np.max(np.abs(f.data), axis=0), c,
                              f"mode {f.key} rhs")
@@ -423,5 +426,5 @@ def cylinder_dirichlet_inverse(
         diag[[0, -1]], upper[0], lower[-1] = 1.0, 0.0, 0.0
         b = b.copy()
         b[[0, -1]] = 0.0
-        sols.append(solve_tridiagonal(lower, diag, upper, b))
+        sols.append(tridiagonal_solve(tridiagonal_lu(lower, diag, upper), b))
     return ModeField.one_form_rho(f.k, grid, sols[0], sols[1], f.variant)

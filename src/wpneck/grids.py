@@ -1,8 +1,8 @@
-"""Radial grids, differentiation matrices, and quadrature weights.
+"""Radial grids, differentiation matrices, quadrature weights, tridiagonal solves.
 
 Two grid families are supported on an interval: uniform (second-order
 finite differences, composite Simpson quadrature) and Chebyshev-Lobatto
-(dense spectral differentiation, Clenshaw-Curtis quadrature).  Periodic
+(spectral differentiation, Clenshaw-Curtis quadrature).  Periodic
 uniform grids (for the closed model surface) use wrap-around stencils and
 plain trapezoid weights, which are spectrally accurate for smooth periodic
 integrands.
@@ -12,7 +12,7 @@ t = arcsinh(tau/ell), so the node spacing in tau scales like
 sqrt(tau^2 + ell^2).  That resolves the ell-scale turning region near
 tau = 0 without a uniform grid of size ~1/ell.
 
-Finite-difference stencils are built on the first read of ``d1``/``d2``, so
+Every grid stores ``d1``/``d2`` as CSR matrices, built on the first read, so
 callers that use only nodes and weights never pay for them.  Threads first
 reading one grid at once (``--jobs``) may build them twice, with equal results.
 """
@@ -24,7 +24,7 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -73,10 +73,10 @@ def _cheb_diff_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
 class RadialGrid:
     """Nodes, differentiation matrices, and quadrature weights on an interval.
 
-    ``d1``/``d2`` act on samples at ``nodes``; ``weights`` integrate against
-    them.  ``scheme`` is one of ``uniform``, ``chebyshev``, ``periodic``.
-    ``_stencils()`` returns (d1, d2) and runs on the first read of either
-    (twice, with equal results, if two threads read first at once).
+    ``d1``/``d2`` are CSR matrices acting on samples at ``nodes``; ``weights``
+    integrate against them.  ``scheme`` is one of ``uniform``, ``chebyshev``,
+    ``periodic``.  ``_stencils()`` returns (d1, d2) and runs on the first read
+    of either (twice, with equal results, if two threads read first at once).
     Instances are otherwise immutable and safe to share.
     """
 
@@ -162,14 +162,18 @@ def _fd_stencils(n: int, h: float, periodic: bool) -> tuple:
             _stencil(n, (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), ends2))
 
 
-def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a tridiagonal system given row-wise: row i is
-    (lower[i], diag[i], upper[i]), so lower[0] and upper[-1] are unused."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+def tridiagonal_lu(lower, diag, upper) -> tuple:
+    """LAPACK ``dgttrf`` factors of the tridiagonal matrix whose row i is
+    (lower[i], diag[i], upper[i]); lower[0] and upper[-1] are never read."""
+    *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+    if info:
+        raise np.linalg.LinAlgError("tridiagonal band is exactly singular")
+    return tuple(lu)
+
+
+def tridiagonal_solve(lu: tuple, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve with :func:`tridiagonal_lu` factors; ``trans="T"`` uses the transpose."""
+    return lapack.dgttrs(*lu, b, trans=trans)[0]
 
 
 def uniform_grid(a: float, b: float, n: int) -> RadialGrid:
@@ -207,13 +211,12 @@ def chebyshev_grid(a: float, b: float, n: int) -> RadialGrid:
     x = a + scale * (x01 + 1.0)
     d1 = D / scale
     w = clenshaw_curtis_weights(n)[::-1] * scale
-    stencils = (d1, d1 @ d1)  # dense and built now, unlike the FD grids
     return RadialGrid(
         nodes=x,
         weights=w.copy(),
         scheme="chebyshev",
         order=n,  # spectral; refinement tests treat residuals as floor-limited
-        _stencils=lambda: stencils,
+        _stencils=lambda: (sp.csr_matrix(d1), sp.csr_matrix(d1 @ d1)),
     )
 
 

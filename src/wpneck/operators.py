@@ -78,24 +78,13 @@ class ModeOperators:
             raise ValueError("profile must be positive on the grid")
         self.sqF = np.sqrt(self.F)
         self.beta = self.Fp / (2.0 * self.sqF)
-        self.dense = not sp.issparse(grid.d1)
         self._cache: dict[str, object] = {}
 
     # -- small assembly helpers --------------------------------------------
     def _diag(self, v):
-        v = np.broadcast_to(np.asarray(v, float), (self.grid.n,))
-        return np.diag(v) if self.dense else sp.diags(v)
-
-    def _eye(self):
-        n = self.grid.n
-        return np.eye(n) if self.dense else sp.eye(n, format="csr")
-
-    def _zeros(self, rows: int, cols: int):
-        return np.zeros((rows, cols)) if self.dense else sp.csr_matrix((rows, cols))
+        return sp.diags(np.broadcast_to(np.asarray(v, float), (self.grid.n,)))
 
     def _block(self, rows):
-        if self.dense:
-            return np.block(rows)
         return sp.bmat(rows, format="csr")
 
     def _d_plus(self, mult, add):
@@ -175,7 +164,7 @@ class ModeOperators:
         """
         if "bianchi" not in self._cache:
             n = self.grid.n
-            z = self._zeros(n, n)
+            z = sp.csr_matrix((n, n))
             d_tr = self._block([[z, z, self.d_scalar[:n, :]],
                                 [z, z, self.d_scalar[n:, :]]])
             self._cache["bianchi"] = self.divergence_full + d_tr
@@ -238,20 +227,16 @@ class ModeOperators:
         if "L" not in self._cache:
             if not np.allclose(self.Fpp, 2.0, atol=1e-12):
                 raise ValueError("linearized gauged operator needs a K = -1 profile")
-            n = self.grid.n
             DK0 = self.conformal_killing @ self.divergence_tf
-            trace_op = 0.5 * self.scalar_laplacian + self._eye()
-            self._cache["L"] = self._block(
-                [[DK0, self._zeros(2 * n, n)],
-                 [self._zeros(n, 2 * n), trace_op]]
-            )
+            trace_op = 0.5 * self.scalar_laplacian + sp.eye(self.grid.n, format="csr")
+            self._cache["L"] = self._block([[DK0, None], [None, trace_op]])
         return self._cache["L"]
 
     @property
     def linearized_curvature(self):
         """DK on sym2_full -> scalar: ((1/2)Delta + 1) f + (1/2) delta delta h0."""
         if "DK" not in self._cache:
-            f_part = 0.5 * self.scalar_laplacian + self._eye()
+            f_part = 0.5 * self.scalar_laplacian + sp.eye(self.grid.n, format="csr")
             h0_part = 0.5 * (self.codifferential @ self.divergence_tf)
             self._cache["DK"] = self._block([[h0_part, f_part]])
         return self._cache["DK"]

@@ -78,6 +78,7 @@ from .surface import (
     SubdomainSolver,
     band_matvec,
     channel_diagonals,
+    fold_tau,
     kernel_complement,
     smoothstep,
     smoothstep_d1,
@@ -105,14 +106,18 @@ __all__ = [
 # amplitude cutoff for the concentrating tensors: plateau |tau| <= 1/2,
 # support |tau| <= 3/4 (distinct from the parametrix partition of unity)
 def mu_cutoff(tau):
-    r = np.abs(np.mod(np.asarray(tau, float) + 2.0, 4.0) - 2.0)
+    r = np.abs(fold_tau(tau))
     return 1.0 - smoothstep((r - 0.5) * 4.0)
 
 
 def mu_cutoff_d1(tau):
-    t = np.mod(np.asarray(tau, float) + 2.0, 4.0) - 2.0
+    t = fold_tau(tau)
     r = np.abs(t)
     return -np.sign(t) * smoothstep_d1((r - 0.5) * 4.0) * 4.0
+
+
+_NORM_RTOL = 1e-6  # relative step that ends the operator_norm power iteration
+_NEUMANN_MAX_TERMS = 400
 
 
 class ModeParametrix:
@@ -255,7 +260,7 @@ class ModeParametrix:
         return kernel_complement(w, self.kernel, self.grid.weights)
 
     def operator_norm(self, which: str = "S", iters: int = 20,
-                      tol: float = 1e-6, seed: int = 0) -> float:
+                      seed: int = 0) -> float:
         """Largest singular value of S (or R) by power iteration on A^T A.
 
         At k = 0 the iteration runs in the complement of the conformal
@@ -275,19 +280,19 @@ class ModeParametrix:
                 return 0.0
             new_sigma = math.sqrt(nz)
             x = z / nz
-            if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-30):
+            if abs(new_sigma - sigma) <= _NORM_RTOL * max(new_sigma, 1e-30):
                 return new_sigma
             sigma = new_sigma
         return sigma
 
-    def neumann_solve(self, w, tol: float = 1e-12, max_terms: int = 400):
+    def neumann_solve(self, w, tol: float = 1e-12):
         """Gbar sum_j S^j w; returns (solution, number of terms summed)."""
         w = self._project(np.asarray(w, float))
         acc = w.copy()
         term = w
         nrhs = np.linalg.norm(w)
         terms = 1
-        for _ in range(max_terms):
+        for _ in range(_NEUMANN_MAX_TERMS):
             term = self._project(self.apply_S(term))
             acc += term
             terms += 1

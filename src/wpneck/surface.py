@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import lapack
 
-from .grids import RadialGrid
+from .grids import RadialGrid, tridiagonal_lu, tridiagonal_solve
 from .operators import channel_potential
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "smoothstep_d2",
     "ModelSurfaceMetric",
     "CutoffPair",
+    "fold_tau",
     "GlobalModeSolver",
     "SubdomainSolver",
     "band_matvec",
@@ -122,6 +123,11 @@ def _cap_coeffs() -> tuple[float, float]:
 _C4, _C5 = _cap_coeffs()
 
 
+def fold_tau(tau):
+    """tau reduced by the period 4 to its representative in [-2, 2)."""
+    return np.mod(np.asarray(tau, float) + 2.0, 4.0) - 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSurfaceMetric:
     """Periodic profile metric d tau^2/F + F d theta^2 on the model torus."""
@@ -134,12 +140,6 @@ class ModelSurfaceMetric:
             raise ValueError("ell must be >= 0")
 
     # -- profile pieces ------------------------------------------------------
-    def _fold(self, tau):
-        """Reduce to r = |tau| in [0, 2] with the sign of the odd extension."""
-        t = np.asarray(tau, float)
-        tmod = np.mod(t + 2.0, 4.0) - 2.0
-        return np.abs(tmod), np.sign(tmod)
-
     def _base(self, r):
         r = np.asarray(r, float)
         # clamped: the cap branch sees the same x, and the discarded branch
@@ -158,7 +158,8 @@ class ModelSurfaceMetric:
 
     def jet(self, tau):
         """(F, F', F'') at tau from one fold, cap and plateau evaluation."""
-        r, s = self._fold(tau)
+        t = fold_tau(tau)
+        r, s = np.abs(t), np.sign(t)  # F is even, F' odd
         Q, Qp, Qpp = self._base(r)
         w, wp, wpp = self._weight(r)
         e2 = self.ell**2
@@ -185,23 +186,21 @@ class ModelSurfaceMetric:
 
     def dF_dell(self, tau):
         """ell-derivative of the profile: 2 ell w(tau)."""
-        r, _ = self._fold(tau)
-        w, _, _ = self._weight(r)
+        w, _, _ = self._weight(np.abs(fold_tau(tau)))
         return 2.0 * self.ell * w
 
     def curvature(self, tau):
         return -0.5 * self.Fpp(tau)
 
 
-def thick_indices(grid: RadialGrid, margin: float = 0.0) -> np.ndarray:
-    """Node indices of the thick subdomain |tau| > 1/2 (+ margin)."""
-    t = np.mod(grid.nodes + 2.0, 4.0) - 2.0
-    return np.nonzero(np.abs(t) > 0.5 + margin)[0]
+def thick_indices(grid: RadialGrid) -> np.ndarray:
+    """Node indices of the thick subdomain |tau| > 1/2."""
+    return np.nonzero(np.abs(fold_tau(grid.nodes)) > 0.5)[0]
 
 
-def thin_indices(grid: RadialGrid, bound: float = 0.75) -> np.ndarray:
-    t = np.mod(grid.nodes + 2.0, 4.0) - 2.0
-    return np.nonzero(np.abs(t) < bound)[0]
+def thin_indices(grid: RadialGrid) -> np.ndarray:
+    """Node indices of the thin subdomain |tau| < 3/4."""
+    return np.nonzero(np.abs(fold_tau(grid.nodes)) < 0.75)[0]
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ class CutoffPair:
             raise ValueError("thick widener must reach 1 before chi0 turns on")
 
     def _r(self, tau):
-        return np.abs(np.mod(np.asarray(tau, float) + 2.0, 4.0) - 2.0)
+        return np.abs(fold_tau(tau))
 
     def chi1(self, tau):
         return _plateau(self._r(tau), self.chi1_plateau, self.chi1_support)[0]
@@ -283,8 +282,8 @@ def _stacked_band(diags, runs):
 
     Run by run, channel + then channel -, the pieces are stacked with zero
     coupling (so each is factored and solved bit for bit as if alone) and
-    factored by LAPACK ``gttrf``; ``flat[p]`` is the position of stacked
-    unknown p in the flattened (2, n) channels.
+    factored by :func:`~wpneck.grids.tridiagonal_lu`; ``flat[p]`` is the
+    position of stacked unknown p in the flattened (2, n) channels.
     """
     L, D, U = diags
     n = D.shape[1]
@@ -293,18 +292,12 @@ def _stacked_band(diags, runs):
         for c in (0, 1):
             flat.append(c * n + idx)
             main.append(D[c, idx])
-            # each piece ends with a zero coupling to the next one
-            lower.append(np.append(L[c, idx[1:]], 0.0))
-            upper.append(np.append(U[c, idx[:-1]], 0.0))
-    *lu, info = lapack.dgttrf(np.concatenate(lower)[:-1], np.concatenate(main),
-                              np.concatenate(upper)[:-1])
-    if info:
-        raise RuntimeError("tridiagonal band is exactly singular")
+            # each piece has zero coupling to its neighbours
+            lower.append(np.r_[0.0, L[c, idx[1:]]])
+            upper.append(np.r_[U[c, idx[:-1]], 0.0])
+    lu = tridiagonal_lu(np.concatenate(lower), np.concatenate(main),
+                        np.concatenate(upper))
     return np.concatenate(flat), lu
-
-
-def _gttrs(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    return lapack.dgttrs(*lu, b, trans=trans)[0]
 
 
 class _Closure:
@@ -340,8 +333,9 @@ class SubdomainSolver:
     consecutive nodes in period order (the thick run wraps across
     tau = +-2 and is rolled into that order); runs may overlap.  Each
     channel's Dirichlet submatrix on each run is a piece of one band
-    (:func:`_stacked_band`), so a solve is one ``gttrs`` call, in the band's
-    stacked order (a node in two overlapping runs appears there twice).
+    (:func:`_stacked_band`), so a solve is one
+    :func:`~wpneck.grids.tridiagonal_solve`, in the band's stacked order (a
+    node in two overlapping runs appears there twice).
     """
 
     def __init__(self, diags, runs):
@@ -349,20 +343,20 @@ class SubdomainSolver:
         self.flat, self._lu = _stacked_band(diags, [_period_run(idx, n) for idx in runs])
 
     def solve_channels(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """One ``gttrs`` solve; ``b`` and the solution are in stacked order."""
-        return _gttrs(self._lu, b, trans)
+        """One band solve; ``b`` and the solution are in stacked order."""
+        return tridiagonal_solve(self._lu, b, trans)
 
 
-def discrete_near_null(solve, seed: np.ndarray, iters: int = 3) -> np.ndarray:
+def discrete_near_null(solve, seed: np.ndarray) -> np.ndarray:
     """Near-null vector of an almost-singular matrix by inverse iteration.
 
     The analytic kernel sampled on the grid only annihilates the discrete
-    operator to O(h^2); a few inverse-power steps (``solve`` applies the
+    operator to O(h^2); three inverse-power steps (``solve`` applies the
     inverse) sharpen it to the actual smallest singular direction.  Falls
     back to the (normalized) seed if a solve breaks down.
     """
     q = seed / np.linalg.norm(seed)
-    for _ in range(iters):
+    for _ in range(3):
         y = solve(q)
         ny = np.linalg.norm(y)
         if not np.isfinite(ny) or ny == 0.0:
@@ -398,16 +392,13 @@ def transposed_diagonals(diags):
     return np.roll(U, 1, axis=1), D, np.roll(L, -1, axis=1)
 
 
-def band_matvec(diags, w: np.ndarray, trans: str = "N") -> np.ndarray:
-    """``P @ w`` (or ``P.T @ w``) for w of shape (2, n), from ``diags``.
+def band_matvec(diags, w: np.ndarray) -> np.ndarray:
+    """``P @ w`` for w of shape (2, n), from the diagonals ``diags`` of P.
 
     Each row sums its three terms in column order, as scipy's CSC and CSR
     matvecs of the same matrix do, so the result matches them bit for bit.
-    A caller that applies P^T often passes :func:`transposed_diagonals`,
-    built once, with ``trans="N"``.
+    For ``P.T @ w`` pass :func:`transposed_diagonals`, built once.
     """
-    if trans == "T":
-        diags = transposed_diagonals(diags)
     L, D, U = (d.reshape(-1) for d in diags)
     x = w.reshape(-1)
     n = w.shape[-1]
@@ -445,7 +436,7 @@ class GlobalModeSolver:
     vector by inverse iteration, borders it: [[P_0^+-, c], [c^T, 0]] with c
     the weighted kernel keeps the solution in the kernel's weighted
     complement, and the multiplier absorbs any kernel component of the
-    right-hand side.  A solve is one ``gttrs`` and a 4 x 4 (k = 0: 6 x 6)
+    right-hand side.  A solve is one band solve and a 4 x 4 (k = 0: 6 x 6)
     Schur closure (:class:`_Closure`; for ``trans="T"``, A^T = A0^T + R^T E^T).
     ``diags`` and ``kernel`` are kept for the parametrix blocks.
     """
@@ -455,7 +446,7 @@ class GlobalModeSolver:
         self.grid = grid
         self.diags = L, _, U = channel_diagonals(surface, grid, self.k)
         n = grid.n
-        _, lu = _stacked_band(self.diags, [np.arange(n)])
+        solve = partial(tridiagonal_solve, _stacked_band(self.diags, [np.arange(n)])[1])
         rows = np.array([0, n - 1, n, 2 * n - 1])
         E = np.zeros((2 * n, 4))
         E[rows, np.arange(4)] = 1.0
@@ -466,12 +457,12 @@ class GlobalModeSolver:
         if self.k == 0:
             # inverse iteration on channel +, with channel - kept at zero
             seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
-            q = discrete_near_null(_Closure(partial(_gttrs, lu), E, R, 4), seed)[:n]
+            q = discrete_near_null(_Closure(solve, E, R, 4), seed)[:n]
             self.kernel = q / math.sqrt(float(grid.weights @ (q * q)))
             C = np.zeros((2 * n, 2))
             C[:n, 0] = C[n:, 1] = grid.weights * self.kernel
         self._solvers = {
-            trans: _Closure(partial(_gttrs, lu, trans=trans), np.hstack([cols, C]),
+            trans: _Closure(partial(solve, trans=trans), np.hstack([cols, C]),
                             np.vstack([T, C.T]), 4)
             for trans, cols, T in (("N", E, R), ("T", R.T, E.T))}
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RadialGrid, solve_tridiagonal, uniform_grid
-from .surface import ModelSurfaceMetric
+from .grids import RadialGrid, tridiagonal_lu, tridiagonal_solve, uniform_grid
+from .surface import ModelSurfaceMetric, fold_tau
 
 __all__ = ["ConformalFactor", "solve_conformal_factor", "curvature_after"]
 
@@ -50,12 +50,15 @@ class ConformalFactor:
 
     def weight(self, tau: np.ndarray) -> np.ndarray:
         """exp(-2 u) sampled at tau, extended by 1 outside the solve domain."""
-        tau = np.asarray(tau, float)
-        t = np.mod(tau + 2.0, 4.0) - 2.0
+        t = fold_tau(tau)
         out = np.ones_like(t)
         inside = np.abs(t) <= self.grid.b
         out[inside] = np.exp(-2.0 * np.interp(t[inside], self.grid.nodes, self.u))
         return out
+
+
+_NEWTON_TOL = 1e-11  # sup-norm residual that ends the Newton iteration
+_NEWTON_MAX_ITER = 50
 
 
 def solve_conformal_factor(
@@ -63,8 +66,6 @@ def solve_conformal_factor(
     *,
     domain: float = 0.875,
     n: int = 4097,
-    tol: float = 1e-11,
-    max_iter: int = 50,
 ) -> ConformalFactor:
     """Damped Newton solve of the curvature prescription on the neck.
 
@@ -91,13 +92,13 @@ def solve_conformal_factor(
 
     u = np.zeros(n)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         resid = _apply_neg_lap(F, Fp, u, h) - Kg - np.exp(2.0 * u)
-        if float(np.max(np.abs(resid[1:-1]))) <= tol:
+        if float(np.max(np.abs(resid[1:-1]))) <= _NEWTON_TOL:
             break
         rnorm = float(np.sqrt(np.mean(resid[1:-1] ** 2)))
         jac_diag = diag_lap - 2.0 * np.exp(2.0 * u[1:-1])
-        step = solve_tridiagonal(lower, jac_diag, upper, -resid[1:-1])
+        step = tridiagonal_solve(tridiagonal_lu(lower, jac_diag, upper), -resid[1:-1])
         # damped step accepted on an Armijo-style RMS decrease (the sup norm
         # is too brittle for the boundary layers of shifted problems)
         lam = 1.0
@@ -112,7 +113,7 @@ def solve_conformal_factor(
         else:
             # no improvement possible: accept iff already at the rounding
             # floor of the discrete residual, else it is a real failure
-            if float(np.max(np.abs(resid[1:-1]))) <= 1e4 * tol:
+            if float(np.max(np.abs(resid[1:-1]))) <= 1e4 * _NEWTON_TOL:
                 break
             raise ArithmeticError("Newton line search stalled")
     else:

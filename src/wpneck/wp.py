@@ -33,7 +33,7 @@ import numpy as np
 from .grids import RadialGrid, periodic_grid
 from .modefields import ModeField, Rank, mode_inner_product
 from .parametrix import SolverBank, project_tt
-from .surface import ModelSurfaceMetric, smoothstep, smoothstep_d1
+from .surface import ModelSurfaceMetric, fold_tau, smoothstep, smoothstep_d1
 from .uniformize import ConformalFactor, solve_conformal_factor
 
 __all__ = [
@@ -69,7 +69,7 @@ def twist_step_d1(tau):
 def twist_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
     """d g / d omega of theta -> theta + omega s(tau): F s'(tau) dtau dtheta (sym)."""
     F = surface.grid_jet(grid)[0]
-    psi = F * twist_step_d1(np.mod(grid.nodes + 2.0, 4.0) - 2.0)
+    psi = F * twist_step_d1(fold_tau(grid.nodes))
     zeros = np.zeros_like(psi)
     return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([zeros, psi, zeros]))
 
@@ -198,13 +198,14 @@ class FitConditionError(RuntimeError):
         self.condition_number = cond
 
 
+_COND_LIMIT = 1e12  # of the normalized design, in fit_polyhomogeneous
+
+
 def fit_polyhomogeneous(
     ells,
     values,
     max_half_power: int,
     max_log_power: int,
-    *,
-    cond_limit: float = 1e12,
 ) -> ExpansionFit:
     """Fit samples (ell_i, f_i) against the half-integer/log grading.
 
@@ -240,9 +241,9 @@ def fit_polyhomogeneous(
     scale[scale == 0.0] = 1.0
     An = A / scale
     cond = float(np.linalg.cond(An))
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise FitConditionError(
-            cond, cond_limit,
+            cond, _COND_LIMIT,
             f"K={K}, J={J}, {ell.size} samples over "
             f"{np.log10(ell.max() / ell.min()):.2f} decades",
         )

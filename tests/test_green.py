@@ -76,6 +76,21 @@ def test_support_gap_enforced():
         solve_nonzero_mode(0.1, 2, smooth_bump(0.1, 0.7), c=0.5)
 
 
+def test_band_solves_refuse_non_finite_data(cyl_half):
+    def nan_tail(t):  # zero on the support gap, NaN near the ends
+        return np.where(np.abs(t) > 0.9, np.nan, 0.0)
+
+    with pytest.raises(ValueError):
+        solve_nonzero_mode(0.1, 2, nan_tail)
+    with pytest.raises(ValueError):
+        solve_zero_mode_fd(0.1, BUMP, np.inf)
+    grid = uniform_grid(-1, 1, 513)
+    bad = ModeField(1, Rank.ONE_FORM, grid,
+                    np.vstack([nan_tail(grid.nodes), np.zeros(grid.n)]))
+    with pytest.raises(ValueError):
+        cylinder_dirichlet_inverse(cyl_half, grid, bad)
+
+
 def test_nonzero_mode_maximum_principle_and_trivial():
     ell = 0.1
     tau, w = solve_nonzero_mode(ell, 3, lambda x: 0.0 * x)

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 import wpneck.green
 from wpneck.grids import (arcsinh_grid, chebyshev_grid, periodic_grid,
-                          simpson_weights, uniform_grid)
+                          simpson_weights, tridiagonal_lu, tridiagonal_solve,
+                          uniform_grid)
 
 from conftest import smooth_bump
 
@@ -178,3 +179,28 @@ def test_nonzero_mode_solve_builds_one_grid(monkeypatch):
     monkeypatch.setattr(wpneck.green, "arcsinh_grid", counting)
     wpneck.green.solve_nonzero_mode(0.01, 3, smooth_bump(0.5, 0.75), n=257)
     assert len(calls) == 1
+
+
+def test_tridiagonal_pair_matches_a_dense_solve():
+    # no diagonal dominance, so the factorization pivots
+    rng = np.random.default_rng(3)
+    n = 300
+    lower, diag, upper = rng.uniform(-1.0, 1.0, (3, n))
+    A = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    # row-wise convention: the entries outside the matrix are never read
+    lower[0] = upper[-1] = np.nan
+    lu = tridiagonal_lu(lower, diag, upper)
+    b = rng.standard_normal((n, 2))
+    for trans, M in (("N", A), ("T", A.T)):
+        x = tridiagonal_solve(lu, b, trans)
+        ref = np.linalg.solve(M, b)
+        assert np.all(np.isfinite(x)), trans
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref), trans
+
+
+def test_tridiagonal_lu_refuses_an_exactly_singular_band():
+    # rows 1 and 2 of [[1, 1, 0], [1, 1, 0], [0, 1, 2]] are equal
+    lower, diag, upper = (np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 2.0]),
+                          np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        tridiagonal_lu(lower, diag, upper)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +275,37 @@ def test_weitzenboeck_second_order(cyl_half, k):
 
 def test_weitzenboeck_chebyshev(cyl_half, cheb_96):
     assert ops.weitzenboeck_residual(cyl_half, _oneform(cheb_96, 2)) < 1e-10
+
+
+def test_chebyshev_operators_are_sparse_and_match_dense_assembly(cyl_half, cheb_96):
+    # oracle: the defining formulas multiplied out as dense matrices
+    D1 = cheb_96.d1.toarray()
+    D2 = D1 @ D1
+    tau = cheb_96.nodes
+    F, Fp, Fpp = cyl_half.F(tau), cyl_half.Fp(tau), cyl_half.Fpp(tau)
+    sqF = np.sqrt(F)
+    beta = Fp / (2.0 * sqF)
+    dg = np.diag
+    Z = np.zeros_like(D1)
+    sqD = dg(sqF) @ D1
+    for k in (0, 2):
+        kF = dg(k / sqF)
+        Pp, Pm = (0.5 * (dg(-F) @ D2 + dg(-Fp) @ D1
+                         + dg(ops.channel_potential(F, Fp, Fpp, k, s)))
+                  for s in (+1, -1))
+        gauge = 0.5 * np.block([[Pp + Pm, Pp - Pm], [Pp - Pm, Pp + Pm]])
+        div = -(sqD + dg(2.0 * beta))
+        bianchi = np.block([[div, -kF, Z], [-kF, div, Z]])  # tr h cancels
+        S = np.block([[sqD + dg(beta), kF]])
+        C = np.block([[kF, sqD + dg(beta)]])
+        hodge = np.block([[-sqD], [kF]]) @ S + np.block([[kF], [-sqD]]) @ C
+        mo = ops.mode_operators(cyl_half, cheb_96, k)
+        for name, dense in (("gauge_laplacian", gauge), ("bianchi", bianchi),
+                            ("hodge_laplacian", hodge)):
+            mat = getattr(mo, name)
+            assert sp.issparse(mat), (k, name)
+            err = np.max(np.abs(mat.toarray() - dense)) / np.max(np.abs(dense))
+            assert err <= 1e-12, (k, name, err)
 
 
 def test_weitzenboeck_zero_field(cyl_half, grid_1025):
