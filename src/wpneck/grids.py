@@ -77,6 +77,7 @@ class RadialGrid:
     integrate against them.  ``scheme`` is one of ``uniform``, ``chebyshev``,
     ``periodic``.  ``_stencils()`` returns (d1, d2) and runs on the first read
     of either (twice, with equal results, if two threads read first at once).
+    :meth:`memo` keeps other arrays of the nodes alone with the grid.
     Instances are otherwise immutable and safe to share.
     """
 
@@ -86,6 +87,7 @@ class RadialGrid:
     order: int
     periodic: bool = False
     _stencils: object = field(repr=False, default=None)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not np.all(np.diff(self.nodes) > 0):
@@ -119,6 +121,20 @@ class RadialGrid:
     def d2(self):
         return self._built[1]
 
+    def memo(self, key: str, build):
+        """``build()``, run on the first call with ``key`` and kept with the grid.
+
+        For arrays that depend on the nodes alone, never on a surface or its
+        ell: every solve on the grid then shares them, and they die with it.
+        The arrays of the result (an array or a tuple of them, nested) are
+        made read-only.  Threads first asking at once may build twice, with
+        equal results; all of them get the first one stored.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, _read_only(build()))
+
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ f)
 
@@ -131,6 +147,15 @@ class RadialGrid:
         if self.scheme == "chebyshev":
             return chebyshev_grid(self.a, self.b, 2 * self.n - 1)
         raise ValueError(self.scheme)
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    else:
+        for v in value:
+            _read_only(v)
+    return value
 
 
 def _stencil(n: int, weights, ends=None) -> sp.csr_matrix:

@@ -130,7 +130,14 @@ def fold_tau(tau):
 
 @dataclass(frozen=True, eq=False)
 class ModelSurfaceMetric:
-    """Periodic profile metric d tau^2/F + F d theta^2 on the model torus."""
+    """Periodic profile metric d tau^2/F + F d theta^2 on the model torus.
+
+    The profile is computed from ell-independent :meth:`pieces`, recombined
+    with ell by the same arithmetic everywhere.  At the nodes of a grid the
+    pieces are computed once and kept with that grid
+    (:meth:`~wpneck.grids.RadialGrid.memo`), so every surface on the grid,
+    every row of a sweep, only recombines them.
+    """
 
     ell: float
     _grid_jet: list = field(default_factory=list, init=False, repr=False)
@@ -140,7 +147,8 @@ class ModelSurfaceMetric:
             raise ValueError("ell must be >= 0")
 
     # -- profile pieces ------------------------------------------------------
-    def _base(self, r):
+    @staticmethod
+    def _base(r):
         r = np.asarray(r, float)
         # clamped: the cap branch sees the same x, and the discarded branch
         # never raises a negative base to a power (slow in libm's pow)
@@ -153,26 +161,43 @@ class ModelSurfaceMetric:
         Qpp = np.where(inside, 2.0, 2.0 + 12.0 * _C4 * x**2 + 20.0 * _C5 * x**3)
         return Q, Qp, Qpp
 
-    def _weight(self, r):
+    @staticmethod
+    def _weight(r):
         return _plateau(r, _THIN_PLATEAU, _THIN_SUPPORT)
 
-    def jet(self, tau):
-        """(F, F', F'') at tau from one fold, cap and plateau evaluation."""
+    @staticmethod
+    def pieces(tau):
+        """The ell-independent pieces at tau: sign(t), (Q, Q', Q''), (w, w', w'').
+
+        t is tau folded into [-2, 2), and F = Q + ell^2 w is even in t.
+        """
         t = fold_tau(tau)
-        r, s = np.abs(t), np.sign(t)  # F is even, F' odd
-        Q, Qp, Qpp = self._base(r)
-        w, wp, wpp = self._weight(r)
+        r = np.abs(t)
+        return np.sign(t), ModelSurfaceMetric._base(r), ModelSurfaceMetric._weight(r)
+
+    @staticmethod
+    def grid_pieces(grid: RadialGrid):
+        """:meth:`pieces` at the nodes of ``grid``, computed once per grid."""
+        return grid.memo("profile pieces", lambda: ModelSurfaceMetric.pieces(grid.nodes))
+
+    def _combine(self, pieces):
+        s, (Q, Qp, Qpp), (w, wp, wpp) = pieces
         e2 = self.ell**2
         return Q + e2 * w, s * (Qp + e2 * wp), Qpp + e2 * wpp
+
+    def jet(self, tau):
+        """(F, F', F'') at tau: the :meth:`pieces`, combined with ell."""
+        return self._combine(self.pieces(tau))
 
     def grid_jet(self, grid: RadialGrid):
         """:meth:`jet` at the nodes of ``grid``, kept for the last grid asked.
 
-        A WP row evaluates the profile on its grid once: the variations and
-        the k = 0 solver all read this.
+        It combines the grid's shared :meth:`grid_pieces`.  A WP row reads
+        it on two grids, the neck grid of the conformal solve and then the
+        periodic grid of the variations and the k = 0 solver.
         """
         if not self._grid_jet or self._grid_jet[0] is not grid:
-            self._grid_jet[:] = [grid, self.jet(grid.nodes)]
+            self._grid_jet[:] = [grid, self._combine(self.grid_pieces(grid))]
         return self._grid_jet[1]
 
     def F(self, tau):
@@ -188,6 +213,10 @@ class ModelSurfaceMetric:
         """ell-derivative of the profile: 2 ell w(tau)."""
         w, _, _ = self._weight(np.abs(fold_tau(tau)))
         return 2.0 * self.ell * w
+
+    def grid_dF_dell(self, grid: RadialGrid):
+        """:meth:`dF_dell` at the nodes of ``grid``, from its shared pieces."""
+        return 2.0 * self.ell * self.grid_pieces(grid)[2][0]
 
     def curvature(self, tau):
         return -0.5 * self.Fpp(tau)
@@ -307,21 +336,31 @@ class _Closure:
     y = A0^-1 r, Y = A0^-1 [U, C] (``cols``) and T = [W; C^T], the solution
     is x = y - Y H^-1 T y for H = T Y + diag(I_m, 0), m the number of
     columns of U; H is LU-factored once and the multipliers are dropped.
+    The leading rows of T that hold one nonzero each are given again as
+    ``rows`` = (idx, coef), row i holding coef[i] in column idx[i], and are
+    applied as a gather; the rows after them are one product with a view of
+    T, which sums each row as the product with the whole of T would.
     """
 
-    def __init__(self, solve, cols, T, m: int):
+    def __init__(self, solve, cols, T, rows, m: int):
         self._solve = solve
+        self._idx, self._coef = rows
+        self._dense = T[len(self._idx):]
         self._Y = solve(cols)
-        self._T = T
-        H = T @ self._Y
+        H = self._T(self._Y)
         H[np.arange(m), np.arange(m)] += 1.0
         *self._H, info = lapack.dgetrf(H)
         if info:
             raise np.linalg.LinAlgError("Schur closure is exactly singular")
 
+    def _T(self, y: np.ndarray) -> np.ndarray:
+        t = y[self._idx]
+        t *= self._coef if y.ndim == 1 else self._coef[:, None]
+        return np.concatenate([t, self._dense @ y]) if len(self._dense) else t
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
         y = self._solve(r)
-        y -= self._Y @ lapack.dgetrs(*self._H, self._T @ y)[0]
+        y -= self._Y @ lapack.dgetrs(*self._H, self._T(y))[0]
         return y
 
 
@@ -438,6 +477,8 @@ class GlobalModeSolver:
     complement, and the multiplier absorbs any kernel component of the
     right-hand side.  A solve is one band solve and a 4 x 4 (k = 0: 6 x 6)
     Schur closure (:class:`_Closure`; for ``trans="T"``, A^T = A0^T + R^T E^T).
+    Each row of R holds one corner entry and each row of E^T a one, so the
+    closure gathers them; only the k = 0 border rows are a dense product.
     ``diags`` and ``kernel`` are kept for the parametrix blocks.
     """
 
@@ -448,23 +489,27 @@ class GlobalModeSolver:
         n = grid.n
         solve = partial(tridiagonal_solve, _stacked_band(self.diags, [np.arange(n)])[1])
         rows = np.array([0, n - 1, n, 2 * n - 1])
+        # corner row i holds R's entry in the column across the cut
+        across = rows[[1, 0, 3, 2]]
+        corner = np.array([L[0, 0], U[0, -1], L[1, 0], U[1, -1]])
         E = np.zeros((2 * n, 4))
         E[rows, np.arange(4)] = 1.0
         R = np.zeros((4, 2 * n))
-        R[np.arange(4), rows[[1, 0, 3, 2]]] = (L[0, 0], U[0, -1], L[1, 0], U[1, -1])
+        R[np.arange(4), across] = corner
         C = np.zeros((2 * n, 0))
         self.kernel = None
         if self.k == 0:
             # inverse iteration on channel +, with channel - kept at zero
             seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
-            q = discrete_near_null(_Closure(solve, E, R, 4), seed)[:n]
+            q = discrete_near_null(_Closure(solve, E, R, (across, corner), 4), seed)[:n]
             self.kernel = q / math.sqrt(float(grid.weights @ (q * q)))
             C = np.zeros((2 * n, 2))
             C[:n, 0] = C[n:, 1] = grid.weights * self.kernel
         self._solvers = {
             trans: _Closure(partial(solve, trans=trans), np.hstack([cols, C]),
-                            np.vstack([T, C.T]), 4)
-            for trans, cols, T in (("N", E, R), ("T", R.T, E.T))}
+                            np.vstack([T, C.T]), one, 4)
+            for trans, cols, T, one in (("N", E, R, (across, corner)),
+                                        ("T", R.T, E.T, (rows, np.ones(4))))}
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
         return kernel_complement(w, self.kernel, self.grid.weights)
@@ -476,7 +521,11 @@ class GlobalModeSolver:
 
 def _central(u: np.ndarray, c: float) -> np.ndarray:
     """The periodic d1 stencil c (u[i + 1] - u[i - 1]) along the last axis."""
-    return c * (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1))
+    d = np.empty_like(u)
+    d[..., 1:-1] = u[..., 2:] - u[..., :-2]
+    d[..., 0] = u[..., 1] - u[..., -1]
+    d[..., -1] = u[..., 0] - u[..., -2]
+    return c * d
 
 
 # half-bandwidth of a factored channel in the folded node order
@@ -498,15 +547,57 @@ def _factored_diagonals(sqF, c, a_mid, b_mid) -> np.ndarray:
     return out
 
 
-def _folded_band(diags: np.ndarray, pos: np.ndarray):
-    """``(lu, piv)``: LAPACK ``dgbtrf`` of five cyclic diagonals in the order ``pos``."""
+def _to_folded(x: np.ndarray) -> np.ndarray:
+    """x along its first axis in the folded node order 0, n - 1, 1, n - 2, ...
+
+    A C-ordered copy whatever the layout of x: the sums of later products
+    with it depend on the layout in the last bit.
+    """
+    h = x.shape[0] // 2
+    out = np.empty(x.shape, x.dtype)
+    out[0::2] = x[:h]
+    out[1::2] = x[:h - 1:-1]
+    return out
+
+
+def _from_folded(y: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_to_folded`: node order back from folded order."""
+    h = y.shape[0] // 2
+    out = np.empty(y.shape, y.dtype)
+    out[:h] = y[0::2]
+    out[h:] = y[::-2]
+    return out
+
+
+# LAPACK dgbtrf's band rows for half-width _KL: _KL of fill, then the band
+_LDAB = 3 * _KL + 1
+
+
+def _folded_band_index(n: int) -> np.ndarray:
+    """(5, n) flat positions of the five cyclic diagonals in a folded band.
+
+    Entry [j, i] is where M[i, i + j - 2 (mod n)] goes in the (n, _LDAB)
+    C-ordered buffer whose transpose is the Fortran-ordered ``dgbtrf``
+    array; int32 while the buffer allows.
+    """
+    pos = np.empty(n, dtype=np.intp)  # node i sits at pos[i]
+    pos[_to_folded(np.arange(n))] = np.arange(n)
+    col = pos[(np.arange(n) + np.arange(-2, 3)[:, None]) % n]
+    flat = col * _LDAB + (2 * _KL + pos - col)
+    return flat.astype(np.int32 if n * _LDAB < 2**31 else np.intp)
+
+
+def _folded_band(diags: np.ndarray, index: np.ndarray):
+    """``(lu, piv)``: LAPACK ``dgbtrf`` of five cyclic diagonals in folded order.
+
+    ``index`` is :func:`_folded_band_index` of the size.  The band is built
+    in Fortran order and factored in place, so LAPACK's wrapper copies
+    nothing.
+    """
     n = diags.shape[1]
-    node = np.arange(n)
-    ab = np.zeros((3 * _KL + 1, n))
-    for j in range(5):
-        col = pos[(node + j - 2) % n]
-        ab[2 * _KL + pos - col, col] = diags[j]
-    lu, piv, info = lapack.dgbtrf(ab, _KL, _KL)
+    buf = np.zeros((n, _LDAB))
+    buf.reshape(-1)[index] = diags
+    lu, piv, info = lapack.dgbtrf(buf.T, _KL, _KL, overwrite_ab=1)
     if info:
         raise RuntimeError("factored band is exactly singular")
     return lu, piv
@@ -536,7 +627,11 @@ class FactoredGlobalSolver:
     ``dgbtrf`` in the folded node order 0, n - 1, 1, n - 2, ..., which puts
     the periodic corners inside a half-width of 4.  For k >= 1 both channels
     are invertible, and a solve is one ``dgbtrs`` per channel, then a sum
-    and a difference.
+    and a difference.  The folded order is a pair of strided copies, and
+    the band's scatter positions (:func:`_folded_band_index`) are built
+    once per grid and kept with it (:meth:`~wpneck.grids.RadialGrid.memo`),
+    as are the profile pieces that ``F`` comes from, so a solver builds only
+    what depends on ell.
 
     At k = 0 the channels are one matrix M = -A B (``diagonals`` holds it
     once), solved with both sigma components as the columns of one
@@ -561,18 +656,14 @@ class FactoredGlobalSolver:
         self.sqF = sqF = np.sqrt(F)
         self.beta = beta = Fp / (2.0 * sqF)
         self._c = c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
-        node = np.arange(n)
-        self._perm = perm = np.empty(n, dtype=int)
-        perm[0::2] = node[: n // 2]
-        perm[1::2] = node[::-1][: n // 2]
-        self._pos = pos = np.argsort(perm)  # node i sits at pos[i]
+        index = grid.memo("folded band index", partial(_folded_band_index, n))
         self.kernel = self._K = None
         if self.k:
             self._K = K = self.k / sqF
             self.diagonals = np.array([
                 _factored_diagonals(sqF, c, 2.0 * beta + sign * K,
                                     -0.5 * (beta + sign * K)) for sign in (+1, -1)])
-            self._bands = [_folded_band(d, pos) for d in self.diagonals]
+            self._bands = [_folded_band(d, index) for d in self.diagonals]
             return
         v = np.concatenate([sqF, np.zeros(n)])
         v /= np.linalg.norm(v)
@@ -583,35 +674,35 @@ class FactoredGlobalSolver:
         band = diags.copy()
         band[:, pins] = 0.0
         band[2, pins] = 1.0
-        lu, piv = _folded_band(band, pos)
+        lu, piv = _folded_band(band, index)
 
         # M = Mpin + E R, with E the pins' unit columns and R = E^T (M - I),
         # bordered by C and closed by a Schur system (:class:`_Closure`),
         # all in the folded order
-        borders = (sqF, np.where(node % 2, -1.0, 1.0) / sqF)
+        borders = (sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)
         C = np.array([grid.weights * u / np.linalg.norm(u) for u in borders])
         R = np.zeros((2, n))
         for j in range(5):
             R[[0, 1], (pins + j - 2) % n] += diags[j, pins]
         R[[0, 1], pins] -= 1.0
-        T = np.vstack([R, C])[:, perm]
-        cols = np.zeros((n, 4))
-        cols[pos[pins], [0, 1]] = 1.0
+        T = np.vstack([R, C])[:, _to_folded(np.arange(n))]
+        cols = np.zeros((4, n)).T  # Fortran order, as dgbtrs takes it
+        cols[[0, n - 1], [0, 1]] = 1.0  # the pins sit first and last when folded
         cols[:, 2:] = T[2:].T
         # the solve holds the factors, not self: a cycle would keep the
-        # solver alive until the garbage collector runs
+        # solver alive until the garbage collector runs; no row of T is a
+        # single entry, so none is gathered
         self._solve = _Closure(lambda b: lapack.dgbtrs(lu, _KL, _KL, b, piv)[0],
-                               cols, T, 2)
+                               cols, T, (np.zeros(0, int), np.zeros(0)), 2)
 
     def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components."""
-        perm, pos = self._perm, self._pos
         if self.k:
-            p, m = (lapack.dgbtrs(lu, _KL, _KL, r[perm], piv)[0][pos]
+            p, m = (_from_folded(lapack.dgbtrs(lu, _KL, _KL, _to_folded(r), piv)[0])
                     for (lu, piv), r in zip(self._bands,
                                             (rhs[0] + rhs[1], rhs[0] - rhs[1])))
             return 0.5 * np.array([p + m, p - m])
-        return self._solve(rhs[:, perm].T)[pos].T
+        return _from_folded(self._solve(_to_folded(rhs.T))).T
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.

@@ -23,6 +23,7 @@ the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,31 @@ _NEWTON_TOL = 1e-11  # sup-norm residual that ends the Newton iteration
 _NEWTON_MAX_ITER = 50
 
 
+@lru_cache(maxsize=4)
+def _neck_grid(domain: float, n: int) -> RadialGrid:
+    """The grid of the solve on |tau| <= domain, built once per (domain, n).
+
+    At most four are kept; a model surface's profile pieces at its nodes
+    are kept with it (:meth:`~wpneck.surface.ModelSurfaceMetric.grid_pieces`).
+    """
+    return uniform_grid(-domain, domain, n)
+
+
+def _neck_profile(surface, grid: RadialGrid):
+    """(F, F', K) at the nodes of ``grid``.
+
+    A :class:`~wpneck.surface.ModelSurfaceMetric` combines the grid's shared
+    profile pieces; any other surface is asked for ``F``, ``Fp`` and
+    ``curvature`` at the nodes.
+    """
+    if isinstance(surface, ModelSurfaceMetric):
+        F, Fp, Fpp = surface.grid_jet(grid)
+        return F, Fp, -0.5 * Fpp
+    tau = grid.nodes
+    return (np.asarray(surface.F(tau), float), np.asarray(surface.Fp(tau), float),
+            np.asarray(surface.curvature(tau), float))
+
+
 def solve_conformal_factor(
     surface: ModelSurfaceMetric,
     *,
@@ -72,17 +98,20 @@ def solve_conformal_factor(
     Refuses when K_g >= 0 somewhere on the domain (the maximum-principle
     setup needs strictly negative curvature, which for this profile family
     means ell below roughly sqrt(2 / max|w''|) ~ 0.073).
+
+    ``surface`` needs ``F``, ``Fp``, ``curvature`` and ``ell``.  The grid
+    is shared by every solve with the same (domain, n), and a model
+    surface reads its profile there from the grid's shared pieces, so a
+    sweep builds neither per row.
     """
-    grid = uniform_grid(-domain, domain, n)
+    grid = _neck_grid(domain, n)
     tau = grid.nodes
-    Kg = np.asarray(surface.curvature(tau), float)
+    F, Fp, Kg = _neck_profile(surface, grid)
     if np.any(Kg >= 0.0):
         raise ValueError(
             f"curvature is not negative on |tau| <= {domain} at ell = "
             f"{surface.ell}; the prescription problem is outside its hypotheses"
         )
-    F = np.asarray(surface.F(tau), float)
-    Fp = np.asarray(surface.Fp(tau), float)
     h = tau[1] - tau[0]
 
     # interior tridiagonal of Delta_neg = F d^2 + F' d
@@ -145,9 +174,7 @@ def curvature_after(surface: ModelSurfaceMetric, cf: ConformalFactor) -> np.ndar
     independent (fourth-order) difference of u; deviation from -1 is the
     discretization-level verification of the solve."""
     tau = cf.grid.nodes
-    F = np.asarray(surface.F(tau), float)
-    Fp = np.asarray(surface.Fp(tau), float)
-    Kg = np.asarray(surface.curvature(tau), float)
+    F, Fp, Kg = _neck_profile(surface, cf.grid)
     h = tau[1] - tau[0]
     u = cf.u
     lap = np.zeros_like(u)

@@ -51,8 +51,7 @@ __all__ = [
 def length_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
     """d g / d ell as a k = 0 full tensor mode (trace-free in this gauge)."""
     F = surface.grid_jet(grid)[0]
-    dF = np.asarray(surface.dF_dell(grid.nodes), float)
-    phi = -dF / F
+    phi = -surface.grid_dF_dell(grid) / F
     zeros = np.zeros_like(phi)
     return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([phi, zeros, zeros]))
 
@@ -67,9 +66,12 @@ def twist_step_d1(tau):
 
 
 def twist_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
-    """d g / d omega of theta -> theta + omega s(tau): F s'(tau) dtau dtheta (sym)."""
+    """d g / d omega of theta -> theta + omega s(tau): F s'(tau) dtau dtheta (sym).
+
+    s' at the grid's nodes depends on them alone and is kept with the grid.
+    """
     F = surface.grid_jet(grid)[0]
-    psi = F * twist_step_d1(fold_tau(grid.nodes))
+    psi = F * grid.memo("twist step d1", lambda: twist_step_d1(fold_tau(grid.nodes)))
     zeros = np.zeros_like(psi)
     return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([zeros, psi, zeros]))
 

@@ -92,6 +92,22 @@ def test_base_clamp_is_bit_identical():
     assert np.ndim(surf.F(0.875 + 1e-7)) == 0
 
 
+def test_grid_profile_pieces_are_shared_and_bit_identical():
+    grid = periodic_grid(-2.0, 2.0, 512)
+    pieces = ModelSurfaceMetric.grid_pieces(grid)
+    for ell in (0.3, 0.01, 0.0):
+        surf = ModelSurfaceMetric(ell=ell)
+        assert surf.grid_pieces(grid) is pieces  # computed once per grid
+        for got, want in zip(surf.grid_jet(grid), surf.jet(grid.nodes)):
+            assert _same_bits(got, want)
+        assert _same_bits(surf.grid_dF_dell(grid), surf.dF_dell(grid.nodes))
+    # the pieces hold nothing of any ell
+    fresh = ModelSurfaceMetric.pieces(grid.nodes)
+    assert _same_bits(pieces[0], fresh[0])
+    for got, want in zip(pieces[1] + pieces[2], fresh[1] + fresh[2]):
+        assert _same_bits(got, want)
+
+
 def test_cutoff_partition_properties(surface_grid):
     cp = CutoffPair()
     cp.validate(surface_grid)

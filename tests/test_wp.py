@@ -1,9 +1,13 @@
 import gc
+import inspect
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import wpneck.uniformize as uniformize
+import wpneck.wp as wp
 from wpneck.grids import periodic_grid
 from wpneck.modefields import mode_norm
 from wpneck.operators import apply_divergence, apply_trace
@@ -167,3 +171,104 @@ def test_sweep_jobs_agree():
 def test_slope_needs_enough_points():
     with pytest.raises(ValueError):
         loglog_slope([1e-3, 1e-2, 1e-1], [1.0, 2.0, 3.0], trim=2)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, a plain or static method."""
+    calls = []
+    raw = inspect.getattr_static(owner, name)
+    static = isinstance(raw, staticmethod)
+    fn = raw.__func__ if static else raw
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
+    return calls
+
+
+def test_sweep_evaluates_the_profile_once_per_node_array(monkeypatch):
+    # the cap and plateau jets depend on the nodes alone: one evaluation on
+    # the periodic grid and at most one on the shared neck grid, not per row
+    base = _count_calls(monkeypatch, ModelSurfaceMetric, "_base")
+    weight = _count_calls(monkeypatch, ModelSurfaceMetric, "_weight")
+    rows = sweep_wp_coefficients([1e-3, 0.01, 0.05, 0.09], grid_n=2048,
+                                 use_conformal=True)
+    assert len(rows) == 4
+    assert 1 <= len(base) <= 2
+    assert 1 <= len(weight) <= 2
+
+
+def _fresh_row(ell, grid_n):
+    # a new surface, periodic grid and neck grid: nothing shared with a sweep
+    uniformize._neck_grid.cache_clear()
+    surface = ModelSurfaceMetric(ell=ell)
+    try:
+        cf = solve_conformal_factor(surface)
+    except ValueError:
+        cf = None
+    row = {"ell": ell}
+    row.update(wp_matrix(surface, periodic_grid(-2.0, 2.0, grid_n), conformal=cf))
+    row["conformal_bound"] = float("nan") if cf is None else cf.bound
+    row["conformal_max"] = float("nan") if cf is None else float(np.max(np.abs(cf.u)))
+    return row
+
+
+def test_shared_pieces_carry_nothing_from_row_to_row():
+    ells = [1e-3, 0.01, 0.05, 0.09]
+    fresh = [_fresh_row(ell, 2048) for ell in ells]
+    for given in (ells, ells[::-1]):
+        assert _rows_equal(sweep_wp_coefficients(given, grid_n=2048), fresh)
+    # rows on one shared grid, in descending ell, against the fresh ones
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    for ell, ref in zip(ells[::-1], fresh[::-1]):
+        surface = ModelSurfaceMetric(ell=ell)
+        try:
+            cf = solve_conformal_factor(surface)
+        except ValueError:
+            cf = None
+        mat = wp_matrix(surface, grid, conformal=cf)
+        assert all(mat[key] == ref[key] for key in mat)
+
+
+def test_sweep_jobs_agree_with_the_conformal_weight():
+    # more threads than cores race to build the periodic grid's and the neck
+    # grid's shared pieces, switching as often as the interpreter allows
+    ells = [1e-3, 0.002, 0.005, 0.01, 0.02, 0.05, 0.07, 0.09]
+    serial = sweep_wp_coefficients(ells, grid_n=2048, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        uniformize._neck_grid.cache_clear()
+        threaded = sweep_wp_coefficients(ells, grid_n=2048, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _rows_equal(serial, threaded)
+
+
+def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
+    made = {"surface": [], "periodic": [], "neck": []}
+
+    def recording(kind, make):
+        def wrapper(*args, **kwargs):
+            out = make(*args, **kwargs)
+            made[kind].append(weakref.ref(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(wp, "ModelSurfaceMetric",
+                        recording("surface", ModelSurfaceMetric))
+    monkeypatch.setattr(wp, "periodic_grid", recording("periodic", periodic_grid))
+    monkeypatch.setattr(uniformize, "uniform_grid",
+                        recording("neck", uniformize.uniform_grid))
+    uniformize._neck_grid.cache_clear()
+    for n in (512, 1024, 2048):
+        sweep_wp_coefficients([1e-3, 0.05], grid_n=n)
+    gc.collect()
+    alive = {kind: sum(ref() is not None for ref in refs)
+             for kind, refs in made.items()}
+    assert [len(made[kind]) for kind in ("surface", "periodic")] == [6, 3]
+    # each periodic grid, with the pieces kept on it, dies with its sweep;
+    # the one neck grid of the default (domain, n) is shared by all of them
+    assert alive == {"surface": 0, "periodic": 0, "neck": 1}
