@@ -53,6 +53,10 @@ class RunConfig:
             raise ValueError("identity_tol must be positive")
         if not 0.0 < self.barrier_alpha < 1.0:
             raise ValueError("barrier_alpha must lie in (0, 1)")
+        if self.tt_k_max < 1:
+            raise ValueError("tt_k_max must be at least 1")
+        if not 0.0 < self.cutoff_c <= 0.5:
+            raise ValueError("cutoff_c must lie in (0, 1/2], below the barrier source")
 
     def ell_grid(self) -> list[float]:
         import numpy as np

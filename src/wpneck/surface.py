@@ -24,15 +24,16 @@ because the symmetrized derivative annihilates both directions.  This is a
 genuine departure from a genus >= 2 surface, where no (conformal) Killing
 fields exist and the operator is invertible outright.
 
-Two banded solvers invert the gauge Laplacian on the closed surface, both
-built from the stencil coefficients with no sparse matrix.
-:class:`GlobalModeSolver` solves the direct rho-channel stencils: a cyclic
-tridiagonal band with a corner (and k = 0 border) update.
-:class:`FactoredGlobalSolver` solves the factored operator divergence o D
-that the TT projection inverts: at every k it splits into two rho channels
-with five cyclic diagonals each, one LAPACK band per channel.  At k = 0 the
-channel has, on an even grid, a second null direction: the checkerboard
-(-1)^i / sqrt(F) of the central difference; the band borders both.  The
+Two banded solvers invert the gauge Laplacian on the closed surface, from
+the stencil coefficients with no sparse matrix and in one way: the rho
+channels are stacked in natural node order as one band with their cyclic
+corners cut (:func:`_cyclic_corners`), and a Schur :class:`_Closure` puts
+the corners back.  :class:`GlobalModeSolver` solves the direct rho-channel
+stencils, a tridiagonal band.  :class:`FactoredGlobalSolver` solves the
+factored operator divergence o D that the TT projection inverts: two rho
+channels with five cyclic diagonals each, a band of half-width 2.  At k = 0
+the channel has, on an even grid, a second null direction: the checkerboard
+(-1)^i / sqrt(F) of the central difference; the closure borders both.  The
 solver refuses odd grids, where the exact null direction is a checkerboard
 remnant that no border removes.
 """
@@ -329,6 +330,25 @@ def _stacked_band(diags, runs):
     return np.concatenate(flat), lu
 
 
+def _cyclic_corners(diags):
+    """``(rows, (cols, vals))``: the entries of cyclic diagonals that wrap around.
+
+    ``diags`` is (c, 2p + 1, n), channel c reading M_c[i, i + j - p (mod n)]
+    at [c, j, i].  The p (p + 1) corners per channel are listed channel by
+    channel in row order, at the positions c n + i of the stacked channels;
+    (cols, vals) is the gather that :class:`_Closure` takes.
+    """
+    c, w, n = diags.shape
+    p = w // 2
+    i = np.r_[:p, n - p:n]
+    col = i[:, None] + np.arange(-p, p + 1)
+    ri, j = np.nonzero((col < 0) | (col >= n))
+    row = i[ri]
+    off = n * np.arange(c)[:, None]
+    return (row + off).ravel(), ((col[ri, j] % n + off).ravel(),
+                                 diags[:, j, row].ravel())
+
+
 class _Closure:
     """Solves with A = A0 + U W, bordered by C^T x = 0, from solves with A0.
 
@@ -336,16 +356,15 @@ class _Closure:
     y = A0^-1 r, Y = A0^-1 [U, C] (``cols``) and T = [W; C^T], the solution
     is x = y - Y H^-1 T y for H = T Y + diag(I_m, 0), m the number of
     columns of U; H is LU-factored once and the multipliers are dropped.
-    The leading rows of T that hold one nonzero each are given again as
-    ``rows`` = (idx, coef), row i holding coef[i] in column idx[i], and are
-    applied as a gather; the rows after them are one product with a view of
-    T, which sums each row as the product with the whole of T would.
+    T's leading rows hold one nonzero each (a cyclic corner, or a one of
+    E^T) and are gathered: ``rows`` = (idx, coef), row i holding coef[i] in
+    column idx[i].  The rows after them are the array ``dense``.
     """
 
-    def __init__(self, solve, cols, T, rows, m: int):
+    def __init__(self, solve, cols, rows, dense, m: int):
         self._solve = solve
         self._idx, self._coef = rows
-        self._dense = T[len(self._idx):]
+        self._dense = dense
         self._Y = solve(cols)
         H = self._T(self._Y)
         H[np.arange(m), np.arange(m)] += 1.0
@@ -469,47 +488,44 @@ class GlobalModeSolver:
     """Direct solve of the mode-k gauge Laplacian on the closed surface.
 
     Both rho channels (:func:`channel_diagonals`) form one tridiagonal band
-    A0 with their periodic corners cut, A = A0 + E R (E the unit columns of
-    the four corner rows, R their corner entries), factored once.  At k = 0
-    each channel's kernel sqrt(F), sharpened to the discrete near-null
-    vector by inverse iteration, borders it: [[P_0^+-, c], [c^T, 0]] with c
-    the weighted kernel keeps the solution in the kernel's weighted
-    complement, and the multiplier absorbs any kernel component of the
-    right-hand side.  A solve is one band solve and a 4 x 4 (k = 0: 6 x 6)
-    Schur closure (:class:`_Closure`; for ``trans="T"``, A^T = A0^T + R^T E^T).
-    Each row of R holds one corner entry and each row of E^T a one, so the
-    closure gathers them; only the k = 0 border rows are a dense product.
-    ``diags`` and ``kernel`` are kept for the parametrix blocks.
+    A0 with their cyclic corners cut (:func:`_cyclic_corners`), A = A0 + E R
+    (E the unit columns of the four corner rows, R their corner entries),
+    factored once.  At k = 0 each channel's kernel sqrt(F), sharpened to the
+    discrete near-null vector by inverse iteration, borders it:
+    [[P_0^+-, c], [c^T, 0]] with c the weighted kernel keeps the solution in
+    the kernel's weighted complement, and the multiplier absorbs any kernel
+    component of the right-hand side.  A solve is one band solve and a 4 x 4
+    (k = 0: 6 x 6) Schur closure (:class:`_Closure`; for ``trans="T"``,
+    A^T = A0^T + R^T E^T).  Each row of R holds one corner entry and each
+    row of E^T a one, so the closure gathers them; only the k = 0 border rows
+    are a dense product.  ``diags`` and ``kernel`` are kept for the
+    parametrix blocks.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        self.diags = L, _, U = channel_diagonals(surface, grid, self.k)
+        self.diags = channel_diagonals(surface, grid, self.k)
         n = grid.n
         solve = partial(tridiagonal_solve, _stacked_band(self.diags, [np.arange(n)])[1])
-        rows = np.array([0, n - 1, n, 2 * n - 1])
-        # corner row i holds R's entry in the column across the cut
-        across = rows[[1, 0, 3, 2]]
-        corner = np.array([L[0, 0], U[0, -1], L[1, 0], U[1, -1]])
-        E = np.zeros((2 * n, 4))
+        # corner row rows[i] holds R's entry corners[1][i] in column corners[0][i]
+        rows, corners = _cyclic_corners(np.stack(self.diags, axis=1))
+        E, Rt = np.zeros((2 * n, 4)), np.zeros((2 * n, 4))
         E[rows, np.arange(4)] = 1.0
-        R = np.zeros((4, 2 * n))
-        R[np.arange(4), across] = corner
-        C = np.zeros((2 * n, 0))
+        Rt[corners[0], np.arange(4)] = corners[1]
+        border = np.zeros((0, 2 * n))
         self.kernel = None
         if self.k == 0:
             # inverse iteration on channel +, with channel - kept at zero
             seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
-            q = discrete_near_null(_Closure(solve, E, R, (across, corner), 4), seed)[:n]
+            q = discrete_near_null(_Closure(solve, E, corners, border, 4), seed)[:n]
             self.kernel = q / math.sqrt(float(grid.weights @ (q * q)))
-            C = np.zeros((2 * n, 2))
-            C[:n, 0] = C[n:, 1] = grid.weights * self.kernel
+            border = np.zeros((2, 2 * n))
+            border[0, :n] = border[1, n:] = grid.weights * self.kernel
         self._solvers = {
-            trans: _Closure(partial(solve, trans=trans), np.hstack([cols, C]),
-                            np.vstack([T, C.T]), one, 4)
-            for trans, cols, T, one in (("N", E, R, (across, corner)),
-                                        ("T", R.T, E.T, (rows, np.ones(4))))}
+            trans: _Closure(partial(solve, trans=trans), np.hstack([cols, border.T]),
+                            one, border, 4)
+            for trans, cols, one in (("N", E, corners), ("T", Rt, (rows, np.ones(4))))}
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
         return kernel_complement(w, self.kernel, self.grid.weights)
@@ -528,10 +544,6 @@ def _central(u: np.ndarray, c: float) -> np.ndarray:
     return c * d
 
 
-# half-bandwidth of a factored channel in the folded node order
-_KL = 4
-
-
 def _factored_diagonals(sqF, c, a_mid, b_mid) -> np.ndarray:
     """The five cyclic diagonals of -(sqrt(F) d1 + a_mid)(sqrt(F) d1 / 2 + b_mid).
 
@@ -547,60 +559,22 @@ def _factored_diagonals(sqF, c, a_mid, b_mid) -> np.ndarray:
     return out
 
 
-def _to_folded(x: np.ndarray) -> np.ndarray:
-    """x along its first axis in the folded node order 0, n - 1, 1, n - 2, ...
+def _cut_band(diags) -> np.ndarray:
+    """LAPACK ``dgbtrf`` storage of cyclic diagonals with the corners cut.
 
-    A C-ordered copy whatever the layout of x: the sums of later products
-    with it depend on the layout in the last bit.
+    ``diags`` is (c, 2p + 1, n) as in :func:`_cyclic_corners`; the channels
+    are stacked in natural node order in a (3p + 1, c n) Fortran array (p
+    rows of fill, then the band), which LAPACK's wrapper does not copy.
     """
-    h = x.shape[0] // 2
-    out = np.empty(x.shape, x.dtype)
-    out[0::2] = x[:h]
-    out[1::2] = x[:h - 1:-1]
-    return out
-
-
-def _from_folded(y: np.ndarray) -> np.ndarray:
-    """The inverse of :func:`_to_folded`: node order back from folded order."""
-    h = y.shape[0] // 2
-    out = np.empty(y.shape, y.dtype)
-    out[:h] = y[0::2]
-    out[h:] = y[::-2]
-    return out
-
-
-# LAPACK dgbtrf's band rows for half-width _KL: _KL of fill, then the band
-_LDAB = 3 * _KL + 1
-
-
-def _folded_band_index(n: int) -> np.ndarray:
-    """(5, n) flat positions of the five cyclic diagonals in a folded band.
-
-    Entry [j, i] is where M[i, i + j - 2 (mod n)] goes in the (n, _LDAB)
-    C-ordered buffer whose transpose is the Fortran-ordered ``dgbtrf``
-    array; int32 while the buffer allows.
-    """
-    pos = np.empty(n, dtype=np.intp)  # node i sits at pos[i]
-    pos[_to_folded(np.arange(n))] = np.arange(n)
-    col = pos[(np.arange(n) + np.arange(-2, 3)[:, None]) % n]
-    flat = col * _LDAB + (2 * _KL + pos - col)
-    return flat.astype(np.int32 if n * _LDAB < 2**31 else np.intp)
-
-
-def _folded_band(diags: np.ndarray, index: np.ndarray):
-    """``(lu, piv)``: LAPACK ``dgbtrf`` of five cyclic diagonals in folded order.
-
-    ``index`` is :func:`_folded_band_index` of the size.  The band is built
-    in Fortran order and factored in place, so LAPACK's wrapper copies
-    nothing.
-    """
-    n = diags.shape[1]
-    buf = np.zeros((n, _LDAB))
-    buf.reshape(-1)[index] = diags
-    lu, piv, info = lapack.dgbtrf(buf.T, _KL, _KL, overwrite_ab=1)
-    if info:
-        raise RuntimeError("factored band is exactly singular")
-    return lu, piv
+    c, w, n = diags.shape
+    p = w // 2
+    buf = np.zeros((c, n, 3 * p + 1))
+    for j in range(w):
+        # M[i, i + d] sits in band row 2p - d, column i + d; a wrapping one is cut
+        d = j - p
+        lo, hi = max(d, 0), n + min(d, 0)
+        buf[:, lo:hi, 2 * p - d] = diags[:, j, lo - d:hi - d]
+    return buf.reshape(c * n, -1).T
 
 
 class FactoredGlobalSolver:
@@ -623,27 +597,23 @@ class FactoredGlobalSolver:
         M+- = -(A +- K)(B -+ K/2),
 
     five cyclic diagonals each (``diagonals[c]``), formed from the stencil
-    coefficients with no sparse matrix.  A channel is factored by LAPACK
-    ``dgbtrf`` in the folded node order 0, n - 1, 1, n - 2, ..., which puts
-    the periodic corners inside a half-width of 4.  For k >= 1 both channels
-    are invertible, and a solve is one ``dgbtrs`` per channel, then a sum
-    and a difference.  The folded order is a pair of strided copies, and
-    the band's scatter positions (:func:`_folded_band_index`) are built
-    once per grid and kept with it (:meth:`~wpneck.grids.RadialGrid.memo`),
-    as are the profile pieces that ``F`` comes from, so a solver builds only
-    what depends on ell.
+    coefficients with no sparse matrix.  As in :class:`GlobalModeSolver`,
+    they are stacked as one LAPACK ``dgbtrf`` band of half-width 2 with the
+    cyclic corners cut (:func:`_cut_band`), which a :class:`_Closure` puts
+    back.  For k >= 1 both channels are invertible, and a solve is one
+    ``dgbtrs`` and a 12 x 12 closure, then a sum and a difference.
 
     At k = 0 the channels are one matrix M = -A B (``diagonals`` holds it
     once), solved with both sigma components as the columns of one
     ``dgbtrs``.  M has two null directions, sqrt(F) and the checkerboard
     (-1)^i / sqrt(F) of the central difference, so the solve is
-    [[M, C], [C^T, 0]] with C the weighted pair.  The rows of node 0
-    (tau = -2) and node n // 2 (the neck, where the checkerboard's left null
-    vector lives; two cap pins leave a condition number of 6e14 at
-    ell = 1e-3, n = 2048) are pinned to unit rows, and a small Schur system
-    closes the pins and the borders.  ``kernel`` keeps sqrt(F) in each
-    component, in the (2, 2n) layout.  Odd grids are refused: there the
-    exact null direction is a checkerboard remnant that nothing borders.
+    [[M, C], [C^T, 0]] with C the weighted pair.  The band pins the row of
+    node n // 2 (the neck, where the checkerboard's left null vector lives)
+    to a unit row: at ell = 1e-3, n = 2048 the cut band has condition 6e14
+    without the pin and 6e5 with it.  The closure puts back the six corners
+    and the pinned row and borders the pair.  ``kernel`` keeps sqrt(F) in
+    each component, in the (2, 2n) layout.  Odd grids are refused: there
+    the exact null direction is a checkerboard remnant that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -656,53 +626,48 @@ class FactoredGlobalSolver:
         self.sqF = sqF = np.sqrt(F)
         self.beta = beta = Fp / (2.0 * sqF)
         self._c = c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
-        index = grid.memo("folded band index", partial(_folded_band_index, n))
         self.kernel = self._K = None
         if self.k:
             self._K = K = self.k / sqF
-            self.diagonals = np.array([
+            self.diagonals = band = np.array([
                 _factored_diagonals(sqF, c, 2.0 * beta + sign * K,
                                     -0.5 * (beta + sign * K)) for sign in (+1, -1)])
-            self._bands = [_folded_band(d, index) for d in self.diagonals]
-            return
-        v = np.concatenate([sqF, np.zeros(n)])
-        v /= np.linalg.norm(v)
-        self.kernel = np.vstack([v, np.roll(v, n)])
-        diags = _factored_diagonals(sqF, c, 2.0 * beta, -0.5 * beta)
-        self.diagonals = diags[None]
-        pins = np.array([0, n // 2])
-        band = diags.copy()
-        band[:, pins] = 0.0
-        band[2, pins] = 1.0
-        lu, piv = _folded_band(band, index)
-
-        # M = Mpin + E R, with E the pins' unit columns and R = E^T (M - I),
-        # bordered by C and closed by a Schur system (:class:`_Closure`),
-        # all in the folded order
-        borders = (sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)
-        C = np.array([grid.weights * u / np.linalg.norm(u) for u in borders])
-        R = np.zeros((2, n))
-        for j in range(5):
-            R[[0, 1], (pins + j - 2) % n] += diags[j, pins]
-        R[[0, 1], pins] -= 1.0
-        T = np.vstack([R, C])[:, _to_folded(np.arange(n))]
-        cols = np.zeros((4, n)).T  # Fortran order, as dgbtrs takes it
-        cols[[0, n - 1], [0, 1]] = 1.0  # the pins sit first and last when folded
-        cols[:, 2:] = T[2:].T
+            pins, dense = np.zeros(0, int), np.zeros((0, 2 * n))
+        else:
+            v = np.concatenate([sqF, np.zeros(n)])
+            v /= np.linalg.norm(v)
+            self.kernel = np.vstack([v, np.roll(v, n)])
+            self.diagonals = _factored_diagonals(sqF, c, 2.0 * beta, -0.5 * beta)[None]
+            pins = np.array([n // 2])
+            band = self.diagonals.copy()
+            band[0, :, pins] = [0.0, 0.0, 1.0, 0.0, 0.0]  # a unit row
+            # the pinned row of M less its unit row, then the borders C^T
+            dense = np.zeros((3, n))
+            dense[0, (pins + np.arange(-2, 3)) % n] = self.diagonals[0, :, pins[0]]
+            dense[0, pins] -= 1.0
+            dense[1:] = [grid.weights * u / np.linalg.norm(u)
+                         for u in (sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)]
+        # M = band + E R: E the unit columns of the corner rows and the pins,
+        # R their corner entries (gathered) and the pinned rows (dense)
+        rows, corners = _cyclic_corners(self.diagonals)
+        unit = np.r_[rows, pins]
+        cols = np.zeros((dense.shape[1], rows.size + len(dense)), order="F")
+        cols[unit, np.arange(unit.size)] = 1.0
+        cols[:, unit.size:] = dense[pins.size:].T
+        lu, piv, info = lapack.dgbtrf(_cut_band(band), 2, 2, overwrite_ab=1)
+        if info:
+            raise RuntimeError("factored band is exactly singular")
         # the solve holds the factors, not self: a cycle would keep the
-        # solver alive until the garbage collector runs; no row of T is a
-        # single entry, so none is gathered
-        self._solve = _Closure(lambda b: lapack.dgbtrs(lu, _KL, _KL, b, piv)[0],
-                               cols, T, (np.zeros(0, int), np.zeros(0)), 2)
+        # solver alive until the garbage collector runs
+        self._solve = _Closure(lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0],
+                               cols, corners, dense, unit.size)
 
     def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components."""
         if self.k:
-            p, m = (_from_folded(lapack.dgbtrs(lu, _KL, _KL, _to_folded(r), piv)[0])
-                    for (lu, piv), r in zip(self._bands,
-                                            (rhs[0] + rhs[1], rhs[0] - rhs[1])))
+            p, m = self._solve(np.r_[rhs[0] + rhs[1], rhs[0] - rhs[1]]).reshape(2, -1)
             return 0.5 * np.array([p + m, p - m])
-        return _from_folded(self._solve(_to_folded(rhs.T))).T
+        return self._solve(rhs.T).T
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.

@@ -172,14 +172,16 @@ def test_config_rejects_unknown_keys(tmp_path):
             load_config(str(bad))
 
 
-def test_config_validation(capsys):
+def test_config_validation(capsys, tmp_path):
     with pytest.raises(ValueError):
         RunConfig(ell_min=0.5, ell_max=0.1)
     with pytest.raises(ValueError):
         RunConfig(barrier_alpha=1.5)
     for bad in ({"grid_n": 0}, {"grid_n": -5}, {"sweep_grid_n": 0},
                 {"jobs": 0}, {"modes": -1}, {"grid_n": 1}, {"grid_n": 2049},
-                {"sweep_grid_n": 16383}):
+                {"sweep_grid_n": 16383}, {"tt_k_max": 0}, {"tt_k_max": -1},
+                {"cutoff_c": 0.0}, {"cutoff_c": -0.1}, {"cutoff_c": 0.51},
+                {"cutoff_c": 2.0}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(modes=0, jobs=1, grid_n=2).modes == 0
@@ -189,6 +191,13 @@ def test_config_validation(capsys):
         assert "wpneck: config error" in capsys.readouterr().err
     assert main(["sweep", "wp", "--grid-n", "2049"]) == 2
     assert "sweep_grid_n must be even" in capsys.readouterr().err
+    # a config file that would empty the l2norms suite, or put the barrier
+    # cutoff past the source bump at 1/2, is refused at load
+    for suite, line in (("l2norms", "tt_k_max = 0"), ("barrier", "cutoff_c = 2")):
+        cfg_file = tmp_path / f"{suite}.cfg"
+        cfg_file.write_text(line + "\n")
+        assert main(["verify", suite, "--config", str(cfg_file)]) == 2
+        assert "wpneck: config error" in capsys.readouterr().err
     grid = RunConfig(ell_min=1e-2, ell_max=1e-1, ell_count=4).ell_grid()
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
 
