@@ -414,6 +414,7 @@ def project_tt(
     h: ModeField,
     solvers: SolverBank | None = None,
     family: ParametrixFamily | None = None,
+    even: bool = False,
 ) -> ModeField:
     """L^2-orthogonal projection of one mode onto transverse-traceless tensors.
 
@@ -428,13 +429,19 @@ def project_tt(
     given, G is instead the Neumann-series parametrix built on the direct
     channel stencils, and B and D are the sparse mode operators; the two
     agree up to discretization order.
+
+    ``even`` says that ``h`` is a k = 0 tensor even in tau, as the WP
+    variations are by construction.  Its Bianchi image is then odd, and the
+    factored solver solves only its odd sector
+    (``solve_sigma(..., odd=True)``), which refuses an rhs that is not odd
+    and any k >= 1.  The parametrix route ignores it.
     """
     if h.rank is Rank.SYM2_TRACEFREE:
         h = h.as_full()
     if family is None:
         bank = solvers if solvers is not None else SolverBank(surface, grid)
         fs = bank.get(h.k)
-        corr = fs.conformal_killing(fs.solve_sigma(fs.bianchi(h.data)))
+        corr = fs.conformal_killing(fs.solve_sigma(fs.bianchi(h.data), odd=even))
     else:
         opk = mode_operators(surface, grid, h.k)
         b = (opk.bianchi @ h.data.reshape(-1)).reshape(2, -1)

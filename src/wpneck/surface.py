@@ -25,17 +25,23 @@ genuine departure from a genus >= 2 surface, where no (conformal) Killing
 fields exist and the operator is invertible outright.
 
 Two banded solvers invert the gauge Laplacian on the closed surface, from
-the stencil coefficients with no sparse matrix and in one way: the rho
-channels are stacked in natural node order as one band with their cyclic
-corners cut (:func:`_cyclic_corners`), and a Schur :class:`_Closure` puts
-the corners back.  :class:`GlobalModeSolver` solves the direct rho-channel
-stencils, a tridiagonal band.  :class:`FactoredGlobalSolver` solves the
-factored operator divergence o D that the TT projection inverts: two rho
-channels with five cyclic diagonals each, a band of half-width 2.  At k = 0
-the channel has, on an even grid, a second null direction: the checkerboard
-(-1)^i / sqrt(F) of the central difference; the closure borders both.  The
-solver refuses odd grids, where the exact null direction is a checkerboard
-remnant that no border removes.
+the stencil coefficients with no sparse matrix.  :class:`GlobalModeSolver`
+solves the direct rho-channel stencils, a tridiagonal band: the channels are
+stacked in natural node order with their cyclic corners cut
+(:func:`_cyclic_corners`), and a Schur :class:`_Closure` puts the corners
+back.  :class:`FactoredGlobalSolver` solves the factored operator
+divergence o D that the TT projection inverts: five cyclic diagonals per
+channel, a band of half-width 2.  It uses the grid reflection R: i -> n - i
+(tau -> -tau), under which the even profile is symmetric.  At k >= 1, R
+swaps the two channels, so only one is factored (cyclic, with the same
+closure).  At k = 0, R commutes with the operator, which splits into an odd
+and an even sector, each a plain band on half the nodes.  The odd sector is
+invertible and is all that a Weil-Petersson row needs, since the Bianchi
+images of even variations are odd.  The even sector holds both null
+directions, sqrt(F) and, on an even grid, the checkerboard (-1)^i / sqrt(F)
+of the central difference; a closure borders both.  The solver refuses odd
+grids, where the exact null direction is a checkerboard remnant that no
+border removes.
 """
 
 from __future__ import annotations
@@ -577,6 +583,81 @@ def _cut_band(diags) -> np.ndarray:
     return buf.reshape(c * n, -1).T
 
 
+def _band_solve(diags):
+    """A solve with the ``dgbtrf`` factors of the band of ``diags``, corners cut.
+
+    ``diags`` is (c, 5, n) as in :func:`_cyclic_corners`.  The returned
+    solve holds the factors and nothing else, so a solver that keeps it
+    forms no reference cycle and is freed without the garbage collector.
+    """
+    lu, piv, info = lapack.dgbtrf(_cut_band(diags), 2, 2, overwrite_ab=1)
+    if info:
+        raise RuntimeError("factored band is exactly singular")
+    return lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0]
+
+
+def _sector_diagonals(diags, odd: bool) -> np.ndarray:
+    """The (1, 5, m) diagonals of M on one sector of the reflection R: i -> n - i.
+
+    ``diags`` is (1, 5, n) as in :func:`_cyclic_corners`, for an M that
+    commutes with R.  The odd sector has the nodes 1 ... n/2 - 1 (u_0 =
+    u_{n/2} = 0), the even one 0 ... n/2.  A column outside the sector is
+    folded onto its mirror by u_{-j} = -+u_j, u_{n/2 + j} = -+u_{n/2 - j};
+    the entries left outside are the wrapped ones that :func:`_cut_band`
+    cuts.
+    """
+    n = diags.shape[-1]
+    lo, hi = (1, n // 2 - 1) if odd else (0, n // 2)
+    sign = -1.0 if odd else 1.0
+    out = diags[:, :, lo:hi + 1].copy()
+    for i in sorted({lo, lo + 1, hi - 1, hi}):
+        for d in (-2, -1, 1, 2):
+            j = i + d
+            mirror = -j if j < lo else n - j
+            if not lo <= j <= hi and lo <= mirror <= hi:
+                out[:, 2 + mirror - i, i - lo] += sign * diags[:, 2 + d, i]
+    return out
+
+
+def _even_sector(diags, sqF, weights) -> _Closure:
+    """The bordered solve of the k = 0 operator on its even sector, n/2 + 1 nodes.
+
+    The sector keeps both of M's null directions, so the band
+    (:func:`_sector_diagonals`) keeps only the diagonal entry of two rows,
+    those of the pole (node 0) and of the neck (node n/2, where the
+    checkerboard's left null vector lives).  At n = 2048 the pinned band has
+    condition 0.9e6 to 2.7e6 over ell in [1e-3, 0.365]; with the neck pin
+    alone it is singular (condition 1e16 or more), and unit rows for the
+    pins (condition 7e6 to 8e6) cost four digits of the solve.  The closure
+    puts the pinned rows' other entries back and borders the weighted pair
+    sqrt(F) and the checkerboard: the multiplier column is its restriction
+    to the sector and the constraint its sum over the whole grid, which for
+    an even vector counts the nodes 1 ... n/2 - 1 twice.
+    """
+    n = sqF.size
+    h = n // 2
+    band = _sector_diagonals(diags, odd=False)
+    dense = np.zeros((4, h + 1))
+    # the band keeps the diagonal of the folded pole and neck rows, the
+    # closure their other entries
+    dense[0, 1:3] = band[0, 3:, 0]
+    dense[1, h - 2:h] = band[0, :2, h]
+    band[0, 3:, 0] = band[0, :2, h] = 0.0
+    twice = np.full(h + 1, 2.0)
+    twice[[0, h]] = 1.0
+    cols = np.zeros((h + 1, 4), order="F")
+    cols[[0, h], [0, 1]] = 1.0
+    for j, u in enumerate((sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF), 2):
+        cols[:, j] = (weights * u / np.linalg.norm(u))[:h + 1]
+        dense[j] = twice * cols[:, j]
+    return _Closure(_band_solve(band), cols, (np.zeros(0, int), np.zeros(0)), dense, 2)
+
+
+def _reflect(v: np.ndarray) -> np.ndarray:
+    """R v, (R v)_i = v_{n - i} (indices mod n), along the last axis."""
+    return np.roll(v[..., ::-1], 1, axis=-1)
+
+
 class FactoredGlobalSolver:
     """Global inverse of the *factored* gauge Laplacian divergence o D.
 
@@ -597,23 +678,29 @@ class FactoredGlobalSolver:
         M+- = -(A +- K)(B -+ K/2),
 
     five cyclic diagonals each (``diagonals[c]``), formed from the stencil
-    coefficients with no sparse matrix.  As in :class:`GlobalModeSolver`,
-    they are stacked as one LAPACK ``dgbtrf`` band of half-width 2 with the
-    cyclic corners cut (:func:`_cut_band`), which a :class:`_Closure` puts
-    back.  For k >= 1 both channels are invertible, and a solve is one
-    ``dgbtrs`` and a 12 x 12 closure, then a sum and a difference.
+    coefficients with no sparse matrix.  F is even and the grid reflection
+    R: i -> n - i reverses the central difference, so M- = R M+ R.  For
+    k >= 1 only M+ is factored, as a LAPACK ``dgbtrf`` band of half-width 2
+    with the cyclic corners cut (:func:`_cut_band`) and a six-column
+    :class:`_Closure` that puts them back; a solve is one ``dgbtrs`` with
+    the channel + right-hand side and the reflected channel - one as its
+    two columns.
 
     At k = 0 the channels are one matrix M = -A B (``diagonals`` holds it
-    once), solved with both sigma components as the columns of one
-    ``dgbtrs``.  M has two null directions, sqrt(F) and the checkerboard
-    (-1)^i / sqrt(F) of the central difference, so the solve is
-    [[M, C], [C^T, 0]] with C the weighted pair.  The band pins the row of
-    node n // 2 (the neck, where the checkerboard's left null vector lives)
-    to a unit row: at ell = 1e-3, n = 2048 the cut band has condition 6e14
-    without the pin and 6e5 with it.  The closure puts back the six corners
-    and the pinned row and borders the pair.  ``kernel`` keeps sqrt(F) in
-    each component, in the (2, 2n) layout.  Odd grids are refused: there
-    the exact null direction is a checkerboard remnant that nothing borders.
+    once), and M commutes with R.  A solve splits each sigma component into
+    its even and odd parts and solves each in its sector of R
+    (:func:`_sector_diagonals`), both components as the columns of one
+    ``dgbtrs`` per sector.  The odd sector is a plain band, factored here.
+    The even sector holds M's two null directions, sqrt(F) and the
+    checkerboard (-1)^i / sqrt(F); its bordered solve (:func:`_even_sector`)
+    keeps the solution in the complement of the weighted pair, as a bordered
+    solve with the whole of M does, and is built on the first solve that
+    needs it.  ``solve_sigma(rhs, odd=True)`` solves the odd sector alone,
+    for a right-hand side that is odd by construction (the Bianchi image of
+    an even tensor), and refuses one whose even part is not round-off.
+    ``kernel`` gives sqrt(F) in each component, in the (2, 2n) layout.  Odd
+    grids are refused: there the exact null direction is a checkerboard
+    remnant that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -626,48 +713,68 @@ class FactoredGlobalSolver:
         self.sqF = sqF = np.sqrt(F)
         self.beta = beta = Fp / (2.0 * sqF)
         self._c = c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
-        self.kernel = self._K = None
+        self._K = self._even = None
         if self.k:
             self._K = K = self.k / sqF
-            self.diagonals = band = np.array([
+            self.diagonals = np.array([
                 _factored_diagonals(sqF, c, 2.0 * beta + sign * K,
                                     -0.5 * (beta + sign * K)) for sign in (+1, -1)])
-            pins, dense = np.zeros(0, int), np.zeros((0, 2 * n))
+            # M+ = band + E R: E the unit columns of the corner rows, R their
+            # corner entries
+            rows, corners = _cyclic_corners(self.diagonals[:1])
+            cols = np.zeros((n, rows.size), order="F")
+            cols[rows, np.arange(rows.size)] = 1.0
+            self._solve = _Closure(_band_solve(self.diagonals[:1]), cols, corners,
+                                   np.zeros((0, n)), rows.size)
         else:
-            v = np.concatenate([sqF, np.zeros(n)])
-            v /= np.linalg.norm(v)
-            self.kernel = np.vstack([v, np.roll(v, n)])
             self.diagonals = _factored_diagonals(sqF, c, 2.0 * beta, -0.5 * beta)[None]
-            pins = np.array([n // 2])
-            band = self.diagonals.copy()
-            band[0, :, pins] = [0.0, 0.0, 1.0, 0.0, 0.0]  # a unit row
-            # the pinned row of M less its unit row, then the borders C^T
-            dense = np.zeros((3, n))
-            dense[0, (pins + np.arange(-2, 3)) % n] = self.diagonals[0, :, pins[0]]
-            dense[0, pins] -= 1.0
-            dense[1:] = [grid.weights * u / np.linalg.norm(u)
-                         for u in (sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)]
-        # M = band + E R: E the unit columns of the corner rows and the pins,
-        # R their corner entries (gathered) and the pinned rows (dense)
-        rows, corners = _cyclic_corners(self.diagonals)
-        unit = np.r_[rows, pins]
-        cols = np.zeros((dense.shape[1], rows.size + len(dense)), order="F")
-        cols[unit, np.arange(unit.size)] = 1.0
-        cols[:, unit.size:] = dense[pins.size:].T
-        lu, piv, info = lapack.dgbtrf(_cut_band(band), 2, 2, overwrite_ab=1)
-        if info:
-            raise RuntimeError("factored band is exactly singular")
-        # the solve holds the factors, not self: a cycle would keep the
-        # solver alive until the garbage collector runs
-        self._solve = _Closure(lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0],
-                               cols, corners, dense, unit.size)
+            self._solve = _band_solve(_sector_diagonals(self.diagonals, odd=True))
 
-    def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs: one-form sigma components (2, n); returns sigma components."""
+    @property
+    def kernel(self) -> np.ndarray | None:
+        """At k = 0, sqrt(F) normalized in each sigma component, as (2, 2n)."""
         if self.k:
-            p, m = self._solve(np.r_[rhs[0] + rhs[1], rhs[0] - rhs[1]]).reshape(2, -1)
+            return None
+        v = np.concatenate([self.sqF, np.zeros_like(self.sqF)])
+        v /= np.linalg.norm(v)
+        return np.vstack([v, np.roll(v, self.sqF.size)])
+
+    def solve_sigma(self, rhs: np.ndarray, odd: bool = False) -> np.ndarray:
+        """rhs: one-form sigma components (2, n); returns sigma components.
+
+        With ``odd`` (k = 0 only) the rhs must be odd under the grid
+        reflection, and only the odd sector is solved: a ValueError is
+        raised when its even part exceeds 1e-10 of its largest entry.
+        """
+        if self.k:
+            if odd:
+                raise ValueError("only the k = 0 solve has an odd sector")
+            b = np.empty((rhs.shape[1], 2), order="F")
+            b[:, 0] = rhs[0] + rhs[1]
+            b[:, 1] = _reflect(rhs[0] - rhs[1])
+            y = self._solve(b)
+            p, m = y[:, 0], _reflect(y[:, 1])
             return 0.5 * np.array([p + m, p - m])
-        return self._solve(rhs.T).T
+        n = rhs.shape[1]
+        h = n // 2
+        mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
+        x = np.zeros((2, n))
+        even = np.empty((2, h + 1))
+        even[:, [0, h]] = rhs[:, [0, h]]
+        even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
+        if odd:
+            if np.abs(even).max() > 1e-10 * np.abs(rhs).max():
+                raise ValueError("the right-hand side is not odd under the grid "
+                                 "reflection; solve it without odd=True")
+        else:
+            if self._even is None:
+                self._even = _even_sector(self.diagonals, self.sqF, self.grid.weights)
+            x[:, :h + 1] = self._even(even.T).T
+            x[:, h + 1:] = x[:, h - 1:0:-1]
+        y = self._solve((0.5 * (rhs[:, 1:h] - mirror)).T).T
+        x[:, 1:h] += y
+        x[:, h + 1:] -= y[:, ::-1]
+        return x
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.

@@ -49,13 +49,25 @@ class ConformalFactor:
     def __post_init__(self):
         self.u.setflags(write=False)
 
-    def weight(self, tau: np.ndarray) -> np.ndarray:
-        """exp(-2 u) sampled at tau, extended by 1 outside the solve domain."""
-        t = fold_tau(tau)
-        out = np.ones_like(t)
-        inside = np.abs(t) <= self.grid.b
-        out[inside] = np.exp(-2.0 * np.interp(t[inside], self.grid.nodes, self.u))
+    def weight(self, grid: RadialGrid) -> np.ndarray:
+        """exp(-2 u) at the nodes of ``grid``, extended by 1 outside the solve domain.
+
+        The folded nodes inside the domain depend on ``grid`` alone and are
+        kept with it (:meth:`~wpneck.grids.RadialGrid.memo`).
+        """
+        b = self.grid.b
+        inside, t = grid.memo(f"nodes inside |tau| <= {b!r}",
+                              lambda: _inside(grid.nodes, b))
+        out = np.ones(grid.n)
+        out[inside] = np.exp(-2.0 * np.interp(t, self.grid.nodes, self.u))
         return out
+
+
+def _inside(tau: np.ndarray, b: float):
+    """(mask, t): the nodes with |t| <= b, t = fold_tau(tau), and their t."""
+    t = fold_tau(tau)
+    inside = np.abs(t) <= b
+    return inside, t[inside]
 
 
 _NEWTON_TOL = 1e-11  # sup-norm residual that ends the Newton iteration

@@ -88,7 +88,7 @@ def wp_inner_product(
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     t1 = project_tt(surface, grid, g1, solvers=bank)
     t2 = t1 if g2 is g1 else project_tt(surface, grid, g2, solvers=bank)
-    weight = None if conformal is None else conformal.weight(grid.nodes)
+    weight = None if conformal is None else conformal.weight(grid)
     return mode_inner_product(t1, t2, weight)
 
 
@@ -99,9 +99,10 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     gl = length_variation(surface, grid)
     gw = twist_variation(surface, grid)
-    tl = project_tt(surface, grid, gl, solvers=bank)
-    tw = project_tt(surface, grid, gw, solvers=bank)
-    weight = None if conformal is None else conformal.weight(grid.nodes)
+    # both variations are even in tau, so only the odd sector is solved
+    tl = project_tt(surface, grid, gl, solvers=bank, even=True)
+    tw = project_tt(surface, grid, gw, solvers=bank, even=True)
+    weight = None if conformal is None else conformal.weight(grid)
     return {
         "g_ll": mode_inner_product(tl, tl, weight),
         "g_lw": mode_inner_product(tl, tw, weight),

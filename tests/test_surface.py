@@ -9,8 +9,10 @@ import scipy.sparse.linalg as spla
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
+from wpneck.parametrix import SolverBank, project_tt
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
-                            _cut_band, _cyclic_corners,
+                            _cut_band, _cyclic_corners, _reflect,
+                            _sector_diagonals,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
                             thick_indices, thin_indices, transposed_diagonals)
@@ -295,6 +297,13 @@ def test_global_solvers_are_freed_without_the_collector(surface_grid):
             for k in (0, 2):
                 ref = weakref.ref(cls(surf, surface_grid, k))
                 assert ref() is None, (cls.__name__, k)
+        # a k = 0 solver builds its even sector on the first solve that needs it
+        fs = FactoredGlobalSolver(surf, surface_grid, 0)
+        fs.solve_sigma(np.ones((2, surface_grid.n)))
+        assert fs._even is not None
+        ref = weakref.ref(fs)
+        del fs
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -458,3 +467,87 @@ def test_gauge_laplacian_consistent_on_surface(surface_grid):
 def test_build_rejects_bad_profile():
     with pytest.raises(ValueError):
         ModelSurfaceMetric(ell=-0.1)
+
+
+def _dense(diags):
+    """The dense (n, n) matrix of (5, n) cyclic diagonals."""
+    n = diags.shape[1]
+    out = np.zeros((n, n))
+    i = np.arange(n)
+    for j in range(5):
+        out[i, (i + j - 2) % n] = diags[j]
+    return out
+
+
+def test_sector_bands_are_the_operator_on_mirror_vectors():
+    # M maps the odd (even) vectors of R: i -> n - i to themselves; on the
+    # sector's nodes, with the mirror columns folded in, it is the band that
+    # the sector factors (the wrapped entries cut)
+    n = 16
+    grid = periodic_grid(-2.0, 2.0, n)
+    fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.1), grid, 0)
+    M = _dense(fs.diagonals[0])
+    for odd, lo, hi in ((True, 1, n // 2 - 1), (False, 0, n // 2)):
+        nodes = np.arange(lo, hi + 1)
+        basis = np.zeros((n, nodes.size))
+        basis[nodes, np.arange(nodes.size)] = 1.0
+        mirrored = nodes[(nodes != 0) & (nodes != n // 2)]
+        basis[n - mirrored, mirrored - lo] = -1.0 if odd else 1.0
+        want = (M @ basis)[lo:hi + 1]
+        ab = _cut_band(_sector_diagonals(fs.diagonals, odd))
+        got = np.zeros_like(want)
+        for r in range(nodes.size):
+            for c in range(max(r - 2, 0), min(r + 3, nodes.size)):
+                got[r, c] = ab[4 + r - c, c]
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max(), odd
+
+
+def test_factored_channels_are_mirror_images(surface_grid):
+    # M- = R M+ R, so the solver factors M+ alone: entry for entry,
+    # M-[i, i + d] = M+[n - i, n - i - d]
+    for ell in (1e-3, 0.1, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        for k in (1, 4):
+            plus, minus = FactoredGlobalSolver(surf, surface_grid, k).diagonals
+            err = np.abs(minus - _reflect(plus[::-1])).max() / np.abs(minus).max()
+            assert err <= 1e-15, (ell, k, err)  # measured <= 1.9e-16
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_wp_bianchi_images_are_odd(n):
+    # the length and twist variations are even in tau, so their Bianchi
+    # images are odd: the WP projection solves the odd sector alone.  The
+    # length's even part is exactly 0; the twist's, from the rounding of its
+    # step at mirror nodes, is <= 3.5e-14 at n = 2048 and 3.1e-13 at 16384
+    grid = periodic_grid(-2.0, 2.0, n)
+    for ell in (1e-3, 0.05, 0.1, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        fs = FactoredGlobalSolver(surf, grid, 0)
+        for variation in (length_variation, twist_variation):
+            b = fs.bianchi(variation(surf, grid).data)
+            even = 0.5 * (b + _reflect(b))
+            assert np.abs(even).max() <= 1e-11 * np.abs(b).max(), (ell, variation)
+
+
+def test_odd_sector_solve_refuses_what_is_not_odd(surface_grid):
+    surf = ModelSurfaceMetric(ell=0.05)
+    grid = surface_grid
+    x = grid.nodes
+    fs = FactoredGlobalSolver(surf, grid, 0)
+    odd = np.vstack([np.sin(np.pi * x / 2.0), 0.3 * np.sin(np.pi * x)])
+    # on an odd right-hand side the odd sector alone is the whole solve
+    got, want = fs.solve_sigma(odd, odd=True), fs.solve_sigma(odd)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError, match="not odd"):
+        fs.solve_sigma(odd + 1e-6 * np.cos(np.pi * x / 2.0), odd=True)
+    noise = ModeField(0, Rank.SYM2_FULL, grid,
+                      np.random.default_rng(3).standard_normal((3, grid.n)))
+    bank = SolverBank(surf, grid)
+    with pytest.raises(ValueError, match="not odd"):
+        project_tt(surf, grid, noise, solvers=bank, even=True)
+    # no sector at k >= 1
+    with pytest.raises(ValueError, match="k = 0"):
+        FactoredGlobalSolver(surf, grid, 1).solve_sigma(odd, odd=True)
+    mode1 = ModeField(1, Rank.SYM2_FULL, grid, np.vstack([odd, odd[:1]]))
+    with pytest.raises(ValueError, match="k = 0"):
+        project_tt(surf, grid, mode1, solvers=bank, even=True)

@@ -9,10 +9,10 @@ import pytest
 import wpneck.uniformize as uniformize
 import wpneck.wp as wp
 from wpneck.grids import periodic_grid
-from wpneck.modefields import mode_norm
+from wpneck.modefields import mode_inner_product, mode_norm
 from wpneck.operators import apply_divergence, apply_trace
-from wpneck.parametrix import SolverBank
-from wpneck.surface import ModelSurfaceMetric
+from wpneck.parametrix import SolverBank, project_tt
+from wpneck.surface import ModelSurfaceMetric, fold_tau
 from wpneck.uniformize import solve_conformal_factor
 from wpneck.wp import (length_variation, loglog_slope, sweep_wp_coefficients,
                        twist_step, twist_variation, wp_inner_product, wp_matrix)
@@ -103,6 +103,48 @@ def test_wp_matrix_cross_term_parity_zero(setup):
     mat = wp_matrix(surf, grid, solvers=bank)
     assert mat["g_lw"] == 0.0  # phi/psi systems decouple at k = 0
     assert mat["g_ll"] > 0 and mat["g_ww"] > 0
+
+
+def test_wp_row_never_builds_the_even_sector(setup):
+    grid, surf, _ = setup
+    bank = SolverBank(surf, grid)
+    wp_matrix(surf, grid, solvers=bank)
+    assert bank.get(0)._even is None
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_wp_matrix_matches_the_unflagged_projection(n):
+    # the odd sector alone against the solve of both sectors (measured <= 2.3e-16)
+    grid = periodic_grid(-2.0, 2.0, n)
+    for ell in (1e-3, 0.05, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        cf = solve_conformal_factor(surf) if ell < 0.07 else None
+        got = wp_matrix(surf, grid, conformal=cf)
+        bank = SolverBank(surf, grid)
+        tl, tw = (project_tt(surf, grid, f(surf, grid), solvers=bank)
+                  for f in (length_variation, twist_variation))
+        weight = None if cf is None else cf.weight(grid)
+        want = {"g_ll": mode_inner_product(tl, tl, weight),
+                "g_lw": mode_inner_product(tl, tw, weight),
+                "g_ww": mode_inner_product(tw, tw, weight)}
+        assert bank.get(0)._even is not None
+        for key in ("g_ll", "g_ww"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), (ell, key)
+        scale = np.sqrt(want["g_ll"] * want["g_ww"])
+        assert abs(got["g_lw"] - want["g_lw"]) <= 1e-12 * scale
+
+
+def test_conformal_weight_folds_each_grid_once(monkeypatch):
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    cfs = [solve_conformal_factor(ModelSurfaceMetric(ell=ell)) for ell in (1e-3, 0.05)]
+    folds = _count_calls(monkeypatch, uniformize, "fold_tau")
+    for cf in cfs:
+        t = fold_tau(grid.nodes)
+        inside = np.abs(t) <= cf.grid.b
+        want = np.ones(grid.n)
+        want[inside] = np.exp(-2.0 * np.interp(t[inside], cf.grid.nodes, cf.u))
+        assert np.array_equal(cf.weight(grid), want)  # bit for bit
+    assert len(folds) == 1
 
 
 def _rows_equal(r1, r2):
