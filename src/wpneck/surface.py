@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -550,18 +550,23 @@ def _central(u: np.ndarray, c: float) -> np.ndarray:
     return c * d
 
 
-def _factored_diagonals(sqF, c, a_mid, b_mid) -> np.ndarray:
-    """The five cyclic diagonals of -(sqrt(F) d1 + a_mid)(sqrt(F) d1 / 2 + b_mid).
+def _factored_diagonals(sqF, beta, K, c) -> np.ndarray:
+    """The (2, 5, n) cyclic diagonals of M+- = -(A +- K)(B -+ K/2); K = None: M = -A B.
 
-    Multiplied as bands, (A B)[i, i + s + t] = a_s[i] b_t[i + s], with the
-    d1 weight ``c`` = 1 / (2h); ``out[j, i] = M[i, i + j - 2 (mod n)]``.
+    A = sqrt(F) d1 + 2 beta and B = (sqrt(F) d1 - beta) / 2 are multiplied
+    as bands, (A B)[i, i + s + t] = a_s[i] b_t[i + s], with the d1 weight
+    ``c`` = 1 / (2h); ``out[ch, j, i] = M_ch[i, i + j - 2 (mod n)]`` (one
+    channel at K = None).
     """
-    a = (-c * sqF, a_mid, c * sqF)
-    b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
-    out = np.zeros((5, sqF.size))
-    for s in (-1, 0, 1):
-        for t in (-1, 0, 1):
-            out[s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
+    mids = ([(2.0 * beta, -0.5 * beta)] if K is None else
+            [(2.0 * beta + sign * K, -0.5 * (beta + sign * K)) for sign in (+1, -1)])
+    out = np.zeros((len(mids), 5, sqF.size))
+    for ch, (a_mid, b_mid) in enumerate(mids):
+        a = (-c * sqF, a_mid, c * sqF)
+        b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
+        for s in (-1, 0, 1):
+            for t in (-1, 0, 1):
+                out[ch, s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
     return out
 
 
@@ -596,17 +601,17 @@ def _band_solve(diags):
     return lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0]
 
 
-def _sector_diagonals(diags, odd: bool) -> np.ndarray:
+def _sector_diagonals(diags, n: int, odd: bool) -> np.ndarray:
     """The (1, 5, m) diagonals of M on one sector of the reflection R: i -> n - i.
 
     ``diags`` is (1, 5, n) as in :func:`_cyclic_corners`, for an M that
-    commutes with R.  The odd sector has the nodes 1 ... n/2 - 1 (u_0 =
-    u_{n/2} = 0), the even one 0 ... n/2.  A column outside the sector is
-    folded onto its mirror by u_{-j} = -+u_j, u_{n/2 + j} = -+u_{n/2 - j};
-    the entries left outside are the wrapped ones that :func:`_cut_band`
-    cuts.
+    commutes with R on n nodes (only the sector's rows are read, so those of
+    the nodes 0 ... n/2 do).  The odd sector has the nodes 1 ... n/2 - 1
+    (u_0 = u_{n/2} = 0), the even one 0 ... n/2.  A column outside the
+    sector is folded onto its mirror by u_{-j} = -+u_j, u_{n/2 + j} =
+    -+u_{n/2 - j}; the entries left outside are the wrapped ones that
+    :func:`_cut_band` cuts.
     """
-    n = diags.shape[-1]
     lo, hi = (1, n // 2 - 1) if odd else (0, n // 2)
     sign = -1.0 if odd else 1.0
     out = diags[:, :, lo:hi + 1].copy()
@@ -636,7 +641,7 @@ def _even_sector(diags, sqF, weights) -> _Closure:
     """
     n = sqF.size
     h = n // 2
-    band = _sector_diagonals(diags, odd=False)
+    band = _sector_diagonals(diags, n, odd=False)
     dense = np.zeros((4, h + 1))
     # the band keeps the diagonal of the folded pole and neck rows, the
     # closure their other entries
@@ -677,30 +682,29 @@ class FactoredGlobalSolver:
 
         M+- = -(A +- K)(B -+ K/2),
 
-    five cyclic diagonals each (``diagonals[c]``), formed from the stencil
-    coefficients with no sparse matrix.  F is even and the grid reflection
-    R: i -> n - i reverses the central difference, so M- = R M+ R.  For
-    k >= 1 only M+ is factored, as a LAPACK ``dgbtrf`` band of half-width 2
-    with the cyclic corners cut (:func:`_cut_band`) and a six-column
-    :class:`_Closure` that puts them back; a solve is one ``dgbtrs`` with
-    the channel + right-hand side and the reflected channel - one as its
-    two columns.
+    five cyclic diagonals each (:attr:`diagonals`, built on first read), from
+    the stencil coefficients with no sparse matrix.  F is even and the grid
+    reflection R: i -> n - i reverses the central difference, so M- = R M+ R.
+    For k >= 1 only M+ is factored, a LAPACK ``dgbtrf`` band of half-width 2
+    with the cyclic corners cut (:func:`_cut_band`) and put back by a
+    six-column :class:`_Closure`; a solve is one ``dgbtrs`` with the channel
+    + right-hand side and the reflected channel - one as its two columns.
 
-    At k = 0 the channels are one matrix M = -A B (``diagonals`` holds it
-    once), and M commutes with R.  A solve splits each sigma component into
-    its even and odd parts and solves each in its sector of R
-    (:func:`_sector_diagonals`), both components as the columns of one
-    ``dgbtrs`` per sector.  The odd sector is a plain band, factored here.
-    The even sector holds M's two null directions, sqrt(F) and the
-    checkerboard (-1)^i / sqrt(F); its bordered solve (:func:`_even_sector`)
-    keeps the solution in the complement of the weighted pair, as a bordered
-    solve with the whole of M does, and is built on the first solve that
-    needs it.  ``solve_sigma(rhs, odd=True)`` solves the odd sector alone,
-    for a right-hand side that is odd by construction (the Bianchi image of
-    an even tensor), and refuses one whose even part is not round-off.
-    ``kernel`` gives sqrt(F) in each component, in the (2, 2n) layout.  Odd
-    grids are refused: there the exact null direction is a checkerboard
-    remnant that nothing borders.
+    At k = 0 the channels are one matrix M = -A B, and M commutes with R.
+    A solve splits each sigma component into its even and odd parts and
+    solves each in its sector of R (:func:`_sector_diagonals`), both
+    components as the columns of one ``dgbtrs`` per sector.  The odd sector
+    is a plain band, factored here from the coefficients of the nodes
+    0 ... n/2 alone.  The even sector holds M's two null directions, sqrt(F)
+    and the checkerboard (-1)^i / sqrt(F); its bordered solve
+    (:func:`_even_sector`, built on the first solve that needs it) keeps the
+    solution in the complement of the weighted pair, as a bordered solve
+    with the whole of M does.  ``solve_sigma(rhs, odd=True)`` solves the odd
+    sector alone, for a right-hand side odd by construction (the Bianchi
+    image of an even tensor), and refuses one whose even part is not
+    round-off.  ``kernel`` gives sqrt(F) in each component, in the (2, 2n)
+    layout.  Odd grids are refused: there the exact null direction is a
+    checkerboard remnant that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -711,14 +715,11 @@ class FactoredGlobalSolver:
             raise ValueError(f"the factored solver needs an even grid (got n = {n})")
         F, Fp, _ = surface.grid_jet(grid)
         self.sqF = sqF = np.sqrt(F)
-        self.beta = beta = Fp / (2.0 * sqF)
-        self._c = c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
+        self.beta = Fp / (2.0 * sqF)
+        self._c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
         self._K = self._even = None
         if self.k:
-            self._K = K = self.k / sqF
-            self.diagonals = np.array([
-                _factored_diagonals(sqF, c, 2.0 * beta + sign * K,
-                                    -0.5 * (beta + sign * K)) for sign in (+1, -1)])
+            self._K = self.k / sqF
             # M+ = band + E R: E the unit columns of the corner rows, R their
             # corner entries
             rows, corners = _cyclic_corners(self.diagonals[:1])
@@ -727,8 +728,15 @@ class FactoredGlobalSolver:
             self._solve = _Closure(_band_solve(self.diagonals[:1]), cols, corners,
                                    np.zeros((0, n)), rows.size)
         else:
-            self.diagonals = _factored_diagonals(sqF, c, 2.0 * beta, -0.5 * beta)[None]
-            self._solve = _band_solve(_sector_diagonals(self.diagonals, odd=True))
+            # the odd sector's rows 1 ... n/2 - 1 read the nodes 0 ... n/2 alone
+            half = slice(0, n // 2 + 1)
+            diags = _factored_diagonals(sqF[half], self.beta[half], None, self._c)
+            self._solve = _band_solve(_sector_diagonals(diags, n, odd=True))
+
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        """(c, 5, n): the cyclic diagonals of M+ and M- (at k = 0, of M once)."""
+        return _factored_diagonals(self.sqF, self.beta, self._K, self._c)
 
     @property
     def kernel(self) -> np.ndarray | None:

@@ -131,14 +131,15 @@ def solve_conformal_factor(
     upper = F[1:-1] / h**2 + Fp[1:-1] / (2.0 * h)
     diag_lap = -2.0 * F[1:-1] / h**2
 
-    u = np.zeros(n)
+    # u, exp(2u) and the residual at u; an accepted trial carries its own
+    u, e2u = np.zeros(n), np.ones(n)
+    resid = _apply_neg_lap(F, Fp, u, h) - Kg - e2u
     iterations = 0
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        resid = _apply_neg_lap(F, Fp, u, h) - Kg - np.exp(2.0 * u)
         if float(np.max(np.abs(resid[1:-1]))) <= _NEWTON_TOL:
             break
         rnorm = float(np.sqrt(np.mean(resid[1:-1] ** 2)))
-        jac_diag = diag_lap - 2.0 * np.exp(2.0 * u[1:-1])
+        jac_diag = diag_lap - 2.0 * e2u[1:-1]
         step = tridiagonal_solve(tridiagonal_lu(lower, jac_diag, upper), -resid[1:-1])
         # damped step accepted on an Armijo-style RMS decrease (the sup norm
         # is too brittle for the boundary layers of shifted problems)
@@ -146,9 +147,10 @@ def solve_conformal_factor(
         for _ in range(30):
             trial = u.copy()
             trial[1:-1] += lam * step
-            rtrial = _apply_neg_lap(F, Fp, trial, h) - Kg - np.exp(2.0 * trial)
+            etrial = np.exp(2.0 * trial)
+            rtrial = _apply_neg_lap(F, Fp, trial, h) - Kg - etrial
             if np.sqrt(np.mean(rtrial[1:-1] ** 2)) <= rnorm * (1.0 - 0.25 * lam):
-                u = trial
+                u, e2u, resid = trial, etrial, rtrial
                 break
             lam *= 0.5
         else:
@@ -160,13 +162,12 @@ def solve_conformal_factor(
     else:
         raise ArithmeticError("conformal factor Newton did not converge")
 
-    final = _apply_neg_lap(F, Fp, u, h) - Kg - np.exp(2.0 * u)
     c = 0.5 * float(np.max(np.abs(np.log(np.abs(Kg)))))
     return ConformalFactor(
         ell=surface.ell,
         grid=grid,
         u=u,
-        residual=float(np.max(np.abs(final[1:-1]))),
+        residual=float(np.max(np.abs(resid[1:-1]))),
         bound=c,
         bound_satisfied=bool(np.max(np.abs(u)) <= c + 1e-12),
         curvature_range=(float(np.min(Kg)), float(np.max(Kg))),

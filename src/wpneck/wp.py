@@ -12,10 +12,10 @@ k = 0 variation fields of the model family:
   (0, F s'(tau), 0).
 
 Pairings are <T g1., T g2.> integrated against exp(-2 phi) dA with T the
-TT projection and phi the neck conformal factor; on the rotational
-surrogate the phi- and psi-systems decouple at k = 0, so the cross
-coefficient g_lw vanishes identically by theta-reflection parity (reported,
-not assumed).
+TT projection and phi the neck conformal factor.  On the rotational
+surrogate the phi- and psi-systems decouple at k = 0, so one projection of
+(phi_l, psi_w, 0) projects both variations, and the cross coefficient g_lw,
+computed by pairing the split rows, vanishes by theta-reflection parity.
 
 The fitter performs least squares in the half-integer/log design
 {ell^{k/2} (log ell)^j}; columns are sup-normalized before solving and the
@@ -48,12 +48,21 @@ __all__ = [
 ]
 
 
+def _variations(surface: ModelSurfaceMetric, grid: RadialGrid, length: bool,
+                twist: bool) -> ModeField:
+    """(phi_l, psi_w, 0) at k = 0, phi_l = -dF/dell / F and psi_w = F s'(tau),
+    each 0 unless asked; s' at the grid's nodes is kept with the grid."""
+    F = surface.grid_jet(grid)[0]
+    s1 = grid.memo("twist step d1", lambda: twist_step_d1(fold_tau(grid.nodes)))
+    data = np.zeros((3, grid.n))
+    data[0] = -surface.grid_dF_dell(grid) / F if length else 0.0
+    data[1] = F * s1 if twist else 0.0
+    return ModeField(0, Rank.SYM2_FULL, grid, data)
+
+
 def length_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
     """d g / d ell as a k = 0 full tensor mode (trace-free in this gauge)."""
-    F = surface.grid_jet(grid)[0]
-    phi = -surface.grid_dF_dell(grid) / F
-    zeros = np.zeros_like(phi)
-    return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([phi, zeros, zeros]))
+    return _variations(surface, grid, length=True, twist=False)
 
 
 def twist_step(tau):
@@ -66,14 +75,8 @@ def twist_step_d1(tau):
 
 
 def twist_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField:
-    """d g / d omega of theta -> theta + omega s(tau): F s'(tau) dtau dtheta (sym).
-
-    s' at the grid's nodes depends on them alone and is kept with the grid.
-    """
-    F = surface.grid_jet(grid)[0]
-    psi = F * grid.memo("twist step d1", lambda: twist_step_d1(fold_tau(grid.nodes)))
-    zeros = np.zeros_like(psi)
-    return ModeField(0, Rank.SYM2_FULL, grid, np.vstack([zeros, psi, zeros]))
+    """d g / d omega of theta -> theta + omega s(tau): F s'(tau) dtau dtheta (sym)."""
+    return _variations(surface, grid, length=False, twist=True)
 
 
 def wp_inner_product(
@@ -95,13 +98,21 @@ def wp_inner_product(
 def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
               conformal: ConformalFactor | None = None,
               solvers: SolverBank | None = None) -> dict[str, float]:
-    """Length/twist WP coefficients (g_ll, g_lw, g_ww) at one ell."""
+    """Length/twist WP coefficients (g_ll, g_lw, g_ww) at one ell.
+
+    The phi and psi systems never meet at k = 0, so one projection of
+    (phi_l, psi_w, 0) gives the rows of both variations' projections, bit
+    for bit.  (t_l, 0) and (0, t_w) are paired, so g_lw is computed, not
+    assumed: each of its terms pairs a row with the other's zero row.
+    """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
-    gl = length_variation(surface, grid)
-    gw = twist_variation(surface, grid)
     # both variations are even in tau, so only the odd sector is solved
-    tl = project_tt(surface, grid, gl, solvers=bank, even=True)
-    tw = project_tt(surface, grid, gw, solvers=bank, even=True)
+    t = project_tt(surface, grid, _variations(surface, grid, length=True, twist=True),
+                   solvers=bank, even=True).data
+    # (t_l, 0) and (0, t_w) as two views of [t_l; 0; t_w], sharing the zero row
+    rows = np.zeros((3, grid.n))
+    rows[0], rows[2] = t
+    tl, tw = (ModeField(0, Rank.SYM2_TRACEFREE, grid, rows[i:i + 2]) for i in (0, 1))
     weight = None if conformal is None else conformal.weight(grid)
     return {
         "g_ll": mode_inner_product(tl, tl, weight),

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import wpneck.surface as surface_module
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
@@ -479,7 +480,7 @@ def _dense(diags):
     return out
 
 
-def test_sector_bands_are_the_operator_on_mirror_vectors():
+def test_sector_bands_are_the_operator_on_mirror_vectors(monkeypatch):
     # M maps the odd (even) vectors of R: i -> n - i to themselves; on the
     # sector's nodes, with the mirror columns folded in, it is the band that
     # the sector factors (the wrapped entries cut)
@@ -494,12 +495,27 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
         mirrored = nodes[(nodes != 0) & (nodes != n // 2)]
         basis[n - mirrored, mirrored - lo] = -1.0 if odd else 1.0
         want = (M @ basis)[lo:hi + 1]
-        ab = _cut_band(_sector_diagonals(fs.diagonals, odd))
+        ab = _cut_band(_sector_diagonals(fs.diagonals, n, odd))
         got = np.zeros_like(want)
         for r in range(nodes.size):
             for c in range(max(r - 2, 0), min(r + 3, nodes.size)):
                 got[r, c] = ab[4 + r - c, c]
         assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max(), odd
+    # the solver folds the odd band from the coefficients of the nodes
+    # 0 ... n/2 alone; it is the band folded from the whole of M, bit for bit
+    factored = []
+    real_band_solve = surface_module._band_solve
+    monkeypatch.setattr(surface_module, "_band_solve",
+                        lambda diags: factored.append(diags) or real_band_solve(diags))
+    for n in (12, 2048):
+        grid = periodic_grid(-2.0, 2.0, n)
+        for ell in (1e-3, 0.1, 0.365):
+            factored.clear()
+            fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
+            assert "diagonals" not in vars(fs)  # not built for the odd sector
+            want = _cut_band(_sector_diagonals(fs.diagonals, n, odd=True))
+            assert len(factored) == 1
+            assert np.array_equal(_cut_band(factored[0]), want), (n, ell)
 
 
 def test_factored_channels_are_mirror_images(surface_grid):

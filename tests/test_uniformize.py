@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import wpneck.uniformize as uniformize
 from wpneck.surface import ModelSurfaceMetric
 from wpneck.uniformize import curvature_after, solve_conformal_factor
 
@@ -89,3 +92,24 @@ def test_thick_point_family_converges_and_fits():
     assert path[-1] <= 1e-3 * max(np.max(np.abs(vals)), 1e-12)
     diffs = np.abs(np.diff(vals))
     assert vals[0] == pytest.approx(vals[5], abs=np.max(np.abs(vals)))
+
+
+def test_newton_evaluates_the_residual_once_per_trial(monkeypatch):
+    # the accepted trial's exp(2u) and residual are carried into the next
+    # iteration, and the last residual is the reported one: the start and
+    # each line-search trial are the only evaluations.  Every Newton step at
+    # these lengths takes its full length, so there is one trial per step
+    evaluated, steps = [], []
+    apply_neg_lap, tridiagonal_solve = uniformize._apply_neg_lap, uniformize.tridiagonal_solve
+    monkeypatch.setattr(uniformize, "_apply_neg_lap", lambda F, Fp, u, h: (
+        evaluated.append(u.copy()) or apply_neg_lap(F, Fp, u, h)))
+    monkeypatch.setattr(uniformize, "tridiagonal_solve", lambda *args: (
+        steps.append(1) or tridiagonal_solve(*args)))
+    for ell in (1e-3, 0.05, 0.0735):
+        evaluated.clear()
+        steps.clear()
+        cf = solve_conformal_factor(ModelSurfaceMetric(ell=ell))
+        assert not evaluated[0].any()  # the start, u = 0
+        assert len(evaluated) == 1 + len(steps), ell
+        assert not any(np.array_equal(a, b) for a, b in combinations(evaluated, 2))
+        assert np.array_equal(evaluated[-1], cf.u)

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 import wpneck.uniformize as uniformize
 import wpneck.wp as wp
 from wpneck.grids import periodic_grid
-from wpneck.modefields import mode_inner_product, mode_norm
+from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
 from wpneck.operators import apply_divergence, apply_trace
 from wpneck.parametrix import SolverBank, project_tt
-from wpneck.surface import ModelSurfaceMetric, fold_tau
+from wpneck.surface import FactoredGlobalSolver, ModelSurfaceMetric, fold_tau
 from wpneck.uniformize import solve_conformal_factor
 from wpneck.wp import (length_variation, loglog_slope, sweep_wp_coefficients,
                        twist_step, twist_variation, wp_inner_product, wp_matrix)
@@ -110,6 +111,29 @@ def test_wp_row_never_builds_the_even_sector(setup):
     bank = SolverBank(surf, grid)
     wp_matrix(surf, grid, solvers=bank)
     assert bank.get(0)._even is None
+    # nor the diagonals of the whole k = 0 operator, which only it reads
+    assert "diagonals" not in vars(bank.get(0))
+
+
+def test_one_projection_carries_both_variations(monkeypatch):
+    # at k = 0 the phi and psi systems never meet, so projecting (phi_l,
+    # psi_w) gives the length's phi row and the twist's psi row bit for bit,
+    # on the odd sector alone and on both sectors
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    for ell in (1e-3, 0.05, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        bank = SolverBank(surf, grid)
+        gl, gw = length_variation(surf, grid), twist_variation(surf, grid)
+        both = ModeField(0, Rank.SYM2_FULL, grid,
+                         np.vstack([gl.data[0], gw.data[1], np.zeros(grid.n)]))
+        for even in (True, False):
+            t, tl, tw = (project_tt(surf, grid, g, solvers=bank, even=even).data
+                         for g in (both, gl, gw))
+            assert np.array_equal(t[0], tl[0]) and np.array_equal(t[1], tw[1]), (ell, even)
+            assert not tl[1].any() and not tw[0].any(), (ell, even)
+    solves = _count_calls(monkeypatch, FactoredGlobalSolver, "solve_sigma")
+    wp_matrix(ModelSurfaceMetric(ell=0.05), grid)
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("n", [2048, 16384])
@@ -314,3 +338,47 @@ def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
     # each periodic grid, with the pieces kept on it, dies with its sweep;
     # the one neck grid of the default (domain, n) is shared by all of them
     assert alive == {"surface": 0, "periodic": 0, "neck": 1}
+
+
+def test_wp_row_peak_memory():
+    # "memory stays flat": the traced peak of one sweep row at n = 16384, its
+    # conformal factor included, after a row on the same grid has built the
+    # grid's shared pieces.  Measured 2.50 MB (3.81 MB when the length and the
+    # twist were projected separately)
+    grid = periodic_grid(-2.0, 2.0, 16384)
+
+    def row(ell):
+        surf = ModelSurfaceMetric(ell=ell)
+        return wp_matrix(surf, grid, conformal=solve_conformal_factor(surf))
+
+    row(0.01)
+    tracemalloc.start()
+    try:
+        row(0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.9e6, peak
+
+
+# sweep_wp_coefficients(_PINNED_ELLS, grid_n=2048) as (g_ll, g_ww), recorded
+# before the length and twist projections were merged into one
+_PINNED_ELLS = (1e-3, 0.004, 0.015, 0.05, 0.0735, 0.2)
+_PINNED_ROWS = (
+    (109095.74295662179, 8.756373207553374e-09),
+    (19747.98868949402, 5.072575996464518e-07),
+    (5263.796475299596, 2.6976563247098366e-05),
+    (1579.1503022428674, 0.0010000762951619866),
+    (1074.2707320214133, 0.003178368490258247),
+    (389.957890708361, 0.06396843113057746),
+)
+
+
+def test_sweep_values_are_pinned():
+    # both sides of the zero-conformal-weight fallback (ell ~ 0.073)
+    rows = sweep_wp_coefficients(_PINNED_ELLS, grid_n=2048)
+    assert [r["ell"] for r in rows] == list(_PINNED_ELLS)
+    for row, (g_ll, g_ww) in zip(rows, _PINNED_ROWS):
+        assert row["g_ll"] == pytest.approx(g_ll, rel=1e-14, abs=0.0), row
+        assert row["g_ww"] == pytest.approx(g_ww, rel=1e-14, abs=0.0), row
+        assert row["g_lw"] == 0.0, row
