@@ -189,7 +189,11 @@ def _fd_stencils(n: int, h: float, periodic: bool) -> tuple:
 
 def tridiagonal_lu(lower, diag, upper) -> tuple:
     """LAPACK ``dgttrf`` factors of the tridiagonal matrix whose row i is
-    (lower[i], diag[i], upper[i]); lower[0] and upper[-1] are never read."""
+    (lower[i], diag[i], upper[i]); lower[0] and upper[-1] are never read.
+
+    The factorization pivots: the Green and conformal-factor bands it serves
+    need not be positive definite (the conformal Newton Jacobian is negative
+    definite)."""
     *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
     if info:
         raise np.linalg.LinAlgError("tridiagonal band is exactly singular")

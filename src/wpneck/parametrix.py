@@ -44,15 +44,17 @@ Each block acts on both rho channels at once, stacked as the flattened
   assembles a sparse matrix or :class:`~wpneck.operators.ModeOperators`.
 * G_0 and G_1 as one :class:`~wpneck.surface.SubdomainSolver`: the
   Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
-  with zero coupling and factored once, so each application of Gtilde, R
-  or R^T is one banded solve.
+  with zero coupling and factored once, each a diagonal similarity of a
+  symmetric positive definite band, so each application of Gtilde, R or
+  R^T is one no-pivot LAPACK ``dpttrs`` between two diagonal scalings.
 * The commutators, precomputed.  [P, chi~_j] has zero diagonal and the
   off-diagonals L_i (chi~_j(i-1) - chi~_j(i)) and U_i (chi~_j(i+1) -
   chi~_j(i)), which vanish outside the widener transition layers (~170 of
   2048 nodes per channel).  So R reads the stacked Dirichlet solution at
   those nodes only, and R^T writes the band's right-hand side there only.
 * A reference block's global inverse: a
-  :class:`~wpneck.surface.GlobalModeSolver`, also a band.
+  :class:`~wpneck.surface.GlobalModeSolver`, a band of the same kind with
+  its cyclic corners put back by a small Schur closure.
 
 Operator norms of R and S are estimated by power iteration on S^T S
 (matvec/rmatvec through the transposed band, and banded solves); on the

@@ -29,9 +29,14 @@ the stencil coefficients with no sparse matrix.  :class:`GlobalModeSolver`
 solves the direct rho-channel stencils, a tridiagonal band: the channels are
 stacked in natural node order with their cyclic corners cut
 (:func:`_cyclic_corners`), and a Schur :class:`_Closure` puts the corners
-back.  :class:`FactoredGlobalSolver` solves the factored operator
-divergence o D that the TT projection inverts: five cyclic diagonals per
-channel, a band of half-width 2.  It uses the grid reflection R: i -> n - i
+back.  Its band, and the Dirichlet pieces of the parametrix's
+:class:`SubdomainSolver`, are the nonconservative stencil of -(F u')' + V:
+each piece is S T S^-1 with S diagonal and T symmetric positive definite,
+and is factored as T by LAPACK's ``dpttrf``, without pivoting
+(:func:`_stacked_band`).  A band that has no such form is refused.
+:class:`FactoredGlobalSolver` solves the factored operator divergence o D
+that the TT projection inverts: five cyclic diagonals per channel, a band
+of half-width 2.  It uses the grid reflection R: i -> n - i
 (tau -> -tau), under which the even profile is symmetric.  At k >= 1, R
 swaps the two channels, so only one is factored (cyclic, with the same
 closure).  At k = 0, R commutes with the operator, which splits into an odd
@@ -53,7 +58,7 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.linalg import lapack
 
-from .grids import RadialGrid, tridiagonal_lu, tridiagonal_solve
+from .grids import RadialGrid
 from .operators import channel_potential
 
 __all__ = [
@@ -314,26 +319,68 @@ def _period_run(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def _stacked_band(diags, runs):
-    """``(flat, lu)``: the tridiagonal pieces of ``diags`` on ``runs``, one band.
+    """``(flat, band)``: the tridiagonal pieces of ``diags`` on ``runs``, one band.
 
     Run by run, channel + then channel -, the pieces are stacked with zero
-    coupling (so each is factored and solved bit for bit as if alone) and
-    factored by :func:`~wpneck.grids.tridiagonal_lu`; ``flat[p]`` is the
-    position of stacked unknown p in the flattened (2, n) channels.
+    coupling, as one :class:`_SymmetrizedBand`; ``flat[p]`` is the position
+    of stacked unknown p in the flattened (2, n) channels.  A piece with
+    sub- and superdiagonals l and u is S T S^-1: T symmetric, with the
+    piece's diagonal and the off-diagonal sign(u_i) sqrt(l_{i+1} u_i), and
+    S = diag(s), s_0 = 1 and s_{i+1} = s_i sqrt(l_{i+1} / u_i).  The scaling
+    restarts at each piece, so each is factored and solved bit for bit as if
+    alone.  A piece with some l_{i+1} u_i <= 0 has no such T and is refused.
     """
-    L, D, U = diags
-    n = D.shape[1]
-    flat, lower, main, upper = [], [], [], []
-    for idx in runs:
-        for c in (0, 1):
-            flat.append(c * n + idx)
-            main.append(D[c, idx])
-            # each piece has zero coupling to its neighbours
-            lower.append(np.r_[0.0, L[c, idx[1:]]])
-            upper.append(np.r_[U[c, idx[:-1]], 0.0])
-    lu = tridiagonal_lu(np.concatenate(lower), np.concatenate(main),
-                        np.concatenate(upper))
-    return np.concatenate(flat), lu
+    n = diags[1].shape[1]
+    L, D, U = (d.reshape(-1) for d in diags)
+    pieces = [c * n + idx for idx in runs for c in (0, 1)]
+    flat = np.concatenate(pieces)
+    sizes = np.array([p.size for p in pieces])
+    ends = np.cumsum(sizes)
+    # row p + 1 couples back to row p through lower[p], row p to p + 1
+    # through upper[p].  At a piece's last row p the coupling is cut: ones
+    # stand in there for the check and the ratios, and T gets a zero
+    lower, upper = L[flat[1:]], U[flat[:-1]]
+    cut = ends[:-1] - 1
+    lower[cut] = upper[cut] = 1.0
+    prod = lower * upper
+    if not np.all(prod > 0.0):
+        raise np.linalg.LinAlgError("channel band is not symmetrizable")
+    off = np.copysign(np.sqrt(prod), upper)
+    off[cut] = 0.0
+    ratio = np.sqrt(lower / upper)
+    scale = np.empty(flat.size)
+    for start, end in zip(ends - sizes, ends):
+        scale[start] = 1.0
+        np.cumprod(ratio[start:end - 1], out=scale[start + 1:end])
+    return flat, _SymmetrizedBand(D[flat], off, scale)
+
+
+class _SymmetrizedBand:
+    """Solves with A = S T S^-1: T symmetric positive definite tridiagonal.
+
+    T (diagonal ``main``, off-diagonal ``off``, both overwritten) is factored
+    L D L^T by LAPACK ``dpttrf``, which does not pivot; a band it finds not
+    positive definite is refused.  S = diag(``scale``).  A solve is b / s,
+    ``dpttrs``, times s, and the transposed one b s, ``dpttrs``, over s,
+    from the same factor.
+    """
+
+    def __init__(self, main, off, scale):
+        self._d, self._e, info = lapack.dpttrf(main, off, overwrite_d=1, overwrite_e=1)
+        if info:
+            raise np.linalg.LinAlgError("channel band is not positive definite")
+        self._scale = scale
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^-1 b (``trans="T"``: A^-T b) for b of shape (m,) or (m, k)."""
+        s = self._scale if b.ndim == 1 else self._scale[:, None]
+        if trans == "T":
+            x = lapack.dpttrs(self._d, self._e, b * s, overwrite_b=1)[0]
+            x /= s
+        else:
+            x = lapack.dpttrs(self._d, self._e, b / s, overwrite_b=1)[0]
+            x *= s
+        return x
 
 
 def _cyclic_corners(diags):
@@ -396,19 +443,20 @@ class SubdomainSolver:
     :func:`channel_diagonals`.  Each of ``runs`` must be one run of
     consecutive nodes in period order (the thick run wraps across
     tau = +-2 and is rolled into that order); runs may overlap.  Each
-    channel's Dirichlet submatrix on each run is a piece of one band
-    (:func:`_stacked_band`), so a solve is one
-    :func:`~wpneck.grids.tridiagonal_solve`, in the band's stacked order (a
-    node in two overlapping runs appears there twice).
+    channel's Dirichlet submatrix on each run is a piece of one symmetrized
+    band (:func:`_stacked_band`), so a solve is one ``dpttrs`` between two
+    diagonal scalings, in the band's stacked order (a node in two
+    overlapping runs appears there twice).
     """
 
     def __init__(self, diags, runs):
         n = diags[1].shape[1]
-        self.flat, self._lu = _stacked_band(diags, [_period_run(idx, n) for idx in runs])
+        self.flat, self._band = _stacked_band(diags,
+                                              [_period_run(idx, n) for idx in runs])
 
     def solve_channels(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """One band solve; ``b`` and the solution are in stacked order."""
-        return tridiagonal_solve(self._lu, b, trans)
+        return self._band.solve(b, trans)
 
 
 def discrete_near_null(solve, seed: np.ndarray) -> np.ndarray:
@@ -495,9 +543,11 @@ class GlobalModeSolver:
 
     Both rho channels (:func:`channel_diagonals`) form one tridiagonal band
     A0 with their cyclic corners cut (:func:`_cyclic_corners`), A = A0 + E R
-    (E the unit columns of the four corner rows, R their corner entries),
-    factored once.  At k = 0 each channel's kernel sqrt(F), sharpened to the
-    discrete near-null vector by inverse iteration, borders it:
+    (E the unit columns of the four corner rows, R their corner entries).
+    A0 is factored once, each channel a piece of one symmetrized band
+    (:func:`_stacked_band`), which serves both ``trans``.  At k = 0 each
+    channel's kernel sqrt(F), sharpened to the discrete near-null vector by
+    inverse iteration, borders it:
     [[P_0^+-, c], [c^T, 0]] with c the weighted kernel keeps the solution in
     the kernel's weighted complement, and the multiplier absorbs any kernel
     component of the right-hand side.  A solve is one band solve and a 4 x 4
@@ -513,7 +563,7 @@ class GlobalModeSolver:
         self.grid = grid
         self.diags = channel_diagonals(surface, grid, self.k)
         n = grid.n
-        solve = partial(tridiagonal_solve, _stacked_band(self.diags, [np.arange(n)])[1])
+        solve = _stacked_band(self.diags, [np.arange(n)])[1].solve
         # corner row rows[i] holds R's entry corners[1][i] in column corners[0][i]
         rows, corners = _cyclic_corners(np.stack(self.diags, axis=1))
         E, Rt = np.zeros((2 * n, 4)), np.zeros((2 * n, 4))
@@ -658,6 +708,11 @@ def _even_sector(diags, sqF, weights) -> _Closure:
     return _Closure(_band_solve(band), cols, (np.zeros(0, int), np.zeros(0)), dense, 2)
 
 
+def _abs_max(a: np.ndarray) -> float:
+    """The largest |entry| of ``a``, by two reductions instead of an |a| copy."""
+    return max(a.max(), -a.min())
+
+
 def _reflect(v: np.ndarray) -> np.ndarray:
     """R v, (R v)_i = v_{n - i} (indices mod n), along the last axis."""
     return np.roll(v[..., ::-1], 1, axis=-1)
@@ -767,14 +822,20 @@ class FactoredGlobalSolver:
         h = n // 2
         mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
         x = np.zeros((2, n))
-        even = np.empty((2, h + 1))
-        even[:, [0, h]] = rhs[:, [0, h]]
-        even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
         if odd:
-            if np.abs(even).max() > 1e-10 * np.abs(rhs).max():
+            # twice the even part on the nodes 1 ... h - 1, in the solution's
+            # buffer, which is zeroed again after the check
+            twice = np.add(rhs[:, 1:h], mirror, out=x[:, 1:h])
+            even_max = max(_abs_max(rhs[:, 0]), _abs_max(rhs[:, h]),
+                           0.5 * _abs_max(twice))
+            if even_max > 1e-10 * _abs_max(rhs):
                 raise ValueError("the right-hand side is not odd under the grid "
                                  "reflection; solve it without odd=True")
+            twice[...] = 0.0
         else:
+            even = np.empty((2, h + 1))
+            even[:, [0, h]] = rhs[:, [0, h]]
+            even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
             if self._even is None:
                 self._even = _even_sector(self.diagonals, self.sqF, self.grid.weights)
             x[:, :h + 1] = self._even(even.T).T

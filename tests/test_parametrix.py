@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from wpneck import parametrix, surface
 from wpneck.grids import periodic_grid
@@ -16,11 +15,11 @@ from wpneck.parametrix import (ModeParametrix, ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
 from wpneck.surface import (CutoffPair, GlobalModeSolver, ModelSurfaceMetric,
-                            thick_indices, thin_indices)
+                            SubdomainSolver, thick_indices, thin_indices)
 from wpneck.ttbasis import tt_element
 from wpneck.wp import length_variation, twist_variation
 
-from conftest import channel_matrices
+from conftest import channel_matrices, cyclic_diagonals
 
 
 @pytest.fixture(scope="module")
@@ -276,33 +275,28 @@ def test_band_commutators_match_the_commutator_formula():
 
 
 def test_stacked_gtilde_matches_per_subdomain_solves():
-    # oracle: one gttrf band per subdomain (both channels stacked), taken
-    # from the sparse channel matrix, as each block solved before the two
-    # subdomains shared one band
+    # oracle: one band per subdomain (both channels stacked), taken from the
+    # sparse channel matrix, as each block solved before the two subdomains
+    # shared one band.  The symmetrizing scaling restarts on each piece, so
+    # stacking changes no bit; test_surface.py holds the factor itself
+    # against pivoted dgttrf
     grid = periodic_grid(-2.0, 2.0, 2048)
     cut = CutoffPair()
     x = grid.nodes
     n = grid.n
     w = np.vstack([np.exp(np.cos(np.pi * x / 2.0)), 0.4 * np.sin(np.pi * x)])
-    runs = []
-    for idx in (thick_indices(grid), thin_indices(grid)):
-        brk = np.nonzero(np.diff(idx) != 1)[0]
-        runs.append(np.roll(idx, -(brk[0] + 1)) if brk.size else idx)
-    pairs = [(cut.chi0(x), cut.chi0_widened(x)), (cut.chi1(x), cut.chi1_widened(x))]
+    pairs = [(thick_indices(grid), cut.chi0(x), cut.chi0_widened(x)),
+             (thin_indices(grid), cut.chi1(x), cut.chi1_widened(x))]
     for ell in (0.035, 0.1, 0.4):
         surf = ModelSurfaceMetric(ell=ell)
         for k in (0, 3, 8):
             blk = ModeParametrix(surf, grid, k, cut)
-            P, _ = channel_matrices(surf, grid, k)
+            diags = cyclic_diagonals(channel_matrices(surf, grid, k)[0])
             ref = np.zeros_like(w)
-            for idx, (chi, chiw) in zip(runs, pairs):
-                flat = np.concatenate([idx, n + idx])
-                band = P[flat][:, flat].tocoo()
-                *lu, info = lapack.dgttrf(band.diagonal(-1), band.diagonal(),
-                                          band.diagonal(1))
-                sol, _ = lapack.dgttrs(*lu, (chi * w).reshape(-1)[flat])
+            for idx, chi, chiw in pairs:
+                sub = SubdomainSolver(diags, [idx])
                 pad = np.zeros(2 * n)
-                pad[flat] = sol
+                pad[sub.flat] = sub.solve_channels((chi * w).reshape(-1)[sub.flat])
                 ref += chiw * pad.reshape(2, n)
             assert np.array_equal(blk.apply_Gtilde(w), ref), (ell, k)
 
@@ -334,6 +328,32 @@ def test_refuses_outside_working_range(grid):
     fam = ParametrixFamily(grid, ks=[1], ell_refs=(0.05, 0.07))
     with pytest.raises(ArithmeticError):
         fam.report(0.4)
+
+
+# ParametrixFamily(periodic_grid(-2, 2, 1024), ks=[0, 1, 3]).report(ell) as
+# (ell, norm_S, norm_R, per_mode_S, neumann_terms), recorded while the
+# channel bands were still factored by pivoting dgttrf
+_PINNED_REPORTS = (
+    (0.4, 0.6509548161483935, 12.94921642070522,
+     {0: 0.6509548161483935, 1: 0.13260911874755982, 3: 0.0006843121510233071}, 9),
+    (0.1, 0.04053021079256405, 13.17939280198013,
+     {0: 0.04053021079256405, 1: 0.00964185160812592, 3: 5.651711555807075e-05}, 6),
+    (0.05, 0.00269014006014048, 13.184012374232369,
+     {0: 0.00269014006014048, 1: 0.000740742069701531, 3: 2.9176034959433756e-06}, 5),
+)
+
+
+def test_report_values_are_pinned(family):
+    # the norms move only by the round-off of the band factor; the Neumann
+    # term counts not at all
+    for ell, norm_S, norm_R, per_mode, terms in _PINNED_REPORTS:
+        rep = family.report(ell)
+        assert rep.norm_S == pytest.approx(norm_S, rel=1e-7, abs=0.0), ell
+        assert rep.norm_R == pytest.approx(norm_R, rel=1e-7, abs=0.0), ell
+        assert rep.per_mode_S.keys() == per_mode.keys(), ell
+        for k, v in per_mode.items():
+            assert rep.per_mode_S[k] == pytest.approx(v, rel=1e-7, abs=0.0), (ell, k)
+        assert rep.neumann_terms == terms, ell
 
 
 # -- projection ------------------------------------------------------------------

@@ -343,7 +343,7 @@ def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
 def test_wp_row_peak_memory():
     # "memory stays flat": the traced peak of one sweep row at n = 16384, its
     # conformal factor included, after a row on the same grid has built the
-    # grid's shared pieces.  Measured 2.50 MB (3.81 MB when the length and the
+    # grid's shared pieces.  Measured 2.37 MB (3.81 MB when the length and the
     # twist were projected separately)
     grid = periodic_grid(-2.0, 2.0, 16384)
 
