@@ -15,6 +15,10 @@ tau = 0 without a uniform grid of size ~1/ell.
 Every grid stores ``d1``/``d2`` as CSR matrices, built on the first read, so
 callers that use only nodes and weights never pay for them.  Threads first
 reading one grid at once (``--jobs``) may build them twice, with equal results.
+
+An even periodic grid has a mirror half (:attr:`RadialGrid.mirror_half`): the
+nodes 0 ... n/2, which carry a field that is even or odd under the grid
+reflection R: i -> n - i, with the quadrature of the even ones.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ class RadialGrid:
 
     ``d1``/``d2`` are CSR matrices acting on samples at ``nodes``; ``weights``
     integrate against them.  ``scheme`` is one of ``uniform``, ``chebyshev``,
-    ``periodic``.  ``_stencils()`` returns (d1, d2) and runs on the first read
+    ``periodic``, or ``mirror half`` (:attr:`mirror_half`, which has no
+    stencils).  ``_stencils()`` returns (d1, d2) and runs on the first read
     of either (twice, with equal results, if two threads read first at once).
     :meth:`memo` keeps other arrays of the nodes alone with the grid.
     Instances are otherwise immutable and safe to share.
@@ -87,7 +92,9 @@ class RadialGrid:
     order: int
     periodic: bool = False
     _stencils: object = field(repr=False, default=None)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # a mirror half shares its grid's memo, whose entries are over _memo_nodes
+    _memo: dict = field(default_factory=dict, repr=False)
+    _memo_nodes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.all(np.diff(self.nodes) > 0):
@@ -122,18 +129,40 @@ class RadialGrid:
         return self._built[1]
 
     def memo(self, key: str, build):
-        """``build()``, run on the first call with ``key`` and kept with the grid.
+        """``build(nodes)``, run on the first call with ``key`` and kept with the grid.
 
-        For arrays that depend on the nodes alone, never on a surface or its
-        ell: every solve on the grid then shares them, and they die with it.
-        The arrays of the result (an array or a tuple of them, nested) are
-        made read-only.  Threads first asking at once may build twice, with
-        equal results; all of them get the first one stored.
+        For arrays over the nodes that depend on the nodes alone, never on a
+        surface or its ell: every solve on the grid then shares them, and
+        they die with it.  The arrays of the result (an array or a tuple of
+        them, nested) are made read-only.  Threads first asking at once may
+        build twice, with equal results; all of them get the first one
+        stored.  A :attr:`mirror_half` reads its grid's entry, each array cut
+        to the half's nodes: views, so the two share one build.
         """
         try:
-            return self._memo[key]
+            value = self._memo[key]
         except KeyError:
-            return self._memo.setdefault(key, _read_only(build()))
+            nodes = self.nodes if self._memo_nodes is None else self._memo_nodes
+            value = self._memo.setdefault(key, _read_only(build(nodes)))
+        return value if self._memo_nodes is None else _head(value, self.n)
+
+    @cached_property
+    def mirror_half(self) -> "RadialGrid":
+        """The nodes 0 ... n/2 of an even periodic grid, for fields with a parity
+        under the reflection R: i -> n - i.
+
+        A sum over the grid of an R-even field is its sum over these nodes
+        with the weights w_0, 2 w_1, ..., 2 w_{n/2 - 1}, w_{n/2}, which are
+        the half's.  The nodes are a view of the grid's, and the half shares
+        the grid's :meth:`memo`; it holds no reference to the grid.
+        """
+        if not self.periodic or self.n % 2:
+            raise ValueError("only an even periodic grid has a mirror half")
+        h = self.n // 2
+        weights = self.weights[:h + 1].copy()
+        weights[1:h] *= 2.0
+        return RadialGrid(self.nodes[:h + 1], weights, "mirror half", self.order,
+                          _memo=self._memo, _memo_nodes=self.nodes)
 
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ f)
@@ -156,6 +185,13 @@ def _read_only(value):
         for v in value:
             _read_only(v)
     return value
+
+
+def _head(value, m: int):
+    """``value`` (an array or a nested tuple of them) cut to its first m columns."""
+    if isinstance(value, np.ndarray):
+        return value[..., :m]
+    return tuple(_head(v, m) for v in value)
 
 
 def _stencil(n: int, weights, ends=None) -> sp.csr_matrix:

@@ -436,7 +436,9 @@ def project_tt(
     variations are by construction.  Its Bianchi image is then odd, and the
     factored solver solves only its odd sector
     (``solve_sigma(..., odd=True)``), which refuses an rhs that is not odd
-    and any k >= 1.  The parametrix route ignores it.
+    and any k >= 1.  Such an ``h`` may also be given on the grid's mirror
+    half (:attr:`~wpneck.grids.RadialGrid.mirror_half`), and is then
+    projected there.  The parametrix route ignores ``even``.
     """
     if h.rank is Rank.SYM2_TRACEFREE:
         h = h.as_full()
@@ -451,7 +453,7 @@ def project_tt(
             ModeField(h.k, Rank.ONE_FORM, grid, b, h.variant).rho())
         w = ModeField.one_form_rho(h.k, grid, sol[0], sol[1], h.variant)
         corr = (opk.conformal_killing @ w.data.reshape(-1)).reshape(2, -1)
-    return ModeField(h.k, Rank.SYM2_TRACEFREE, grid, h.data[:2] - corr, h.variant)
+    return ModeField(h.k, Rank.SYM2_TRACEFREE, h.grid, h.data[:2] - corr, h.variant)
 
 
 @dataclass(frozen=True)

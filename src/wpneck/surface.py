@@ -42,7 +42,8 @@ swaps the two channels, so only one is factored (cyclic, with the same
 closure).  At k = 0, R commutes with the operator, which splits into an odd
 and an even sector, each a plain band on half the nodes.  The odd sector is
 invertible and is all that a Weil-Petersson row needs, since the Bianchi
-images of even variations are odd.  The even sector holds both null
+images of even variations are odd; such a row runs on the nodes 0 ... n/2
+alone, the grid's mirror half.  The even sector holds both null
 directions, sqrt(F) and, on an even grid, the checkerboard (-1)^i / sqrt(F)
 of the central difference; a closure borders both.  The solver refuses odd
 grids, where the exact null direction is a checkerboard remnant that no
@@ -190,7 +191,7 @@ class ModelSurfaceMetric:
     @staticmethod
     def grid_pieces(grid: RadialGrid):
         """:meth:`pieces` at the nodes of ``grid``, computed once per grid."""
-        return grid.memo("profile pieces", lambda: ModelSurfaceMetric.pieces(grid.nodes))
+        return grid.memo("profile pieces", ModelSurfaceMetric.pieces)
 
     def _combine(self, pieces):
         s, (Q, Qp, Qpp), (w, wp, wpp) = pieces
@@ -206,7 +207,7 @@ class ModelSurfaceMetric:
 
         It combines the grid's shared :meth:`grid_pieces`.  A WP row reads
         it on two grids, the neck grid of the conformal solve and then the
-        periodic grid of the variations and the k = 0 solver.
+        periodic grid's mirror half, for the variations and the k = 0 solver.
         """
         if not self._grid_jet or self._grid_jet[0] is not grid:
             self._grid_jet[:] = [grid, self._combine(self.grid_pieces(grid))]
@@ -591,12 +592,21 @@ class GlobalModeSolver:
         return self._solvers[trans](w.reshape(-1)).reshape(w.shape)
 
 
-def _central(u: np.ndarray, c: float) -> np.ndarray:
-    """The periodic d1 stencil c (u[i + 1] - u[i - 1]) along the last axis."""
+def _central(u: np.ndarray, c: float, mirror: float | None = None) -> np.ndarray:
+    """The periodic d1 stencil c (u[i + 1] - u[i - 1]) along the last axis.
+
+    With ``mirror`` = +-1, u is given on a grid's mirror half, the nodes
+    0 ... n/2, and continues past them as u_{-1} = mirror u_1 and
+    u_{n/2 + 1} = mirror u_{n/2 - 1}.
+    """
     d = np.empty_like(u)
     d[..., 1:-1] = u[..., 2:] - u[..., :-2]
-    d[..., 0] = u[..., 1] - u[..., -1]
-    d[..., -1] = u[..., 0] - u[..., -2]
+    if mirror is None:
+        d[..., 0] = u[..., 1] - u[..., -1]
+        d[..., -1] = u[..., 0] - u[..., -2]
+    else:
+        d[..., 0] = u[..., 1] - mirror * u[..., 1]
+        d[..., -1] = mirror * u[..., -2] - u[..., -2]
     return c * d
 
 
@@ -638,14 +648,16 @@ def _cut_band(diags) -> np.ndarray:
     return buf.reshape(c * n, -1).T
 
 
-def _band_solve(diags):
-    """A solve with the ``dgbtrf`` factors of the band of ``diags``, corners cut.
+def _band_solve(ab):
+    """A solve with the ``dgbtrf`` factors of the half-width-2 band ``ab``.
 
-    ``diags`` is (c, 5, n) as in :func:`_cyclic_corners`.  The returned
-    solve holds the factors and nothing else, so a solver that keeps it
-    forms no reference cycle and is freed without the garbage collector.
+    ``ab`` is LAPACK band storage, (7, m) in Fortran order as
+    :func:`_cut_band` and :func:`_odd_band` write it, and is factored in
+    place.  The returned solve holds the factors and nothing else, so a
+    solver that keeps it forms no reference cycle and is freed without the
+    garbage collector.
     """
-    lu, piv, info = lapack.dgbtrf(_cut_band(diags), 2, 2, overwrite_ab=1)
+    lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info:
         raise RuntimeError("factored band is exactly singular")
     return lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0]
@@ -660,7 +672,8 @@ def _sector_diagonals(diags, n: int, odd: bool) -> np.ndarray:
     (u_0 = u_{n/2} = 0), the even one 0 ... n/2.  A column outside the
     sector is folded onto its mirror by u_{-j} = -+u_j, u_{n/2 + j} =
     -+u_{n/2 - j}; the entries left outside are the wrapped ones that
-    :func:`_cut_band` cuts.
+    :func:`_cut_band` cuts.  The solver writes the odd sector's band
+    directly (:func:`_odd_band`).
     """
     lo, hi = (1, n // 2 - 1) if odd else (0, n // 2)
     sign = -1.0 if odd else 1.0
@@ -705,7 +718,43 @@ def _even_sector(diags, sqF, weights) -> _Closure:
     for j, u in enumerate((sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF), 2):
         cols[:, j] = (weights * u / np.linalg.norm(u))[:h + 1]
         dense[j] = twice * cols[:, j]
-    return _Closure(_band_solve(band), cols, (np.zeros(0, int), np.zeros(0)), dense, 2)
+    return _Closure(_band_solve(_cut_band(band)), cols, (np.zeros(0, int), np.zeros(0)),
+                    dense, 2)
+
+
+def _odd_band(sqF, beta, c) -> np.ndarray:
+    """The ``dgbtrf`` storage (7, n/2 - 1) of M = -A B on its odd sector.
+
+    ``sqF`` and ``beta`` are given on the nodes 0 ... n/2, the only ones
+    that the sector's rows 1 ... n/2 - 1 read, and ``c`` is the d1 weight.
+    The band is :func:`_cut_band` of the odd :func:`_sector_diagonals` of
+    :func:`_factored_diagonals`, bit for bit: each entry sums the same
+    products in the same order, read by slices instead of rolls, straight
+    into its place in the band.
+    """
+    h = sqF.size - 1
+    a = (-c * sqF, 2.0 * beta, c * sqF)
+    b = (-0.5 * c * sqF, -0.5 * beta, 0.5 * c * sqF)
+    ab = np.zeros((7, h - 1), order="F")
+    for s in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            # M[i, i + d] sits in band row 4 - d, column i + d - 1, for the
+            # rows i with both i and i + d in 1 ... n/2 - 1
+            d = s + t
+            lo, hi = 1 + max(-d, 0), h - max(d, 0)
+            ab[4 - d, lo + d - 1:hi + d - 1] -= a[s + 1][lo:hi] * b[t + 1][lo + s:hi + s]
+    # the columns -1 and n/2 + 1 fold onto their mirrors 1 and n/2 - 1
+    # (u_{-j} = -u_j); the columns 0 and n/2 hold u = 0
+    ab[4, 0] -= 0.0 - a[0][1] * b[0][0]
+    ab[4, h - 2] -= 0.0 - a[2][h - 1] * b[2][h]
+    return ab
+
+
+def _coefficients(jet) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(F), beta = F' / (2 sqrt(F))) from the jet (F, F', F'')."""
+    F, Fp, _ = jet
+    sqF = np.sqrt(F)
+    return sqF, Fp / (2.0 * sqF)
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -749,15 +798,20 @@ class FactoredGlobalSolver:
     A solve splits each sigma component into its even and odd parts and
     solves each in its sector of R (:func:`_sector_diagonals`), both
     components as the columns of one ``dgbtrs`` per sector.  The odd sector
-    is a plain band, factored here from the coefficients of the nodes
-    0 ... n/2 alone.  The even sector holds M's two null directions, sqrt(F)
-    and the checkerboard (-1)^i / sqrt(F); its bordered solve
-    (:func:`_even_sector`, built on the first solve that needs it) keeps the
-    solution in the complement of the weighted pair, as a bordered solve
-    with the whole of M does.  ``solve_sigma(rhs, odd=True)`` solves the odd
-    sector alone, for a right-hand side odd by construction (the Bianchi
-    image of an even tensor), and refuses one whose even part is not
-    round-off.  ``kernel`` gives sqrt(F) in each component, in the (2, 2n)
+    is a plain band, written into LAPACK storage (:func:`_odd_band`) and
+    factored here from the coefficients of the nodes 0 ... n/2 alone, read
+    on the grid's mirror half; those of the whole grid (:attr:`sqF`,
+    :attr:`beta`) are built on first read.  The even sector holds M's two
+    null directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F); its
+    bordered solve (:func:`_even_sector`, built on the first solve that
+    needs it) keeps the solution in the complement of the weighted pair, as
+    a bordered solve with the whole of M does.  ``solve_sigma(rhs,
+    odd=True)`` solves the odd sector alone, for a right-hand side odd by
+    construction (the Bianchi image of an even tensor), and refuses one
+    whose even part is not round-off.  :meth:`bianchi`, :meth:`solve_sigma`
+    and :meth:`conformal_killing` also take such fields on the mirror half
+    (n/2 + 1 columns), where a WP row computes them, and give their images
+    there.  ``kernel`` gives sqrt(F) in each component, in the (2, 2n)
     layout.  Odd grids are refused: there the exact null direction is a
     checkerboard remnant that nothing borders.
     """
@@ -765,28 +819,38 @@ class FactoredGlobalSolver:
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
+        self.surface = surface
         n = grid.n
         if n % 2:
             raise ValueError(f"the factored solver needs an even grid (got n = {n})")
-        F, Fp, _ = surface.grid_jet(grid)
-        self.sqF = sqF = np.sqrt(F)
-        self.beta = Fp / (2.0 * sqF)
         self._c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
-        self._K = self._even = None
+        self._K = self._even = self._half = None
         if self.k:
-            self._K = self.k / sqF
+            self._K = self.k / self.sqF
             # M+ = band + E R: E the unit columns of the corner rows, R their
             # corner entries
             rows, corners = _cyclic_corners(self.diagonals[:1])
             cols = np.zeros((n, rows.size), order="F")
             cols[rows, np.arange(rows.size)] = 1.0
-            self._solve = _Closure(_band_solve(self.diagonals[:1]), cols, corners,
-                                   np.zeros((0, n)), rows.size)
+            self._solve = _Closure(_band_solve(_cut_band(self.diagonals[:1])), cols,
+                                   corners, np.zeros((0, n)), rows.size)
         else:
             # the odd sector's rows 1 ... n/2 - 1 read the nodes 0 ... n/2 alone
-            half = slice(0, n // 2 + 1)
-            diags = _factored_diagonals(sqF[half], self.beta[half], None, self._c)
-            self._solve = _band_solve(_sector_diagonals(diags, n, odd=True))
+            self._half = _coefficients(surface.grid_jet(grid.mirror_half))
+            self._solve = _band_solve(_odd_band(*self._half, self._c))
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(F), beta) on the whole grid, built on first read at k = 0."""
+        return _coefficients(self.surface.grid_jet(self.grid))
+
+    @property
+    def sqF(self) -> np.ndarray:
+        return self._whole[0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self._whole[1]
 
     @cached_property
     def diagonals(self) -> np.ndarray:
@@ -807,7 +871,10 @@ class FactoredGlobalSolver:
 
         With ``odd`` (k = 0 only) the rhs must be odd under the grid
         reflection, and only the odd sector is solved: a ValueError is
-        raised when its even part exceeds 1e-10 of its largest entry.
+        raised when its even part exceeds 1e-10 of its largest entry.  An
+        odd rhs may also be given on the grid's mirror half, (2, n/2 + 1),
+        as :meth:`bianchi` gives it there; its even part is then its values
+        at the nodes 0 and n/2, and the solution is given on the half too.
         """
         if self.k:
             if odd:
@@ -818,8 +885,18 @@ class FactoredGlobalSolver:
             y = self._solve(b)
             p, m = y[:, 0], _reflect(y[:, 1])
             return 0.5 * np.array([p + m, p - m])
+        h = self.grid.n // 2
+        if rhs.shape[1] == h + 1:
+            if not odd:
+                raise ValueError("a right-hand side on the mirror half is solved "
+                                 "with odd=True")
+            if max(_abs_max(rhs[:, 0]), _abs_max(rhs[:, h])) > 1e-10 * _abs_max(rhs):
+                raise ValueError("the right-hand side on the mirror half is not odd "
+                                 "under the grid reflection")
+            x = np.zeros((2, h + 1))
+            x[:, 1:h] = self._solve(rhs[:, 1:h].T).T
+            return x
         n = rhs.shape[1]
-        h = n // 2
         mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
         x = np.zeros((2, n))
         if odd:
@@ -845,21 +922,38 @@ class FactoredGlobalSolver:
         x[:, h + 1:] -= y[:, ::-1]
         return x
 
+    def _on(self, u: np.ndarray, parity: float):
+        """(sqrt(F), beta, mirror) for ``u`` on the grid (mirror None) or on its
+        mirror half, where u continues with ``parity`` (+1 even, -1 odd)."""
+        if u.shape[1] == self.grid.n:
+            return self.sqF, self.beta, None
+        if self._half is None:
+            raise ValueError("only the k = 0 solver works on the mirror half")
+        return (*self._half, parity)
+
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.
 
         The trace column cancels exactly, so this is -(A phi + K psi,
-        K phi + A psi).
+        K phi + A psi).  At k = 0, data with n/2 + 1 columns is an even
+        tensor on the grid's mirror half, and its odd image is given there.
         """
         u = h[:2]
-        out = -(self.sqF * _central(u, self._c) + 2.0 * self.beta * u)
+        sqF, beta, mirror = self._on(u, 1.0)
+        out = -(sqF * _central(u, self._c, mirror) + 2.0 * beta * u)
         if self.k:
             out -= self._K * u[::-1]
         return out
 
     def conformal_killing(self, w: np.ndarray) -> np.ndarray:
-        """The conformal Killing operator: sigma components -> (phi, psi)."""
-        out = 0.5 * (self.sqF * _central(w, self._c) - self.beta * w)
+        """The conformal Killing operator: sigma components -> (phi, psi).
+
+        At k = 0, components with n/2 + 1 columns are an odd one-form on the
+        grid's mirror half (0 at the nodes 0 and n/2), and its even image is
+        given there.
+        """
+        sqF, beta, mirror = self._on(w, -1.0)
+        out = 0.5 * (sqF * _central(w, self._c, mirror) - beta * w)
         if self.k:
             out -= 0.5 * self._K * w[::-1]
         return out

@@ -23,7 +23,7 @@ the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,22 +52,22 @@ class ConformalFactor:
     def weight(self, grid: RadialGrid) -> np.ndarray:
         """exp(-2 u) at the nodes of ``grid``, extended by 1 outside the solve domain.
 
-        The folded nodes inside the domain depend on ``grid`` alone and are
-        kept with it (:meth:`~wpneck.grids.RadialGrid.memo`).
+        The folded nodes and the mask of those inside the domain depend on
+        ``grid`` alone and are kept with it
+        (:meth:`~wpneck.grids.RadialGrid.memo`); on a grid's mirror half
+        they are views of the grid's, so the weight is evaluated there alone.
         """
         b = self.grid.b
-        inside, t = grid.memo(f"nodes inside |tau| <= {b!r}",
-                              lambda: _inside(grid.nodes, b))
+        inside, t = grid.memo(f"nodes inside |tau| <= {b!r}", partial(_inside, b=b))
         out = np.ones(grid.n)
-        out[inside] = np.exp(-2.0 * np.interp(t, self.grid.nodes, self.u))
+        out[inside] = np.exp(-2.0 * np.interp(t[inside], self.grid.nodes, self.u))
         return out
 
 
 def _inside(tau: np.ndarray, b: float):
-    """(mask, t): the nodes with |t| <= b, t = fold_tau(tau), and their t."""
+    """(mask, t): t = fold_tau(tau) and the mask of the nodes with |t| <= b."""
     t = fold_tau(tau)
-    inside = np.abs(t) <= b
-    return inside, t[inside]
+    return np.abs(t) <= b, t
 
 
 _NEWTON_TOL = 1e-11  # sup-norm residual that ends the Newton iteration

@@ -16,6 +16,28 @@ TT projection and phi the neck conformal factor.  On the rotational
 surrogate the phi- and psi-systems decouple at k = 0, so one projection of
 (phi_l, psi_w, 0) projects both variations, and the cross coefficient g_lw,
 computed by pairing the split rows, vanishes by theta-reflection parity.
+Both variations are even under tau -> -tau, so a row is computed on the
+nodes 0 ... n/2 of the periodic grid (its mirror half): the variations,
+the projection and the weight there, the pairings with the half's weights.
+
+Normalization.  The pairing integrates |h|^2 = 2 (phi^2 + psi^2) over
+dA = dtau dtheta, in the frame s1 = dtau / sqrt(F), s2 = sqrt(F) dtheta of
+:mod:`wpneck.modefields`.  With dx = dtau / F the metric is F |dz|^2 in
+z = x + i theta, and s1 = sqrt(F) dx, s2 = sqrt(F) dtheta.  A Beltrami
+differential mu = a + i b moves it by
+
+    g. = F (conj(mu) dz^2 + mu conj(dz)^2) = 2 Re(conj(mu) F dz^2)
+       = 2a (s1^2 - s2^2) + 2b (s1 s2 + s2 s1),
+
+so phi = 2a, psi = 2b and |g.|^2 = 8 |mu|^2: the pairings here are 8 times
+int |mu|^2 dA, the WP metric in the normalization taken for Wolpert's
+expansion below.  On the collar, F = tau^2 + ell^2, the length variation
+phi = -2 ell / F is TT, and g_ll = 2 pi int 2 phi^2 dtau
+-> 16 pi ell^2 * pi / (2 ell^3) = 8 pi^2 / ell.  Wolpert's
+<grad L, grad L> = 2 L / pi + O(L^4) (J. Differential Geom. 79, 2008), for
+the core length L = 2 pi ell, gives to leading order g_LL = pi / (2 L),
+which is pi^2 / ell in ell: the factor 8.  The ratio
+g_ww / (g_ll ell^4) -> 1 / pi^2 does not depend on it.
 
 The fitter performs least squares in the half-integer/log design
 {ell^{k/2} (log ell)^j}; columns are sup-normalized before solving and the
@@ -53,7 +75,7 @@ def _variations(surface: ModelSurfaceMetric, grid: RadialGrid, length: bool,
     """(phi_l, psi_w, 0) at k = 0, phi_l = -dF/dell / F and psi_w = F s'(tau),
     each 0 unless asked; s' at the grid's nodes is kept with the grid."""
     F = surface.grid_jet(grid)[0]
-    s1 = grid.memo("twist step d1", lambda: twist_step_d1(fold_tau(grid.nodes)))
+    s1 = grid.memo("twist step d1", lambda tau: twist_step_d1(fold_tau(tau)))
     data = np.zeros((3, grid.n))
     data[0] = -surface.grid_dF_dell(grid) / F if length else 0.0
     data[1] = F * s1 if twist else 0.0
@@ -106,14 +128,16 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
     assumed: each of its terms pairs a row with the other's zero row.
     """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
-    # both variations are even in tau, so only the odd sector is solved
-    t = project_tt(surface, grid, _variations(surface, grid, length=True, twist=True),
+    # both variations are even in tau: they, their projections and the
+    # pairings live on the grid's mirror half, and only the odd sector is solved
+    half = grid.mirror_half
+    t = project_tt(surface, grid, _variations(surface, half, length=True, twist=True),
                    solvers=bank, even=True).data
     # (t_l, 0) and (0, t_w) as two views of [t_l; 0; t_w], sharing the zero row
-    rows = np.zeros((3, grid.n))
+    rows = np.zeros((3, half.n))
     rows[0], rows[2] = t
-    tl, tw = (ModeField(0, Rank.SYM2_TRACEFREE, grid, rows[i:i + 2]) for i in (0, 1))
-    weight = None if conformal is None else conformal.weight(grid)
+    tl, tw = (ModeField(0, Rank.SYM2_TRACEFREE, half, rows[i:i + 2]) for i in (0, 1))
+    weight = None if conformal is None else conformal.weight(half)
     return {
         "g_ll": mode_inner_product(tl, tl, weight),
         "g_lw": mode_inner_product(tl, tw, weight),

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,3 +271,15 @@ def test_fit_rejects_non_finite_samples(tmp_path, capsys):
     assert main(["fit", str(csv_path), "--half-powers", "2",
                  "--log-powers", "0"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_package_version_matches_the_project_metadata():
+    # benchmark records report wpneck.__version__; pyproject.toml states it too
+    import tomllib
+    from pathlib import Path
+
+    import wpneck
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert wpneck.__version__ == tomllib.load(fh)["project"]["version"]

@@ -204,3 +204,32 @@ def test_tridiagonal_lu_refuses_an_exactly_singular_band():
                           np.array([1.0, 0.0, 0.0]))
     with pytest.raises(np.linalg.LinAlgError):
         tridiagonal_lu(lower, diag, upper)
+
+
+def test_mirror_half_integrates_even_fields_and_shares_the_memo():
+    grid = periodic_grid(-2.0, 2.0, 64)
+    half = grid.mirror_half
+    assert half is grid.mirror_half  # kept with the grid
+    assert half.n == 33 and np.shares_memory(half.nodes, grid.nodes)
+    assert half.nodes[0] == -2.0 and half.nodes[-1] == 0.0
+    # an even field pairs the same on the half as on the whole grid
+    f = np.cos(np.pi * grid.nodes / 2.0) ** 2 + np.cos(np.pi * grid.nodes)
+    assert half.integrate(f[:33]) == pytest.approx(grid.integrate(f), rel=1e-15)
+    # one build serves both; the half reads a view of the grid's entry
+    builds = []
+
+    def build(nodes):
+        builds.append(nodes.size)
+        return np.sin(nodes), (nodes**2, np.abs(nodes))
+
+    s_half, (sq_half, abs_half) = half.memo("test entry", build)
+    s, (sq, ab) = grid.memo("test entry", build)
+    assert builds == [64]
+    for part, whole in ((s_half, s), (sq_half, sq), (abs_half, ab)):
+        assert part.shape == (33,) and np.shares_memory(part, whole)
+        assert not part.flags.writeable
+        assert np.array_equal(part, whole[:33])
+    with pytest.raises(ValueError, match="mirror half"):
+        periodic_grid(-2.0, 2.0, 63).mirror_half
+    with pytest.raises(ValueError, match="mirror half"):
+        uniform_grid(-1.0, 1.0, 65).mirror_half

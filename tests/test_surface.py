@@ -584,21 +584,27 @@ def test_sector_bands_are_the_operator_on_mirror_vectors(monkeypatch):
             for c in range(max(r - 2, 0), min(r + 3, nodes.size)):
                 got[r, c] = ab[4 + r - c, c]
         assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max(), odd
-    # the solver folds the odd band from the coefficients of the nodes
-    # 0 ... n/2 alone; it is the band folded from the whole of M, bit for bit
-    factored = []
-    real_band_solve = surface_module._band_solve
-    monkeypatch.setattr(surface_module, "_band_solve",
-                        lambda diags: factored.append(diags) or real_band_solve(diags))
+    # the solver writes the odd band straight into LAPACK storage from the
+    # coefficients of the nodes 0 ... n/2 alone; it is the band folded from
+    # the whole of M, bit for bit (copied here before dgbtrf factors it in place)
+    written = []
+    real_odd_band = surface_module._odd_band
+
+    def odd_band(*args):
+        ab = real_odd_band(*args)
+        written.append(ab.copy())
+        return ab
+
+    monkeypatch.setattr(surface_module, "_odd_band", odd_band)
     for n in (12, 2048):
         grid = periodic_grid(-2.0, 2.0, n)
         for ell in (1e-3, 0.1, 0.365):
-            factored.clear()
+            written.clear()
             fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
             assert "diagonals" not in vars(fs)  # not built for the odd sector
             want = _cut_band(_sector_diagonals(fs.diagonals, n, odd=True))
-            assert len(factored) == 1
-            assert np.array_equal(_cut_band(factored[0]), want), (n, ell)
+            assert len(written) == 1
+            assert np.array_equal(written[0], want), (n, ell)
 
 
 def test_factored_channels_are_mirror_images(surface_grid):
@@ -626,6 +632,48 @@ def test_wp_bianchi_images_are_odd(n):
             b = fs.bianchi(variation(surf, grid).data)
             even = 0.5 * (b + _reflect(b))
             assert np.abs(even).max() <= 1e-11 * np.abs(b).max(), (ell, variation)
+
+
+def test_mirror_half_kernels_are_the_whole_grid_ones(surface_grid):
+    # a WP row takes the k = 0 Bianchi image, the odd-sector solve and the
+    # conformal Killing image on the nodes 0 ... n/2.  There they are the
+    # whole grid's: the Bianchi image's odd part to round-off (the profile is
+    # even only to round-off at mirror nodes), the solve and the conformal
+    # Killing image bit for bit
+    grid = surface_grid
+    m = grid.mirror_half.n
+    for ell in (1e-3, 0.05, 0.365):
+        surf = ModelSurfaceMetric(ell=ell)
+        fs = FactoredGlobalSolver(surf, grid, 0)
+        h = np.vstack([length_variation(surf, grid).data[0],
+                       twist_variation(surf, grid).data[1], np.zeros(grid.n)])
+        b = fs.bianchi(h)
+        b_half = fs.bianchi(h[:, :m])
+        odd = 0.5 * (b - _reflect(b))
+        err = np.abs(b_half[:, 1:-1] - odd[:, 1:m - 1]).max() / np.abs(b).max()
+        assert err <= 1e-12, (ell, err)
+        x_half = fs.solve_sigma(b_half, odd=True)
+        rhs = np.zeros_like(b)
+        rhs[:, 1:m - 1] = b_half[:, 1:-1]
+        rhs[:, m:] = -b_half[:, -2:0:-1]
+        x = fs.solve_sigma(rhs, odd=True)
+        assert np.array_equal(x_half, x[:, :m]), ell
+        assert np.array_equal(fs.conformal_killing(x_half),
+                              fs.conformal_killing(x)[:, :m]), ell
+        assert "_whole" in vars(fs)  # the whole grid's coefficients, read here
+    # an rhs on the half is odd: its values at the nodes 0 and n/2 are round-off
+    fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.05), grid, 0)
+    assert "_whole" not in vars(fs)
+    rhs = np.zeros((2, m))
+    rhs[:, 1:-1] = 1.0
+    fs.solve_sigma(rhs, odd=True)
+    rhs[1, 0] = 1e-6
+    with pytest.raises(ValueError, match="not odd"):
+        fs.solve_sigma(rhs, odd=True)
+    with pytest.raises(ValueError, match="odd=True"):
+        fs.solve_sigma(rhs)
+    with pytest.raises(ValueError, match="k = 0"):
+        FactoredGlobalSolver(ModelSurfaceMetric(ell=0.05), grid, 1).bianchi(np.ones((3, m)))
 
 
 def test_odd_sector_solve_refuses_what_is_not_odd(surface_grid):

@@ -115,6 +115,33 @@ def test_wp_row_never_builds_the_even_sector(setup):
     assert "diagonals" not in vars(bank.get(0))
 
 
+def test_wp_row_runs_on_the_mirror_half(monkeypatch):
+    # after the grid's shared pieces exist, a row combines the profile on the
+    # neck grid and on the periodic grid's mirror half alone, and the solver
+    # never builds the whole grid's coefficients
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    half = grid.mirror_half
+    surf = ModelSurfaceMetric(ell=0.02)
+    cf = solve_conformal_factor(surf)
+    wp_matrix(surf, grid, conformal=cf)
+    sizes = []
+    real_combine = ModelSurfaceMetric._combine
+
+    def combine(self, pieces):
+        sizes.append(pieces[0].size)
+        return real_combine(self, pieces)
+
+    monkeypatch.setattr(ModelSurfaceMetric, "_combine", combine)
+    surf = ModelSurfaceMetric(ell=0.05)
+    cf = solve_conformal_factor(surf)
+    bank = SolverBank(surf, grid)
+    mat = wp_matrix(surf, grid, conformal=cf, solvers=bank)
+    assert sizes == [cf.grid.n, half.n]
+    assert "_whole" not in vars(bank.get(0))
+    assert cf.weight(half).shape == (half.n,)
+    assert mat["g_lw"] == 0.0
+
+
 def test_one_projection_carries_both_variations(monkeypatch):
     # at k = 0 the phi and psi systems never meet, so projecting (phi_l,
     # psi_w) gives the length's phi row and the twist's psi row bit for bit,
@@ -343,7 +370,7 @@ def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
 def test_wp_row_peak_memory():
     # "memory stays flat": the traced peak of one sweep row at n = 16384, its
     # conformal factor included, after a row on the same grid has built the
-    # grid's shared pieces.  Measured 2.37 MB (3.81 MB when the length and the
+    # grid's shared pieces.  Measured 1.58 MB (3.81 MB when the length and the
     # twist were projected separately)
     grid = periodic_grid(-2.0, 2.0, 16384)
 
@@ -359,6 +386,32 @@ def test_wp_row_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.9e6, peak
+
+
+def test_wp_row_peak_memory_on_the_mirror_half():
+    # a row's arrays span the nodes 0 ... n/2 alone.  Traced peaks of one row
+    # at n = 16384, as in the sweep, on both sides of the zero-conformal-weight
+    # fallback: measured 1,576,988 bytes (ell = 0.02) and 1,543,892 (0.09),
+    # against 2,365,228 and 2,332,052 when they spanned all n nodes
+    grid = periodic_grid(-2.0, 2.0, 16384)
+
+    def row(ell):
+        surf = ModelSurfaceMetric(ell=ell)
+        try:
+            cf = solve_conformal_factor(surf)
+        except ValueError:
+            cf = None
+        return wp_matrix(surf, grid, conformal=cf)
+
+    row(0.01)
+    for ell in (0.02, 0.09):
+        tracemalloc.start()
+        try:
+            row(ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.9e6, (ell, peak)
 
 
 # sweep_wp_coefficients(_PINNED_ELLS, grid_n=2048) as (g_ll, g_ww), recorded
@@ -379,6 +432,28 @@ def test_sweep_values_are_pinned():
     rows = sweep_wp_coefficients(_PINNED_ELLS, grid_n=2048)
     assert [r["ell"] for r in rows] == list(_PINNED_ELLS)
     for row, (g_ll, g_ww) in zip(rows, _PINNED_ROWS):
+        assert row["g_ll"] == pytest.approx(g_ll, rel=1e-14, abs=0.0), row
+        assert row["g_ww"] == pytest.approx(g_ww, rel=1e-14, abs=0.0), row
+        assert row["g_lw"] == 0.0, row
+
+
+# sweep_wp_coefficients(_BENCH_ELLS, grid_n=16384), the benchmark's grid, as
+# (g_ll, g_ww), recorded before a row ran on the grid's mirror half
+_BENCH_ELLS = (1e-3, 0.02, 0.0735, 0.09)
+_BENCH_ROWS = (
+    (78958.187215727, 7.984204677250531e-09),
+    (3947.8440034899236, 6.400030340745592e-05),
+    (1074.2707500123338, 0.0031785884515419375),
+    (876.2859515716268, 0.005831919838551666),
+)
+
+
+def test_sweep_values_are_pinned_at_the_benchmark_grid():
+    # both sides of the zero-conformal-weight fallback (ell ~ 0.073)
+    rows = sweep_wp_coefficients(_BENCH_ELLS, grid_n=16384)
+    assert [r["ell"] for r in rows] == list(_BENCH_ELLS)
+    assert np.isnan(rows[-1]["conformal_bound"]) and rows[-2]["conformal_bound"] > 0
+    for row, (g_ll, g_ww) in zip(rows, _BENCH_ROWS):
         assert row["g_ll"] == pytest.approx(g_ll, rel=1e-14, abs=0.0), row
         assert row["g_ww"] == pytest.approx(g_ww, rel=1e-14, abs=0.0), row
         assert row["g_lw"] == 0.0, row
