@@ -39,12 +39,13 @@ class RunConfig:
             raise ValueError("need 0 < ell_min < ell_max")
         if self.ell_count < 2:
             raise ValueError("need at least two sweep points")
-        for name in ("grid_n", "sweep_grid_n", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         for name in ("grid_n", "sweep_grid_n"):
             # the TT projection's factored solver borders the k = 0 null
-            # directions of an even grid only
+            # directions of an even grid only, and its odd sector needs a node
+            if getattr(self, name) < 4:
+                raise ValueError(f"{name} must be at least 4")
             if getattr(self, name) % 2:
                 raise ValueError(f"{name} must be even")
         if self.modes < 0:

@@ -18,7 +18,8 @@ reading one grid at once (``--jobs``) may build them twice, with equal results.
 
 An even periodic grid has a mirror half (:attr:`RadialGrid.mirror_half`): the
 nodes 0 ... n/2, which carry a field that is even or odd under the grid
-reflection R: i -> n - i, with the quadrature of the even ones.
+reflection R: i -> n - i, with the quadrature of the even ones.  A
+:meth:`RadialGrid.span` is a run of a grid's nodes with their weights.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ class RadialGrid:
 
     ``d1``/``d2`` are CSR matrices acting on samples at ``nodes``; ``weights``
     integrate against them.  ``scheme`` is one of ``uniform``, ``chebyshev``,
-    ``periodic``, or ``mirror half`` (:attr:`mirror_half`, which has no
-    stencils).  ``_stencils()`` returns (d1, d2) and runs on the first read
-    of either (twice, with equal results, if two threads read first at once).
-    :meth:`memo` keeps other arrays of the nodes alone with the grid.
-    Instances are otherwise immutable and safe to share.
+    ``periodic``, ``mirror half`` (:attr:`mirror_half`) or ``span``
+    (:meth:`span`); the last two have no stencils.  ``_stencils()`` returns
+    (d1, d2) and runs on the first read of either (twice, with equal results,
+    if two threads read first at once).  :meth:`memo` keeps other arrays of
+    the nodes alone with the grid, :meth:`keep` any other object built from
+    it.  Instances are otherwise immutable and safe to share.
     """
 
     nodes: np.ndarray
@@ -92,9 +94,12 @@ class RadialGrid:
     order: int
     periodic: bool = False
     _stencils: object = field(repr=False, default=None)
-    # a mirror half shares its grid's memo, whose entries are over _memo_nodes
+    # a mirror half or span shares its grid's memo, whose entries are over
+    # _memo_nodes, and starts at its node _memo_start
     _memo: dict = field(default_factory=dict, repr=False)
     _memo_nodes: np.ndarray | None = field(default=None, repr=False)
+    _memo_start: int = field(default=0, repr=False)
+    _kept: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not np.all(np.diff(self.nodes) > 0):
@@ -136,15 +141,30 @@ class RadialGrid:
         they die with it.  The arrays of the result (an array or a tuple of
         them, nested) are made read-only.  Threads first asking at once may
         build twice, with equal results; all of them get the first one
-        stored.  A :attr:`mirror_half` reads its grid's entry, each array cut
-        to the half's nodes: views, so the two share one build.
+        stored.  A :attr:`mirror_half` or :meth:`span` reads its grid's
+        entry, each array cut to its own nodes: views, so they share one build.
         """
         try:
             value = self._memo[key]
         except KeyError:
             nodes = self.nodes if self._memo_nodes is None else self._memo_nodes
             value = self._memo.setdefault(key, _read_only(build(nodes)))
-        return value if self._memo_nodes is None else _head(value, self.n)
+        if self._memo_nodes is None:
+            return value
+        return _cut(value, self._memo_start, self._memo_start + self.n)
+
+    def keep(self, key: str, build):
+        """``build(self)``, run on the first call with ``key`` and kept with the grid.
+
+        For what is built from the grid but is no array over its nodes
+        (:meth:`memo`): it dies with the grid, and must hold no reference to
+        it.  A mirror half or span keeps its own.  Threads first asking at
+        once may build twice; all of them get the first one stored.
+        """
+        try:
+            return self._kept[key]
+        except KeyError:
+            return self._kept.setdefault(key, build(self))
 
     @cached_property
     def mirror_half(self) -> "RadialGrid":
@@ -163,6 +183,17 @@ class RadialGrid:
         weights[1:h] *= 2.0
         return RadialGrid(self.nodes[:h + 1], weights, "mirror half", self.order,
                           _memo=self._memo, _memo_nodes=self.nodes)
+
+    def span(self, start: int, stop: int) -> "RadialGrid":
+        """The nodes start ... stop - 1 of the grid, with their weights.
+
+        Nodes and weights are views of the grid's, and the span shares the
+        grid's :meth:`memo`; it holds no reference to the grid.
+        """
+        nodes = self.nodes if self._memo_nodes is None else self._memo_nodes
+        return RadialGrid(self.nodes[start:stop], self.weights[start:stop], "span",
+                          self.order, _memo=self._memo, _memo_nodes=nodes,
+                          _memo_start=self._memo_start + start)
 
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ f)
@@ -187,11 +218,11 @@ def _read_only(value):
     return value
 
 
-def _head(value, m: int):
-    """``value`` (an array or a nested tuple of them) cut to its first m columns."""
+def _cut(value, start: int, stop: int):
+    """``value`` (an array or a nested tuple of them), its columns start ... stop - 1."""
     if isinstance(value, np.ndarray):
-        return value[..., :m]
-    return tuple(_head(v, m) for v in value)
+        return value[..., start:stop]
+    return tuple(_cut(v, start, stop) for v in value)
 
 
 def _stencil(n: int, weights, ends=None) -> sp.csr_matrix:

@@ -417,43 +417,50 @@ def project_tt(
     solvers: SolverBank | None = None,
     family: ParametrixFamily | None = None,
     even: bool = False,
-) -> ModeField:
-    """L^2-orthogonal projection of one mode onto transverse-traceless tensors.
+    potential: bool = False,
+) -> ModeField | tuple[ModeField, np.ndarray]:
+    """Projection of one mode onto transverse-traceless tensors.
 
     T(g.) = pi(g.) - D(G(B g.)) with B the Bianchi operator, G the global
     inverse of the gauge Laplacian, and D the conformal Killing operator
     (the trace-free part of the symmetrized derivative).  By default G
     inverts the factored discrete operator divergence o D, which makes T an
     exact discrete projector: outputs are divergence-free and T^2 = T to
-    solver precision.  B, G and D then come from the bank's
-    :class:`~wpneck.surface.FactoredGlobalSolver`: at every k they are
-    stencils and banded solves, with no sparse matrix.  With ``family``
-    given, G is instead the Neumann-series parametrix built on the direct
-    channel stencils, and B and D are the sparse mode operators; the two
-    agree up to discretization order.
+    solver precision.  It is oblique, not orthogonal, in the grid's
+    pairing: <T a, b> and <a, T b> differ at O(h^2).  B, G and D then come
+    from the bank's :class:`~wpneck.surface.FactoredGlobalSolver`: at every
+    k they are stencils and banded solves, with no sparse matrix.  With
+    ``family`` given, G is instead the Neumann-series parametrix built on
+    the direct channel stencils, and B and D are the sparse mode operators;
+    the two agree up to discretization order.
 
-    ``even`` says that ``h`` is a k = 0 tensor even in tau, as the WP
-    variations are by construction.  Its Bianchi image is then odd, and the
-    factored solver solves only its odd sector
+    ``even`` says that ``h`` is a k = 0 tensor even in tau, given on the
+    grid's mirror half (:attr:`~wpneck.grids.RadialGrid.mirror_half`) or on
+    the odd sector's neck window (:attr:`~wpneck.surface.OddCap.window`),
+    as the WP variations are by construction.  Its Bianchi image is then
+    odd, and the factored solver solves only its odd sector
     (``solve_sigma(..., odd=True)``), which refuses an rhs that is not odd
-    and any k >= 1.  Such an ``h`` may also be given on the grid's mirror
-    half (:attr:`~wpneck.grids.RadialGrid.mirror_half`), and is then
-    projected there.  The parametrix route ignores ``even``.
+    and any k >= 1; ``h`` is projected on its own nodes.  The parametrix
+    route ignores ``even``.  With ``potential``, the one-form w with
+    T(g.) = pi(g.) - D w is returned too, as (T(g.), w) with w's sigma
+    components on ``h``'s nodes.
     """
     if h.rank is Rank.SYM2_TRACEFREE:
         h = h.as_full()
     if family is None:
         bank = solvers if solvers is not None else SolverBank(surface, grid)
         fs = bank.get(h.k)
-        corr = fs.conformal_killing(fs.solve_sigma(fs.bianchi(h.data), odd=even))
+        w = fs.solve_sigma(fs.bianchi(h.data), odd=even)
+        corr = fs.conformal_killing(w)
     else:
         opk = mode_operators(surface, grid, h.k)
         b = (opk.bianchi @ h.data.reshape(-1)).reshape(2, -1)
         sol, _ = family.block(surface.ell, h.k).neumann_solve(
             ModeField(h.k, Rank.ONE_FORM, grid, b, h.variant).rho())
-        w = ModeField.one_form_rho(h.k, grid, sol[0], sol[1], h.variant)
-        corr = (opk.conformal_killing @ w.data.reshape(-1)).reshape(2, -1)
-    return ModeField(h.k, Rank.SYM2_TRACEFREE, h.grid, h.data[:2] - corr, h.variant)
+        w = ModeField.one_form_rho(h.k, grid, sol[0], sol[1], h.variant).data
+        corr = (opk.conformal_killing @ w.reshape(-1)).reshape(2, -1)
+    t = ModeField(h.k, Rank.SYM2_TRACEFREE, h.grid, h.data[:2] - corr, h.variant)
+    return (t, w) if potential else t
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,10 @@ swaps the two channels, so only one is factored (cyclic, with the same
 closure).  At k = 0, R commutes with the operator, which splits into an odd
 and an even sector, each a plain band on half the nodes.  The odd sector is
 invertible and is all that a Weil-Petersson row needs, since the Bianchi
-images of even variations are odd; such a row runs on the nodes 0 ... n/2
-alone, the grid's mirror half.  The even sector holds both null
+images of even variations are odd.  Its rows on the ell-independent thick
+part, the cap, are condensed once per grid (:class:`OddCap`), so such a row
+runs on the rest of the grid's mirror half, the neck window, alone.  The
+even sector holds both null
 directions, sqrt(F) and, on an even grid, the checkerboard (-1)^i / sqrt(F)
 of the central difference; a closure borders both.  The solver refuses odd
 grids, where the exact null direction is a checkerboard remnant that no
@@ -592,21 +594,18 @@ class GlobalModeSolver:
         return self._solvers[trans](w.reshape(-1)).reshape(w.shape)
 
 
-def _central(u: np.ndarray, c: float, mirror: float | None = None) -> np.ndarray:
+def _central(u: np.ndarray, c: float, ends=None) -> np.ndarray:
     """The periodic d1 stencil c (u[i + 1] - u[i - 1]) along the last axis.
 
-    With ``mirror`` = +-1, u is given on a grid's mirror half, the nodes
-    0 ... n/2, and continues past them as u_{-1} = mirror u_1 and
-    u_{n/2 + 1} = mirror u_{n/2 - 1}.
+    With ``ends`` = (u_before, u_after), u is given on a run of a grid's
+    nodes and continues past its first node with u_before and past its last
+    with u_after.
     """
     d = np.empty_like(u)
     d[..., 1:-1] = u[..., 2:] - u[..., :-2]
-    if mirror is None:
-        d[..., 0] = u[..., 1] - u[..., -1]
-        d[..., -1] = u[..., 0] - u[..., -2]
-    else:
-        d[..., 0] = u[..., 1] - mirror * u[..., 1]
-        d[..., -1] = mirror * u[..., -2] - u[..., -2]
+    before, after = (u[..., -1], u[..., 0]) if ends is None else ends
+    d[..., 0] = u[..., 1] - before
+    d[..., -1] = after - u[..., -2]
     return c * d
 
 
@@ -673,7 +672,8 @@ def _sector_diagonals(diags, n: int, odd: bool) -> np.ndarray:
     sector is folded onto its mirror by u_{-j} = -+u_j, u_{n/2 + j} =
     -+u_{n/2 - j}; the entries left outside are the wrapped ones that
     :func:`_cut_band` cuts.  The solver writes the odd sector's band
-    directly (:func:`_odd_band`).
+    directly, in two blocks (:func:`_odd_band`, :class:`OddCap`); this one
+    is the reference that they are checked against.
     """
     lo, hi = (1, n // 2 - 1) if odd else (0, n // 2)
     sign = -1.0 if odd else 1.0
@@ -722,15 +722,19 @@ def _even_sector(diags, sqF, weights) -> _Closure:
                     dense, 2)
 
 
-def _odd_band(sqF, beta, c) -> np.ndarray:
-    """The ``dgbtrf`` storage (7, n/2 - 1) of M = -A B on its odd sector.
+def _odd_band(sqF, beta, c, pole: bool, neck: bool) -> np.ndarray:
+    """The ``dgbtrf`` storage (7, m) of M = -A B on a run of its odd sector's rows.
 
-    ``sqF`` and ``beta`` are given on the nodes 0 ... n/2, the only ones
-    that the sector's rows 1 ... n/2 - 1 read, and ``c`` is the d1 weight.
-    The band is :func:`_cut_band` of the odd :func:`_sector_diagonals` of
-    :func:`_factored_diagonals`, bit for bit: each entry sums the same
-    products in the same order, read by slices instead of rolls, straight
-    into its place in the band.
+    ``sqF`` and ``beta`` are given on m + 2 consecutive nodes of the grid's
+    mirror half, the only ones that the rows of the m nodes between them
+    read, and ``c`` is the d1 weight.  Columns outside the run are cut, but
+    with ``pole`` (the run starts at node 1) the column -1 folds onto its
+    mirror 1, and with ``neck`` (the run ends at n/2 - 1) the column
+    n/2 + 1 onto n/2 - 1 (u_{-j} = -u_j; the columns 0 and n/2 hold u = 0).
+    Each entry is that of :func:`_cut_band` of the odd
+    :func:`_sector_diagonals` of :func:`_factored_diagonals`, bit for bit: it
+    sums the same products in the same order, read by slices instead of
+    rolls, straight into its place in the band.
     """
     h = sqF.size - 1
     a = (-c * sqF, 2.0 * beta, c * sqF)
@@ -739,15 +743,124 @@ def _odd_band(sqF, beta, c) -> np.ndarray:
     for s in (-1, 0, 1):
         for t in (-1, 0, 1):
             # M[i, i + d] sits in band row 4 - d, column i + d - 1, for the
-            # rows i with both i and i + d in 1 ... n/2 - 1
+            # rows i with both i and i + d in the run 1 ... h - 1
             d = s + t
             lo, hi = 1 + max(-d, 0), h - max(d, 0)
             ab[4 - d, lo + d - 1:hi + d - 1] -= a[s + 1][lo:hi] * b[t + 1][lo + s:hi + s]
-    # the columns -1 and n/2 + 1 fold onto their mirrors 1 and n/2 - 1
-    # (u_{-j} = -u_j); the columns 0 and n/2 hold u = 0
-    ab[4, 0] -= 0.0 - a[0][1] * b[0][0]
-    ab[4, h - 2] -= 0.0 - a[2][h - 1] * b[2][h]
+    if pole:
+        ab[4, 0] -= 0.0 - a[0][1] * b[0][0]
+    if neck:
+        ab[4, h - 2] -= 0.0 - a[2][h - 1] * b[2][h]
     return ab
+
+
+def _band_block(ab, rows, cols) -> np.ndarray:
+    """The dense block rows x cols of the half-width-2 band in ``dgbtrf`` storage."""
+    out = np.zeros((len(rows), len(cols)))
+    for r, i in enumerate(rows):
+        for q, j in enumerate(cols):
+            if abs(i - j) <= 2:
+                out[r, q] = ab[4 + i - j, j]
+    return out
+
+
+class OddCap:
+    """The ell-independent cap of the k = 0 odd sector on one grid, condensed.
+
+    F = Q + ell^2 w, and w and w' vanish exactly on |tau| >= 7/8, so on the
+    grid's mirror half the nodes before the first where they do not
+    (:meth:`~ModelSurfaceMetric.grid_pieces`) carry the same sqrt(F) and
+    beta, bit for bit, at every ell.  The cap is
+    the sector's unknowns 1 ... p whose rows, and the two coupling rows
+    p + 1 and p + 2, read only such nodes; it is empty on coarse grids
+    (n <= 14).  In blocks, with 1 the cap and 2 the neck rows
+    p + 1 ... n/2 - 1, M x = r is
+
+        (A22 - A21 Z) x2 = r2 - A21 A11^-1 r1,  x1 = A11^-1 r1 - Z x2[:2],
+
+    Z = A11^-1 A12, of shape (p, 2).  A11 (``dgbtrf``), Z and the 2 x 2
+    :attr:`update` A21 Z are made once per grid and kept with it
+    (:meth:`~wpneck.grids.RadialGrid.keep`), so a WP row factors and solves
+    the neck rows alone (:meth:`condensed`).  On a right-hand side that
+    vanishes on the cap, x1 = -Z a, a = (x_{p+1}, x_{p+2}): the cap's
+    values are linear in the two interface values.  :attr:`edge` gives
+    (x_{p-1}, x_p) from a (with p = 0, x_{-1} = -x_1 and x_0 = 0); the
+    conformal Killing image of x on the cap nodes 0 ... p - 1, the only ones
+    that read cap values alone, is :attr:`Y` a, and its pairing over them is
+    a^T G a with G = Y^T W Y (:meth:`gram`).  :attr:`window` is the nodes
+    p ... n/2, where a row's fields live.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        half = grid.mirror_half
+        h = half.n - 1
+        _, _, (w, wp, _) = ModelSurfaceMetric.grid_pieces(half)
+        moving = np.flatnonzero((w != 0.0) | (wp != 0.0))
+        # row p + 2 reads the nodes p + 1 ... p + 3, all before the first moving one
+        p = max((moving[0] if moving.size else h + 1) - 4, 0)
+        self.p = p
+        c = 0.5 / grid.weights[0]
+        self._c = c
+        self._half = half
+        self.window = half.span(p, h + 1)
+        self.update = np.zeros((2, 2))
+        Z = np.zeros((0, 2))
+        self.coupling = np.zeros((2, 0))
+        self.solve = None
+        sqF = beta = np.zeros(0)
+        if p:
+            # the coefficients of the nodes 0 ... p + 3, the same at every ell
+            still = ModelSurfaceMetric(ell=0.0).grid_jet(half.span(0, p + 4))
+            sqF, beta = _coefficients(still)
+            rows = _odd_band(sqF, beta, c, pole=True, neck=False)  # rows 1 ... p + 2
+            band = rows[:, :p].copy(order="F")
+            for i, j in ((p, p - 1), (p + 1, p - 1), (p, p - 2)):
+                if j >= 0:  # A11 keeps no coupling to the rows p + 1, p + 2
+                    band[4 + i - j, j] = 0.0
+            tail = range(max(p - 2, 0), p)
+            A12 = np.zeros((p, 2), order="F")
+            A12[tail.start:] = _band_block(rows, tail, (p, p + 1))
+            self.coupling = _band_block(rows, (p, p + 1), tail)
+            self.solve = _band_solve(band)
+            Z = self.solve(A12)
+            self.update = self.coupling @ Z[tail.start:]
+        self.Z = Z
+        # x_j for j = -1 ... p + 2, one column per unit a
+        X = np.zeros((p + 4, 2))
+        X[p + 2, 0] = X[p + 3, 1] = 1.0
+        X[2:p + 2] = -Z
+        X[0] = -X[2]
+        self.edge = X[p:p + 2].copy()
+        sq, be = sqF[:p, None], beta[:p, None]
+        self.Y = 0.5 * (sq * (c * (X[2:p + 2] - X[:p])) - be * X[1:p + 1])
+        self._gram = self.Y.T @ (half.weights[:p, None] * self.Y)
+        # the smallest |tau| on the cap nodes
+        self._reach = abs(float(fold_tau(half.nodes[p - 1]))) if p else math.inf
+
+    def condensed(self, sqF, beta) -> np.ndarray:
+        """The ``dgbtrf`` storage of A22 - A21 Z, from the coefficients on the window."""
+        ab = _odd_band(sqF, beta, self._c, pole=not self.p, neck=True)
+        k = min(2, ab.shape[1])
+        for i in range(k):
+            for j in range(k):
+                ab[4 + i - j, j] -= self.update[i, j]
+        return ab
+
+    def gram(self, weight=None, domain: float = 0.0) -> np.ndarray:
+        """G = Y^T W Y, W the mirror half's weights on the cap nodes 0 ... p - 1.
+
+        ``weight`` is a pointwise factor (a function of a grid) that is 1 at
+        the nodes with |tau| > ``domain``; where the domain reaches the cap,
+        G is weighted by it there, from the nodes that it reaches alone.
+        """
+        if weight is None or domain < self._reach:
+            return self._gram
+        # |tau| falls along the cap; one node more than searched, whose
+        # weight is 1 if it lies outside
+        lo = max(int(np.searchsorted(self._half.nodes[:self.p], -domain)) - 1, 0)
+        part = self._half.span(lo, self.p)
+        Y = self.Y[lo:]
+        return self._gram + Y.T @ ((part.weights * (weight(part) - 1.0))[:, None] * Y)
 
 
 def _coefficients(jet) -> tuple[np.ndarray, np.ndarray]:
@@ -798,22 +911,28 @@ class FactoredGlobalSolver:
     A solve splits each sigma component into its even and odd parts and
     solves each in its sector of R (:func:`_sector_diagonals`), both
     components as the columns of one ``dgbtrs`` per sector.  The odd sector
-    is a plain band, written into LAPACK storage (:func:`_odd_band`) and
-    factored here from the coefficients of the nodes 0 ... n/2 alone, read
-    on the grid's mirror half; those of the whole grid (:attr:`sqF`,
-    :attr:`beta`) are built on first read.  The even sector holds M's two
-    null directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F); its
-    bordered solve (:func:`_even_sector`, built on the first solve that
-    needs it) keeps the solution in the complement of the weighted pair, as
-    a bordered solve with the whole of M does.  ``solve_sigma(rhs,
-    odd=True)`` solves the odd sector alone, for a right-hand side odd by
-    construction (the Bianchi image of an even tensor), and refuses one
-    whose even part is not round-off.  :meth:`bianchi`, :meth:`solve_sigma`
-    and :meth:`conformal_killing` also take such fields on the mirror half
-    (n/2 + 1 columns), where a WP row computes them, and give their images
-    there.  ``kernel`` gives sqrt(F) in each component, in the (2, 2n)
-    layout.  Odd grids are refused: there the exact null direction is a
-    checkerboard remnant that nothing borders.
+    is a plain band, condensed onto its neck rows (:class:`OddCap`, kept
+    with the grid): here only those rows are written into LAPACK storage
+    (:func:`_odd_band`) and factored, from the coefficients of the
+    :attr:`OddCap.window` alone; those of the mirror half and of the whole
+    grid are built on first read.  The even sector holds M's two null
+    directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F); its bordered
+    solve (:func:`_even_sector`, built on the first solve that needs it)
+    keeps the solution in the complement of the weighted pair, as a
+    bordered solve with the whole of M does.
+
+    ``solve_sigma(rhs, odd=True)`` solves the odd sector alone, for a
+    right-hand side odd by construction (the Bianchi image of an even
+    tensor), given on the grid's mirror half (n/2 + 1 columns) or on the
+    window; it refuses one whose even part, its values at the nodes 0 and
+    n/2, is not round-off.  :meth:`bianchi`, :meth:`solve_sigma` and
+    :meth:`conformal_killing` take such fields on either, where a WP row
+    computes them, and give their images there.  On the window a field
+    stands for one that vanishes on the cap: a tensor on the nodes
+    0 ... p + 1, a right-hand side on 0 ... p, and a solution is continued
+    onto the cap as its cap values -Z a.  ``kernel`` gives sqrt(F) in each
+    component, in the (2, 2n) layout.  Odd grids are refused: there the
+    exact null direction is a checkerboard remnant that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -821,10 +940,11 @@ class FactoredGlobalSolver:
         self.grid = grid
         self.surface = surface
         n = grid.n
-        if n % 2:
-            raise ValueError(f"the factored solver needs an even grid (got n = {n})")
+        if n % 2 or n < 4:
+            raise ValueError(f"the factored solver needs an even grid of at least "
+                             f"4 nodes (got n = {n})")
         self._c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
-        self._K = self._even = self._half = None
+        self._K = self._even = self.cap = None
         if self.k:
             self._K = self.k / self.sqF
             # M+ = band + E R: E the unit columns of the corner rows, R their
@@ -835,14 +955,20 @@ class FactoredGlobalSolver:
             self._solve = _Closure(_band_solve(_cut_band(self.diagonals[:1])), cols,
                                    corners, np.zeros((0, n)), rows.size)
         else:
-            # the odd sector's rows 1 ... n/2 - 1 read the nodes 0 ... n/2 alone
-            self._half = _coefficients(surface.grid_jet(grid.mirror_half))
-            self._solve = _band_solve(_odd_band(*self._half, self._c))
+            self.cap = grid.keep("odd cap", OddCap)
+            # the neck rows p + 1 ... n/2 - 1 read the window's nodes alone
+            self._window = _coefficients(surface.grid_jet(self.cap.window))
+            self._solve = _band_solve(self.cap.condensed(*self._window))
 
     @cached_property
     def _whole(self) -> tuple[np.ndarray, np.ndarray]:
         """(sqrt(F), beta) on the whole grid, built on first read at k = 0."""
         return _coefficients(self.surface.grid_jet(self.grid))
+
+    @cached_property
+    def _half(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(F), beta) on the mirror half, built on first read."""
+        return _coefficients(self.surface.grid_jet(self.grid.mirror_half))
 
     @property
     def sqF(self) -> np.ndarray:
@@ -866,15 +992,26 @@ class FactoredGlobalSolver:
         v /= np.linalg.norm(v)
         return np.vstack([v, np.roll(v, self.sqF.size)])
 
+    def _first(self, m: int) -> int:
+        """The first node of a field with m columns on the window or the mirror half."""
+        if self.cap is None:
+            raise ValueError("only the k = 0 solver works on the mirror half")
+        if m == self.cap.window.n:
+            return self.cap.p  # with an empty cap, the window is the half
+        if m == self.grid.n // 2 + 1:
+            return 0
+        raise ValueError(f"the odd sector takes a field on the mirror half "
+                         f"({self.grid.n // 2 + 1} columns) or the window "
+                         f"({self.cap.window.n}), not {m} columns")
+
     def solve_sigma(self, rhs: np.ndarray, odd: bool = False) -> np.ndarray:
         """rhs: one-form sigma components (2, n); returns sigma components.
 
-        With ``odd`` (k = 0 only) the rhs must be odd under the grid
-        reflection, and only the odd sector is solved: a ValueError is
-        raised when its even part exceeds 1e-10 of its largest entry.  An
-        odd rhs may also be given on the grid's mirror half, (2, n/2 + 1),
-        as :meth:`bianchi` gives it there; its even part is then its values
-        at the nodes 0 and n/2, and the solution is given on the half too.
+        With ``odd`` (k = 0 only) the rhs is odd under the grid reflection,
+        given on the mirror half or the window (see the class docstring), and
+        only the odd sector is solved: a ValueError is raised when its values
+        at the nodes 0 and n/2 exceed 1e-10 of its largest entry.  The
+        solution is given on the rhs's nodes.
         """
         if self.k:
             if odd:
@@ -885,62 +1022,90 @@ class FactoredGlobalSolver:
             y = self._solve(b)
             p, m = y[:, 0], _reflect(y[:, 1])
             return 0.5 * np.array([p + m, p - m])
-        h = self.grid.n // 2
-        if rhs.shape[1] == h + 1:
-            if not odd:
-                raise ValueError("a right-hand side on the mirror half is solved "
-                                 "with odd=True")
-            if max(_abs_max(rhs[:, 0]), _abs_max(rhs[:, h])) > 1e-10 * _abs_max(rhs):
-                raise ValueError("the right-hand side on the mirror half is not odd "
-                                 "under the grid reflection")
-            x = np.zeros((2, h + 1))
-            x[:, 1:h] = self._solve(rhs[:, 1:h].T).T
-            return x
-        n = rhs.shape[1]
-        mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
-        x = np.zeros((2, n))
         if odd:
-            # twice the even part on the nodes 1 ... h - 1, in the solution's
-            # buffer, which is zeroed again after the check
-            twice = np.add(rhs[:, 1:h], mirror, out=x[:, 1:h])
-            even_max = max(_abs_max(rhs[:, 0]), _abs_max(rhs[:, h]),
-                           0.5 * _abs_max(twice))
-            if even_max > 1e-10 * _abs_max(rhs):
-                raise ValueError("the right-hand side is not odd under the grid "
-                                 "reflection; solve it without odd=True")
-            twice[...] = 0.0
-        else:
-            even = np.empty((2, h + 1))
-            even[:, [0, h]] = rhs[:, [0, h]]
-            even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
-            if self._even is None:
-                self._even = _even_sector(self.diagonals, self.sqF, self.grid.weights)
-            x[:, :h + 1] = self._even(even.T).T
-            x[:, h + 1:] = x[:, h - 1:0:-1]
-        y = self._solve((0.5 * (rhs[:, 1:h] - mirror)).T).T
+            return self._solve_odd(rhs)
+        n = self.grid.n
+        if rhs.shape[1] != n:
+            raise ValueError("a right-hand side on the mirror half or the window is "
+                             "solved with odd=True")
+        h = n // 2
+        mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
+        even = np.empty((2, h + 1))
+        even[:, [0, h]] = rhs[:, [0, h]]
+        even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
+        if self._even is None:
+            self._even = _even_sector(self.diagonals, self.sqF, self.grid.weights)
+        x = np.zeros((2, n))
+        x[:, :h + 1] = self._even(even.T).T
+        x[:, h + 1:] = x[:, h - 1:0:-1]
+        odd_part = np.zeros((2, h + 1))
+        odd_part[:, 1:h] = 0.5 * (rhs[:, 1:h] - mirror)
+        y = self._solve_odd(odd_part)[:, 1:h]
         x[:, 1:h] += y
         x[:, h + 1:] -= y[:, ::-1]
         return x
 
+    def _solve_odd(self, rhs: np.ndarray) -> np.ndarray:
+        """The odd sector's solve, condensed onto the neck rows (:class:`OddCap`)."""
+        cap, h = self.cap, self.grid.n // 2
+        s = self._first(rhs.shape[1])
+        p = cap.p
+        tol = 1e-10 * _abs_max(rhs)
+        if _abs_max(rhs[:, -1]) > tol or (not s and _abs_max(rhs[:, 0]) > tol):
+            raise ValueError("the right-hand side is not odd under the grid reflection")
+        if s and rhs[:, 0].any():
+            raise ValueError("a right-hand side on the window must vanish on the cap")
+        b = rhs[:, p + 1 - s:h - s].T
+        y = None
+        if not s and rhs[:, 1:p + 1].any():
+            # A11^-1 r1 on the cap, and its coupling into the rows p + 1, p + 2
+            y = cap.solve(rhs[:, 1:p + 1].T)
+            b = np.array(b, order="F")
+            b[:2] -= cap.coupling @ y[p - cap.coupling.shape[1]:]
+        x = np.zeros((2, h + 1 - s))
+        x[:, p + 1 - s:h - s] = self._solve(b).T
+        a = x[:, p + 1 - s:p + 3 - s]  # (x_{p+1}, x_{p+2}) of each component
+        if s:
+            x[:, 0] = a @ cap.edge[1]
+        else:
+            xc = -(cap.Z @ a.T)
+            if y is not None:
+                xc += y
+            x[:, 1:p + 1] = xc.T
+        return x
+
     def _on(self, u: np.ndarray, parity: float):
-        """(sqrt(F), beta, mirror) for ``u`` on the grid (mirror None) or on its
-        mirror half, where u continues with ``parity`` (+1 even, -1 odd)."""
-        if u.shape[1] == self.grid.n:
+        """(sqrt(F), beta, ends) for ``u`` on the grid (ends None), its mirror
+        half or the window, where u is an even tensor (``parity`` +1) or an
+        odd one-form (-1): ends = (u_{first - 1}, u_{n/2 + 1})."""
+        m = u.shape[1]
+        if m == self.grid.n:
             return self.sqF, self.beta, None
-        if self._half is None:
-            raise ValueError("only the k = 0 solver works on the mirror half")
-        return (*self._half, parity)
+        if self._first(m):
+            # the window: a tensor vanishes on the cap, a one-form is -Z a there
+            if parity < 0:
+                left = u[..., 1:3] @ self.cap.edge[0]
+            elif u[..., :2].any():
+                raise ValueError("a tensor on the window must vanish on the cap and "
+                                 "at the window's first two nodes")
+            else:
+                left = 0.0
+        else:
+            left = parity * u[..., 1]
+        coef = self._window if m == self.cap.window.n else self._half
+        return (*coef, (left, parity * u[..., -2]))
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.
 
         The trace column cancels exactly, so this is -(A phi + K psi,
-        K phi + A psi).  At k = 0, data with n/2 + 1 columns is an even
-        tensor on the grid's mirror half, and its odd image is given there.
+        K phi + A psi).  At k = 0, data on the grid's mirror half or the
+        window is an even tensor, and its odd image is given there; on the
+        window it must vanish at the window's first two nodes.
         """
         u = h[:2]
-        sqF, beta, mirror = self._on(u, 1.0)
-        out = -(sqF * _central(u, self._c, mirror) + 2.0 * beta * u)
+        sqF, beta, ends = self._on(u, 1.0)
+        out = -(sqF * _central(u, self._c, ends) + 2.0 * beta * u)
         if self.k:
             out -= self._K * u[::-1]
         return out
@@ -948,12 +1113,13 @@ class FactoredGlobalSolver:
     def conformal_killing(self, w: np.ndarray) -> np.ndarray:
         """The conformal Killing operator: sigma components -> (phi, psi).
 
-        At k = 0, components with n/2 + 1 columns are an odd one-form on the
-        grid's mirror half (0 at the nodes 0 and n/2), and its even image is
-        given there.
+        At k = 0, components on the grid's mirror half or the window are an
+        odd one-form there (0 at the nodes 0 and n/2; on the window continued
+        onto the cap by :attr:`OddCap.edge`), and its even image is given
+        there.
         """
-        sqF, beta, mirror = self._on(w, -1.0)
-        out = 0.5 * (sqF * _central(w, self._c, mirror) - beta * w)
+        sqF, beta, ends = self._on(w, -1.0)
+        out = 0.5 * (sqF * _central(w, self._c, ends) - beta * w)
         if self.k:
             out -= 0.5 * self._K * w[::-1]
         return out

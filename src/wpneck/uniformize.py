@@ -54,8 +54,9 @@ class ConformalFactor:
 
         The folded nodes and the mask of those inside the domain depend on
         ``grid`` alone and are kept with it
-        (:meth:`~wpneck.grids.RadialGrid.memo`); on a grid's mirror half
-        they are views of the grid's, so the weight is evaluated there alone.
+        (:meth:`~wpneck.grids.RadialGrid.memo`); on a grid's mirror half or
+        a span of it they are views of the grid's, so the weight is evaluated
+        there alone.
         """
         b = self.grid.b
         inside, t = grid.memo(f"nodes inside |tau| <= {b!r}", partial(_inside, b=b))

@@ -16,9 +16,14 @@ TT projection and phi the neck conformal factor.  On the rotational
 surrogate the phi- and psi-systems decouple at k = 0, so one projection of
 (phi_l, psi_w, 0) projects both variations, and the cross coefficient g_lw,
 computed by pairing the split rows, vanishes by theta-reflection parity.
-Both variations are even under tau -> -tau, so a row is computed on the
-nodes 0 ... n/2 of the periodic grid (its mirror half): the variations,
-the projection and the weight there, the pairings with the half's weights.
+Both variations are even under tau -> -tau, so a row lives on the nodes
+0 ... n/2 of the periodic grid (its mirror half).  They vanish on the
+ell-independent cap of the projection's odd sector
+(:class:`~wpneck.surface.OddCap`, condensed once per grid), so a row is
+computed on the neck window p ... n/2 alone: the variations, the
+projection and the weight there, the pairings with the half's weights plus
+the cap's share, a 2 x 2 Gram matrix in the interface values of the
+projection's potential.
 
 Normalization.  The pairing integrates |h|^2 = 2 (phi^2 + psi^2) over
 dA = dtau dtheta, in the frame s1 = dtau / sqrt(F), s2 = sqrt(F) dtheta of
@@ -128,20 +133,37 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
     assumed: each of its terms pairs a row with the other's zero row.
     """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
-    # both variations are even in tau: they, their projections and the
-    # pairings live on the grid's mirror half, and only the odd sector is solved
-    half = grid.mirror_half
-    t = project_tt(surface, grid, _variations(surface, half, length=True, twist=True),
-                   solvers=bank, even=True).data
-    # (t_l, 0) and (0, t_w) as two views of [t_l; 0; t_w], sharing the zero row
-    rows = np.zeros((3, half.n))
-    rows[0], rows[2] = t
-    tl, tw = (ModeField(0, Rank.SYM2_TRACEFREE, half, rows[i:i + 2]) for i in (0, 1))
-    weight = None if conformal is None else conformal.weight(half)
+    # both variations are even in tau and vanish on the odd sector's cap:
+    # they, their projections and the pairings live on the neck window, and
+    # the cap's share of a pairing is a^T G a in the potential's interface
+    # values a
+    cap = bank.get(0).cap
+    window = cap.window
+    t, w = project_tt(surface, grid,
+                      _variations(surface, window, length=True, twist=True),
+                      solvers=bank, even=True, potential=True)
+    # (t_l, 0) and (0, t_w) as two views of [t_l; 0; t_w], sharing the zero
+    # row, and so their interface values
+    rows, edge = np.zeros((3, window.n)), np.zeros((3, 2))
+    rows[0], rows[2] = t.data
+    edge[0], edge[2] = w[:, 1:3]
+    tl, tw = (ModeField(0, Rank.SYM2_TRACEFREE, window, rows[i:i + 2]) for i in (0, 1))
+    al, aw = edge[0:2], edge[1:3]
+    weight, gram = None, cap.gram()
+    if conformal is not None:
+        weight = conformal.weight(window)
+        gram = cap.gram(conformal.weight, conformal.grid.b)
+
+    def pair(f1, a1, f2, a2):
+        # the cap's share with |h|^2 = 2 (phi^2 + psi^2) and the k = 0 theta
+        # factor 2 pi, as mode_inner_product takes them
+        cap_share = 4.0 * np.pi * float(np.sum(a1 * (a2 @ gram)))
+        return mode_inner_product(f1, f2, weight) + cap_share
+
     return {
-        "g_ll": mode_inner_product(tl, tl, weight),
-        "g_lw": mode_inner_product(tl, tw, weight),
-        "g_ww": mode_inner_product(tw, tw, weight),
+        "g_ll": pair(tl, al, tl, al),
+        "g_lw": pair(tl, al, tw, aw),
+        "g_ww": pair(tw, aw, tw, aw),
     }
 
 

@@ -180,18 +180,24 @@ def test_config_validation(capsys, tmp_path):
         RunConfig(barrier_alpha=1.5)
     for bad in ({"grid_n": 0}, {"grid_n": -5}, {"sweep_grid_n": 0},
                 {"jobs": 0}, {"modes": -1}, {"grid_n": 1}, {"grid_n": 2049},
-                {"sweep_grid_n": 16383}, {"tt_k_max": 0}, {"tt_k_max": -1},
+                {"sweep_grid_n": 16383}, {"grid_n": 2}, {"sweep_grid_n": 2},
+                {"tt_k_max": 0}, {"tt_k_max": -1},
                 {"cutoff_c": 0.0}, {"cutoff_c": -0.1}, {"cutoff_c": 0.51},
                 {"cutoff_c": 2.0}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    assert RunConfig(modes=0, jobs=1, grid_n=2).modes == 0
+    assert RunConfig(modes=0, jobs=1, grid_n=4, sweep_grid_n=4).modes == 0
     for flag in (["--grid-n", "-5"], ["--grid-n", "2049"], ["--modes", "-1"],
                  ["--jobs", "0"]):
         assert main(["verify", "cylinder"] + flag) == 2
         assert "wpneck: config error" in capsys.readouterr().err
     assert main(["sweep", "wp", "--grid-n", "2049"]) == 2
     assert "sweep_grid_n must be even" in capsys.readouterr().err
+    # a two-node grid leaves the odd sector no node: refused at load, not a traceback
+    assert main(["sweep", "wp", "--grid-n", "2"]) == 2
+    assert "sweep_grid_n must be at least 4" in capsys.readouterr().err
+    assert main(["verify", "projection", "--grid-n", "2"]) == 2
+    assert "grid_n must be at least 4" in capsys.readouterr().err
     # a config file that would empty the l2norms suite, or put the barrier
     # cutoff past the source bump at 1/2, is refused at load
     for suite, line in (("l2norms", "tt_k_max = 0"), ("barrier", "cutoff_c = 2")):

@@ -233,3 +233,26 @@ def test_mirror_half_integrates_even_fields_and_shares_the_memo():
         periodic_grid(-2.0, 2.0, 63).mirror_half
     with pytest.raises(ValueError, match="mirror half"):
         uniform_grid(-1.0, 1.0, 65).mirror_half
+
+
+def test_span_shares_the_memo_and_keep_builds_once():
+    grid = periodic_grid(-2.0, 2.0, 64)
+    span = grid.mirror_half.span(10, 30)
+    assert span.n == 20 and span.scheme == "span"
+    assert np.array_equal(span.weights, grid.mirror_half.weights[10:30])
+    # a span of the half reads a view of the grid's memo entry at its nodes
+    builds = []
+
+    def build(nodes):
+        builds.append(nodes.size)
+        return np.sin(nodes)
+
+    part, whole = span.memo("test entry", build), grid.memo("test entry", build)
+    assert builds == [64] and np.shares_memory(part, whole)
+    assert np.array_equal(part, whole[10:30])
+    # kept objects are built once per grid; a span keeps its own
+    kept = []
+    assert grid.keep("test", lambda g: kept.append(g.n) or len(kept)) == 1
+    assert grid.keep("test", lambda g: kept.append(g.n) or len(kept)) == 1
+    assert span.keep("test", lambda g: kept.append(g.n) or len(kept)) == 2
+    assert kept == [64, 20]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import wpneck.surface as surface_module
 from wpneck.grids import periodic_grid, tridiagonal_lu, tridiagonal_solve
@@ -14,8 +15,8 @@ from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.parametrix import SolverBank, project_tt
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
-                            _cut_band, _cyclic_corners, _reflect,
-                            _sector_diagonals,
+                            _coefficients, _cut_band, _cyclic_corners, _odd_band,
+                            _reflect, _sector_diagonals,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
                             thick_indices, thin_indices, transposed_diagonals)
@@ -563,7 +564,7 @@ def _dense(diags):
     return out
 
 
-def test_sector_bands_are_the_operator_on_mirror_vectors(monkeypatch):
+def test_sector_bands_are_the_operator_on_mirror_vectors():
     # M maps the odd (even) vectors of R: i -> n - i to themselves; on the
     # sector's nodes, with the mirror columns folded in, it is the band that
     # the sector factors (the wrapped entries cut)
@@ -584,27 +585,41 @@ def test_sector_bands_are_the_operator_on_mirror_vectors(monkeypatch):
             for c in range(max(r - 2, 0), min(r + 3, nodes.size)):
                 got[r, c] = ab[4 + r - c, c]
         assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max(), odd
-    # the solver writes the odd band straight into LAPACK storage from the
-    # coefficients of the nodes 0 ... n/2 alone; it is the band folded from
-    # the whole of M, bit for bit (copied here before dgbtrf factors it in place)
-    written = []
-    real_odd_band = surface_module._odd_band
-
-    def odd_band(*args):
-        ab = real_odd_band(*args)
-        written.append(ab.copy())
-        return ab
-
-    monkeypatch.setattr(surface_module, "_odd_band", odd_band)
-    for n in (12, 2048):
+    # the solver condenses the odd band onto its neck rows p + 1 ... n/2 - 1.
+    # The cap block (rows 1 ... p, written once per grid from the coefficients
+    # at ell = 0) and the neck block before the cap's update (written per row
+    # from the window's coefficients) are the band folded from the whole of
+    # M, cut between them, bit for bit; a solve with both is dgbtrs on that
+    # band, for an rhs that is nonzero on the cap too (measured <= 1.8e-15)
+    rng = np.random.default_rng(7)
+    for n in (12, 64, 2048, 16384):
         grid = periodic_grid(-2.0, 2.0, n)
-        for ell in (1e-3, 0.1, 0.365):
-            written.clear()
+        h = n // 2
+        rhs = np.zeros((2, h + 1))
+        rhs[:, 1:h] = rng.standard_normal((2, h - 1))
+        for ell in (1e-3, 0.05, 0.365, 0.9):
             fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
             assert "diagonals" not in vars(fs)  # not built for the odd sector
             want = _cut_band(_sector_diagonals(fs.diagonals, n, odd=True))
-            assert len(written) == 1
-            assert np.array_equal(written[0], want), (n, ell)
+            p = fs.cap.p
+            cap, neck = want[:, :p].copy(), want[:, p:].copy()
+            for j in range(max(p - 2, 0), p):
+                cap[p - j + 4:, j] = 0.0  # entries in the rows p + 1, p + 2
+            for j in range(2):
+                neck[:4 - j, j] = 0.0  # entries in the columns p - 1, p
+            if p:
+                half = grid.mirror_half
+                still = ModelSurfaceMetric(ell=0.0).grid_jet(half.span(0, p + 2))
+                assert np.array_equal(_odd_band(*_coefficients(still), fs._c, pole=True,
+                                                neck=False), cap), (n, ell)
+            assert np.array_equal(_odd_band(*fs._window, fs._c, pole=not p, neck=True),
+                                  neck), (n, ell)
+            lu, piv, info = lapack.dgbtrf(want, 2, 2)
+            ref = lapack.dgbtrs(lu, 2, 2, rhs[:, 1:h].T, piv)[0].T
+            got = fs.solve_sigma(rhs, odd=True)
+            err = np.abs(got[:, 1:h] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-14 and not got[:, [0, h]].any(), (n, ell, err)
+        assert (p == 0) == (n == 12)  # the cap is empty on a coarse grid
 
 
 def test_factored_channels_are_mirror_images(surface_grid):
@@ -636,10 +651,10 @@ def test_wp_bianchi_images_are_odd(n):
 
 def test_mirror_half_kernels_are_the_whole_grid_ones(surface_grid):
     # a WP row takes the k = 0 Bianchi image, the odd-sector solve and the
-    # conformal Killing image on the nodes 0 ... n/2.  There they are the
-    # whole grid's: the Bianchi image's odd part to round-off (the profile is
-    # even only to round-off at mirror nodes), the solve and the conformal
-    # Killing image bit for bit
+    # conformal Killing image on part of the nodes 0 ... n/2.  There they are
+    # the whole grid's: the Bianchi image's odd part to round-off (the
+    # profile is even only to round-off at mirror nodes), the solve (against
+    # the solve of both sectors) and the conformal Killing image bit for bit
     grid = surface_grid
     m = grid.mirror_half.n
     for ell in (1e-3, 0.05, 0.365):
@@ -656,7 +671,7 @@ def test_mirror_half_kernels_are_the_whole_grid_ones(surface_grid):
         rhs = np.zeros_like(b)
         rhs[:, 1:m - 1] = b_half[:, 1:-1]
         rhs[:, m:] = -b_half[:, -2:0:-1]
-        x = fs.solve_sigma(rhs, odd=True)
+        x = fs.solve_sigma(rhs)
         assert np.array_equal(x_half, x[:, :m]), ell
         assert np.array_equal(fs.conformal_killing(x_half),
                               fs.conformal_killing(x)[:, :m]), ell
@@ -674,27 +689,41 @@ def test_mirror_half_kernels_are_the_whole_grid_ones(surface_grid):
         fs.solve_sigma(rhs)
     with pytest.raises(ValueError, match="k = 0"):
         FactoredGlobalSolver(ModelSurfaceMetric(ell=0.05), grid, 1).bianchi(np.ones((3, m)))
+    # the odd sector is solved on the mirror half or the window, not on the grid
+    with pytest.raises(ValueError, match="mirror half"):
+        fs.solve_sigma(np.zeros((2, grid.n)), odd=True)
 
 
 def test_odd_sector_solve_refuses_what_is_not_odd(surface_grid):
     surf = ModelSurfaceMetric(ell=0.05)
     grid = surface_grid
+    half = grid.mirror_half
     x = grid.nodes
     fs = FactoredGlobalSolver(surf, grid, 0)
     odd = np.vstack([np.sin(np.pi * x / 2.0), 0.3 * np.sin(np.pi * x)])
     # on an odd right-hand side the odd sector alone is the whole solve
-    got, want = fs.solve_sigma(odd, odd=True), fs.solve_sigma(odd)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got, want = fs.solve_sigma(odd[:, :half.n], odd=True), fs.solve_sigma(odd)
+    assert np.abs(got - want[:, :half.n]).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError, match="not odd"):
-        fs.solve_sigma(odd + 1e-6 * np.cos(np.pi * x / 2.0), odd=True)
-    noise = ModeField(0, Rank.SYM2_FULL, grid,
-                      np.random.default_rng(3).standard_normal((3, grid.n)))
+        fs.solve_sigma((odd + 1e-6 * np.cos(np.pi * x / 2.0))[:, :half.n], odd=True)
+    # a tensor on the mirror half or the window is even by construction; one
+    # on the whole grid is refused, and on the window one must vanish on the cap
+    noise = np.random.default_rng(3).standard_normal((3, grid.n))
     bank = SolverBank(surf, grid)
-    with pytest.raises(ValueError, match="not odd"):
-        project_tt(surf, grid, noise, solvers=bank, even=True)
+    with pytest.raises(ValueError, match="mirror half"):
+        project_tt(surf, grid, ModeField(0, Rank.SYM2_FULL, grid, noise), solvers=bank,
+                   even=True)
+    window = bank.get(0).cap.window
+    on_window = ModeField(0, Rank.SYM2_FULL, window, noise[:, :window.n])
+    with pytest.raises(ValueError, match="vanish on the cap"):
+        project_tt(surf, grid, on_window, solvers=bank, even=True)
+    rhs = noise[:2, :window.n].copy()
+    rhs[:, -1] = 0.0  # odd
+    with pytest.raises(ValueError, match="vanish on the cap"):
+        fs.solve_sigma(rhs, odd=True)
     # no sector at k >= 1
     with pytest.raises(ValueError, match="k = 0"):
         FactoredGlobalSolver(surf, grid, 1).solve_sigma(odd, odd=True)
-    mode1 = ModeField(1, Rank.SYM2_FULL, grid, np.vstack([odd, odd[:1]]))
+    mode1 = ModeField(1, Rank.SYM2_FULL, half, np.vstack([odd, odd[:1]])[:, :half.n])
     with pytest.raises(ValueError, match="k = 0"):
         project_tt(surf, grid, mode1, solvers=bank, even=True)

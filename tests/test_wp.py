@@ -13,7 +13,8 @@ from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
 from wpneck.operators import apply_divergence, apply_trace
 from wpneck.parametrix import SolverBank, project_tt
-from wpneck.surface import FactoredGlobalSolver, ModelSurfaceMetric, fold_tau
+import wpneck.surface as surface_module
+from wpneck.surface import FactoredGlobalSolver, ModelSurfaceMetric, OddCap, fold_tau
 from wpneck.uniformize import solve_conformal_factor
 from wpneck.wp import (length_variation, loglog_slope, sweep_wp_coefficients,
                        twist_step, twist_variation, wp_inner_product, wp_matrix)
@@ -116,9 +117,10 @@ def test_wp_row_never_builds_the_even_sector(setup):
 
 
 def test_wp_row_runs_on_the_mirror_half(monkeypatch):
-    # after the grid's shared pieces exist, a row combines the profile on the
-    # neck grid and on the periodic grid's mirror half alone, and the solver
-    # never builds the whole grid's coefficients
+    # after the grid's shared pieces and odd cap exist, a row combines the
+    # profile on the neck grid and on the window of the periodic grid's
+    # mirror half alone, and the solver never builds the coefficients of the
+    # whole grid or of the half
     grid = periodic_grid(-2.0, 2.0, 2048)
     half = grid.mirror_half
     surf = ModelSurfaceMetric(ell=0.02)
@@ -136,8 +138,9 @@ def test_wp_row_runs_on_the_mirror_half(monkeypatch):
     cf = solve_conformal_factor(surf)
     bank = SolverBank(surf, grid)
     mat = wp_matrix(surf, grid, conformal=cf, solvers=bank)
-    assert sizes == [cf.grid.n, half.n]
-    assert "_whole" not in vars(bank.get(0))
+    window = bank.get(0).cap.window
+    assert sizes == [cf.grid.n, window.n] and window.n < half.n
+    assert "_whole" not in vars(bank.get(0)) and "_half" not in vars(bank.get(0))
     assert cf.weight(half).shape == (half.n,)
     assert mat["g_lw"] == 0.0
 
@@ -145,19 +148,21 @@ def test_wp_row_runs_on_the_mirror_half(monkeypatch):
 def test_one_projection_carries_both_variations(monkeypatch):
     # at k = 0 the phi and psi systems never meet, so projecting (phi_l,
     # psi_w) gives the length's phi row and the twist's psi row bit for bit,
-    # on the odd sector alone and on both sectors
+    # on the odd sector alone (on the mirror half and on the window) and on
+    # both sectors
     grid = periodic_grid(-2.0, 2.0, 2048)
     for ell in (1e-3, 0.05, 0.365):
         surf = ModelSurfaceMetric(ell=ell)
         bank = SolverBank(surf, grid)
-        gl, gw = length_variation(surf, grid), twist_variation(surf, grid)
-        both = ModeField(0, Rank.SYM2_FULL, grid,
-                         np.vstack([gl.data[0], gw.data[1], np.zeros(grid.n)]))
-        for even in (True, False):
+        for on, even in ((grid.mirror_half, True), (bank.get(0).cap.window, True),
+                         (grid, False)):
+            gl, gw = length_variation(surf, on), twist_variation(surf, on)
+            both = ModeField(0, Rank.SYM2_FULL, on,
+                             np.vstack([gl.data[0], gw.data[1], np.zeros(on.n)]))
             t, tl, tw = (project_tt(surf, grid, g, solvers=bank, even=even).data
                          for g in (both, gl, gw))
-            assert np.array_equal(t[0], tl[0]) and np.array_equal(t[1], tw[1]), (ell, even)
-            assert not tl[1].any() and not tw[0].any(), (ell, even)
+            assert np.array_equal(t[0], tl[0]) and np.array_equal(t[1], tw[1]), (ell, on)
+            assert not tl[1].any() and not tw[0].any(), (ell, on)
     solves = _count_calls(monkeypatch, FactoredGlobalSolver, "solve_sigma")
     wp_matrix(ModelSurfaceMetric(ell=0.05), grid)
     assert len(solves) == 1
@@ -367,11 +372,56 @@ def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
     assert alive == {"surface": 0, "periodic": 0, "neck": 1}
 
 
+def test_wp_matrix_weights_the_cap_where_the_conformal_domain_reaches_it():
+    # a conformal factor solved on |tau| <= 1 is not 1 on part of the odd
+    # sector's cap (|tau| >= 0.883 at n = 2048): there the cap's share of each
+    # pairing is weighted, and the row is the mirror half's explicit pairing
+    # (measured <= 2.3e-16).  Taking the weight as 1 on the cap moves it by
+    # more than 1e-11
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    half = grid.mirror_half
+    surf = ModelSurfaceMetric(ell=0.02)
+    cf = solve_conformal_factor(surf, domain=1.0)
+    bank = SolverBank(surf, grid)
+    got = wp_matrix(surf, grid, conformal=cf, solvers=bank)
+    p = bank.get(0).cap.p
+    weight = cf.weight(half)
+    assert np.any(weight[:p] != 1.0)
+    t = project_tt(surf, grid, wp._variations(surf, half, length=True, twist=True),
+                   solvers=bank, even=True)
+    tl = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([t.data[0], 0.0 * t.data[0]]))
+    tw = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([0.0 * t.data[1], t.data[1]]))
+    outside = weight.copy()
+    outside[:p] = 1.0
+    for key, f in (("g_ll", tl), ("g_ww", tw)):
+        want = mode_inner_product(f, f, weight)
+        assert abs(got[key] - want) <= 1e-12 * want, key
+        assert abs(mode_inner_product(f, f, outside) - want) > 1e-11 * want, key
+    assert got["g_lw"] == 0.0
+
+
+def test_odd_cap_is_factored_once_per_grid_and_dies_with_it(monkeypatch):
+    # the cap is kept with its grid: a sweep factors it once and each row its
+    # neck alone, and it holds no reference that outlives the grid
+    caps = _count_calls(monkeypatch, OddCap, "__init__")
+    bands = _count_calls(monkeypatch, surface_module, "_band_solve")
+    rows = sweep_wp_coefficients([1e-3, 0.01, 0.05, 0.09], grid_n=2048)
+    assert len(rows) == 4 and len(caps) == 1 and len(bands) == 1 + 4
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    surf = ModelSurfaceMetric(ell=0.05)
+    cap = SolverBank(surf, grid).get(0).cap
+    assert SolverBank(surf, grid).get(0).cap is cap and len(caps) == 2
+    assert cap.window.n < grid.mirror_half.n
+    ref = weakref.ref(cap)
+    del cap, grid
+    assert ref() is None
+
+
 def test_wp_row_peak_memory():
     # "memory stays flat": the traced peak of one sweep row at n = 16384, its
     # conformal factor included, after a row on the same grid has built the
-    # grid's shared pieces.  Measured 1.58 MB (3.81 MB when the length and the
-    # twist were projected separately)
+    # grid's shared pieces.  Measured 0.75 MB (1.58 MB on the whole mirror
+    # half, 3.81 MB when the length and the twist were projected separately)
     grid = periodic_grid(-2.0, 2.0, 16384)
 
     def row(ell):
@@ -388,12 +438,9 @@ def test_wp_row_peak_memory():
     assert peak <= 2.9e6, peak
 
 
-def test_wp_row_peak_memory_on_the_mirror_half():
-    # a row's arrays span the nodes 0 ... n/2 alone.  Traced peaks of one row
-    # at n = 16384, as in the sweep, on both sides of the zero-conformal-weight
-    # fallback: measured 1,576,988 bytes (ell = 0.02) and 1,543,892 (0.09),
-    # against 2,365,228 and 2,332,052 when they spanned all n nodes
-    grid = periodic_grid(-2.0, 2.0, 16384)
+def _row_peaks(ells, grid_n=16384):
+    """Traced peaks of sweep rows, after a first row on the same grid."""
+    grid = periodic_grid(-2.0, 2.0, grid_n)
 
     def row(ell):
         surf = ModelSurfaceMetric(ell=ell)
@@ -404,14 +451,33 @@ def test_wp_row_peak_memory_on_the_mirror_half():
         return wp_matrix(surf, grid, conformal=cf)
 
     row(0.01)
-    for ell in (0.02, 0.09):
+    peaks = []
+    for ell in ells:
         tracemalloc.start()
         try:
             row(ell)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_wp_row_peak_memory_on_the_mirror_half():
+    # a row's arrays span the nodes 0 ... n/2 alone.  Traced peaks of one row
+    # at n = 16384, as in the sweep, on both sides of the zero-conformal-weight
+    # fallback: measured 749,784 bytes (ell = 0.02) and 679,504 (0.09) on the
+    # neck window, against 1,576,988 and 1,543,892 on the whole mirror half
+    # and 2,365,228 and 2,332,052 when they spanned all n nodes
+    for ell, peak in zip((0.02, 0.09), _row_peaks((0.02, 0.09))):
         assert peak <= 1.9e6, (ell, peak)
+
+
+def test_wp_row_peak_memory_on_the_neck_window():
+    # after the grid's odd cap exists, a row's arrays span the neck window,
+    # 3588 of the half's 8193 nodes at n = 16384; the conformal Newton on its
+    # own 4097-node grid is the rest.  Measured 749,784 and 679,504 bytes
+    for ell, peak in zip((0.02, 0.09), _row_peaks((0.02, 0.09))):
+        assert peak <= 1.0e6, (ell, peak)
 
 
 # sweep_wp_coefficients(_PINNED_ELLS, grid_n=2048) as (g_ll, g_ww), recorded
