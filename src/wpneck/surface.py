@@ -770,11 +770,10 @@ class OddCap:
     F = Q + ell^2 w, and w and w' vanish exactly on |tau| >= 7/8, so on the
     grid's mirror half the nodes before the first where they do not
     (:meth:`~ModelSurfaceMetric.grid_pieces`) carry the same sqrt(F) and
-    beta, bit for bit, at every ell.  The cap is
-    the sector's unknowns 1 ... p whose rows, and the two coupling rows
-    p + 1 and p + 2, read only such nodes; it is empty on coarse grids
-    (n <= 14).  In blocks, with 1 the cap and 2 the neck rows
-    p + 1 ... n/2 - 1, M x = r is
+    beta, bit for bit, at every ell.  The cap is the sector's unknowns
+    1 ... p whose rows, and the two coupling rows p + 1 and p + 2, read only
+    such nodes; it is empty on coarse grids (n <= 14).  In blocks, with 1
+    the cap and 2 the neck rows p + 1 ... n/2 - 1, M x = r is
 
         (A22 - A21 Z) x2 = r2 - A21 A11^-1 r1,  x1 = A11^-1 r1 - Z x2[:2],
 
