@@ -132,9 +132,10 @@ class GreenSolveReport:
 
 
 def _enforce_support_gap(tau: np.ndarray, h: np.ndarray, c: float, what: str):
-    inner = np.abs(tau) <= c
-    if np.any(h[inner] != 0.0):
-        bad = np.max(np.abs(h[inner]))
+    """Refuse ``h`` unless it vanishes where |tau| <= c; ``tau`` ascends."""
+    inner = h[tau.searchsorted(-c):tau.searchsorted(c, side="right")]
+    if np.count_nonzero(inner):
+        bad = np.max(np.abs(inner))
         raise ValueError(
             f"{what} must vanish on |tau| <= {c} (max inner value {bad:.3e})"
         )
@@ -234,17 +235,14 @@ def solve_zero_mode_fd(ell, h, eta_plus=0.0, eta_minus=0.0, *,
 
 
 def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
-    ell, t = agrid.ell, agrid.t
-    n = t.size
-    tau = agrid.tau
+    """(tau, w) of the Dirichlet solve on the grid; only the potential, the
+    diagonal and the rhs are built per call (the rest: ``agrid.channel_band``)."""
+    t, tau = agrid.t, agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     ht = t[1] - t[0]
-    th = np.tanh(t)
-    V = 1.0 + (tau + sign * k) ** 2 / (ell * np.cosh(t)) ** 2
-
-    lower = -1.0 / ht**2 + th[1:-1] / (2.0 * ht)
-    diag = 2.0 / ht**2 + V[1:-1]
-    upper = -1.0 / ht**2 - th[1:-1] / (2.0 * ht)
+    cosh2, lower, upper = agrid.channel_band
+    V = 1.0 + (tau[1:-1] + sign * k) ** 2 / cosh2
+    diag = 2.0 / ht**2 + V
 
     rhs = hv[1:-1].copy()
     rhs[0] -= lower[0] * eta_minus
@@ -252,10 +250,10 @@ def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs samples and boundary values must be finite")
 
-    w = np.empty(n)
+    w = np.empty(tau.size)
     w[0], w[-1] = eta_minus, eta_plus
     w[1:-1] = tridiagonal_solve(tridiagonal_lu(lower, diag, upper), rhs)
-    return tau, w
+    return tau.copy(), w
 
 
 def solve_nonzero_mode(
@@ -300,14 +298,15 @@ class BarrierProfile:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("barrier exponent alpha must lie in (0, 1)")
+        if self.k == 0:
+            raise ValueError("the barrier bound concerns k != 0 only")
 
     def __call__(self, tau):
         tau = np.asarray(tau, float)
-        out = np.zeros_like(tau)
-        nz = tau != 0.0
-        expo = self.alpha * abs(self.k) * (1.0 / self.c - 1.0 / np.abs(tau[nz]))
-        out[nz] = self.C * np.exp(np.minimum(expo, 700.0))
-        return out
+        # 1/|tau| = inf at tau = 0, where the exponent is -inf and zeta is 0
+        with np.errstate(divide="ignore"):
+            expo = self.alpha * abs(self.k) * (1.0 / self.c - 1.0 / np.abs(tau))
+        return self.C * np.exp(np.minimum(expo, 700.0))
 
 
 @dataclass(frozen=True)
@@ -346,27 +345,27 @@ def certify_barrier(ells, ks, alpha: float, c: float = 0.5) -> BarrierCertificat
     ks = tuple(int(k) for k in ks)
     if any(k == 0 for k in ks):
         raise ValueError("the barrier bound concerns k != 0 only")
+    n = _BARRIER_NODES
+    # symmetric grid avoiding tau = 0 exactly; one row per ell
+    tau = np.linspace(_TAU_BOUND / n, _TAU_BOUND, n)
+    F = tau**2 + np.array([ell**2 for ell in ells])[:, None]
+    tau2_F = tau**2 / F
+    worst = np.full(F.shape, np.inf)
+    for k in ks:
+        ak = alpha * abs(k)
+        # zeta'/zeta = ak/tau^2, zeta''/zeta = ak^2.../ on tau>0
+        zp = ak / tau**2
+        zpp = (ak / tau**2) ** 2 - 2.0 * ak / tau**3
+        base = -F * zpp - 2.0 * tau * zp + 1.0 + tau2_F
+        for sign in (+1, -1):
+            # +-k cross terms: (tau + s k)^2 = tau^2 + 2 s k tau + k^2
+            np.minimum(worst, base + (2.0 * sign * k * tau + k * k) / F, out=worst)
+            # tau < 0 mirror: P^s on tau<0 equals P^{-s} on tau>0 for even zeta
     inner_radius: dict[float, float] = {}
     min_marg_cert = np.inf
     min_marg_full = np.inf
-    n = _BARRIER_NODES
-    for ell in ells:
-        worst = np.full(n, np.inf)
-        # symmetric grid avoiding tau = 0 exactly
-        tau = np.linspace(_TAU_BOUND / n, _TAU_BOUND, n)
-        F = tau**2 + ell**2
-        for k in ks:
-            ak = alpha * abs(k)
-            # zeta'/zeta = ak/tau^2, zeta''/zeta = ak^2.../ on tau>0
-            zp = ak / tau**2
-            zpp = (ak / tau**2) ** 2 - 2.0 * ak / tau**3
-            base = -F * zpp - 2.0 * tau * zp + 1.0 + tau**2 / F
-            for sign in (+1, -1):
-                # +-k cross terms: (tau + s k)^2 = tau^2 + 2 s k tau + k^2
-                g = base + (2.0 * sign * k * tau + k * k) / F
-                worst = np.minimum(worst, g)
-                # tau < 0 mirror: P^s on tau<0 equals P^{-s} on tau>0 for even zeta
-        ok = worst >= 0.0
+    for ell, row in zip(ells, worst):
+        ok = row >= 0.0
         if ok.all():
             inner_radius[ell] = float(tau[0])
         else:
@@ -377,8 +376,8 @@ def certify_barrier(ells, ks, alpha: float, c: float = 0.5) -> BarrierCertificat
                 inner_radius[ell] = float(tau[last_bad + 1])
         region = tau >= inner_radius[ell]
         if region.any():
-            min_marg_cert = min(min_marg_cert, float(np.min(worst[region])))
-        min_marg_full = min(min_marg_full, float(np.min(worst)))
+            min_marg_cert = min(min_marg_cert, float(np.min(row[region])))
+        min_marg_full = min(min_marg_full, float(np.min(row)))
     full = min_marg_full >= 0.0
     return BarrierCertificate(
         alpha=alpha, c=c, ells=ells, ks=ks,

@@ -10,7 +10,8 @@ integrands.
 A stretched "arcsinh" grid is provided for the cylinder: uniform in
 t = arcsinh(tau/ell), so the node spacing in tau scales like
 sqrt(tau^2 + ell^2).  That resolves the ell-scale turning region near
-tau = 0 without a uniform grid of size ~1/ell.
+tau = 0 without a uniform grid of size ~1/ell.  The last few are kept and
+shared by every caller, read-only.
 
 Every grid stores ``d1``/``d2`` as CSR matrices, built on the first read, so
 callers that use only nodes and weights never pay for them.  Threads first
@@ -25,7 +26,7 @@ reflection R: i -> n - i, with the quadrature of the even ones.  A
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -322,7 +323,9 @@ class ArcsinhGrid:
 
     ``t_grid`` carries the stencils; ``tau`` are the image nodes.  The
     spacing in tau is proportional to sqrt(tau^2 + ell^2), clustering nodes
-    in the turning region.
+    in the turning region.  :func:`arcsinh_grid` shares one instance among
+    its callers, so ``tau``, ``jacobian`` and :attr:`channel_band` are
+    built on the first read, kept and read-only.
     """
 
     ell: float
@@ -333,20 +336,42 @@ class ArcsinhGrid:
     def t(self) -> np.ndarray:
         return self.t_grid.nodes
 
-    @property
+    @cached_property
     def tau(self) -> np.ndarray:
-        return self.ell * np.sinh(self.t_grid.nodes)
+        return _read_only(self.ell * np.sinh(self.t_grid.nodes))
 
-    @property
+    @cached_property
     def jacobian(self) -> np.ndarray:
         """d tau / d t = ell * cosh t."""
-        return self.ell * np.cosh(self.t_grid.nodes)
+        return _read_only(self.ell * np.cosh(self.t_grid.nodes))
+
+    @cached_property
+    def channel_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """((ell cosh t)^2, lower, upper) on the interior nodes 1 ... n - 2.
+
+        lower and upper are the off-diagonals of -w'' - tanh(t) w' in O(h^2)
+        central differences: the part of a cylinder channel operator in t
+        that depends on the grid alone (:mod:`wpneck.green`).
+        """
+        t = self.t
+        ht = t[1] - t[0]
+        th = np.tanh(t[1:-1])
+        return _read_only(((self.ell * np.cosh(t[1:-1])) ** 2,
+                           -1.0 / ht**2 + th / (2.0 * ht),
+                           -1.0 / ht**2 - th / (2.0 * ht)))
 
     def integrate_dtau(self, f: np.ndarray) -> float:
         return self.t_grid.integrate(f * self.jacobian)
 
 
+@lru_cache(maxsize=4)
 def arcsinh_grid(ell: float, tau_bound: float, n: int) -> ArcsinhGrid:
+    """The :class:`ArcsinhGrid` on |tau| <= tau_bound, n nodes (an even n gets n + 1).
+
+    Built once per (ell, tau_bound, n) and shared: the last four are kept,
+    so the channel solves of one ell reuse one grid.  Its arrays are
+    read-only.
+    """
     if ell <= 0:
         raise ValueError("arcsinh grid needs ell > 0")
     tb = float(np.arcsinh(tau_bound / ell))

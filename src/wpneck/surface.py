@@ -678,7 +678,7 @@ def _sector_diagonals(diags, n: int, odd: bool) -> np.ndarray:
     lo, hi = (1, n // 2 - 1) if odd else (0, n // 2)
     sign = -1.0 if odd else 1.0
     out = diags[:, :, lo:hi + 1].copy()
-    for i in sorted({lo, lo + 1, hi - 1, hi}):
+    for i in sorted({lo, lo + 1, hi - 1, hi} & set(range(lo, hi + 1))):
         for d in (-2, -1, 1, 2):
             j = i + d
             mirror = -j if j < lo else n - j

@@ -224,6 +224,17 @@ def test_verify_barrier_fails_when_nothing_is_certified(tmp_path):
     assert all(c["pass"] is False for c in checks.values())
 
 
+def test_verify_barrier_prints_its_pinned_values(capsys):
+    # the certificate and the channel solves must not drift by a bit
+    assert main(["verify", "barrier"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert [(c["name"], c["value"], c["bound"], c["pass"])
+            for c in report["checks"]] == [
+        ("barrier_certified_margin", -0.9010995568590547, 0.0, True),
+        ("barrier_bound_excess", 0.0, 0.0, True)]
+
+
 def test_run_suite_registry():
     cfg = RunConfig(grid_n=2048)
     report = run_suite("cylinder", cfg)

@@ -7,7 +7,7 @@ from wpneck.green import (BarrierProfile, HomogeneousSolutions,
                           certify_barrier, cylinder_dirichlet_inverse,
                           solve_nonzero_mode, solve_zero_mode,
                           solve_zero_mode_fd)
-from wpneck.grids import uniform_grid
+from wpneck.grids import arcsinh_grid, uniform_grid
 from wpneck.modefields import ModeField, Rank, Variant
 from wpneck.operators import apply_gauge_laplacian
 from wpneck.wp import fit_polyhomogeneous
@@ -74,6 +74,14 @@ def test_support_gap_enforced():
         solve_zero_mode(0.1, smooth_bump(-0.2, 0.2), 0.0, 0.0)
     with pytest.raises(ValueError):
         solve_nonzero_mode(0.1, 2, smooth_bump(0.1, 0.7), c=0.5)
+    # the gap is closed: a sample at |tau| = c lies in it, on either side of 0
+    tau = arcsinh_grid(0.1, 1.0, 4097).tau
+    for j in (100, 3000):
+        h = np.zeros_like(tau)
+        h[j] = 1.0
+        with pytest.raises(ValueError):
+            solve_nonzero_mode(0.1, 2, h, c=abs(tau[j]))
+        solve_nonzero_mode(0.1, 2, h, c=np.nextafter(abs(tau[j]), 0.0))
 
 
 def test_band_solves_refuse_non_finite_data(cyl_half):
@@ -117,6 +125,64 @@ def test_barrier_certificate_structure():
         certify_barrier([0.1], [0], alpha=0.3)
     with pytest.raises(ValueError):
         certify_barrier([0.1], [1], alpha=1.5)
+
+
+def _certify_reference(ells, ks, alpha):
+    """certify_barrier's arithmetic, one ell and one (k, sign) at a time:
+    (inner radii, certified margin, full margin)."""
+    n = 2001
+    tau = np.linspace(1.0 / n, 1.0, n)
+    inner, cert_margin, full_margin = [], np.inf, np.inf
+    for ell in ells:
+        worst = np.full(n, np.inf)
+        F = tau**2 + ell**2
+        for k in ks:
+            ak = alpha * abs(k)
+            zp = ak / tau**2
+            zpp = (ak / tau**2) ** 2 - 2.0 * ak / tau**3
+            base = -F * zpp - 2.0 * tau * zp + 1.0 + tau**2 / F
+            for sign in (+1, -1):
+                g = base + (2.0 * sign * k * tau + k * k) / F
+                worst = np.minimum(worst, g)
+        ok = worst >= 0.0
+        if ok.all():
+            inner.append(float(tau[0]))
+        else:
+            last_bad = np.max(np.nonzero(~ok)[0])
+            inner.append(np.inf if last_bad == n - 1 else float(tau[last_bad + 1]))
+        region = tau >= inner[-1]
+        if region.any():
+            cert_margin = min(cert_margin, float(np.min(worst[region])))
+        full_margin = min(full_margin, float(np.min(worst)))
+    return inner, cert_margin, full_margin
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.9, 0.99])
+def test_barrier_certificate_matches_the_per_mode_loop(alpha):
+    # every ell in one array per k, with the same arithmetic per element;
+    # alpha = 0.99 certifies no radius at all (an infinite inner radius)
+    for ells in ((1e-3, 1e-2, 0.1), (0.1,)):
+        for ks in (range(1, 33), [4]):
+            cert = certify_barrier(ells, ks, alpha)
+            inner, cert_margin, full_margin = _certify_reference(ells, ks, alpha)
+            assert np.array_equal([cert.inner_radius[e] for e in ells], inner)
+            assert np.array_equal(cert.min_margin_certified, cert_margin)
+            assert np.array_equal(cert.min_margin_full, full_margin)
+            assert cert.full_pass == (full_margin >= 0.0)
+    assert np.isinf(certify_barrier([0.1], range(1, 33), 0.99).inner_radius[0.1])
+
+
+def test_barrier_profile_matches_the_masked_evaluation():
+    tau = np.concatenate([np.linspace(-1.0, 1.0, 2049), [-0.0, 1e-300, 0.01]])
+    for k in (1, -3, 32):
+        zeta = BarrierProfile(0.3, 0.5, 0.7, k)(tau)
+        want = np.zeros_like(tau)
+        nz = tau != 0.0
+        expo = 0.3 * abs(k) * (1.0 / 0.5 - 1.0 / np.abs(tau[nz]))
+        want[nz] = 0.7 * np.exp(np.minimum(expo, 700.0))
+        assert zeta.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        BarrierProfile(0.3, 0.5, 1.0, 0)
 
 
 def test_barrier_failure_region_grows_with_alpha():

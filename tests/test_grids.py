@@ -181,6 +181,43 @@ def test_nonzero_mode_solve_builds_one_grid(monkeypatch):
     assert len(calls) == 1
 
 
+def test_arcsinh_grids_are_kept_shared_and_read_only():
+    arcsinh_grid.cache_clear()
+    ag = arcsinh_grid(0.01, 1.0, 257)
+    assert arcsinh_grid(0.01, 1.0, 257) is ag
+    for ell in np.geomspace(1e-3, 0.1, 10):
+        arcsinh_grid(float(ell), 1.0, 257)
+    assert arcsinh_grid.cache_info().currsize <= 4
+    for a in (ag.tau, ag.jacobian, *ag.channel_band):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_solves_share_the_grid_and_return_their_own_nodes(monkeypatch):
+    bump = smooth_bump(0.5, 0.75)
+    arcsinh_grid.cache_clear()
+    tau, w = wpneck.green.solve_nonzero_mode(0.01, 3, bump, n=257)
+    assert tau.flags.writeable
+    tau[:] = 0.0
+    builds = []
+    real = wpneck.grids.uniform_grid
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wpneck.grids, "uniform_grid", counting)
+    tau2, w2 = wpneck.green.solve_nonzero_mode(0.01, 5, bump, sign=-1, n=257)
+    assert not builds
+    assert np.array_equal(tau2, arcsinh_grid(0.01, 1.0, 257).tau)
+    assert np.array_equal(wpneck.green.solve_nonzero_mode(0.01, 3, bump, n=257)[1], w)
+    arcsinh_grid.cache_clear()
+    tau3, w3 = wpneck.green.solve_nonzero_mode(0.01, 5, bump, sign=-1, n=257)
+    assert len(builds) == 1
+    assert tau3.tobytes() == tau2.tobytes() and w3.tobytes() == w2.tobytes()
+
+
 def test_tridiagonal_pair_matches_a_dense_solve():
     # no diagonal dominance, so the factorization pivots
     rng = np.random.default_rng(3)

@@ -592,7 +592,8 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
     # M, cut between them, bit for bit; a solve with both is dgbtrs on that
     # band, for an rhs that is nonzero on the cap too (measured <= 1.8e-15)
     rng = np.random.default_rng(7)
-    for n in (12, 64, 2048, 16384):
+    # the one- and three-node sectors last, so that the other grids keep their draws
+    for n in (12, 64, 2048, 16384, 4, 8):
         grid = periodic_grid(-2.0, 2.0, n)
         h = n // 2
         rhs = np.zeros((2, h + 1))
@@ -605,7 +606,7 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
             cap, neck = want[:, :p].copy(), want[:, p:].copy()
             for j in range(max(p - 2, 0), p):
                 cap[p - j + 4:, j] = 0.0  # entries in the rows p + 1, p + 2
-            for j in range(2):
+            for j in range(min(2, neck.shape[1])):
                 neck[:4 - j, j] = 0.0  # entries in the columns p - 1, p
             if p:
                 half = grid.mirror_half
@@ -619,7 +620,7 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
             got = fs.solve_sigma(rhs, odd=True)
             err = np.abs(got[:, 1:h] - ref).max() / np.abs(ref).max()
             assert err <= 1e-14 and not got[:, [0, h]].any(), (n, ell, err)
-        assert (p == 0) == (n == 12)  # the cap is empty on a coarse grid
+        assert (p == 0) == (n <= 12)  # the cap is empty on a coarse grid
 
 
 def test_factored_channels_are_mirror_images(surface_grid):
