@@ -47,14 +47,22 @@ Each block acts on both rho channels at once, stacked as the flattened
   with zero coupling and factored once, each a diagonal similarity of a
   symmetric positive definite band, so each application of Gtilde, R or
   R^T is one no-pivot LAPACK ``dpttrs`` between two diagonal scalings.
-* The commutators, precomputed.  [P, chi~_j] has zero diagonal and the
-  off-diagonals L_i (chi~_j(i-1) - chi~_j(i)) and U_i (chi~_j(i+1) -
-  chi~_j(i)), which vanish outside the widener transition layers (~170 of
-  2048 nodes per channel).  So R reads the stacked Dirichlet solution at
-  those nodes only, and R^T writes the band's right-hand side there only.
-* A reference block's global inverse: a
-  :class:`~wpneck.surface.GlobalModeSolver`, a band of the same kind with
-  its cyclic corners put back by a small Schur closure.
+* The commutators, with their places shared by every block of a family
+  (:class:`_Layers`).  [P, chi~_j] has zero diagonal and the off-diagonals
+  L_i (chi~_j(i-1) - chi~_j(i)) and U_i (chi~_j(i+1) - chi~_j(i)), which
+  vanish outside the widener transition layers (~170 of 2048 nodes per
+  channel).  So R reads the stacked Dirichlet solution at those nodes
+  only, and R^T writes the band's right-hand side there only.
+
+The frozen references of F are not blocks.  A family keeps one
+:class:`ReferenceBank` per mode: the channel rows on |tau| >= 7/8 are the
+same at every ell, so that cap is factored once per mode and condensed out
+(:class:`~wpneck.surface.ChannelCap`), and the references' remaining neck
+bands, subdomain and global, are stacked into one band each.  An
+application of F or F^T is then four ``dpttrs`` calls for all references
+together, whatever their number.  :class:`~wpneck.surface.GlobalModeSolver`
+stays the independent direct solve that the Neumann series is checked
+against.
 
 Operator norms of R and S are estimated by power iteration on S^T S
 (matvec/rmatvec through the transposed band, and banded solves); on the
@@ -66,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,11 +82,13 @@ from .grids import RadialGrid
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
 from .operators import mode_operators
 from .surface import (
+    ChannelCap,
     CutoffPair,
     FactoredGlobalSolver,
     GlobalModeSolver,
     ModelSurfaceMetric,
     SubdomainSolver,
+    _period_run,
     band_matvec,
     channel_diagonals,
     fold_tau,
@@ -87,6 +98,9 @@ from .surface import (
     thick_indices,
     thin_indices,
     transposed_diagonals,
+    _band_pieces,
+    _PieceClosures,
+    _symmetrized,
 )
 from .ttbasis import tt_element, tt_limit
 
@@ -94,6 +108,7 @@ __all__ = [
     "ModeParametrix",
     "ParametrixFamily",
     "ParametrixReport",
+    "ReferenceBank",
     "project_tt",
     "SolverBank",
     "CutoffTensors",
@@ -122,64 +137,289 @@ _NORM_RTOL = 1e-6  # relative step that ends the operator_norm power iteration
 _NEUMANN_MAX_TERMS = 400
 
 
+class _Layers:
+    """Stacked Dirichlet runs and where their commutators act; no ell, no k.
+
+    ``runs`` are node runs stacked run by run, both channels of each (as
+    :class:`~wpneck.surface.SubdomainSolver` stacks its period-ordered runs);
+    ``tables`` are chi and chi~ at the grid's nodes, (2, n) each, one row per
+    run.  ``flat`` places the stacked unknowns in the flattened (2, n)
+    channels and ``chi``, ``chiw`` are the cutoffs there.
+
+    -sum_j [P, chi~_j] has zero diagonal, so the unknown at node i of run j
+    reaches only rows i +- 1, through L_{i+1} (chi~_j(i) - chi~_j(i+1)) and
+    U_{i-1} (chi~_j(i) - chi~_j(i-1)), nonzero only where chi~_j changes, in
+    the transition layers.  Those entries sit at (``rows``, ``cols``);
+    :meth:`commutator` gives their values from a band's diagonals.
+    """
+
+    def __init__(self, runs, tables):
+        chi, chiw = tables
+        n = chi.shape[1]
+        self.runs, self.tables = runs, tables
+        self.flat = np.concatenate([c * n + idx for idx in runs for c in (0, 1)])
+        run = np.repeat([0, 1], [2 * r.size for r in runs])
+        chan, node = np.divmod(self.flat, n)
+        self.chi, self.chiw = chi[run, node], chiw[run, node]
+        rows, cols, neg = [], [], []
+        for step in (1, -1):
+            r = (node + step) % n
+            diff = self.chiw - chiw[run, r]
+            p = np.flatnonzero(diff)
+            rows.append(chan[p] * n + r[p])
+            cols.append(p)
+            neg.append(-diff[p])
+        self._split = rows[0].size
+        self.rows, self.cols, self._neg = (np.concatenate(a) for a in (rows, cols, neg))
+
+    @classmethod
+    def of_blocks(cls, grid: RadialGrid, cutoffs: CutoffPair) -> "_Layers":
+        """The layers of a block's thick and thin runs on ``grid``."""
+        t = grid.nodes
+        tables = (np.vstack([cutoffs.chi0(t), cutoffs.chi1(t)]),
+                  np.vstack([cutoffs.chi0_widened(t), cutoffs.chi1_widened(t)]))
+        return cls([_period_run(idx, grid.n) for idx in (thick_indices(grid),
+                                                         thin_indices(grid))], tables)
+
+    def commutator(self, diags) -> np.ndarray:
+        """The entries of -sum_j [P, chi~_j] for the band with diagonals ``diags``."""
+        L, _, U = (d.reshape(-1) for d in diags)
+        s = self._split
+        return np.concatenate([L[self.rows[:s]], U[self.rows[s:]]]) * self._neg
+
+
+def _stack(pieces) -> "tuple[np.ndarray, ...]":
+    """(main, lower, upper, sizes) of :func:`~wpneck.surface._band_pieces`
+    outputs, one after another, for :func:`~wpneck.surface._symmetrized`."""
+    main, lower, upper, sizes = zip(*pieces)
+
+    def chain(parts):  # a placeholder at each cut between two pieces
+        return np.concatenate([np.append(p, 1.0) for p in parts])[:-1]
+
+    return np.concatenate(main), chain(lower), chain(upper), np.concatenate(sizes)
+
+
+class ReferenceBank:
+    """The frozen references of one mode k, solved together on the neck.
+
+    The correction F = sum_j lambda_j G_glob(ell_j) R(ell_j) and its
+    transpose are applied for all references at once.  The cap of the
+    channel bands (:class:`~wpneck.surface.ChannelCap`) is the same at every
+    ell, so it is factored once per mode and condensed out: each reference
+    keeps only its neck rows, and the references' pieces are stacked with
+    zero coupling into one symmetrized band per kind, so each of the four
+    solves in F and F^T is one ``dpttrs``:
+
+    * the subdomain band: each reference's thick run without the cap (the
+      part before the cap and the part after it, joined by the cap's Schur
+      update into one tridiagonal run) and its thin run, both channels;
+    * the neck band: each reference's channels on the neck, the rest of the
+      circle.  The cap's Schur update joins the neck's two ends, so each
+      channel is cyclic; its two corners are put back by Woodbury closures
+      batched over the references (:class:`~wpneck.surface._PieceClosures`).
+      At k = 0 each channel is bordered by the reference's weighted kernel
+      c too, carried through the condensation: [[A, c], [c^T, 0]] becomes
+      the neck band bordered by a column b, a row d and a diagonal -gamma,
+      from one more cap column per reference and channel, A_CC^-1 c_C
+      (A_CC^-T c_C for the transpose, which swaps b and d).
+
+    R_j reads its Dirichlet solution on the transition layers only, inside
+    the neck, so no cap value of a subdomain solve is formed, and R_j^T
+    writes nothing on the cap.  The cap's values of sum_j lambda_j G_j R_j w,
+    and of the transposed solutions times chi, are one product with the
+    cap's Z or Zt.  Two steps of the per-reference route change the result
+    by round-off only and are not taken: at k = 0 the reference's kernel is
+    not projected off R_j w before the bordered solve (on the uniform
+    periodic grid the border is proportional to the kernel, so it would only
+    move the multiplier), nor off the transposed solution (which the border
+    already keeps in the kernel's complement).
+    """
+
+    def __init__(self, grid: RadialGrid, k: int, layers: _Layers,
+                 ell_refs: tuple[float, ...]):
+        n = grid.n
+        self.layers = layers
+        self.s_nodes = tuple(e * e for e in ell_refs)
+        surfaces = [ModelSurfaceMetric(ell=e) for e in ell_refs]
+        kernels = None
+        if k:
+            diags = [channel_diagonals(s, grid, k) for s in surfaces]
+        else:
+            globs = [GlobalModeSolver(s, grid, 0) for s in surfaces]
+            diags, kernels = [g.diags for g in globs], [g.kernel for g in globs]
+        self.cap = cap = ChannelCap(diags[0], grid)
+        # the neck, from the node after the cap round to the one before it
+        neck = (cap.after + np.arange(n - cap.nodes.size)) % n
+        s = neck.size
+        self._neck = np.concatenate([neck, neck + n])
+        # per channel, the neck's positions of the nodes before and after the cap
+        self._neck_ends = np.array([[s - 1, 0], [2 * s - 1, s]])
+        on_neck = np.full(2 * n, -1)
+        on_neck[self._neck] = np.arange(2 * s)
+        thick, thin = layers.runs
+        runs = (cap.neck_run(thick), thin)
+        own = _Layers(runs, layers.tables)
+        flat = self._flat = own.flat
+        self._chi = own.chi
+        self._chi_cap = layers.tables[0][0, cap.flat % n]
+        if np.any(on_neck[own.rows] < 0):
+            raise ValueError("the transition layers reach the cap")
+        # per channel, the thick piece's row at the node before the cap; the
+        # next row is the node after it
+        join = np.array([np.flatnonzero(flat == c * n + cap.before)[0] for c in (0, 1)])
+        M = flat.size
+        m = cap.nodes.size
+        # (c0, c0, cl, cl) of the two channels, and the subdomain band's
+        # (before, before, after, after) of each reference
+        self._cap_ends = np.array([0, m, m - 1, 2 * m - 1])
+        self._join_at = np.concatenate([join, join + 1]) + M * np.arange(len(diags))[:, None]
+        ends, sub, glob, corners, R = [], [], [], [], []
+        for j, d in enumerate(diags):
+            e, diag, up, low = cap.schur(d)
+            ends.append(e.T.reshape(-1))
+            _, main, lower, upper, sizes = _band_pieces(d, runs)
+            main[join] += diag[:, 0]
+            main[join + 1] += diag[:, 1]
+            upper[join], lower[join] = up, low
+            sub.append((main, lower, upper, sizes))
+            _, main, lower, upper, sizes = _band_pieces(d, [neck])
+            main[self._neck_ends] += diag
+            glob.append((main, lower, upper, sizes))
+            corners.append(np.concatenate([up, low]))
+            R.append((on_neck[own.rows] + 2 * s * j, own.cols + M * j, own.commutator(d)))
+        # per reference, U[before] of each channel, then L[after]
+        self._ends = np.array(ends)
+        self._R = tuple(np.concatenate(a) for a in zip(*R))
+        self._shape = (len(diags), M, 2 * s)
+        self._sub = _symmetrized(*_stack(sub))
+        band = _symmetrized(*_stack(glob))
+        self._glob = self._closures(band, np.array(corners), kernels, grid.weights)
+
+    def _closures(self, band, corners, kernels, weights):
+        """The neck band's batched closures, per ``trans``.
+
+        Each channel's corners are (last, first) = up and (first, last) =
+        low; transposed, each corner's row and column swap.
+        """
+        cap, (J, _, m2) = self.cap, self._shape
+        last, first = self._neck_ends.T
+        rows, cols = np.concatenate([last, first]), np.concatenate([first, last])
+        unit = np.zeros((J, m2, 4))
+        unit[:, rows, np.arange(4)] = 1.0
+        valued = np.zeros((J, m2, 4))
+        valued[:, cols, np.arange(4)] = corners
+        # at k >= 1 no border: b and d have no column, gamma no entry
+        b = d = np.zeros((J, m2, 0))
+        gamma_n = gamma_t = np.zeros((J, 0))
+        self._cap_border = None
+        if kernels is not None:
+            c = np.array([weights * q for q in kernels])  # (reference, n)
+            c_cap = c[:, cap.nodes]
+            zc, zt = (cap.solve(np.tile(c_cap, 2).T, trans).T.reshape(J, 2, -1)
+                      for trans in ("N", "T"))
+            b = np.zeros((J, m2, 2))
+            for ch in (0, 1):
+                b[:, ch * (m2 // 2):(ch + 1) * (m2 // 2), ch] = c[:, self._neck[:m2 // 2]]
+            d = b.copy()
+            for ch, (i, o) in enumerate(self._neck_ends):
+                # b = c_N - A_NC A_CC^-1 c_C, d = c_N - A_CN^T A_CC^-T c_C
+                b[:, i, ch] -= self._ends[:, ch] * zc[:, ch, 0]
+                b[:, o, ch] -= self._ends[:, 2 + ch] * zc[:, ch, -1]
+                d[:, i, ch] -= cap.inward[ch, 0] * zt[:, ch, 0]
+                d[:, o, ch] -= cap.inward[ch, 1] * zt[:, ch, -1]
+            gamma_n, gamma_t = (np.einsum("jm,jcm->jc", c_cap, z) for z in (zc, zt))
+            self._cap_border = (c_cap, zc.transpose(1, 0, 2).copy())
+        return {
+            "N": _PieceClosures(band.solve, np.concatenate([unit, b], axis=2), cols,
+                                corners, d.transpose(0, 2, 1), gamma_n),
+            "T": _PieceClosures(partial(band.solve, trans="T"),
+                                np.concatenate([valued, d], axis=2), rows,
+                                np.ones_like(corners), b.transpose(0, 2, 1), gamma_t),
+        }
+
+    def correct(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_j lam_j G_glob(ell_j) R(ell_j) w for w of shape (2, n)."""
+        cap = self.cap
+        J, M, m2 = self._shape
+        wf = w.reshape(-1)
+        # the subdomain solves: the cap's share of the shared rhs once, then
+        # every reference's condensed pieces
+        y = cap.solve(self._chi_cap * wf[cap.flat])
+        b = np.empty((J, M))
+        b[:] = self._chi * wf[self._flat]
+        b.reshape(-1)[self._join_at] -= self._ends * y[self._cap_ends]
+        x = self._sub.solve(b.reshape(-1))
+        rows, cols, vals = self._R
+        r = np.bincount(rows, vals * x[cols], minlength=J * m2).reshape(J, m2)
+        # the global solves on the neck; R_j w vanishes on the cap
+        g, K = self._glob["N"](r)
+        neck = lam @ g
+        out = np.empty(wf.size)
+        out[self._neck] = neck
+        # x_C = -A_CC^-1 (A_CN x_N + c_C mu), A_CN x_N = (L[c0] x_before, U[cl] x_after)
+        on_cap = -(cap.Z @ (cap.inward * neck[self._neck_ends])[..., None])[..., 0]
+        if self._cap_border is not None:
+            on_cap -= ((lam[:, None] * K[:, 4:]).T[:, None] @ self._cap_border[1])[:, 0]
+        out[cap.flat] = on_cap.reshape(-1)
+        return out.reshape(w.shape)
+
+    def correct_T(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_j lam_j R(ell_j)^T G_glob(ell_j)^T w for w of shape (2, n)."""
+        cap = self.cap
+        J, M, m2 = self._shape
+        wf = w.reshape(-1)
+        # the global solves: the cap's share of the shared rhs once, which
+        # leaves the same neck rhs for every reference
+        y = cap.solve(wf[cap.flat], trans="T")
+        r = np.empty((J, m2))
+        r[:] = wf[self._neck]
+        r[:, self._neck_ends] -= cap.inward * y[self._cap_ends].reshape(2, 2).T
+        s = None
+        if self._cap_border is not None:
+            s = -(self._cap_border[0] @ y.reshape(2, -1).T)
+        z, _ = self._glob["T"](r, s)
+        rows, cols, vals = self._R
+        q = np.bincount(cols, vals * z.reshape(-1)[rows], minlength=J * M)
+        v = self._sub.solve(q, trans="T")
+        out = np.bincount(self._flat, self._chi * (lam @ v.reshape(J, M)), minlength=wf.size)
+        # v_C = -A_CC^-T (U[before] v_before e_c0 + L[after] v_after e_cl)
+        a = lam @ (self._ends * v[self._join_at]).reshape(J, 4)
+        out[cap.flat] -= self._chi_cap * (cap.Zt @ a.reshape(2, 2).T[..., None])[..., 0].reshape(-1)
+        return out.reshape(w.shape)
+
+
 class ModeParametrix:
-    """Per-mode operator pieces at one (ell, k); references may be shared."""
+    """Per-mode operator pieces at one (ell, k); the frozen references of its
+    correction F are a shared :class:`ReferenceBank`."""
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int,
-                 cutoffs: CutoffPair,
-                 refs: "tuple[ModeParametrix, ...] | None" = None):
+                 cutoffs: CutoffPair, bank: ReferenceBank | None = None):
         self.surface = surface
         self.grid = grid
         self.k = int(k)
         self.cutoffs = cutoffs
-        self.refs = refs
-        if refs is None or self.k == 0:
-            # the global solver builds the channel diagonals and the kernel;
-            # only a reference block keeps it
-            glob = GlobalModeSolver(surface, grid, k)
+        self.bank = bank
+        self.norm_steps = 0
+        if self.k == 0:
+            # the global solver builds the channel diagonals and the kernel
+            glob = GlobalModeSolver(surface, grid, 0)
             self.diags, self.kernel = glob.diags, glob.kernel
         else:
             self.diags, self.kernel = channel_diagonals(surface, grid, self.k), None
-        self.glob = glob if refs is None else None
-        if refs is not None:
+        if bank is not None:
             s = surface.ell**2
-            s_nodes = [r.surface.ell**2 for r in refs]
-            lagrange = [
+            self._lagrange = np.array([
                 math.prod((s - si) / (sj - si)
-                          for i, si in enumerate(s_nodes) if i != j)
-                for j, sj in enumerate(s_nodes)
-            ]
-            self._terms = [(lam, ref) for lam, ref in zip(lagrange, refs)
-                           if lam != 0.0]
+                          for i, si in enumerate(bank.s_nodes) if i != j)
+                for j, sj in enumerate(bank.s_nodes)])
         self._diags_T = transposed_diagonals(self.diags)
-        runs = (thick_indices(grid), thin_indices(grid))
-        self.G = SubdomainSolver(self.diags, runs)
-        n = grid.n
-        chan, node = np.divmod(self.G.flat, n)
-        # the band's stacked order: run by run, both channels of each
-        run = np.repeat([0, 1], [2 * r.size for r in runs])
-        t = grid.nodes
-        chi = np.vstack([cutoffs.chi0(t), cutoffs.chi1(t)])
-        chiw = np.vstack([cutoffs.chi0_widened(t), cutoffs.chi1_widened(t)])
-        self._chi = chi[run, node]
-        self._chiw = chiw[run, node]
-        # R = -sum_j [P, chi~_j] G_j chi_j as one (2n) x (stacked) matrix:
-        # [P, chi~_j] has zero diagonal, so the solution at node i of run j
-        # reaches only rows i +- 1, through L_{i+1} (chi~_j(i) - chi~_j(i+1))
-        # and U_{i-1} (chi~_j(i) - chi~_j(i-1)); it is nonzero only where
-        # chi~_j changes, in the transition layers.
-        L, _, U = self.diags
-        rows, cols, vals = [], [], []
-        for step, coupling in ((1, L), (-1, U)):
-            r = (node + step) % n
-            coef = coupling[chan, r] * (self._chiw - chiw[run, r])
-            p = np.flatnonzero(coef)
-            rows.append(chan[p] * n + r[p])
-            cols.append(p)
-            vals.append(-coef[p])
-        self._R_rows = np.concatenate(rows)
-        self._R_cols = np.concatenate(cols)
-        self._R_vals = np.concatenate(vals)
+        layers = bank.layers if bank is not None else _Layers.of_blocks(grid, cutoffs)
+        self.G = SubdomainSolver(self.diags, layers.runs)
+        # the band's stacked order is the layers': run by run, both channels of each
+        self._chi, self._chiw = layers.chi, layers.chiw
+        # R = -sum_j [P, chi~_j] G_j chi_j as one (2n) x (stacked) matrix
+        self._R_rows, self._R_cols = layers.rows, layers.cols
+        self._R_vals = layers.commutator(self.diags)
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
@@ -213,15 +453,6 @@ class ModeParametrix:
         return self._scatter(self._chi * self.G.solve_channels(self._commute_T(w),
                                                                trans="T"))
 
-    def _ref_correct(self, ref: "ModeParametrix", w):
-        r = ref.apply_R(w)
-        return ref.glob.solve_channels(ref.glob.project_out_kernel(r))
-
-    def _ref_correct_T(self, ref: "ModeParametrix", w):
-        z = ref.glob.solve_channels(w, trans="T")
-        z = ref.glob.project_out_kernel(z)
-        return ref.apply_R_T(z)
-
     def apply_F(self, w):
         """Lagrange-in-ell^2 correction through the frozen references.
 
@@ -229,25 +460,15 @@ class ModeParametrix:
         directions: any kernel ride-along is harmless analytically but its
         O(h^2) discrete image under P would pollute the Neumann solution.
         """
-        terms = self._weighted_refs()
-        out = np.zeros_like(np.asarray(w, float))
-        for lam, ref in terms:
-            out += lam * self._ref_correct(ref, w)
-        return self._project(out)
+        return self._project(self._refs().correct(self._lagrange, np.asarray(w, float)))
 
     def apply_F_T(self, w):
-        terms = self._weighted_refs()
-        w = self._project(np.asarray(w, float))
-        out = np.zeros_like(w)
-        for lam, ref in terms:
-            out += lam * self._ref_correct_T(ref, w)
-        return out
+        return self._refs().correct_T(self._lagrange, self._project(np.asarray(w, float)))
 
-    def _weighted_refs(self):
-        """The (Lagrange weight, reference) pairs with a nonzero weight."""
-        if self.refs is None:
-            raise ValueError("this block was built as a reference; no correction")
-        return self._terms
+    def _refs(self) -> ReferenceBank:
+        if self.bank is None:
+            raise ValueError("this block has no frozen references; no correction")
+        return self.bank
 
     def apply_S(self, w):
         return self.apply_R(w) - self.apply_P(self.apply_F(w))
@@ -266,7 +487,8 @@ class ModeParametrix:
         """Largest singular value of S (or R) by power iteration on A^T A.
 
         At k = 0 the iteration runs in the complement of the conformal
-        Killing directions.
+        Killing directions.  The number of steps taken, applications of A
+        and A^T, is left in :attr:`norm_steps`.
         """
         fwd = self.apply_S if which == "S" else self.apply_R
         bwd = self.apply_S_T if which == "S" else self.apply_R_T
@@ -274,7 +496,8 @@ class ModeParametrix:
         x = self._project(rng.standard_normal((2, self.grid.n)))
         x /= np.linalg.norm(x)
         sigma = 0.0
-        for _ in range(iters):
+        for step in range(1, iters + 1):
+            self.norm_steps = step
             y = fwd(x)
             z = self._project(bwd(self._project(y)))
             nz = np.linalg.norm(z)
@@ -324,10 +547,12 @@ class ParametrixReport:
     per_mode_S: dict[int, float]
     neumann_terms: int
     residual: float
+    norm_steps: dict[int, int]
 
 
 class ParametrixFamily:
-    """Parametrices over an ell-family sharing frozen reference blocks."""
+    """Parametrices over an ell-family sharing frozen references, one
+    :class:`ReferenceBank` per mode."""
 
     def __init__(self, grid: RadialGrid, ks,
                  ell_refs: tuple[float, ...] = DEFAULT_ELL_REFS):
@@ -339,12 +564,8 @@ class ParametrixFamily:
         self.ell_refs = tuple(float(e) for e in ell_refs)
         self.cutoffs = CutoffPair()
         self.cutoffs.validate(grid)
-        self._ref = {}
-        for k in self.ks:
-            self._ref[k] = tuple(
-                ModeParametrix(ModelSurfaceMetric(ell=e), grid, k, self.cutoffs)
-                for e in self.ell_refs
-            )
+        layers = _Layers.of_blocks(grid, self.cutoffs)
+        self._banks = {k: ReferenceBank(grid, k, layers, self.ell_refs) for k in self.ks}
         self._ell: float | None = None
         self._blocks: dict[int, ModeParametrix] = {}
 
@@ -356,16 +577,17 @@ class ParametrixFamily:
             self._ell, self._blocks = ell, {}
         if k not in self._blocks:
             self._blocks[k] = ModeParametrix(ModelSurfaceMetric(ell=ell), self.grid,
-                                             k, self.cutoffs, refs=self._ref[k])
+                                             k, self.cutoffs, bank=self._banks[k])
         return self._blocks[k]
 
     def report(self, ell: float, norm_seed: int = 0) -> ParametrixReport:
         """Norm estimates plus a Neumann-vs-identity residual on a test rhs."""
-        per_mode = {}
+        per_mode, steps = {}, {}
         norm_R = 0.0
         for k in self.ks:
             blk = self.block(ell, k)
             per_mode[k] = blk.operator_norm("S", seed=norm_seed)
+            steps[k] = blk.norm_steps
             norm_R = max(norm_R, blk.operator_norm("R", seed=norm_seed))
         norm_S = max(per_mode.values())
         if norm_S >= 1.0:
@@ -385,7 +607,7 @@ class ParametrixFamily:
             ell=float(ell), ell_refs=self.ell_refs, ks=self.ks,
             norm_R=float(norm_R), norm_S=float(norm_S),
             per_mode_S={k: float(v) for k, v in per_mode.items()},
-            neumann_terms=terms, residual=residual,
+            neumann_terms=terms, residual=residual, norm_steps=steps,
         )
 
 

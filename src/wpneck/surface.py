@@ -33,7 +33,10 @@ back.  Its band, and the Dirichlet pieces of the parametrix's
 :class:`SubdomainSolver`, are the nonconservative stencil of -(F u')' + V:
 each piece is S T S^-1 with S diagonal and T symmetric positive definite,
 and is factored as T by LAPACK's ``dpttrf``, without pivoting
-(:func:`_stacked_band`).  A band that has no such form is refused.
+(:func:`_stacked_band`).  A band that has no such form is refused.  The
+channel rows on the cap |tau| >= 7/8 are the same at every ell, so the
+parametrix's frozen references condense them out once per mode
+(:class:`ChannelCap`) and solve their remaining neck bands together.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  It uses the grid reflection R: i -> n - i
@@ -73,6 +76,8 @@ __all__ = [
     "fold_tau",
     "GlobalModeSolver",
     "SubdomainSolver",
+    "ChannelCap",
+    "cap_indices",
     "band_matvec",
     "channel_diagonals",
     "transposed_diagonals",
@@ -309,11 +314,12 @@ class CutoffPair:
 def _period_run(idx: np.ndarray, n: int) -> np.ndarray:
     """``idx`` as one run of consecutive nodes in period order.
 
-    A sorted run that wraps across tau = +-2 is rolled into that order; the
-    whole circle is no run (its operator is cyclic, not Dirichlet).
+    A sorted run that wraps across tau = +-2 is rolled into that order, and
+    one in that order already is kept; the whole circle is no run (its
+    operator is cyclic, not Dirichlet).
     """
     idx = np.asarray(idx, dtype=int)
-    breaks = np.nonzero(np.diff(idx) != 1)[0]
+    breaks = np.nonzero(np.diff(idx) % n != 1)[0]
     if breaks.size == 1 and idx[0] == 0 and idx[-1] == n - 1:
         idx = np.roll(idx, -(breaks[0] + 1))
     elif breaks.size or idx.size == 0 or idx.size >= n:
@@ -325,24 +331,41 @@ def _stacked_band(diags, runs):
     """``(flat, band)``: the tridiagonal pieces of ``diags`` on ``runs``, one band.
 
     Run by run, channel + then channel -, the pieces are stacked with zero
-    coupling, as one :class:`_SymmetrizedBand`; ``flat[p]`` is the position
-    of stacked unknown p in the flattened (2, n) channels.  A piece with
-    sub- and superdiagonals l and u is S T S^-1: T symmetric, with the
-    piece's diagonal and the off-diagonal sign(u_i) sqrt(l_{i+1} u_i), and
-    S = diag(s), s_0 = 1 and s_{i+1} = s_i sqrt(l_{i+1} / u_i).  The scaling
-    restarts at each piece, so each is factored and solved bit for bit as if
-    alone.  A piece with some l_{i+1} u_i <= 0 has no such T and is refused.
+    coupling, as one :class:`_SymmetrizedBand` (:func:`_symmetrized`);
+    ``flat[p]`` is the position of stacked unknown p in the flattened (2, n)
+    channels.
+    """
+    flat, *band = _band_pieces(diags, runs)
+    return flat, _symmetrized(*band)
+
+
+def _band_pieces(diags, runs):
+    """``(flat, main, lower, upper, sizes)``: the pieces of :func:`_stacked_band`.
+
+    Row p + 1 couples back to row p through ``lower[p]``, row p to p + 1
+    through ``upper[p]``; where p is the last row of a piece (``sizes``) the
+    two are read across the cut and are never used.
     """
     n = diags[1].shape[1]
     L, D, U = (d.reshape(-1) for d in diags)
     pieces = [c * n + idx for idx in runs for c in (0, 1)]
     flat = np.concatenate(pieces)
-    sizes = np.array([p.size for p in pieces])
+    return flat, D[flat], L[flat[1:]], U[flat[:-1]], np.array([p.size for p in pieces])
+
+
+def _symmetrized(main, lower, upper, sizes):
+    """The pieces (``sizes``) of a tridiagonal band, stacked with zero coupling.
+
+    A piece with sub- and superdiagonals l and u is S T S^-1: T symmetric,
+    with the piece's diagonal and the off-diagonal sign(u_i) sqrt(l_{i+1} u_i),
+    and S = diag(s), s_0 = 1 and s_{i+1} = s_i sqrt(l_{i+1} / u_i).  The
+    scaling restarts at each piece, so each is factored and solved bit for
+    bit as if alone.  A piece with some l_{i+1} u_i <= 0 has no such T and
+    is refused.  ``lower`` and ``upper`` are overwritten.
+    """
     ends = np.cumsum(sizes)
-    # row p + 1 couples back to row p through lower[p], row p to p + 1
-    # through upper[p].  At a piece's last row p the coupling is cut: ones
-    # stand in there for the check and the ratios, and T gets a zero
-    lower, upper = L[flat[1:]], U[flat[:-1]]
+    # at a piece's last row p the coupling is cut: ones stand in there for
+    # the check and the ratios, and T gets a zero
     cut = ends[:-1] - 1
     lower[cut] = upper[cut] = 1.0
     prod = lower * upper
@@ -351,11 +374,11 @@ def _stacked_band(diags, runs):
     off = np.copysign(np.sqrt(prod), upper)
     off[cut] = 0.0
     ratio = np.sqrt(lower / upper)
-    scale = np.empty(flat.size)
+    scale = np.empty(main.size)
     for start, end in zip(ends - sizes, ends):
         scale[start] = 1.0
         np.cumprod(ratio[start:end - 1], out=scale[start + 1:end])
-    return flat, _SymmetrizedBand(D[flat], off, scale)
+    return _SymmetrizedBand(main, off, scale)
 
 
 class _SymmetrizedBand:
@@ -439,6 +462,47 @@ class _Closure:
         return y
 
 
+class _PieceClosures:
+    """Woodbury closures of the equal pieces of one band, batched.
+
+    Piece j (rows j m ... (j + 1) m - 1 of the band that ``solve`` inverts,
+    A0_j) stands for A_j = A0_j + U_j W_j, bordered by rows D_j with the
+    diagonal -gamma_j, as :class:`_Closure` with that diagonal in place of 0:
+    for [[A_j, B_j], [D_j, -gamma_j]] (x; mu) = (r; s), with Y_j = A0_j^-1
+    [U_j, B_j] (``cols``, (J, m, c + b)) and T_j = [W_j; D_j], it is
+    x = y - Y_j K, K = H_j^-1 (T_j y - (0; s)), y = A0_j^-1 r, and
+    H_j = T_j Y_j + diag(I_c, gamma_j).  Each row of W_j holds one entry:
+    ``coef[j, i]`` in column ``idx[i]``; ``rows`` is D_j, (J, b, m).  The
+    inverses of the small H_j are formed once, so a solve of all pieces is
+    one band solve, one gather and two batched products.
+    """
+
+    def __init__(self, solve, cols, idx, coef, rows, gamma):
+        J, m, w = cols.shape
+        self._solve, self._idx, self._coef = solve, idx, coef[..., None]
+        self._rows = rows if rows.shape[1] else None
+        self._Y = solve(cols.reshape(J * m, w)).reshape(J, m, w)
+        H = self._T(self._Y)
+        H[:, np.arange(w), np.arange(w)] += np.concatenate([np.ones((J, idx.size)), gamma],
+                                                           axis=1)
+        self._Hinv = np.linalg.inv(H)
+
+    def _T(self, y: np.ndarray) -> np.ndarray:
+        """T_j y_j for each piece, y of shape (J, m, w)."""
+        t = y[:, self._idx] * self._coef
+        return t if self._rows is None else np.concatenate([t, self._rows @ y], axis=1)
+
+    def __call__(self, r: np.ndarray, s: np.ndarray | None = None):
+        """``(x, K)`` for the right-hand sides ``r``, (J, m), and ``s``, (J, b)."""
+        y = self._solve(r.reshape(-1)).reshape(r.shape)
+        t = self._T(y[..., None])[..., 0]
+        if s is not None:
+            t[:, self._idx.size:] -= s
+        K = (self._Hinv @ t[..., None])[..., 0]
+        y -= (self._Y @ K[..., None])[..., 0]
+        return y, K
+
+
 class SubdomainSolver:
     """Dirichlet inverses of the mode gauge Laplacian on runs of nodes, as one band.
 
@@ -460,6 +524,76 @@ class SubdomainSolver:
     def solve_channels(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """One band solve; ``b`` and the solution are in stacked order."""
         return self._band.solve(b, trans)
+
+
+def cap_indices(grid: RadialGrid) -> np.ndarray:
+    """The nodes whose channel rows are the same at every ell, in period order.
+
+    A row of :func:`channel_diagonals` reads F, F' and F'' at its own node
+    only, and F = Q + ell^2 w with w, w' and w'' exactly 0 on |tau| >= 7/8
+    (:meth:`ModelSurfaceMetric.grid_pieces`): the cap, one run that wraps
+    across tau = +-2.
+    """
+    _, _, weight = ModelSurfaceMetric.grid_pieces(grid)
+    still = np.logical_and.reduce([p == 0.0 for p in weight])
+    return _period_run(np.flatnonzero(still), grid.n)
+
+
+class ChannelCap:
+    """The cap (:func:`cap_indices`) of a mode's two channel bands, condensed once.
+
+    Its rows are the same at every ell, so each channel's block A_CC on the
+    cap, a plain tridiagonal with no cyclic corner, is factored once per
+    (grid, k), both channels as one band (:func:`_stacked_band`; ``flat``
+    places its unknowns in the (2, n) channels).  The cap meets the rest of
+    the circle, the neck, only at its ends: its first node c0 couples to the
+    node ``before`` it through L[c0], its last node cl to the node ``after``
+    it through U[cl] (``inward``, per channel, ell-independent too).  With
+    ``Z`` = A_CC^-1 [e_c0, e_cl] and ``Zt`` = A_CC^-T [e_c0, e_cl], each
+    (2, m, 2), eliminating the cap from a band changes it at ``before`` and
+    ``after`` alone (:meth:`schur`), and the cap's values follow from the
+    neck's through Z or Zt.  :meth:`neck_run` gives a run with the cap taken
+    out, the part before the cap first.
+    """
+
+    def __init__(self, diags, grid: RadialGrid):
+        n = grid.n
+        self.nodes = cap_indices(grid)
+        m = self.nodes.size
+        self.before, self.after = (self.nodes[0] - 1) % n, (self.nodes[-1] + 1) % n
+        self.flat, self._band = _stacked_band(diags, [self.nodes])
+        L, _, U = diags
+        self.inward = np.stack([L[:, self.nodes[0]], U[:, self.nodes[-1]]], axis=1)
+        ends = np.zeros((2 * m, 4))
+        ends[[0, m - 1, m, 2 * m - 1], [0, 1, 2, 3]] = 1.0
+        self.Z, self.Zt = (
+            np.stack([z[c * m:(c + 1) * m, 2 * c:2 * c + 2] for c in (0, 1)])
+            for z in (self._band.solve(ends), self._band.solve(ends, trans="T")))
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A_CC^-1 b (``trans="T"``: A_CC^-T b) for b in :attr:`flat` order."""
+        return self._band.solve(b, trans)
+
+    def neck_run(self, run: np.ndarray) -> np.ndarray:
+        """A run in period order with the cap taken out: its part before the
+        cap, then after, so that ``before`` and ``after`` are neighbours."""
+        return run[~np.isin(run, self.nodes)]
+
+    def schur(self, diags):
+        """The cap's Schur update of a band with the cap's rows, per channel.
+
+        Returns ``(ends, diag, up, low)``, each (2, 2) or (2,): ``ends`` the
+        couplings (U[before], L[after]) into the cap, ``diag`` the updates of
+        the diagonal at (before, after), and ``up`` and ``low`` the couplings
+        before -> after and after -> before that the elimination creates.
+        """
+        L, _, U = diags
+        ends = np.stack([U[:, self.before], L[:, self.after]], axis=1)
+        Z, (into0, into1) = self.Z, self.inward.T
+        diag = -ends * np.stack([Z[:, 0, 0] * into0, Z[:, -1, 1] * into1], axis=1)
+        up = -ends[:, 0] * Z[:, 0, 1] * into1
+        low = -ends[:, 1] * Z[:, -1, 0] * into0
+        return ends, diag, up, low
 
 
 def discrete_near_null(solve, seed: np.ndarray) -> np.ndarray:

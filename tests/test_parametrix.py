@@ -64,17 +64,21 @@ def test_error_vanishes_on_neck(family, grid):
     assert np.max(np.abs(out[:, r <= 0.5])) == 0.0
 
 
-def test_S_adjoint_consistency(family, grid):
-    blk = family.block(0.2, 1)
+@pytest.mark.parametrize("k", [0, 1, 3, 8])
+def test_S_adjoint_consistency(family, grid, k):
+    fam = family if k in family.ks else ParametrixFamily(grid, ks=[k])
+    blk = fam.block(0.2, k)
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, grid.n))
     b = rng.standard_normal((2, grid.n))
     lhs = float(np.sum(blk.apply_S(a) * b))
     rhs = float(np.sum(a * blk.apply_S_T(b)))
     # S is a small difference of large adjoint-consistent pieces; measure
-    # the pairing mismatch against the piece scale
+    # the pairing mismatch against the piece scale (measured 4.2e-12,
+    # 3.0e-12, 9.3e-14 and 1.5e-14 at k = 0, 1, 3 and 8; 3.4e-12, 5.1e-12,
+    # 1.4e-14 and 3.4e-14 with per-reference solves)
     scale = abs(float(np.sum(blk.apply_R(a) * b))) + 1.0
-    assert abs(lhs - rhs) / scale < 1e-10
+    assert abs(lhs - rhs) / scale < 1e-10, k
 
 
 def test_S_vanishes_at_reference_nodes(family, grid):
@@ -317,11 +321,93 @@ def test_error_operator_is_zero_off_the_transition_layers(family, grid):
 
 
 def test_reference_block_has_no_correction(family):
-    ref = family._ref[0][0]
+    # a block built at a reference length without the family's references,
+    # as the references themselves once were, has no correction to apply
+    ref = ModeParametrix(ModelSurfaceMetric(ell=family.ell_refs[0]), family.grid, 0,
+                         family.cutoffs)
     w = np.ones((2, family.grid.n))
     for name in ("apply_F", "apply_F_T", "apply_S", "apply_S_T"):
-        with pytest.raises(ValueError, match="built as a reference"):
+        with pytest.raises(ValueError, match="no frozen references"):
             getattr(ref, name)(w)
+
+
+def test_cap_factors_are_the_same_at_every_length():
+    # the cap's rows read only nodes where w, w' and w'' vanish, so its
+    # factor, its end columns Z, Zt and its couplings into the neck are built
+    # from any length's channel diagonals bit for bit
+    for n in (512, 2048):
+        grid = periodic_grid(-2.0, 2.0, n)
+        for k in (0, 1, 8):
+            caps = [surface.ChannelCap(surface.channel_diagonals(
+                ModelSurfaceMetric(ell=ell), grid, k), grid) for ell in (0.035, 0.52)]
+            a, b = (vars(c) | vars(c._band) for c in caps)
+            assert a.keys() == b.keys()
+            for key, value in a.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, b[key]), (n, k, key)
+
+
+def test_reference_bank_bands_are_symmetric_definite():
+    # every band a reference bank factors (the cap, each reference's
+    # condensed subdomain pieces and its neck pieces) is a diagonal
+    # similarity away from a positive definite band, which the symmetrized
+    # factor accepts, and no batched closure is singular (measured over n in
+    # {64, 512, 1023, 1024, 2048, 4096}, k in 0 ... 32 and nine lengths
+    # spaced geometrically over [1e-3, 0.9]; a trimmed set here)
+    for n in (64, 1023, 2048):
+        grid = periodic_grid(-2.0, 2.0, n)
+        layers = parametrix._Layers.of_blocks(grid, CutoffPair())
+        for k in (0, 1, 8, 32):
+            parametrix.ReferenceBank(grid, k, layers, (1e-3, 0.03, 0.9))
+
+
+def _per_reference(grid, k, ell_refs):
+    """Oracle: F and F^T of a block composed reference by reference, each
+    reference's R through its own SubdomainSolver and its global solve
+    through a GlobalModeSolver, as the blocks applied them before the
+    references shared a bank."""
+    refs = [(ModeParametrix(surf, grid, k, CutoffPair()), GlobalModeSolver(surf, grid, k))
+            for surf in map(ModelSurfaceMetric, ell_refs)]
+
+    def F(blk, w):
+        out = np.zeros_like(w)
+        for lam, (ref, glob) in zip(blk._lagrange, refs):
+            out += lam * glob.solve_channels(glob.project_out_kernel(ref.apply_R(w)))
+        return blk._project(out)
+
+    def F_T(blk, w):
+        w = blk._project(w)
+        out = np.zeros_like(w)
+        for lam, (ref, glob) in zip(blk._lagrange, refs):
+            out += lam * ref.apply_R_T(glob.project_out_kernel(
+                glob.solve_channels(w, trans="T")))
+        return out
+
+    return F, F_T
+
+
+# the relative gap of the bank to the per-reference route, by mode: measured
+# up to 9.8e-11 at k = 0, 1.9e-11 at k = 1, 9.1e-13 at k = 3 and 2.7e-14 at
+# k = 8 over the n, ell and both directions below
+_BANK_GAP = {0: 1e-9, 1: 2e-10, 3: 1e-11, 8: 3e-13}
+
+
+def test_reference_bank_matches_the_per_reference_route():
+    # both routes are backward stable; the gap is the conditioning of the
+    # k <= 1 bands, which both routes' residuals share
+    rng = np.random.default_rng(11)
+    for n in (1024, 2048):
+        grid = periodic_grid(-2.0, 2.0, n)
+        family = ParametrixFamily(grid, ks=list(_BANK_GAP))
+        for k, bound in _BANK_GAP.items():
+            F, F_T = _per_reference(grid, k, family.ell_refs)
+            for ell in (0.05, 0.1, 0.3, 0.06):
+                blk = family.block(ell, k)
+                w = rng.standard_normal((2, n))
+                for got, want in ((blk.apply_F(w), F(blk, w)),
+                                  (blk.apply_F_T(w), F_T(blk, w))):
+                    gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+                    assert gap <= bound, (n, k, ell, gap)
 
 
 def test_refuses_outside_working_range(grid):
@@ -354,6 +440,30 @@ def test_report_values_are_pinned(family):
         for k, v in per_mode.items():
             assert rep.per_mode_S[k] == pytest.approx(v, rel=1e-7, abs=0.0), (ell, k)
         assert rep.neumann_terms == terms, ell
+
+
+# criterion 7's reports, ParametrixFamily(periodic_grid(-2, 2, 2048),
+# ks=range(9)).report(ell, norm_seed) as (norm_seed, ell, neumann_terms,
+# power-iteration steps of S per mode), recorded with every reference solved
+# on its own; round-off in the references must not change a count
+_PINNED_COUNTS = (
+    (0, 0.4, 9, {0: 6, 1: 4, 2: 7, 3: 10, 4: 15, 5: 20, 6: 20, 7: 19, 8: 14}),
+    (0, 0.2, 8, {0: 15, 1: 4, 2: 6, 3: 6, 4: 9, 5: 14, 6: 18, 7: 15, 8: 12}),
+    (0, 0.1, 6, {0: 8, 1: 4, 2: 4, 3: 5, 4: 7, 5: 11, 6: 15, 7: 14, 8: 12}),
+    (0, 0.05, 5, {0: 8, 1: 4, 2: 4, 3: 5, 4: 6, 5: 8, 6: 13, 7: 13, 8: 12}),
+    (1, 0.4, 9, {0: 6, 1: 4, 2: 6, 3: 7, 4: 13, 5: 16, 6: 13, 7: 11, 8: 9}),
+    (1, 0.2, 8, {0: 14, 1: 4, 2: 5, 3: 5, 4: 8, 5: 8, 6: 10, 7: 9, 8: 8}),
+    (1, 0.1, 6, {0: 6, 1: 4, 2: 4, 3: 4, 4: 5, 5: 6, 6: 9, 7: 9, 8: 8}),
+    (1, 0.05, 5, {0: 6, 1: 4, 2: 4, 3: 4, 4: 5, 5: 5, 6: 7, 7: 8, 8: 8}),
+)
+
+
+def test_report_iteration_counts_are_pinned():
+    family = ParametrixFamily(periodic_grid(-2.0, 2.0, 2048), ks=range(9))
+    for seed, ell, terms, steps in _PINNED_COUNTS:
+        rep = family.report(ell, norm_seed=seed)
+        assert rep.norm_steps == steps, (seed, ell, rep.norm_steps)
+        assert rep.neumann_terms == terms, (seed, ell)
 
 
 # -- projection ------------------------------------------------------------------

@@ -56,3 +56,16 @@ def test_wp_sweep_hooks_resolve_and_one_row_passes():
     rows = workloads.WpSweep().run(None, {"ells": [0.05]}, tally)
     assert (tally.attempted, tally.failed) == (1, 0), tally.notes
     assert [r["ell"] for r in rows] == [0.05]
+
+
+def test_parametrix_norms_hooks_resolve_and_two_items_pass():
+    # the marks read ParametrixFamily.block, ModeParametrix.apply_S and
+    # apply_S_T, and each block's surface.ell and k; a renamed one fails
+    # every item of the workload
+    workloads = _load("workloads")
+    tally = workloads.Tally()
+    family = wpneck.ParametrixFamily(wpneck.periodic_grid(-2.0, 2.0, 512), ks=[0, 2])
+    out = workloads.ParametrixNorms().run(
+        family, {"ells": [0.2, 0.1], "norm_seeds": [0, 1]}, tally)
+    assert (tally.attempted, tally.failed) == (2, 0), tally.notes
+    assert [r["ell"] for r in out] == [0.2, 0.1]
