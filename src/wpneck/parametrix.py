@@ -57,12 +57,16 @@ Each block acts on both rho channels at once, stacked as the flattened
 The frozen references of F are not blocks.  A family keeps one
 :class:`ReferenceBank` per mode: the channel rows on |tau| >= 7/8 are the
 same at every ell, so that cap is factored once per mode and condensed out
-(:class:`~wpneck.surface.ChannelCap`), and the references' remaining neck
-bands, subdomain and global, are stacked into one band each.  An
-application of F or F^T is then four ``dpttrs`` calls for all references
-together, whatever their number.  :class:`~wpneck.surface.GlobalModeSolver`
-stays the independent direct solve that the Neumann series is checked
-against.
+(:class:`~wpneck.surface.ChannelCap`).  Each of F's reference solves starts
+from a right-hand side on the commutators' transition layers or is read
+there only, so the references' remaining bands, subdomain and global, keep
+those layer rows alone (:class:`~wpneck.surface._Condensed`, 356 rows per
+reference and band at n = 2048) and are stacked into one band each.  An
+application of F or F^T is then four ``dpttrs`` calls over the layer rows
+of all references together, whatever their number, and dense right-hand
+sides and outputs pass through two coefficients per eliminated row.
+:class:`~wpneck.surface.GlobalModeSolver` stays the independent direct
+solve that the Neumann series is checked against.
 
 Operator norms of R and S are estimated by power iteration on S^T S
 (matvec/rmatvec through the transposed band, and banded solves); on the
@@ -85,7 +89,6 @@ from .surface import (
     ChannelCap,
     CutoffPair,
     FactoredGlobalSolver,
-    GlobalModeSolver,
     ModelSurfaceMetric,
     SubdomainSolver,
     _period_run,
@@ -99,8 +102,9 @@ from .surface import (
     thin_indices,
     transposed_diagonals,
     _band_pieces,
+    _Condensed,
     _PieceClosures,
-    _symmetrized,
+    zero_mode,
 )
 from .ttbasis import tt_element, tt_limit
 
@@ -188,51 +192,45 @@ class _Layers:
         return np.concatenate([L[self.rows[:s]], U[self.rows[s:]]]) * self._neg
 
 
-def _stack(pieces) -> "tuple[np.ndarray, ...]":
-    """(main, lower, upper, sizes) of :func:`~wpneck.surface._band_pieces`
-    outputs, one after another, for :func:`~wpneck.surface._symmetrized`."""
-    main, lower, upper, sizes = zip(*pieces)
-
-    def chain(parts):  # a placeholder at each cut between two pieces
-        return np.concatenate([np.append(p, 1.0) for p in parts])[:-1]
-
-    return np.concatenate(main), chain(lower), chain(upper), np.concatenate(sizes)
-
-
 class ReferenceBank:
-    """The frozen references of one mode k, solved together on the neck.
+    """The frozen references of one mode k, solved together on their layer rows.
 
     The correction F = sum_j lambda_j G_glob(ell_j) R(ell_j) and its
-    transpose are applied for all references at once.  The cap of the
-    channel bands (:class:`~wpneck.surface.ChannelCap`) is the same at every
-    ell, so it is factored once per mode and condensed out: each reference
-    keeps only its neck rows, and the references' pieces are stacked with
-    zero coupling into one symmetrized band per kind, so each of the four
-    solves in F and F^T is one ``dpttrs``:
+    transpose are applied for all references at once.  Each of their four
+    solves starts from a right-hand side on the commutators' transition
+    layers, or is read there only, so every other row is eliminated once per
+    family:
 
+    * the cap of the channel bands (:class:`~wpneck.surface.ChannelCap`) is
+      the same at every ell; it is factored once per mode and condensed out
+      of every band, and its values follow from the neck's through its end
+      columns Z and Zt;
     * the subdomain band: each reference's thick run without the cap (the
       part before the cap and the part after it, joined by the cap's Schur
-      update into one tridiagonal run) and its thin run, both channels;
-    * the neck band: each reference's channels on the neck, the rest of the
-      circle.  The cap's Schur update joins the neck's two ends, so each
-      channel is cyclic; its two corners are put back by Woodbury closures
+      update) and its thin run, both channels, keep their layer columns
+      only (:class:`~wpneck.surface._Condensed`, restricting the dense
+      right-hand side chi w);
+    * the neck band: each reference's channels on the rest of the circle,
+      in period order from the first layer row, keep their layer rows only.
+      Their outer run, joined through the cap's Schur update, ends at the
+      cyclic corner, so the kept band's corner links each channel's last and
+      first layer rows; the corners are put back by Woodbury closures
       batched over the references (:class:`~wpneck.surface._PieceClosures`).
-      At k = 0 each channel is bordered by the reference's weighted kernel
-      c too, carried through the condensation: [[A, c], [c^T, 0]] becomes
-      the neck band bordered by a column b, a row d and a diagonal -gamma,
-      from one more cap column per reference and channel, A_CC^-1 c_C
-      (A_CC^-T c_C for the transpose, which swaps b and d).
+      At k = 0 each channel is bordered by the reference's weighted kernel c
+      too, carried through both condensations: [[A, c], [c^T, 0]] becomes
+      the kept band bordered by a column b, a row d and a diagonal -gamma,
+      and the eliminated rows of the solution take -u mu as well.
 
-    R_j reads its Dirichlet solution on the transition layers only, inside
-    the neck, so no cap value of a subdomain solve is formed, and R_j^T
-    writes nothing on the cap.  The cap's values of sum_j lambda_j G_j R_j w,
-    and of the transposed solutions times chi, are one product with the
-    cap's Z or Zt.  Two steps of the per-reference route change the result
-    by round-off only and are not taken: at k = 0 the reference's kernel is
-    not projected off R_j w before the bordered solve (on the uniform
-    periodic grid the border is proportional to the kernel, so it would only
-    move the multiplier), nor off the transposed solution (which the border
-    already keeps in the kernel's complement).
+    The kept pieces are stacked with zero coupling into one symmetrized band
+    per kind, so each of the four solves in F and F^T is one ``dpttrs`` over
+    the layer rows of all references.  Dense right-hand sides enter through
+    the eliminated rows' coefficients and dense outputs are rebuilt from
+    them.  Two steps of the per-reference route change the result by
+    round-off only and are not taken: at k = 0 the reference's kernel is not
+    projected off R_j w before the bordered solve (on the uniform periodic
+    grid the border is proportional to the kernel, so it would only move the
+    multiplier), nor off the transposed solution (which the border already
+    keeps in the kernel's complement).
     """
 
     def __init__(self, grid: RadialGrid, k: int, layers: _Layers,
@@ -245,65 +243,118 @@ class ReferenceBank:
         if k:
             diags = [channel_diagonals(s, grid, k) for s in surfaces]
         else:
-            globs = [GlobalModeSolver(s, grid, 0) for s in surfaces]
-            diags, kernels = [g.diags for g in globs], [g.kernel for g in globs]
+            diags, kernels = zip(*(zero_mode(s, grid) for s in surfaces))
+        J = len(diags)
         self.cap = cap = ChannelCap(diags[0], grid)
-        # the neck, from the node after the cap round to the one before it
-        neck = (cap.after + np.arange(n - cap.nodes.size)) % n
-        s = neck.size
-        self._neck = np.concatenate([neck, neck + n])
-        # per channel, the neck's positions of the nodes before and after the cap
-        self._neck_ends = np.array([[s - 1, 0], [2 * s - 1, s]])
-        on_neck = np.full(2 * n, -1)
-        on_neck[self._neck] = np.arange(2 * s)
         thick, thin = layers.runs
         runs = (cap.neck_run(thick), thin)
         own = _Layers(runs, layers.tables)
-        flat = self._flat = own.flat
-        self._chi = own.chi
-        self._chi_cap = layers.tables[0][0, cap.flat % n]
+        # the neck, in period order from its first layer row round to the node
+        # before it; the cap lies between its nodes before and after
+        neck = (cap.after + np.arange(n - cap.nodes.size)) % n
+        layer = np.isin(neck, own.rows % n)
+        start = np.argmax(layer)
+        neck, layer = np.roll(neck, -start), np.roll(layer, -start)
+        s = neck.size
+        on_neck = np.full(2 * n, -1)
+        on_neck[np.concatenate([neck, neck + n])] = np.arange(2 * s)
         if np.any(on_neck[own.rows] < 0):
             raise ValueError("the transition layers reach the cap")
+        before = np.flatnonzero(neck == cap.before)[0]
+        # per channel, the neck's positions of the nodes before and after the cap
+        ends_at = np.array([[before, before + 1], [s + before, s + before + 1]])
         # per channel, the thick piece's row at the node before the cap; the
         # next row is the node after it
+        flat = own.flat
         join = np.array([np.flatnonzero(flat == c * n + cap.before)[0] for c in (0, 1)])
-        M = flat.size
-        m = cap.nodes.size
-        # (c0, c0, cl, cl) of the two channels, and the subdomain band's
-        # (before, before, after, after) of each reference
-        self._cap_ends = np.array([0, m, m - 1, 2 * m - 1])
-        self._join_at = np.concatenate([join, join + 1]) + M * np.arange(len(diags))[:, None]
-        ends, sub, glob, corners, R = [], [], [], [], []
-        for j, d in enumerate(diags):
+        sub, glob, corners, ends = [], [], [], []
+        for d in diags:
             e, diag, up, low = cap.schur(d)
             ends.append(e.T.reshape(-1))
-            _, main, lower, upper, sizes = _band_pieces(d, runs)
+            _, main, lower, upper, sub_sizes = _band_pieces(d, runs)
             main[join] += diag[:, 0]
             main[join + 1] += diag[:, 1]
             upper[join], lower[join] = up, low
-            sub.append((main, lower, upper, sizes))
-            _, main, lower, upper, sizes = _band_pieces(d, [neck])
-            main[self._neck_ends] += diag
-            glob.append((main, lower, upper, sizes))
-            corners.append(np.concatenate([up, low]))
-            R.append((on_neck[own.rows] + 2 * s * j, own.cols + M * j, own.commutator(d)))
+            sub.append((main, lower, upper))
+            _, main, lower, upper, _ = _band_pieces(d, [neck])
+            main[ends_at] += diag
+            upper[ends_at[:, 0]], lower[ends_at[:, 0]] = up, low
+            glob.append((main, lower, upper))
+            L, _, U = d
+            corners.append(np.stack([U[:, neck[-1]], L[:, neck[0]]], axis=1))
         # per reference, U[before] of each channel, then L[after]
         self._ends = np.array(ends)
-        self._R = tuple(np.concatenate(a) for a in zip(*R))
-        self._shape = (len(diags), M, 2 * s)
-        self._sub = _symmetrized(*_stack(sub))
-        band = _symmetrized(*_stack(glob))
-        self._glob = self._closures(band, np.array(corners), kernels, grid.weights)
+        keep = np.zeros(flat.size, bool)
+        keep[own.cols] = True
+        self._sub = sub = _Condensed(*map(np.array, zip(*sub)), sub_sizes, keep)
+        border = gammas = self._u = None
+        if kernels is not None:
+            *border, gammas = self._border(grid, kernels, neck, ends_at)
+        self._glob = glob = _Condensed(*map(np.array, zip(*glob)), [s, s], np.tile(layer, 2),
+                                       np.array(corners), dense="T", border=border)
+        if kernels is not None:
+            # each channel's column of u lives on that channel's rows
+            u = glob.border[3].sum(axis=2)
+            self._u = u.reshape(J, 2, -1).transpose(1, 0, 2).copy()
+        self._chi_cap = layers.tables[0][0, cap.flat % n]
+        # the subdomain rows, kept then eliminated, in the (2, n) channels
+        self._sub_flat = np.concatenate([flat[sub.kept], flat[sub.gone]])
+        self._sub_chi = own.chi[np.concatenate([sub.kept, sub.gone])]
+        # the Schur joins' rows, before then after the cap per channel, tied
+        # to the kept rows with U[before] and L[after] folded in
+        coef, at = sub.ties(np.searchsorted(sub.gone, np.concatenate([join, join + 1])))
+        self._join = (self._ends[:, None] * coef, at,
+                      (at + sub.kept.size * np.arange(J)[:, None, None]).reshape(-1))
+        neck2 = np.concatenate([neck, neck + n])
+        self._neck_flat = np.concatenate([neck2[glob.kept], neck2[glob.gone]])
+        self._neck_ends = np.searchsorted(glob.gone, ends_at)
+        self._cap_at = np.array([[c * n + cap.before, c * n + cap.after] for c in (0, 1)])
+        sub_at, glob_at = np.zeros(flat.size, int), np.zeros(2 * s, int)
+        sub_at[sub.kept] = np.arange(sub.kept.size)
+        glob_at[glob.kept] = np.arange(glob.kept.size)
+        self._shape = (J, sub.kept.size, glob.kept.size)
+        self._R = tuple(np.concatenate(a) for a in zip(*(
+            (glob_at[on_neck[own.rows]] + glob.kept.size * j,
+             sub_at[own.cols] + sub.kept.size * j, own.commutator(d))
+            for j, d in enumerate(diags))))
+        self._closures = self._close(gammas)
 
-    def _closures(self, band, corners, kernels, weights):
-        """The neck band's batched closures, per ``trans``.
+    def _border(self, grid, kernels, neck, ends_at):
+        """The k = 0 border (b, d, gammas) of each reference's neck band, per
+        channel, from its weighted kernel c with the cap condensed out
+        (gammas per ``trans``); the cap's columns A_CC^-1 c_C are kept."""
+        cap, s, J = self.cap, neck.size, len(kernels)
+        c = np.array([grid.weights * q for q in kernels])  # (reference, n)
+        c_cap = c[:, cap.nodes]
+        zc, zt = (cap.solve(np.tile(c_cap, 2).T, trans).T.reshape(J, 2, -1)
+                  for trans in ("N", "T"))
+        b = np.zeros((J, 2 * s, 2))
+        for ch in (0, 1):
+            b[:, ch * s:(ch + 1) * s, ch] = c[:, neck]
+        d = b.copy()
+        for ch, (i, o) in enumerate(ends_at):
+            # b = c_N - A_NC A_CC^-1 c_C, d = c_N - A_CN^T A_CC^-T c_C
+            b[:, i, ch] -= self._ends[:, ch] * zc[:, ch, 0]
+            b[:, o, ch] -= self._ends[:, 2 + ch] * zc[:, ch, -1]
+            d[:, i, ch] -= cap.inward[ch, 0] * zt[:, ch, 0]
+            d[:, o, ch] -= cap.inward[ch, 1] * zt[:, ch, -1]
+        self._zc = zc.transpose(1, 0, 2).copy()  # per channel, (reference, cap)
+        return b, d, [np.einsum("jm,jcm->jc", c_cap, z) for z in (zc, zt)]
 
-        Each channel's corners are (last, first) = up and (first, last) =
-        low; transposed, each corner's row and column swap.
+    def _close(self, gammas):
+        """The kept neck band's batched closures, per ``trans``.
+
+        Each channel's corners are (last, first) and (first, last) of its
+        kept rows; transposed, each corner's row and column swap.  At k = 0
+        the border's diagonal is ``gammas`` (per ``trans``) grown by the
+        elimination.
         """
-        cap, (J, _, m2) = self.cap, self._shape
-        last, first = self._neck_ends.T
+        glob = self._glob
+        J, _, m2 = self._shape
+        h = m2 // 2
+        last, first = np.array([h - 1, m2 - 1]), np.array([0, h])
         rows, cols = np.concatenate([last, first]), np.concatenate([first, last])
+        corners = np.concatenate([glob.corners[..., 0], glob.corners[..., 1]], axis=1)
         unit = np.zeros((J, m2, 4))
         unit[:, rows, np.arange(4)] = 1.0
         valued = np.zeros((J, m2, 4))
@@ -311,24 +362,10 @@ class ReferenceBank:
         # at k >= 1 no border: b and d have no column, gamma no entry
         b = d = np.zeros((J, m2, 0))
         gamma_n = gamma_t = np.zeros((J, 0))
-        self._cap_border = None
-        if kernels is not None:
-            c = np.array([weights * q for q in kernels])  # (reference, n)
-            c_cap = c[:, cap.nodes]
-            zc, zt = (cap.solve(np.tile(c_cap, 2).T, trans).T.reshape(J, 2, -1)
-                      for trans in ("N", "T"))
-            b = np.zeros((J, m2, 2))
-            for ch in (0, 1):
-                b[:, ch * (m2 // 2):(ch + 1) * (m2 // 2), ch] = c[:, self._neck[:m2 // 2]]
-            d = b.copy()
-            for ch, (i, o) in enumerate(self._neck_ends):
-                # b = c_N - A_NC A_CC^-1 c_C, d = c_N - A_CN^T A_CC^-T c_C
-                b[:, i, ch] -= self._ends[:, ch] * zc[:, ch, 0]
-                b[:, o, ch] -= self._ends[:, 2 + ch] * zc[:, ch, -1]
-                d[:, i, ch] -= cap.inward[ch, 0] * zt[:, ch, 0]
-                d[:, o, ch] -= cap.inward[ch, 1] * zt[:, ch, -1]
-            gamma_n, gamma_t = (np.einsum("jm,jcm->jc", c_cap, z) for z in (zc, zt))
-            self._cap_border = (c_cap, zc.transpose(1, 0, 2).copy())
+        if gammas is not None:
+            b, d, grow, _ = glob.border
+            gamma_n, gamma_t = (g + grow for g in gammas)
+        band = glob.band
         return {
             "N": _PieceClosures(band.solve, np.concatenate([unit, b], axis=2), cols,
                                 corners, d.transpose(0, 2, 1), gamma_n),
@@ -339,51 +376,61 @@ class ReferenceBank:
 
     def correct(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_j lam_j G_glob(ell_j) R(ell_j) w for w of shape (2, n)."""
-        cap = self.cap
-        J, M, m2 = self._shape
+        cap, sub, glob = self.cap, self._sub, self._glob
+        J, ms, mg = self._shape
         wf = w.reshape(-1)
-        # the subdomain solves: the cap's share of the shared rhs once, then
-        # every reference's condensed pieces
-        y = cap.solve(self._chi_cap * wf[cap.flat])
-        b = np.empty((J, M))
-        b[:] = self._chi * wf[self._flat]
-        b.reshape(-1)[self._join_at] -= self._ends * y[self._cap_ends]
-        x = self._sub.solve(b.reshape(-1))
+        # the subdomain solves: the cap's two end values of A_CC^-1 (chi w)_C
+        # per channel, then every reference's rows restricted to its layers
+        y = ((self._chi_cap * wf[cap.flat]).reshape(2, 1, -1) @ cap.Zt)[:, 0]
+        rhs = self._sub_chi * wf[self._sub_flat]
+        b = sub.restrict(rhs[:ms], rhs[ms:]).reshape(-1)
+        # the joins' rows take -U[before] y_c0 and -L[after] y_cl besides
+        tie, _, at = self._join
+        b -= np.bincount(at, (tie * y.T.reshape(-1)).reshape(-1), minlength=b.size)
+        x = sub.band.solve(b)
         rows, cols, vals = self._R
-        r = np.bincount(rows, vals * x[cols], minlength=J * m2).reshape(J, m2)
-        # the global solves on the neck; R_j w vanishes on the cap
-        g, K = self._glob["N"](r)
-        neck = lam @ g
+        r = np.bincount(rows, vals * x[cols], minlength=J * mg).reshape(J, mg)
+        # the global solves on the layer rows; R_j w vanishes elsewhere
+        g, K = self._closures["N"](r)
+        neck = np.concatenate([lam @ g, glob.extend(g, lam)])
+        if self._u is not None:
+            mu = lam[:, None] * K[:, 4:]
+            neck[mg:] -= (mu.T[:, None] @ self._u).reshape(-1)
         out = np.empty(wf.size)
-        out[self._neck] = neck
+        out[self._neck_flat] = neck
         # x_C = -A_CC^-1 (A_CN x_N + c_C mu), A_CN x_N = (L[c0] x_before, U[cl] x_after)
-        on_cap = -(cap.Z @ (cap.inward * neck[self._neck_ends])[..., None])[..., 0]
-        if self._cap_border is not None:
-            on_cap -= ((lam[:, None] * K[:, 4:]).T[:, None] @ self._cap_border[1])[:, 0]
+        on_cap = -(cap.Z @ (cap.inward * out[self._cap_at])[..., None])[..., 0]
+        if self._u is not None:
+            on_cap -= (mu.T[:, None] @ self._zc)[:, 0]
         out[cap.flat] = on_cap.reshape(-1)
         return out.reshape(w.shape)
 
     def correct_T(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_j lam_j R(ell_j)^T G_glob(ell_j)^T w for w of shape (2, n)."""
-        cap = self.cap
-        J, M, m2 = self._shape
+        cap, sub, glob = self.cap, self._sub, self._glob
+        J, ms, mg = self._shape
         wf = w.reshape(-1)
-        # the global solves: the cap's share of the shared rhs once, which
-        # leaves the same neck rhs for every reference
-        y = cap.solve(wf[cap.flat], trans="T")
-        r = np.empty((J, m2))
-        r[:] = wf[self._neck]
-        r[:, self._neck_ends] -= cap.inward * y[self._cap_ends].reshape(2, 2).T
+        # the global solves: the cap's two end values of A_CC^-T w_C per
+        # channel, which leave the same neck rhs for every reference
+        w_cap = wf[cap.flat].reshape(2, -1)
+        y = (w_cap[:, None] @ cap.Z)[:, 0]
+        rhs = wf[self._neck_flat]
+        gone = rhs[mg:]
+        gone[self._neck_ends] -= cap.inward * y
+        r = glob.restrict(rhs[:mg], gone)
         s = None
-        if self._cap_border is not None:
-            s = -(self._cap_border[0] @ y.reshape(2, -1).T)
-        z, _ = self._glob["T"](r, s)
+        if self._u is not None:
+            s = -(self._zc @ w_cap[..., None] + self._u @ gone.reshape(2, -1, 1))[..., 0].T
+        z, _ = self._closures["T"](r, s)
         rows, cols, vals = self._R
-        q = np.bincount(cols, vals * z.reshape(-1)[rows], minlength=J * M)
-        v = self._sub.solve(q, trans="T")
-        out = np.bincount(self._flat, self._chi * (lam @ v.reshape(J, M)), minlength=wf.size)
+        q = np.bincount(cols, vals * z.reshape(-1)[rows], minlength=J * ms)
+        v = sub.band.solve(q, trans="T").reshape(J, ms)
+        out = np.bincount(self._sub_flat,
+                          self._sub_chi * np.concatenate([lam @ v, sub.extend(v, lam)]),
+                          minlength=wf.size)
         # v_C = -A_CC^-T (U[before] v_before e_c0 + L[after] v_after e_cl)
-        a = lam @ (self._ends * v[self._join_at]).reshape(J, 4)
+        tie, at, _ = self._join
+        a = np.einsum("j,jsi,jsi->i", lam, tie, v[:, at])
         out[cap.flat] -= self._chi_cap * (cap.Zt @ a.reshape(2, 2).T[..., None])[..., 0].reshape(-1)
         return out.reshape(w.shape)
 
@@ -399,11 +446,9 @@ class ModeParametrix:
         self.k = int(k)
         self.cutoffs = cutoffs
         self.bank = bank
-        self.norm_steps = 0
+        self.norm_steps, self.norm_converged = 0, False
         if self.k == 0:
-            # the global solver builds the channel diagonals and the kernel
-            glob = GlobalModeSolver(surface, grid, 0)
-            self.diags, self.kernel = glob.diags, glob.kernel
+            self.diags, self.kernel = zero_mode(surface, grid)
         else:
             self.diags, self.kernel = channel_diagonals(surface, grid, self.k), None
         if bank is not None:
@@ -488,7 +533,10 @@ class ModeParametrix:
 
         At k = 0 the iteration runs in the complement of the conformal
         Killing directions.  The number of steps taken, applications of A
-        and A^T, is left in :attr:`norm_steps`.
+        and A^T, is left in :attr:`norm_steps`, and whether the last step
+        moved the estimate by at most its relative tolerance (or found A = 0)
+        in :attr:`norm_converged`; after ``iters`` steps without that, the
+        last estimate is returned all the same.
         """
         fwd = self.apply_S if which == "S" else self.apply_R
         bwd = self.apply_S_T if which == "S" else self.apply_R_T
@@ -496,6 +544,7 @@ class ModeParametrix:
         x = self._project(rng.standard_normal((2, self.grid.n)))
         x /= np.linalg.norm(x)
         sigma = 0.0
+        self.norm_converged = True
         for step in range(1, iters + 1):
             self.norm_steps = step
             y = fwd(x)
@@ -508,6 +557,7 @@ class ModeParametrix:
             if abs(new_sigma - sigma) <= _NORM_RTOL * max(new_sigma, 1e-30):
                 return new_sigma
             sigma = new_sigma
+        self.norm_converged = False
         return sigma
 
     def neumann_solve(self, w, tol: float = 1e-12):
@@ -548,6 +598,9 @@ class ParametrixReport:
     neumann_terms: int
     residual: float
     norm_steps: dict[int, int]
+    #: per mode, whether the S power iteration met its step tolerance
+    #: within its step cap; an estimate that did not may be low
+    norm_converged: dict[int, bool]
 
 
 class ParametrixFamily:
@@ -582,12 +635,12 @@ class ParametrixFamily:
 
     def report(self, ell: float, norm_seed: int = 0) -> ParametrixReport:
         """Norm estimates plus a Neumann-vs-identity residual on a test rhs."""
-        per_mode, steps = {}, {}
+        per_mode, steps, converged = {}, {}, {}
         norm_R = 0.0
         for k in self.ks:
             blk = self.block(ell, k)
             per_mode[k] = blk.operator_norm("S", seed=norm_seed)
-            steps[k] = blk.norm_steps
+            steps[k], converged[k] = blk.norm_steps, blk.norm_converged
             norm_R = max(norm_R, blk.operator_norm("R", seed=norm_seed))
         norm_S = max(per_mode.values())
         if norm_S >= 1.0:
@@ -608,6 +661,7 @@ class ParametrixFamily:
             norm_R=float(norm_R), norm_S=float(norm_S),
             per_mode_S={k: float(v) for k, v in per_mode.items()},
             neumann_terms=terms, residual=residual, norm_steps=steps,
+            norm_converged=converged,
         )
 
 

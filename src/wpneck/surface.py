@@ -36,7 +36,9 @@ and is factored as T by LAPACK's ``dpttrf``, without pivoting
 (:func:`_stacked_band`).  A band that has no such form is refused.  The
 channel rows on the cap |tau| >= 7/8 are the same at every ell, so the
 parametrix's frozen references condense them out once per mode
-(:class:`ChannelCap`) and solve their remaining neck bands together.
+(:class:`ChannelCap`), eliminate every other row off their transition
+layers once per family (:class:`_Condensed`) and solve their layer rows
+together.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  It uses the grid reflection R: i -> n - i
@@ -84,6 +86,7 @@ __all__ = [
     "kernel_complement",
     "thick_indices",
     "thin_indices",
+    "zero_mode",
 ]
 
 
@@ -360,25 +363,39 @@ def _symmetrized(main, lower, upper, sizes):
     with the piece's diagonal and the off-diagonal sign(u_i) sqrt(l_{i+1} u_i),
     and S = diag(s), s_0 = 1 and s_{i+1} = s_i sqrt(l_{i+1} / u_i).  The
     scaling restarts at each piece, so each is factored and solved bit for
-    bit as if alone.  A piece with some l_{i+1} u_i <= 0 has no such T and
-    is refused.  ``lower`` and ``upper`` are overwritten.
+    bit as if alone.  A pair l_{i+1}, u_i of opposite signs, or with one
+    zero, has no such T and is refused; a pair of zeros is a cut.
+    ``lower`` and ``upper`` are overwritten.
     """
+    return _SymmetrizedBand(main, *_symmetric_form(lower, upper, sizes))
+
+
+def _symmetric_form(lower, upper, sizes):
+    """``(off, scale)`` of :func:`_symmetrized`: T's off-diagonal and S."""
     ends = np.cumsum(sizes)
     # at a piece's last row p the coupling is cut: ones stand in there for
     # the check and the ratios, and T gets a zero
     cut = ends[:-1] - 1
     lower[cut] = upper[cut] = 1.0
     prod = lower * upper
-    if not np.all(prod > 0.0):
+    small = ~(prod >= np.finfo(float).tiny)
+    if np.any(small) and np.any(np.sign(lower[small]) != np.sign(upper[small])):
         raise np.linalg.LinAlgError("channel band is not symmetrizable")
     off = np.copysign(np.sqrt(prod), upper)
+    if np.any(small):
+        # a pair whose product underflows is symmetrized without forming the
+        # product; a pair of zeros is a cut
+        l, u = np.abs(lower[small]), np.abs(upper[small])
+        off[small] = np.copysign(np.sqrt(l) * np.sqrt(u), upper[small])
+        zero = np.flatnonzero(small)[u == 0.0]
+        lower[zero] = upper[zero] = 1.0
     off[cut] = 0.0
     ratio = np.sqrt(lower / upper)
-    scale = np.empty(main.size)
+    scale = np.empty(lower.size + 1)
     for start, end in zip(ends - sizes, ends):
         scale[start] = 1.0
         np.cumprod(ratio[start:end - 1], out=scale[start + 1:end])
-    return _SymmetrizedBand(main, off, scale)
+    return off, scale
 
 
 class _SymmetrizedBand:
@@ -396,6 +413,7 @@ class _SymmetrizedBand:
         if info:
             raise np.linalg.LinAlgError("channel band is not positive definite")
         self._scale = scale
+        self.size = scale.size
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """A^-1 b (``trans="T"``: A^-T b) for b of shape (m,) or (m, k)."""
@@ -503,6 +521,180 @@ class _PieceClosures:
         return y, K
 
 
+def _flush(*pairs):
+    """Zero every entry, or every pair of entries, with one below the
+    smallest normal float: subnormals are slow and carry no digits here."""
+    small = np.logical_or.reduce([np.abs(a) < np.finfo(float).tiny for a in pairs])
+    for a in pairs:
+        a[small] = 0.0
+
+
+def _end_columns(band, first, last, trans: str = "N") -> np.ndarray:
+    """A^-1 [e_f, e_l] (``trans="T"``: A^-T [e_f, e_l]) of each piece of
+    ``band``, one column per end: every piece's first rows ``first`` and last
+    rows ``last`` solved at once, since the pieces do not couple."""
+    unit = np.zeros((band.size, 2))
+    unit[first, 0] = unit[last, 1] = 1.0
+    return band.solve(unit, trans)
+
+
+def _chain(blocks: np.ndarray, cut: float = 1.0) -> np.ndarray:
+    """(J, m) couplings of J blocks as one band's, ``cut`` between blocks."""
+    return np.concatenate([blocks, np.full((blocks.shape[0], 1), cut)], axis=1).reshape(-1)[:-1]
+
+
+class _Condensed:
+    """A tridiagonal band with the runs of rows it does not keep eliminated once.
+
+    The band is J blocks with the same pieces (``sizes``) and the same kept
+    rows (``keep``, a mask over a block's M rows).  ``main`` is (J, M), and
+    ``lower`` and ``upper`` are (J, M - 1): row p + 1 couples back to row p
+    through ``lower[:, p]`` and row p to p + 1 through ``upper[:, p]``, as in
+    :func:`_band_pieces`.  Every maximal run E of a piece's rows that ``keep``
+    leaves out is eliminated (Numerical Recipes §2.7), in the symmetric form
+    A = S T S^-1 of the pieces (:func:`_symmetric_form`): all runs are
+    factored as one band, T_EE, and one 2-column solve gives their end
+    columns A_EE^-1 [e_f, e_l] (or A_EE^-T [e_f, e_l]).  Eliminating E
+    changes the kept band only at E's neighbours kL and kR: their diagonals,
+    and a new coupling -T[kL, f] (T_EE^-1)[f, l] T[l, kR] between them.
+    Each run's block is an M-matrix, whose inverse is positive, so the new
+    couplings keep the signs of the old ones, and the kept band (``band``)
+    is S_K T' S_K^-1 with T' symmetric: no product of two couplings is
+    formed, which would underflow across a long run.  A coupling below the
+    smallest normal float is a cut.
+
+    With ``corners`` (J, pieces, 2) every piece is cyclic, A[last, first]
+    and A[first, last] coupling its ends.  Its first row must be kept.  A run
+    at its end is joined to that row through the corner, and the kept
+    piece's own corners are then :attr:`corners`.
+
+    Each eliminated row keeps two coefficients (``coef``, (J, 2, rows)): the
+    ties to its run's neighbours.  With ``dense="N"`` they restrict A x = b
+    to the kept rows (:meth:`restrict`), and extend a kept solution of
+    A^T x = b, b zero on E, to E (:meth:`extend`).  With ``dense="T"``, A and
+    A^T swap roles.  ``border`` = (b, d), each (J, M, c), borders A as
+    [[A, b], [d^T, -gamma]]; :attr:`border` is what is left of it on the kept
+    rows: (b_K - A_KE u, d_K - A_EK^T A_EE^-T d_E, d_E^T u, u), u =
+    A_EE^-1 b_E.  gamma grows by the third; u enters the extension of
+    A x = b as -u mu.
+    """
+
+    def __init__(self, main, lower, upper, sizes, keep, corners=None,
+                 dense: str = "N", border=None):
+        J, M = main.shape
+        ends = np.cumsum(sizes)
+        heads = ends - sizes
+        piece = np.repeat(np.arange(len(sizes)), sizes)
+        gone = ~keep
+        linked = gone[:-1] & gone[1:] & (piece[1:] == piece[:-1])
+        first = np.flatnonzero(gone & ~np.r_[False, linked])
+        last = np.flatnonzero(gone & ~np.r_[linked, False])
+        has_l = first > heads[piece[first]]
+        has_r = last < ends[piece[last]] - 1
+        wrap = np.zeros_like(has_r) if corners is None else ~has_r
+        if corners is not None and np.any(gone[heads]) or np.any(wrap & ~has_l):
+            raise ValueError("a cyclic piece must keep its first row and one more")
+        kl = np.where(has_l, first - 1, 0)
+        kr = np.where(has_r, last + 1, heads[piece[last]])
+        # each run's couplings to its neighbours, (J, runs): A[kL, f], A[f, kL],
+        # A[kR, l] and A[l, kR]; zero where a run has no neighbour
+        into_l = np.where(has_l, upper[:, kl], 0.0)
+        from_l = np.where(has_l, lower[:, kl], 0.0)
+        at_r = np.minimum(last, M - 2)
+        into_r = np.where(has_r, lower[:, at_r], 0.0)
+        from_r = np.where(has_r, upper[:, at_r], 0.0)
+        if corners is not None:
+            into_r[:, wrap] = corners[:, piece[last[wrap]], 1]
+            from_r[:, wrap] = corners[:, piece[last[wrap]], 0]
+
+        # the symmetric form A = S T S^-1 of every piece, in which the runs and
+        # the kept band are factored: no product of two couplings is formed
+        off, s = _symmetric_form(_chain(lower), _chain(upper), np.tile(sizes, J))
+        off, s = np.append(off, 0.0).reshape(J, M), s.reshape(J, M)
+        E = np.flatnonzero(gone)
+        fe, le = np.searchsorted(E, first), np.searchsorted(E, last)
+        lens = le - fe + 1
+        runs = _SymmetrizedBand(main[:, E].reshape(-1),
+                                _chain(off[:, E[:-1]] * (np.diff(E) == 1), 0.0),
+                                s[:, E].reshape(-1))
+        # dense N reads A_EE^-T [e_f, e_l], dense T reads A_EE^-1 [e_f, e_l]
+        blocks = E.size * np.arange(J)[:, None]
+        Y = _end_columns(runs, fe + blocks, le + blocks, "T" if dense == "N" else "N")
+        Y = Y.reshape(J, E.size, 2)
+        ff, ll = Y[:, fe, 0], Y[:, le, 1]
+        fl, lf = (Y[:, le, 0], Y[:, fe, 1]) if dense == "N" else (Y[:, fe, 1], Y[:, le, 0])
+
+        K = np.flatnonzero(keep)
+        at = np.zeros(M, dtype=int)
+        at[K] = np.arange(K.size)
+        main_k = main[:, K]
+        off_k = off[:, K[:-1]] * (np.diff(K) == 1)
+        right = has_r | wrap
+        main_k[:, at[kl[has_l]]] -= (into_l * ff * from_l)[:, has_l]
+        main_k[:, at[kr[right]]] -= (into_r * ll * from_r)[:, right]
+        # the new coupling kL - kR in T, -T[kL, f] (T_EE^-1)[f, l] T[l, kR]
+        both = has_l & has_r
+        new = -(off[:, kl] * fl * s[:, last] / s[:, first] * off[:, last])[:, both]
+        _flush(new)
+        off_k[:, at[kl[both]]] = new
+        self.band = _SymmetrizedBand(main_k.reshape(-1), _chain(off_k, 0.0),
+                                     s[:, K].reshape(-1))
+        self.corners = None
+        if corners is not None:
+            # the corners kL -> first and first -> kL across a run at the end
+            up, low = -into_l * fl * from_r, -into_r * lf * from_l
+            _flush(up, low)
+            self.corners = corners.copy()
+            self.corners[:, piece[last[wrap]]] = np.stack([up[:, wrap], low[:, wrap]], axis=-1)
+        self.kept, self.gone = K, E
+
+        run = np.repeat(np.arange(first.size), lens)
+        ties = np.stack([into_l, into_r] if dense == "N" else [from_l, from_r], axis=1)
+        self.coef = -Y.transpose(0, 2, 1) * ties[:, :, run]
+        _flush(self.coef)
+        self._run, self._nbr, self._lens = run, np.stack([at[kl], at[kr]]), lens
+        self._starts = fe
+        # where each block's run sums land in the kept rows of all blocks
+        self._to = (self._nbr + K.size * np.arange(J)[:, None, None]).reshape(-1)
+
+        self.border = None
+        if border is not None:
+            b, d = border
+            c = b.shape[2]
+            u, v = (runs.solve(x[:, E].reshape(-1, c), trans).reshape(J, E.size, c)
+                    for x, trans in ((b, "N"), (d, "T")))
+            b_k, d_k = b[:, K], d[:, K]
+            for x_k, x, tie_l, tie_r in ((b_k, u, into_l, into_r), (d_k, v, from_l, from_r)):
+                x_k[:, at[kl[has_l]]] -= (tie_l[..., None] * x[:, fe])[:, has_l]
+                x_k[:, at[kr[right]]] -= (tie_r[..., None] * x[:, le])[:, right]
+            self.border = (b_k, d_k, np.einsum("jec,jec->jc", d[:, E], u), u)
+
+    def restrict(self, kept: np.ndarray, gone: np.ndarray) -> np.ndarray:
+        """The kept rows' right-hand sides, (J, kept rows), from a right-hand
+        side given as its kept and its eliminated rows (each per block, or
+        one for all blocks)."""
+        sums = np.add.reduceat(self.coef * gone[..., None, :], self._starts, axis=-1)
+        # a side without a neighbour has coefficients 0 and adds 0.0
+        J = self.coef.shape[0]
+        out = np.bincount(self._to, sums.reshape(-1), minlength=J * self.kept.size)
+        out = out.reshape(J, -1)
+        out += kept
+        return out
+
+    def extend(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_j weights_j x_j on the eliminated rows, for the solutions x_j
+        whose kept rows are ``x``, (J, kept rows)."""
+        terms = np.repeat((weights[:, None] * x)[:, self._nbr], self._lens, axis=-1)
+        terms *= self.coef
+        return terms.sum(axis=(0, 1))
+
+    def ties(self, at: np.ndarray):
+        """``(coef, kept)`` of the eliminated rows ``at``: their coefficients,
+        (J, 2, rows), and the positions of their neighbours among the kept
+        rows, (2, rows)."""
+        return self.coef[..., at], self._nbr[:, self._run[at]]
+
+
 class SubdomainSolver:
     """Dirichlet inverses of the mode gauge Laplacian on runs of nodes, as one band.
 
@@ -564,11 +756,9 @@ class ChannelCap:
         self.flat, self._band = _stacked_band(diags, [self.nodes])
         L, _, U = diags
         self.inward = np.stack([L[:, self.nodes[0]], U[:, self.nodes[-1]]], axis=1)
-        ends = np.zeros((2 * m, 4))
-        ends[[0, m - 1, m, 2 * m - 1], [0, 1, 2, 3]] = 1.0
         self.Z, self.Zt = (
-            np.stack([z[c * m:(c + 1) * m, 2 * c:2 * c + 2] for c in (0, 1)])
-            for z in (self._band.solve(ends), self._band.solve(ends, trans="T")))
+            _end_columns(self._band, [0, m], [m - 1, 2 * m - 1], trans).reshape(2, m, 2)
+            for trans in ("N", "T"))
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """A_CC^-1 b (``trans="T"``: A_CC^-T b) for b in :attr:`flat` order."""
@@ -669,10 +859,43 @@ def kernel_complement(w: np.ndarray, kernel, weights) -> np.ndarray:
     """
     if kernel is None:
         return w
-    out = np.array(w, dtype=float)
-    for i in (0, 1):
-        out[i] -= (weights @ (kernel * out[i])) * kernel
-    return out
+    w = np.asarray(w, dtype=float)
+    return w - np.outer(w @ (weights * kernel), kernel)
+
+
+def _cut_cycle(diags):
+    """``(solve, E, rows, corners)``: both channels' cyclic band with its
+    corners cut, factored as one band; E the unit columns of the four corner
+    rows ``rows``, whose corner entries are ``corners`` (as
+    :func:`_cyclic_corners` gives them)."""
+    n = diags[1].shape[1]
+    solve = _stacked_band(diags, [np.arange(n)])[1].solve
+    rows, corners = _cyclic_corners(np.stack(diags, axis=1))
+    E = np.zeros((2 * n, 4))
+    E[rows, np.arange(4)] = 1.0
+    return solve, E, rows, corners
+
+
+def zero_mode(surface: ModelSurfaceMetric, grid: RadialGrid):
+    """``(diags, kernel)``: the k = 0 channel diagonals and the kernel.
+
+    The kernel sqrt(F), the same in both channels, is sharpened to the
+    discrete near-null vector of the cyclic band by inverse iteration
+    (:func:`discrete_near_null`) and normalized in the weighted L^2 norm.
+    Only the band and one closure are built, not a :class:`GlobalModeSolver`.
+    """
+    diags = channel_diagonals(surface, grid, 0)
+    return diags, _sharpened_kernel(surface, grid, _cut_cycle(diags))
+
+
+def _sharpened_kernel(surface, grid, cut) -> np.ndarray:
+    """The kernel of :func:`zero_mode`, from the cut band ``cut``."""
+    solve, E, _, corners = cut
+    n = grid.n
+    # inverse iteration on channel +, with channel - kept at zero
+    seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
+    q = discrete_near_null(_Closure(solve, E, corners, np.zeros((0, 2 * n)), 4), seed)[:n]
+    return q / math.sqrt(float(grid.weights @ (q * q)))
 
 
 class GlobalModeSolver:
@@ -684,37 +907,30 @@ class GlobalModeSolver:
     A0 is factored once, each channel a piece of one symmetrized band
     (:func:`_stacked_band`), which serves both ``trans``.  At k = 0 each
     channel's kernel sqrt(F), sharpened to the discrete near-null vector by
-    inverse iteration, borders it:
+    inverse iteration as :func:`zero_mode` sharpens it, borders it:
     [[P_0^+-, c], [c^T, 0]] with c the weighted kernel keeps the solution in
     the kernel's weighted complement, and the multiplier absorbs any kernel
     component of the right-hand side.  A solve is one band solve and a 4 x 4
     (k = 0: 6 x 6) Schur closure (:class:`_Closure`; for ``trans="T"``,
     A^T = A0^T + R^T E^T).  Each row of R holds one corner entry and each
     row of E^T a one, so the closure gathers them; only the k = 0 border rows
-    are a dense product.  ``diags`` and ``kernel`` are kept for the
-    parametrix blocks.
+    are a dense product.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
         self.k = int(k)
         self.grid = grid
-        self.diags = channel_diagonals(surface, grid, self.k)
         n = grid.n
-        solve = _stacked_band(self.diags, [np.arange(n)])[1].solve
-        # corner row rows[i] holds R's entry corners[1][i] in column corners[0][i]
-        rows, corners = _cyclic_corners(np.stack(self.diags, axis=1))
-        E, Rt = np.zeros((2 * n, 4)), np.zeros((2 * n, 4))
-        E[rows, np.arange(4)] = 1.0
-        Rt[corners[0], np.arange(4)] = corners[1]
+        self.diags = channel_diagonals(surface, grid, self.k)
+        cut = solve, E, rows, corners = _cut_cycle(self.diags)
         border = np.zeros((0, 2 * n))
         self.kernel = None
         if self.k == 0:
-            # inverse iteration on channel +, with channel - kept at zero
-            seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
-            q = discrete_near_null(_Closure(solve, E, corners, border, 4), seed)[:n]
-            self.kernel = q / math.sqrt(float(grid.weights @ (q * q)))
+            self.kernel = _sharpened_kernel(surface, grid, cut)
             border = np.zeros((2, 2 * n))
             border[0, :n] = border[1, n:] = grid.weights * self.kernel
+        Rt = np.zeros((2 * n, 4))
+        Rt[corners[0], np.arange(4)] = corners[1]
         self._solvers = {
             trans: _Closure(partial(solve, trans=trans), np.hstack([cols, border.T]),
                             one, border, 4)

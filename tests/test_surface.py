@@ -207,6 +207,82 @@ def test_symmetrized_band_refuses_what_it_cannot_factor():
         SubdomainSolver((-ones, 0.5 * ones, -ones), run)
 
 
+def test_symmetrized_band_takes_a_coupling_pair_below_the_smallest_float():
+    # a coupling pair of 1e-200 has a product (1e-400) that underflows to 0;
+    # it is symmetrized without forming that product.  Opposite signs, or a
+    # zero beside a nonzero, are still refused; a pair of zeros is a cut
+    n = 8
+    main, off = np.full(n, 2.0), np.full(n - 1, -1.0)
+    off[3] = -1e-200
+    A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    b = np.arange(1.0, n + 1)
+    sym, scale = surface_module._symmetric_form(off.copy(), off.copy(), [n])
+    assert sym[3] == -1e-200 and np.all(scale == 1.0)
+    for trans in ("N", "T"):
+        band = surface_module._symmetrized(main.copy(), off.copy(), off.copy(), [n])
+        assert np.allclose(band.solve(b, trans), np.linalg.solve(A, b), rtol=1e-15)
+    for lower, upper in ((-1e-200, 1e-200), (0.0, -1.0), (-1e-200, 0.0)):
+        lo, up = off.copy(), off.copy()
+        lo[3], up[3] = lower, upper
+        with pytest.raises(np.linalg.LinAlgError, match="symmetrizable"):
+            surface_module._symmetrized(main.copy(), lo, up, [n])
+    lo, up = off.copy(), off.copy()
+    lo[3] = up[3] = 0.0
+    cut = surface_module._symmetrized(main.copy(), lo, up, [n])
+    A[3, 4] = A[4, 3] = 0.0
+    assert np.allclose(cut.solve(b), np.linalg.solve(A, b), rtol=1e-15)
+
+
+def test_condensed_band_eliminates_a_run_whose_coupling_underflows():
+    # rows 0 and m + 1 are kept and the run between them is so strongly
+    # diagonal that the coupling its elimination leaves between them is
+    # about 1e-220 each way: their product underflows, yet the kept band is
+    # factored and solves as the dense matrix does.  A deeper run leaves a
+    # coupling below the smallest normal float, which is cut
+    for big, m in ((1e10, 22), (1e16, 22)):
+        M = m + 2
+        main = np.full(M, big)
+        main[[0, -1]] = 2.0
+        off = np.full(M - 1, -1.0)
+        A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        keep = np.zeros(M, bool)
+        keep[[0, -1]] = True
+        cond = surface_module._Condensed(main[None], off[None], off[None], [M], keep)
+        b = np.linspace(1.0, 2.0, M)
+        got = cond.band.solve(cond.restrict(b[keep], b[~keep])[0])
+        assert np.allclose(got, np.linalg.solve(A, b)[keep], rtol=1e-14), big
+        # the extension of a kept right-hand side through the transpose
+        r = np.array([1.0, -3.0])
+        x = np.zeros(M)
+        x[keep] = cond.band.solve(r, "T")
+        x[~keep] = cond.extend(x[keep][None], np.ones(1))
+        rhs = np.zeros(M)
+        rhs[keep] = r
+        assert np.allclose(x, np.linalg.solve(A.T, rhs), rtol=1e-14, atol=1e-300), big
+
+
+def test_zero_mode_kernel_is_the_global_solvers():
+    # oracle: the inverse iteration as GlobalModeSolver ran it when the
+    # parametrix blocks read their kernel from a whole solver
+    for n in (512, 2048):
+        grid = periodic_grid(-2.0, 2.0, n)
+        for ell in (0.035, 0.1, 0.4):
+            surf = ModelSurfaceMetric(ell=ell)
+            diags = channel_diagonals(surf, grid, 0)
+            solve = surface_module._stacked_band(diags, [np.arange(n)])[1].solve
+            rows, corners = _cyclic_corners(np.stack(diags, axis=1))
+            E = np.zeros((2 * n, 4))
+            E[rows, np.arange(4)] = 1.0
+            seed = np.append(np.sqrt(surf.grid_jet(grid)[0]), np.zeros(n))
+            closure = surface_module._Closure(solve, E, corners, np.zeros((0, 2 * n)), 4)
+            q = surface_module.discrete_near_null(closure, seed)[:n]
+            want = q / np.sqrt(float(grid.weights @ (q * q)))
+            got_diags, got = surface_module.zero_mode(surf, grid)
+            assert np.array_equal(got, want), (n, ell)
+            assert np.array_equal(GlobalModeSolver(surf, grid, 0).kernel, want), (n, ell)
+            assert all(np.array_equal(a, b) for a, b in zip(got_diags, diags))
+
+
 def _dgttrf_stacked_band(diags, runs):
     """Oracle: the stacked band of :func:`surface._stacked_band`, factored by
     pivoting ``dgttrf``, as both channel solvers factored it before."""
