@@ -8,6 +8,7 @@ environment variable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -35,6 +36,10 @@ class RunConfig:
     out: str = "-"
 
     def __post_init__(self):
+        for f in fields(self):
+            # NaN passes every comparison below as false, and inf as a bound
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.ell_min <= 0 or self.ell_max <= self.ell_min:
             raise ValueError("need 0 < ell_min < ell_max")
         if self.ell_count < 2:

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -103,7 +102,7 @@ from .surface import (
     transposed_diagonals,
     _band_pieces,
     _Condensed,
-    _PieceClosures,
+    _cut_closure,
     zero_mode,
 )
 from .ttbasis import tt_element, tt_limit
@@ -214,8 +213,9 @@ class ReferenceBank:
       in period order from the first layer row, keep their layer rows only.
       Their outer run, joined through the cap's Schur update, ends at the
       cyclic corner, so the kept band's corner links each channel's last and
-      first layer rows; the corners are put back by Woodbury closures
-      batched over the references (:class:`~wpneck.surface._PieceClosures`).
+      first layer rows; the corners are put back as the cut entries of one
+      Woodbury closure, batched over the references
+      (:func:`~wpneck.surface._cut_closure`).
       At k = 0 each channel is bordered by the reference's weighted kernel c
       too, carried through both condensations: [[A, c], [c^T, 0]] becomes
       the kept band bordered by a column b, a row d and a diagonal -gamma,
@@ -345,34 +345,21 @@ class ReferenceBank:
         """The kept neck band's batched closures, per ``trans``.
 
         Each channel's corners are (last, first) and (first, last) of its
-        kept rows; transposed, each corner's row and column swap.  At k = 0
-        the border's diagonal is ``gammas`` (per ``trans``) grown by the
+        kept rows (:func:`~wpneck.surface._cut_closure`).  At k = 0 the
+        border's diagonal is ``gammas`` (per ``trans``) grown by the
         elimination.
         """
         glob = self._glob
-        J, _, m2 = self._shape
-        h = m2 // 2
-        last, first = np.array([h - 1, m2 - 1]), np.array([0, h])
-        rows, cols = np.concatenate([last, first]), np.concatenate([first, last])
-        corners = np.concatenate([glob.corners[..., 0], glob.corners[..., 1]], axis=1)
-        unit = np.zeros((J, m2, 4))
-        unit[:, rows, np.arange(4)] = 1.0
-        valued = np.zeros((J, m2, 4))
-        valued[:, cols, np.arange(4)] = corners
-        # at k >= 1 no border: b and d have no column, gamma no entry
-        b = d = np.zeros((J, m2, 0))
-        gamma_n = gamma_t = np.zeros((J, 0))
+        h = self._shape[2] // 2
+        last, first = [h - 1, 2 * h - 1], [0, h]
+        cut = (np.array(last + first), np.array(first + last),
+               np.concatenate([glob.corners[..., 0], glob.corners[..., 1]], axis=1))
+        borders = (None, None)
         if gammas is not None:
             b, d, grow, _ = glob.border
-            gamma_n, gamma_t = (g + grow for g in gammas)
-        band = glob.band
-        return {
-            "N": _PieceClosures(band.solve, np.concatenate([unit, b], axis=2), cols,
-                                corners, d.transpose(0, 2, 1), gamma_n),
-            "T": _PieceClosures(partial(band.solve, trans="T"),
-                                np.concatenate([valued, d], axis=2), rows,
-                                np.ones_like(corners), b.transpose(0, 2, 1), gamma_t),
-        }
+            borders = [(b, d, g + grow) for g in gammas]
+        return {trans: _cut_closure(glob.band.solve, 2 * h, cut, trans, border)
+                for trans, border in zip("NT", borders)}
 
     def correct(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_j lam_j G_glob(ell_j) R(ell_j) w for w of shape (2, n)."""
@@ -389,12 +376,13 @@ class ReferenceBank:
         b -= np.bincount(at, (tie * y.T.reshape(-1)).reshape(-1), minlength=b.size)
         x = sub.band.solve(b)
         rows, cols, vals = self._R
-        r = np.bincount(rows, vals * x[cols], minlength=J * mg).reshape(J, mg)
+        r = np.bincount(rows, vals * x[cols], minlength=J * mg)
         # the global solves on the layer rows; R_j w vanishes elsewhere
         g, K = self._closures["N"](r)
+        g = g.reshape(J, mg)
         neck = np.concatenate([lam @ g, glob.extend(g, lam)])
         if self._u is not None:
-            mu = lam[:, None] * K[:, 4:]
+            mu = lam[:, None] * K[:, 4:, 0]
             neck[mg:] -= (mu.T[:, None] @ self._u).reshape(-1)
         out = np.empty(wf.size)
         out[self._neck_flat] = neck
@@ -421,9 +409,9 @@ class ReferenceBank:
         s = None
         if self._u is not None:
             s = -(self._zc @ w_cap[..., None] + self._u @ gone.reshape(2, -1, 1))[..., 0].T
-        z, _ = self._closures["T"](r, s)
+        z, _ = self._closures["T"](r.reshape(-1), s)
         rows, cols, vals = self._R
-        q = np.bincount(cols, vals * z.reshape(-1)[rows], minlength=J * ms)
+        q = np.bincount(cols, vals * z[rows], minlength=J * ms)
         v = sub.band.solve(q, trans="T").reshape(J, ms)
         out = np.bincount(self._sub_flat,
                           self._sub_chi * np.concatenate([lam @ v, sub.extend(v, lam)]),

@@ -28,9 +28,10 @@ Two banded solvers invert the gauge Laplacian on the closed surface, from
 the stencil coefficients with no sparse matrix.  :class:`GlobalModeSolver`
 solves the direct rho-channel stencils, a tridiagonal band: the channels are
 stacked in natural node order with their cyclic corners cut
-(:func:`_cyclic_corners`), and a Schur :class:`_Closure` puts the corners
-back.  Its band, and the Dirichlet pieces of the parametrix's
-:class:`SubdomainSolver`, are the nonconservative stencil of -(F u')' + V:
+(:func:`_cyclic_corners`), and a Woodbury closure puts the corners back as
+cut entries (:func:`_cut_closure`, the one closure of every cut band).  Its
+band, and the Dirichlet pieces of the parametrix's :class:`SubdomainSolver`,
+are the nonconservative stencil of -(F u')' + V:
 each piece is S T S^-1 with S diagonal and T symmetric positive definite,
 and is factored as T by LAPACK's ``dpttrf``, without pivoting
 (:func:`_stacked_band`).  A band that has no such form is refused.  The
@@ -428,12 +429,12 @@ class _SymmetrizedBand:
 
 
 def _cyclic_corners(diags):
-    """``(rows, (cols, vals))``: the entries of cyclic diagonals that wrap around.
+    """``(rows, cols, vals)``: the entries of cyclic diagonals that wrap around.
 
     ``diags`` is (c, 2p + 1, n), channel c reading M_c[i, i + j - p (mod n)]
     at [c, j, i].  The p (p + 1) corners per channel are listed channel by
-    channel in row order, at the positions c n + i of the stacked channels;
-    (cols, vals) is the gather that :class:`_Closure` takes.
+    channel in row order, at the positions c n + i of the stacked channels:
+    the cut entries that :func:`_cut_closure` puts back.
     """
     c, w, n = diags.shape
     p = w // 2
@@ -442,53 +443,18 @@ def _cyclic_corners(diags):
     ri, j = np.nonzero((col < 0) | (col >= n))
     row = i[ri]
     off = n * np.arange(c)[:, None]
-    return (row + off).ravel(), ((col[ri, j] % n + off).ravel(),
-                                 diags[:, j, row].ravel())
+    return (row + off).ravel(), (col[ri, j] % n + off).ravel(), diags[:, j, row].ravel()
 
 
 class _Closure:
-    """Solves with A = A0 + U W, bordered by C^T x = 0, from solves with A0.
-
-    The Sherman–Morrison–Woodbury form (Numerical Recipes §2.7): with
-    y = A0^-1 r, Y = A0^-1 [U, C] (``cols``) and T = [W; C^T], the solution
-    is x = y - Y H^-1 T y for H = T Y + diag(I_m, 0), m the number of
-    columns of U; H is LU-factored once and the multipliers are dropped.
-    T's leading rows hold one nonzero each (a cyclic corner, or a one of
-    E^T) and are gathered: ``rows`` = (idx, coef), row i holding coef[i] in
-    column idx[i].  The rows after them are the array ``dense``.
-    """
-
-    def __init__(self, solve, cols, rows, dense, m: int):
-        self._solve = solve
-        self._idx, self._coef = rows
-        self._dense = dense
-        self._Y = solve(cols)
-        H = self._T(self._Y)
-        H[np.arange(m), np.arange(m)] += 1.0
-        *self._H, info = lapack.dgetrf(H)
-        if info:
-            raise np.linalg.LinAlgError("Schur closure is exactly singular")
-
-    def _T(self, y: np.ndarray) -> np.ndarray:
-        t = y[self._idx]
-        t *= self._coef if y.ndim == 1 else self._coef[:, None]
-        return np.concatenate([t, self._dense @ y]) if len(self._dense) else t
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        y = self._solve(r)
-        y -= self._Y @ lapack.dgetrs(*self._H, self._T(y))[0]
-        return y
-
-
-class _PieceClosures:
-    """Woodbury closures of the equal pieces of one band, batched.
+    """Woodbury closures of the J equal pieces of one band, batched.
 
     Piece j (rows j m ... (j + 1) m - 1 of the band that ``solve`` inverts,
     A0_j) stands for A_j = A0_j + U_j W_j, bordered by rows D_j with the
-    diagonal -gamma_j, as :class:`_Closure` with that diagonal in place of 0:
-    for [[A_j, B_j], [D_j, -gamma_j]] (x; mu) = (r; s), with Y_j = A0_j^-1
-    [U_j, B_j] (``cols``, (J, m, c + b)) and T_j = [W_j; D_j], it is
-    x = y - Y_j K, K = H_j^-1 (T_j y - (0; s)), y = A0_j^-1 r, and
+    diagonal -gamma_j: the Sherman–Morrison–Woodbury form (Numerical
+    Recipes §2.7) of [[A_j, B_j], [D_j, -gamma_j]] (x; mu) = (r; s).  With
+    Y_j = A0_j^-1 [U_j, B_j] (``cols``, (J, m, c + b)) and T_j = [W_j; D_j],
+    it is x = y - Y_j K, K = H_j^-1 (T_j y - (0; s)), y = A0_j^-1 r, and
     H_j = T_j Y_j + diag(I_c, gamma_j).  Each row of W_j holds one entry:
     ``coef[j, i]`` in column ``idx[i]``; ``rows`` is D_j, (J, b, m).  The
     inverses of the small H_j are formed once, so a solve of all pieces is
@@ -506,19 +472,51 @@ class _PieceClosures:
         self._Hinv = np.linalg.inv(H)
 
     def _T(self, y: np.ndarray) -> np.ndarray:
-        """T_j y_j for each piece, y of shape (J, m, w)."""
+        """T_j y_j for each piece, y of shape (J, m, q)."""
         t = y[:, self._idx] * self._coef
         return t if self._rows is None else np.concatenate([t, self._rows @ y], axis=1)
 
     def __call__(self, r: np.ndarray, s: np.ndarray | None = None):
-        """``(x, K)`` for the right-hand sides ``r``, (J, m), and ``s``, (J, b)."""
-        y = self._solve(r.reshape(-1)).reshape(r.shape)
-        t = self._T(y[..., None])[..., 0]
+        """``(x, K)`` for the right-hand sides ``r``, (J m,) or (J m, q) in the
+        band's stacked order, and ``s``, (J, b) or (J, b, q); K is (J, c + b, q)."""
+        J, m, _ = self._Y.shape
+        y = self._solve(r)
+        t = self._T(y.reshape(J, m, -1))
         if s is not None:
-            t[:, self._idx.size:] -= s
-        K = (self._Hinv @ t[..., None])[..., 0]
-        y -= (self._Y @ K[..., None])[..., 0]
+            t[:, self._idx.size:] -= s.reshape(t[:, self._idx.size:].shape)
+        K = self._Hinv @ t
+        y -= (self._Y @ K).reshape(y.shape)
         return y, K
+
+
+def _cut_closure(solve, m: int, cut, trans: str = "N", border=None) -> _Closure:
+    """The :class:`_Closure` of a band cut into J pieces of m rows, in ``trans``.
+
+    ``solve`` inverts the cut band A0 (with ``trans="T"``, its transpose; a
+    solve that takes no ``trans`` serves ``"N"`` alone).  ``cut`` = (rows,
+    cols, vals) are the entries cut from each piece: A = A0 + E R with E the
+    unit columns at ``rows`` and R the rows holding ``vals`` (c or (J, c))
+    at ``cols``.  ``border`` = (b, d, gamma), b and d (J, m, nb) and gamma
+    (J, nb), borders A as [[A, b], [d^T, -gamma]].  The transpose
+    A^T = A0^T + R^T E^T swaps each entry's row and column, and the border's
+    b and d; gamma is the caller's for that ``trans``.
+    """
+    rows, cols, vals = cut
+    vals = np.atleast_2d(vals)
+    J, c = vals.shape
+    if border is None:
+        border = (np.zeros((J, m, 0)), np.zeros((J, m, 0)), np.zeros((J, 0)))
+    b, d, gamma = border
+    U = np.zeros((J, m, c))
+    if trans == "T":
+        solve = partial(solve, trans="T")
+        U[:, cols, np.arange(c)] = vals
+        idx, coef, b, d = rows, np.ones_like(vals), d, b
+    else:
+        U[:, rows, np.arange(c)] = 1.0
+        idx, coef = cols, vals
+    return _Closure(solve, np.concatenate([U, b], axis=2), idx, coef, d.transpose(0, 2, 1),
+                    gamma)
 
 
 def _flush(*pairs):
@@ -864,16 +862,11 @@ def kernel_complement(w: np.ndarray, kernel, weights) -> np.ndarray:
 
 
 def _cut_cycle(diags):
-    """``(solve, E, rows, corners)``: both channels' cyclic band with its
-    corners cut, factored as one band; E the unit columns of the four corner
-    rows ``rows``, whose corner entries are ``corners`` (as
-    :func:`_cyclic_corners` gives them)."""
+    """``(solve, cut)``: both channels' cyclic band with its corners cut,
+    factored as one band, and the cut entries (:func:`_cyclic_corners`)."""
     n = diags[1].shape[1]
-    solve = _stacked_band(diags, [np.arange(n)])[1].solve
-    rows, corners = _cyclic_corners(np.stack(diags, axis=1))
-    E = np.zeros((2 * n, 4))
-    E[rows, np.arange(4)] = 1.0
-    return solve, E, rows, corners
+    return (_stacked_band(diags, [np.arange(n)])[1].solve,
+            _cyclic_corners(np.stack(diags, axis=1)))
 
 
 def zero_mode(surface: ModelSurfaceMetric, grid: RadialGrid):
@@ -885,16 +878,16 @@ def zero_mode(surface: ModelSurfaceMetric, grid: RadialGrid):
     Only the band and one closure are built, not a :class:`GlobalModeSolver`.
     """
     diags = channel_diagonals(surface, grid, 0)
-    return diags, _sharpened_kernel(surface, grid, _cut_cycle(diags))
+    return diags, _sharpened_kernel(surface, grid, *_cut_cycle(diags))
 
 
-def _sharpened_kernel(surface, grid, cut) -> np.ndarray:
-    """The kernel of :func:`zero_mode`, from the cut band ``cut``."""
-    solve, E, _, corners = cut
+def _sharpened_kernel(surface, grid, solve, cut) -> np.ndarray:
+    """The kernel of :func:`zero_mode`, from the cut band's ``solve`` and ``cut``."""
     n = grid.n
+    closure = _cut_closure(solve, 2 * n, cut)
     # inverse iteration on channel +, with channel - kept at zero
     seed = np.append(np.sqrt(surface.grid_jet(grid)[0]), np.zeros(n))
-    q = discrete_near_null(_Closure(solve, E, corners, np.zeros((0, 2 * n)), 4), seed)[:n]
+    q = discrete_near_null(lambda r: closure(r)[0], seed)[:n]
     return q / math.sqrt(float(grid.weights @ (q * q)))
 
 
@@ -911,10 +904,8 @@ class GlobalModeSolver:
     [[P_0^+-, c], [c^T, 0]] with c the weighted kernel keeps the solution in
     the kernel's weighted complement, and the multiplier absorbs any kernel
     component of the right-hand side.  A solve is one band solve and a 4 x 4
-    (k = 0: 6 x 6) Schur closure (:class:`_Closure`; for ``trans="T"``,
-    A^T = A0^T + R^T E^T).  Each row of R holds one corner entry and each
-    row of E^T a one, so the closure gathers them; only the k = 0 border rows
-    are a dense product.
+    (k = 0: 6 x 6) Woodbury closure (:func:`_cut_closure`), built for each
+    ``trans`` on the first solve that asks for it.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -922,26 +913,24 @@ class GlobalModeSolver:
         self.grid = grid
         n = grid.n
         self.diags = channel_diagonals(surface, grid, self.k)
-        cut = solve, E, rows, corners = _cut_cycle(self.diags)
-        border = np.zeros((0, 2 * n))
-        self.kernel = None
+        self._solve, self._cut = _cut_cycle(self.diags)
+        self.kernel = self._border = None
         if self.k == 0:
-            self.kernel = _sharpened_kernel(surface, grid, cut)
-            border = np.zeros((2, 2 * n))
-            border[0, :n] = border[1, n:] = grid.weights * self.kernel
-        Rt = np.zeros((2 * n, 4))
-        Rt[corners[0], np.arange(4)] = corners[1]
-        self._solvers = {
-            trans: _Closure(partial(solve, trans=trans), np.hstack([cols, border.T]),
-                            one, border, 4)
-            for trans, cols, one in (("N", E, corners), ("T", Rt, (rows, np.ones(4))))}
+            self.kernel = _sharpened_kernel(surface, grid, self._solve, self._cut)
+            c = np.zeros((1, 2 * n, 2))
+            c[0, :n, 0] = c[0, n:, 1] = grid.weights * self.kernel
+            self._border = (c, c, np.zeros((1, 2)))
+        self._closures = {}
 
     def project_out_kernel(self, w: np.ndarray) -> np.ndarray:
         return kernel_complement(w, self.kernel, self.grid.weights)
 
     def solve_channels(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
         """w shape (2, n) channel pairs; one stacked band solve."""
-        return self._solvers[trans](w.reshape(-1)).reshape(w.shape)
+        if trans not in self._closures:
+            self._closures[trans] = _cut_closure(self._solve, 2 * self.grid.n, self._cut,
+                                                 trans, self._border)
+        return self._closures[trans](w.reshape(-1))[0].reshape(w.shape)
 
 
 def _central(u: np.ndarray, c: float, ends=None) -> np.ndarray:
@@ -1047,29 +1036,24 @@ def _even_sector(diags, sqF, weights) -> _Closure:
     condition 0.9e6 to 2.7e6 over ell in [1e-3, 0.365]; with the neck pin
     alone it is singular (condition 1e16 or more), and unit rows for the
     pins (condition 7e6 to 8e6) cost four digits of the solve.  The closure
-    puts the pinned rows' other entries back and borders the weighted pair
-    sqrt(F) and the checkerboard: the multiplier column is its restriction
-    to the sector and the constraint its sum over the whole grid, which for
-    an even vector counts the nodes 1 ... n/2 - 1 twice.
+    puts the pinned rows' other entries back as cut entries and borders the
+    weighted pair sqrt(F) and the checkerboard: the multiplier column is its
+    restriction to the sector and the constraint its sum over the whole
+    grid, which for an even vector counts the nodes 1 ... n/2 - 1 twice.
     """
     n = sqF.size
     h = n // 2
     band = _sector_diagonals(diags, n, odd=False)
-    dense = np.zeros((4, h + 1))
-    # the band keeps the diagonal of the folded pole and neck rows, the
-    # closure their other entries
-    dense[0, 1:3] = band[0, 3:, 0]
-    dense[1, h - 2:h] = band[0, :2, h]
-    band[0, 3:, 0] = band[0, :2, h] = 0.0
-    twice = np.full(h + 1, 2.0)
+    rows, cols = np.array([0, 0, h, h]), np.array([1, 2, h - 2, h - 1])
+    vals = band[0, 2 + cols - rows, rows]
+    band[0, 2 + cols - rows, rows] = 0.0
+    twice = np.full((h + 1, 1), 2.0)
     twice[[0, h]] = 1.0
-    cols = np.zeros((h + 1, 4), order="F")
-    cols[[0, h], [0, 1]] = 1.0
-    for j, u in enumerate((sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF), 2):
-        cols[:, j] = (weights * u / np.linalg.norm(u))[:h + 1]
-        dense[j] = twice * cols[:, j]
-    return _Closure(_band_solve(_cut_band(band)), cols, (np.zeros(0, int), np.zeros(0)),
-                    dense, 2)
+    b = np.zeros((1, h + 1, 2))
+    for j, u in enumerate((sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)):
+        b[0, :, j] = (weights * u / np.linalg.norm(u))[:h + 1]
+    return _cut_closure(_band_solve(_cut_band(band)), h + 1, (rows, cols, vals),
+                        border=(b, twice * b, np.zeros((1, 2))))
 
 
 def _odd_band(sqF, beta, c, pole: bool, neck: bool) -> np.ndarray:
@@ -1252,8 +1236,8 @@ class FactoredGlobalSolver:
     the stencil coefficients with no sparse matrix.  F is even and the grid
     reflection R: i -> n - i reverses the central difference, so M- = R M+ R.
     For k >= 1 only M+ is factored, a LAPACK ``dgbtrf`` band of half-width 2
-    with the cyclic corners cut (:func:`_cut_band`) and put back by a
-    six-column :class:`_Closure`; a solve is one ``dgbtrs`` with the channel
+    with the cyclic corners cut (:func:`_cut_band`) and put back as six cut
+    entries (:func:`_cut_closure`); a solve is one ``dgbtrs`` with the channel
     + right-hand side and the reflected channel - one as its two columns.
 
     At k = 0 the channels are one matrix M = -A B, and M commutes with R.
@@ -1296,13 +1280,8 @@ class FactoredGlobalSolver:
         self._K = self._even = self.cap = None
         if self.k:
             self._K = self.k / self.sqF
-            # M+ = band + E R: E the unit columns of the corner rows, R their
-            # corner entries
-            rows, corners = _cyclic_corners(self.diagonals[:1])
-            cols = np.zeros((n, rows.size), order="F")
-            cols[rows, np.arange(rows.size)] = 1.0
-            self._solve = _Closure(_band_solve(_cut_band(self.diagonals[:1])), cols,
-                                   corners, np.zeros((0, n)), rows.size)
+            self._solve = _cut_closure(_band_solve(_cut_band(self.diagonals[:1])), n,
+                                       _cyclic_corners(self.diagonals[:1]))
         else:
             self.cap = grid.keep("odd cap", OddCap)
             # the neck rows p + 1 ... n/2 - 1 read the window's nodes alone
@@ -1368,7 +1347,7 @@ class FactoredGlobalSolver:
             b = np.empty((rhs.shape[1], 2), order="F")
             b[:, 0] = rhs[0] + rhs[1]
             b[:, 1] = _reflect(rhs[0] - rhs[1])
-            y = self._solve(b)
+            y = self._solve(b)[0]
             p, m = y[:, 0], _reflect(y[:, 1])
             return 0.5 * np.array([p + m, p - m])
         if odd:
@@ -1385,7 +1364,7 @@ class FactoredGlobalSolver:
         if self._even is None:
             self._even = _even_sector(self.diagonals, self.sqF, self.grid.weights)
         x = np.zeros((2, n))
-        x[:, :h + 1] = self._even(even.T).T
+        x[:, :h + 1] = self._even(even.T)[0].T
         x[:, h + 1:] = x[:, h - 1:0:-1]
         odd_part = np.zeros((2, h + 1))
         odd_part[:, 1:h] = 0.5 * (rhs[:, 1:h] - mirror)

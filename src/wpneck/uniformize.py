@@ -71,7 +71,15 @@ def _inside(tau: np.ndarray, b: float):
     return np.abs(t) <= b, t
 
 
-_NEWTON_TOL = 1e-11  # sup-norm residual that ends the Newton iteration
+# The sup-norm residual that ends the Newton iteration.  It sits just above
+# the residual of the third step for ell in [0.072, 0.0737], the top of the
+# negatively curved range: at ell = 0.072 and 0.0735 that step stops at
+# 7.7e-12 and 8.9e-12, with u 1.6e-12 and 1.8e-12 short of the converged
+# discrete solution.  There, any change to the residual's arithmetic can add
+# a fourth step and move g_ll by up to 1.8e-12 relative, above the 1e-12
+# drift that a refactor may cause; elsewhere such a change moves it by
+# round-off.
+_NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 50
 
 

@@ -209,6 +209,23 @@ def test_config_validation(capsys, tmp_path):
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
 
 
+def test_config_refuses_non_finite_floats(capsys, tmp_path):
+    # NaN passes every ordering check and inf passes as a bound; unrefused, a
+    # NaN ell_min stalls the Newton line search and a NaN identity_tol fails
+    # every identity check
+    for key, raw in (("ell_min", "nan"), ("ell_max", "inf"), ("identity_tol", "nan"),
+                     ("barrier_alpha", "-inf")):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            RunConfig(**{key: float(raw)})
+        cfg_file = tmp_path / f"{key}.cfg"
+        cfg_file.write_text(f"{key} = {raw}\n")
+        assert main(["sweep", "wp", "--config", str(cfg_file)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+    for flag in (["--ell-max", "inf"], ["--ell-min", "nan"]):
+        assert main(["sweep", "wp"] + flag) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_verify_barrier_fails_when_nothing_is_certified(tmp_path):
     # alpha near 1 certifies no radius at any ell: both checks must fail,
     # in a strict JSON report, rather than crash or pass on an inf margin

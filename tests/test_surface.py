@@ -270,17 +270,72 @@ def test_zero_mode_kernel_is_the_global_solvers():
             surf = ModelSurfaceMetric(ell=ell)
             diags = channel_diagonals(surf, grid, 0)
             solve = surface_module._stacked_band(diags, [np.arange(n)])[1].solve
-            rows, corners = _cyclic_corners(np.stack(diags, axis=1))
-            E = np.zeros((2 * n, 4))
-            E[rows, np.arange(4)] = 1.0
+            cut = _cyclic_corners(np.stack(diags, axis=1))
             seed = np.append(np.sqrt(surf.grid_jet(grid)[0]), np.zeros(n))
-            closure = surface_module._Closure(solve, E, corners, np.zeros((0, 2 * n)), 4)
-            q = surface_module.discrete_near_null(closure, seed)[:n]
+            closure = surface_module._cut_closure(solve, 2 * n, cut)
+            q = surface_module.discrete_near_null(lambda r: closure(r)[0], seed)[:n]
             want = q / np.sqrt(float(grid.weights @ (q * q)))
             got_diags, got = surface_module.zero_mode(surf, grid)
             assert np.array_equal(got, want), (n, ell)
             assert np.array_equal(GlobalModeSolver(surf, grid, 0).kernel, want), (n, ell)
             assert all(np.array_equal(a, b) for a, b in zip(got_diags, diags))
+
+
+def test_cut_closure_matches_the_bordered_dense_solve():
+    rng = np.random.default_rng(11)
+    m, nb = 9, 2
+    # the corners of a half-width-2 cyclic band: rows 0 and m - 1 are cut twice
+    rows = np.array([0, 0, 1, m - 2, m - 1, m - 1])
+    cols = np.array([m - 2, m - 1, m - 1, 0, 0, 1])
+    for J, q in ((1, 2), (3, None)):
+        pieces = [np.diag(rng.uniform(4.0, 5.0, m)) + np.diag(rng.uniform(-1.0, 1.0, m - 1), 1)
+                  + np.diag(rng.uniform(-1.0, 1.0, m - 1), -1) for _ in range(J)]
+        A0 = np.zeros((J * m, J * m))
+        for j, piece in enumerate(pieces):
+            A0[j * m:(j + 1) * m, j * m:(j + 1) * m] = piece
+
+        def solve(b, trans="N"):
+            return np.linalg.solve(A0.T if trans == "T" else A0, b)
+
+        vals = rng.uniform(-1.0, 1.0, (J, rows.size))
+        b, d = rng.standard_normal((2, J, m, nb))
+        gamma = rng.uniform(0.5, 1.0, (J, nb))
+        r = rng.standard_normal((J * m,) if q is None else (J * m, q))
+        s = rng.standard_normal((J, nb) if q is None else (J, nb, q))
+        for border in (None, (b, d, gamma)):
+            for trans in "NT":
+                cut = (rows, cols, vals[0] if J == 1 else vals)
+                x, K = surface_module._cut_closure(solve, m, cut, trans, border)(
+                    r, None if border is None else s)
+                for j, piece in enumerate(pieces):
+                    A = piece.copy()
+                    np.add.at(A, (rows, cols), vals[j])
+                    rhs = r[j * m:(j + 1) * m]
+                    if trans == "T":
+                        A = A.T
+                    if border is not None:
+                        bj, dj = (b[j], d[j]) if trans == "N" else (d[j], b[j])
+                        A = np.block([[A, bj], [dj.T, -np.diag(gamma[j])]])
+                        rhs = np.concatenate([rhs, s[j]])
+                    want = np.linalg.solve(A, rhs)
+                    got = x[j * m:(j + 1) * m]
+                    if border is not None:
+                        got = np.concatenate([got, K[j, rows.size:].reshape(s[j].shape)])
+                    np.testing.assert_allclose(got, want, rtol=0,
+                                               atol=1e-13 * np.abs(want).max())
+
+
+def test_global_solver_builds_each_orientation_on_first_use():
+    n = 256
+    grid = periodic_grid(-2.0, 2.0, n)
+    w = np.random.default_rng(5).standard_normal((2, n))
+    for k in (0, 2):
+        solver = GlobalModeSolver(ModelSurfaceMetric(ell=0.1), grid, k)
+        x = solver.solve_channels(w)
+        assert set(solver._closures) == {"N"}, k
+        solver.solve_channels(w, "T")
+        assert set(solver._closures) == {"N", "T"}, k
+        assert np.array_equal(solver.solve_channels(w), x), k
 
 
 def _dgttrf_stacked_band(diags, runs):
@@ -488,7 +543,7 @@ def test_cut_band_and_corners_rebuild_the_cyclic_matrix(c, p):
         for col in range(max(r - p, 0), min(r + p + 1, c * n)):
             got[r, col] = ab[2 * p + r - col, col]
     assert not ab[:p].any()  # LAPACK's fill rows
-    rows, (cols, vals) = _cyclic_corners(diags)
+    rows, cols, vals = _cyclic_corners(diags)
     assert rows.size == c * p * (p + 1)
     # a corner listed twice, or left in the band as well, would add up
     np.add.at(got, (rows, cols), vals)
