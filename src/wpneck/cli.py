@@ -5,7 +5,9 @@ Subcommands
 * ``wpneck verify <suite>``: run a named invariant suite and write a strict
   JSON report {suite, checks: [{name, value, bound, pass}]}, with null for
   a missing or non-finite value or bound; exit 0 iff all checks pass, 1 on
-  any failure, 2 for usage/config errors.
+  any failure, 2 for usage/config errors (a ``--grid-n`` below the smallest
+  grid the suite runs on, too).  Measurements that the tests also make come
+  from :mod:`wpneck.checks`; the names and bounds are the suites' own.
 * ``wpneck sweep <quantity>``: CSV emission (header ``ell,quantity,value``;
   the wp quantity uses ``ell,g_ll,g_lw,g_ww``), full double precision,
   rows sorted by ell; reruns are byte-identical.
@@ -121,54 +123,41 @@ def _suite_weitzenboeck(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_l2norms(cfg: RunConfig) -> list[dict]:
-    from .ttbasis import tt_l2norm_pair
+    from .ttbasis import tt_l2norm_error
 
-    checks = []
-    for ell in (0.5, 0.1, 0.02):
-        for k in range(1, min(cfg.tt_k_max, 8) + 1):
-            closed, quadv = tt_l2norm_pair("kappa", k, ell)
-            rel = abs(closed - quadv) / closed
-            checks.append(_check(f"l2norm(k={k},l={ell})", rel, 1e-8))
-    return checks
-
-
-def _bump(x):
-    """C-infinity bump on (1/2, 3/4), the source of the green and barrier checks."""
-    y = np.zeros_like(x)
-    m = (x > 0.5) & (x < 0.75)
-    z = (x[m] - 0.5) / 0.25
-    y[m] = np.exp(-1.0 / np.maximum(z * (1 - z), 1e-300))
-    return y
+    return [_check(f"l2norm(k={k},l={ell})", tt_l2norm_error("kappa", k, ell)[1], 1e-8)
+            for ell in (0.5, 0.1, 0.02) for k in range(1, min(cfg.tt_k_max, 8) + 1)]
 
 
 def _suite_green(cfg: RunConfig) -> list[dict]:
+    from .checks import smooth_bump
     from .green import HomogeneousSolutions, solve_zero_mode, solve_zero_mode_fd
 
     checks = []
-
+    bump = smooth_bump(0.5, 0.75)
     for ell in (1.0, 0.1, 0.01):
         hom = HomogeneousSolutions(ell)
         ts = np.linspace(-1, 1, 257)
         checks.append(_check(f"wronskian(l={ell})", hom.wronskian_check(ts), 1e-9))
-        rep = solve_zero_mode(ell, _bump, 0.2, -0.1, n=4097)
+        rep = solve_zero_mode(ell, bump, 0.2, -0.1, n=4097)
         checks.append(_check(f"explicit_zero_mode_residual(l={ell})",
                              rep.residual, 1e-8))
         checks.append(_check(f"explicit_zero_mode_bc(l={ell})", rep.bc_error, 1e-10))
     ell = 0.1
-    rep = solve_zero_mode(ell, _bump, 0.2, -0.1, n=8193)
-    tau_fd, w_fd = solve_zero_mode_fd(ell, _bump, 0.2, -0.1, n=8193)
+    rep = solve_zero_mode(ell, bump, 0.2, -0.1, n=8193)
+    tau_fd, w_fd = solve_zero_mode_fd(ell, bump, 0.2, -0.1, n=8193)
     rel = float(np.max(np.abs(rep.solution - w_fd)) / np.max(np.abs(w_fd)))
     checks.append(_check("explicit_vs_fd_oracle(l=0.1)", rel, 1e-6))
     return checks
 
 
 def _suite_barrier(cfg: RunConfig) -> list[dict]:
-    from .green import BarrierProfile, certify_barrier, solve_nonzero_mode
+    from .checks import barrier_excess, smooth_bump
+    from .green import certify_barrier
 
     checks = []
     ells = (1e-3, 1e-2, 0.1)
-    ks = tuple(range(1, 33))
-    cert = certify_barrier(ells, ks, cfg.barrier_alpha, cfg.cutoff_c)
+    cert = certify_barrier(ells, tuple(range(1, 33)), cfg.barrier_alpha, cfg.cutoff_c)
     # an ell certified at no radius inside the cutoff leaves nothing to
     # compare against, so both checks fail instead of passing vacuously
     covered = all(cert.inner_radius[ell] <= cfg.cutoff_c for ell in ells)
@@ -177,20 +166,14 @@ def _suite_barrier(cfg: RunConfig) -> list[dict]:
 
     worst = 0.0 if covered else np.inf
     for ell in (ells if covered else ()):
-        r_in = cert.inner_radius[ell]
-        for k in (1, 4, 16, 32):
-            tau, w = solve_nonzero_mode(ell, k, _bump, n=2049,
-                                        c=cfg.cutoff_c)
-            C = float(np.max(np.abs(_bump(tau))))
-            zeta = BarrierProfile(cfg.barrier_alpha, cfg.cutoff_c, C, k)(tau)
-            mask = (np.abs(tau) >= r_in) & (np.abs(tau) <= cfg.cutoff_c)
-            excess = np.max((np.abs(w) - zeta)[mask]) / C
-            worst = max(worst, float(excess))
+        worst = max(worst, barrier_excess(cert, ell, (1, 4, 16, 32), (+1,),
+                                          smooth_bump(0.5, 0.75), 2049))
     checks.append(_check("barrier_bound_excess", worst, 0.0, ok=worst <= 0.0))
     return checks
 
 
 def _suite_parametrix(cfg: RunConfig) -> list[dict]:
+    from .checks import parametrix_reports
     from .grids import periodic_grid
     from .parametrix import ParametrixFamily
 
@@ -199,52 +182,31 @@ def _suite_parametrix(cfg: RunConfig) -> list[dict]:
                                         cfg.grid_n, 2048))
     modes = _capped("verify parametrix", "modes", cfg.modes, 4)
     fam = ParametrixFamily(grid, ks=range(0, modes + 1))
-    prev = None
-    for ell in (0.4, 0.2, 0.1, 0.05):
-        rep = fam.report(ell, norm_seed=cfg.seed)
+    for ell, rep, prev in parametrix_reports(fam, cfg.seed):
         checks.append(_check(f"S_norm(l={ell})", rep.norm_S, 1.0,
                              ok=rep.norm_S < 1.0))
         checks.append(_check(f"S_decreasing(l={ell})", rep.norm_S, prev,
                              ok=prev is None or rep.norm_S < prev))
         checks.append(_check(f"neumann_residual(l={ell})", rep.residual,
                              cfg.identity_tol))
-        prev = rep.norm_S
     return checks
 
 
 def _suite_projection(cfg: RunConfig) -> list[dict]:
+    from .checks import projection_defects
     from .grids import periodic_grid
-    from .modefields import ModeField, Rank, mode_norm
-    from .operators import apply_div_star, apply_divergence
-    from .parametrix import SolverBank, build_cutoff_tensors, project_tt
+    from .parametrix import SolverBank
     from .surface import ModelSurfaceMetric
 
     checks = []
     grid = periodic_grid(-2, 2, _capped("verify projection", "grid_n",
                                         cfg.grid_n, 4096))
-    x = grid.nodes
     for ell in (0.1, 0.05):
-        surf = ModelSurfaceMetric(ell=ell)
-        bank = SolverBank(surf, grid)
-        h = ModeField(0, Rank.SYM2_FULL, grid,
-                      np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2),
-                                 0.1 * np.sin(np.pi * x / 2)]))
-        T1 = project_tt(surf, grid, h, solvers=bank)
-        T2 = project_tt(surf, grid, T1, solvers=bank)
-        checks.append(_check(f"idempotency(l={ell})",
-                             mode_norm(T2 - T1) / mode_norm(T1), 1e-10))
-        checks.append(_check(f"divergence_free(l={ell})",
-                             mode_norm(apply_divergence(surf, T1))
-                             / mode_norm(T1), 1e-9))
-        w = ModeField(1, Rank.ONE_FORM, grid,
-                      np.vstack([np.sin(np.pi * x / 2), np.cos(np.pi * x)]))
-        gauge = apply_div_star(surf, w)
-        Tg = project_tt(surf, grid, gauge, solvers=bank)
-        checks.append(_check(f"gauge_annihilated(l={ell})",
-                             mode_norm(Tg) / mode_norm(gauge), 1e-6))
-        ct = build_cutoff_tensors(surf, grid, solvers=bank)
-        ratio = max(c / ct.div_norm for c in ct.correction_norms)
-        checks.append(_check(f"projection_constant(l={ell})", ratio, 10.0))
+        d = projection_defects(SolverBank(ModelSurfaceMetric(ell=ell), grid))
+        checks.append(_check(f"idempotency(l={ell})", d["idempotency"], 1e-10))
+        checks.append(_check(f"divergence_free(l={ell})", d["divergence"], 1e-9))
+        checks.append(_check(f"gauge_annihilated(l={ell})", d["gauge"], 1e-6))
+        checks.append(_check(f"projection_constant(l={ell})", d["constant"], 10.0))
     return checks
 
 
@@ -263,6 +225,11 @@ def _suite_uniformization(cfg: RunConfig) -> list[dict]:
         checks.append(_check(f"curvature_after(l={ell})", dev, 1e-2))
     return checks
 
+
+# the smallest grid_n from which on each suite runs on every even grid; below
+# it the Weitzenboeck residual has no interior node, the projection's test
+# tensors vanish, or the parametrix's layers reach the cap or lose definiteness
+_MIN_GRID_N = {"weitzenboeck": 28, "projection": 18, "parametrix": 70}
 
 SUITES = {
     "cylinder": _suite_cylinder,
@@ -391,6 +358,9 @@ def main(argv=None) -> int:
         overrides["sweep_grid_n"] = overrides.pop("grid_n")
     try:
         cfg = load_config(args.config, overrides)
+        if args.command == "verify" and cfg.grid_n < _MIN_GRID_N.get(args.suite, 0):
+            raise ValueError(f"verify {args.suite} needs grid_n >= "
+                             f"{_MIN_GRID_N[args.suite]} (got {cfg.grid_n})")
     except (ValueError, OSError) as exc:
         print(f"wpneck: config error: {exc}", file=sys.stderr)
         return 2

@@ -459,13 +459,18 @@ class _Closure:
     ``coef[j, i]`` in column ``idx[i]``; ``rows`` is D_j, (J, b, m).  The
     inverses of the small H_j are formed once, so a solve of all pieces is
     one band solve, one gather and two batched products.
+    Y, which can decay below the smallest normal float, is solved at 2^600
+    times its size (exact while max |Y| < 2^424) and its would-be subnormals,
+    slow in every later product, are zeroed before it is scaled back.
     """
 
     def __init__(self, solve, cols, idx, coef, rows, gamma):
         J, m, w = cols.shape
         self._solve, self._idx, self._coef = solve, idx, coef[..., None]
         self._rows = rows if rows.shape[1] else None
-        self._Y = solve(cols.reshape(J * m, w)).reshape(J, m, w)
+        Y = solve(cols.reshape(J * m, w) * 2.0**600)
+        Y[np.abs(Y) < np.finfo(float).tiny * 2.0**600] = 0.0
+        self._Y = np.multiply(Y, 2.0**-600, out=Y).reshape(J, m, w)
         H = self._T(self._Y)
         H[:, np.arange(w), np.arange(w)] += np.concatenate([np.ones((J, idx.size)), gamma],
                                                            axis=1)

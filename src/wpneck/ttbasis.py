@@ -44,7 +44,7 @@ __all__ = [
     "tt_element",
     "tt_limit",
     "tt_l2norm",
-    "tt_l2norm_pair",
+    "tt_l2norm_error",
     "tt_rescaled_zero_mode",
     "growing_solutions",
 ]
@@ -189,19 +189,19 @@ def _quad_norm_sq(k: int, ell: float) -> float:
 def tt_l2norm(kind: str, k: int, ell: float, *, check: bool = True) -> float:
     """L^2 norm over the cylinder; with ``check`` the closed form is
     cross-checked by quadrature to ``_NORM_RTOL`` relative."""
-    closed = _closed_norm_sq(kind, k, ell)
-    if check:
-        rel = abs(closed - _quad_norm_sq(k, ell)) / closed
-        if rel > _NORM_RTOL:
-            raise ArithmeticError(
-                f"closed-form vs quadrature norm disagree: rel err {rel:.3e}"
-            )
+    if not check:
+        return math.sqrt(_closed_norm_sq(kind, k, ell))
+    closed, rel = tt_l2norm_error(kind, k, ell)
+    if rel > _NORM_RTOL:
+        raise ArithmeticError(f"closed-form vs quadrature norm disagree: rel err {rel:.3e}")
     return math.sqrt(closed)
 
 
-def tt_l2norm_pair(kind: str, k: int, ell: float) -> tuple[float, float]:
-    """(closed-form, quadrature) values of the squared L^2 norm."""
-    return _closed_norm_sq(kind, k, ell), _quad_norm_sq(k, ell)
+def tt_l2norm_error(kind: str, k: int, ell: float) -> tuple[float, float]:
+    """(closed-form squared L^2 norm, its relative distance to the quadrature
+    of the same norm): the cross-check of :func:`tt_l2norm`."""
+    closed = _closed_norm_sq(kind, k, ell)
+    return closed, abs(closed - _quad_norm_sq(k, ell)) / closed
 
 
 def tt_rescaled_zero_mode(kind: str, ell: float, T: np.ndarray):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wpneck import checks
 from wpneck.cylinder import CylinderMetric
 from wpneck.grids import chebyshev_grid, periodic_grid, uniform_grid
 from wpneck.operators import mode_operators
@@ -35,16 +36,8 @@ def surface_grid():
 
 def smooth_bump(a: float, b: float):
     """C^infinity bump supported on (a, b), unit sup norm."""
-
-    def f(x):
-        x = np.asarray(x, float)
-        y = np.zeros_like(x)
-        inside = (x > a) & (x < b)
-        z = (x[inside] - a) / (b - a)
-        y[inside] = np.exp(4.0) * np.exp(-1.0 / np.maximum(z * (1.0 - z), 1e-300))
-        return y
-
-    return f
+    bump = checks.smooth_bump(a, b)
+    return lambda x: np.exp(4.0) * bump(x)
 
 
 def channel_matrices(surface, grid, k: int):

@@ -11,16 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from wpneck.checks import barrier_excess, parametrix_reports, projection_defects
 from wpneck.cylinder import CylinderMetric
-from wpneck.green import (BarrierProfile, HomogeneousSolutions,
-                          certify_barrier, solve_nonzero_mode, solve_zero_mode)
+from wpneck.green import HomogeneousSolutions, certify_barrier, solve_zero_mode
 from wpneck.grids import periodic_grid, uniform_grid
-from wpneck.modefields import ModeField, Rank, mode_norm
+from wpneck.modefields import ModeField, Rank
 from wpneck import operators as ops
-from wpneck.parametrix import (ParametrixFamily, SolverBank,
-                               build_cutoff_tensors, project_tt)
+from wpneck.parametrix import ParametrixFamily, SolverBank, build_cutoff_tensors
 from wpneck.surface import GlobalModeSolver, ModelSurfaceMetric
-from wpneck.ttbasis import tt_element, tt_l2norm_pair, tt_limit
+from wpneck.ttbasis import tt_element, tt_l2norm_error, tt_limit
 from wpneck.uniformize import solve_conformal_factor
 from wpneck.wp import fit_polyhomogeneous, loglog_slope, sweep_wp_coefficients
 
@@ -52,13 +51,9 @@ def test_criterion_01_homogeneous_solution_residuals():
 # ---------------------------------------------------------------------------
 def test_criterion_02_l2_norms_closed_form_and_band():
     """Closed-form norm vs 2-D quadrature, and the normalization band."""
-    worst_rel = 0.0
-    norms = []
-    for ell in (0.5, 0.1, 0.02):
-        for k in range(1, 9):
-            closed, quadv = tt_l2norm_pair("kappa", k, ell)
-            worst_rel = max(worst_rel, abs(closed - quadv) / closed)
-            norms.append(math.sqrt(closed))
+    errors = [tt_l2norm_error("kappa", k, ell) for ell in (0.5, 0.1, 0.02) for k in range(1, 9)]
+    worst_rel = max(rel for _, rel in errors)
+    norms = [math.sqrt(closed) for closed, _ in errors]
     band = max(norms) / min(norms)
     ok = worst_rel <= 1e-8 and band <= 10.0
     _report(2, ok,
@@ -169,18 +164,8 @@ def test_criterion_06_barrier_decay():
     ells = (1e-3, 3.16e-3, 0.01, 0.0316, 0.1)
     ks = tuple(range(1, 33))
     cert = certify_barrier(ells, ks, alpha, c)
-    bump = smooth_bump(0.5, 0.75)
-    worst_excess = -np.inf
-    for ell in ells:
-        r_in = cert.inner_radius[ell]
-        for k in ks:
-            for sign in (+1, -1):
-                tau, w = solve_nonzero_mode(ell, k, bump, sign=sign, n=2049, c=c)
-                C = float(np.max(np.abs(bump(tau))))
-                zeta = BarrierProfile(alpha, c, C, k)(tau)
-                mask = (np.abs(tau) >= r_in) & (np.abs(tau) <= c)
-                worst_excess = max(worst_excess,
-                                   float(np.max((np.abs(w) - zeta)[mask]) / C))
+    worst_excess = max(barrier_excess(cert, ell, ks, (+1, -1), smooth_bump(0.5, 0.75), 2049)
+                       for ell in ells)
     ok = worst_excess <= 0.0 and cert.min_margin_certified >= 0.0
     _report(6, ok,
             f"certified alpha = {alpha}, margin = {cert.min_margin_certified:.3f}, "
@@ -199,13 +184,10 @@ def parametrix_family():
 def test_criterion_07_parametrix_norms_and_inverse(parametrix_family):
     """||S_ell|| strictly decreasing and < 1; Neumann matches direct solve."""
     fam = parametrix_family
-    norms = []
-    ok = True
-    for ell in (0.4, 0.2, 0.1, 0.05):
-        rep = fam.report(ell)
-        norms.append(rep.norm_S)
-        ok &= rep.norm_S < 1.0 and rep.residual <= 1e-6
-    ok &= all(b < a for a, b in zip(norms, norms[1:]))
+    runs = parametrix_reports(fam, 0)
+    norms = [rep.norm_S for _, rep, _ in runs]
+    ok = all(rep.norm_S < 1.0 and rep.residual <= 1e-6
+             and (prev is None or rep.norm_S < prev) for _, rep, prev in runs)
 
     grid = fam.grid
     x = grid.nodes
@@ -232,33 +214,14 @@ def test_criterion_08_projection_with_uniformization_bound():
     grid = periodic_grid(-2.0, 2.0, 4096)
     C_PIN = 10.0
     ok = True
-    details = []
-    worst_idem = 0.0
-    worst_gauge = 0.0
-    worst_ratio = 0.0
+    defects = []
     for ell in (0.05, 0.02, 0.01):
         surf = ModelSurfaceMetric(ell=ell)
         cf = solve_conformal_factor(surf)
         ok &= cf.bound_satisfied and cf.residual <= 1e-10
-        bank = SolverBank(surf, grid)
-
-        x = grid.nodes
-        h = ModeField(0, Rank.SYM2_FULL, grid,
-                      np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2.0),
-                                 0.1 * np.sin(np.pi * x / 2.0)]))
-        T1 = project_tt(surf, grid, h, solvers=bank)
-        T2 = project_tt(surf, grid, T1, solvers=bank)
-        worst_idem = max(worst_idem, mode_norm(T2 - T1) / mode_norm(T1))
-
-        w = ModeField(1, Rank.ONE_FORM, grid,
-                      np.vstack([np.sin(np.pi * x / 2.0), np.cos(np.pi * x)]))
-        gauge = ops.apply_div_star(surf, w)
-        Tg = project_tt(surf, grid, gauge, solvers=bank)
-        worst_gauge = max(worst_gauge, mode_norm(Tg) / mode_norm(gauge))
-
-        ct = build_cutoff_tensors(surf, grid, solvers=bank)
-        worst_ratio = max(worst_ratio,
-                          max(c / ct.div_norm for c in ct.correction_norms))
+        defects.append(projection_defects(SolverBank(surf, grid)))
+    worst_idem, worst_gauge, worst_ratio = (max(d[name] for d in defects)
+                                            for name in ("idempotency", "gauge", "constant"))
     ok &= worst_idem <= 1e-9 and worst_gauge <= 1e-6 and worst_ratio <= C_PIN
     _report(8, ok,
             f"|u| <= c and residual <= 1e-10 for ell in {{0.05, 0.02, 0.01}}; "

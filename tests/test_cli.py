@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wpneck.cli import _check, main, run_suite
+from wpneck.cli import _MIN_GRID_N, _check, main, run_suite
 from wpneck.config import RunConfig, load_config
 from wpneck.wp import sweep_wp_coefficients
 
@@ -198,6 +198,13 @@ def test_config_validation(capsys, tmp_path):
     assert "sweep_grid_n must be at least 4" in capsys.readouterr().err
     assert main(["verify", "projection", "--grid-n", "2"]) == 2
     assert "grid_n must be at least 4" in capsys.readouterr().err
+    # below the smallest grid a suite runs on: refused before it builds anything
+    for suite, n in (("weitzenboeck", 16), ("projection", 16), ("parametrix", 16),
+                     ("parametrix", 40)):
+        assert main(["verify", suite, "--grid-n", str(n)]) == 2
+        assert f"config error: verify {suite} needs grid_n >=" in capsys.readouterr().err
+    for suite, n in _MIN_GRID_N.items():
+        run_suite(suite, RunConfig(grid_n=n))
     # a config file that would empty the l2norms suite, or put the barrier
     # cutoff past the source bump at 1/2, is refused at load
     for suite, line in (("l2norms", "tt_k_max = 0"), ("barrier", "cutoff_c = 2")):

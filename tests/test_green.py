@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wpneck.checks import barrier_excess
 from wpneck.green import (BarrierProfile, HomogeneousSolutions,
                           certify_barrier, cylinder_dirichlet_inverse,
                           solve_nonzero_mode, solve_zero_mode,
@@ -192,16 +193,9 @@ def test_barrier_failure_region_grows_with_alpha():
 
 
 def test_solution_below_barrier_on_certified_region():
-    alpha = 0.3
     for ell in (1e-3, 1e-2, 0.05):
-        cert = certify_barrier([ell], range(1, 9), alpha=alpha)
-        r_in = cert.inner_radius[ell]
-        for k in (1, 3, 8):
-            tau, w = solve_nonzero_mode(ell, k, BUMP, n=4097)
-            C = float(np.max(np.abs(BUMP(tau))))
-            zeta = BarrierProfile(alpha, 0.5, C, k)(tau)
-            mask = (np.abs(tau) >= r_in) & (np.abs(tau) <= 0.5)
-            assert np.all(np.abs(w[mask]) <= zeta[mask] + 1e-300)
+        cert = certify_barrier([ell], range(1, 9), alpha=0.3)
+        assert barrier_excess(cert, ell, (1, 3, 8), (+1,), BUMP, 4097) <= 0.0
 
 
 def test_summed_tail_bound():

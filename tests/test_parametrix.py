@@ -8,11 +8,11 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wpneck import parametrix, surface
+from wpneck import checks, parametrix, surface
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
-from wpneck.operators import (ModeOperators, apply_div_star, apply_divergence,
-                              apply_bianchi, mode_operators)
+from wpneck.operators import (ModeOperators, apply_div_star, apply_bianchi,
+                              mode_operators)
 from wpneck.parametrix import (ModeParametrix, ParametrixFamily, SolverBank,
                                assemble_tt_frame, build_cutoff_tensors,
                                mu_cutoff, mu_cutoff_d1, project_tt)
@@ -90,13 +90,9 @@ def test_S_vanishes_at_reference_nodes(family, grid):
 
 
 def test_S_norm_decreasing_and_small(family):
-    prev = np.inf
-    for ell in (0.4, 0.2, 0.1, 0.05):
-        rep = family.report(ell)
-        assert rep.norm_S < 1.0
-        assert rep.norm_S < prev
-        assert rep.residual < 1e-8
-        prev = rep.norm_S
+    for _, rep, prev in checks.parametrix_reports(family, 0):
+        assert rep.norm_S < 1.0 and rep.residual < 1e-8
+        assert prev is None or rep.norm_S < prev
 
 
 def test_neumann_matches_direct(family, grid):
@@ -683,27 +679,19 @@ def proj_setup():
     return grid, surf, SolverBank(surf, grid)
 
 
-def test_projection_idempotent_and_divergence_free(proj_setup):
-    grid, surf, bank = proj_setup
-    x = grid.nodes
-    h = ModeField(0, Rank.SYM2_FULL, grid,
-                  np.vstack([np.exp(-x**2), 0.3 * np.cos(np.pi * x / 2.0),
-                             0.1 * np.sin(np.pi * x / 2.0)]))
-    T1 = project_tt(surf, grid, h, solvers=bank)
-    T2 = project_tt(surf, grid, T1, solvers=bank)
-    assert mode_norm(T2 - T1) / mode_norm(T1) < 1e-10
-    assert mode_norm(apply_divergence(surf, T1)) / mode_norm(T1) < 1e-9
+@pytest.fixture(scope="module")
+def proj_defects(proj_setup):
+    return checks.projection_defects(proj_setup[2])
+
+
+def test_projection_idempotent_and_divergence_free(proj_defects):
+    assert proj_defects["idempotency"] < 1e-10
+    assert proj_defects["divergence"] < 1e-9
 
 
 def test_projection_annihilates_gauge_directions(proj_setup):
-    grid, surf, bank = proj_setup
-    x = grid.nodes
     for k in (0, 1, 3):
-        w = ModeField(k, Rank.ONE_FORM, grid,
-                      np.vstack([np.sin(np.pi * x / 2.0), np.cos(np.pi * x)]))
-        gauge = apply_div_star(surf, w)
-        Tg = project_tt(surf, grid, gauge, solvers=bank)
-        assert mode_norm(Tg) / mode_norm(gauge) < 1e-9
+        assert checks.gauge_defect(proj_setup[2], k) < 1e-9
 
 
 def test_projection_fixes_global_tt_pair(proj_setup):
@@ -823,24 +811,6 @@ def test_cutoff_divergence_support(proj_setup):
     assert np.max(np.abs(div1[:, outside])) < 1e-2 * np.max(np.abs(div1))
 
 
-def test_arctan_band_limit():
-    # the constant in the divergence decay law
-    ell = 1e-4
-    val = (np.arctan(0.75 / ell) - np.arctan(0.5 / ell)) / ell
-    assert val == pytest.approx(2.0 / 3.0, abs=1e-3)
-
-
-def test_divergence_three_halves_slope():
-    from wpneck.wp import loglog_slope
-
-    grid = periodic_grid(-2.0, 2.0, 4096)
-    ells = np.geomspace(1e-3, 1e-1, 9)
-    norms = [build_cutoff_tensors(ModelSurfaceMetric(ell=float(e)), grid).div_norm
-             for e in ells]
-    slope = loglog_slope(ells, norms, trim=1)
-    assert slope == pytest.approx(1.5, abs=0.05)
-
-
 def test_frame_structure(proj_setup):
     grid, surf, bank = proj_setup
     fr = assemble_tt_frame(surf, grid, 4, solvers=bank)
@@ -867,9 +837,6 @@ def test_zero_mode_cutoffs_orthogonal_to_decaying_inputs(proj_setup):
     assert mode_inner_product(ct.mu_hat[0], muj) == 0.0
 
 
-def test_projection_inequality_for_cutoffs(proj_setup):
+def test_projection_inequality_for_cutoffs(proj_defects):
     # ||T mu - mu|| <= C ||delta mu|| with a modest C
-    grid, surf, bank = proj_setup
-    ct = build_cutoff_tensors(surf, grid, solvers=bank)
-    for corr in ct.correction_norms:
-        assert corr <= 10.0 * ct.div_norm
+    assert proj_defects["constant"] <= 10.0
