@@ -376,7 +376,11 @@ def main(argv=None) -> int:
         return 0 if report["pass"] else 1
 
     if args.command == "sweep":
-        header, rows = _sweep_rows(args.quantity, cfg)
+        try:
+            header, rows = _sweep_rows(args.quantity, cfg)
+        except ValueError as exc:  # a grid the sweep cannot serve; no row is written
+            print(f"wpneck: config error: {exc}", file=sys.stderr)
+            return 2
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180
         writer.writerow(header)

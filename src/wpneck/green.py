@@ -27,13 +27,14 @@ region).  In the t variable the channel operator reads
 
     -w'' - tanh(t) w' + (1 + (ell sinh t + s k)^2 / (ell cosh t)^2) w,
 
-an M-matrix discretization for moderate step sizes, so discrete solutions
-inherit the maximum principle.  Decay toward tau = 0 is certified against
-the barrier zeta_k(tau) = C exp(alpha |k| (1/c - 1/|tau|)): the positivity
-P zeta_k >= 0 is checked numerically and holds outside an inner radius
-comparable to ell sqrt(alpha/(1-alpha)); inside it the barrier comparison
-degenerates (zeta -> 0 faster than true solutions saturate), so the
-certificate records the verified region per ell.
+an M-matrix discretization for moderate step sizes (a coarser grid is
+refused), so discrete solutions inherit the maximum principle; it is solved
+without pivoting (:class:`~wpneck.grids._SymmetrizedBand`).  Decay toward
+tau = 0 is certified against the barrier zeta_k(tau) = C exp(alpha |k| (1/c
+- 1/|tau|)): the positivity P zeta_k >= 0 is checked numerically and holds
+outside an inner radius comparable to ell sqrt(alpha/(1-alpha)); inside it
+the barrier comparison degenerates (zeta -> 0 faster than true solutions
+saturate), so the certificate records the verified region per ell.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cylinder import CylinderMetric
-from .grids import (ArcsinhGrid, RadialGrid, arcsinh_grid, tridiagonal_lu,
-                    tridiagonal_solve)
+from .grids import ArcsinhGrid, RadialGrid, _symmetrized, _SymmetrizedBand, arcsinh_grid
 from .modefields import ModeField, Rank
 from .operators import mode_operators
 
@@ -236,11 +236,12 @@ def solve_zero_mode_fd(ell, h, eta_plus=0.0, eta_minus=0.0, *,
 
 def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
     """(tau, w) of the Dirichlet solve on the grid; only the potential, the
-    diagonal and the rhs are built per call (the rest: ``agrid.channel_band``)."""
+    diagonal, the rhs and the factor are built per call (the rest, the
+    symmetric form of the off-diagonals too: ``agrid.channel_band``)."""
     t, tau = agrid.t, agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     ht = t[1] - t[0]
-    cosh2, lower, upper = agrid.channel_band
+    cosh2, lower, upper, off, scale = agrid.channel_band
     V = 1.0 + (tau[1:-1] + sign * k) ** 2 / cosh2
     diag = 2.0 / ht**2 + V
 
@@ -252,7 +253,7 @@ def _channel_bvp_t(agrid: ArcsinhGrid, k, sign, h, eta_plus, eta_minus):
 
     w = np.empty(tau.size)
     w[0], w[-1] = eta_minus, eta_plus
-    w[1:-1] = tridiagonal_solve(tridiagonal_lu(lower, diag, upper), rhs)
+    w[1:-1] = _SymmetrizedBand(diag, off.copy(), scale).solve(rhs)
     return tau.copy(), w
 
 
@@ -272,7 +273,8 @@ def solve_nonzero_mode(
 
     Returns (tau nodes, solution).  The discretization is an M-matrix, so
     the discrete solution obeys the maximum-principle bound
-    |w| <= max(||h||_inf, |eta+-|).
+    |w| <= max(||h||_inf, |eta+-|).  A band that is not an M-matrix (n = 5
+    or 7 at ell = 1e-3) is refused with a ``numpy.linalg.LinAlgError``.
     """
     if k == 0:
         raise ValueError("use solve_zero_mode for k = 0")
@@ -398,8 +400,8 @@ def cylinder_dirichlet_inverse(
 ) -> ModeField:
     """Dirichlet inverse of the one-form gauge Laplacian on an interval grid.
 
-    Solves (1/2) P_k^+- per rho channel with identity boundary rows and
-    zero boundary values, one tridiagonal band solve per channel, so the
+    Solves (1/2) P_k^+- per rho channel on the interior rows with zero
+    boundary values, one tridiagonal band solve per channel, so the
     returned mode inverts ``apply_gauge_laplacian`` up to solver accuracy
     on the given finite-difference grid.  ``enforce_gap`` applies the
     standing support hypothesis used by the expansion statements.
@@ -419,11 +421,7 @@ def cylinder_dirichlet_inverse(
     sols = []
     for sign, b in zip((+1, -1), f.rho()):
         mat = opk.channel_matrix(sign, 0.5)
-        # tridiagonal interior rows, identity boundary rows
-        lower, diag, upper = (np.append(0.0, mat.diagonal(-1)), mat.diagonal(),
-                              np.append(mat.diagonal(1), 0.0))
-        diag[[0, -1]], upper[0], lower[-1] = 1.0, 0.0, 0.0
-        b = b.copy()
-        b[[0, -1]] = 0.0
-        sols.append(tridiagonal_solve(tridiagonal_lu(lower, diag, upper), b))
+        inner = _symmetrized(mat.diagonal()[1:-1], mat.diagonal(-1)[1:-1],
+                             mat.diagonal(1)[1:-1], [grid.n - 2]).solve(b[1:-1])
+        sols.append(np.pad(inner, 1))  # zero boundary values
     return ModeField.one_form_rho(f.k, grid, sols[0], sols[1], f.variant)

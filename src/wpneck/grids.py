@@ -1,4 +1,4 @@
-"""Radial grids, differentiation matrices, quadrature weights, tridiagonal solves.
+"""Radial grids, differentiation matrices, quadrature weights, the tridiagonal solver.
 
 Two grid families are supported on an interval: uniform (second-order
 finite differences, composite Simpson quadrature) and Chebyshev-Lobatto
@@ -21,6 +21,9 @@ An even periodic grid has a mirror half (:attr:`RadialGrid.mirror_half`): the
 nodes 0 ... n/2, which carry a field that is even or odd under the grid
 reflection R: i -> n - i, with the quadrature of the even ones.  A
 :meth:`RadialGrid.span` is a run of a grid's nodes with their weights.
+
+Every tridiagonal band of the package, each an M-matrix, is solved by
+:class:`_SymmetrizedBand`, scaled to a symmetric positive definite band.
 """
 
 from __future__ import annotations
@@ -255,22 +258,75 @@ def _fd_stencils(n: int, h: float, periodic: bool) -> tuple:
             _stencil(n, (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), ends2))
 
 
-def tridiagonal_lu(lower, diag, upper) -> tuple:
-    """LAPACK ``dgttrf`` factors of the tridiagonal matrix whose row i is
-    (lower[i], diag[i], upper[i]); lower[0] and upper[-1] are never read.
+def _symmetrized(main, lower, upper, sizes):
+    """The pieces (``sizes``) of a tridiagonal band, stacked with zero coupling.
 
-    The factorization pivots: the Green and conformal-factor bands it serves
-    need not be positive definite (the conformal Newton Jacobian is negative
-    definite)."""
-    *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
-    if info:
-        raise np.linalg.LinAlgError("tridiagonal band is exactly singular")
-    return tuple(lu)
+    A piece with sub- and superdiagonals l and u is S T S^-1: T symmetric,
+    with the piece's diagonal and the off-diagonal sign(u_i) sqrt(l_{i+1} u_i),
+    and S = diag(s), s_0 = 1 and s_{i+1} = s_i sqrt(l_{i+1} / u_i).  The
+    scaling restarts at each piece, so each is factored and solved bit for
+    bit as if alone.  A pair l_{i+1}, u_i of opposite signs, or with one
+    zero, has no such T and is refused; a pair of zeros is a cut.
+    ``lower`` and ``upper`` are overwritten.
+    """
+    return _SymmetrizedBand(main, *_symmetric_form(lower, upper, sizes))
 
 
-def tridiagonal_solve(lu: tuple, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve with :func:`tridiagonal_lu` factors; ``trans="T"`` uses the transpose."""
-    return lapack.dgttrs(*lu, b, trans=trans)[0]
+def _symmetric_form(lower, upper, sizes):
+    """``(off, scale)`` of :func:`_symmetrized`: T's off-diagonal and S."""
+    ends = np.cumsum(sizes)
+    # at a piece's last row p the coupling is cut: ones stand in there for
+    # the check and the ratios, and T gets a zero
+    cut = ends[:-1] - 1
+    lower[cut] = upper[cut] = 1.0
+    prod = lower * upper
+    small = ~(prod >= np.finfo(float).tiny)
+    if np.any(small) and np.any(np.sign(lower[small]) != np.sign(upper[small])):
+        raise np.linalg.LinAlgError("channel band is not symmetrizable")
+    off = np.copysign(np.sqrt(prod), upper)
+    if np.any(small):
+        # a pair whose product underflows is symmetrized without forming the
+        # product; a pair of zeros is a cut
+        l, u = np.abs(lower[small]), np.abs(upper[small])
+        off[small] = np.copysign(np.sqrt(l) * np.sqrt(u), upper[small])
+        zero = np.flatnonzero(small)[u == 0.0]
+        lower[zero] = upper[zero] = 1.0
+    off[cut] = 0.0
+    ratio = np.sqrt(lower / upper)
+    scale = np.empty(lower.size + 1)
+    for start, end in zip(ends - sizes, ends):
+        scale[start] = 1.0
+        np.cumprod(ratio[start:end - 1], out=scale[start + 1:end])
+    return off, scale
+
+
+class _SymmetrizedBand:
+    """Solves with A = S T S^-1: T symmetric positive definite tridiagonal.
+
+    T (diagonal ``main``, off-diagonal ``off``, both overwritten) is factored
+    L D L^T by LAPACK ``dpttrf``, which does not pivot; a band it finds not
+    positive definite is refused.  S = diag(``scale``).  A solve is b / s,
+    ``dpttrs``, times s, and the transposed one b s, ``dpttrs``, over s,
+    from the same factor.
+    """
+
+    def __init__(self, main, off, scale):
+        self._d, self._e, info = lapack.dpttrf(main, off, overwrite_d=1, overwrite_e=1)
+        if info:
+            raise np.linalg.LinAlgError("channel band is not positive definite")
+        self._scale = scale
+        self.size = scale.size
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^-1 b (``trans="T"``: A^-T b) for b of shape (m,) or (m, k)."""
+        s = self._scale if b.ndim == 1 else self._scale[:, None]
+        if trans == "T":
+            x = lapack.dpttrs(self._d, self._e, b * s, overwrite_b=1)[0]
+            x /= s
+        else:
+            x = lapack.dpttrs(self._d, self._e, b / s, overwrite_b=1)[0]
+            x *= s
+        return x
 
 
 def uniform_grid(a: float, b: float, n: int) -> RadialGrid:
@@ -346,19 +402,20 @@ class ArcsinhGrid:
         return _read_only(self.ell * np.cosh(self.t_grid.nodes))
 
     @cached_property
-    def channel_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """((ell cosh t)^2, lower, upper) on the interior nodes 1 ... n - 2.
+    def channel_band(self) -> tuple[np.ndarray, ...]:
+        """((ell cosh t)^2, lower, upper, off, scale) on the interior nodes 1 ... n - 2.
 
-        lower and upper are the off-diagonals of -w'' - tanh(t) w' in O(h^2)
-        central differences: the part of a cylinder channel operator in t
-        that depends on the grid alone (:mod:`wpneck.green`).
+        lower[i], upper[i]: row i's off-diagonals of -w'' - tanh(t) w' in O(h^2)
+        central differences, the part of a cylinder channel operator in t that
+        depends on the grid alone (:mod:`wpneck.green`); (off, scale): their
+        symmetric form (:func:`_symmetric_form`), refused unless an M-matrix.
         """
         t = self.t
         ht = t[1] - t[0]
-        th = np.tanh(t[1:-1])
-        return _read_only(((self.ell * np.cosh(t[1:-1])) ** 2,
-                           -1.0 / ht**2 + th / (2.0 * ht),
-                           -1.0 / ht**2 - th / (2.0 * ht)))
+        drift = np.tanh(t[1:-1]) / (2.0 * ht)
+        lower, upper = -1.0 / ht**2 + drift, -1.0 / ht**2 - drift
+        form = _symmetric_form(lower[1:].copy(), upper[:-1].copy(), [drift.size])
+        return _read_only(((self.ell * np.cosh(t[1:-1])) ** 2, lower, upper, *form))
 
     def integrate_dtau(self, f: np.ndarray) -> float:
         return self.t_grid.integrate(f * self.jacobian)

@@ -46,7 +46,7 @@ Each block acts on both rho channels at once, stacked as the flattened
   Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
   with zero coupling and factored once, each a diagonal similarity of a
   symmetric positive definite band, so each application of Gtilde, R or
-  R^T is one no-pivot LAPACK ``dpttrs`` between two diagonal scalings.
+  R^T is one no-pivot L D L^T solve between two diagonal scalings.
 * The commutators, with their places shared by every block of a family
   (:class:`_Layers`).  [P, chi~_j] has zero diagonal and the off-diagonals
   L_i (chi~_j(i-1) - chi~_j(i)) and U_i (chi~_j(i+1) - chi~_j(i)), which
@@ -62,7 +62,7 @@ from a right-hand side on the commutators' transition layers or is read
 there only, so the references' remaining bands, subdomain and global, keep
 those layer rows alone (:class:`~wpneck.surface._Condensed`, 356 rows per
 reference and band at n = 2048) and are stacked into one band each.  An
-application of F or F^T is then four ``dpttrs`` calls over the layer rows
+application of F or F^T is then four band solves over the layer rows
 of all references together, whatever their number, and dense right-hand
 sides and outputs pass through two coefficients per eliminated row.
 :class:`~wpneck.surface.GlobalModeSolver` stays the independent direct
@@ -222,7 +222,7 @@ class ReferenceBank:
       and the eliminated rows of the solution take -u mu as well.
 
     The kept pieces are stacked with zero coupling into one symmetrized band
-    per kind, so each of the four solves in F and F^T is one ``dpttrs`` over
+    per kind, so each of the four solves in F and F^T is one band solve over
     the layer rows of all references.  Dense right-hand sides enter through
     the eliminated rows' coefficients and dense outputs are rebuilt from
     them.  Two steps of the per-reference route change the result by
@@ -748,15 +748,18 @@ def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
     times the kappa amplitude (our divergence sign) along sigma1; its L^2
     norm has the closed form 2 pi amp^2 int (chi')^2 / F d tau, evaluated
     here by quadrature of the analytic integrand (the discrete-operator
-    route is reported alongside; both kinds share the norm).
+    route is reported alongside; both kinds share the norm).  A grid with no
+    node strictly inside the band, where that norm reads 0, is refused.
     """
     ell = surface.ell
     if ell <= 0:
         raise ValueError("cutoff tensors need ell > 0")
-    bank = solvers if solvers is not None else SolverBank(surface, grid)
     tau = grid.nodes
-    chi = mu_cutoff(tau)
     chid = mu_cutoff_d1(tau)
+    if not np.any(chid):
+        raise ValueError(f"the {grid.n}-node grid has no node in 1/2 < |tau| < 3/4")
+    bank = solvers if solvers is not None else SolverBank(surface, grid)
+    chi = mu_cutoff(tau)
 
     fields = []
     for kind in ("kappa", "nu"):

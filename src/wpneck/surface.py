@@ -31,15 +31,14 @@ stacked in natural node order with their cyclic corners cut
 (:func:`_cyclic_corners`), and a Woodbury closure puts the corners back as
 cut entries (:func:`_cut_closure`, the one closure of every cut band).  Its
 band, and the Dirichlet pieces of the parametrix's :class:`SubdomainSolver`,
-are the nonconservative stencil of -(F u')' + V:
-each piece is S T S^-1 with S diagonal and T symmetric positive definite,
-and is factored as T by LAPACK's ``dpttrf``, without pivoting
-(:func:`_stacked_band`).  A band that has no such form is refused.  The
-channel rows on the cap |tau| >= 7/8 are the same at every ell, so the
-parametrix's frozen references condense them out once per mode
-(:class:`ChannelCap`), eliminate every other row off their transition
-layers once per family (:class:`_Condensed`) and solve their layer rows
-together.
+are the nonconservative stencil of -(F u')' + V: each piece is S T S^-1
+with S diagonal and T symmetric positive definite, and is factored as T
+without pivoting (:func:`_stacked_band`, :class:`~wpneck.grids._SymmetrizedBand`).
+A band without such a form is refused.  The channel rows on the cap
+|tau| >= 7/8 are the same at every ell, so the parametrix's frozen
+references condense them out once per mode (:class:`ChannelCap`),
+eliminate every other row off their transition layers once per family
+(:class:`_Condensed`) and solve their layer rows together.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  It uses the grid reflection R: i -> n - i
@@ -67,7 +66,7 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.linalg import lapack
 
-from .grids import RadialGrid
+from .grids import RadialGrid, _symmetric_form, _symmetrized, _SymmetrizedBand
 from .operators import channel_potential
 
 __all__ = [
@@ -357,77 +356,6 @@ def _band_pieces(diags, runs):
     return flat, D[flat], L[flat[1:]], U[flat[:-1]], np.array([p.size for p in pieces])
 
 
-def _symmetrized(main, lower, upper, sizes):
-    """The pieces (``sizes``) of a tridiagonal band, stacked with zero coupling.
-
-    A piece with sub- and superdiagonals l and u is S T S^-1: T symmetric,
-    with the piece's diagonal and the off-diagonal sign(u_i) sqrt(l_{i+1} u_i),
-    and S = diag(s), s_0 = 1 and s_{i+1} = s_i sqrt(l_{i+1} / u_i).  The
-    scaling restarts at each piece, so each is factored and solved bit for
-    bit as if alone.  A pair l_{i+1}, u_i of opposite signs, or with one
-    zero, has no such T and is refused; a pair of zeros is a cut.
-    ``lower`` and ``upper`` are overwritten.
-    """
-    return _SymmetrizedBand(main, *_symmetric_form(lower, upper, sizes))
-
-
-def _symmetric_form(lower, upper, sizes):
-    """``(off, scale)`` of :func:`_symmetrized`: T's off-diagonal and S."""
-    ends = np.cumsum(sizes)
-    # at a piece's last row p the coupling is cut: ones stand in there for
-    # the check and the ratios, and T gets a zero
-    cut = ends[:-1] - 1
-    lower[cut] = upper[cut] = 1.0
-    prod = lower * upper
-    small = ~(prod >= np.finfo(float).tiny)
-    if np.any(small) and np.any(np.sign(lower[small]) != np.sign(upper[small])):
-        raise np.linalg.LinAlgError("channel band is not symmetrizable")
-    off = np.copysign(np.sqrt(prod), upper)
-    if np.any(small):
-        # a pair whose product underflows is symmetrized without forming the
-        # product; a pair of zeros is a cut
-        l, u = np.abs(lower[small]), np.abs(upper[small])
-        off[small] = np.copysign(np.sqrt(l) * np.sqrt(u), upper[small])
-        zero = np.flatnonzero(small)[u == 0.0]
-        lower[zero] = upper[zero] = 1.0
-    off[cut] = 0.0
-    ratio = np.sqrt(lower / upper)
-    scale = np.empty(lower.size + 1)
-    for start, end in zip(ends - sizes, ends):
-        scale[start] = 1.0
-        np.cumprod(ratio[start:end - 1], out=scale[start + 1:end])
-    return off, scale
-
-
-class _SymmetrizedBand:
-    """Solves with A = S T S^-1: T symmetric positive definite tridiagonal.
-
-    T (diagonal ``main``, off-diagonal ``off``, both overwritten) is factored
-    L D L^T by LAPACK ``dpttrf``, which does not pivot; a band it finds not
-    positive definite is refused.  S = diag(``scale``).  A solve is b / s,
-    ``dpttrs``, times s, and the transposed one b s, ``dpttrs``, over s,
-    from the same factor.
-    """
-
-    def __init__(self, main, off, scale):
-        self._d, self._e, info = lapack.dpttrf(main, off, overwrite_d=1, overwrite_e=1)
-        if info:
-            raise np.linalg.LinAlgError("channel band is not positive definite")
-        self._scale = scale
-        self.size = scale.size
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """A^-1 b (``trans="T"``: A^-T b) for b of shape (m,) or (m, k)."""
-        s = self._scale if b.ndim == 1 else self._scale[:, None]
-        if trans == "T":
-            x = lapack.dpttrs(self._d, self._e, b * s, overwrite_b=1)[0]
-            x /= s
-        else:
-            x = lapack.dpttrs(self._d, self._e, b / s, overwrite_b=1)[0]
-            x *= s
-        return x
-
-
 def _cyclic_corners(diags):
     """``(rows, cols, vals)``: the entries of cyclic diagonals that wrap around.
 
@@ -706,7 +634,7 @@ class SubdomainSolver:
     consecutive nodes in period order (the thick run wraps across
     tau = +-2 and is rolled into that order); runs may overlap.  Each
     channel's Dirichlet submatrix on each run is a piece of one symmetrized
-    band (:func:`_stacked_band`), so a solve is one ``dpttrs`` between two
+    band (:func:`_stacked_band`), so a solve is one L D L^T solve between two
     diagonal scalings, in the band's stacked order (a node in two
     overlapping runs appears there twice).
     """

@@ -15,9 +15,10 @@ solves
 
 by the 2-D conformal change K_{e^{2u}g} = e^{-2u}(K_g - Delta_neg u).
 Constants +-c with c = max |log|K_g|| / 2 are super/subsolutions, so
--c <= u <= c; the Newton iteration (Jacobian Delta_neg - 2 e^{2u}, negative
-definite) converges quadratically from u = 0 and the bound is checked on
-the result.
+-c <= u <= c; the Newton iteration (Jacobian J = Delta_neg - 2 e^{2u},
+negative definite) converges quadratically from u = 0 and the bound is
+checked on the result.  Each step solves with -J, an M-matrix, without
+pivoting (:class:`~wpneck.grids._SymmetrizedBand`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grids import RadialGrid, tridiagonal_lu, tridiagonal_solve, uniform_grid
+from .grids import RadialGrid, _symmetric_form, _SymmetrizedBand, uniform_grid
 from .surface import ModelSurfaceMetric, fold_tau
 
 __all__ = ["ConformalFactor", "solve_conformal_factor", "curvature_after"]
@@ -75,10 +76,10 @@ def _inside(tau: np.ndarray, b: float):
 # the residual of the third step for ell in [0.072, 0.0737], the top of the
 # negatively curved range: at ell = 0.072 and 0.0735 that step stops at
 # 7.7e-12 and 8.9e-12, with u 1.6e-12 and 1.8e-12 short of the converged
-# discrete solution.  There, any change to the residual's arithmetic can add
-# a fourth step and move g_ll by up to 1.8e-12 relative, above the 1e-12
-# drift that a refactor may cause; elsewhere such a change moves it by
-# round-off.
+# discrete solution.  A new linear solver moves that residual by round-off
+# (5e-14 at 0.0735), but a change to the residual's own arithmetic can add
+# a fourth step there and move g_ll by up to 1.8e-12 relative, above the
+# 1e-12 drift that a refactor may cause; elsewhere it moves by round-off.
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 50
 
@@ -135,10 +136,15 @@ def solve_conformal_factor(
         )
     h = tau[1] - tau[0]
 
-    # interior tridiagonal of Delta_neg = F d^2 + F' d
+    # interior tridiagonal of Delta_neg = F d^2 + F' d; the off-diagonals of
+    # -J = -Delta_neg + 2 e^{2u}, and their symmetric form, fit every step
     lower = F[1:-1] / h**2 - Fp[1:-1] / (2.0 * h)
     upper = F[1:-1] / h**2 + Fp[1:-1] / (2.0 * h)
     diag_lap = -2.0 * F[1:-1] / h**2
+    try:
+        off, scale = _symmetric_form(-lower[1:], -upper[:-1], [lower.size])
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"Newton Jacobian: {exc}") from None
 
     # u, exp(2u) and the residual at u; an accepted trial carries its own
     u, e2u = np.zeros(n), np.ones(n)
@@ -148,8 +154,11 @@ def solve_conformal_factor(
         if float(np.max(np.abs(resid[1:-1]))) <= _NEWTON_TOL:
             break
         rnorm = float(np.sqrt(np.mean(resid[1:-1] ** 2)))
-        jac_diag = diag_lap - 2.0 * e2u[1:-1]
-        step = tridiagonal_solve(tridiagonal_lu(lower, jac_diag, upper), -resid[1:-1])
+        try:
+            band = _SymmetrizedBand(2.0 * e2u[1:-1] - diag_lap, off.copy(), scale)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"Newton Jacobian: {exc}") from None
+        step = band.solve(resid[1:-1])
         # damped step accepted on an Armijo-style RMS decrease (the sup norm
         # is too brittle for the boundary layers of shifted problems)
         lam = 1.0

@@ -115,6 +115,20 @@ def test_coarse_sweep_grid_is_noted_on_stderr(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+def test_sweep_divergence_refuses_a_grid_without_transition_nodes(tmp_path, capsys):
+    # on 16 nodes none lies strictly inside 1/2 < |tau| < 3/4, where the
+    # divergence lives: every row would read 0.  Refused before any row
+    out = tmp_path / "d.csv"
+    assert main(["sweep", "divergence", "--grid-n", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("wpneck: config error: the 16-node grid")
+    assert not out.exists()
+    assert main(["sweep", "divergence", "--grid-n", "18", "--ell-count", "2",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(float(r.split(",")[2]) > 0.0 for r in rows)
+
+
 def test_fit_roundtrip_through_files(tmp_path):
     csv_path = tmp_path / "series.csv"
     ells = np.geomspace(1e-3, 1e-1, 36)

@@ -109,6 +109,16 @@ def test_nonzero_mode_maximum_principle_and_trivial():
     assert np.max(np.abs(w)) <= C * (1.0 + 1e-12)
 
 
+def test_nonzero_mode_refuses_a_band_that_is_not_an_m_matrix():
+    # at ell = 1e-3 on 7 nodes the t-spacing h is 2.53, so where
+    # |tanh t| > 2/h one coupling of a pair turns positive: no maximum
+    # principle and no symmetric form.  On 9 nodes h is 1.90, and the band
+    # is an M-matrix
+    with pytest.raises(ValueError, match="symmetrizable"):
+        solve_nonzero_mode(1e-3, 3, np.ones(7), n=7, enforce_gap=False)
+    solve_nonzero_mode(1e-3, 3, np.ones(9), n=9, enforce_gap=False)
+
+
 def test_nonzero_mode_even_node_count_is_promoted():
     tau, w = solve_nonzero_mode(0.05, 2, BUMP, n=512)
     assert tau.size == w.size == 513

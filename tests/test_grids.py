@@ -1,5 +1,6 @@
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import scipy.sparse as sp
 
 import wpneck.green
 from wpneck.grids import (arcsinh_grid, chebyshev_grid, periodic_grid,
-                          simpson_weights, tridiagonal_lu, tridiagonal_solve,
-                          uniform_grid)
+                          simpson_weights, uniform_grid)
 
 from conftest import smooth_bump
 
@@ -218,29 +218,14 @@ def test_solves_share_the_grid_and_return_their_own_nodes(monkeypatch):
     assert tau3.tobytes() == tau2.tobytes() and w3.tobytes() == w2.tobytes()
 
 
-def test_tridiagonal_pair_matches_a_dense_solve():
-    # no diagonal dominance, so the factorization pivots
-    rng = np.random.default_rng(3)
-    n = 300
-    lower, diag, upper = rng.uniform(-1.0, 1.0, (3, n))
-    A = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-    # row-wise convention: the entries outside the matrix are never read
-    lower[0] = upper[-1] = np.nan
-    lu = tridiagonal_lu(lower, diag, upper)
-    b = rng.standard_normal((n, 2))
-    for trans, M in (("N", A), ("T", A.T)):
-        x = tridiagonal_solve(lu, b, trans)
-        ref = np.linalg.solve(M, b)
-        assert np.all(np.isfinite(x)), trans
-        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref), trans
-
-
-def test_tridiagonal_lu_refuses_an_exactly_singular_band():
-    # rows 1 and 2 of [[1, 1, 0], [1, 1, 0], [0, 1, 2]] are equal
-    lower, diag, upper = (np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 2.0]),
-                          np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(np.linalg.LinAlgError):
-        tridiagonal_lu(lower, diag, upper)
+def test_grids_holds_the_one_tridiagonal_solver():
+    # every other module solves its tridiagonal bands through
+    # grids._SymmetrizedBand, and names no LAPACK tridiagonal routine
+    routines = ("gttrf", "gttrs", "gtsv", "pttrf", "pttrs", "ptsv")
+    modules = Path(wpneck.green.__file__).parent.glob("*.py")
+    named = {p.name: [r for r in routines if r in p.read_text()] for p in modules}
+    assert named.pop("grids.py")
+    assert not any(named.values()), named
 
 
 def test_mirror_half_integrates_even_fields_and_shares_the_memo():

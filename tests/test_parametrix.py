@@ -811,6 +811,17 @@ def test_cutoff_divergence_support(proj_setup):
     assert np.max(np.abs(div1[:, outside])) < 1e-2 * np.max(np.abs(div1))
 
 
+def test_cutoff_tensors_refuse_a_grid_without_transition_nodes():
+    # the even grids with no node strictly inside 1/2 < |tau| < 3/4, on
+    # which the divergence norm would read 0.0; every other even grid has one
+    surf = ModelSurfaceMetric(ell=0.1)
+    for n in (4, 8, 10, 16):
+        with pytest.raises(ValueError, match=f"the {n}-node grid"):
+            build_cutoff_tensors(surf, periodic_grid(-2.0, 2.0, n))
+    for n in (6, 12, 14, 18, 20):
+        assert build_cutoff_tensors(surf, periodic_grid(-2.0, 2.0, n)).div_norm > 0.0
+
+
 def test_frame_structure(proj_setup):
     grid, surf, bank = proj_setup
     fr = assemble_tt_frame(surf, grid, 4, solvers=bank)

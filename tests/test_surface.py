@@ -1,6 +1,5 @@
 import gc
 import weakref
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +9,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 import wpneck.surface as surface_module
-from wpneck.grids import periodic_grid, tridiagonal_lu, tridiagonal_solve
+from wpneck.grids import _symmetric_form, _symmetrized, periodic_grid
 from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.parametrix import SolverBank, project_tt
@@ -216,19 +215,19 @@ def test_symmetrized_band_takes_a_coupling_pair_below_the_smallest_float():
     off[3] = -1e-200
     A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     b = np.arange(1.0, n + 1)
-    sym, scale = surface_module._symmetric_form(off.copy(), off.copy(), [n])
+    sym, scale = _symmetric_form(off.copy(), off.copy(), [n])
     assert sym[3] == -1e-200 and np.all(scale == 1.0)
     for trans in ("N", "T"):
-        band = surface_module._symmetrized(main.copy(), off.copy(), off.copy(), [n])
+        band = _symmetrized(main.copy(), off.copy(), off.copy(), [n])
         assert np.allclose(band.solve(b, trans), np.linalg.solve(A, b), rtol=1e-15)
     for lower, upper in ((-1e-200, 1e-200), (0.0, -1.0), (-1e-200, 0.0)):
         lo, up = off.copy(), off.copy()
         lo[3], up[3] = lower, upper
         with pytest.raises(np.linalg.LinAlgError, match="symmetrizable"):
-            surface_module._symmetrized(main.copy(), lo, up, [n])
+            _symmetrized(main.copy(), lo, up, [n])
     lo, up = off.copy(), off.copy()
     lo[3] = up[3] = 0.0
-    cut = surface_module._symmetrized(main.copy(), lo, up, [n])
+    cut = _symmetrized(main.copy(), lo, up, [n])
     A[3, 4] = A[4, 3] = 0.0
     assert np.allclose(cut.solve(b), np.linalg.solve(A, b), rtol=1e-15)
 
@@ -238,16 +237,18 @@ def test_condensed_band_eliminates_a_run_whose_coupling_underflows():
     # diagonal that the coupling its elimination leaves between them is
     # about 1e-220 each way: their product underflows, yet the kept band is
     # factored and solves as the dense matrix does.  A deeper run leaves a
-    # coupling below the smallest normal float, which is cut
-    for big, m in ((1e10, 22), (1e16, 22)):
+    # coupling below the smallest normal float, which is cut.  A band with
+    # l/u = 4 has scales 2^i, whose ratio across the run enters the new
+    # coupling
+    for big, m, ratio in ((1e10, 22, 1.0), (1e16, 22, 1.0), (4.0, 6, 4.0)):
         M = m + 2
         main = np.full(M, big)
         main[[0, -1]] = 2.0
-        off = np.full(M - 1, -1.0)
-        A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        lower, upper = np.full(M - 1, -np.sqrt(ratio)), np.full(M - 1, -1.0 / np.sqrt(ratio))
+        A = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
         keep = np.zeros(M, bool)
         keep[[0, -1]] = True
-        cond = surface_module._Condensed(main[None], off[None], off[None], [M], keep)
+        cond = surface_module._Condensed(main[None], lower[None], upper[None], [M], keep)
         b = np.linspace(1.0, 2.0, M)
         got = cond.band.solve(cond.restrict(b[keep], b[~keep])[0])
         assert np.allclose(got, np.linalg.solve(A, b)[keep], rtol=1e-14), big
@@ -358,9 +359,11 @@ def _dgttrf_stacked_band(diags, runs):
             main.append(D[c, idx])
             lower.append(np.r_[0.0, L[c, idx[1:]]])
             upper.append(np.r_[U[c, idx[:-1]], 0.0])
-    lu = tridiagonal_lu(np.concatenate(lower), np.concatenate(main),
-                        np.concatenate(upper))
-    return np.concatenate(flat), SimpleNamespace(solve=partial(tridiagonal_solve, lu))
+    *lu, info = lapack.dgttrf(np.concatenate(lower)[1:], np.concatenate(main),
+                              np.concatenate(upper)[:-1])
+    assert info == 0
+    return np.concatenate(flat), SimpleNamespace(
+        solve=lambda b, trans="N": lapack.dgttrs(*lu, b, trans=trans)[0])
 
 
 def test_channel_solvers_match_pivoted_dgttrf(monkeypatch):

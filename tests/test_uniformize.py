@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,15 @@ def test_curvature_after_solve():
 def test_refusal_outside_hypotheses():
     with pytest.raises(ValueError):
         solve_conformal_factor(ModelSurfaceMetric(ell=0.3))
+    # F = e^{10 tau} on 9 nodes (h = 0.22 > 1/5): -J is no M-matrix.  Its
+    # refusal is an ArithmeticError, not the ValueError on which a sweep
+    # falls back to phi = 0
+    steep = SimpleNamespace(ell=0.1, F=lambda t: np.exp(10 * t),
+                            Fp=lambda t: 10 * np.exp(10 * t),
+                            curvature=lambda t: -50 * np.exp(10 * t))
+    with pytest.raises(ArithmeticError, match="Newton Jacobian"):
+        solve_conformal_factor(steep, n=9)
+    assert solve_conformal_factor(steep, n=17).residual <= 1e-11
 
 
 def test_monotone_dependence_on_curvature_scale():
@@ -100,11 +110,11 @@ def test_newton_evaluates_the_residual_once_per_trial(monkeypatch):
     # each line-search trial are the only evaluations.  Every Newton step at
     # these lengths takes its full length, so there is one trial per step
     evaluated, steps = [], []
-    apply_neg_lap, tridiagonal_solve = uniformize._apply_neg_lap, uniformize.tridiagonal_solve
+    apply_neg_lap, band = uniformize._apply_neg_lap, uniformize._SymmetrizedBand
     monkeypatch.setattr(uniformize, "_apply_neg_lap", lambda F, Fp, u, h: (
         evaluated.append(u.copy()) or apply_neg_lap(F, Fp, u, h)))
-    monkeypatch.setattr(uniformize, "tridiagonal_solve", lambda *args: (
-        steps.append(1) or tridiagonal_solve(*args)))
+    monkeypatch.setattr(uniformize, "_SymmetrizedBand", lambda *args: (
+        steps.append(1) or band(*args)))
     for ell in (1e-3, 0.05, 0.0735):
         evaluated.clear()
         steps.clear()
