@@ -12,9 +12,10 @@ from .green import BarrierProfile, solve_nonzero_mode
 from .modefields import ModeField, Rank, mode_norm
 from .operators import apply_div_star, apply_divergence
 from .parametrix import build_cutoff_tensors, project_tt
+from .surface import GlobalModeSolver, ModelSurfaceMetric
 
 __all__ = ["smooth_bump", "barrier_excess", "gauge_defect", "projection_defects",
-           "parametrix_reports"]
+           "parametrix_reports", "neumann_vs_direct"]
 
 
 def smooth_bump(a: float, b: float):
@@ -89,3 +90,20 @@ def parametrix_reports(family, seed: int) -> list:
         prev = rep.norm_S
     return out
 
+
+
+def neumann_vs_direct(family, ell: float, ks, rhs: np.ndarray) -> float:
+    """The largest relative gap over ``ks`` of the Neumann-series solve (to
+    1e-14) of ``family``'s block at ``ell`` to the direct
+    :class:`~wpneck.surface.GlobalModeSolver` solve, for the (2, n) ``rhs``
+    projected off the block's kernel."""
+    surf = ModelSurfaceMetric(ell=ell)
+    worst = 0.0
+    for k in ks:
+        blk = family.block(ell, k)
+        r = blk._project(rhs)
+        sol_n, _ = blk.neumann_solve(r, tol=1e-14)
+        gs = GlobalModeSolver(surf, family.grid, k)
+        sol_d = blk._project(gs.solve_channels(gs.project_out_kernel(r)))
+        worst = max(worst, float(np.linalg.norm(sol_n - sol_d) / np.linalg.norm(sol_d)))
+    return worst

@@ -226,9 +226,10 @@ def _suite_uniformization(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-# the smallest grid_n from which on each suite runs on every even grid; below
-# it the Weitzenboeck residual has no interior node, the projection's test
-# tensors vanish, or the parametrix's layers reach the cap or lose definiteness
+# a grid_n from which on each suite runs on every even grid; below it the
+# Weitzenboeck residual has no interior node, the projection's test tensors
+# vanish, or the parametrix's channel bands lose definiteness (at some
+# n <= 50; the parametrix suite runs on every even n from 52)
 _MIN_GRID_N = {"weitzenboeck": 28, "projection": 18, "parametrix": 70}
 
 SUITES = {

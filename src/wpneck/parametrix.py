@@ -55,16 +55,16 @@ Each block acts on both rho channels at once, stacked as the flattened
   only, and R^T writes the band's right-hand side there only.
 
 The frozen references of F are not blocks.  A family keeps one
-:class:`ReferenceBank` per mode: the channel rows on |tau| >= 7/8 are the
-same at every ell, so that cap is factored once per mode and condensed out
-(:class:`~wpneck.surface.ChannelCap`).  Each of F's reference solves starts
-from a right-hand side on the commutators' transition layers or is read
-there only, so the references' remaining bands, subdomain and global, keep
-those layer rows alone (:class:`~wpneck.surface._Condensed`, 356 rows per
-reference and band at n = 2048) and are stacked into one band each.  An
-application of F or F^T is then four band solves over the layer rows
-of all references together, whatever their number, and dense right-hand
-sides and outputs pass through two coefficients per eliminated row.
+:class:`ReferenceBank` per mode.  Each of F's reference solves starts from a
+right-hand side on the commutators' transition layers or is read there
+only, so the references' bands, subdomain and global, keep those layer rows
+and the cap's two neighbours alone (:class:`~wpneck.surface._Condensed`, 360
+rows per reference and band at n = 2048) and are stacked into one band
+each.  The channel rows on the cap |tau| >= 7/8 are the same at every ell,
+so the cap is one eliminated run that the references share, factored once
+per band.  An application of F or F^T is then four band solves over the
+kept rows of all references together, whatever their number, and dense
+right-hand sides and outputs pass through the eliminated runs' end columns.
 :class:`~wpneck.surface.GlobalModeSolver` stays the independent direct
 solve that the Neumann series is checked against.
 
@@ -85,13 +85,13 @@ from .grids import RadialGrid
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
 from .operators import mode_operators
 from .surface import (
-    ChannelCap,
     CutoffPair,
     FactoredGlobalSolver,
     ModelSurfaceMetric,
     SubdomainSolver,
     _period_run,
     band_matvec,
+    cap_indices,
     channel_diagonals,
     fold_tau,
     kernel_complement,
@@ -198,39 +198,36 @@ class ReferenceBank:
     transpose are applied for all references at once.  Each of their four
     solves starts from a right-hand side on the commutators' transition
     layers, or is read there only, so every other row is eliminated once per
-    family:
+    family (:class:`~wpneck.surface._Condensed`):
 
-    * the cap of the channel bands (:class:`~wpneck.surface.ChannelCap`) is
-      the same at every ell; it is factored once per mode and condensed out
-      of every band, and its values follow from the neck's through its end
-      columns Z and Zt;
-    * the subdomain band: each reference's thick run without the cap (the
-      part before the cap and the part after it, joined by the cap's Schur
-      update) and its thin run, both channels, keep their layer columns
-      only (:class:`~wpneck.surface._Condensed`, restricting the dense
-      right-hand side chi w);
-    * the neck band: each reference's channels on the rest of the circle,
-      in period order from the first layer row, keep their layer rows only.
-      Their outer run, joined through the cap's Schur update, ends at the
-      cyclic corner, so the kept band's corner links each channel's last and
-      first layer rows; the corners are put back as the cut entries of one
-      Woodbury closure, batched over the references
-      (:func:`~wpneck.surface._cut_closure`).
-      At k = 0 each channel is bordered by the reference's weighted kernel c
-      too, carried through both condensations: [[A, c], [c^T, 0]] becomes
-      the kept band bordered by a column b, a row d and a diagonal -gamma,
-      and the eliminated rows of the solution take -u mu as well.
+    * the subdomain band: each reference's thick and thin runs, both
+      channels, keep their layer columns (restricting the dense right-hand
+      side chi w);
+    * the neck band: each reference's two channels on the whole circle, in
+      period order from the first layer row, keep their layer rows.  Their
+      outer run ends at the cyclic corner, so the kept band's corner links
+      each channel's last and first layer rows; the corners are put back as
+      the cut entries of one Woodbury closure, batched over the references
+      (:func:`~wpneck.surface._cut_closure`).  At k = 0 each channel is
+      bordered by the reference's weighted kernel c too, carried through
+      the condensation: [[A, c], [c^T, 0]] becomes the kept band bordered by
+      a column b, a row d and a diagonal -gamma, and the eliminated rows of
+      the solution take -u mu as well.
 
-    The kept pieces are stacked with zero coupling into one symmetrized band
-    per kind, so each of the four solves in F and F^T is one band solve over
-    the layer rows of all references.  Dense right-hand sides enter through
-    the eliminated rows' coefficients and dense outputs are rebuilt from
-    them.  Two steps of the per-reference route change the result by
-    round-off only and are not taken: at k = 0 the reference's kernel is not
-    projected off R_j w before the bordered solve (on the uniform periodic
-    grid the border is proportional to the kernel, so it would only move the
-    multiplier), nor off the transposed solution (which the border already
-    keeps in the kernel's complement).
+    Both bands keep the two neighbours of the cap |tau| >= 7/8
+    (:func:`~wpneck.surface.cap_indices`) besides, so that the cap, whose
+    channel rows are the same at every ell, is a run of its own: shared by
+    the references, it is factored once per band and its end columns are
+    kept once.  The kept pieces are stacked with zero coupling into one
+    symmetrized band per kind, so each of the four solves in F and F^T is
+    one band solve over the kept rows of all references.  Dense right-hand
+    sides enter through the eliminated runs' end columns and dense outputs
+    are rebuilt from them.  Two steps of the per-reference route change the
+    result by round-off only and are not taken: at k = 0 the reference's
+    kernel is not projected off R_j w before the bordered solve (on the
+    uniform periodic grid the border is proportional to the kernel, so it
+    would only move the multiplier), nor off the transposed solution (which
+    the border already keeps in the kernel's complement).
     """
 
     def __init__(self, grid: RadialGrid, k: int, layers: _Layers,
@@ -245,136 +242,72 @@ class ReferenceBank:
         else:
             diags, kernels = zip(*(zero_mode(s, grid) for s in surfaces))
         J = len(diags)
-        self.cap = cap = ChannelCap(diags[0], grid)
-        thick, thin = layers.runs
-        runs = (cap.neck_run(thick), thin)
-        own = _Layers(runs, layers.tables)
-        # the neck, in period order from its first layer row round to the node
-        # before it; the cap lies between its nodes before and after
-        neck = (cap.after + np.arange(n - cap.nodes.size)) % n
-        layer = np.isin(neck, own.rows % n)
-        start = np.argmax(layer)
-        neck, layer = np.roll(neck, -start), np.roll(layer, -start)
-        s = neck.size
-        on_neck = np.full(2 * n, -1)
-        on_neck[np.concatenate([neck, neck + n])] = np.arange(2 * s)
-        if np.any(on_neck[own.rows] < 0):
-            raise ValueError("the transition layers reach the cap")
-        before = np.flatnonzero(neck == cap.before)[0]
-        # per channel, the neck's positions of the nodes before and after the cap
-        ends_at = np.array([[before, before + 1], [s + before, s + before + 1]])
-        # per channel, the thick piece's row at the node before the cap; the
-        # next row is the node after it
-        flat = own.flat
-        join = np.array([np.flatnonzero(flat == c * n + cap.before)[0] for c in (0, 1)])
-        sub, glob, corners, ends = [], [], [], []
-        for d in diags:
-            e, diag, up, low = cap.schur(d)
-            ends.append(e.T.reshape(-1))
-            _, main, lower, upper, sub_sizes = _band_pieces(d, runs)
-            main[join] += diag[:, 0]
-            main[join + 1] += diag[:, 1]
-            upper[join], lower[join] = up, low
-            sub.append((main, lower, upper))
-            _, main, lower, upper, _ = _band_pieces(d, [neck])
-            main[ends_at] += diag
-            upper[ends_at[:, 0]], lower[ends_at[:, 0]] = up, low
-            glob.append((main, lower, upper))
-            L, _, U = d
-            corners.append(np.stack([U[:, neck[-1]], L[:, neck[0]]], axis=1))
-        # per reference, U[before] of each channel, then L[after]
-        self._ends = np.array(ends)
-        keep = np.zeros(flat.size, bool)
-        keep[own.cols] = True
-        self._sub = sub = _Condensed(*map(np.array, zip(*sub)), sub_sizes, keep)
-        border = gammas = self._u = None
+        cap = cap_indices(grid)
+        cap_ends = [(cap[0] - 1) % n, (cap[-1] + 1) % n]
+        # the circle in period order from its first layer row, both channels
+        neck = np.roll(np.arange(n), -np.min(layers.rows % n))
+        neck2 = np.r_[neck, neck + n]
+
+        def stacked(runs):
+            """Every reference's (main, lower, upper) on ``runs``, (J, rows) each."""
+            return [np.array(x) for x in zip(*(_band_pieces(d, runs)[1:4] for d in diags))]
+
+        flat = layers.flat
+        keep = np.isin(flat % n, cap_ends)
+        keep[layers.cols] = True
+        sizes = np.repeat([r.size for r in layers.runs], 2)
+        self._sub = sub = _Condensed(*stacked(layers.runs), sizes, keep)
+        border = self._u = None
         if kernels is not None:
-            *border, gammas = self._border(grid, kernels, neck, ends_at)
-        self._glob = glob = _Condensed(*map(np.array, zip(*glob)), [s, s], np.tile(layer, 2),
-                                       np.array(corners), dense="T", border=border)
+            b = np.zeros((J, 2 * n, 2))
+            b[:, :n, 0] = b[:, n:, 1] = [(grid.weights * q)[neck] for q in kernels]
+            border = (b, b)
+        keep = np.isin(neck2 % n, np.r_[layers.rows % n, cap_ends])
+        corners = np.array([np.stack([U[:, neck[-1]], L[:, neck[0]]], axis=1)
+                            for L, _, U in diags])
+        self._glob = glob = _Condensed(*stacked([neck]), [n, n], keep, corners, dense="T",
+                                       border=border)
         if kernels is not None:
-            # each channel's column of u lives on that channel's rows
-            u = glob.border[3].sum(axis=2)
-            self._u = u.reshape(J, 2, -1).transpose(1, 0, 2).copy()
-        self._chi_cap = layers.tables[0][0, cap.flat % n]
-        # the subdomain rows, kept then eliminated, in the (2, n) channels
-        self._sub_flat = np.concatenate([flat[sub.kept], flat[sub.gone]])
-        self._sub_chi = own.chi[np.concatenate([sub.kept, sub.gone])]
-        # the Schur joins' rows, before then after the cap per channel, tied
-        # to the kept rows with U[before] and L[after] folded in
-        coef, at = sub.ties(np.searchsorted(sub.gone, np.concatenate([join, join + 1])))
-        self._join = (self._ends[:, None] * coef, at,
-                      (at + sub.kept.size * np.arange(J)[:, None, None]).reshape(-1))
-        neck2 = np.concatenate([neck, neck + n])
-        self._neck_flat = np.concatenate([neck2[glob.kept], neck2[glob.gone]])
-        self._neck_ends = np.searchsorted(glob.gone, ends_at)
-        self._cap_at = np.array([[c * n + cap.before, c * n + cap.after] for c in (0, 1)])
-        sub_at, glob_at = np.zeros(flat.size, int), np.zeros(2 * s, int)
-        sub_at[sub.kept] = np.arange(sub.kept.size)
-        glob_at[glob.kept] = np.arange(glob.kept.size)
+            # (reference, channel) by eliminated row
+            self._u = glob.border[3].reshape(2 * J, -1)
+        # the bands' rows, kept then eliminated, in the (2, n) channels
+        sub_rows = np.concatenate([sub.kept, sub.gone])
+        self._sub_flat, self._sub_chi = flat[sub_rows], layers.chi[sub_rows]
+        self._neck_flat = neck2[np.concatenate([glob.kept, glob.gone])]
+        self._neck_order = np.argsort(self._neck_flat)
         self._shape = (J, sub.kept.size, glob.kept.size)
+        # the commutators' entries, from the subdomain band's kept columns to
+        # the neck band's kept rows, for every reference
+        rows = np.searchsorted(glob.kept, np.argsort(neck2)[layers.rows])
+        cols = np.searchsorted(sub.kept, layers.cols)
         self._R = tuple(np.concatenate(a) for a in zip(*(
-            (glob_at[on_neck[own.rows]] + glob.kept.size * j,
-             sub_at[own.cols] + sub.kept.size * j, own.commutator(d))
+            (rows + glob.kept.size * j, cols + sub.kept.size * j, layers.commutator(d))
             for j, d in enumerate(diags))))
-        self._closures = self._close(gammas)
+        self._closures = self._close()
 
-    def _border(self, grid, kernels, neck, ends_at):
-        """The k = 0 border (b, d, gammas) of each reference's neck band, per
-        channel, from its weighted kernel c with the cap condensed out
-        (gammas per ``trans``); the cap's columns A_CC^-1 c_C are kept."""
-        cap, s, J = self.cap, neck.size, len(kernels)
-        c = np.array([grid.weights * q for q in kernels])  # (reference, n)
-        c_cap = c[:, cap.nodes]
-        zc, zt = (cap.solve(np.tile(c_cap, 2).T, trans).T.reshape(J, 2, -1)
-                  for trans in ("N", "T"))
-        b = np.zeros((J, 2 * s, 2))
-        for ch in (0, 1):
-            b[:, ch * s:(ch + 1) * s, ch] = c[:, neck]
-        d = b.copy()
-        for ch, (i, o) in enumerate(ends_at):
-            # b = c_N - A_NC A_CC^-1 c_C, d = c_N - A_CN^T A_CC^-T c_C
-            b[:, i, ch] -= self._ends[:, ch] * zc[:, ch, 0]
-            b[:, o, ch] -= self._ends[:, 2 + ch] * zc[:, ch, -1]
-            d[:, i, ch] -= cap.inward[ch, 0] * zt[:, ch, 0]
-            d[:, o, ch] -= cap.inward[ch, 1] * zt[:, ch, -1]
-        self._zc = zc.transpose(1, 0, 2).copy()  # per channel, (reference, cap)
-        return b, d, [np.einsum("jm,jcm->jc", c_cap, z) for z in (zc, zt)]
-
-    def _close(self, gammas):
+    def _close(self):
         """The kept neck band's batched closures, per ``trans``.
 
         Each channel's corners are (last, first) and (first, last) of its
         kept rows (:func:`~wpneck.surface._cut_closure`).  At k = 0 the
-        border's diagonal is ``gammas`` (per ``trans``) grown by the
-        elimination.
+        border's diagonal is the one the elimination grew from 0.
         """
         glob = self._glob
         h = self._shape[2] // 2
         last, first = [h - 1, 2 * h - 1], [0, h]
         cut = (np.array(last + first), np.array(first + last),
                np.concatenate([glob.corners[..., 0], glob.corners[..., 1]], axis=1))
-        borders = (None, None)
-        if gammas is not None:
-            b, d, grow, _ = glob.border
-            borders = [(b, d, g + grow) for g in gammas]
+        border = None if glob.border is None else glob.border[:3]
         return {trans: _cut_closure(glob.band.solve, 2 * h, cut, trans, border)
-                for trans, border in zip("NT", borders)}
+                for trans in "NT"}
 
     def correct(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_j lam_j G_glob(ell_j) R(ell_j) w for w of shape (2, n)."""
-        cap, sub, glob = self.cap, self._sub, self._glob
+        sub, glob = self._sub, self._glob
         J, ms, mg = self._shape
-        wf = w.reshape(-1)
-        # the subdomain solves: the cap's two end values of A_CC^-1 (chi w)_C
-        # per channel, then every reference's rows restricted to its layers
-        y = ((self._chi_cap * wf[cap.flat]).reshape(2, 1, -1) @ cap.Zt)[:, 0]
-        rhs = self._sub_chi * wf[self._sub_flat]
-        b = sub.restrict(rhs[:ms], rhs[ms:]).reshape(-1)
-        # the joins' rows take -U[before] y_c0 and -L[after] y_cl besides
-        tie, _, at = self._join
-        b -= np.bincount(at, (tie * y.T.reshape(-1)).reshape(-1), minlength=b.size)
-        x = sub.band.solve(b)
+        # the subdomain solves, every reference's rows restricted to its layers
+        rhs = self._sub_chi * w.reshape(-1)[self._sub_flat]
+        x = sub.band.solve(sub.restrict(rhs[:ms], rhs[ms:]).reshape(-1))
         rows, cols, vals = self._R
         r = np.bincount(rows, vals * x[cols], minlength=J * mg)
         # the global solves on the layer rows; R_j w vanishes elsewhere
@@ -382,44 +315,24 @@ class ReferenceBank:
         g = g.reshape(J, mg)
         neck = np.concatenate([lam @ g, glob.extend(g, lam)])
         if self._u is not None:
-            mu = lam[:, None] * K[:, 4:, 0]
-            neck[mg:] -= (mu.T[:, None] @ self._u).reshape(-1)
-        out = np.empty(wf.size)
-        out[self._neck_flat] = neck
-        # x_C = -A_CC^-1 (A_CN x_N + c_C mu), A_CN x_N = (L[c0] x_before, U[cl] x_after)
-        on_cap = -(cap.Z @ (cap.inward * out[self._cap_at])[..., None])[..., 0]
-        if self._u is not None:
-            on_cap -= (mu.T[:, None] @ self._zc)[:, 0]
-        out[cap.flat] = on_cap.reshape(-1)
-        return out.reshape(w.shape)
+            neck[mg:] -= (lam[:, None] * K[:, 4:, 0]).reshape(-1) @ self._u
+        return neck[self._neck_order].reshape(w.shape)
 
     def correct_T(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_j lam_j R(ell_j)^T G_glob(ell_j)^T w for w of shape (2, n)."""
-        cap, sub, glob = self.cap, self._sub, self._glob
+        sub, glob = self._sub, self._glob
         J, ms, mg = self._shape
-        wf = w.reshape(-1)
-        # the global solves: the cap's two end values of A_CC^-T w_C per
-        # channel, which leave the same neck rhs for every reference
-        w_cap = wf[cap.flat].reshape(2, -1)
-        y = (w_cap[:, None] @ cap.Z)[:, 0]
-        rhs = wf[self._neck_flat]
-        gone = rhs[mg:]
-        gone[self._neck_ends] -= cap.inward * y
-        r = glob.restrict(rhs[:mg], gone)
-        s = None
-        if self._u is not None:
-            s = -(self._zc @ w_cap[..., None] + self._u @ gone.reshape(2, -1, 1))[..., 0].T
+        # the global solves: one neck rhs for every reference
+        rhs = w.reshape(-1)[self._neck_flat]
+        r = glob.restrict(rhs[:mg], rhs[mg:])
+        s = None if self._u is None else -(self._u @ rhs[mg:]).reshape(J, 2)
         z, _ = self._closures["T"](r.reshape(-1), s)
         rows, cols, vals = self._R
         q = np.bincount(cols, vals * z[rows], minlength=J * ms)
         v = sub.band.solve(q, trans="T").reshape(J, ms)
         out = np.bincount(self._sub_flat,
                           self._sub_chi * np.concatenate([lam @ v, sub.extend(v, lam)]),
-                          minlength=wf.size)
-        # v_C = -A_CC^-T (U[before] v_before e_c0 + L[after] v_after e_cl)
-        tie, at, _ = self._join
-        a = np.einsum("j,jsi,jsi->i", lam, tie, v[:, at])
-        out[cap.flat] -= self._chi_cap * (cap.Zt @ a.reshape(2, 2).T[..., None])[..., 0].reshape(-1)
+                          minlength=w.size)
         return out.reshape(w.shape)
 
 
@@ -606,7 +519,11 @@ class ParametrixFamily:
         self.cutoffs = CutoffPair()
         self.cutoffs.validate(grid)
         layers = _Layers.of_blocks(grid, self.cutoffs)
-        self._banks = {k: ReferenceBank(grid, k, layers, self.ell_refs) for k in self.ks}
+        try:
+            self._banks = {k: ReferenceBank(grid, k, layers, self.ell_refs) for k in self.ks}
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"the {grid.n}-node grid is too coarse for the parametrix: "
+                             f"{exc}") from None
         self._ell: float | None = None
         self._blocks: dict[int, ModeParametrix] = {}
 

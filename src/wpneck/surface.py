@@ -34,11 +34,11 @@ band, and the Dirichlet pieces of the parametrix's :class:`SubdomainSolver`,
 are the nonconservative stencil of -(F u')' + V: each piece is S T S^-1
 with S diagonal and T symmetric positive definite, and is factored as T
 without pivoting (:func:`_stacked_band`, :class:`~wpneck.grids._SymmetrizedBand`).
-A band without such a form is refused.  The channel rows on the cap
-|tau| >= 7/8 are the same at every ell, so the parametrix's frozen
-references condense them out once per mode (:class:`ChannelCap`),
-eliminate every other row off their transition layers once per family
-(:class:`_Condensed`) and solve their layer rows together.
+A band without such a form is refused.  The parametrix's frozen
+references eliminate every row off their transition layers once per family
+(:class:`_Condensed`) and solve their layer rows together; the channel rows
+on the cap |tau| >= 7/8 are the same at every ell (:func:`cap_indices`), so
+there the references share one eliminated run, factored once per band.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  It uses the grid reflection R: i -> n - i
@@ -78,7 +78,6 @@ __all__ = [
     "fold_tau",
     "GlobalModeSolver",
     "SubdomainSolver",
-    "ChannelCap",
     "cap_indices",
     "band_matvec",
     "channel_diagonals",
@@ -460,15 +459,6 @@ def _flush(*pairs):
         a[small] = 0.0
 
 
-def _end_columns(band, first, last, trans: str = "N") -> np.ndarray:
-    """A^-1 [e_f, e_l] (``trans="T"``: A^-T [e_f, e_l]) of each piece of
-    ``band``, one column per end: every piece's first rows ``first`` and last
-    rows ``last`` solved at once, since the pieces do not couple."""
-    unit = np.zeros((band.size, 2))
-    unit[first, 0] = unit[last, 1] = 1.0
-    return band.solve(unit, trans)
-
-
 def _chain(blocks: np.ndarray, cut: float = 1.0) -> np.ndarray:
     """(J, m) couplings of J blocks as one band's, ``cut`` between blocks."""
     return np.concatenate([blocks, np.full((blocks.shape[0], 1), cut)], axis=1).reshape(-1)[:-1]
@@ -482,32 +472,38 @@ class _Condensed:
     ``lower`` and ``upper`` are (J, M - 1): row p + 1 couples back to row p
     through ``lower[:, p]`` and row p to p + 1 through ``upper[:, p]``, as in
     :func:`_band_pieces`.  Every maximal run E of a piece's rows that ``keep``
-    leaves out is eliminated (Numerical Recipes §2.7), in the symmetric form
-    A = S T S^-1 of the pieces (:func:`_symmetric_form`): all runs are
-    factored as one band, T_EE, and one 2-column solve gives their end
-    columns A_EE^-1 [e_f, e_l] (or A_EE^-T [e_f, e_l]).  Eliminating E
-    changes the kept band only at E's neighbours kL and kR: their diagonals,
-    and a new coupling -T[kL, f] (T_EE^-1)[f, l] T[l, kR] between them.
-    Each run's block is an M-matrix, whose inverse is positive, so the new
-    couplings keep the signs of the old ones, and the kept band (``band``)
-    is S_K T' S_K^-1 with T' symmetric: no product of two couplings is
-    formed, which would underflow across a long run.  A coupling below the
-    smallest normal float is a cut.
+    leaves out is eliminated (static condensation, Numerical Recipes §2.7),
+    in the symmetric form A = S T S^-1 of the pieces
+    (:func:`_symmetric_form`): the runs are factored as one band, T_EE, and
+    one 2-column solve gives their end columns A_EE^-1 [e_f, e_l] (or
+    A_EE^-T [e_f, e_l]).  A run whose rows, the diagonal and the couplings
+    inside it, are the same in every block, bit for bit, is shared: the
+    shared runs are a band of their own, each in its own symmetric form
+    (:func:`_symmetrized`, which reads its rows alone), factored once, and
+    one copy of their end columns, a block matrix, serves all blocks.
+    Eliminating E changes the kept band only at E's neighbours kL and kR:
+    their diagonals, and a new coupling -T[kL, f] (T_EE^-1)[f, l] T[l, kR]
+    between them.  Each run's block is an M-matrix,
+    whose inverse is positive, so the new couplings keep the signs of the
+    old ones, and the kept band (``band``) is S_K T' S_K^-1 with T'
+    symmetric: no product of two couplings is formed, which would underflow
+    across a long run.  A coupling below the smallest normal float is a cut.
 
     With ``corners`` (J, pieces, 2) every piece is cyclic, A[last, first]
     and A[first, last] coupling its ends.  Its first row must be kept.  A run
     at its end is joined to that row through the corner, and the kept
     piece's own corners are then :attr:`corners`.
 
-    Each eliminated row keeps two coefficients (``coef``, (J, 2, rows)): the
-    ties to its run's neighbours.  With ``dense="N"`` they restrict A x = b
-    to the kept rows (:meth:`restrict`), and extend a kept solution of
-    A^T x = b, b zero on E, to E (:meth:`extend`).  With ``dense="T"``, A and
-    A^T swap roles.  ``border`` = (b, d), each (J, M, c), borders A as
-    [[A, b], [d^T, -gamma]]; :attr:`border` is what is left of it on the kept
-    rows: (b_K - A_KE u, d_K - A_EK^T A_EE^-T d_E, d_E^T u, u), u =
-    A_EE^-1 b_E.  gamma grows by the third; u enters the extension of
-    A x = b as -u mu.
+    Each run keeps its ties to its neighbours (with ``dense="N"``, A[kL, f]
+    and A[kR, l]).  With its end columns they restrict A x = b to the kept
+    rows (:meth:`restrict`), and extend a kept solution of A^T x = b, b zero
+    on E, to E (:meth:`extend`); with ``dense="T"``, A and A^T swap roles.
+    :attr:`gone` lists the eliminated rows, the blocks' own runs first.
+    ``border`` = (b, d), each (J, M, c), borders A as [[A, b], [d^T, -gamma]];
+    :attr:`border` is what is left of it on the kept rows: (b_K - A_KE u,
+    d_K - A_EK^T A_EE^-T d_E, d_E^T u, u^T), u = A_EE^-1 b_E per block, on
+    the rows of :attr:`gone`, so u^T is (J, c, rows).  gamma grows by the
+    third; u enters the extension of A x = b as -u mu.
     """
 
     def __init__(self, main, lower, upper, sizes, keep, corners=None,
@@ -520,6 +516,14 @@ class _Condensed:
         linked = gone[:-1] & gone[1:] & (piece[1:] == piece[:-1])
         first = np.flatnonzero(gone & ~np.r_[False, linked])
         last = np.flatnonzero(gone & ~np.r_[linked, False])
+        lens = last - first + 1
+        # a run is shared if its diagonal and inner couplings are the same in
+        # every block, bit for bit; the blocks' own runs go first
+        same = np.all(main == main[0], axis=0)
+        same[:-1] &= ~linked | np.all((lower == lower[0]) & (upper == upper[0]), axis=0)
+        shared = np.logical_and.reduceat(same[gone], np.cumsum(lens) - lens)
+        order = np.argsort(shared, kind="stable")
+        first, last, lens = first[order], last[order], lens[order]
         has_l = first > heads[piece[first]]
         has_r = last < ends[piece[last]] - 1
         wrap = np.zeros_like(has_r) if corners is None else ~has_r
@@ -538,22 +542,59 @@ class _Condensed:
             into_r[:, wrap] = corners[:, piece[last[wrap]], 1]
             from_r[:, wrap] = corners[:, piece[last[wrap]], 0]
 
-        # the symmetric form A = S T S^-1 of every piece, in which the runs and
-        # the kept band are factored: no product of two couplings is formed
+        # the symmetric form A = S T S^-1 of every piece, in which the blocks'
+        # own runs and the kept band are factored: no product of two
+        # couplings is formed
         off, s = _symmetric_form(_chain(lower), _chain(upper), np.tile(sizes, J))
         off, s = np.append(off, 0.0).reshape(J, M), s.reshape(J, M)
-        E = np.flatnonzero(gone)
-        fe, le = np.searchsorted(E, first), np.searchsorted(E, last)
-        lens = le - fe + 1
-        runs = _SymmetrizedBand(main[:, E].reshape(-1),
-                                _chain(off[:, E[:-1]] * (np.diff(E) == 1), 0.0),
-                                s[:, E].reshape(-1))
-        # dense N reads A_EE^-T [e_f, e_l], dense T reads A_EE^-1 [e_f, e_l]
-        blocks = E.size * np.arange(J)[:, None]
-        Y = _end_columns(runs, fe + blocks, le + blocks, "T" if dense == "N" else "N")
-        Y = Y.reshape(J, E.size, 2)
-        ff, ll = Y[:, fe, 0], Y[:, le, 1]
-        fl, lf = (Y[:, le, 0], Y[:, fe, 1]) if dense == "N" else (Y[:, fe, 1], Y[:, le, 0])
+        fe = np.cumsum(lens) - lens
+        le = fe + lens - 1
+        E = np.repeat(first - fe, lens) + np.arange(lens.sum())
+        c = 0 if border is None else border[0].shape[2]
+        ff, ll, fl, lf = np.empty((4, J, first.size))
+        # the border's u (J, c, rows), and u and v at the runs' first and last rows
+        u_T, uv_ends, grow = [], np.empty((4, J, first.size, c)), np.zeros((J, c))
+        own, at_e = np.count_nonzero(~shared), np.r_[fe, E.size]
+        self._split = (at_e[own], own)
+        self._own, self._shared = (np.zeros((J, 2, 0)), fe[:0], lens[:0]), np.zeros((0, 0))
+        for a, z, B in ((0, own, J), (own, first.size, 1)):
+            rows, m = E[at_e[a]:at_e[z]], at_e[z] - at_e[a]
+            if not m:
+                continue
+            g_first, g_last = fe[a:z] - at_e[a], le[a:z] - at_e[a]
+            if B > 1:
+                runs = _SymmetrizedBand(main[:, rows].reshape(-1),
+                                        _chain(off[:, rows[:-1]] * (np.diff(rows) == 1), 0.0),
+                                        s[:, rows].reshape(-1))
+            else:
+                # each shared run in its own symmetric form, which reads its rows alone
+                runs = _symmetrized(main[0, rows], lower[0, rows[:-1]], upper[0, rows[:-1]],
+                                    lens[a:z])
+            # dense N reads A_EE^-T [e_f, e_l], dense T reads A_EE^-1 [e_f, e_l]
+            unit = np.zeros((B, m, 2))
+            unit[:, g_first, 0] = unit[:, g_last, 1] = 1.0
+            Y = runs.solve(unit.reshape(-1, 2), "T" if dense == "N" else "N").reshape(B, m, 2)
+            ff[:, a:z], ll[:, a:z] = Y[:, g_first, 0], Y[:, g_last, 1]
+            fl[:, a:z], lf[:, a:z] = ((Y[:, g_last, 0], Y[:, g_first, 1]) if dense == "N"
+                                      else (Y[:, g_first, 1], Y[:, g_last, 0]))
+            if c:
+                # u = A_EE^-1 b_E and v = A_EE^-T d_E of every block; a shared
+                # run solves the blocks' columns side by side
+                u, v = (runs.solve(x[:, rows].reshape(B, J // B, m, c).transpose(0, 2, 1, 3)
+                                   .reshape(B * m, -1), t).reshape(B, m, J // B, c)
+                        .transpose(0, 2, 1, 3).reshape(J, m, c) for x, t in zip(border, "NT"))
+                uv_ends[:, :, a:z] = u[:, g_first], u[:, g_last], v[:, g_first], v[:, g_last]
+                grow += np.einsum("jmc,jmc->jc", border[1][:, rows], u)
+                u_T.append(u.transpose(0, 2, 1))
+            y = -Y.transpose(0, 2, 1)
+            _flush(y)
+            if B > 1:
+                self._own = (y, g_first, lens[a:z])
+            else:
+                # one block matrix: row (side, run) holds the run's end column
+                D = np.zeros((2, z - a, m))
+                D[:, np.repeat(np.arange(z - a), lens[a:z]), np.arange(m)] = y[0]
+                self._shared = D.reshape(-1, m)
 
         K = np.flatnonzero(keep)
         at = np.zeros(M, dtype=int)
@@ -577,53 +618,57 @@ class _Condensed:
             _flush(up, low)
             self.corners = corners.copy()
             self.corners[:, piece[last[wrap]]] = np.stack([up[:, wrap], low[:, wrap]], axis=-1)
-        self.kept, self.gone = K, E
+        self.kept, self._runs = K, (first, lens)
 
-        run = np.repeat(np.arange(first.size), lens)
-        ties = np.stack([into_l, into_r] if dense == "N" else [from_l, from_r], axis=1)
-        self.coef = -Y.transpose(0, 2, 1) * ties[:, :, run]
-        _flush(self.coef)
-        self._run, self._nbr, self._lens = run, np.stack([at[kl], at[kr]]), lens
-        self._starts = fe
+        # each run's ties and kept neighbours
+        self._ties = np.stack([into_l, into_r] if dense == "N" else [from_l, from_r], axis=1)
+        self._nbr = np.stack([at[kl], at[kr]])
         # where each block's run sums land in the kept rows of all blocks
         self._to = (self._nbr + K.size * np.arange(J)[:, None, None]).reshape(-1)
 
         self.border = None
-        if border is not None:
-            b, d = border
-            c = b.shape[2]
-            u, v = (runs.solve(x[:, E].reshape(-1, c), trans).reshape(J, E.size, c)
-                    for x, trans in ((b, "N"), (d, "T")))
-            b_k, d_k = b[:, K], d[:, K]
-            for x_k, x, tie_l, tie_r in ((b_k, u, into_l, into_r), (d_k, v, from_l, from_r)):
-                x_k[:, at[kl[has_l]]] -= (tie_l[..., None] * x[:, fe])[:, has_l]
-                x_k[:, at[kr[right]]] -= (tie_r[..., None] * x[:, le])[:, right]
-            self.border = (b_k, d_k, np.einsum("jec,jec->jc", d[:, E], u), u)
+        if c:
+            b_k, d_k = (x[:, K] for x in border)
+            uf, ul, vf, vl = uv_ends
+            for x_k, xf, xl, tie_l, tie_r in ((b_k, uf, ul, into_l, into_r),
+                                              (d_k, vf, vl, from_l, from_r)):
+                x_k[:, at[kl[has_l]]] -= (tie_l[..., None] * xf)[:, has_l]
+                x_k[:, at[kr[right]]] -= (tie_r[..., None] * xl)[:, right]
+            self.border = (b_k, d_k, grow, np.concatenate(u_T, axis=-1))
+
+    @property
+    def gone(self) -> np.ndarray:
+        """The eliminated rows, the blocks' own runs first (built on each read)."""
+        first, lens = self._runs
+        return np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
     def restrict(self, kept: np.ndarray, gone: np.ndarray) -> np.ndarray:
         """The kept rows' right-hand sides, (J, kept rows), from a right-hand
-        side given as its kept and its eliminated rows (each per block, or
-        one for all blocks)."""
-        sums = np.add.reduceat(self.coef * gone[..., None, :], self._starts, axis=-1)
-        # a side without a neighbour has coefficients 0 and adds 0.0
-        J = self.coef.shape[0]
+        side given as its kept rows and its rows of :attr:`gone` (each per
+        block, or one for all blocks): a shared run's end columns read one
+        right-hand side once, and each block scales the result by its ties."""
+        rows, runs = self._split
+        y, starts, _ = self._own
+        sums = np.empty(self._ties.shape)
+        sums[..., :runs] = np.add.reduceat(y * gone[..., None, :rows], starts, axis=-1)
+        sums[..., runs:] = (gone[..., rows:] @ self._shared.T).reshape(*gone.shape[:-1], 2, -1)
+        # a side without a neighbour has ties 0 and adds 0.0
+        sums *= self._ties
+        J = sums.shape[0]
         out = np.bincount(self._to, sums.reshape(-1), minlength=J * self.kept.size)
         out = out.reshape(J, -1)
         out += kept
         return out
 
     def extend(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_j weights_j x_j on the eliminated rows, for the solutions x_j
-        whose kept rows are ``x``, (J, kept rows)."""
-        terms = np.repeat((weights[:, None] * x)[:, self._nbr], self._lens, axis=-1)
-        terms *= self.coef
-        return terms.sum(axis=(0, 1))
-
-    def ties(self, at: np.ndarray):
-        """``(coef, kept)`` of the eliminated rows ``at``: their coefficients,
-        (J, 2, rows), and the positions of their neighbours among the kept
-        rows, (2, rows)."""
-        return self.coef[..., at], self._nbr[:, self._run[at]]
+        """sum_j weights_j x_j on the rows of :attr:`gone`, for the solutions
+        x_j whose kept rows are ``x``, (J, kept rows); the weighted ties of a
+        shared run are summed over the blocks before its one product."""
+        _, runs = self._split
+        y, _, lens = self._own
+        tied = weights[:, None, None] * self._ties * x.take(self._nbr, axis=1)
+        own = np.einsum("jse,jse->e", y, np.repeat(tied[..., :runs], lens, axis=-1))
+        return np.concatenate([own, tied[..., runs:].sum(axis=0).reshape(-1) @ self._shared])
 
 
 class SubdomainSolver:
@@ -660,61 +705,6 @@ def cap_indices(grid: RadialGrid) -> np.ndarray:
     _, _, weight = ModelSurfaceMetric.grid_pieces(grid)
     still = np.logical_and.reduce([p == 0.0 for p in weight])
     return _period_run(np.flatnonzero(still), grid.n)
-
-
-class ChannelCap:
-    """The cap (:func:`cap_indices`) of a mode's two channel bands, condensed once.
-
-    Its rows are the same at every ell, so each channel's block A_CC on the
-    cap, a plain tridiagonal with no cyclic corner, is factored once per
-    (grid, k), both channels as one band (:func:`_stacked_band`; ``flat``
-    places its unknowns in the (2, n) channels).  The cap meets the rest of
-    the circle, the neck, only at its ends: its first node c0 couples to the
-    node ``before`` it through L[c0], its last node cl to the node ``after``
-    it through U[cl] (``inward``, per channel, ell-independent too).  With
-    ``Z`` = A_CC^-1 [e_c0, e_cl] and ``Zt`` = A_CC^-T [e_c0, e_cl], each
-    (2, m, 2), eliminating the cap from a band changes it at ``before`` and
-    ``after`` alone (:meth:`schur`), and the cap's values follow from the
-    neck's through Z or Zt.  :meth:`neck_run` gives a run with the cap taken
-    out, the part before the cap first.
-    """
-
-    def __init__(self, diags, grid: RadialGrid):
-        n = grid.n
-        self.nodes = cap_indices(grid)
-        m = self.nodes.size
-        self.before, self.after = (self.nodes[0] - 1) % n, (self.nodes[-1] + 1) % n
-        self.flat, self._band = _stacked_band(diags, [self.nodes])
-        L, _, U = diags
-        self.inward = np.stack([L[:, self.nodes[0]], U[:, self.nodes[-1]]], axis=1)
-        self.Z, self.Zt = (
-            _end_columns(self._band, [0, m], [m - 1, 2 * m - 1], trans).reshape(2, m, 2)
-            for trans in ("N", "T"))
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """A_CC^-1 b (``trans="T"``: A_CC^-T b) for b in :attr:`flat` order."""
-        return self._band.solve(b, trans)
-
-    def neck_run(self, run: np.ndarray) -> np.ndarray:
-        """A run in period order with the cap taken out: its part before the
-        cap, then after, so that ``before`` and ``after`` are neighbours."""
-        return run[~np.isin(run, self.nodes)]
-
-    def schur(self, diags):
-        """The cap's Schur update of a band with the cap's rows, per channel.
-
-        Returns ``(ends, diag, up, low)``, each (2, 2) or (2,): ``ends`` the
-        couplings (U[before], L[after]) into the cap, ``diag`` the updates of
-        the diagonal at (before, after), and ``up`` and ``low`` the couplings
-        before -> after and after -> before that the elimination creates.
-        """
-        L, _, U = diags
-        ends = np.stack([U[:, self.before], L[:, self.after]], axis=1)
-        Z, (into0, into1) = self.Z, self.inward.T
-        diag = -ends * np.stack([Z[:, 0, 0] * into0, Z[:, -1, 1] * into1], axis=1)
-        up = -ends[:, 0] * Z[:, 0, 1] * into1
-        low = -ends[:, 1] * Z[:, -1, 0] * into0
-        return ends, diag, up, low
 
 
 def discrete_near_null(solve, seed: np.ndarray) -> np.ndarray:

@@ -124,7 +124,8 @@ def solve_conformal_factor(
     ``surface`` needs ``F``, ``Fp``, ``curvature`` and ``ell``.  The grid
     is shared by every solve with the same (domain, n), and a model
     surface reads its profile there from the grid's shared pieces, so a
-    sweep builds neither per row.
+    sweep builds neither per row.  An even ``n`` gets n + 1 nodes, as
+    :func:`~wpneck.grids.uniform_grid` gives it.
     """
     grid = _neck_grid(domain, n)
     tau = grid.nodes
@@ -147,7 +148,7 @@ def solve_conformal_factor(
         raise ArithmeticError(f"Newton Jacobian: {exc}") from None
 
     # u, exp(2u) and the residual at u; an accepted trial carries its own
-    u, e2u = np.zeros(n), np.ones(n)
+    u, e2u = np.zeros(tau.size), np.ones(tau.size)
     resid = _apply_neg_lap(F, Fp, u, h) - Kg - e2u
     iterations = 0
     for iterations in range(1, _NEWTON_MAX_ITER + 1):

@@ -96,20 +96,10 @@ def test_S_norm_decreasing_and_small(family):
 
 
 def test_neumann_matches_direct(family, grid):
-    from wpneck.surface import GlobalModeSolver
-
-    surf = ModelSurfaceMetric(ell=0.1)
     x = grid.nodes
-    for k in (0, 3):
-        blk = family.block(0.1, k)
-        rhs = np.vstack([np.exp(np.cos(np.pi * x / 2.0)),
-                         np.sin(np.pi * x / 2.0) * np.cos(np.pi * x)])
-        rhs = blk._project(rhs)
-        sol_n, _ = blk.neumann_solve(rhs, tol=1e-14)
-        gs = GlobalModeSolver(surf, grid, k)
-        sol_d = blk._project(gs.solve_channels(gs.project_out_kernel(rhs)))
-        rel = np.linalg.norm(sol_n - sol_d) / np.linalg.norm(sol_d)
-        assert rel < 1e-6
+    rhs = np.vstack([np.exp(np.cos(np.pi * x / 2.0)),
+                     np.sin(np.pi * x / 2.0) * np.cos(np.pi * x)])
+    assert checks.neumann_vs_direct(family, 0.1, (0, 3), rhs) < 1e-6
 
 
 def test_trivial_series_when_error_zero(family, grid):
@@ -329,29 +319,42 @@ def test_reference_block_has_no_correction(family):
             getattr(ref, name)(w)
 
 
-def test_cap_factors_are_the_same_at_every_length():
-    # the cap's rows read only nodes where w, w' and w'' vanish, so its
-    # factor, its end columns Z, Zt and its couplings into the neck are built
-    # from any length's channel diagonals bit for bit
+def _shared_runs(cond):
+    """``(rows, ends)``: the rows of ``cond.gone`` that its shared runs take
+    and the one copy of their end columns, a (2 x runs, rows) block matrix."""
+    return slice(cond._split[0], None), cond._shared
+
+
+def test_the_cap_is_one_shared_run_at_every_length():
+    # the cap's rows read only nodes where w, w' and w'' vanish, so a bank
+    # keeps its two neighbours and each band eliminates it as one run per
+    # channel shared by the references: factored once per band, with one
+    # copy of its end columns, the same bit for bit whatever the lengths
     for n in (512, 2048):
         grid = periodic_grid(-2.0, 2.0, n)
+        layers = parametrix._Layers.of_blocks(grid, CutoffPair())
+        cap = np.sort(surface.cap_indices(grid))
         for k in (0, 1, 8):
-            caps = [surface.ChannelCap(surface.channel_diagonals(
-                ModelSurfaceMetric(ell=ell), grid, k), grid) for ell in (0.035, 0.52)]
-            a, b = (vars(c) | vars(c._band) for c in caps)
-            assert a.keys() == b.keys()
-            for key, value in a.items():
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(value, b[key]), (n, k, key)
+            banks = [parametrix.ReferenceBank(grid, k, layers, (ell, 0.3))
+                     for ell in (0.035, 0.52)]
+            _, ms, mg = banks[0]._shape
+            for kind, m in (("_sub", ms), ("_glob", mg)):
+                (rows, ends), (_, ends_b) = (_shared_runs(getattr(b, kind)) for b in banks)
+                flat = (banks[0]._sub_flat if kind == "_sub" else banks[0]._neck_flat)[m:]
+                assert np.array_equal(np.sort(flat[rows]), np.r_[cap, cap + n]), (n, k, kind)
+                # one run per channel, two end columns each, for all references
+                assert ends.shape == (2 * 2, 2 * cap.size), (n, k, kind)
+                assert np.array_equal(ends, ends_b), (n, k, kind)
 
 
 def test_reference_bank_bands_are_symmetric_definite():
-    # every band a reference bank factors (the cap, each reference's
-    # condensed subdomain pieces and its neck pieces) is a diagonal
-    # similarity away from a positive definite band, which the symmetrized
-    # factor accepts, and no batched closure is singular (measured over n in
-    # {64, 512, 1023, 1024, 2048, 4096}, k in 0 ... 32 and nine lengths
-    # spaced geometrically over [1e-3, 0.9]; a trimmed set here)
+    # every band a reference bank factors (the eliminated runs, the cap's
+    # shared one among them, and the kept subdomain and neck pieces) is a
+    # diagonal similarity away from a positive definite band, which the
+    # symmetrized factor accepts, and no batched closure is singular
+    # (measured over n in {64, 512, 1023, 1024, 2048, 4096}, k in 0 ... 32
+    # and nine lengths spaced geometrically over [1e-3, 0.9]; a trimmed set
+    # here)
     for n in (64, 1023, 2048):
         grid = periodic_grid(-2.0, 2.0, n)
         layers = parametrix._Layers.of_blocks(grid, CutoffPair())
@@ -359,29 +362,50 @@ def test_reference_bank_bands_are_symmetric_definite():
             parametrix.ReferenceBank(grid, k, layers, (1e-3, 0.03, 0.9))
 
 
-def test_reference_bank_keeps_the_layer_rows_only():
+def test_reference_bank_keeps_the_layer_rows_and_the_caps_neighbours():
     # each reference keeps, of its subdomain band, the columns the
     # commutators read (chi~_0's layer on the thick run, chi~_1's on the
-    # thin run) and, of its neck band, the rows they write: 5 x 356 rows per
-    # band at n = 2048
+    # thin run) and, of its neck band, the rows they write, and in both the
+    # nodes before and after the cap: 5 x 360 rows per band at n = 2048
     grid = periodic_grid(-2.0, 2.0, 2048)
     n, t, cut = grid.n, grid.nodes, CutoffPair()
 
     def layer(cw):
         return np.flatnonzero((np.roll(cw, 1) != cw) | (np.roll(cw, -1) != cw))
 
+    cap = surface.cap_indices(grid)
+    ends = np.array([cap[0] - 1, cap[-1] + 1]) % n
     thick, thin = layer(cut.chi0_widened(t)), layer(cut.chi1_widened(t))
     assert (thick.size, thin.size) == (76, 102)
+    thick = np.r_[thick, ends]
     sub = np.concatenate([thick, thick + n, thin, thin + n])
     family = ParametrixFamily(grid, ks=[0, 3])
     for k in (0, 3):
         bank = family._banks[k]
         J, ms, mg = bank._shape
-        assert (J, ms, mg) == (5, 356, 356)
+        assert (J, ms, mg) == (5, 360, 360)
         assert np.array_equal(np.sort(bank._sub_flat[:ms]), np.sort(sub)), k
         assert np.array_equal(np.sort(bank._neck_flat[:mg]),
                               np.sort(np.unique(sub % n) + [[0], [n]]).reshape(-1)), k
         assert bank._sub.kept.size == ms and bank._glob.kept.size == mg
+
+
+# the even grids of at most 70 nodes on which a channel band of the family
+# below is not positive definite
+_COARSE_REFUSED = {10, 20, 26, 30, 36, 40, 46, 50}
+
+
+def test_a_coarse_grid_builds_or_is_refused_with_one_error():
+    # every even n from 4 to 70: the family builds, or it is refused with one
+    # ValueError that names n
+    refused = set()
+    for n in range(4, 71, 2):
+        try:
+            ParametrixFamily(periodic_grid(-2.0, 2.0, n), ks=range(3))
+        except ValueError as exc:
+            assert str(exc).startswith(f"the {n}-node grid is too coarse"), (n, exc)
+            refused.add(n)
+    assert refused == _COARSE_REFUSED
 
 
 def test_zero_mode_blocks_and_banks_build_no_global_solver(monkeypatch):
@@ -439,11 +463,84 @@ def _piecewise_solver(band, border=None):
     return solve
 
 
+def _gap(got, want):
+    """The largest gap of ``got`` to ``want``, relative to want's largest entry."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _dirichlet_gap(cond, main, lower, upper, sizes, rng):
+    """The largest :func:`_gap` of a ``dense="N"`` surface._Condensed of
+    Dirichlet pieces to the dense solves: A x = b with a dense b, restricted
+    to the kept rows, and A^T y = r, r on the kept rows, extended to the
+    eliminated ones for each block and for a weighted sum of the blocks."""
+    J = main.shape[0]
+    K, E = cond.kept, cond.gone
+    b = rng.standard_normal(main.shape)
+    x_K = cond.band.solve(cond.restrict(b[:, K], b[:, E]).reshape(-1)).reshape(J, -1)
+    r = rng.standard_normal((J, K.size))
+    y_K = cond.band.solve(r.reshape(-1), "T").reshape(J, -1)
+    lam = np.linspace(1.0, 2.0, J)
+    worst, summed = 0.0, 0.0
+    for j, e in enumerate(np.eye(J)):
+        oracle = _piecewise_solver((main[j], lower[j], upper[j], sizes, None))
+        rhs = np.zeros(main.shape[1])
+        rhs[K] = r[j]
+        want = oracle(rhs, trans=1)
+        summed = summed + lam[j] * want[E]
+        worst = max(worst, _gap(x_K[j], oracle(b[j])[K]),
+                    _gap(np.r_[y_K[j], cond.extend(y_K, e)], np.r_[want[K], want[E]]))
+    return max(worst, _gap(cond.extend(y_K, lam), summed))
+
+
+def _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng):
+    """The largest :func:`_gap` of a ``dense="T"`` surface._Condensed of
+    cyclic pieces to the dense solves, with piece p bordered by column p of
+    ``c`` (or not, if None) and gamma = 0: A^T x = r with a dense r, and
+    A x = r, r on the kept rows, extended to the eliminated ones."""
+    J, M = main.shape
+    K, E = cond.kept, cond.gone
+    m = K.size
+    kept_sizes = np.diff(np.searchsorted(K, np.r_[0, np.cumsum(sizes)]))
+    # the kept band with its corners, from its solves
+    inv = np.linalg.inv(cond.band.solve(np.eye(J * m)))
+    r = rng.standard_normal(main.shape)
+    nb = 0 if c is None else c.shape[2]
+    s = rng.standard_normal((J, nb))
+    worst = 0.0
+    for j in range(J):
+        A = (main[j], lower[j], upper[j], sizes, corners[j])
+        A_K = (np.diag(inv)[j * m:(j + 1) * m], np.diag(inv, -1)[j * m:],
+               np.diag(inv, 1)[j * m:], kept_sizes, cond.corners[j])
+        oracle = _piecewise_solver(A, border=None if c is None else (c[j], c[j], np.zeros(nb)))
+        beta = cond.restrict(r[j, K], r[j, E])[j]
+        # A^T with a dense rhs; its eliminated rows reach the border row too
+        want = oracle(np.r_[r[j], s[j]], trans=1)
+        rhs = np.r_[beta, s[j]]
+        kept_border = None
+        if c is not None:
+            b_K, d_K, grow, u_T = (x[j] for x in cond.border)
+            kept_border = (b_K, d_K, grow)
+            rhs[m:] -= u_T @ r[j, E]
+        kept_oracle = _piecewise_solver(A_K, kept_border)
+        got = kept_oracle(rhs, trans=1)
+        worst = max(worst, _gap(got, np.r_[want[K], want[M:]]))
+        # A with a rhs on the kept rows, extended to the eliminated ones
+        rhs = np.zeros(M + nb)
+        rhs[K] = r[j, K]
+        want = oracle(rhs)
+        got = kept_oracle(np.r_[r[j, K], np.zeros(nb)])
+        x_E = cond.extend(np.tile(got[:m], (J, 1)), np.eye(J)[j])
+        if c is not None:
+            x_E -= got[m:] @ u_T
+        worst = max(worst, _gap(np.r_[got, x_E], np.r_[want[K], want[M:], want[E]]))
+    return worst
+
+
 # the largest gap of the condensed solves to the dense ones below, relative
-# to the largest entry of the dense solution: measured at most 5.0e-11
-# (k = 0), 8.8e-11 (k = 1) and 4.2e-13 (k = 8), all at n = 1024 on the
-# circles, whose cyclic bands are the worse conditioned (8.6e-12, 4.2e-12
-# and 1.1e-14 on the Dirichlet runs)
+# to the largest entry of the dense solution: measured at most 3.8e-11
+# (k = 0), 1.4e-10 (k = 1) and 4.1e-13 (k = 8), all at n = 1024 on the
+# circles, whose cyclic bands are the worse conditioned (8.1e-12, 4.0e-12
+# and 5.7e-15 on the Dirichlet runs)
 _CONDENSED_GAP = {0: 5e-10, 1: 5e-10, 8: 3e-12}
 
 
@@ -461,15 +558,10 @@ def test_condensed_bands_reproduce_dense_solves(n):
     layers = parametrix._Layers.of_blocks(grid, CutoffPair())
     surfs = [ModelSurfaceMetric(ell=ell) for ell in (0.035, 0.25, 0.52)]
     rng = np.random.default_rng(5)
-
-    def gap(got, want):
-        return np.max(np.abs(got - want)) / np.max(np.abs(want))
-
     for k, bound in _CONDENSED_GAP.items():
         modes = [surface.zero_mode(s, grid) if k == 0
                  else (surface.channel_diagonals(s, grid, k), None) for s in surfs]
         J = len(modes)
-        worst = 0.0
 
         # the Dirichlet runs
         pieces = [surface._band_pieces(d, layers.runs) for d, _ in modes]
@@ -478,19 +570,7 @@ def test_condensed_bands_reproduce_dense_solves(n):
         keep = np.zeros(main.shape[1], bool)
         keep[layers.cols] = True
         cond = surface._Condensed(main, lower, upper, sizes, keep)
-        K, E = cond.kept, cond.gone
-        b = rng.standard_normal(main.shape)
-        x_K = cond.band.solve(cond.restrict(b[:, K], b[:, E]).reshape(-1)).reshape(J, -1)
-        r = rng.standard_normal((J, K.size))
-        y_K = cond.band.solve(r.reshape(-1), "T").reshape(J, -1)
-        y_E = [cond.extend(y_K, e) for e in np.eye(J)]
-        for j in range(J):
-            oracle = _piecewise_solver((main[j], lower[j], upper[j], sizes, None))
-            rhs = np.zeros(main.shape[1])
-            rhs[K] = r[j]
-            want = oracle(rhs, trans=1)
-            worst = max(worst, gap(x_K[j], oracle(b[j])[K]),
-                        gap(np.r_[y_K[j], y_E[j]], np.r_[want[K], want[E]]))
+        worst = _dirichlet_gap(cond, main, lower, upper, sizes, rng)
 
         # the whole circles, cyclic, bordered at k = 0
         on = np.isin(np.arange(n), layers.rows % n)
@@ -500,49 +580,51 @@ def test_condensed_bands_reproduce_dense_solves(n):
         sizes = pieces[0][4]
         corners = np.array([np.stack([d[2][:, circle[-1]], d[0][:, circle[0]]], axis=1)
                             for d, _ in modes])
-        border = None
+        c = None
         if k == 0:
             c = np.zeros((J, 2 * n, 2))
             for j, (_, q) in enumerate(modes):
                 c[j, :n, 0] = c[j, n:, 1] = (grid.weights * q)[circle]
-            border = (c, c)
         cond = surface._Condensed(main, lower, upper, sizes, np.tile(on[circle], 2),
-                                  corners, dense="T", border=border)
-        K, E = cond.kept, cond.gone
-        m = K.size
-        # the kept band with its corners, from its solves
-        inv = np.linalg.inv(cond.band.solve(np.eye(J * m)))
-        r = rng.standard_normal(main.shape)
-        s = rng.standard_normal((J, 2))
-        nb = 0 if border is None else 2
-        for j in range(J):
-            A = (main[j], lower[j], upper[j], sizes, corners[j])
-            A_K = (np.diag(inv)[j * m:(j + 1) * m], np.diag(inv, -1)[j * m:],
-                   np.diag(inv, 1)[j * m:], [m // 2, m // 2], cond.corners[j])
-            oracle = _piecewise_solver(
-                A, border=None if border is None else (c[j], c[j], np.zeros(2)))
-            beta = cond.restrict(r[j, K], r[j, E])[j]
-            # A^T with a dense rhs; its eliminated rows reach the border row too
-            want = oracle(np.r_[r[j], s[j, :nb]], trans=1)
-            rhs = np.r_[beta, s[j, :nb]]
-            kept_border = None
-            if border is not None:
-                b_K, d_K, grow, u = (x[j] for x in cond.border)
-                kept_border = (b_K, d_K, grow)
-                rhs[m:] -= u.T @ r[j, E]
-            kept_oracle = _piecewise_solver(A_K, kept_border)
-            got = kept_oracle(rhs, trans=1)
-            worst = max(worst, gap(got, np.r_[want[K], want[2 * n:]]))
-            # A with a rhs on the kept rows, extended to the eliminated ones
-            rhs = np.zeros(2 * n + nb)
-            rhs[K] = r[j, K]
-            want = oracle(rhs)
-            got = kept_oracle(np.r_[r[j, K], np.zeros(nb)])
-            x_E = cond.extend(np.tile(got[:m], (J, 1)), np.eye(J)[j])
-            if border is not None:
-                x_E -= u @ got[m:]
-            worst = max(worst, gap(np.r_[got, x_E], np.r_[want[K], want[2 * n:], want[E]]))
+                                  corners, dense="T", border=None if c is None else (c, c))
+        worst = max(worst, _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng))
         assert worst <= bound, (n, k, worst)
+
+
+@pytest.mark.parametrize("cyclic, bordered", [(False, False), (True, False), (True, True)])
+def test_condensed_band_shares_the_runs_equal_in_every_block(cyclic, bordered):
+    # three blocks of random M-matrix pieces, with two runs made the same in
+    # every block, bit for bit: one in the middle of a piece and one at a
+    # piece's end (joined to its first row through the corner when cyclic).
+    # Each is factored once, with one copy of its end columns, and the
+    # condensed solves are the dense ones
+    rng = np.random.default_rng(8)
+    J, sizes = 3, [14, 11]
+    M = sum(sizes)
+    main = 2.2 + rng.random((J, M))
+    lower, upper = (-0.6 - 0.4 * rng.random((J, M - 1)) for _ in range(2))
+    keep = np.zeros(M, bool)
+    keep[[0, 2, 5, 11, 14, 16, 19]] = True
+    shared = [np.arange(6, 11), np.arange(20, 25)]
+    for run in shared:
+        main[:, run] = main[0, run]
+        lower[:, run[:-1]], upper[:, run[:-1]] = lower[0, run[:-1]], upper[0, run[:-1]]
+    corners = -0.6 - 0.4 * rng.random((J, 2, 2)) if cyclic else None
+    c = None
+    if bordered:
+        c = np.zeros((J, M, 2))
+        c[:, :14, 0], c[:, 14:, 1] = 0.5 + rng.random((J, 14)), 0.5 + rng.random((J, 11))
+    cond = surface._Condensed(main, lower, upper, sizes, keep, corners,
+                              dense="T" if cyclic else "N",
+                              border=None if c is None else (c, c))
+    rows, ends = _shared_runs(cond)
+    assert ends.shape == (2 * 2, 10)
+    assert np.array_equal(np.sort(cond.gone[rows]), np.concatenate(shared))
+    if cyclic:
+        worst = _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng)
+    else:
+        worst = _dirichlet_gap(cond, main, lower, upper, sizes, rng)
+    assert worst <= 1e-14, worst
 
 
 def _per_reference(grid, k, ell_refs):

@@ -28,6 +28,16 @@ def test_solve_residual_and_bound():
         assert cf.newton_iterations <= 6
 
 
+def test_an_even_grid_size_is_the_next_odd_one():
+    # the neck grid promotes an even n to n + 1 nodes, and the solve sizes
+    # its unknowns from the grid: n = 4096 is the n = 4097 solve, bit for bit
+    surf = ModelSurfaceMetric(ell=0.05)
+    even, odd = (solve_conformal_factor(surf, n=n) for n in (4096, 4097))
+    assert even.grid.n == 4097
+    assert np.array_equal(even.u, odd.u) and even.residual == odd.residual
+    assert even.newton_iterations == odd.newton_iterations
+
+
 def test_curvature_range_example():
     # blend-band curvature stays within the documented [-2, -0.5] band
     cf = solve_conformal_factor(ModelSurfaceMetric(ell=0.05))
