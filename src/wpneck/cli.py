@@ -226,11 +226,14 @@ def _suite_uniformization(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-# a grid_n from which on each suite runs on every even grid; below it the
-# Weitzenboeck residual has no interior node, the projection's test tensors
-# vanish, or the parametrix's channel bands lose definiteness (at some
-# n <= 50; the parametrix suite runs on every even n from 52)
-_MIN_GRID_N = {"weitzenboeck": 28, "projection": 18, "parametrix": 70}
+# a grid_n from which on each suite runs on every even grid, to exit 0 or 1:
+# where it runs, not where its checks pass.  Below it the Weitzenboeck
+# residual has no interior node, the projection's test tensors vanish, or
+# the parametrix's channel bands lose definiteness (at some n <= 50).  Of
+# the even n from 52 to 400 the parametrix suite passes at all but 62,
+# 68-72, 78-82, 100, 102 and 110-114, where neumann_residual(l=0.4) misses
+# its 1e-6 bound
+_MIN_GRID_N = {"weitzenboeck": 28, "projection": 18, "parametrix": 52}
 
 SUITES = {
     "cylinder": _suite_cylinder,

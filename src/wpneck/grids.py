@@ -21,6 +21,8 @@ An even periodic grid has a mirror half (:attr:`RadialGrid.mirror_half`): the
 nodes 0 ... n/2, which carry a field that is even or odd under the grid
 reflection R: i -> n - i, with the quadrature of the even ones.  A
 :meth:`RadialGrid.span` is a run of a grid's nodes with their weights.
+Both are plain grids; what is built from a grid is kept with it, each
+grid its own (:meth:`RadialGrid.keep`).
 
 Every tridiagonal band of the package, each an M-matrix, is solved by
 :class:`_SymmetrizedBand`, scaled to a symmetric positive definite band.
@@ -87,9 +89,9 @@ class RadialGrid:
     ``periodic``, ``mirror half`` (:attr:`mirror_half`) or ``span``
     (:meth:`span`); the last two have no stencils.  ``_stencils()`` returns
     (d1, d2) and runs on the first read of either (twice, with equal results,
-    if two threads read first at once).  :meth:`memo` keeps other arrays of
-    the nodes alone with the grid, :meth:`keep` any other object built from
-    it.  Instances are otherwise immutable and safe to share.
+    if two threads read first at once).  :meth:`keep` keeps anything else
+    built from the grid with it.  Instances are otherwise immutable and safe
+    to share.
     """
 
     nodes: np.ndarray
@@ -98,11 +100,6 @@ class RadialGrid:
     order: int
     periodic: bool = False
     _stencils: object = field(repr=False, default=None)
-    # a mirror half or span shares its grid's memo, whose entries are over
-    # _memo_nodes, and starts at its node _memo_start
-    _memo: dict = field(default_factory=dict, repr=False)
-    _memo_nodes: np.ndarray | None = field(default=None, repr=False)
-    _memo_start: int = field(default=0, repr=False)
     _kept: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -137,38 +134,19 @@ class RadialGrid:
     def d2(self):
         return self._built[1]
 
-    def memo(self, key: str, build):
-        """``build(nodes)``, run on the first call with ``key`` and kept with the grid.
-
-        For arrays over the nodes that depend on the nodes alone, never on a
-        surface or its ell: every solve on the grid then shares them, and
-        they die with it.  The arrays of the result (an array or a tuple of
-        them, nested) are made read-only.  Threads first asking at once may
-        build twice, with equal results; all of them get the first one
-        stored.  A :attr:`mirror_half` or :meth:`span` reads its grid's
-        entry, each array cut to its own nodes: views, so they share one build.
-        """
-        try:
-            value = self._memo[key]
-        except KeyError:
-            nodes = self.nodes if self._memo_nodes is None else self._memo_nodes
-            value = self._memo.setdefault(key, _read_only(build(nodes)))
-        if self._memo_nodes is None:
-            return value
-        return _cut(value, self._memo_start, self._memo_start + self.n)
-
     def keep(self, key: str, build):
         """``build(self)``, run on the first call with ``key`` and kept with the grid.
 
-        For what is built from the grid but is no array over its nodes
-        (:meth:`memo`): it dies with the grid, and must hold no reference to
-        it.  A mirror half or span keeps its own.  Threads first asking at
-        once may build twice; all of them get the first one stored.
+        Every solve on the grid then shares it, and it dies with the grid, so
+        it must hold no reference to it.  An array of the result, or of a
+        nested tuple of them, is made read-only.  A :attr:`mirror_half` or
+        :meth:`span` is a grid of its own and keeps its own.  Threads first
+        asking at once may build twice; all of them get the first one stored.
         """
         try:
             return self._kept[key]
         except KeyError:
-            return self._kept.setdefault(key, build(self))
+            return self._kept.setdefault(key, _read_only(build(self)))
 
     @cached_property
     def mirror_half(self) -> "RadialGrid":
@@ -177,27 +155,23 @@ class RadialGrid:
 
         A sum over the grid of an R-even field is its sum over these nodes
         with the weights w_0, 2 w_1, ..., 2 w_{n/2 - 1}, w_{n/2}, which are
-        the half's.  The nodes are a view of the grid's, and the half shares
-        the grid's :meth:`memo`; it holds no reference to the grid.
+        the half's.  The nodes are a view of the grid's; the half holds no
+        reference to the grid.
         """
         if not self.periodic or self.n % 2:
             raise ValueError("only an even periodic grid has a mirror half")
         h = self.n // 2
         weights = self.weights[:h + 1].copy()
         weights[1:h] *= 2.0
-        return RadialGrid(self.nodes[:h + 1], weights, "mirror half", self.order,
-                          _memo=self._memo, _memo_nodes=self.nodes)
+        return RadialGrid(self.nodes[:h + 1], weights, "mirror half", self.order)
 
     def span(self, start: int, stop: int) -> "RadialGrid":
         """The nodes start ... stop - 1 of the grid, with their weights.
 
-        Nodes and weights are views of the grid's, and the span shares the
-        grid's :meth:`memo`; it holds no reference to the grid.
+        Nodes and weights are views of the grid's; the span holds no
+        reference to the grid.
         """
-        nodes = self.nodes if self._memo_nodes is None else self._memo_nodes
-        return RadialGrid(self.nodes[start:stop], self.weights[start:stop], "span",
-                          self.order, _memo=self._memo, _memo_nodes=nodes,
-                          _memo_start=self._memo_start + start)
+        return RadialGrid(self.nodes[start:stop], self.weights[start:stop], "span", self.order)
 
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ f)
@@ -214,19 +188,13 @@ class RadialGrid:
 
 
 def _read_only(value):
+    """``value``, its arrays (it or those of a nested tuple) made read-only."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    else:
+    elif isinstance(value, tuple):
         for v in value:
             _read_only(v)
     return value
-
-
-def _cut(value, start: int, stop: int):
-    """``value`` (an array or a nested tuple of them), its columns start ... stop - 1."""
-    if isinstance(value, np.ndarray):
-        return value[..., start:stop]
-    return tuple(_cut(v, start, stop) for v in value)
 
 
 def _stencil(n: int, weights, ends=None) -> sp.csr_matrix:

@@ -157,8 +157,10 @@ class ModelSurfaceMetric:
     The profile is computed from ell-independent :meth:`pieces`, recombined
     with ell by the same arithmetic everywhere.  At the nodes of a grid the
     pieces are computed once and kept with that grid
-    (:meth:`~wpneck.grids.RadialGrid.memo`), so every surface on the grid,
-    every row of a sweep, only recombines them.
+    (:meth:`~wpneck.grids.RadialGrid.keep`), so every surface on the grid,
+    every row of a sweep, only recombines them.  A mirror half, a span and
+    the whole grid compute them each at their own nodes, with the same
+    elementwise arithmetic, so the same node gets the same bits on each.
     """
 
     ell: float
@@ -200,7 +202,7 @@ class ModelSurfaceMetric:
     @staticmethod
     def grid_pieces(grid: RadialGrid):
         """:meth:`pieces` at the nodes of ``grid``, computed once per grid."""
-        return grid.memo("profile pieces", ModelSurfaceMetric.pieces)
+        return grid.keep("profile pieces", lambda g: ModelSurfaceMetric.pieces(g.nodes))
 
     def _combine(self, pieces):
         s, (Q, Qp, Qpp), (w, wp, wpp) = pieces
@@ -872,22 +874,21 @@ def _central(u: np.ndarray, c: float, ends=None) -> np.ndarray:
 
 
 def _factored_diagonals(sqF, beta, K, c) -> np.ndarray:
-    """The (2, 5, n) cyclic diagonals of M+- = -(A +- K)(B -+ K/2); K = None: M = -A B.
+    """The (1, 5, n) cyclic diagonals of M+ = -(A + K)(B - K/2); K = None: M = -A B.
 
     A = sqrt(F) d1 + 2 beta and B = (sqrt(F) d1 - beta) / 2 are multiplied
     as bands, (A B)[i, i + s + t] = a_s[i] b_t[i + s], with the d1 weight
-    ``c`` = 1 / (2h); ``out[ch, j, i] = M_ch[i, i + j - 2 (mod n)]`` (one
-    channel at K = None).
+    ``c`` = 1 / (2h); ``out[0, j, i] = M+[i, i + j - 2 (mod n)]``.  The
+    other rho channel M- = -(A - K)(B + K/2) is M+ of -K.
     """
-    mids = ([(2.0 * beta, -0.5 * beta)] if K is None else
-            [(2.0 * beta + sign * K, -0.5 * (beta + sign * K)) for sign in (+1, -1)])
-    out = np.zeros((len(mids), 5, sqF.size))
-    for ch, (a_mid, b_mid) in enumerate(mids):
-        a = (-c * sqF, a_mid, c * sqF)
-        b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
-        for s in (-1, 0, 1):
-            for t in (-1, 0, 1):
-                out[ch, s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
+    a_mid, b_mid = ((2.0 * beta, -0.5 * beta) if K is None else
+                    (2.0 * beta + K, -0.5 * (beta + K)))
+    a = (-c * sqF, a_mid, c * sqF)
+    b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
+    out = np.zeros((1, 5, sqF.size))
+    for s in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            out[0, s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
     return out
 
 
@@ -1155,13 +1156,14 @@ class FactoredGlobalSolver:
 
         M+- = -(A +- K)(B -+ K/2),
 
-    five cyclic diagonals each (:attr:`diagonals`, built on first read), from
-    the stencil coefficients with no sparse matrix.  F is even and the grid
-    reflection R: i -> n - i reverses the central difference, so M- = R M+ R.
-    For k >= 1 only M+ is factored, a LAPACK ``dgbtrf`` band of half-width 2
-    with the cyclic corners cut (:func:`_cut_band`) and put back as six cut
-    entries (:func:`_cut_closure`); a solve is one ``dgbtrs`` with the channel
-    + right-hand side and the reflected channel - one as its two columns.
+    five cyclic diagonals each, from the stencil coefficients with no sparse
+    matrix.  F is even and the grid reflection R: i -> n - i reverses the
+    central difference, so M- = R M+ R, and only M+ is built (:attr:`diagonals`,
+    on first read).  For k >= 1 it is factored, a LAPACK ``dgbtrf`` band of
+    half-width 2 with the cyclic corners cut (:func:`_cut_band`) and put back
+    as six cut entries (:func:`_cut_closure`); a solve is one ``dgbtrs`` with
+    the channel + right-hand side and the reflected channel - one as its two
+    columns.
 
     At k = 0 the channels are one matrix M = -A B, and M commutes with R.
     A solve splits each sigma component into its even and odd parts and
@@ -1203,8 +1205,8 @@ class FactoredGlobalSolver:
         self._K = self._even = self.cap = None
         if self.k:
             self._K = self.k / self.sqF
-            self._solve = _cut_closure(_band_solve(_cut_band(self.diagonals[:1])), n,
-                                       _cyclic_corners(self.diagonals[:1]))
+            self._solve = _cut_closure(_band_solve(_cut_band(self.diagonals)), n,
+                                       _cyclic_corners(self.diagonals))
         else:
             self.cap = grid.keep("odd cap", OddCap)
             # the neck rows p + 1 ... n/2 - 1 read the window's nodes alone
@@ -1231,7 +1233,7 @@ class FactoredGlobalSolver:
 
     @cached_property
     def diagonals(self) -> np.ndarray:
-        """(c, 5, n): the cyclic diagonals of M+ and M- (at k = 0, of M once)."""
+        """(1, 5, n): the cyclic diagonals of M+ (at k = 0, of M)."""
         return _factored_diagonals(self.sqF, self.beta, self._K, self._c)
 
     @property

@@ -24,7 +24,7 @@ pivoting (:class:`~wpneck.grids._SymmetrizedBand`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,12 +55,11 @@ class ConformalFactor:
 
         The folded nodes and the mask of those inside the domain depend on
         ``grid`` alone and are kept with it
-        (:meth:`~wpneck.grids.RadialGrid.memo`); on a grid's mirror half or
-        a span of it they are views of the grid's, so the weight is evaluated
-        there alone.
+        (:meth:`~wpneck.grids.RadialGrid.keep`), so a sweep folds the nodes
+        of its window once.
         """
         b = self.grid.b
-        inside, t = grid.memo(f"nodes inside |tau| <= {b!r}", partial(_inside, b=b))
+        inside, t = grid.keep(f"nodes inside |tau| <= {b!r}", lambda g: _inside(g.nodes, b))
         out = np.ones(grid.n)
         out[inside] = np.exp(-2.0 * np.interp(t[inside], self.grid.nodes, self.u))
         return out

@@ -78,9 +78,10 @@ __all__ = [
 def _variations(surface: ModelSurfaceMetric, grid: RadialGrid, length: bool,
                 twist: bool) -> ModeField:
     """(phi_l, psi_w, 0) at k = 0, phi_l = -dF/dell / F and psi_w = F s'(tau),
-    each 0 unless asked; s' at the grid's nodes is kept with the grid."""
+    each 0 unless asked; s' at the grid's nodes is built once per grid and
+    kept with it (:meth:`~wpneck.grids.RadialGrid.keep`)."""
     F = surface.grid_jet(grid)[0]
-    s1 = grid.memo("twist step d1", lambda tau: twist_step_d1(fold_tau(tau)))
+    s1 = grid.keep("twist step d1", lambda g: twist_step_d1(fold_tau(g.nodes)))
     data = np.zeros((3, grid.n))
     data[0] = -surface.grid_dF_dell(grid) / F if length else 0.0
     data[1] = F * s1 if twist else 0.0

@@ -4,9 +4,11 @@ import scipy.sparse as sp
 
 from wpneck import checks
 from wpneck.cylinder import CylinderMetric
+from wpneck.green import HomogeneousSolutions
 from wpneck.grids import chebyshev_grid, periodic_grid, uniform_grid
 from wpneck.operators import mode_operators
 from wpneck.surface import GlobalModeSolver
+from wpneck.ttbasis import tt_element, tt_limit
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +40,34 @@ def smooth_bump(a: float, b: float):
     """C^infinity bump supported on (a, b), unit sup norm."""
     bump = checks.smooth_bump(a, b)
     return lambda x: np.exp(4.0) * bump(x)
+
+
+def homogeneous_residual(ell: float, tau: np.ndarray) -> float:
+    """The sup over ``tau`` of the zero-mode ODE residual of u and v.
+
+    The residual is -F w'' - 2 tau w' + (1 + tau^2 / F) w, F = tau^2 + ell^2,
+    with the analytic derivatives of the explicit solutions
+    (:class:`~wpneck.green.HomogeneousSolutions`).
+    """
+    hom = HomogeneousSolutions(ell)
+    F = tau**2 + ell**2
+    return max(float(np.max(np.abs(-F * d2w(tau) - 2 * tau * dw(tau)
+                                   + (1 + tau**2 / F) * w(tau))))
+               for w, dw, d2w in ((hom.u, hom.du, hom.d2u), (hom.v, hom.dv, hom.d2v)))
+
+
+def limit_sup_errors(tau: np.ndarray) -> list[float]:
+    """The kappa, k = 3 TT element's sup distance to its limit at ell = 0.1, 0.05, 0.025.
+
+    Each is the larger of sup |phi - phi0| and sup |psi - psi0| over ``tau``,
+    (phi0, psi0) the profiles of the limit tensor.
+    """
+    phi0, psi0 = tt_limit("kappa", 3).profiles(tau)
+    sups = []
+    for ell in (0.1, 0.05, 0.025):
+        phi, psi = tt_element("kappa", 3, ell).profiles(tau)
+        sups.append(max(np.max(np.abs(phi - phi0)), np.max(np.abs(psi - psi0))))
+    return sups
 
 
 def channel_matrices(surface, grid, k: int):

@@ -14,17 +14,17 @@ import pytest
 from wpneck.checks import (barrier_excess, neumann_vs_direct, parametrix_reports,
                            projection_defects)
 from wpneck.cylinder import CylinderMetric
-from wpneck.green import HomogeneousSolutions, certify_barrier, solve_zero_mode
+from wpneck.green import certify_barrier, solve_zero_mode
 from wpneck.grids import periodic_grid, uniform_grid
 from wpneck.modefields import ModeField, Rank
 from wpneck import operators as ops
 from wpneck.parametrix import ParametrixFamily, SolverBank, build_cutoff_tensors
 from wpneck.surface import ModelSurfaceMetric
-from wpneck.ttbasis import tt_element, tt_l2norm_error, tt_limit
+from wpneck.ttbasis import tt_l2norm_error
 from wpneck.uniformize import solve_conformal_factor
 from wpneck.wp import fit_polyhomogeneous, loglog_slope, sweep_wp_coefficients
 
-from conftest import smooth_bump
+from conftest import homogeneous_residual, limit_sup_errors, smooth_bump
 
 
 def _report(num: int, passed: bool, detail: str):
@@ -35,15 +35,8 @@ def _report(num: int, passed: bool, detail: str):
 # ---------------------------------------------------------------------------
 def test_criterion_01_homogeneous_solution_residuals():
     """P u = P v = 0 for the explicit zero-mode solutions, N = 2048."""
-    grid = uniform_grid(-1.0, 1.0, 2049)
-    tau = grid.nodes
-    worst = 0.0
-    for ell in (1.0, 0.1, 0.01):
-        hom = HomogeneousSolutions(ell)
-        F = tau**2 + ell**2
-        for w, dw, d2w in ((hom.u, hom.du, hom.d2u), (hom.v, hom.dv, hom.d2v)):
-            res = -F * d2w(tau) - 2 * tau * dw(tau) + (1 + tau**2 / F) * w(tau)
-            worst = max(worst, float(np.max(np.abs(res))))
+    tau = uniform_grid(-1.0, 1.0, 2049).nodes
+    worst = max(homogeneous_residual(ell, tau) for ell in (1.0, 0.1, 0.01))
     _report(1, worst <= 1e-9,
             f"homogeneous residual sup = {worst:.2e} (bound 1e-9) "
             f"for ell in {{1, 0.1, 0.01}} at N = 2048")
@@ -69,13 +62,7 @@ def test_criterion_03_limit_constants_and_convergence():
     val = (math.atan(0.75 / ell) - math.atan(0.5 / ell)) / ell
     const_ok = abs(val - 2.0 / 3.0) <= 1e-3
 
-    tau = np.linspace(0.25, 1.0, 400)
-    k = 3
-    phi0, psi0 = tt_limit("kappa", k).profiles(tau)
-    sups = []
-    for e in (0.1, 0.05, 0.025):
-        phi, psi = tt_element("kappa", k, e).profiles(tau)
-        sups.append(max(np.max(np.abs(phi - phi0)), np.max(np.abs(psi - psi0))))
+    sups = limit_sup_errors(np.linspace(0.25, 1.0, 400))
     mono_ok = sups[0] > sups[1] > sups[2]
     _report(3, const_ok and mono_ok,
             f"band constant dev = {abs(val - 2/3):.2e} (bound 1e-3); "

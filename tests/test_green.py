@@ -13,7 +13,7 @@ from wpneck.modefields import ModeField, Rank, Variant
 from wpneck.operators import apply_gauge_laplacian
 from wpneck.wp import fit_polyhomogeneous
 
-from conftest import smooth_bump
+from conftest import homogeneous_residual, smooth_bump
 
 BUMP = smooth_bump(0.5, 0.75)
 
@@ -24,11 +24,7 @@ def test_homogeneous_solutions_parity_and_ode():
     assert np.allclose(hom.u(ts), hom.u(-ts))
     assert np.allclose(hom.v(ts), -hom.v(-ts))
     assert hom.wronskian_check(ts) < 1e-13
-    # ODE residual with analytic derivatives
-    F = ts**2 + 0.37**2
-    for w, dw, d2w in ((hom.u, hom.du, hom.d2u), (hom.v, hom.dv, hom.d2v)):
-        res = -F * d2w(ts) - 2 * ts * dw(ts) + (1 + ts**2 / F) * w(ts)
-        assert np.max(np.abs(res)) < 1e-12
+    assert homogeneous_residual(0.37, ts) < 1e-12
 
 
 def test_explicit_zero_mode_solves_and_hits_boundary():

@@ -228,7 +228,7 @@ def test_grids_holds_the_one_tridiagonal_solver():
     assert not any(named.values()), named
 
 
-def test_mirror_half_integrates_even_fields_and_shares_the_memo():
+def test_mirror_half_integrates_even_fields():
     grid = periodic_grid(-2.0, 2.0, 64)
     half = grid.mirror_half
     assert half is grid.mirror_half  # kept with the grid
@@ -237,44 +237,37 @@ def test_mirror_half_integrates_even_fields_and_shares_the_memo():
     # an even field pairs the same on the half as on the whole grid
     f = np.cos(np.pi * grid.nodes / 2.0) ** 2 + np.cos(np.pi * grid.nodes)
     assert half.integrate(f[:33]) == pytest.approx(grid.integrate(f), rel=1e-15)
-    # one build serves both; the half reads a view of the grid's entry
-    builds = []
-
-    def build(nodes):
-        builds.append(nodes.size)
-        return np.sin(nodes), (nodes**2, np.abs(nodes))
-
-    s_half, (sq_half, abs_half) = half.memo("test entry", build)
-    s, (sq, ab) = grid.memo("test entry", build)
-    assert builds == [64]
-    for part, whole in ((s_half, s), (sq_half, sq), (abs_half, ab)):
-        assert part.shape == (33,) and np.shares_memory(part, whole)
-        assert not part.flags.writeable
-        assert np.array_equal(part, whole[:33])
     with pytest.raises(ValueError, match="mirror half"):
         periodic_grid(-2.0, 2.0, 63).mirror_half
     with pytest.raises(ValueError, match="mirror half"):
         uniform_grid(-1.0, 1.0, 65).mirror_half
 
 
-def test_span_shares_the_memo_and_keep_builds_once():
+def test_keep_builds_once_per_grid_and_a_half_or_span_keeps_its_own():
     grid = periodic_grid(-2.0, 2.0, 64)
-    span = grid.mirror_half.span(10, 30)
+    half = grid.mirror_half
+    span = half.span(10, 30)
     assert span.n == 20 and span.scheme == "span"
-    assert np.array_equal(span.weights, grid.mirror_half.weights[10:30])
-    # a span of the half reads a view of the grid's memo entry at its nodes
+    assert np.array_equal(span.weights, half.weights[10:30])
     builds = []
 
-    def build(nodes):
-        builds.append(nodes.size)
-        return np.sin(nodes)
+    def build(g):
+        builds.append(g.n)
+        return len(builds)
 
-    part, whole = span.memo("test entry", build), grid.memo("test entry", build)
-    assert builds == [64] and np.shares_memory(part, whole)
-    assert np.array_equal(part, whole[10:30])
-    # kept objects are built once per grid; a span keeps its own
-    kept = []
-    assert grid.keep("test", lambda g: kept.append(g.n) or len(kept)) == 1
-    assert grid.keep("test", lambda g: kept.append(g.n) or len(kept)) == 1
-    assert span.keep("test", lambda g: kept.append(g.n) or len(kept)) == 2
-    assert kept == [64, 20]
+    for g in (grid, half, span, grid, half, span):
+        assert g.keep("test", build) == (grid, half, span).index(g) + 1
+    assert builds == [64, 33, 20]
+    # a span of the same nodes is another grid, with its own store
+    assert half.span(10, 30).keep("test", build) == 4
+
+
+def test_keep_makes_arrays_in_nested_tuples_read_only():
+    grid = periodic_grid(-2.0, 2.0, 64)
+    s, (sq, ab) = grid.keep("test", lambda g: (np.sin(g.nodes), (g.nodes**2, np.abs(g.nodes))))
+    for part in (s, sq, ab):
+        assert part.shape == (64,) and not part.flags.writeable
+    assert grid.keep("test", None)[1][0] is sq  # kept: no second build
+    # anything else is kept as it is
+    kept = grid.keep("a list", lambda g: [np.zeros(3)])
+    assert kept[0].flags.writeable and grid.keep("a list", None) is kept

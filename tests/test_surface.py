@@ -14,7 +14,8 @@ from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.parametrix import SolverBank, project_tt
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
-                            _coefficients, _cut_band, _cyclic_corners, _odd_band,
+                            _coefficients, _cut_band, _cyclic_corners,
+                            _factored_diagonals, _odd_band,
                             _reflect, _sector_diagonals,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
@@ -649,8 +650,11 @@ def test_factored_k0_band_is_the_matmat(surface_grid):
             mat = sp.csr_matrix(ops.divergence_tf @ ops.conformal_killing)
             P, Q = mat[:n, :n], mat[:n, n:]
             wants = [P] if k == 0 else [P + Q, P - Q]
-            assert len(fs.diagonals) == len(wants)
-            for diags, want in zip(fs.diagonals, wants):
+            assert fs.diagonals.shape == (1, 5, n)  # only M+ is built
+            got = [fs.diagonals[0]]
+            if k:  # M- is M+ of -K
+                got.append(_factored_diagonals(fs.sqF, fs.beta, -fs._K, fs._c)[0])
+            for diags, want in zip(got, wants, strict=True):
                 band = sp.csr_matrix((diags.reshape(-1), (np.tile(i, 5), cols)),
                                      shape=(n, n))
                 # measured <= 3.6e-16
@@ -789,12 +793,14 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
 
 
 def test_factored_channels_are_mirror_images(surface_grid):
-    # M- = R M+ R, so the solver factors M+ alone: entry for entry,
-    # M-[i, i + d] = M+[n - i, n - i - d]
+    # M- = R M+ R, so the solver builds and factors M+ alone: entry for
+    # entry, M-[i, i + d] = M+[n - i, n - i - d]
     for ell in (1e-3, 0.1, 0.365):
         surf = ModelSurfaceMetric(ell=ell)
         for k in (1, 4):
-            plus, minus = FactoredGlobalSolver(surf, surface_grid, k).diagonals
+            fs = FactoredGlobalSolver(surf, surface_grid, k)
+            plus = fs.diagonals[0]
+            minus = _factored_diagonals(fs.sqF, fs.beta, -fs._K, fs._c)[0]
             err = np.abs(minus - _reflect(plus[::-1])).max() / np.abs(minus).max()
             assert err <= 1e-15, (ell, k, err)  # measured <= 1.9e-16
 
@@ -858,6 +864,31 @@ def test_mirror_half_kernels_are_the_whole_grid_ones(surface_grid):
     # the odd sector is solved on the mirror half or the window, not on the grid
     with pytest.raises(ValueError, match="mirror half"):
         fs.solve_sigma(np.zeros((2, grid.n)), odd=True)
+
+
+def _arrays(value):
+    """The arrays of ``value``, an array or a nested tuple of them, in order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for v in value for a in _arrays(v)]
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_half_span_and_window_pieces_are_the_whole_grids(n):
+    # the mirror half, the odd cap's span and the neck window each compute
+    # the profile pieces at their own nodes; at each node they are the whole
+    # grid's, bit for bit, so the cap and a WP row read the profile that a
+    # solve on the whole grid reads
+    grid = periodic_grid(-2.0, 2.0, n)
+    whole = _arrays(ModelSurfaceMetric.grid_pieces(grid))
+    cap = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.05), grid, 0).cap
+    half = grid.mirror_half
+    assert cap.p > 0
+    for part, start in ((half, 0), (half.span(0, cap.p + 4), 0), (cap.window, cap.p)):
+        got = _arrays(ModelSurfaceMetric.grid_pieces(part))
+        assert len(got) == len(whole) == 7
+        for a, b in zip(got, whole):
+            assert np.array_equal(a, b[start:start + part.n]), (n, part.scheme, start)
 
 
 def test_odd_sector_solve_refuses_what_is_not_odd(surface_grid):

@@ -16,6 +16,8 @@ from wpneck.operators import apply_divergence
 from wpneck.ttbasis import (growing_solutions, tt_element, tt_l2norm, tt_l2norm_error,
                             tt_limit, tt_rescaled_zero_mode)
 
+from conftest import limit_sup_errors
+
 
 def test_element_construction_guards():
     with pytest.raises(ValueError):
@@ -121,14 +123,7 @@ def test_limit_value_example():
 
 
 def test_limit_pointwise_convergence_monotone():
-    tau = np.linspace(0.25, 1.0, 200)
-    lim = tt_limit("kappa", 3)
-    phi0, psi0 = lim.profiles(tau)
-    sups = []
-    for ell in (0.1, 0.05, 0.025):
-        el = tt_element("kappa", 3, ell)
-        phi, psi = el.profiles(tau)
-        sups.append(max(np.max(np.abs(phi - phi0)), np.max(np.abs(psi - psi0))))
+    sups = limit_sup_errors(np.linspace(0.25, 1.0, 200))
     assert sups[0] > sups[1] > sups[2]
 
 

@@ -287,15 +287,21 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_sweep_evaluates_the_profile_once_per_node_array(monkeypatch):
-    # the cap and plateau jets depend on the nodes alone: one evaluation on
-    # the periodic grid and at most one on the shared neck grid, not per row
+    # the cap and plateau jets depend on the nodes alone: one evaluation per
+    # grid that a sweep reads (the mirror half, the odd cap's span, the
+    # window and the neck grid), never per row
     base = _count_calls(monkeypatch, ModelSurfaceMetric, "_base")
     weight = _count_calls(monkeypatch, ModelSurfaceMetric, "_weight")
-    rows = sweep_wp_coefficients([1e-3, 0.01, 0.05, 0.09], grid_n=2048,
-                                 use_conformal=True)
-    assert len(rows) == 4
-    assert 1 <= len(base) <= 2
-    assert 1 <= len(weight) <= 2
+    counts = []
+    for ells in ([1e-3, 0.01, 0.05, 0.09],
+                 [1e-3, 3e-3, 0.01, 0.02, 0.03, 0.05, 0.07, 0.09]):
+        uniformize._neck_grid.cache_clear()
+        base.clear()
+        weight.clear()
+        assert len(sweep_wp_coefficients(ells, grid_n=2048, use_conformal=True)) == len(ells)
+        counts.append((len(base), len(weight)))
+    assert counts[0] == counts[1], counts
+    assert 1 <= counts[0][0] <= 4 and 1 <= counts[0][1] <= 4, counts
 
 
 def _fresh_row(ell, grid_n):
