@@ -68,10 +68,12 @@ right-hand sides and outputs pass through the eliminated runs' end columns.
 :class:`~wpneck.surface.GlobalModeSolver` stays the independent direct
 solve that the Neumann series is checked against.
 
-Operator norms of R and S are estimated by power iteration on S^T S
-(matvec/rmatvec through the transposed band, and banded solves); on the
-uniform periodic grid the Euclidean norm is the L^2 norm up to a constant,
-so the estimate is the L^2 operator norm.
+Operator norms of R and S are estimated by Golub-Kahan-Lanczos
+bidiagonalization (Golub & Kahan 1965): each step applies the operator and
+its transpose once (band matvecs through the transposed band, and banded
+solves), and the largest singular value of the growing bidiagonal is the
+estimate.  On the uniform periodic grid the Euclidean norm is the L^2 norm
+up to a constant, so the estimate is the L^2 operator norm.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .grids import RadialGrid
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
@@ -136,7 +139,8 @@ def mu_cutoff_d1(tau):
     return -np.sign(t) * smoothstep_d1((r - 0.5) * 4.0) * 4.0
 
 
-_NORM_RTOL = 1e-6  # relative step that ends the operator_norm power iteration
+# the relative step of sigma_max(B_j) that ends operator_norm's bidiagonalization
+_NORM_RTOL = 1e-6
 _NEUMANN_MAX_TERMS = 400
 
 
@@ -430,34 +434,54 @@ class ModeParametrix:
 
     def operator_norm(self, which: str = "S", iters: int = 20,
                       seed: int = 0) -> float:
-        """Largest singular value of S (or R) by power iteration on A^T A.
+        """Largest singular value of S (or R) by Golub-Kahan-Lanczos
+        bidiagonalization from a random start v_1.
 
-        At k = 0 the iteration runs in the complement of the conformal
-        Killing directions.  The number of steps taken, applications of A
-        and A^T, is left in :attr:`norm_steps`, and whether the last step
-        moved the estimate by at most its relative tolerance (or found A = 0)
-        in :attr:`norm_converged`; after ``iters`` steps without that, the
-        last estimate is returned all the same.
+        Step j applies A once and A^T once:
+
+            alpha_j u_j = A v_j - beta_{j-1} u_{j-1},
+            beta_j v_{j+1} = A^T u_j - alpha_j v_j,
+
+        so A^T U_j = V_{j+1} B_j with B_j the (j + 1) x j lower bidiagonal
+        of the alphas (diagonal) and betas (below it), and the estimate is
+        sigma_max(B_j), which never exceeds ||A||.  Only the last u and v
+        are kept, with no reorthogonalization.  At k = 0 both sides stay in
+        the complement of the conformal Killing directions.  The number of
+        steps taken is left in :attr:`norm_steps`, and whether the last step
+        moved the estimate by at most its relative tolerance (or found an
+        invariant subspace, A = 0 included) in :attr:`norm_converged`; after
+        ``iters`` steps without that, the last estimate is returned all the
+        same.
         """
         fwd = self.apply_S if which == "S" else self.apply_R
         bwd = self.apply_S_T if which == "S" else self.apply_R_T
         rng = np.random.default_rng(seed)
-        x = self._project(rng.standard_normal((2, self.grid.n)))
-        x /= np.linalg.norm(x)
+        v = self._project(rng.standard_normal((2, self.grid.n)))
+        v /= np.linalg.norm(v)
+        u, beta = 0.0, 0.0
+        alphas, betas = [], []
         sigma = 0.0
         self.norm_converged = True
         for step in range(1, iters + 1):
             self.norm_steps = step
-            y = fwd(x)
-            z = self._project(bwd(self._project(y)))
-            nz = np.linalg.norm(z)
-            if nz == 0.0:
-                return 0.0
-            new_sigma = math.sqrt(nz)
-            x = z / nz
-            if abs(new_sigma - sigma) <= _NORM_RTOL * max(new_sigma, 1e-30):
+            u = self._project(fwd(v)) - beta * u
+            alpha = np.linalg.norm(u)
+            if alpha == 0.0:
+                return sigma
+            u /= alpha
+            v = self._project(bwd(u)) - alpha * v
+            beta = np.linalg.norm(v)
+            alphas.append(alpha)
+            betas.append(beta)
+            a, b = np.array(alphas), np.array(betas)
+            d = a * a + b * b  # B_j^T B_j: this diagonal, a[1:] * b[:-1] beside it
+            # eigenvalues only, so no basis is kept; dsterf maps far less LAPACK than svd
+            lam = lapack.dsterf(d, a[1:] * b[:-1])[0][-1] if step > 1 else d[0]
+            new_sigma = math.sqrt(lam)
+            if beta == 0.0 or abs(new_sigma - sigma) <= _NORM_RTOL * new_sigma:
                 return new_sigma
             sigma = new_sigma
+            v /= beta
         self.norm_converged = False
         return sigma
 
@@ -499,7 +523,7 @@ class ParametrixReport:
     neumann_terms: int
     residual: float
     norm_steps: dict[int, int]
-    #: per mode, whether the S power iteration met its step tolerance
+    #: per mode, whether the S bidiagonalization met its step tolerance
     #: within its step cap; an estimate that did not may be low
     norm_converged: dict[int, bool]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from wpneck.cylinder import CylinderMetric
 from wpneck.green import HomogeneousSolutions
 from wpneck.grids import chebyshev_grid, periodic_grid, uniform_grid
 from wpneck.operators import mode_operators
+from wpneck.parametrix import _NORM_RTOL
 from wpneck.surface import GlobalModeSolver
 from wpneck.ttbasis import tt_element, tt_limit
 
@@ -100,3 +103,32 @@ def cyclic_diagonals(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     diags = np.zeros((3, 2, n))
     diags[slot, chan, row] = coo.data
     return diags[0], diags[1], diags[2]
+
+
+def power_norm(block, which: str = "S", iters: int = 20, seed: int = 0):
+    """Oracle: the largest singular value of S (or R) of a parametrix block
+    by power iteration on A^T A, independent of ``operator_norm``'s
+    bidiagonalization.
+
+    The same projected random start; each step applies A and A^T once and
+    stops on the same relative step (``_NORM_RTOL``).  Returns (sigma,
+    steps, converged), converged False after ``iters`` steps without it.
+    """
+    fwd = block.apply_S if which == "S" else block.apply_R
+    bwd = block.apply_S_T if which == "S" else block.apply_R_T
+    rng = np.random.default_rng(seed)
+    x = block._project(rng.standard_normal((2, block.grid.n)))
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    for step in range(1, iters + 1):
+        y = fwd(x)
+        z = block._project(bwd(block._project(y)))
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return 0.0, step, True
+        new_sigma = math.sqrt(nz)
+        x = z / nz
+        if abs(new_sigma - sigma) <= _NORM_RTOL * max(new_sigma, 1e-30):
+            return new_sigma, step, True
+        sigma = new_sigma
+    return sigma, iters, False
