@@ -24,6 +24,8 @@ D(divergence h0) when K = -1, so the kernel is {f = 0, divergence h0 = 0}.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -60,10 +62,11 @@ def channel_potential(F, Fp, Fpp, k: int, sign: int):
 class ModeOperators:
     """Assembled mode-k operator matrices for one profile on one grid.
 
-    Matrices act on stacked sigma-frame component vectors.  Assembly is lazy
-    and cached on the instance, which is immutable in practice and safe to
-    share.  There is no global cache: whoever builds an instance holds it
-    for as long as its matrices are needed and passes it on.
+    Matrices act on stacked sigma-frame component vectors.  Each is a
+    :func:`~functools.cached_property`, assembled on its first read and kept
+    in the instance's ``__dict__``; the instance is immutable in practice
+    and safe to share.  There is no global cache: whoever builds an instance
+    holds it for as long as its matrices are needed and passes it on.
     """
 
     def __init__(self, profile, grid: RadialGrid, k: int):
@@ -78,7 +81,6 @@ class ModeOperators:
             raise ValueError("profile must be positive on the grid")
         self.sqF = np.sqrt(self.F)
         self.beta = self.Fp / (2.0 * self.sqF)
-        self._cache: dict[str, object] = {}
 
     # -- small assembly helpers --------------------------------------------
     def _diag(self, v):
@@ -92,83 +94,65 @@ class ModeOperators:
         return self._diag(mult) @ self.grid.d1 + self._diag(add)
 
     # -- first-order blocks --------------------------------------------------
-    @property
+    @cached_property
     def d_scalar(self):
         """Exterior derivative scalar -> one-form: (sqrt(F) s', -k s/sqrt(F))."""
-        if "d_scalar" not in self._cache:
-            top = self._d_plus(self.sqF, 0.0)
-            bot = self._diag(-self.k / self.sqF)
-            self._cache["d_scalar"] = self._block([[top], [bot]])
-        return self._cache["d_scalar"]
+        top = self._d_plus(self.sqF, 0.0)
+        bot = self._diag(-self.k / self.sqF)
+        return self._block([[top], [bot]])
 
-    @property
+    @cached_property
     def codifferential(self):
         """One-form -> scalar, delta w = -(sqrt(F) a' + beta a + k b/sqrt(F))."""
-        if "codiff" not in self._cache:
-            left = -self._d_plus(self.sqF, self.beta)
-            right = self._diag(-self.k / self.sqF)
-            self._cache["codiff"] = self._block([[left, right]])
-        return self._cache["codiff"]
+        left = -self._d_plus(self.sqF, self.beta)
+        right = self._diag(-self.k / self.sqF)
+        return self._block([[left, right]])
 
-    @property
+    @cached_property
     def div_star(self):
         """Symmetrized covariant derivative, one-form -> sym2_full (phi, psi, f)."""
-        if "div_star" not in self._cache:
-            koverF = self.k / self.sqF
-            phi_a = 0.5 * self._d_plus(self.sqF, -self.beta)
-            phi_b = self._diag(-0.5 * koverF)
-            psi_a = self._diag(-0.5 * koverF)
-            psi_b = 0.5 * self._d_plus(self.sqF, -self.beta)
-            f_a = 0.5 * self._d_plus(self.sqF, self.beta)
-            f_b = self._diag(0.5 * koverF)
-            self._cache["div_star"] = self._block(
-                [[phi_a, phi_b], [psi_a, psi_b], [f_a, f_b]]
-            )
-        return self._cache["div_star"]
+        koverF = self.k / self.sqF
+        phi_a = 0.5 * self._d_plus(self.sqF, -self.beta)
+        phi_b = self._diag(-0.5 * koverF)
+        psi_a = self._diag(-0.5 * koverF)
+        psi_b = 0.5 * self._d_plus(self.sqF, -self.beta)
+        f_a = 0.5 * self._d_plus(self.sqF, self.beta)
+        f_b = self._diag(0.5 * koverF)
+        return self._block([[phi_a, phi_b], [psi_a, psi_b], [f_a, f_b]])
 
-    @property
+    @cached_property
     def conformal_killing(self):
         """Trace-free part of div_star: one-form -> sym2_tracefree."""
-        if "ck" not in self._cache:
-            self._cache["ck"] = self.div_star[: 2 * self.grid.n, :]
-        return self._cache["ck"]
+        return self.div_star[: 2 * self.grid.n, :]
 
-    @property
+    @cached_property
     def divergence_full(self):
         """Negative divergence, sym2_full (phi, psi, f) -> one-form."""
-        if "div_full" not in self._cache:
-            koverF = self.k / self.sqF
-            a_phi = -self._d_plus(self.sqF, 2.0 * self.beta)
-            a_psi = self._diag(-koverF)
-            a_f = -self._d_plus(self.sqF, 0.0)
-            b_phi = self._diag(-koverF)
-            b_psi = -self._d_plus(self.sqF, 2.0 * self.beta)
-            b_f = self._diag(koverF)
-            self._cache["div_full"] = self._block(
-                [[a_phi, a_psi, a_f], [b_phi, b_psi, b_f]]
-            )
-        return self._cache["div_full"]
+        koverF = self.k / self.sqF
+        a_phi = -self._d_plus(self.sqF, 2.0 * self.beta)
+        a_psi = self._diag(-koverF)
+        a_f = -self._d_plus(self.sqF, 0.0)
+        b_phi = self._diag(-koverF)
+        b_psi = -self._d_plus(self.sqF, 2.0 * self.beta)
+        b_f = self._diag(koverF)
+        return self._block([[a_phi, a_psi, a_f], [b_phi, b_psi, b_f]])
 
-    @property
+    @cached_property
     def divergence_tf(self):
-        if "div_tf" not in self._cache:
-            self._cache["div_tf"] = self.divergence_full[:, : 2 * self.grid.n]
-        return self._cache["div_tf"]
+        return self.divergence_full[:, : 2 * self.grid.n]
 
-    @property
+    @cached_property
     def bianchi(self):
         """B(h) = divergence(h) + (1/2) d tr h, sym2_full -> one-form.
 
         The trace contributions cancel analytically; keeping both computed
         paths makes B(f g) = 0 a measured identity, not a structural one.
         """
-        if "bianchi" not in self._cache:
-            n = self.grid.n
-            z = sp.csr_matrix((n, n))
-            d_tr = self._block([[z, z, self.d_scalar[:n, :]],
-                                [z, z, self.d_scalar[n:, :]]])
-            self._cache["bianchi"] = self.divergence_full + d_tr
-        return self._cache["bianchi"]
+        n = self.grid.n
+        z = sp.csr_matrix((n, n))
+        d_tr = self._block([[z, z, self.d_scalar[:n, :]],
+                            [z, z, self.d_scalar[n:, :]]])
+        return self.divergence_full + d_tr
 
     # -- second-order operators ----------------------------------------------
     def channel_matrix(self, sign: int, scale: float = 1.0):
@@ -178,68 +162,58 @@ class ModeOperators:
                + self._diag(-self.Fp) @ self.grid.d1 + self._diag(V))
         return scale * mat
 
-    @property
+    @cached_property
     def gauge_laplacian(self):
         """P = bianchi o div_star as the direct rho-diagonal stencil,
         conjugated to sigma components: acts as (1/2) P_k^+ on w1 = (a+b)/2
         and (1/2) P_k^- on w2 = (a-b)/2."""
-        if "P" not in self._cache:
-            Pp = self.channel_matrix(+1, 0.5)
-            Pm = self.channel_matrix(-1, 0.5)
-            # sigma = T rho, T = [[1,1],[1,-1]] acting nodewise
-            PaPa = 0.5 * (Pp + Pm)
-            PaPb = 0.5 * (Pp - Pm)
-            self._cache["P"] = self._block([[PaPa, PaPb], [PaPb, PaPa]])
-        return self._cache["P"]
+        Pp = self.channel_matrix(+1, 0.5)
+        Pm = self.channel_matrix(-1, 0.5)
+        # sigma = T rho, T = [[1,1],[1,-1]] acting nodewise
+        PaPa = 0.5 * (Pp + Pm)
+        PaPb = 0.5 * (Pp - Pm)
+        return self._block([[PaPa, PaPb], [PaPb, PaPa]])
 
-    @property
+    @cached_property
     def scalar_laplacian(self):
         """Positive scalar Laplacian: -F s'' - F' s' + k^2 s / F."""
-        if "lap0" not in self._cache:
-            self._cache["lap0"] = (self._diag(-self.F) @ self.grid.d2
-                                   + self._diag(-self.Fp) @ self.grid.d1
-                                   + self._diag(self.k**2 / self.F))
-        return self._cache["lap0"]
+        return (self._diag(-self.F) @ self.grid.d2
+                + self._diag(-self.Fp) @ self.grid.d1
+                + self._diag(self.k**2 / self.F))
 
-    @property
+    @cached_property
     def hodge_laplacian(self):
         """Hodge Laplacian on one-forms assembled as d delta + delta d.
 
         An independent discretization path from gauge_laplacian; the two are
         related by the Weitzenboeck identity P = (1/2)(Delta - 2K).
         """
-        if "hodge" not in self._cache:
-            koverF = self.k / self.sqF
-            # s = sqF a' + beta a + k b/sqF;  d(-s) = (-sqF s', +k s/sqF)
-            S = self._block([[self._d_plus(self.sqF, self.beta), self._diag(koverF)]])
-            d_of_minus_s = self._block([[-(self._diag(self.sqF) @ self.grid.d1)],
-                                        [self._diag(koverF)]])
-            # c = sqF b' + beta b + k a/sqF;  delta(c vol) = (k c/sqF, -sqF c')
-            C = self._block([[self._diag(koverF), self._d_plus(self.sqF, self.beta)]])
-            c_back = self._block([[self._diag(koverF)],
-                                  [-(self._diag(self.sqF) @ self.grid.d1)]])
-            self._cache["hodge"] = d_of_minus_s @ S + c_back @ C
-        return self._cache["hodge"]
+        koverF = self.k / self.sqF
+        # s = sqF a' + beta a + k b/sqF;  d(-s) = (-sqF s', +k s/sqF)
+        S = self._block([[self._d_plus(self.sqF, self.beta), self._diag(koverF)]])
+        d_of_minus_s = self._block([[-(self._diag(self.sqF) @ self.grid.d1)],
+                                    [self._diag(koverF)]])
+        # c = sqF b' + beta b + k a/sqF;  delta(c vol) = (k c/sqF, -sqF c')
+        C = self._block([[self._diag(koverF), self._d_plus(self.sqF, self.beta)]])
+        c_back = self._block([[self._diag(koverF)],
+                              [-(self._diag(self.sqF) @ self.grid.d1)]])
+        return d_of_minus_s @ S + c_back @ C
 
-    @property
+    @cached_property
     def linearized_einstein(self):
         """L on sym2_full, hyperbolic base required (K = -1 on the grid)."""
-        if "L" not in self._cache:
-            if not np.allclose(self.Fpp, 2.0, atol=1e-12):
-                raise ValueError("linearized gauged operator needs a K = -1 profile")
-            DK0 = self.conformal_killing @ self.divergence_tf
-            trace_op = 0.5 * self.scalar_laplacian + sp.eye(self.grid.n, format="csr")
-            self._cache["L"] = self._block([[DK0, None], [None, trace_op]])
-        return self._cache["L"]
+        if not np.allclose(self.Fpp, 2.0, atol=1e-12):
+            raise ValueError("linearized gauged operator needs a K = -1 profile")
+        DK0 = self.conformal_killing @ self.divergence_tf
+        trace_op = 0.5 * self.scalar_laplacian + sp.eye(self.grid.n, format="csr")
+        return self._block([[DK0, None], [None, trace_op]])
 
-    @property
+    @cached_property
     def linearized_curvature(self):
         """DK on sym2_full -> scalar: ((1/2)Delta + 1) f + (1/2) delta delta h0."""
-        if "DK" not in self._cache:
-            f_part = 0.5 * self.scalar_laplacian + sp.eye(self.grid.n, format="csr")
-            h0_part = 0.5 * (self.codifferential @ self.divergence_tf)
-            self._cache["DK"] = self._block([[h0_part, f_part]])
-        return self._cache["DK"]
+        f_part = 0.5 * self.scalar_laplacian + sp.eye(self.grid.n, format="csr")
+        h0_part = 0.5 * (self.codifferential @ self.divergence_tf)
+        return self._block([[h0_part, f_part]])
 
 
 def mode_operators(profile, grid: RadialGrid, k: int) -> ModeOperators:

@@ -39,9 +39,9 @@ Each block acts on both rho channels at once, stacked as the flattened
 (2, n) array, and keeps band data only:
 
 * P as the channels' cyclic tridiagonal diagonals (L, D, U), each (2, n),
-  built from the stencils (:func:`~wpneck.surface.channel_diagonals`),
-  and those of P^T, built once; P and P^T are band matvecs.  No block
-  assembles a sparse matrix or :class:`~wpneck.operators.ModeOperators`.
+  built from the stencils (:func:`~wpneck.surface.channel_diagonals`); P
+  and P^T are band matvecs on them.  No block assembles a sparse matrix or
+  :class:`~wpneck.operators.ModeOperators`.
 * G_0 and G_1 as one :class:`~wpneck.surface.SubdomainSolver`: the
   Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
   with zero coupling and factored once, each a diagonal similarity of a
@@ -69,11 +69,12 @@ right-hand sides and outputs pass through the eliminated runs' end columns.
 solve that the Neumann series is checked against.
 
 Operator norms of R and S are estimated by Golub-Kahan-Lanczos
-bidiagonalization (Golub & Kahan 1965): each step applies the operator and
-its transpose once (band matvecs through the transposed band, and banded
-solves), and the largest singular value of the growing bidiagonal is the
-estimate.  On the uniform periodic grid the Euclidean norm is the L^2 norm
-up to a constant, so the estimate is the L^2 operator norm.
+bidiagonalization (Golub & Kahan 1965, :func:`golub_kahan_norm`): each step
+applies the operator and its transpose once (band matvecs on P's
+diagonals, and banded solves), and the largest singular value of the
+growing bidiagonal is the estimate.  On the uniform periodic grid the
+Euclidean norm is the L^2 norm up to a constant, so the estimate is the
+L^2 operator norm.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ from .surface import (
     smoothstep_d1,
     thick_indices,
     thin_indices,
-    transposed_diagonals,
     _band_pieces,
     _Condensed,
     _cut_closure,
@@ -112,6 +112,8 @@ from .ttbasis import tt_element, tt_limit
 
 __all__ = [
     "ModeParametrix",
+    "NormEstimate",
+    "golub_kahan_norm",
     "ParametrixFamily",
     "ParametrixReport",
     "ReferenceBank",
@@ -139,9 +141,67 @@ def mu_cutoff_d1(tau):
     return -np.sign(t) * smoothstep_d1((r - 0.5) * 4.0) * 4.0
 
 
-# the relative step of sigma_max(B_j) that ends operator_norm's bidiagonalization
+# the relative step of sigma_max(B_j) that ends a bidiagonalization
+# (golub_kahan_norm)
 _NORM_RTOL = 1e-6
 _NEUMANN_MAX_TERMS = 400
+
+
+@dataclass(frozen=True)
+class NormEstimate:
+    """An operator norm estimate: sigma, the steps taken, and whether the last
+    step met the relative tolerance (or found an invariant subspace)."""
+
+    sigma: float
+    steps: int
+    converged: bool
+
+
+def golub_kahan_norm(fwd, bwd, start: np.ndarray, project,
+                     iters: int = 20) -> NormEstimate:
+    """Largest singular value of A by Golub-Kahan-Lanczos bidiagonalization.
+
+    ``fwd`` applies A and ``bwd`` A^T; ``project`` is applied to the start
+    and after each of them, so both sides stay in its range.  From
+    v_1 = project(start) / |project(start)|, step j applies A once and A^T
+    once:
+
+        alpha_j u_j = A v_j - beta_{j-1} u_{j-1},
+        beta_j v_{j+1} = A^T u_j - alpha_j v_j,
+
+    so A^T U_j = V_{j+1} B_j with B_j the (j + 1) x j lower bidiagonal of
+    the alphas (diagonal) and betas (below it), and the estimate is
+    sigma_max(B_j), which never exceeds ||A||.  Only the last u and v are
+    kept, with no reorthogonalization.  The estimate converges when a step
+    moves it by at most :data:`_NORM_RTOL` relative or finds an invariant
+    subspace (A = 0 included); after ``iters`` steps without that, the last
+    estimate is returned, marked unconverged.
+    """
+    v = project(start)
+    v = v / np.linalg.norm(v)
+    u, beta = 0.0, 0.0
+    alphas, betas = [], []
+    sigma = 0.0
+    for step in range(1, iters + 1):
+        u = project(fwd(v)) - beta * u
+        alpha = np.linalg.norm(u)
+        if alpha == 0.0:
+            return NormEstimate(sigma, step, True)
+        u /= alpha
+        v = project(bwd(u)) - alpha * v
+        beta = np.linalg.norm(v)
+        alphas.append(alpha)
+        betas.append(beta)
+        a, b = np.array(alphas), np.array(betas)
+        d = a * a + b * b  # B_j^T B_j: this diagonal, a[1:] * b[:-1] beside it
+        # eigenvalues only, so no basis is kept; dsterf maps far less LAPACK than svd
+        lam = lapack.dsterf(d, a[1:] * b[:-1])[0][-1] if step > 1 else d[0]
+        new_sigma = math.sqrt(lam)
+        if beta == 0.0 or abs(new_sigma - sigma) <= _NORM_RTOL * new_sigma:
+            return NormEstimate(new_sigma, step, True)
+        sigma = new_sigma
+        v /= beta
+    return NormEstimate(sigma, iters, False)
 
 
 class _Layers:
@@ -351,7 +411,6 @@ class ModeParametrix:
         self.k = int(k)
         self.cutoffs = cutoffs
         self.bank = bank
-        self.norm_steps, self.norm_converged = 0, False
         if self.k == 0:
             self.diags, self.kernel = zero_mode(surface, grid)
         else:
@@ -362,7 +421,6 @@ class ModeParametrix:
                 math.prod((s - si) / (sj - si)
                           for i, si in enumerate(bank.s_nodes) if i != j)
                 for j, sj in enumerate(bank.s_nodes)])
-        self._diags_T = transposed_diagonals(self.diags)
         layers = bank.layers if bank is not None else _Layers.of_blocks(grid, cutoffs)
         self.G = SubdomainSolver(self.diags, layers.runs)
         # the band's stacked order is the layers': run by run, both channels of each
@@ -373,7 +431,7 @@ class ModeParametrix:
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
-        return band_matvec(self._diags_T if trans == "T" else self.diags, w)
+        return band_matvec(self.diags, w, trans)
 
     def _solve_pieces(self, w):
         """G_j chi_j w for both subdomains, in the band's stacked order."""
@@ -433,57 +491,14 @@ class ModeParametrix:
         return kernel_complement(w, self.kernel, self.grid.weights)
 
     def operator_norm(self, which: str = "S", iters: int = 20,
-                      seed: int = 0) -> float:
-        """Largest singular value of S (or R) by Golub-Kahan-Lanczos
-        bidiagonalization from a random start v_1.
-
-        Step j applies A once and A^T once:
-
-            alpha_j u_j = A v_j - beta_{j-1} u_{j-1},
-            beta_j v_{j+1} = A^T u_j - alpha_j v_j,
-
-        so A^T U_j = V_{j+1} B_j with B_j the (j + 1) x j lower bidiagonal
-        of the alphas (diagonal) and betas (below it), and the estimate is
-        sigma_max(B_j), which never exceeds ||A||.  Only the last u and v
-        are kept, with no reorthogonalization.  At k = 0 both sides stay in
-        the complement of the conformal Killing directions.  The number of
-        steps taken is left in :attr:`norm_steps`, and whether the last step
-        moved the estimate by at most its relative tolerance (or found an
-        invariant subspace, A = 0 included) in :attr:`norm_converged`; after
-        ``iters`` steps without that, the last estimate is returned all the
-        same.
-        """
-        fwd = self.apply_S if which == "S" else self.apply_R
-        bwd = self.apply_S_T if which == "S" else self.apply_R_T
-        rng = np.random.default_rng(seed)
-        v = self._project(rng.standard_normal((2, self.grid.n)))
-        v /= np.linalg.norm(v)
-        u, beta = 0.0, 0.0
-        alphas, betas = [], []
-        sigma = 0.0
-        self.norm_converged = True
-        for step in range(1, iters + 1):
-            self.norm_steps = step
-            u = self._project(fwd(v)) - beta * u
-            alpha = np.linalg.norm(u)
-            if alpha == 0.0:
-                return sigma
-            u /= alpha
-            v = self._project(bwd(u)) - alpha * v
-            beta = np.linalg.norm(v)
-            alphas.append(alpha)
-            betas.append(beta)
-            a, b = np.array(alphas), np.array(betas)
-            d = a * a + b * b  # B_j^T B_j: this diagonal, a[1:] * b[:-1] beside it
-            # eigenvalues only, so no basis is kept; dsterf maps far less LAPACK than svd
-            lam = lapack.dsterf(d, a[1:] * b[:-1])[0][-1] if step > 1 else d[0]
-            new_sigma = math.sqrt(lam)
-            if beta == 0.0 or abs(new_sigma - sigma) <= _NORM_RTOL * new_sigma:
-                return new_sigma
-            sigma = new_sigma
-            v /= beta
-        self.norm_converged = False
-        return sigma
+                      seed: int = 0) -> NormEstimate:
+        """||S|| (or ||R||) by :func:`golub_kahan_norm` from a random start
+        of ``seed``.  At k = 0 both sides stay in the complement of the
+        conformal Killing directions."""
+        fwd, bwd = ((self.apply_S, self.apply_S_T) if which == "S"
+                    else (self.apply_R, self.apply_R_T))
+        start = np.random.default_rng(seed).standard_normal((2, self.grid.n))
+        return golub_kahan_norm(fwd, bwd, start, self._project, iters)
 
     def neumann_solve(self, w, tol: float = 1e-12):
         """Gbar sum_j S^j w; returns (solution, number of terms summed)."""
@@ -568,9 +583,9 @@ class ParametrixFamily:
         norm_R = 0.0
         for k in self.ks:
             blk = self.block(ell, k)
-            per_mode[k] = blk.operator_norm("S", seed=norm_seed)
-            steps[k], converged[k] = blk.norm_steps, blk.norm_converged
-            norm_R = max(norm_R, blk.operator_norm("R", seed=norm_seed))
+            est = blk.operator_norm("S", seed=norm_seed)
+            per_mode[k], steps[k], converged[k] = est.sigma, est.steps, est.converged
+            norm_R = max(norm_R, blk.operator_norm("R", seed=norm_seed).sigma)
         norm_S = max(per_mode.values())
         if norm_S >= 1.0:
             raise ArithmeticError(

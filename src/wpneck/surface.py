@@ -81,7 +81,6 @@ __all__ = [
     "cap_indices",
     "band_matvec",
     "channel_diagonals",
-    "transposed_diagonals",
     "kernel_complement",
     "thick_indices",
     "thin_indices",
@@ -748,18 +747,14 @@ def channel_diagonals(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
     return L, D, U
 
 
-def transposed_diagonals(diags):
-    """The diagonals of P^T from the diagonals (L, D, U) of P."""
-    L, D, U = diags
-    return np.roll(U, 1, axis=1), D, np.roll(L, -1, axis=1)
-
-
-def band_matvec(diags, w: np.ndarray) -> np.ndarray:
-    """``P @ w`` for w of shape (2, n), from the diagonals ``diags`` of P.
+def band_matvec(diags, w: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``P @ w`` for w of shape (2, n), from the diagonals ``diags`` of P;
+    ``P.T @ w`` with ``trans="T"``.
 
     Each row sums its three terms in column order, as scipy's CSC and CSR
     matvecs of the same matrix do, so the result matches them bit for bit.
-    For ``P.T @ w`` pass :func:`transposed_diagonals`, built once.
+    Row i of P^T holds U_{i-1}, D_i and L_{i+1} (cyclically in each channel),
+    read from P's own diagonals.
     """
     L, D, U = (d.reshape(-1) for d in diags)
     x = w.reshape(-1)
@@ -767,11 +762,17 @@ def band_matvec(diags, w: np.ndarray) -> np.ndarray:
     y = np.empty_like(x)
     # both channels as one flat band; the first and last row of each channel
     # (wrong here, and the only rows with a periodic corner) are redone below
-    y[1:-1] = L[1:-1] * x[:-2] + D[1:-1] * x[1:-1] + U[1:-1] * x[2:]
+    if trans == "T":
+        y[1:-1] = U[:-2] * x[:-2] + D[1:-1] * x[1:-1] + L[2:] * x[2:]
+    else:
+        y[1:-1] = L[1:-1] * x[:-2] + D[1:-1] * x[1:-1] + U[1:-1] * x[2:]
     for a in (0, n):
         b = a + n - 1
-        y[a] = D[a] * x[a] + U[a] * x[a + 1] + L[a] * x[b]
-        y[b] = U[b] * x[a] + L[b] * x[b - 1] + D[b] * x[b]
+        # the lower and upper entries of the rows a and b
+        la, ua, lb, ub = ((U[b], L[a + 1], U[b - 1], L[a]) if trans == "T"
+                          else (L[a], U[a], L[b], U[b]))
+        y[a] = D[a] * x[a] + ua * x[a + 1] + la * x[b]
+        y[b] = ub * x[a] + lb * x[b - 1] + D[b] * x[b]
     return y.reshape(w.shape)
 
 
@@ -1202,7 +1203,7 @@ class FactoredGlobalSolver:
             raise ValueError(f"the factored solver needs an even grid of at least "
                              f"4 nodes (got n = {n})")
         self._c = 0.5 / grid.weights[0]  # the d1 weight 1 / (2h)
-        self._K = self._even = self.cap = None
+        self._K = self.cap = None
         if self.k:
             self._K = self.k / self.sqF
             self._solve = _cut_closure(_band_solve(_cut_band(self.diagonals)), n,
@@ -1222,6 +1223,11 @@ class FactoredGlobalSolver:
     def _half(self) -> tuple[np.ndarray, np.ndarray]:
         """(sqrt(F), beta) on the mirror half, built on first read."""
         return _coefficients(self.surface.grid_jet(self.grid.mirror_half))
+
+    @cached_property
+    def _even(self) -> _Closure:
+        """The even sector's bordered solve, built on the first whole-grid solve."""
+        return _even_sector(self.diagonals, self.sqF, self.grid.weights)
 
     @property
     def sqF(self) -> np.ndarray:
@@ -1286,8 +1292,6 @@ class FactoredGlobalSolver:
         even = np.empty((2, h + 1))
         even[:, [0, h]] = rhs[:, [0, h]]
         even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
-        if self._even is None:
-            self._even = _even_sector(self.diagonals, self.sqF, self.grid.weights)
         x = np.zeros((2, n))
         x[:, :h + 1] = self._even(even.T)[0].T
         x[:, h + 1:] = x[:, h - 1:0:-1]

@@ -19,7 +19,7 @@ from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             _reflect, _sector_diagonals,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
-                            thick_indices, thin_indices, transposed_diagonals)
+                            thick_indices, thin_indices)
 from wpneck.wp import length_variation, twist_variation
 
 from conftest import channel_matrices, cyclic_diagonals
@@ -410,9 +410,9 @@ def test_band_matvec_sums_like_the_sparse_matvecs():
         diags = cyclic_diagonals(P)
         for _ in range(20):
             w = rng.standard_normal((2, grid.n)) * 10.0 ** rng.integers(-3, 4, (2, grid.n))
-            for d, mat in ((diags, P), (transposed_diagonals(diags), P.T)):
-                assert np.array_equal(band_matvec(d, w),
-                                      (mat @ w.reshape(-1)).reshape(2, -1)), k
+            for trans, mat in (("N", P), ("T", P.T)):
+                assert np.array_equal(band_matvec(diags, w, trans),
+                                      (mat @ w.reshape(-1)).reshape(2, -1)), (k, trans)
 
 
 def test_channel_diagonals_match_the_sparse_channel_matrices():
@@ -528,7 +528,7 @@ def test_global_solvers_are_freed_without_the_collector(surface_grid):
         # a k = 0 solver builds its even sector on the first solve that needs it
         fs = FactoredGlobalSolver(surf, surface_grid, 0)
         fs.solve_sigma(np.ones((2, surface_grid.n)))
-        assert fs._even is not None
+        assert "_even" in vars(fs)
         ref = weakref.ref(fs)
         del fs
         assert ref() is None
