@@ -64,6 +64,15 @@ def _note_coarse_grid(quantity: str, ells: list[float], n: int) -> None:
               f"have ell below the grid spacing 4/{n} = {h:.6g}", file=sys.stderr)
 
 
+def _note_unweighted(rows: list[dict]) -> None:
+    """Note on stderr the sweep wp rows that have no conformal factor (phi = 0)."""
+    ells = [r["ell"] for r in rows if np.isnan(r["conformal_bound"])]
+    if ells:
+        print(f"wpneck: note: sweep wp: {len(ells)} of {len(rows)} rows use phi = 0 "
+              f"(the neck curvature is not negative), the first at ell = {min(ells):.6g}",
+              file=sys.stderr)
+
+
 def _suite_cylinder(cfg: RunConfig) -> list[dict]:
     from .cylinder import (CylinderMetric, boundary_distance, make_chart,
                            metric_components, plumbing_substitution_check,
@@ -263,6 +272,7 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
         _note_coarse_grid(quantity, ells, cfg.sweep_grid_n)
         rows = sweep_wp_coefficients(ells, grid_n=cfg.sweep_grid_n,
                                      jobs=cfg.jobs)
+        _note_unweighted(rows)
         header = ["ell", "g_ll", "g_lw", "g_ww"]
         return header, [[_fmt(r["ell"]), _fmt(r["g_ll"]), _fmt(r["g_lw"]),
                          _fmt(r["g_ww"])] for r in rows]

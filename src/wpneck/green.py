@@ -152,7 +152,6 @@ def solve_zero_mode(
     *,
     c: float = 0.5,
     n: int = 4097,
-    enforce_gap: bool = True,
 ) -> GreenSolveReport:
     """Explicit inverse of the unscaled zero-mode operator on [-b, b], b = 1.
 
@@ -160,9 +159,8 @@ def solve_zero_mode(
     gauge Laplacian is half the channel operator, so to invert it on a
     channel right-hand side r call with h = 2 r.
 
-    Moment integrals use composite Simpson in the arcsinh variable; with
-    ``enforce_gap`` the standing support hypothesis |tau| <= c => h = 0 is
-    checked (the weightless integrands are benign either way).
+    Moment integrals use composite Simpson in the arcsinh variable.  The
+    standing support hypothesis |tau| <= c => h = 0 is checked.
     """
     if ell <= 0:
         raise ValueError("explicit zero-mode inverse needs ell > 0")
@@ -171,8 +169,7 @@ def solve_zero_mode(
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     if hv.shape != tau.shape:
         raise ValueError("rhs samples do not match the solver grid")
-    if enforce_gap:
-        _enforce_support_gap(tau, hv, c, "zero-mode rhs")
+    _enforce_support_gap(tau, hv, c, "zero-mode rhs")
 
     hom = HomogeneousSolutions(ell)
     u, v = hom.u(tau), hom.v(tau)
@@ -267,14 +264,15 @@ def solve_nonzero_mode(
     sign: int = +1,
     c: float = 0.5,
     n: int = 4097,
-    enforce_gap: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dirichlet solve of the unscaled channel operator P_k^sign w = h, k != 0.
 
     Returns (tau nodes, solution).  The discretization is an M-matrix, so
     the discrete solution obeys the maximum-principle bound
     |w| <= max(||h||_inf, |eta+-|).  A band that is not an M-matrix (n = 5
-    or 7 at ell = 1e-3) is refused with a ``numpy.linalg.LinAlgError``.
+    or 7 at ell = 1e-3) is refused with a ``numpy.linalg.LinAlgError``, and
+    so is an rhs that breaks the standing support hypothesis |tau| <= c =>
+    h = 0, with a ValueError.
     """
     if k == 0:
         raise ValueError("use solve_zero_mode for k = 0")
@@ -283,8 +281,7 @@ def solve_nonzero_mode(
     agrid = arcsinh_grid(ell, _TAU_BOUND, n)
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
-    if enforce_gap:
-        _enforce_support_gap(tau, hv, c, "nonzero-mode rhs")
+    _enforce_support_gap(tau, hv, c, "nonzero-mode rhs")
     return _channel_bvp_t(agrid, abs(k), sign, hv, eta_plus, eta_minus)
 
 
@@ -396,15 +393,14 @@ def cylinder_dirichlet_inverse(
     f: ModeField,
     *,
     c: float = 0.5,
-    enforce_gap: bool = True,
 ) -> ModeField:
     """Dirichlet inverse of the one-form gauge Laplacian on an interval grid.
 
     Solves (1/2) P_k^+- per rho channel on the interior rows with zero
     boundary values, one tridiagonal band solve per channel, so the
     returned mode inverts ``apply_gauge_laplacian`` up to solver accuracy
-    on the given finite-difference grid.  ``enforce_gap`` applies the
-    standing support hypothesis used by the expansion statements.
+    on the given finite-difference grid.  The rhs must meet the standing
+    support hypothesis of the expansion statements, |tau| <= c => f = 0.
     """
     if grid.scheme == "chebyshev":
         raise ValueError("cylinder inverse needs a finite-difference grid")
@@ -414,9 +410,8 @@ def cylinder_dirichlet_inverse(
         raise ValueError("rhs mode lives on a different grid")
     if not np.all(np.isfinite(f.data)):
         raise ValueError(f"mode {f.key} rhs must be finite")
-    if enforce_gap:
-        _enforce_support_gap(grid.nodes, np.max(np.abs(f.data), axis=0), c,
-                             f"mode {f.key} rhs")
+    _enforce_support_gap(grid.nodes, np.max(np.abs(f.data), axis=0), c,
+                         f"mode {f.key} rhs")
     opk = mode_operators(m, grid, f.k)
     sols = []
     for sign, b in zip((+1, -1), f.rho()):

@@ -144,6 +144,11 @@ def mu_cutoff_d1(tau):
 # the relative step of sigma_max(B_j) that ends a bidiagonalization
 # (golub_kahan_norm)
 _NORM_RTOL = 1e-6
+# an S estimate below this fraction of the same mode's ||R|| is round-off in
+# S = R - PF, where no relative step rule holds (ParametrixFamily.report).
+# At n = 2048 S/R is at most 3.9e-11 at the five default reference nodes and
+# at least 3.8e-7 at criterion 7's lengths (ks 0-8, seeds 0 and 1)
+_S_ROUNDOFF = 1e-9
 _NEUMANN_MAX_TERMS = 400
 
 
@@ -539,7 +544,9 @@ class ParametrixReport:
     residual: float
     norm_steps: dict[int, int]
     #: per mode, whether the S bidiagonalization met its step tolerance
-    #: within its step cap; an estimate that did not may be low
+    #: within its step cap, or S is at round-off (below :data:`_S_ROUNDOFF`
+    #: of the mode's ||R||, as at a reference node); an estimate that is
+    #: neither may be low
     norm_converged: dict[int, bool]
 
 
@@ -584,8 +591,10 @@ class ParametrixFamily:
         for k in self.ks:
             blk = self.block(ell, k)
             est = blk.operator_norm("S", seed=norm_seed)
-            per_mode[k], steps[k], converged[k] = est.sigma, est.steps, est.converged
-            norm_R = max(norm_R, blk.operator_norm("R", seed=norm_seed).sigma)
+            mode_R = blk.operator_norm("R", seed=norm_seed).sigma
+            per_mode[k], steps[k] = est.sigma, est.steps
+            converged[k] = est.converged or est.sigma < _S_ROUNDOFF * mode_R
+            norm_R = max(norm_R, mode_R)
         norm_S = max(per_mode.values())
         if norm_S >= 1.0:
             raise ArithmeticError(
@@ -636,7 +645,6 @@ def project_tt(
     h: ModeField,
     solvers: SolverBank | None = None,
     family: ParametrixFamily | None = None,
-    even: bool = False,
     potential: bool = False,
 ) -> ModeField | tuple[ModeField, np.ndarray]:
     """Projection of one mode onto transverse-traceless tensors.
@@ -654,15 +662,13 @@ def project_tt(
     the direct channel stencils, and B and D are the sparse mode operators;
     the two agree up to discretization order.
 
-    ``even`` says that ``h`` is a k = 0 tensor even in tau, given on the
-    grid's mirror half (:attr:`~wpneck.grids.RadialGrid.mirror_half`) or on
-    the odd sector's neck window (:attr:`~wpneck.surface.OddCap.window`),
-    as the WP variations are by construction.  Its Bianchi image is then
-    odd, and the factored solver solves only its odd sector
-    (``solve_sigma(..., odd=True)``), which refuses an rhs that is not odd
-    and any k >= 1; ``h`` is projected on its own nodes.  The parametrix
-    route ignores ``even``.  With ``potential``, the one-form w with
-    T(g.) = pi(g.) - D w is returned too, as (T(g.), w) with w's sigma
+    ``h``'s column count says where it lives.  A k = 0 ``h`` on the odd
+    sector's neck window (:attr:`~wpneck.surface.OddCap.window`) is an even
+    tensor that vanishes on the cap, as the WP variations are by
+    construction: its Bianchi image is odd, the factored solver solves only
+    its odd sector, and ``h`` is projected on the window.  The parametrix
+    route takes ``h`` on all n nodes.  With ``potential``, the one-form w
+    with T(g.) = pi(g.) - D w is returned too, as (T(g.), w) with w's sigma
     components on ``h``'s nodes.
     """
     if h.rank is Rank.SYM2_TRACEFREE:
@@ -670,7 +676,7 @@ def project_tt(
     if family is None:
         bank = solvers if solvers is not None else SolverBank(surface, grid)
         fs = bank.get(h.k)
-        w = fs.solve_sigma(fs.bianchi(h.data), odd=even)
+        w = fs.solve_sigma(fs.bianchi(h.data))
         corr = fs.conformal_killing(w)
     else:
         opk = mode_operators(surface, grid, h.k)

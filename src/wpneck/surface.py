@@ -217,7 +217,8 @@ class ModelSurfaceMetric:
 
         It combines the grid's shared :meth:`grid_pieces`.  A WP row reads
         it on two grids, the neck grid of the conformal solve and then the
-        periodic grid's mirror half, for the variations and the k = 0 solver.
+        neck window of the periodic grid's mirror half, for the variations
+        and the k = 0 solver.
         """
         if not self._grid_jet or self._grid_jet[0] is not grid:
             self._grid_jet[:] = [grid, self._combine(self.grid_pieces(grid))]
@@ -926,28 +927,28 @@ def _band_solve(ab):
     return lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0]
 
 
-def _sector_diagonals(diags, n: int, odd: bool) -> np.ndarray:
-    """The (1, 5, m) diagonals of M on one sector of the reflection R: i -> n - i.
+def _sector_diagonals(diags, n: int, parity: float) -> np.ndarray:
+    """The (1, 5, m) diagonals of M on the sector of R: i -> n - i of ``parity``
+    (+1 even, -1 odd).
 
     ``diags`` is (1, 5, n) as in :func:`_cyclic_corners`, for an M that
     commutes with R on n nodes (only the sector's rows are read, so those of
     the nodes 0 ... n/2 do).  The odd sector has the nodes 1 ... n/2 - 1
     (u_0 = u_{n/2} = 0), the even one 0 ... n/2.  A column outside the
-    sector is folded onto its mirror by u_{-j} = -+u_j, u_{n/2 + j} =
-    -+u_{n/2 - j}; the entries left outside are the wrapped ones that
+    sector is folded onto its mirror by u_{-j} = parity u_j, u_{n/2 + j} =
+    parity u_{n/2 - j}; the entries left outside are the wrapped ones that
     :func:`_cut_band` cuts.  The solver writes the odd sector's band
     directly, in two blocks (:func:`_odd_band`, :class:`OddCap`); this one
     is the reference that they are checked against.
     """
-    lo, hi = (1, n // 2 - 1) if odd else (0, n // 2)
-    sign = -1.0 if odd else 1.0
+    lo, hi = (1, n // 2 - 1) if parity < 0 else (0, n // 2)
     out = diags[:, :, lo:hi + 1].copy()
     for i in sorted({lo, lo + 1, hi - 1, hi} & set(range(lo, hi + 1))):
         for d in (-2, -1, 1, 2):
             j = i + d
             mirror = -j if j < lo else n - j
             if not lo <= j <= hi and lo <= mirror <= hi:
-                out[:, 2 + mirror - i, i - lo] += sign * diags[:, 2 + d, i]
+                out[:, 2 + mirror - i, i - lo] += parity * diags[:, 2 + d, i]
     return out
 
 
@@ -968,7 +969,7 @@ def _even_sector(diags, sqF, weights) -> _Closure:
     """
     n = sqF.size
     h = n // 2
-    band = _sector_diagonals(diags, n, odd=False)
+    band = _sector_diagonals(diags, n, 1.0)
     rows, cols = np.array([0, 0, h, h]), np.array([1, 2, h - 2, h - 1])
     vals = band[0, 2 + cols - rows, rows]
     band[0, 2 + cols - rows, rows] = 0.0
@@ -1059,7 +1060,7 @@ class OddCap:
         self.p = p
         c = 0.5 / grid.weights[0]
         self._c = c
-        self._half = half
+        self._mirror = half
         self.window = half.span(p, h + 1)
         self.update = np.zeros((2, 2))
         Z = np.zeros((0, 2))
@@ -1115,8 +1116,8 @@ class OddCap:
             return self._gram
         # |tau| falls along the cap; one node more than searched, whose
         # weight is 1 if it lies outside
-        lo = max(int(np.searchsorted(self._half.nodes[:self.p], -domain)) - 1, 0)
-        part = self._half.span(lo, self.p)
+        lo = max(int(np.searchsorted(self._mirror.nodes[:self.p], -domain)) - 1, 0)
+        part = self._mirror.span(lo, self.p)
         Y = self.Y[lo:]
         return self._gram + Y.T @ ((part.weights * (weight(part) - 1.0))[:, None] * Y)
 
@@ -1173,25 +1174,23 @@ class FactoredGlobalSolver:
     is a plain band, condensed onto its neck rows (:class:`OddCap`, kept
     with the grid): here only those rows are written into LAPACK storage
     (:func:`_odd_band`) and factored, from the coefficients of the
-    :attr:`OddCap.window` alone; those of the mirror half and of the whole
-    grid are built on first read.  The even sector holds M's two null
-    directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F); its bordered
-    solve (:func:`_even_sector`, built on the first solve that needs it)
-    keeps the solution in the complement of the weighted pair, as a
-    bordered solve with the whole of M does.
+    :attr:`OddCap.window` alone; those of the whole grid are built on first
+    read.  The even sector holds M's two null directions, sqrt(F) and the
+    checkerboard (-1)^i / sqrt(F); its bordered solve (:func:`_even_sector`,
+    built on the first solve that needs it) keeps the solution in the
+    complement of the weighted pair, as a bordered solve with the whole of
+    M does.
 
-    ``solve_sigma(rhs, odd=True)`` solves the odd sector alone, for a
-    right-hand side odd by construction (the Bianchi image of an even
-    tensor), given on the grid's mirror half (n/2 + 1 columns) or on the
-    window; it refuses one whose even part, its values at the nodes 0 and
-    n/2, is not round-off.  :meth:`bianchi`, :meth:`solve_sigma` and
-    :meth:`conformal_killing` take such fields on either, where a WP row
-    computes them, and give their images there.  On the window a field
-    stands for one that vanishes on the cap: a tensor on the nodes
-    0 ... p + 1, a right-hand side on 0 ... p, and a solution is continued
-    onto the cap as its cap values -Z a.  ``kernel`` gives sqrt(F) in each
-    component, in the (2, 2n) layout.  Odd grids are refused: there the
-    exact null direction is a checkerboard remnant that nothing borders.
+    A field's column count says where it lives: on all n nodes, or at
+    k = 0 on the window (``cap.window.n`` columns), where a WP row computes
+    its fields; any other count is refused.  On the window a tensor is even
+    and a one-form odd under R, and each stands for one that vanishes on
+    the cap: a tensor on the nodes 0 ... p + 1, a right-hand side on
+    0 ... p.  There :meth:`solve_sigma` solves the odd sector alone and
+    continues its solution onto the cap as -Z a, and :meth:`bianchi` and
+    :meth:`conformal_killing` give their images on the window.  Odd grids
+    are refused: there the exact null direction is a checkerboard remnant
+    that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -1220,11 +1219,6 @@ class FactoredGlobalSolver:
         return _coefficients(self.surface.grid_jet(self.grid))
 
     @cached_property
-    def _half(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sqrt(F), beta) on the mirror half, built on first read."""
-        return _coefficients(self.surface.grid_jet(self.grid.mirror_half))
-
-    @cached_property
     def _even(self) -> _Closure:
         """The even sector's bordered solve, built on the first whole-grid solve."""
         return _even_sector(self.diagonals, self.sqF, self.grid.weights)
@@ -1242,51 +1236,40 @@ class FactoredGlobalSolver:
         """(1, 5, n): the cyclic diagonals of M+ (at k = 0, of M)."""
         return _factored_diagonals(self.sqF, self.beta, self._K, self._c)
 
-    @property
-    def kernel(self) -> np.ndarray | None:
-        """At k = 0, sqrt(F) normalized in each sigma component, as (2, 2n)."""
-        if self.k:
-            return None
-        v = np.concatenate([self.sqF, np.zeros_like(self.sqF)])
-        v /= np.linalg.norm(v)
-        return np.vstack([v, np.roll(v, self.sqF.size)])
+    def _on_window(self, m: int) -> bool:
+        """Whether a field of m columns lives on the window; False on all n nodes."""
+        if m == self.grid.n:
+            return False
+        if self.cap is not None and m == self.cap.window.n:
+            return True
+        window = "" if self.cap is None else f" or the neck window's {self.cap.window.n}"
+        raise ValueError(f"a k = {self.k} field lives on all {self.grid.n} nodes"
+                         f"{window}, not on {m}")
 
-    def _first(self, m: int) -> int:
-        """The first node of a field with m columns on the window or the mirror half."""
-        if self.cap is None:
-            raise ValueError("only the k = 0 solver works on the mirror half")
-        if m == self.cap.window.n:
-            return self.cap.p  # with an empty cap, the window is the half
-        if m == self.grid.n // 2 + 1:
-            return 0
-        raise ValueError(f"the odd sector takes a field on the mirror half "
-                         f"({self.grid.n // 2 + 1} columns) or the window "
-                         f"({self.cap.window.n}), not {m} columns")
+    def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs: one-form sigma components (2, m); returns them on its nodes.
 
-    def solve_sigma(self, rhs: np.ndarray, odd: bool = False) -> np.ndarray:
-        """rhs: one-form sigma components (2, n); returns sigma components.
-
-        With ``odd`` (k = 0 only) the rhs is odd under the grid reflection,
-        given on the mirror half or the window (see the class docstring), and
-        only the odd sector is solved: a ValueError is raised when its values
-        at the nodes 0 and n/2 exceed 1e-10 of its largest entry.  The
-        solution is given on the rhs's nodes.
+        On the window (see the class docstring) only the odd sector is
+        solved: a ValueError is raised when the rhs's value at node n/2 (with
+        an empty cap, also at node 0) exceeds 1e-10 of its largest entry, or
+        when it does not vanish on the cap.
         """
+        if self._on_window(rhs.shape[1]):
+            p = self.cap.p
+            tol = 1e-10 * _abs_max(rhs)
+            if _abs_max(rhs[:, -1]) > tol or (not p and _abs_max(rhs[:, 0]) > tol):
+                raise ValueError("the right-hand side is not odd under the grid reflection")
+            if p and rhs[:, 0].any():
+                raise ValueError("a right-hand side on the window must vanish on the cap")
+            return self._solve_odd(rhs, p)
         if self.k:
-            if odd:
-                raise ValueError("only the k = 0 solve has an odd sector")
             b = np.empty((rhs.shape[1], 2), order="F")
             b[:, 0] = rhs[0] + rhs[1]
             b[:, 1] = _reflect(rhs[0] - rhs[1])
             y = self._solve(b)[0]
             p, m = y[:, 0], _reflect(y[:, 1])
             return 0.5 * np.array([p + m, p - m])
-        if odd:
-            return self._solve_odd(rhs)
         n = self.grid.n
-        if rhs.shape[1] != n:
-            raise ValueError("a right-hand side on the mirror half or the window is "
-                             "solved with odd=True")
         h = n // 2
         mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
         even = np.empty((2, h + 1))
@@ -1297,21 +1280,17 @@ class FactoredGlobalSolver:
         x[:, h + 1:] = x[:, h - 1:0:-1]
         odd_part = np.zeros((2, h + 1))
         odd_part[:, 1:h] = 0.5 * (rhs[:, 1:h] - mirror)
-        y = self._solve_odd(odd_part)[:, 1:h]
+        y = self._solve_odd(odd_part, 0)[:, 1:h]
         x[:, 1:h] += y
         x[:, h + 1:] -= y[:, ::-1]
         return x
 
-    def _solve_odd(self, rhs: np.ndarray) -> np.ndarray:
-        """The odd sector's solve, condensed onto the neck rows (:class:`OddCap`)."""
+    def _solve_odd(self, rhs: np.ndarray, s: int) -> np.ndarray:
+        """The odd sector's solve of an rhs on the mirror half's nodes s ... n/2
+        (s = 0, or s = p on the window), condensed onto the neck rows
+        (:class:`OddCap`)."""
         cap, h = self.cap, self.grid.n // 2
-        s = self._first(rhs.shape[1])
         p = cap.p
-        tol = 1e-10 * _abs_max(rhs)
-        if _abs_max(rhs[:, -1]) > tol or (not s and _abs_max(rhs[:, 0]) > tol):
-            raise ValueError("the right-hand side is not odd under the grid reflection")
-        if s and rhs[:, 0].any():
-            raise ValueError("a right-hand side on the window must vanish on the cap")
         b = rhs[:, p + 1 - s:h - s].T
         y = None
         if not s and rhs[:, 1:p + 1].any():
@@ -1332,33 +1311,28 @@ class FactoredGlobalSolver:
         return x
 
     def _on(self, u: np.ndarray, parity: float):
-        """(sqrt(F), beta, ends) for ``u`` on the grid (ends None), its mirror
-        half or the window, where u is an even tensor (``parity`` +1) or an
-        odd one-form (-1): ends = (u_{first - 1}, u_{n/2 + 1})."""
-        m = u.shape[1]
-        if m == self.grid.n:
+        """(sqrt(F), beta, ends) for ``u`` on the grid (ends None) or the
+        window, where u is an even tensor (``parity`` +1) or an odd one-form
+        (-1): ends = (u_{p - 1}, u_{n/2 + 1})."""
+        if not self._on_window(u.shape[1]):
             return self.sqF, self.beta, None
-        if self._first(m):
-            # the window: a tensor vanishes on the cap, a one-form is -Z a there
-            if parity < 0:
-                left = u[..., 1:3] @ self.cap.edge[0]
-            elif u[..., :2].any():
-                raise ValueError("a tensor on the window must vanish on the cap and "
-                                 "at the window's first two nodes")
-            else:
-                left = 0.0
-        else:
+        if not self.cap.p:  # an empty cap: the window is the mirror half
             left = parity * u[..., 1]
-        coef = self._window if m == self.cap.window.n else self._half
-        return (*coef, (left, parity * u[..., -2]))
+        elif parity < 0:  # a one-form is -Z a on the cap
+            left = u[..., 1:3] @ self.cap.edge[0]
+        elif u[..., :2].any():
+            raise ValueError("a tensor on the window must vanish on the cap and "
+                             "at the window's first two nodes")
+        else:
+            left = 0.0
+        return (*self._window, (left, parity * u[..., -2]))
 
     def bianchi(self, h: np.ndarray) -> np.ndarray:
         """The Bianchi operator: sym2_full data (3, n) -> sigma components.
 
         The trace column cancels exactly, so this is -(A phi + K psi,
-        K phi + A psi).  At k = 0, data on the grid's mirror half or the
-        window is an even tensor, and its odd image is given there; on the
-        window it must vanish at the window's first two nodes.
+        K phi + A psi).  Data on the window is an even tensor that vanishes
+        at the window's first two nodes, and its odd image is given there.
         """
         u = h[:2]
         sqF, beta, ends = self._on(u, 1.0)
@@ -1370,10 +1344,8 @@ class FactoredGlobalSolver:
     def conformal_killing(self, w: np.ndarray) -> np.ndarray:
         """The conformal Killing operator: sigma components -> (phi, psi).
 
-        At k = 0, components on the grid's mirror half or the window are an
-        odd one-form there (0 at the nodes 0 and n/2; on the window continued
-        onto the cap by :attr:`OddCap.edge`), and its even image is given
-        there.
+        Components on the window are an odd one-form, continued onto the cap
+        by :attr:`OddCap.edge`, and its even image is given there.
         """
         sqF, beta, ends = self._on(w, -1.0)
         out = 0.5 * (sqF * _central(w, self._c, ends) - beta * w)

@@ -142,7 +142,7 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
     window = cap.window
     t, w = project_tt(surface, grid,
                       _variations(surface, window, length=True, twist=True),
-                      solvers=bank, even=True, potential=True)
+                      solvers=bank, potential=True)
     # (t_l, 0) and (0, t_w) as two views of [t_l; 0; t_w], sharing the zero
     # row, and so their interface values
     rows, edge = np.zeros((3, window.n)), np.zeros((3, 2))

@@ -101,18 +101,30 @@ def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _unweighted_note(flat: int, rows: int, first: str = "0.1") -> str:
+    """The stderr note of a sweep wp whose ``flat`` rows from ell = ``first`` have phi = 0."""
+    return (f"wpneck: note: sweep wp: {flat} of {rows} rows use phi = 0 (the neck "
+            f"curvature is not negative), the first at ell = {first}\n")
+
+
 def test_coarse_sweep_grid_is_noted_on_stderr(tmp_path, capsys):
     # at --grid-n 512 the spacing 4/512 exceeds the five smallest of the
-    # twelve default ells; the CSV itself is unchanged by the note
+    # twelve default ells; the CSV itself is unchanged by the note.  A wp
+    # sweep notes its rows without a conformal factor too: above ell ~ 0.0736
+    # the neck curvature is not negative on |tau| <= 7/8, and phi = 0
     for quantity in ("wp", "divergence"):
         out = tmp_path / f"{quantity}.csv"
         assert main(["sweep", quantity, "--grid-n", "512", "--out", str(out)]) == 0
         assert capsys.readouterr().err == (
             f"wpneck: note: sweep {quantity}: 5 of 12 rows have ell below "
-            "the grid spacing 4/512 = 0.0078125\n")
-    for args in (["divergence"], ["wp", "--ell-count", "2"]):
+            "the grid spacing 4/512 = 0.0078125\n"
+            + (_unweighted_note(1, 12) if quantity == "wp" else ""))
+    for args, err in ((["divergence"], ""), (["wp", "--ell-count", "2"], _unweighted_note(1, 2)),
+                      (["wp", "--ell-min", "0.05", "--ell-max", "0.9", "--ell-count", "3"],
+                       _unweighted_note(2, 3, "0.212132")),
+                      (["wp", "--ell-count", "2", "--ell-max", "0.07"], "")):
         assert main(["sweep", *args, "--out", str(tmp_path / "d.csv")]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == err
 
 
 def test_sweep_divergence_refuses_a_grid_without_transition_nodes(tmp_path, capsys):

@@ -60,8 +60,7 @@ def test_parity_preserved():
     # even rhs, symmetric data -> even solution
     ell = 0.3
     even = smooth_bump(-0.75, 0.75)
-    rep = solve_zero_mode(ell, lambda x: even(x) * (np.abs(x) > 0.5), 0.4, 0.4,
-                          enforce_gap=False)
+    rep = solve_zero_mode(ell, lambda x: even(x) * (np.abs(x) > 0.5), 0.4, 0.4)
     w = rep.solution
     assert np.max(np.abs(w - w[::-1])) < 1e-7 * np.max(np.abs(w))
 
@@ -109,10 +108,13 @@ def test_nonzero_mode_refuses_a_band_that_is_not_an_m_matrix():
     # at ell = 1e-3 on 7 nodes the t-spacing h is 2.53, so where
     # |tanh t| > 2/h one coupling of a pair turns positive: no maximum
     # principle and no symmetric form.  On 9 nodes h is 1.90, and the band
-    # is an M-matrix
+    # is an M-matrix.  The rhs vanishes on the support gap |tau| <= 1/2
+    def outer(t):
+        return (abs(t) > 0.5) * 1.0
+
     with pytest.raises(ValueError, match="symmetrizable"):
-        solve_nonzero_mode(1e-3, 3, np.ones(7), n=7, enforce_gap=False)
-    solve_nonzero_mode(1e-3, 3, np.ones(9), n=9, enforce_gap=False)
+        solve_nonzero_mode(1e-3, 3, outer, n=7)
+    solve_nonzero_mode(1e-3, 3, outer, n=9)
 
 
 def test_nonzero_mode_even_node_count_is_promoted():
@@ -285,6 +287,3 @@ def test_cylinder_dirichlet_inverse_support_rejection(cyl_half):
                     np.vstack([smooth_bump(-0.2, 0.2)(x), np.zeros_like(x)]))
     with pytest.raises(ValueError):
         cylinder_dirichlet_inverse(cyl_half, grid, bad)
-    # and accepted when the gap check is waived
-    out = cylinder_dirichlet_inverse(cyl_half, grid, bad, enforce_gap=False)
-    assert out.key == (1, Variant.COS)

@@ -824,6 +824,21 @@ def test_report_norms_converge_at_every_mode(criterion7):
             assert rep.per_mode_S[k] == pytest.approx(sigma, rel=1e-6, abs=0.0), (seed, ell, k)
 
 
+def test_report_counts_a_round_off_S_as_converged():
+    # at a reference node S = R - PF is at round-off (S/R <= 3.9e-11), so no
+    # bidiagonalization step meets the relative rule; report counts such a
+    # mode as converged, by its S below _S_ROUNDOFF of its ||R||.  Criterion
+    # 7's smallest S/R (3.8e-7) lies well above that fraction
+    family = ParametrixFamily(periodic_grid(-2.0, 2.0, 2048), ks=range(5))
+    for ell in (0.06, 0.25):
+        rep = family.report(ell)
+        for k in family.ks:
+            blk = family.block(ell, k)
+            assert not blk.operator_norm("S").converged, (ell, k)
+            assert rep.per_mode_S[k] < parametrix._S_ROUNDOFF * blk.operator_norm("R").sigma
+            assert rep.norm_converged[k], (ell, k)
+
+
 def test_operator_norm_agrees_with_arpack(criterion7):
     # a third path at the mode where the power iteration caps: ARPACK's
     # svds on a LinearOperator built from the block's S and S^T (measured

@@ -595,6 +595,13 @@ def test_factored_k0_operator_is_two_equal_channels(surface_grid):
         assert (mat[:n, :n] != mat[n:, n:]).nnz == 0
 
 
+def _sqrt_F_pair(sqF):
+    """sqrt(F) normalized in each sigma component, as (2, 2n)."""
+    v = np.concatenate([sqF, np.zeros_like(sqF)])
+    v /= np.linalg.norm(v)
+    return np.vstack([v, np.roll(v, sqF.size)])
+
+
 def _coupled_k0_solve(ell, grid, kernel, rhs):
     """The (2n+2) bordered solve that one channel LU replaced."""
     mat = _factored_k0(ell, grid)
@@ -624,7 +631,7 @@ def test_factored_k0_channel_solve_matches_coupled(surface_grid):
         for h, bound in ((length_variation(surf, grid), 5e-12),
                          (twist_variation(surf, grid), 5e-12), (noise, 5e-10)):
             b = (ops.bianchi @ h.data.reshape(-1)).reshape(2, -1)
-            want = _coupled_k0_solve(ell, grid, fs.kernel, b)
+            want = _coupled_k0_solve(ell, grid, _sqrt_F_pair(fs.sqF), b)
             got, want = (ops.conformal_killing @ x.reshape(-1)
                          for x in (fs.solve_sigma(b), want))
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -674,7 +681,7 @@ def test_factored_k0_solver_telescopes_across_ell(surface_grid, ell):
 
     def deflate(v):
         v = v.reshape(-1)
-        for kv in fs.kernel:
+        for kv in _sqrt_F_pair(fs.sqF):
             v = v - (kv @ v) * kv
         return v.reshape(2, -1)
 
@@ -728,25 +735,26 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
     grid = periodic_grid(-2.0, 2.0, n)
     fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.1), grid, 0)
     M = _dense(fs.diagonals[0])
-    for odd, lo, hi in ((True, 1, n // 2 - 1), (False, 0, n // 2)):
+    for parity, lo, hi in ((-1.0, 1, n // 2 - 1), (1.0, 0, n // 2)):
         nodes = np.arange(lo, hi + 1)
         basis = np.zeros((n, nodes.size))
         basis[nodes, np.arange(nodes.size)] = 1.0
         mirrored = nodes[(nodes != 0) & (nodes != n // 2)]
-        basis[n - mirrored, mirrored - lo] = -1.0 if odd else 1.0
+        basis[n - mirrored, mirrored - lo] = parity
         want = (M @ basis)[lo:hi + 1]
-        ab = _cut_band(_sector_diagonals(fs.diagonals, n, odd))
+        ab = _cut_band(_sector_diagonals(fs.diagonals, n, parity))
         got = np.zeros_like(want)
         for r in range(nodes.size):
             for c in range(max(r - 2, 0), min(r + 3, nodes.size)):
                 got[r, c] = ab[4 + r - c, c]
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max(), odd
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max(), parity
     # the solver condenses the odd band onto its neck rows p + 1 ... n/2 - 1.
     # The cap block (rows 1 ... p, written once per grid from the coefficients
     # at ell = 0) and the neck block before the cap's update (written per row
     # from the window's coefficients) are the band folded from the whole of
     # M, cut between them, bit for bit; a solve with both is dgbtrs on that
-    # band, for an rhs that is nonzero on the cap too.  The two solutions
+    # band, for an rhs that is nonzero on the cap too (an odd rhs on the whole
+    # grid, whose even part is exactly 0).  The two solutions
     # differ by the band's conditioning: the forward gap is bounded by
     # c kappa_1 eps (kappa_1 from dgbcon; c = 0.03, the gap measured at most
     # 7.5e-3 kappa_1 eps over 50 draws), and each is backward stable, its
@@ -759,12 +767,13 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
     for n in (12, 64, 2048, 16384, 4, 8):
         grid = periodic_grid(-2.0, 2.0, n)
         h = n // 2
-        rhs = np.zeros((2, h + 1))
+        rhs = np.zeros((2, n))
         rhs[:, 1:h] = rng.standard_normal((2, h - 1))
+        rhs[:, h + 1:] = -rhs[:, h - 1:0:-1]
         for ell in (1e-3, 0.05, 0.365, 0.9):
             fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
             assert "diagonals" not in vars(fs)  # not built for the odd sector
-            want = _cut_band(_sector_diagonals(fs.diagonals, n, odd=True))
+            want = _cut_band(_sector_diagonals(fs.diagonals, n, -1.0))
             p = fs.cap.p
             cap, neck = want[:, :p].copy(), want[:, p:].copy()
             for j in range(max(p - 2, 0), p):
@@ -782,7 +791,7 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
             kappa = 1.0 / lapack.dgbcon(2, 2, lu, piv, np.abs(want[2:]).sum(axis=0).max())[0]
             b = rhs[:, 1:h].T
             ref = lapack.dgbtrs(lu, 2, 2, b, piv)[0]
-            got = fs.solve_sigma(rhs, odd=True)
+            got = fs.solve_sigma(rhs)[:, :h + 1]
             x = got[:, 1:h].T
             err = np.abs(x - ref).max() / np.abs(ref).max()
             assert err <= 0.03 * kappa * eps and not got[:, [0, h]].any(), (n, ell, err)
@@ -823,47 +832,49 @@ def test_wp_bianchi_images_are_odd(n):
 
 def test_mirror_half_kernels_are_the_whole_grid_ones(surface_grid):
     # a WP row takes the k = 0 Bianchi image, the odd-sector solve and the
-    # conformal Killing image on part of the nodes 0 ... n/2.  There they are
-    # the whole grid's: the Bianchi image's odd part to round-off (the
-    # profile is even only to round-off at mirror nodes), the solve (against
-    # the solve of both sectors) and the conformal Killing image bit for bit
+    # conformal Killing image on the neck window, the nodes p ... n/2 of the
+    # mirror half.  There they are the whole grid's: the Bianchi image's odd
+    # part to round-off (the profile is even only to round-off at mirror
+    # nodes), the solve (against the solve of both sectors) and the
+    # conformal Killing image bit for bit, apart from what the cap's values
+    # reach.  The window continues a solution onto the cap by OddCap.edge,
+    # the whole grid by -Z a, the same products summed apart: its value at
+    # node p and the image at p and p + 1 agree to round-off (measured 1.5e-16
+    # and 1.3e-14 of the largest entry)
     grid = surface_grid
     m = grid.mirror_half.n
     for ell in (1e-3, 0.05, 0.365):
         surf = ModelSurfaceMetric(ell=ell)
         fs = FactoredGlobalSolver(surf, grid, 0)
+        p = fs.cap.p
         h = np.vstack([length_variation(surf, grid).data[0],
                        twist_variation(surf, grid).data[1], np.zeros(grid.n)])
         b = fs.bianchi(h)
-        b_half = fs.bianchi(h[:, :m])
+        b_win = fs.bianchi(h[:, p:m])
         odd = 0.5 * (b - _reflect(b))
-        err = np.abs(b_half[:, 1:-1] - odd[:, 1:m - 1]).max() / np.abs(b).max()
+        err = np.abs(b_win[:, :-1] - odd[:, p:m - 1]).max() / np.abs(b).max()
         assert err <= 1e-12, (ell, err)
-        x_half = fs.solve_sigma(b_half, odd=True)
+        x_win = fs.solve_sigma(b_win)
         rhs = np.zeros_like(b)
-        rhs[:, 1:m - 1] = b_half[:, 1:-1]
-        rhs[:, m:] = -b_half[:, -2:0:-1]
+        rhs[:, p:m - 1] = b_win[:, :-1]
+        rhs[:, m:] = -rhs[:, m - 2:0:-1]
         x = fs.solve_sigma(rhs)
-        assert np.array_equal(x_half, x[:, :m]), ell
-        assert np.array_equal(fs.conformal_killing(x_half),
-                              fs.conformal_killing(x)[:, :m]), ell
+        assert np.array_equal(x_win[:, 1:], x[:, p + 1:m]), ell
+        assert np.abs(x_win[:, 0] - x[:, p]).max() <= 1e-15 * np.abs(x).max(), ell
+        got, want = fs.conformal_killing(x_win), fs.conformal_killing(x)[:, p:m]
+        assert np.array_equal(got[:, 2:], want[:, 2:]), ell
+        assert np.abs(got[:, :2] - want[:, :2]).max() <= 5e-14 * np.abs(want).max(), ell
         assert "_whole" in vars(fs)  # the whole grid's coefficients, read here
-    # an rhs on the half is odd: its values at the nodes 0 and n/2 are round-off
+    # an rhs on the window is odd: its value at node n/2 is round-off.  The
+    # window's solve reads the coefficients of the window alone
     fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.05), grid, 0)
-    assert "_whole" not in vars(fs)
-    rhs = np.zeros((2, m))
+    rhs = np.zeros((2, fs.cap.window.n))
     rhs[:, 1:-1] = 1.0
-    fs.solve_sigma(rhs, odd=True)
-    rhs[1, 0] = 1e-6
+    fs.solve_sigma(rhs)
+    assert "_whole" not in vars(fs)
+    rhs[1, -1] = 1e-6
     with pytest.raises(ValueError, match="not odd"):
-        fs.solve_sigma(rhs, odd=True)
-    with pytest.raises(ValueError, match="odd=True"):
         fs.solve_sigma(rhs)
-    with pytest.raises(ValueError, match="k = 0"):
-        FactoredGlobalSolver(ModelSurfaceMetric(ell=0.05), grid, 1).bianchi(np.ones((3, m)))
-    # the odd sector is solved on the mirror half or the window, not on the grid
-    with pytest.raises(ValueError, match="mirror half"):
-        fs.solve_sigma(np.zeros((2, grid.n)), odd=True)
 
 
 def _arrays(value):
@@ -894,33 +905,47 @@ def test_half_span_and_window_pieces_are_the_whole_grids(n):
 def test_odd_sector_solve_refuses_what_is_not_odd(surface_grid):
     surf = ModelSurfaceMetric(ell=0.05)
     grid = surface_grid
-    half = grid.mirror_half
     x = grid.nodes
     fs = FactoredGlobalSolver(surf, grid, 0)
-    odd = np.vstack([np.sin(np.pi * x / 2.0), 0.3 * np.sin(np.pi * x)])
-    # on an odd right-hand side the odd sector alone is the whole solve
-    got, want = fs.solve_sigma(odd[:, :half.n], odd=True), fs.solve_sigma(odd)
-    assert np.abs(got - want[:, :half.n]).max() <= 1e-12 * np.abs(want).max()
+    p, h = fs.cap.p, grid.n // 2
+    # an odd right-hand side that vanishes on the cap (the nodes 0 ... p and
+    # their mirrors): on it the odd sector alone is the whole solve
+    neck = np.ones(grid.n)
+    neck[:p + 1] = neck[grid.n - p:] = 0.0
+    odd = neck * np.vstack([np.sin(np.pi * x / 2.0), 0.3 * np.sin(np.pi * x)])
+    got, want = fs.solve_sigma(odd[:, p:h + 1]), fs.solve_sigma(odd)
+    assert np.abs(got - want[:, p:h + 1]).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError, match="not odd"):
-        fs.solve_sigma((odd + 1e-6 * np.cos(np.pi * x / 2.0))[:, :half.n], odd=True)
-    # a tensor on the mirror half or the window is even by construction; one
-    # on the whole grid is refused, and on the window one must vanish on the cap
+        fs.solve_sigma((neck * (odd + 1e-6 * np.cos(np.pi * x / 2.0)))[:, p:h + 1])
+    # a tensor on the window is even by construction, and must vanish on the cap
     noise = np.random.default_rng(3).standard_normal((3, grid.n))
     bank = SolverBank(surf, grid)
-    with pytest.raises(ValueError, match="mirror half"):
-        project_tt(surf, grid, ModeField(0, Rank.SYM2_FULL, grid, noise), solvers=bank,
-                   even=True)
     window = bank.get(0).cap.window
     on_window = ModeField(0, Rank.SYM2_FULL, window, noise[:, :window.n])
     with pytest.raises(ValueError, match="vanish on the cap"):
-        project_tt(surf, grid, on_window, solvers=bank, even=True)
+        project_tt(surf, grid, on_window, solvers=bank)
     rhs = noise[:2, :window.n].copy()
     rhs[:, -1] = 0.0  # odd
     with pytest.raises(ValueError, match="vanish on the cap"):
-        fs.solve_sigma(rhs, odd=True)
-    # no sector at k >= 1
-    with pytest.raises(ValueError, match="k = 0"):
-        FactoredGlobalSolver(surf, grid, 1).solve_sigma(odd, odd=True)
-    mode1 = ModeField(1, Rank.SYM2_FULL, half, np.vstack([odd, odd[:1]])[:, :half.n])
-    with pytest.raises(ValueError, match="k = 0"):
-        project_tt(surf, grid, mode1, solvers=bank, even=True)
+        fs.solve_sigma(rhs)
+
+
+def test_a_field_lives_on_the_grid_or_the_window(surface_grid):
+    # a field's column count chooses its route: all n nodes, or at k = 0 the
+    # neck window.  The mirror half (n/2 + 1 nodes, more than the window's
+    # on this grid) is neither, and a k >= 1 field lives on all n nodes alone
+    grid = surface_grid
+    surf = ModelSurfaceMetric(ell=0.05)
+    bank = SolverBank(surf, grid)
+    half, window = grid.mirror_half, bank.get(0).cap.window
+    assert bank.get(0).cap.p > 0 and window.n < half.n
+    for k, on, where in ((0, half, f"all {grid.n} nodes or the neck window's {window.n}"),
+                         (1, window, f"all {grid.n} nodes")):
+        fs = bank.get(k)
+        refusal = f"^a k = {k} field lives on {where}, not on {on.n}$"
+        for apply, rows in ((fs.bianchi, 3), (fs.solve_sigma, 2), (fs.conformal_killing, 2)):
+            with pytest.raises(ValueError, match=refusal):
+                apply(np.zeros((rows, on.n)))
+        tensor = ModeField(k, Rank.SYM2_FULL, on, np.zeros((3, on.n)))
+        with pytest.raises(ValueError, match=refusal):
+            project_tt(surf, grid, tensor, solvers=bank)

@@ -120,7 +120,7 @@ def test_wp_row_runs_on_the_mirror_half(monkeypatch):
     # after the grid's shared pieces and odd cap exist, a row combines the
     # profile on the neck grid and on the window of the periodic grid's
     # mirror half alone, and the solver never builds the coefficients of the
-    # whole grid or of the half
+    # whole grid
     grid = periodic_grid(-2.0, 2.0, 2048)
     half = grid.mirror_half
     surf = ModelSurfaceMetric(ell=0.02)
@@ -140,7 +140,7 @@ def test_wp_row_runs_on_the_mirror_half(monkeypatch):
     mat = wp_matrix(surf, grid, conformal=cf, solvers=bank)
     window = bank.get(0).cap.window
     assert sizes == [cf.grid.n, window.n] and window.n < half.n
-    assert "_whole" not in vars(bank.get(0)) and "_half" not in vars(bank.get(0))
+    assert "_whole" not in vars(bank.get(0))
     assert cf.weight(half).shape == (half.n,)
     assert mat["g_lw"] == 0.0
 
@@ -148,18 +148,17 @@ def test_wp_row_runs_on_the_mirror_half(monkeypatch):
 def test_one_projection_carries_both_variations(monkeypatch):
     # at k = 0 the phi and psi systems never meet, so projecting (phi_l,
     # psi_w) gives the length's phi row and the twist's psi row bit for bit,
-    # on the odd sector alone (on the mirror half and on the window) and on
-    # both sectors
+    # on the odd sector alone (on the window) and on both sectors (on the
+    # whole grid)
     grid = periodic_grid(-2.0, 2.0, 2048)
     for ell in (1e-3, 0.05, 0.365):
         surf = ModelSurfaceMetric(ell=ell)
         bank = SolverBank(surf, grid)
-        for on, even in ((grid.mirror_half, True), (bank.get(0).cap.window, True),
-                         (grid, False)):
+        for on in (bank.get(0).cap.window, grid):
             gl, gw = length_variation(surf, on), twist_variation(surf, on)
             both = ModeField(0, Rank.SYM2_FULL, on,
                              np.vstack([gl.data[0], gw.data[1], np.zeros(on.n)]))
-            t, tl, tw = (project_tt(surf, grid, g, solvers=bank, even=even).data
+            t, tl, tw = (project_tt(surf, grid, g, solvers=bank).data
                          for g in (both, gl, gw))
             assert np.array_equal(t[0], tl[0]) and np.array_equal(t[1], tw[1]), (ell, on)
             assert not tl[1].any() and not tw[0].any(), (ell, on)
@@ -423,9 +422,9 @@ def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
 def test_wp_matrix_weights_the_cap_where_the_conformal_domain_reaches_it():
     # a conformal factor solved on |tau| <= 1 is not 1 on part of the odd
     # sector's cap (|tau| >= 0.883 at n = 2048): there the cap's share of each
-    # pairing is weighted, and the row is the mirror half's explicit pairing
-    # (measured <= 2.3e-16).  Taking the weight as 1 on the cap moves it by
-    # more than 1e-11
+    # pairing is weighted, and the row is the explicit pairing of the whole
+    # grid's projection on the mirror half (measured <= 2.3e-16).  Taking the
+    # weight as 1 on the cap moves it by more than 1e-11
     grid = periodic_grid(-2.0, 2.0, 2048)
     half = grid.mirror_half
     surf = ModelSurfaceMetric(ell=0.02)
@@ -435,10 +434,10 @@ def test_wp_matrix_weights_the_cap_where_the_conformal_domain_reaches_it():
     p = bank.get(0).cap.p
     weight = cf.weight(half)
     assert np.any(weight[:p] != 1.0)
-    t = project_tt(surf, grid, wp._variations(surf, half, length=True, twist=True),
-                   solvers=bank, even=True)
-    tl = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([t.data[0], 0.0 * t.data[0]]))
-    tw = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([0.0 * t.data[1], t.data[1]]))
+    t = project_tt(surf, grid, wp._variations(surf, grid, length=True, twist=True),
+                   solvers=bank).data[:, :half.n]
+    tl = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([t[0], 0.0 * t[0]]))
+    tw = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([0.0 * t[1], t[1]]))
     outside = weight.copy()
     outside[:p] = 1.0
     for key, f in (("g_ll", tl), ("g_ww", tw)):
