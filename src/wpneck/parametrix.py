@@ -42,11 +42,10 @@ Each block acts on both rho channels at once, stacked as the flattened
   built from the stencils (:func:`~wpneck.surface.channel_diagonals`); P
   and P^T are band matvecs on them.  No block assembles a sparse matrix or
   :class:`~wpneck.operators.ModeOperators`.
-* G_0 and G_1 as one :class:`~wpneck.surface.SubdomainSolver`: the
-  Dirichlet bands of thick x {rho+, rho-} and thin x {rho+, rho-} stacked
-  with zero coupling and factored once, each a diagonal similarity of a
-  symmetric positive definite band, so each application of Gtilde, R or
-  R^T is one no-pivot L D L^T solve between two diagonal scalings.
+* G_0 and G_1 as one band: the Dirichlet bands of thick x {rho+, rho-}
+  and thin x {rho+, rho-} stacked with zero coupling, each a diagonal
+  similarity of a symmetric positive definite band, solved by no-pivot
+  L D L^T solves between two diagonal scalings.
 * The commutators, with their places shared by every block of a family
   (:class:`_Layers`).  [P, chi~_j] has zero diagonal and the off-diagonals
   L_i (chi~_j(i-1) - chi~_j(i)) and U_i (chi~_j(i+1) - chi~_j(i)), which
@@ -68,6 +67,22 @@ right-hand sides and outputs pass through the eliminated runs' end columns.
 :class:`~wpneck.surface.GlobalModeSolver` stays the independent direct
 solve that the Neumann series is checked against.
 
+A family's block condenses its Dirichlet band on its bank's subdomain
+layout (:meth:`~wpneck.surface._Condensed.member`): it eliminates its own
+runs, off the layer rows and off the cap, and takes the cap run, the same
+bit for bit at every ell, with its factor and end columns from the bank,
+so the cap is factored once per family.  R reads, and R^T writes, the
+kept rows and the runs' end columns; G~ solves the runs after the kept
+rows.  In S and S^T, R and F share one gather of chi w (one scatter for
+S^T) and one product with the cap's end columns.  At k >= 1 S vanishes on
+the cap: there P(ell) equals every P(ell_j), so P(ell) G_j r_j = r_j = 0.
+S is written as exact zeros there, F and P are formed off the cap (and on
+the cap's two end nodes, which P reads), and S^T reads no cap row.  The
+blocks of one length share what no k changes: the surface and its jet, L
+and U and their symmetric form, the commutators' entries and F's
+Lagrange weights (:meth:`ReferenceBank.length`).  A block built without a
+bank factors its whole band as one :class:`~wpneck.surface.SubdomainSolver`.
+
 Operator norms of R and S are estimated by Golub-Kahan-Lanczos
 bidiagonalization (Golub & Kahan 1965, :func:`golub_kahan_norm`): each step
 applies the operator and its transpose once (band matvecs on P's
@@ -79,13 +94,14 @@ L^2 operator norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .grids import RadialGrid
+from .grids import RadialGrid, _symmetric_form
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
 from .operators import mode_operators
 from .surface import (
@@ -96,6 +112,7 @@ from .surface import (
     _period_run,
     band_matvec,
     cap_indices,
+    channel_couplings,
     channel_diagonals,
     fold_tau,
     kernel_complement,
@@ -185,7 +202,7 @@ def golub_kahan_norm(fwd, bwd, start: np.ndarray, project,
     v = project(start)
     v = v / np.linalg.norm(v)
     u, beta = 0.0, 0.0
-    alphas, betas = [], []
+    alphas, betas = np.empty(iters), np.empty(iters)
     sigma = 0.0
     for step in range(1, iters + 1):
         u = project(fwd(v)) - beta * u
@@ -195,9 +212,8 @@ def golub_kahan_norm(fwd, bwd, start: np.ndarray, project,
         u /= alpha
         v = project(bwd(u)) - alpha * v
         beta = np.linalg.norm(v)
-        alphas.append(alpha)
-        betas.append(beta)
-        a, b = np.array(alphas), np.array(betas)
+        alphas[step - 1], betas[step - 1] = alpha, beta
+        a, b = alphas[:step], betas[:step]
         d = a * a + b * b  # B_j^T B_j: this diagonal, a[1:] * b[:-1] beside it
         # eigenvalues only, so no basis is kept; dsterf maps far less LAPACK than svd
         lam = lapack.dsterf(d, a[1:] * b[:-1])[0][-1] if step > 1 else d[0]
@@ -207,6 +223,15 @@ def golub_kahan_norm(fwd, bwd, start: np.ndarray, project,
         sigma = new_sigma
         v /= beta
     return NormEstimate(sigma, iters, False)
+
+
+@functools.lru_cache(maxsize=4)
+def _start(seed: int, n: int) -> np.ndarray:
+    """The random start of :meth:`ModeParametrix.operator_norm` for ``seed``
+    on (2, n) channels, drawn once and read-only."""
+    v = np.random.default_rng(seed).standard_normal((2, n))
+    v.flags.writeable = False
+    return v
 
 
 class _Layers:
@@ -243,6 +268,9 @@ class _Layers:
             neg.append(-diff[p])
         self._split = rows[0].size
         self.rows, self.cols, self._neg = (np.concatenate(a) for a in (rows, cols, neg))
+        # the k-free parts of the blocks at the last length asked
+        # (ReferenceBank.length), shared by every bank on these layers
+        self.last_length = [None, None]
 
     @classmethod
     def of_blocks(cls, grid: RadialGrid, cutoffs: CutoffPair) -> "_Layers":
@@ -253,11 +281,14 @@ class _Layers:
         return cls([_period_run(idx, grid.n) for idx in (thick_indices(grid),
                                                          thin_indices(grid))], tables)
 
-    def commutator(self, diags) -> np.ndarray:
-        """The entries of -sum_j [P, chi~_j] for the band with diagonals ``diags``."""
-        L, _, U = (d.reshape(-1) for d in diags)
+    def commutator(self, L, U) -> np.ndarray:
+        """The entries of -sum_j [P, chi~_j] for a band with off-diagonals L and U."""
         s = self._split
-        return np.concatenate([L[self.rows[:s]], U[self.rows[s:]]]) * self._neg
+        return (np.concatenate([L.reshape(-1)[self.rows[:s]], U.reshape(-1)[self.rows[s:]]])
+                * self._neg)
+
+
+_ONE = np.ones(1)
 
 
 class ReferenceBank:
@@ -297,12 +328,18 @@ class ReferenceBank:
     uniform periodic grid the border is proportional to the kernel, so it
     would only move the multiplier), nor off the transposed solution (which
     the border already keeps in the kernel's complement).
+
+    The blocks of the mode join the subdomain band's condensation
+    (:class:`ModeParametrix`), and read their k-free parts from
+    :meth:`length`.  At k >= 1 F is also given on the :attr:`window` alone,
+    the nodes off the cap and the cap's two end nodes, and F^T takes a
+    right-hand side there.
     """
 
     def __init__(self, grid: RadialGrid, k: int, layers: _Layers,
                  ell_refs: tuple[float, ...]):
         n = grid.n
-        self.layers = layers
+        self.grid, self.layers = grid, layers
         self.s_nodes = tuple(e * e for e in ell_refs)
         surfaces = [ModelSurfaceMetric(ell=e) for e in ell_refs]
         kernels = None
@@ -324,8 +361,8 @@ class ReferenceBank:
         flat = layers.flat
         keep = np.isin(flat % n, cap_ends)
         keep[layers.cols] = True
-        sizes = np.repeat([r.size for r in layers.runs], 2)
-        self._sub = sub = _Condensed(*stacked(layers.runs), sizes, keep)
+        self._sizes = np.repeat([r.size for r in layers.runs], 2)
+        self._sub = sub = _Condensed(*stacked(layers.runs), self._sizes, keep)
         border = self._u = None
         if kernels is not None:
             b = np.zeros((J, 2 * n, 2))
@@ -341,16 +378,25 @@ class ReferenceBank:
             self._u = glob.border[3].reshape(2 * J, -1)
         # the bands' rows, kept then eliminated, in the (2, n) channels
         sub_rows = np.concatenate([sub.kept, sub.gone])
-        self._sub_flat, self._sub_chi = flat[sub_rows], layers.chi[sub_rows]
+        self._sub_flat = flat[sub_rows]
+        self._sub_chi, self._sub_chiw = layers.chi[sub_rows], layers.chiw[sub_rows]
         self._neck_flat = neck2[np.concatenate([glob.kept, glob.gone])]
         self._neck_order = np.argsort(self._neck_flat)
         self._shape = (J, sub.kept.size, glob.kept.size)
+        # the window: the nodes lo ... hi, off the cap and its two end nodes,
+        # which are the neck band's kept rows, own runs and the cap run's ends
+        lo, hi = cap[-1], cap[0]
+        self.window = (lo, hi)
+        at = self._neck_flat[np.r_[:glob.kept.size + glob._split[0],
+                                   glob.kept.size + glob._split[0] + glob.edges]]
+        chan, node = np.divmod(at, n)
+        self._win = chan * (hi - lo + 1) + node - lo
         # the commutators' entries, from the subdomain band's kept columns to
         # the neck band's kept rows, for every reference
         rows = np.searchsorted(glob.kept, np.argsort(neck2)[layers.rows])
-        cols = np.searchsorted(sub.kept, layers.cols)
+        self._cols = cols = np.searchsorted(sub.kept, layers.cols)
         self._R = tuple(np.concatenate(a) for a in zip(*(
-            (rows + glob.kept.size * j, cols + sub.kept.size * j, layers.commutator(d))
+            (rows + glob.kept.size * j, cols + sub.kept.size * j, layers.commutator(d[0], d[2]))
             for j, d in enumerate(diags))))
         self._closures = self._close()
 
@@ -370,44 +416,113 @@ class ReferenceBank:
         return {trans: _cut_closure(glob.band.solve, 2 * h, cut, trans, border)
                 for trans in "NT"}
 
-    def correct(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_j lam_j G_glob(ell_j) R(ell_j) w for w of shape (2, n)."""
+    def length(self, surface: ModelSurfaceMetric):
+        """``(lagrange, coupled, commutator)``: what the blocks at
+        ``surface``'s length share whatever their k.
+
+        These are F's Lagrange weights lambda_j(ell^2), what the subdomain
+        band's condensation reads of the couplings L and U
+        (:func:`~wpneck.surface.channel_couplings`) and their symmetric form
+        (:meth:`~wpneck.surface._Condensed.coupled`), and the commutators'
+        entries.  They are kept with the layers, which every bank of a
+        family shares, for the last surface asked.
+        """
+        key = (surface, self.s_nodes)
+        if self.layers.last_length[0] != key:
+            s = surface.ell**2
+            lagrange = np.array([
+                math.prod((s - si) / (sj - si)
+                          for i, si in enumerate(self.s_nodes) if i != j)
+                for j, sj in enumerate(self.s_nodes)])
+            L, U = channel_couplings(surface, self.grid)
+            flat = self.layers.flat
+            lower, upper = L.reshape(-1)[flat[1:]], U.reshape(-1)[flat[:-1]]
+            off, scale = _symmetric_form(lower.copy(), upper.copy(), self._sizes)
+            coupled = self._sub.coupled(lower[None], upper[None], np.append(off, 0.0)[None],
+                                        scale[None])
+            self.layers.last_length[:] = [key, (lagrange, coupled, self.layers.commutator(L, U))]
+        return self.layers.last_length[1]
+
+    def correct(self, lam: np.ndarray, rhs: np.ndarray, shared=None,
+                window: bool = False) -> np.ndarray:
+        """sum_j lam_j G_glob(ell_j) R(ell_j) w, from ``rhs``, chi w on the
+        subdomain band's rows, kept then eliminated (and ``shared``, its
+        :meth:`~wpneck.surface._Condensed.shared_sums`, if at hand).
+
+        The output is (2, n), or with ``window`` (k >= 1) (2, hi - lo + 1)
+        on the nodes of :attr:`window`.
+        """
         sub, glob = self._sub, self._glob
         J, ms, mg = self._shape
         # the subdomain solves, every reference's rows restricted to its layers
-        rhs = self._sub_chi * w.reshape(-1)[self._sub_flat]
-        x = sub.band.solve(sub.restrict(rhs[:ms], rhs[ms:]).reshape(-1))
+        x = sub.band.solve(sub.restrict(rhs[:ms], rhs[ms:], shared).reshape(-1))
         rows, cols, vals = self._R
         r = np.bincount(rows, vals * x[cols], minlength=J * mg)
         # the global solves on the layer rows; R_j w vanishes elsewhere
         g, K = self._closures["N"](r)
         g = g.reshape(J, mg)
+        if window:
+            own, tied = glob.tied(g, lam)
+            out = np.empty(self._win.size)
+            out[self._win] = np.concatenate([lam @ g, own, tied @ glob._shared[:, glob.edges]])
+            return out.reshape(2, -1)
         neck = np.concatenate([lam @ g, glob.extend(g, lam)])
         if self._u is not None:
             neck[mg:] -= (lam[:, None] * K[:, 4:, 0]).reshape(-1) @ self._u
-        return neck[self._neck_order].reshape(w.shape)
+        return neck[self._neck_order].reshape(2, -1)
 
-    def correct_T(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_j lam_j R(ell_j)^T G_glob(ell_j)^T w for w of shape (2, n)."""
+    def kept_T(self, w: np.ndarray, window: bool = False) -> np.ndarray:
+        """R(ell_j)^T G_glob(ell_j)^T w of each reference j on its kept
+        subdomain rows, before the cutoff chi and the extension to the
+        eliminated rows, (J, kept rows).  w is (2, n), or with ``window``
+        (k >= 1) given on the nodes of :attr:`window`, zero elsewhere."""
         sub, glob = self._sub, self._glob
         J, ms, mg = self._shape
-        # the global solves: one neck rhs for every reference
-        rhs = w.reshape(-1)[self._neck_flat]
-        r = glob.restrict(rhs[:mg], rhs[mg:])
-        s = None if self._u is None else -(self._u @ rhs[mg:]).reshape(J, 2)
+        s = None
+        if window:
+            # a right-hand side on the cap's two end rows alone meets the
+            # cap run's end columns there
+            rhs = w.reshape(-1)[self._win]
+            e = glob.edges.size
+            r = glob.restrict(rhs[:mg], rhs[mg:-e], rhs[-e:] @ glob._shared[:, glob.edges].T)
+        else:
+            # the global solves: one neck rhs for every reference
+            rhs = w.reshape(-1)[self._neck_flat]
+            r = glob.restrict(rhs[:mg], rhs[mg:])
+            if self._u is not None:
+                s = -(self._u @ rhs[mg:]).reshape(J, 2)
         z, _ = self._closures["T"](r.reshape(-1), s)
         rows, cols, vals = self._R
         q = np.bincount(cols, vals * z[rows], minlength=J * ms)
-        v = sub.band.solve(q, trans="T").reshape(J, ms)
+        return sub.band.solve(q, trans="T").reshape(J, ms)
+
+    def correct_T(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_j lam_j R(ell_j)^T G_glob(ell_j)^T w for w of shape (2, n)."""
+        v = self.kept_T(w)
         out = np.bincount(self._sub_flat,
-                          self._sub_chi * np.concatenate([lam @ v, sub.extend(v, lam)]),
+                          self._sub_chi * np.concatenate([lam @ v, self._sub.extend(v, lam)]),
                           minlength=w.size)
         return out.reshape(w.shape)
 
 
 class ModeParametrix:
     """Per-mode operator pieces at one (ell, k); the frozen references of its
-    correction F are a shared :class:`ReferenceBank`."""
+    correction F are a shared :class:`ReferenceBank`.
+
+    A block with a bank joins the bank's subdomain condensation
+    (:meth:`~wpneck.surface._Condensed.member`): it eliminates its own runs
+    off the layer rows and the cap, and takes the cap run, the same at every
+    ell, with its factor and end columns from the bank.  So R reads, and
+    R^T writes, only the kept rows and the runs' end columns, and G~ solves
+    the runs after the kept rows.  In S and S^T, R and F share one gather
+    of chi w (one scatter) and one product with the cap's end columns.  At
+    k >= 1, P(ell) equals every P(ell_j) on the cap, so there
+    P(ell) G_glob(ell_j) r_j = r_j = 0 for r_j = R(ell_j) w, R w = 0 too,
+    and S w = R w - P F w vanishes: S is written as exact zeros on the
+    cap, F and P are formed on the bank's :attr:`~ReferenceBank.window`
+    only, and S^T reads no cap row.  A block
+    without a bank solves its whole Dirichlet band (:class:`SubdomainSolver`).
+    """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int,
                  cutoffs: CutoffPair, bank: ReferenceBank | None = None):
@@ -420,51 +535,79 @@ class ModeParametrix:
             self.diags, self.kernel = zero_mode(surface, grid)
         else:
             self.diags, self.kernel = channel_diagonals(surface, grid, self.k), None
-        if bank is not None:
-            s = surface.ell**2
-            self._lagrange = np.array([
-                math.prod((s - si) / (sj - si)
-                          for i, si in enumerate(bank.s_nodes) if i != j)
-                for j, sj in enumerate(bank.s_nodes)])
-        layers = bank.layers if bank is not None else _Layers.of_blocks(grid, cutoffs)
-        self.G = SubdomainSolver(self.diags, layers.runs)
-        # the band's stacked order is the layers': run by run, both channels of each
-        self._chi, self._chiw = layers.chi, layers.chiw
-        # R = -sum_j [P, chi~_j] G_j chi_j as one (2n) x (stacked) matrix
-        self._R_rows, self._R_cols = layers.rows, layers.cols
-        self._R_vals = layers.commutator(self.diags)
+        if bank is None:
+            layers = _Layers.of_blocks(grid, cutoffs)
+            self.G = SubdomainSolver(self.diags, layers.runs)
+            # the band's stacked order is the layers': run by run, both channels of each
+            self._flat, self._chi, self._chiw = self.G.flat, layers.chi, layers.chiw
+            self._R_cols = layers.cols
+            self._R_vals = layers.commutator(self.diags[0], self.diags[2])
+        else:
+            layers = bank.layers
+            self._lagrange, coupled, self._R_vals = bank.length(surface)
+            self._sub = bank._sub.member(self.diags[1].reshape(-1)[bank._sub_flat], coupled)
+            # the bank's order: the kept rows, then the eliminated ones
+            self._flat, self._chi, self._chiw = bank._sub_flat, bank._sub_chi, bank._sub_chiw
+            self._R_cols = bank._cols
+        # R = -sum_j [P, chi~_j] G_j chi_j as one (2n) x (stacked) matrix; a
+        # banked block's stacked columns are its kept rows
+        self._R_rows = layers.rows
+        self._R_width = self._flat.size if bank is None else self._sub.kept.size
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
         return band_matvec(self.diags, w, trans)
 
-    def _solve_pieces(self, w):
-        """G_j chi_j w for both subdomains, in the band's stacked order."""
-        return self.G.solve_channels(self._chi * w.reshape(-1)[self.G.flat])
+    def _gather(self, w):
+        """chi_j w on the rows of the block's band, in its stacked order."""
+        return self._chi * w.reshape(-1)[self._flat]
 
     def _scatter(self, x):
         """A stacked vector summed onto the (2, n) channels."""
-        return np.bincount(self.G.flat, x, minlength=2 * self.grid.n).reshape(2, -1)
+        return np.bincount(self._flat, x, minlength=2 * self.grid.n).reshape(2, -1)
+
+    def _solve_pieces(self, w):
+        """G_j chi_j w for both subdomains, in the band's stacked order."""
+        rhs = self._gather(w)
+        if self.bank is None:
+            return self.G.solve_channels(rhs)
+        return np.concatenate(self._sub.solve(rhs[:self._sub.kept.size],
+                                              rhs[self._sub.kept.size:]))
+
+    def _kept(self, rhs, shared=None):
+        """A banked block's G_j chi_j w on its kept rows, from ``rhs`` = chi w."""
+        ms = self._sub.kept.size
+        return self._sub.band.solve(self._sub.restrict(rhs[:ms], rhs[ms:], shared)[0])
 
     def _commute(self, x):
-        """-sum_j [P, chi~_j] x_j for a stacked x; reads x on the layers only."""
+        """-sum_j [P, chi~_j] x_j for a stacked x (a banked block's kept
+        rows); reads x on the layers only."""
         return np.bincount(self._R_rows, self._R_vals * x[self._R_cols],
                            minlength=2 * self.grid.n).reshape(2, -1)
 
     def _commute_T(self, w):
         """The transpose of :meth:`_commute`: (2, n) in, stacked out."""
         return np.bincount(self._R_cols, self._R_vals * w.reshape(-1)[self._R_rows],
-                           minlength=self.G.flat.size)
+                           minlength=self._R_width)
+
+    def _kept_T(self, w):
+        """A banked block's kept rows of G_j^T [P, chi~_j]^T w, summed."""
+        return self._sub.band.solve(self._commute_T(w), "T")
 
     def apply_Gtilde(self, w):
         return self._scatter(self._chiw * self._solve_pieces(w))
 
     def apply_R(self, w):
-        return self._commute(self._solve_pieces(w))
+        if self.bank is None:
+            return self._commute(self._solve_pieces(w))
+        return self._commute(self._kept(self._gather(w)))
 
     def apply_R_T(self, w):
-        return self._scatter(self._chi * self.G.solve_channels(self._commute_T(w),
-                                                               trans="T"))
+        if self.bank is None:
+            return self._scatter(self._chi * self.G.solve_channels(self._commute_T(w),
+                                                                   trans="T"))
+        v = self._kept_T(w)
+        return self._scatter(self._chi * np.concatenate([v, self._sub.extend(v[None], _ONE)]))
 
     def apply_F(self, w):
         """Lagrange-in-ell^2 correction through the frozen references.
@@ -473,7 +616,8 @@ class ModeParametrix:
         directions: any kernel ride-along is harmless analytically but its
         O(h^2) discrete image under P would pollute the Neumann solution.
         """
-        return self._project(self._refs().correct(self._lagrange, np.asarray(w, float)))
+        bank = self._refs()
+        return self._project(bank.correct(self._lagrange, self._gather(np.asarray(w, float))))
 
     def apply_F_T(self, w):
         return self._refs().correct_T(self._lagrange, self._project(np.asarray(w, float)))
@@ -484,10 +628,36 @@ class ModeParametrix:
         return self.bank
 
     def apply_S(self, w):
-        return self.apply_R(w) - self.apply_P(self.apply_F(w))
+        bank = self._refs()
+        rhs = self._gather(np.asarray(w, float))
+        shared = bank._sub.shared_sums(rhs[self._sub.kept.size:])
+        out = self._commute(self._kept(rhs, shared))
+        if self.k == 0:
+            return out - self.apply_P(self._project(bank.correct(self._lagrange, rhs, shared)))
+        F = bank.correct(self._lagrange, rhs, shared, window=True)
+        L, D, U = (d[:, bank.window[0] + 1:bank.window[1]] for d in self.diags)
+        out[:, bank.window[0] + 1:bank.window[1]] -= L * F[:, :-2] + D * F[:, 1:-1] + U * F[:, 2:]
+        return out
 
     def apply_S_T(self, w):
-        return self.apply_R_T(w) - self.apply_F_T(self.apply_P(w, trans="T"))
+        bank = self._refs()
+        lam = self._lagrange
+        w = np.asarray(w, float)
+        v_b = self._kept_T(w)
+        if self.k == 0:
+            v = bank.kept_T(self._project(self.apply_P(w, trans="T")))
+        else:
+            # P^T of w off the cap, on the window
+            lo, hi = bank.window
+            x = np.zeros((2, hi - lo + 3))
+            x[:, 2:-2] = w[:, lo + 1:hi]
+            L, D, U = self.diags
+            v = bank.kept_T(U[:, lo - 1:hi] * x[:, :-2] + D[:, lo:hi + 1] * x[:, 1:-1]
+                            + L[:, lo + 1:hi + 2] * x[:, 2:], window=True)
+        own_b, tied_b = self._sub.tied(v_b[None], _ONE)
+        own, tied = bank._sub.tied(v, lam)
+        gone = np.concatenate([own_b - own, (tied_b - tied) @ bank._sub._shared])
+        return self._scatter(self._chi * np.concatenate([v_b - lam @ v, gone]))
 
     def apply_Gbar(self, w):
         return self.apply_Gtilde(w) + self.apply_F(w)
@@ -502,8 +672,7 @@ class ModeParametrix:
         conformal Killing directions."""
         fwd, bwd = ((self.apply_S, self.apply_S_T) if which == "S"
                     else (self.apply_R, self.apply_R_T))
-        start = np.random.default_rng(seed).standard_normal((2, self.grid.n))
-        return golub_kahan_norm(fwd, bwd, start, self._project, iters)
+        return golub_kahan_norm(fwd, bwd, _start(seed, self.grid.n), self._project, iters)
 
     def neumann_solve(self, w, tol: float = 1e-12):
         """Gbar sum_j S^j w; returns (solution, number of terms summed)."""
@@ -571,6 +740,7 @@ class ParametrixFamily:
             raise ValueError(f"the {grid.n}-node grid is too coarse for the parametrix: "
                              f"{exc}") from None
         self._ell: float | None = None
+        self._surface: ModelSurfaceMetric | None = None
         self._blocks: dict[int, ModeParametrix] = {}
 
     def block(self, ell: float, k: int) -> ModeParametrix:
@@ -578,10 +748,11 @@ class ParametrixFamily:
         for are kept, so a scan over ell does not grow memory."""
         ell, k = float(ell), int(k)
         if ell != self._ell:
-            self._ell, self._blocks = ell, {}
+            self._ell, self._surface, self._blocks = ell, ModelSurfaceMetric(ell=ell), {}
         if k not in self._blocks:
-            self._blocks[k] = ModeParametrix(ModelSurfaceMetric(ell=ell), self.grid,
-                                             k, self.cutoffs, bank=self._banks[k])
+            # one surface for the blocks of a length, which share its k-free parts
+            self._blocks[k] = ModeParametrix(self._surface, self.grid, k, self.cutoffs,
+                                             bank=self._banks[k])
         return self._blocks[k]
 
     def report(self, ell: float, norm_seed: int = 0) -> ParametrixReport:

@@ -38,7 +38,13 @@ A band without such a form is refused.  The parametrix's frozen
 references eliminate every row off their transition layers once per family
 (:class:`_Condensed`) and solve their layer rows together; the channel rows
 on the cap |tau| >= 7/8 are the same at every ell (:func:`cap_indices`), so
-there the references share one eliminated run, factored once per band.
+there the references share one eliminated run, factored once per band, and
+the symmetric form of that run's rows is formed once too.  A parametrix
+block joins its references' subdomain condensation
+(:meth:`_Condensed.member`): it eliminates its own runs only and takes the
+cap run, factor and end columns, as it is.  The channels' couplings L and
+U do not depend on k (:func:`channel_couplings`), so every mode on one
+surface shares them.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  It uses the grid reflection R: i -> n - i
@@ -59,6 +65,7 @@ border removes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -80,6 +87,7 @@ __all__ = [
     "SubdomainSolver",
     "cap_indices",
     "band_matvec",
+    "channel_couplings",
     "channel_diagonals",
     "kernel_complement",
     "thick_indices",
@@ -218,7 +226,8 @@ class ModelSurfaceMetric:
         It combines the grid's shared :meth:`grid_pieces`.  A WP row reads
         it on two grids, the neck grid of the conformal solve and then the
         neck window of the periodic grid's mirror half, for the variations
-        and the k = 0 solver.
+        and the k = 0 solver.  The channel bands' k-free diagonals are kept
+        beside it (:func:`channel_couplings`).
         """
         if not self._grid_jet or self._grid_jet[0] is not grid:
             self._grid_jet[:] = [grid, self._combine(self.grid_pieces(grid))]
@@ -456,7 +465,9 @@ def _cut_closure(solve, m: int, cut, trans: str = "N", border=None) -> _Closure:
 def _flush(*pairs):
     """Zero every entry, or every pair of entries, with one below the
     smallest normal float: subnormals are slow and carry no digits here."""
-    small = np.logical_or.reduce([np.abs(a) < np.finfo(float).tiny for a in pairs])
+    small = np.abs(pairs[0]) < np.finfo(float).tiny
+    for a in pairs[1:]:
+        small |= np.abs(a) < np.finfo(float).tiny
     for a in pairs:
         a[small] = 0.0
 
@@ -482,7 +493,9 @@ class _Condensed:
     inside it, are the same in every block, bit for bit, is shared: the
     shared runs are a band of their own, each in its own symmetric form
     (:func:`_symmetrized`, which reads its rows alone), factored once, and
-    one copy of their end columns, a block matrix, serves all blocks.
+    one copy of their end columns, a block matrix, serves all blocks.  The
+    blocks' own symmetric form is formed off the shared runs' inner rows:
+    across a shared run S steps by the ratio s_l / s_f of the run's own form.
     Eliminating E changes the kept band only at E's neighbours kL and kR:
     their diagonals, and a new coupling -T[kL, f] (T_EE^-1)[f, l] T[l, kR]
     between them.  Each run's block is an M-matrix,
@@ -506,6 +519,11 @@ class _Condensed:
     d_K - A_EK^T A_EE^-T d_E, d_E^T u, u^T), u = A_EE^-1 b_E per block, on
     the rows of :attr:`gone`, so u^T is (J, c, rows).  gamma grows by the
     third; u enters the extension of A x = b as -u mu.
+
+    A ``dense="N"`` band with neither corners nor border keeps its shared
+    runs' factor, and another block with the same shared rows joins it
+    (:meth:`member`): only its own runs are eliminated, and the member
+    solves A x = b on every row (:meth:`solve`).
     """
 
     def __init__(self, main, lower, upper, sizes, keep, corners=None,
@@ -531,112 +549,209 @@ class _Condensed:
         wrap = np.zeros_like(has_r) if corners is None else ~has_r
         if corners is not None and np.any(gone[heads]) or np.any(wrap & ~has_l):
             raise ValueError("a cyclic piece must keep its first row and one more")
-        kl = np.where(has_l, first - 1, 0)
-        kr = np.where(has_r, last + 1, heads[piece[last]])
-        # each run's couplings to its neighbours, (J, runs): A[kL, f], A[f, kL],
-        # A[kR, l] and A[l, kR]; zero where a run has no neighbour
-        into_l = np.where(has_l, upper[:, kl], 0.0)
-        from_l = np.where(has_l, lower[:, kl], 0.0)
-        at_r = np.minimum(last, M - 2)
-        into_r = np.where(has_r, lower[:, at_r], 0.0)
-        from_r = np.where(has_r, upper[:, at_r], 0.0)
-        if corners is not None:
-            into_r[:, wrap] = corners[:, piece[last[wrap]], 1]
-            from_r[:, wrap] = corners[:, piece[last[wrap]], 0]
-
-        # the symmetric form A = S T S^-1 of every piece, in which the blocks'
-        # own runs and the kept band are factored: no product of two
-        # couplings is formed
-        off, s = _symmetric_form(_chain(lower), _chain(upper), np.tile(sizes, J))
-        off, s = np.append(off, 0.0).reshape(J, M), s.reshape(J, M)
-        fe = np.cumsum(lens) - lens
-        le = fe + lens - 1
-        E = np.repeat(first - fe, lens) + np.arange(lens.sum())
-        c = 0 if border is None else border[0].shape[2]
-        ff, ll, fl, lf = np.empty((4, J, first.size))
-        # the border's u (J, c, rows), and u and v at the runs' first and last rows
-        u_T, uv_ends, grow = [], np.empty((4, J, first.size, c)), np.zeros((J, c))
-        own, at_e = np.count_nonzero(~shared), np.r_[fe, E.size]
-        self._split = (at_e[own], own)
-        self._own, self._shared = (np.zeros((J, 2, 0)), fe[:0], lens[:0]), np.zeros((0, 0))
-        for a, z, B in ((0, own, J), (own, first.size, 1)):
-            rows, m = E[at_e[a]:at_e[z]], at_e[z] - at_e[a]
-            if not m:
-                continue
-            g_first, g_last = fe[a:z] - at_e[a], le[a:z] - at_e[a]
-            if B > 1:
-                runs = _SymmetrizedBand(main[:, rows].reshape(-1),
-                                        _chain(off[:, rows[:-1]] * (np.diff(rows) == 1), 0.0),
-                                        s[:, rows].reshape(-1))
-            else:
-                # each shared run in its own symmetric form, which reads its rows alone
-                runs = _symmetrized(main[0, rows], lower[0, rows[:-1]], upper[0, rows[:-1]],
-                                    lens[a:z])
-            # dense N reads A_EE^-T [e_f, e_l], dense T reads A_EE^-1 [e_f, e_l]
-            unit = np.zeros((B, m, 2))
-            unit[:, g_first, 0] = unit[:, g_last, 1] = 1.0
-            Y = runs.solve(unit.reshape(-1, 2), "T" if dense == "N" else "N").reshape(B, m, 2)
-            ff[:, a:z], ll[:, a:z] = Y[:, g_first, 0], Y[:, g_last, 1]
-            fl[:, a:z], lf[:, a:z] = ((Y[:, g_last, 0], Y[:, g_first, 1]) if dense == "N"
-                                      else (Y[:, g_first, 1], Y[:, g_last, 0]))
-            if c:
-                # u = A_EE^-1 b_E and v = A_EE^-T d_E of every block; a shared
-                # run solves the blocks' columns side by side
-                u, v = (runs.solve(x[:, rows].reshape(B, J // B, m, c).transpose(0, 2, 1, 3)
-                                   .reshape(B * m, -1), t).reshape(B, m, J // B, c)
-                        .transpose(0, 2, 1, 3).reshape(J, m, c) for x, t in zip(border, "NT"))
-                uv_ends[:, :, a:z] = u[:, g_first], u[:, g_last], v[:, g_first], v[:, g_last]
-                grow += np.einsum("jmc,jmc->jc", border[1][:, rows], u)
-                u_T.append(u.transpose(0, 2, 1))
-            y = -Y.transpose(0, 2, 1)
-            _flush(y)
-            if B > 1:
-                self._own = (y, g_first, lens[a:z])
-            else:
-                # one block matrix: row (side, run) holds the run's end column
-                D = np.zeros((2, z - a, m))
-                D[:, np.repeat(np.arange(z - a), lens[a:z]), np.arange(m)] = y[0]
-                self._shared = D.reshape(-1, m)
-
         K = np.flatnonzero(keep)
         at = np.zeros(M, dtype=int)
         at[K] = np.arange(K.size)
-        main_k = main[:, K]
-        off_k = off[:, K[:-1]] * (np.diff(K) == 1)
+        own = np.count_nonzero(~shared)
+        self.kept, self._dense, self._runs = K, dense, (first, lens)
+        self._split = (int(lens[:own].sum()), own)
+        kl = np.where(has_l, first - 1, 0)
+        kr = np.where(has_r, last + 1, heads[piece[last]])
+        # per run: its piece, whether it has a left and a right neighbour, is
+        # joined through the corner, and its neighbours' rows, in the band and kept
+        self._layout = (piece[last], has_l, has_r, wrap, kl, at[kl], at[kr])
+        E = self.gone
+        rows = self._split[0]
+        c = 0 if border is None else border[0].shape[2]
+        ends_all = np.empty((4, J, first.size))
+        # the border's u (J, c, rows), and u and v at the runs' first and last rows
+        u_T, uv_ends, grow = {}, np.empty((4, J, first.size, c)), np.zeros((J, c))
+
+        def bordered(band, a, z, B, rows):
+            # u = A_EE^-1 b_E and v = A_EE^-T d_E of every block; a shared
+            # run solves the blocks' columns side by side
+            m = rows.size
+            u, v = (band.solve(x[:, rows].reshape(B, J // B, m, c).transpose(0, 2, 1, 3)
+                               .reshape(B * m, -1), t).reshape(B, m, J // B, c)
+                    .transpose(0, 2, 1, 3).reshape(J, m, c) for x, t in zip(border, "NT"))
+            le = np.cumsum(lens[a:z]) - 1
+            fe = le - lens[a:z] + 1
+            uv_ends[:, :, a:z] = u[:, fe], u[:, le], v[:, fe], v[:, le]
+            u_T[a] = u.transpose(0, 2, 1)
+            return np.einsum("jmc,jmc->jc", border[1][:, rows], u)
+
+        # the shared runs: one copy of their rows, each in its own symmetric
+        # form, factored once
+        self._shared, self._shared_band = np.zeros((0, 0)), None
+        sh = E[rows:]
+        ratio = np.ones(0)
+        if sh.size:
+            off_sh, s_sh = _symmetric_form(lower[0, sh[:-1]], upper[0, sh[:-1]], lens[own:])
+            ratio = s_sh[np.cumsum(lens[own:]) - 1]
+            band = _SymmetrizedBand(main[0, sh], off_sh, s_sh)
+            ends_all[:, :, own:], y = self._ends(band, own, first.size, 1)
+            # one block matrix: row (side, run) holds the run's end column
+            D = np.zeros((2, first.size - own, sh.size))
+            D[:, np.repeat(np.arange(first.size - own), lens[own:]), np.arange(sh.size)] = y[0]
+            self._shared = D.reshape(-1, sh.size)
+            if c:
+                grow += bordered(band, own, first.size, 1, sh)
+            if dense == "N" and corners is None and border is None:
+                self._shared_band = band
+        coupled = self.coupled(lower, upper, *self._form(lower, upper, piece, len(sizes), ratio),
+                               corners)
+        ties = coupled[0]
+
+        # the blocks' own runs, factored as one band
+        self._own = (np.zeros((J, 2, 0)), lens[:0], lens[:0])
+        if own:
+            band = _SymmetrizedBand(main[:, E[:rows]].reshape(-1), *coupled[1])
+            ends_all[:, :, :own], y = self._ends(band, 0, own, J)
+            self._own = (y, np.cumsum(lens[:own]) - lens[:own], lens[:own])
+            if c:
+                grow += bordered(band, 0, own, J, E[:rows])
+        self._nbr = np.stack(self._layout[5:])
+        self._close(main[:, K], coupled, ends_all, corners)
+        self._shared_ends = ends_all[:, :1, own:]
+
+        self.border = None
+        if c:
+            _, has_l, has_r, wrap, _, at_l, at_r = self._layout
+            right = has_r | wrap
+            into_l, from_l, into_r, from_r = ties
+            b_k, d_k = (x[:, K] for x in border)
+            uf, ul, vf, vl = uv_ends
+            for x_k, xf, xl, tie_l, tie_r in ((b_k, uf, ul, into_l, into_r),
+                                              (d_k, vf, vl, from_l, from_r)):
+                x_k[:, at_l[has_l]] -= (tie_l[..., None] * xf)[:, has_l]
+                x_k[:, at_r[right]] -= (tie_r[..., None] * xl)[:, right]
+            self.border = (b_k, d_k, grow, np.concatenate([u_T[a] for a in sorted(u_T)], axis=-1))
+
+    def _form(self, lower, upper, piece, pieces: int, ratio):
+        """T's off-diagonal and S of every block, (J, M) each, formed on the
+        rows outside the shared runs' inner rows (read as 0 and 1 there);
+        ``piece`` is each row's piece and ``ratio`` each shared run's s_l / s_f."""
+        first, lens = self._runs
+        J, M = lower.shape[0], lower.shape[1] + 1
+        own = self._split[1]
+        inner = np.zeros(M, bool)
+        inner[self.gone[self._split[0]:]] = True
+        inner[first[own:]] = inner[first[own:] + lens[own:] - 1] = False
+        lean = np.flatnonzero(~inner)
+        m = lean.size
+        # a step over inner rows is a shared run's, in the runs' order
+        step = np.flatnonzero(np.diff(lean) > 1)
+        spans = ((step + m * np.arange(J)[:, None]).reshape(-1),
+                 np.tile(ratio[lens[own:] > 2], J))
+        off_l, s_l = _symmetric_form(_chain(lower[:, lean[:-1]]), _chain(upper[:, lean[:-1]]),
+                                     np.tile(np.bincount(piece[lean], minlength=pieces), J),
+                                     spans)
+        off, s = np.zeros((J, M)), np.ones((J, M))
+        off[:, lean] = np.append(off_l, 0.0).reshape(J, m)
+        s[:, lean] = s_l.reshape(J, m)
+        return off, s
+
+    def coupled(self, lower, upper, off, s, corners=None):
+        """What the condensation reads of the blocks' couplings alone.
+
+        From ``lower`` and ``upper`` (J, M - 1) and their symmetric form
+        ``off`` and ``s`` (J, M): each run's ties, A[kL, f], A[f, kL],
+        A[kR, l] and A[l, kR] (J, runs each; zero where a run has no
+        neighbour); T's off-diagonal (chained) and S on the own runs' rows;
+        T's off-diagonal (J, kept rows - 1) and S on the kept rows; and each
+        run's T[kL, f] s_l / s_f T[l, kR].
+        """
+        first, lens = self._runs
+        last = first + lens - 1
+        piece, has_l, has_r, wrap, kl = self._layout[:5]
+        at_r = np.minimum(last, lower.shape[1] - 1)
+        into_l = np.where(has_l, upper[:, kl], 0.0)
+        from_l = np.where(has_l, lower[:, kl], 0.0)
+        into_r = np.where(has_r, lower[:, at_r], 0.0)
+        from_r = np.where(has_r, upper[:, at_r], 0.0)
+        if corners is not None:
+            into_r[:, wrap] = corners[:, piece[wrap], 1]
+            from_r[:, wrap] = corners[:, piece[wrap], 0]
+        rows, K = self.gone[:self._split[0]], self.kept
+        return ((into_l, from_l, into_r, from_r),
+                (_chain(off[:, rows[:-1]] * (np.diff(rows) == 1), 0.0), s[:, rows].reshape(-1)),
+                (off[:, K[:-1]] * (np.diff(K) == 1), s[:, K].reshape(-1)),
+                off[:, kl] * s[:, last] / s[:, first] * off[:, last])
+
+    def _ends(self, band, a: int, z: int, B: int):
+        """``(ends, y)`` of the runs a ... z - 1, factored as ``band`` for B
+        blocks: ends = (ff, ll, fl, lf), (B, runs) each, the end entries of
+        their end columns (dense N reads A_EE^-T [e_f, e_l], dense T reads
+        A_EE^-1 [e_f, e_l]), and y = minus the end columns, (B, 2, rows)."""
+        lens = self._runs[1][a:z]
+        m = lens.sum()
+        fe = np.cumsum(lens) - lens
+        le = fe + lens - 1
+        # both columns of all B blocks, (B m, 2) in Fortran order for LAPACK
+        unit = np.zeros((2, B, m))
+        unit[0][:, fe] = unit[1][:, le] = 1.0
+        Y = band.solve(unit.reshape(2, -1).T, "T" if self._dense == "N" else "N")
+        Y = Y.T.reshape(2, B, m)
+        ends = (Y[0][:, fe], Y[1][:, le]) + ((Y[0][:, le], Y[1][:, fe]) if self._dense == "N"
+                                             else (Y[1][:, fe], Y[0][:, le]))
+        y = np.ascontiguousarray(-Y.transpose(1, 0, 2))
+        _flush(y)
+        return ends, y
+
+    def _close(self, main_k, coupled, ends, corners=None):
+        """The kept band, its corners and each run's ties, from every block's
+        diagonal on the kept rows (overwritten), its :meth:`coupled` and the
+        runs' end entries (ff, ll, fl, lf)."""
+        J = main_k.shape[0]
+        piece, has_l, has_r, wrap, _, at_l, at_r = self._layout
+        (into_l, from_l, into_r, from_r), _, (off_k, s_k), cross = coupled
+        ff, ll, fl, lf = ends
         right = has_r | wrap
-        main_k[:, at[kl[has_l]]] -= (into_l * ff * from_l)[:, has_l]
-        main_k[:, at[kr[right]]] -= (into_r * ll * from_r)[:, right]
+        main_k[:, at_l[has_l]] -= (into_l * ff * from_l)[:, has_l]
+        main_k[:, at_r[right]] -= (into_r * ll * from_r)[:, right]
         # the new coupling kL - kR in T, -T[kL, f] (T_EE^-1)[f, l] T[l, kR]
         both = has_l & has_r
-        new = -(off[:, kl] * fl * s[:, last] / s[:, first] * off[:, last])[:, both]
+        new = -(cross * fl)[:, both]
         _flush(new)
-        off_k[:, at[kl[both]]] = new
-        self.band = _SymmetrizedBand(main_k.reshape(-1), _chain(off_k, 0.0),
-                                     s[:, K].reshape(-1))
+        off_k = off_k.copy()
+        off_k[:, at_l[both]] = new
+        self.band = _SymmetrizedBand(main_k.reshape(-1), _chain(off_k, 0.0), s_k)
         self.corners = None
         if corners is not None:
             # the corners kL -> first and first -> kL across a run at the end
             up, low = -into_l * fl * from_r, -into_r * lf * from_l
             _flush(up, low)
             self.corners = corners.copy()
-            self.corners[:, piece[last[wrap]]] = np.stack([up[:, wrap], low[:, wrap]], axis=-1)
-        self.kept, self._runs = K, (first, lens)
-
-        # each run's ties and kept neighbours
-        self._ties = np.stack([into_l, into_r] if dense == "N" else [from_l, from_r], axis=1)
-        self._nbr = np.stack([at[kl], at[kr]])
+            self.corners[:, piece[wrap]] = np.stack([up[:, wrap], low[:, wrap]], axis=-1)
+        # each run's ties, the other way round, and its kept neighbours
+        pairs = ([into_l, into_r], [from_l, from_r])
+        self._ties, self._back = (np.stack(p, axis=1)
+                                  for p in (pairs if self._dense == "N" else pairs[::-1]))
         # where each block's run sums land in the kept rows of all blocks
-        self._to = (self._nbr + K.size * np.arange(J)[:, None, None]).reshape(-1)
+        self._to = (self._nbr + self.kept.size * np.arange(J)[:, None, None]).reshape(-1)
 
-        self.border = None
-        if c:
-            b_k, d_k = (x[:, K] for x in border)
-            uf, ul, vf, vl = uv_ends
-            for x_k, xf, xl, tie_l, tie_r in ((b_k, uf, ul, into_l, into_r),
-                                              (d_k, vf, vl, from_l, from_r)):
-                x_k[:, at[kl[has_l]]] -= (tie_l[..., None] * xf)[:, has_l]
-                x_k[:, at[kr[right]]] -= (tie_r[..., None] * xl)[:, right]
-            self.border = (b_k, d_k, grow, np.concatenate(u_T, axis=-1))
+    def member(self, main, coupled) -> "_Condensed":
+        """This band's condensation of one more block.
+
+        ``main`` is the block's diagonal on the kept rows and then on the
+        rows of :attr:`gone` (its own runs' at least), and ``coupled`` is
+        :meth:`coupled` of its couplings, one block.  Its rows on the shared
+        runs must be this band's, bit for bit: their factor and end columns
+        serve it as they are, and only its own runs are eliminated.  It
+        keeps their factor for :meth:`solve`.
+        """
+        if self._dense != "N" or self.corners is not None or self.border is not None:
+            raise ValueError("only a dense N band without corners or border takes a member")
+        new = copy.copy(self)
+        (rows, own), m = self._split, self.kept.size
+        ends = np.empty((4, 1, self._runs[0].size))
+        ends[:, :, own:] = self._shared_ends
+        new._own_factor = band = _SymmetrizedBand(main[m:m + rows].copy(), coupled[1][0].copy(),
+                                                  coupled[1][1])
+        ends[:, :, :own], y = new._ends(band, 0, own, 1)
+        new._own = (y,) + self._own[1:]
+        new._close(main[None, :m].copy(), coupled, ends)
+        return new
 
     @property
     def gone(self) -> np.ndarray:
@@ -644,16 +759,34 @@ class _Condensed:
         first, lens = self._runs
         return np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
-    def restrict(self, kept: np.ndarray, gone: np.ndarray) -> np.ndarray:
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Where each shared run's first and then its last row sits in the
+        shared runs' rows (the columns of their end columns), run by run."""
+        lens = self._runs[1][self._split[1]:]
+        last = np.cumsum(lens) - 1
+        return np.stack([last - lens + 1, last], axis=1).reshape(-1)
+
+    def shared_sums(self, gone: np.ndarray) -> np.ndarray:
+        """The products of the shared runs' end columns with the right-hand
+        side ``gone`` on the rows of :attr:`gone`, (..., 2 x shared runs)."""
+        return gone[..., self._split[0]:] @ self._shared.T
+
+    def restrict(self, kept: np.ndarray, gone: np.ndarray,
+                 shared: np.ndarray | None = None) -> np.ndarray:
         """The kept rows' right-hand sides, (J, kept rows), from a right-hand
         side given as its kept rows and its rows of :attr:`gone` (each per
         block, or one for all blocks): a shared run's end columns read one
-        right-hand side once, and each block scales the result by its ties."""
+        right-hand side once (or ``shared`` gives their :meth:`shared_sums`,
+        and ``gone`` may stop at the shared runs), and each block scales the
+        result by its ties."""
         rows, runs = self._split
         y, starts, _ = self._own
         sums = np.empty(self._ties.shape)
         sums[..., :runs] = np.add.reduceat(y * gone[..., None, :rows], starts, axis=-1)
-        sums[..., runs:] = (gone[..., rows:] @ self._shared.T).reshape(*gone.shape[:-1], 2, -1)
+        if shared is None:
+            shared = self.shared_sums(gone)
+        sums[..., runs:] = shared.reshape(*shared.shape[:-1], 2, -1)
         # a side without a neighbour has ties 0 and adds 0.0
         sums *= self._ties
         J = sums.shape[0]
@@ -662,15 +795,41 @@ class _Condensed:
         out += kept
         return out
 
-    def extend(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_j weights_j x_j on the rows of :attr:`gone`, for the solutions
-        x_j whose kept rows are ``x``, (J, kept rows); the weighted ties of a
-        shared run are summed over the blocks before its one product."""
+    def tied(self, x: np.ndarray, weights: np.ndarray):
+        """The two parts of :meth:`extend`: its values on the own runs' rows,
+        and the weighted ties of the shared runs summed over the blocks,
+        (2 x shared runs,), whose product with their end columns is the rest."""
         _, runs = self._split
         y, _, lens = self._own
         tied = weights[:, None, None] * self._ties * x.take(self._nbr, axis=1)
         own = np.einsum("jse,jse->e", y, np.repeat(tied[..., :runs], lens, axis=-1))
-        return np.concatenate([own, tied[..., runs:].sum(axis=0).reshape(-1) @ self._shared])
+        return own, tied[..., runs:].sum(axis=0).reshape(-1)
+
+    def extend(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_j weights_j x_j on the rows of :attr:`gone`, for the solutions
+        x_j whose kept rows are ``x``, (J, kept rows); the weighted ties of a
+        shared run are summed over the blocks before its one product."""
+        own, tied = self.tied(x, weights)
+        return np.concatenate([own, tied @ self._shared])
+
+    def solve(self, kept: np.ndarray, gone: np.ndarray):
+        """``(x_K, x_E)``: a :meth:`member`'s solution of A x = b on its kept
+        rows and on the rows of :attr:`gone`, for b given on the same rows.
+        The runs are solved after the kept rows, with the kept neighbours'
+        terms moved to the right-hand side, so x_E costs one more solve of
+        the runs' factors."""
+        x = self.band.solve(self.restrict(kept, gone)[0])
+        first, lens = self._runs
+        fe = np.cumsum(lens) - lens
+        r = gone.copy()
+        nbr = x[self._nbr]
+        r[fe] -= self._back[0, 0] * nbr[0]
+        r[fe + lens - 1] -= self._back[0, 1] * nbr[1]
+        rows = self._split[0]
+        parts = [self._own_factor.solve(r[:rows])]
+        if self._shared_band is not None:
+            parts.append(self._shared_band.solve(r[rows:]))
+        return x, np.concatenate(parts)
 
 
 class SubdomainSolver:
@@ -735,17 +894,36 @@ def channel_diagonals(surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
     mod n, so the periodic corners sit in L[:, 0] and U[:, n - 1].  The
     stencil weights enter as in the sparse
     :meth:`~wpneck.operators.ModeOperators.channel_matrix`, bit for bit.
+    L and U do not depend on k (:func:`channel_couplings`): every mode on
+    one surface and grid shares them, read-only.
     """
-    if grid.scheme != "periodic":
-        raise ValueError("channel diagonals need a periodic finite-difference grid")
     F, Fp, Fpp = surface.grid_jet(grid)
-    h = grid.weights[0]
-    side, mid = -F * (1.0 / h**2), -F * (-2.0 / h**2)
-    L = np.tile(0.5 * (side + (-Fp) * (-0.5 / h)), (2, 1))
-    U = np.tile(0.5 * (side + (-Fp) * (0.5 / h)), (2, 1))
+    L, U = channel_couplings(surface, grid)
+    mid = -F * (-2.0 / grid.weights[0] ** 2)
     D = np.array([0.5 * (mid + channel_potential(F, Fp, Fpp, k, sign))
                   for sign in (+1, -1)])
     return L, D, U
+
+
+def channel_couplings(surface: ModelSurfaceMetric, grid: RadialGrid):
+    """The diagonals L and U of :func:`channel_diagonals`, which no k changes.
+
+    They are kept, read-only, with the surface's jet for its last grid
+    (:meth:`ModelSurfaceMetric.grid_jet`).
+    """
+    if grid.scheme != "periodic":
+        raise ValueError("channel diagonals need a periodic finite-difference grid")
+    F, Fp, _ = surface.grid_jet(grid)
+    kept = surface._grid_jet
+    if len(kept) < 3:
+        h = grid.weights[0]
+        side = -F * (1.0 / h**2)
+        pair = (np.tile(0.5 * (side + (-Fp) * (-0.5 / h)), (2, 1)),
+                np.tile(0.5 * (side + (-Fp) * (0.5 / h)), (2, 1)))
+        for d in pair:
+            d.flags.writeable = False
+        kept.append(pair)
+    return kept[2]
 
 
 def band_matvec(diags, w: np.ndarray, trans: str = "N") -> np.ndarray:

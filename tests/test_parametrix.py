@@ -422,6 +422,91 @@ def test_zero_mode_blocks_and_banks_build_no_global_solver(monkeypatch):
     parametrix.ReferenceBank(grid, 0, parametrix._Layers.of_blocks(grid, cut), (0.05, 0.3))
 
 
+# the relative gap of a banked block's R, R^T and G~, condensed on its bank's
+# layout, to a bankless block's whole-band route, by mode: measured at most
+# 1.6e-11 (k = 0), 2.6e-13 (k = 3) and 1.3e-13 (k = 8) at n = 2048 over the
+# lengths below (1.3e-12, 6.2e-14 and 4.6e-14 at n = 1024)
+_MEMBER_GAP = {0: 1e-10, 3: 2e-12, 8: 1e-12}
+
+
+def test_banked_block_matches_the_whole_band_route():
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    family = ParametrixFamily(grid, ks=list(_MEMBER_GAP))
+    rng = np.random.default_rng(4)
+    for ell in (0.035, 0.1, 0.4):
+        for k, bound in _MEMBER_GAP.items():
+            blk = family.block(ell, k)
+            ref = ModeParametrix(blk.surface, grid, k, family.cutoffs)
+            w = rng.standard_normal((2, grid.n))
+            for name in ("apply_R", "apply_R_T", "apply_Gtilde"):
+                got, want = getattr(blk, name)(w), getattr(ref, name)(w)
+                gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert gap <= bound, (ell, k, name, gap)
+
+
+def test_a_report_builds_no_subdomain_solver(monkeypatch):
+    # the blocks of a family condense on their banks' layout; only a block
+    # without a bank factors its whole Dirichlet band
+    built = []
+    real = SubdomainSolver.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubdomainSolver, "__init__", counting)
+    grid = periodic_grid(-2.0, 2.0, 512)
+    rep = ParametrixFamily(grid, ks=[0, 2]).report(0.1)
+    assert rep.norm_S < 1.0 and built == []
+    ModeParametrix(ModelSurfaceMetric(ell=0.1), grid, 2, CutoffPair())
+    assert len(built) == 1
+
+
+def test_blocks_of_one_length_share_their_k_free_parts(family):
+    blocks = [family.block(0.13, k) for k in family.ks]
+    first = blocks[0]
+    for blk in blocks[1:]:
+        assert blk.surface is first.surface
+        assert blk.diags[0] is first.diags[0] and blk.diags[2] is first.diags[2]
+        assert blk._lagrange is first._lagrange and blk._R_vals is first._R_vals
+        # the couplings' symmetric form and what the condensation reads of it
+        assert blk.bank.length(blk.surface) is first.bank.length(first.surface)
+
+
+def test_a_report_draws_its_random_start_once(monkeypatch):
+    # both norms of every mode start from the same draw
+    parametrix._start.cache_clear()
+    seeds = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    ParametrixFamily(periodic_grid(-2.0, 2.0, 512), ks=[0, 1, 2]).report(0.1, norm_seed=5)
+    assert seeds == [5]
+
+
+def test_S_is_exactly_zero_on_the_cap_at_k_ge_1(family, grid):
+    # P(ell) = P(ell_j) on the cap, so S vanishes there: it is written as
+    # exact zeros, and S^T reads no cap row
+    cap = surface.cap_indices(grid)
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal((2, grid.n))
+    v = w.copy()
+    v[:, cap] = rng.standard_normal((2, cap.size))
+    for k in (1, 3):
+        blk = family.block(0.2, k)
+        bank = blk.bank
+        assert np.array_equal(np.sort(bank._win), np.arange(bank._win.size))
+        S = blk.apply_S(w)
+        assert np.all(S[:, cap] == 0.0) and np.any(S != 0.0), k
+        assert np.array_equal(blk.apply_S_T(v), blk.apply_S_T(w)), k
+    # at k = 0 the kernel's border makes S nonzero on the cap
+    assert np.any(family.block(0.2, 0).apply_S(w)[:, cap] != 0.0)
+
+
 def test_family_memory_stays_small():
     # the family keeps each mode's kept bands, closures and coefficients, not
     # whole bands beside them: measured 8.5 MB (13.5 MB with the references'
