@@ -240,19 +240,12 @@ def _symmetrized(main, lower, upper, sizes):
     return _SymmetrizedBand(main, *_symmetric_form(lower, upper, sizes))
 
 
-def _symmetric_form(lower, upper, sizes, spans=None):
-    """``(off, scale)`` of :func:`_symmetrized`: T's off-diagonal and S.
-
-    With ``spans`` = (p, ratio), each coupling p stands for a run of
-    couplings whose ratios s_{i+1} / s_i multiply to ``ratio``, formed
-    elsewhere: S steps by it there, and T gets a zero.
-    """
+def _symmetric_form(lower, upper, sizes):
+    """``(off, scale)`` of :func:`_symmetrized`: T's off-diagonal and S."""
     ends = np.cumsum(sizes)
     # at a piece's last row p the coupling is cut: ones stand in there for
     # the check and the ratios, and T gets a zero
     cut = ends[:-1] - 1
-    if spans is not None:
-        cut = np.r_[cut, spans[0]]
     lower[cut] = upper[cut] = 1.0
     prod = lower * upper
     small = ~(prod >= np.finfo(float).tiny)
@@ -268,8 +261,6 @@ def _symmetric_form(lower, upper, sizes, spans=None):
         lower[zero] = upper[zero] = 1.0
     off[cut] = 0.0
     ratio = np.sqrt(lower / upper)
-    if spans is not None:
-        ratio[spans[0]] = spans[1]
     scale = np.empty(lower.size + 1)
     for start, end in zip(ends - sizes, ends):
         scale[start] = 1.0

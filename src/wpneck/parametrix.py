@@ -58,10 +58,11 @@ The frozen references of F are not blocks.  A family keeps one
 right-hand side on the commutators' transition layers or is read there
 only, so the references' bands, subdomain and global, keep those layer rows
 and the cap's two neighbours alone (:class:`~wpneck.surface._Condensed`, 360
-rows per reference and band at n = 2048) and are stacked into one band
-each.  The channel rows on the cap |tau| >= 7/8 are the same at every ell,
-so the cap is one eliminated run that the references share, factored once
-per band.  An application of F or F^T is then four band solves over the
+rows per reference and band at n = 2048; the neck band keeps the node
+before its first layer row too, 362) and are stacked into one band each.
+The channel rows on the cap |tau| >= 7/8 are the same at every ell, so the
+cap is one eliminated run that the references share, factored once per
+band.  An application of F or F^T is then four band solves over the
 kept rows of all references together, whatever their number, and dense
 right-hand sides and outputs pass through the eliminated runs' end columns.
 :class:`~wpneck.surface.GlobalModeSolver` stays the independent direct
@@ -101,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .grids import RadialGrid, _symmetric_form
+from .grids import RadialGrid
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
 from .operators import mode_operators
 from .surface import (
@@ -304,10 +305,11 @@ class ReferenceBank:
       channels, keep their layer columns (restricting the dense right-hand
       side chi w);
     * the neck band: each reference's two channels on the whole circle, in
-      period order from the first layer row, keep their layer rows.  Their
-      outer run ends at the cyclic corner, so the kept band's corner links
-      each channel's last and first layer rows; the corners are put back as
-      the cut entries of one Woodbury closure, batched over the references
+      period order from the first layer row, keep their layer rows and the
+      circle's last row, the node before the first layer row.  So no
+      eliminated run reaches the cyclic corner, the kept band's corners are
+      the diagonals' own cyclic entries, and they are put back as the cut
+      entries of one Woodbury closure, batched over the references
       (:func:`~wpneck.surface._cut_closure`).  At k = 0 each channel is
       bordered by the reference's weighted kernel c too, carried through
       the condensation: [[A, c], [c^T, 0]] becomes the kept band bordered by
@@ -361,18 +363,17 @@ class ReferenceBank:
         flat = layers.flat
         keep = np.isin(flat % n, cap_ends)
         keep[layers.cols] = True
-        self._sizes = np.repeat([r.size for r in layers.runs], 2)
-        self._sub = sub = _Condensed(*stacked(layers.runs), self._sizes, keep)
+        self._sub = sub = _Condensed(*stacked(layers.runs),
+                                     np.repeat([r.size for r in layers.runs], 2), keep)
         border = self._u = None
         if kernels is not None:
             b = np.zeros((J, 2 * n, 2))
             b[:, :n, 0] = b[:, n:, 1] = [(grid.weights * q)[neck] for q in kernels]
             border = (b, b)
-        keep = np.isin(neck2 % n, np.r_[layers.rows % n, cap_ends])
-        corners = np.array([np.stack([U[:, neck[-1]], L[:, neck[0]]], axis=1)
-                            for L, _, U in diags])
-        self._glob = glob = _Condensed(*stacked([neck]), [n, n], keep, corners, dense="T",
-                                       border=border)
+        # the node before the first layer row too, so that no eliminated run
+        # reaches the cyclic corner
+        keep = np.isin(neck2 % n, np.r_[layers.rows % n, cap_ends, neck[-1]])
+        self._glob = glob = _Condensed(*stacked([neck]), [n, n], keep, dense="T", border=border)
         if kernels is not None:
             # (reference, channel) by eliminated row
             self._u = glob.border[3].reshape(2 * J, -1)
@@ -398,20 +399,22 @@ class ReferenceBank:
         self._R = tuple(np.concatenate(a) for a in zip(*(
             (rows + glob.kept.size * j, cols + sub.kept.size * j, layers.commutator(d[0], d[2]))
             for j, d in enumerate(diags))))
-        self._closures = self._close()
+        self._closures = self._close(np.array([np.r_[U[:, neck[-1]], L[:, neck[0]]]
+                                               for L, _, U in diags]))
 
-    def _close(self):
+    def _close(self, corners):
         """The kept neck band's batched closures, per ``trans``.
 
-        Each channel's corners are (last, first) and (first, last) of its
-        kept rows (:func:`~wpneck.surface._cut_closure`).  At k = 0 the
-        border's diagonal is the one the elimination grew from 0.
+        Each channel's corners, (last, first) and (first, last) of its kept
+        rows, are the cyclic entries of its diagonals, ``corners`` (J, 4):
+        U at the last row of both channels, then L at the first
+        (:func:`~wpneck.surface._cut_closure`).  At k = 0 the border's
+        diagonal is the one the elimination grew from 0.
         """
         glob = self._glob
         h = self._shape[2] // 2
         last, first = [h - 1, 2 * h - 1], [0, h]
-        cut = (np.array(last + first), np.array(first + last),
-               np.concatenate([glob.corners[..., 0], glob.corners[..., 1]], axis=1))
+        cut = (np.array(last + first), np.array(first + last), corners)
         border = None if glob.border is None else glob.border[:3]
         return {trans: _cut_closure(glob.band.solve, 2 * h, cut, trans, border)
                 for trans in "NT"}
@@ -437,9 +440,7 @@ class ReferenceBank:
             L, U = channel_couplings(surface, self.grid)
             flat = self.layers.flat
             lower, upper = L.reshape(-1)[flat[1:]], U.reshape(-1)[flat[:-1]]
-            off, scale = _symmetric_form(lower.copy(), upper.copy(), self._sizes)
-            coupled = self._sub.coupled(lower[None], upper[None], np.append(off, 0.0)[None],
-                                        scale[None])
+            coupled = self._sub.coupled(lower[None], upper[None])
             self.layers.last_length[:] = [key, (lagrange, coupled, self.layers.commutator(L, U))]
         return self.layers.last_length[1]
 

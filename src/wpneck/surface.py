@@ -38,13 +38,14 @@ A band without such a form is refused.  The parametrix's frozen
 references eliminate every row off their transition layers once per family
 (:class:`_Condensed`) and solve their layer rows together; the channel rows
 on the cap |tau| >= 7/8 are the same at every ell (:func:`cap_indices`), so
-there the references share one eliminated run, factored once per band, and
-the symmetric form of that run's rows is formed once too.  A parametrix
-block joins its references' subdomain condensation
-(:meth:`_Condensed.member`): it eliminates its own runs only and takes the
-cap run, factor and end columns, as it is.  The channels' couplings L and
-U do not depend on k (:func:`channel_couplings`), so every mode on one
-surface shares them.
+there the references share one eliminated run, factored once per band in
+its own symmetric form.  A cyclic band is condensed as its cut pieces,
+each keeping its first and last rows, so the corners join kept rows and are
+put back by the band's closure as they are.  A parametrix block joins its
+references' subdomain condensation (:meth:`_Condensed.member`): it
+eliminates its own runs only and takes the cap run, factor and end
+columns, as it is.  The channels' couplings L and U do not depend on k
+(:func:`channel_couplings`), so every mode on one surface shares them.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  It uses the grid reflection R: i -> n - i
@@ -493,9 +494,7 @@ class _Condensed:
     inside it, are the same in every block, bit for bit, is shared: the
     shared runs are a band of their own, each in its own symmetric form
     (:func:`_symmetrized`, which reads its rows alone), factored once, and
-    one copy of their end columns, a block matrix, serves all blocks.  The
-    blocks' own symmetric form is formed off the shared runs' inner rows:
-    across a shared run S steps by the ratio s_l / s_f of the run's own form.
+    one copy of their end columns, a block matrix, serves all blocks.
     Eliminating E changes the kept band only at E's neighbours kL and kR:
     their diagonals, and a new coupling -T[kL, f] (T_EE^-1)[f, l] T[l, kR]
     between them.  Each run's block is an M-matrix,
@@ -503,11 +502,9 @@ class _Condensed:
     old ones, and the kept band (``band``) is S_K T' S_K^-1 with T'
     symmetric: no product of two couplings is formed, which would underflow
     across a long run.  A coupling below the smallest normal float is a cut.
-
-    With ``corners`` (J, pieces, 2) every piece is cyclic, A[last, first]
-    and A[first, last] coupling its ends.  Its first row must be kept.  A run
-    at its end is joined to that row through the corner, and the kept
-    piece's own corners are then :attr:`corners`.
+    A cyclic band is condensed as its cut pieces: when each piece keeps its
+    first and last rows, its corners join kept rows, and the caller puts
+    them back on the kept band as they are (:func:`_cut_closure`).
 
     Each run keeps its ties to its neighbours (with ``dense="N"``, A[kL, f]
     and A[kR, l]).  With its end columns they restrict A x = b to the kept
@@ -520,14 +517,13 @@ class _Condensed:
     the rows of :attr:`gone`, so u^T is (J, c, rows).  gamma grows by the
     third; u enters the extension of A x = b as -u mu.
 
-    A ``dense="N"`` band with neither corners nor border keeps its shared
-    runs' factor, and another block with the same shared rows joins it
-    (:meth:`member`): only its own runs are eliminated, and the member
-    solves A x = b on every row (:meth:`solve`).
+    A ``dense="N"`` band without a border keeps its shared runs' factor,
+    and another block with the same shared rows joins it (:meth:`member`):
+    only its own runs are eliminated, and the member solves A x = b on
+    every row (:meth:`solve`).
     """
 
-    def __init__(self, main, lower, upper, sizes, keep, corners=None,
-                 dense: str = "N", border=None):
+    def __init__(self, main, lower, upper, sizes, keep, dense: str = "N", border=None):
         J, M = main.shape
         ends = np.cumsum(sizes)
         heads = ends - sizes
@@ -546,26 +542,26 @@ class _Condensed:
         first, last, lens = first[order], last[order], lens[order]
         has_l = first > heads[piece[first]]
         has_r = last < ends[piece[last]] - 1
-        wrap = np.zeros_like(has_r) if corners is None else ~has_r
-        if corners is not None and np.any(gone[heads]) or np.any(wrap & ~has_l):
-            raise ValueError("a cyclic piece must keep its first row and one more")
         K = np.flatnonzero(keep)
         at = np.zeros(M, dtype=int)
         at[K] = np.arange(K.size)
         own = np.count_nonzero(~shared)
-        self.kept, self._dense, self._runs = K, dense, (first, lens)
+        self.kept, self._dense, self._runs, self._sizes = K, dense, (first, lens), sizes
         self._split = (int(lens[:own].sum()), own)
         kl = np.where(has_l, first - 1, 0)
-        kr = np.where(has_r, last + 1, heads[piece[last]])
-        # per run: its piece, whether it has a left and a right neighbour, is
-        # joined through the corner, and its neighbours' rows, in the band and kept
-        self._layout = (piece[last], has_l, has_r, wrap, kl, at[kl], at[kr])
+        kr = np.where(has_r, last + 1, 0)
+        # per run: whether it has a left and a right neighbour, and its
+        # neighbours' rows, in the band and kept
+        self._layout = (has_l, has_r, kl, at[kl], at[kr])
+        self._nbr = np.stack(self._layout[3:])
         E = self.gone
         rows = self._split[0]
         c = 0 if border is None else border[0].shape[2]
-        ends_all = np.empty((4, J, first.size))
-        # the border's u (J, c, rows), and u and v at the runs' first and last rows
-        u_T, uv_ends, grow = {}, np.empty((4, J, first.size, c)), np.zeros((J, c))
+        ends_all = np.empty((3, J, first.size))
+        # the border's u (J, c, rows), from no run at all too, and u and v at
+        # the runs' first and last rows
+        u_T, uv_ends = [np.zeros((J, c, 0))], np.empty((4, J, first.size, c))
+        grow = np.zeros((J, c))
 
         def bordered(band, a, z, B, rows):
             # u = A_EE^-1 b_E and v = A_EE^-T d_E of every block; a shared
@@ -577,32 +573,11 @@ class _Condensed:
             le = np.cumsum(lens[a:z]) - 1
             fe = le - lens[a:z] + 1
             uv_ends[:, :, a:z] = u[:, fe], u[:, le], v[:, fe], v[:, le]
-            u_T[a] = u.transpose(0, 2, 1)
+            u_T.append(u.transpose(0, 2, 1))
             return np.einsum("jmc,jmc->jc", border[1][:, rows], u)
 
-        # the shared runs: one copy of their rows, each in its own symmetric
-        # form, factored once
-        self._shared, self._shared_band = np.zeros((0, 0)), None
-        sh = E[rows:]
-        ratio = np.ones(0)
-        if sh.size:
-            off_sh, s_sh = _symmetric_form(lower[0, sh[:-1]], upper[0, sh[:-1]], lens[own:])
-            ratio = s_sh[np.cumsum(lens[own:]) - 1]
-            band = _SymmetrizedBand(main[0, sh], off_sh, s_sh)
-            ends_all[:, :, own:], y = self._ends(band, own, first.size, 1)
-            # one block matrix: row (side, run) holds the run's end column
-            D = np.zeros((2, first.size - own, sh.size))
-            D[:, np.repeat(np.arange(first.size - own), lens[own:]), np.arange(sh.size)] = y[0]
-            self._shared = D.reshape(-1, sh.size)
-            if c:
-                grow += bordered(band, own, first.size, 1, sh)
-            if dense == "N" and corners is None and border is None:
-                self._shared_band = band
-        coupled = self.coupled(lower, upper, *self._form(lower, upper, piece, len(sizes), ratio),
-                               corners)
-        ties = coupled[0]
-
         # the blocks' own runs, factored as one band
+        coupled = self.coupled(lower, upper)
         self._own = (np.zeros((J, 2, 0)), lens[:0], lens[:0])
         if own:
             band = _SymmetrizedBand(main[:, E[:rows]].reshape(-1), *coupled[1])
@@ -610,68 +585,57 @@ class _Condensed:
             self._own = (y, np.cumsum(lens[:own]) - lens[:own], lens[:own])
             if c:
                 grow += bordered(band, 0, own, J, E[:rows])
-        self._nbr = np.stack(self._layout[5:])
-        self._close(main[:, K], coupled, ends_all, corners)
+
+        # the shared runs: one copy of their rows, factored once
+        self._shared, self._shared_band = np.zeros((0, 0)), None
+        sh = E[rows:]
+        if sh.size:
+            band = _symmetrized(main[0, sh], lower[0, sh[:-1]], upper[0, sh[:-1]], lens[own:])
+            ends_all[:, :, own:], y = self._ends(band, own, first.size, 1)
+            # one block matrix: row (side, run) holds the run's end column
+            D = np.zeros((2, first.size - own, sh.size))
+            D[:, np.repeat(np.arange(first.size - own), lens[own:]), np.arange(sh.size)] = y[0]
+            self._shared = D.reshape(-1, sh.size)
+            if c:
+                grow += bordered(band, own, first.size, 1, sh)
+            if dense == "N" and border is None:
+                self._shared_band = band
+        self._close(main[:, K], coupled, ends_all)
         self._shared_ends = ends_all[:, :1, own:]
 
         self.border = None
         if c:
-            _, has_l, has_r, wrap, _, at_l, at_r = self._layout
-            right = has_r | wrap
-            into_l, from_l, into_r, from_r = ties
+            has_l, has_r, _, at_l, at_r = self._layout
+            into_l, from_l, into_r, from_r = coupled[0]
             b_k, d_k = (x[:, K] for x in border)
             uf, ul, vf, vl = uv_ends
             for x_k, xf, xl, tie_l, tie_r in ((b_k, uf, ul, into_l, into_r),
                                               (d_k, vf, vl, from_l, from_r)):
                 x_k[:, at_l[has_l]] -= (tie_l[..., None] * xf)[:, has_l]
-                x_k[:, at_r[right]] -= (tie_r[..., None] * xl)[:, right]
-            self.border = (b_k, d_k, grow, np.concatenate([u_T[a] for a in sorted(u_T)], axis=-1))
+                x_k[:, at_r[has_r]] -= (tie_r[..., None] * xl)[:, has_r]
+            self.border = (b_k, d_k, grow, np.concatenate(u_T, axis=-1))
 
-    def _form(self, lower, upper, piece, pieces: int, ratio):
-        """T's off-diagonal and S of every block, (J, M) each, formed on the
-        rows outside the shared runs' inner rows (read as 0 and 1 there);
-        ``piece`` is each row's piece and ``ratio`` each shared run's s_l / s_f."""
-        first, lens = self._runs
-        J, M = lower.shape[0], lower.shape[1] + 1
-        own = self._split[1]
-        inner = np.zeros(M, bool)
-        inner[self.gone[self._split[0]:]] = True
-        inner[first[own:]] = inner[first[own:] + lens[own:] - 1] = False
-        lean = np.flatnonzero(~inner)
-        m = lean.size
-        # a step over inner rows is a shared run's, in the runs' order
-        step = np.flatnonzero(np.diff(lean) > 1)
-        spans = ((step + m * np.arange(J)[:, None]).reshape(-1),
-                 np.tile(ratio[lens[own:] > 2], J))
-        off_l, s_l = _symmetric_form(_chain(lower[:, lean[:-1]]), _chain(upper[:, lean[:-1]]),
-                                     np.tile(np.bincount(piece[lean], minlength=pieces), J),
-                                     spans)
-        off, s = np.zeros((J, M)), np.ones((J, M))
-        off[:, lean] = np.append(off_l, 0.0).reshape(J, m)
-        s[:, lean] = s_l.reshape(J, m)
-        return off, s
-
-    def coupled(self, lower, upper, off, s, corners=None):
+    def coupled(self, lower, upper):
         """What the condensation reads of the blocks' couplings alone.
 
-        From ``lower`` and ``upper`` (J, M - 1) and their symmetric form
-        ``off`` and ``s`` (J, M): each run's ties, A[kL, f], A[f, kL],
-        A[kR, l] and A[l, kR] (J, runs each; zero where a run has no
-        neighbour); T's off-diagonal (chained) and S on the own runs' rows;
-        T's off-diagonal (J, kept rows - 1) and S on the kept rows; and each
-        run's T[kL, f] s_l / s_f T[l, kR].
+        From ``lower`` and ``upper`` (J, M - 1), whose symmetric form A =
+        S T S^-1 it forms (:func:`_symmetric_form`): each run's ties, A[kL, f],
+        A[f, kL], A[kR, l] and A[l, kR] (J, runs each; zero where a run has
+        no neighbour); T's off-diagonal (chained) and S on the own runs'
+        rows; T's off-diagonal (J, kept rows - 1) and S on the kept rows; and
+        each run's T[kL, f] s_l / s_f T[l, kR].
         """
+        J = lower.shape[0]
+        off, s = _symmetric_form(_chain(lower), _chain(upper), np.tile(self._sizes, J))
+        off, s = np.append(off, 0.0).reshape(J, -1), s.reshape(J, -1)
         first, lens = self._runs
         last = first + lens - 1
-        piece, has_l, has_r, wrap, kl = self._layout[:5]
+        has_l, has_r, kl = self._layout[:3]
         at_r = np.minimum(last, lower.shape[1] - 1)
         into_l = np.where(has_l, upper[:, kl], 0.0)
         from_l = np.where(has_l, lower[:, kl], 0.0)
         into_r = np.where(has_r, lower[:, at_r], 0.0)
         from_r = np.where(has_r, upper[:, at_r], 0.0)
-        if corners is not None:
-            into_r[:, wrap] = corners[:, piece[wrap], 1]
-            from_r[:, wrap] = corners[:, piece[wrap], 0]
         rows, K = self.gone[:self._split[0]], self.kept
         return ((into_l, from_l, into_r, from_r),
                 (_chain(off[:, rows[:-1]] * (np.diff(rows) == 1), 0.0), s[:, rows].reshape(-1)),
@@ -680,7 +644,7 @@ class _Condensed:
 
     def _ends(self, band, a: int, z: int, B: int):
         """``(ends, y)`` of the runs a ... z - 1, factored as ``band`` for B
-        blocks: ends = (ff, ll, fl, lf), (B, runs) each, the end entries of
+        blocks: ends = (ff, ll, fl), (B, runs) each, the end entries of
         their end columns (dense N reads A_EE^-T [e_f, e_l], dense T reads
         A_EE^-1 [e_f, e_l]), and y = minus the end columns, (B, 2, rows)."""
         lens = self._runs[1][a:z]
@@ -692,23 +656,21 @@ class _Condensed:
         unit[0][:, fe] = unit[1][:, le] = 1.0
         Y = band.solve(unit.reshape(2, -1).T, "T" if self._dense == "N" else "N")
         Y = Y.T.reshape(2, B, m)
-        ends = (Y[0][:, fe], Y[1][:, le]) + ((Y[0][:, le], Y[1][:, fe]) if self._dense == "N"
-                                             else (Y[1][:, fe], Y[0][:, le]))
+        ends = (Y[0][:, fe], Y[1][:, le], Y[0][:, le] if self._dense == "N" else Y[1][:, fe])
         y = np.ascontiguousarray(-Y.transpose(1, 0, 2))
         _flush(y)
         return ends, y
 
-    def _close(self, main_k, coupled, ends, corners=None):
-        """The kept band, its corners and each run's ties, from every block's
-        diagonal on the kept rows (overwritten), its :meth:`coupled` and the
-        runs' end entries (ff, ll, fl, lf)."""
+    def _close(self, main_k, coupled, ends):
+        """The kept band and each run's ties, from every block's diagonal on
+        the kept rows (overwritten), its :meth:`coupled` and the runs' end
+        entries (ff, ll, fl)."""
         J = main_k.shape[0]
-        piece, has_l, has_r, wrap, _, at_l, at_r = self._layout
+        has_l, has_r, _, at_l, at_r = self._layout
         (into_l, from_l, into_r, from_r), _, (off_k, s_k), cross = coupled
-        ff, ll, fl, lf = ends
-        right = has_r | wrap
+        ff, ll, fl = ends
         main_k[:, at_l[has_l]] -= (into_l * ff * from_l)[:, has_l]
-        main_k[:, at_r[right]] -= (into_r * ll * from_r)[:, right]
+        main_k[:, at_r[has_r]] -= (into_r * ll * from_r)[:, has_r]
         # the new coupling kL - kR in T, -T[kL, f] (T_EE^-1)[f, l] T[l, kR]
         both = has_l & has_r
         new = -(cross * fl)[:, both]
@@ -716,13 +678,6 @@ class _Condensed:
         off_k = off_k.copy()
         off_k[:, at_l[both]] = new
         self.band = _SymmetrizedBand(main_k.reshape(-1), _chain(off_k, 0.0), s_k)
-        self.corners = None
-        if corners is not None:
-            # the corners kL -> first and first -> kL across a run at the end
-            up, low = -into_l * fl * from_r, -into_r * lf * from_l
-            _flush(up, low)
-            self.corners = corners.copy()
-            self.corners[:, piece[wrap]] = np.stack([up[:, wrap], low[:, wrap]], axis=-1)
         # each run's ties, the other way round, and its kept neighbours
         pairs = ([into_l, into_r], [from_l, from_r])
         self._ties, self._back = (np.stack(p, axis=1)
@@ -740,11 +695,11 @@ class _Condensed:
         serve it as they are, and only its own runs are eliminated.  It
         keeps their factor for :meth:`solve`.
         """
-        if self._dense != "N" or self.corners is not None or self.border is not None:
-            raise ValueError("only a dense N band without corners or border takes a member")
+        if self._dense != "N" or self.border is not None:
+            raise ValueError("only a dense N band without a border takes a member")
         new = copy.copy(self)
         (rows, own), m = self._split, self.kept.size
-        ends = np.empty((4, 1, self._runs[0].size))
+        ends = np.empty((3, 1, self._runs[0].size))
         ends[:, :, own:] = self._shared_ends
         new._own_factor = band = _SymmetrizedBand(main[m:m + rows].copy(), coupled[1][0].copy(),
                                                   coupled[1][1])

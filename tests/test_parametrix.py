@@ -366,8 +366,9 @@ def test_reference_bank_bands_are_symmetric_definite():
 def test_reference_bank_keeps_the_layer_rows_and_the_caps_neighbours():
     # each reference keeps, of its subdomain band, the columns the
     # commutators read (chi~_0's layer on the thick run, chi~_1's on the
-    # thin run) and, of its neck band, the rows they write, and in both the
-    # nodes before and after the cap: 5 x 360 rows per band at n = 2048
+    # thin run) and, of its neck band, the rows they write and the node
+    # before the first layer row, and in both the nodes before and after the
+    # cap: 5 x 360 subdomain and 5 x 362 neck rows at n = 2048
     grid = periodic_grid(-2.0, 2.0, 2048)
     n, t, cut = grid.n, grid.nodes, CutoffPair()
 
@@ -378,17 +379,40 @@ def test_reference_bank_keeps_the_layer_rows_and_the_caps_neighbours():
     ends = np.array([cap[0] - 1, cap[-1] + 1]) % n
     thick, thin = layer(cut.chi0_widened(t)), layer(cut.chi1_widened(t))
     assert (thick.size, thin.size) == (76, 102)
+    before = min(thick.min(), thin.min()) - 1
     thick = np.r_[thick, ends]
     sub = np.concatenate([thick, thick + n, thin, thin + n])
     family = ParametrixFamily(grid, ks=[0, 3])
     for k in (0, 3):
         bank = family._banks[k]
         J, ms, mg = bank._shape
-        assert (J, ms, mg) == (5, 360, 360)
+        assert (J, ms, mg) == (5, 360, 362)
         assert np.array_equal(np.sort(bank._sub_flat[:ms]), np.sort(sub)), k
+        neck = np.r_[np.unique(sub % n), before]
         assert np.array_equal(np.sort(bank._neck_flat[:mg]),
-                              np.sort(np.unique(sub % n) + [[0], [n]]).reshape(-1)), k
+                              np.sort(neck + [[0], [n]]).reshape(-1)), k
         assert bank._sub.kept.size == ms and bank._glob.kept.size == mg
+
+
+@pytest.mark.parametrize("n", [32, 512, 2048])
+def test_neck_band_keeps_its_ends_and_puts_back_the_diagonals_corners(n):
+    # no eliminated run reaches the cyclic corner: each channel of a bank's
+    # neck band keeps its first and last row in period order, so the corners
+    # its closure puts back are the channel diagonals' own cyclic entries
+    grid = periodic_grid(-2.0, 2.0, n)
+    family = ParametrixFamily(grid, ks=[0, 3])
+    for k, bank in family._banks.items():
+        surfs = [ModelSurfaceMetric(ell=ell) for ell in family.ell_refs]
+        diags = [surface.zero_mode(s, grid)[0] if k == 0
+                 else surface.channel_diagonals(s, grid, k) for s in surfs]
+        h = bank._glob.kept.size // 2
+        ends = [0, h - 1, h, 2 * h - 1]
+        assert np.array_equal(bank._glob.kept[ends], [0, n - 1, n, 2 * n - 1]), k
+        start = bank._neck_flat[0]
+        end = (start - 1) % n
+        assert np.array_equal(bank._neck_flat[ends], [start, end, start + n, end + n]), k
+        want = np.array([np.r_[U[:, end], L[:, start]] for L, _, U in diags])
+        assert np.array_equal(bank._closures["N"]._coef[..., 0], want), k
 
 
 # the even grids of at most 70 nodes on which a channel band of the family
@@ -509,8 +533,8 @@ def test_S_is_exactly_zero_on_the_cap_at_k_ge_1(family, grid):
 
 def test_family_memory_stays_small():
     # the family keeps each mode's kept bands, closures and coefficients, not
-    # whole bands beside them: measured 8.5 MB (13.5 MB with the references'
-    # whole subdomain and neck bands)
+    # whole bands beside them: measured 9.69 MB, ~3 % under the bound (13.5
+    # MB with the references' whole subdomain and neck bands)
     tracemalloc.start()
     try:
         family = ParametrixFamily(periodic_grid(-2.0, 2.0, 2048), ks=range(9))
@@ -519,6 +543,32 @@ def test_family_memory_stays_small():
         tracemalloc.stop()
     assert family.ks == tuple(range(9))
     assert size < 10e6, size
+
+
+@pytest.mark.parametrize("dense", ["N", "T"])
+def test_a_bordered_band_that_keeps_every_row_builds(dense):
+    # nothing is eliminated, so the border is the kept band's as it is (u^T
+    # is (J, c, 0) and gamma does not grow), and the bordered solve on the
+    # kept band, in both directions, is the dense bordered solve
+    rng = np.random.default_rng(3)
+    J, M = 2, 6
+    main = 2.2 + rng.random((J, M))
+    lower, upper = (-0.6 - 0.4 * rng.random((J, M - 1)) for _ in range(2))
+    c = 0.5 + rng.random((J, M, 2))
+    cond = surface._Condensed(main, lower, upper, [M], np.ones(M, bool), dense=dense,
+                              border=(c, c))
+    b_K, d_K, grow, u_T = cond.border
+    assert u_T.shape == (J, 2, 0) and np.all(grow == 0.0)
+    no_cut = (np.zeros(0, int), np.zeros(0, int), np.zeros((J, 0)))
+    r, s = rng.standard_normal(J * M), rng.standard_normal((J, 2))
+    for trans in "NT":
+        closure = surface._cut_closure(cond.band.solve, M, no_cut, trans, (b_K, d_K, grow))
+        x, mu = closure(r, s)
+        for j in range(J):
+            A = np.diag(main[j]) + np.diag(lower[j], -1) + np.diag(upper[j], 1)
+            A = np.block([[A, c[j]], [c[j].T, np.zeros((2, 2))]])
+            want = np.linalg.solve(A if trans == "N" else A.T, np.r_[r[j * M:(j + 1) * M], s[j]])
+            assert _gap(np.r_[x[j * M:(j + 1) * M], mu[j, :, 0]], want) <= 1e-14, (trans, j)
 
 
 def _piecewise_solver(band, border=None):
@@ -582,12 +632,14 @@ def _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng):
     """The largest :func:`_gap` of a ``dense="T"`` surface._Condensed of
     cyclic pieces to the dense solves, with piece p bordered by column p of
     ``c`` (or not, if None) and gamma = 0: A^T x = r with a dense r, and
-    A x = r, r on the kept rows, extended to the eliminated ones."""
+    A x = r, r on the kept rows, extended to the eliminated ones.  Each
+    piece keeps its first and last rows, so ``corners`` are the kept
+    band's corners too."""
     J, M = main.shape
     K, E = cond.kept, cond.gone
     m = K.size
     kept_sizes = np.diff(np.searchsorted(K, np.r_[0, np.cumsum(sizes)]))
-    # the kept band with its corners, from its solves
+    # the kept band, from its solves, with the pieces' corners
     inv = np.linalg.inv(cond.band.solve(np.eye(J * m)))
     r = rng.standard_normal(main.shape)
     nb = 0 if c is None else c.shape[2]
@@ -596,7 +648,7 @@ def _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng):
     for j in range(J):
         A = (main[j], lower[j], upper[j], sizes, corners[j])
         A_K = (np.diag(inv)[j * m:(j + 1) * m], np.diag(inv, -1)[j * m:],
-               np.diag(inv, 1)[j * m:], kept_sizes, cond.corners[j])
+               np.diag(inv, 1)[j * m:], kept_sizes, corners[j])
         oracle = _piecewise_solver(A, border=None if c is None else (c[j], c[j], np.zeros(nb)))
         beta = cond.restrict(r[j, K], r[j, E])[j]
         # A^T with a dense rhs; its eliminated rows reach the border row too
@@ -623,8 +675,8 @@ def _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng):
 
 
 # the largest gap of the condensed solves to the dense ones below, relative
-# to the largest entry of the dense solution: measured at most 3.8e-11
-# (k = 0), 1.4e-10 (k = 1) and 4.1e-13 (k = 8), all at n = 1024 on the
+# to the largest entry of the dense solution: measured at most 1.1e-10
+# (k = 0), 2.0e-10 (k = 1) and 2.1e-13 (k = 8), all at n = 1024 on the
 # circles, whose cyclic bands are the worse conditioned (8.1e-12, 4.0e-12
 # and 5.7e-15 on the Dirichlet runs)
 _CONDENSED_GAP = {0: 5e-10, 1: 5e-10, 8: 3e-12}
@@ -661,6 +713,8 @@ def test_condensed_bands_reproduce_dense_solves(n):
         # the whole circles, cyclic, bordered at k = 0
         on = np.isin(np.arange(n), layers.rows % n)
         circle = np.roll(np.arange(n), -np.argmax(on))
+        kept = on[circle]
+        kept[-1] = True
         pieces = [surface._band_pieces(d, [circle]) for d, _ in modes]
         main, lower, upper = (np.array([p[i] for p in pieces]) for i in (1, 2, 3))
         sizes = pieces[0][4]
@@ -671,8 +725,8 @@ def test_condensed_bands_reproduce_dense_solves(n):
             c = np.zeros((J, 2 * n, 2))
             for j, (_, q) in enumerate(modes):
                 c[j, :n, 0] = c[j, n:, 1] = (grid.weights * q)[circle]
-        cond = surface._Condensed(main, lower, upper, sizes, np.tile(on[circle], 2),
-                                  corners, dense="T", border=None if c is None else (c, c))
+        cond = surface._Condensed(main, lower, upper, sizes, np.tile(kept, 2), dense="T",
+                                  border=None if c is None else (c, c))
         worst = max(worst, _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng))
         assert worst <= bound, (n, k, worst)
 
@@ -681,9 +735,9 @@ def test_condensed_bands_reproduce_dense_solves(n):
 def test_condensed_band_shares_the_runs_equal_in_every_block(cyclic, bordered):
     # three blocks of random M-matrix pieces, with two runs made the same in
     # every block, bit for bit: one in the middle of a piece and one at a
-    # piece's end (joined to its first row through the corner when cyclic).
-    # Each is factored once, with one copy of its end columns, and the
-    # condensed solves are the dense ones
+    # piece's end (when cyclic, each piece keeps its last row, so that run
+    # ends next to it).  Each is factored once, with one copy of its end
+    # columns, and the condensed solves are the dense ones
     rng = np.random.default_rng(8)
     J, sizes = 3, [14, 11]
     M = sum(sizes)
@@ -691,6 +745,8 @@ def test_condensed_band_shares_the_runs_equal_in_every_block(cyclic, bordered):
     lower, upper = (-0.6 - 0.4 * rng.random((J, M - 1)) for _ in range(2))
     keep = np.zeros(M, bool)
     keep[[0, 2, 5, 11, 14, 16, 19]] = True
+    if cyclic:
+        keep[[13, 24]] = True
     shared = [np.arange(6, 11), np.arange(20, 25)]
     for run in shared:
         main[:, run] = main[0, run]
@@ -700,12 +756,13 @@ def test_condensed_band_shares_the_runs_equal_in_every_block(cyclic, bordered):
     if bordered:
         c = np.zeros((J, M, 2))
         c[:, :14, 0], c[:, 14:, 1] = 0.5 + rng.random((J, 14)), 0.5 + rng.random((J, 11))
-    cond = surface._Condensed(main, lower, upper, sizes, keep, corners,
-                              dense="T" if cyclic else "N",
+    cond = surface._Condensed(main, lower, upper, sizes, keep, dense="T" if cyclic else "N",
                               border=None if c is None else (c, c))
     rows, ends = _shared_runs(cond)
-    assert ends.shape == (2 * 2, 10)
-    assert np.array_equal(np.sort(cond.gone[rows]), np.concatenate(shared))
+    want = np.concatenate(shared)
+    want = want[~keep[want]]
+    assert ends.shape == (2 * 2, want.size)
+    assert np.array_equal(np.sort(cond.gone[rows]), want)
     if cyclic:
         worst = _cyclic_gap(cond, main, lower, upper, sizes, corners, c, rng)
     else:
