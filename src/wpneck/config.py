@@ -12,6 +12,8 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .surface import ELL_FLOOR
+
 __all__ = ["RunConfig", "load_config", "CONFIG_ENV_VAR"]
 
 CONFIG_ENV_VAR = "WPNECK_CONFIG"
@@ -42,6 +44,9 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be finite")
         if self.ell_min <= 0 or self.ell_max <= self.ell_min:
             raise ValueError("need 0 < ell_min < ell_max")
+        if self.ell_min < ELL_FLOOR:
+            raise ValueError(f"ell_min must be at least {ELL_FLOOR:g}, the model's ell floor "
+                             f"(got {self.ell_min:g})")
         if self.ell_count < 2:
             raise ValueError("need at least two sweep points")
         if self.jobs < 1:

@@ -48,20 +48,24 @@ columns, as it is.  The channels' couplings L and U do not depend on k
 (:func:`channel_couplings`), so every mode on one surface shares them.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band
-of half-width 2.  It uses the grid reflection R: i -> n - i
+of half-width 2.  One writer (:func:`_factored_band`) gives every band of
+it: the operator's rows on a run of nodes, with the entries that reach
+outside the run in two margin columns on each side, which each caller
+reads its own way.  It uses the grid reflection R: i -> n - i
 (tau -> -tau), under which the even profile is symmetric.  At k >= 1, R
-swaps the two channels, so only one is factored (cyclic, with the same
-closure).  At k = 0, R commutes with the operator, which splits into an odd
-and an even sector, each a plain band on half the nodes.  The odd sector is
-invertible and is all that a Weil-Petersson row needs, since the Bianchi
-images of even variations are odd.  Its rows on the ell-independent thick
-part, the cap, are condensed once per grid (:class:`OddCap`), so such a row
-runs on the rest of the grid's mirror half, the neck window, alone.  The
-even sector holds both null
-directions, sqrt(F) and, on an even grid, the checkerboard (-1)^i / sqrt(F)
-of the central difference; a closure borders both.  The solver refuses odd
-grids, where the exact null direction is a checkerboard remnant that no
-border removes.
+swaps the two channels, so only one is factored, on the whole cycle, its
+margins the corners that the same closure puts back.  At k = 0, R commutes
+with the operator, which splits into an odd and an even sector, each a
+plain band on half the nodes, whose margins fold onto their mirrors
+(:func:`_sector_band`).  The odd sector is invertible and is all that a
+Weil-Petersson row needs, since the Bianchi images of even variations are
+odd.  Its rows on the ell-independent thick part, the cap, are condensed
+once per grid (:class:`OddCap`, whose coupling blocks are margins too), so
+such a row runs on the rest of the grid's mirror half, the neck window,
+alone.  The even sector holds both null directions, sqrt(F) and, on an
+even grid, the checkerboard (-1)^i / sqrt(F) of the central difference; a
+closure borders both.  The solver refuses odd grids, where the exact null
+direction is a checkerboard remnant that no border removes.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ __all__ = [
     "smoothstep_d1",
     "smoothstep_d2",
     "ModelSurfaceMetric",
+    "ELL_FLOOR",
     "CutoffPair",
     "fold_tau",
     "GlobalModeSolver",
@@ -151,6 +156,12 @@ def _cap_coeffs() -> tuple[float, float]:
 
 
 _C4, _C5 = _cap_coeffs()
+
+
+# the smallest ell a run accepts: below it the conformal factor's Newton
+# band stops being symmetrizable (it raises at ell = 1e-12 and 3e-12, on
+# the default grid), and at ell = 1e-200 a WP row is NaN
+ELL_FLOOR = 1e-10
 
 
 def fold_tau(tau):
@@ -1008,49 +1019,51 @@ def _central(u: np.ndarray, c: float, ends=None) -> np.ndarray:
     return c * d
 
 
-def _factored_diagonals(sqF, beta, K, c) -> np.ndarray:
-    """The (1, 5, n) cyclic diagonals of M+ = -(A + K)(B - K/2); K = None: M = -A B.
+def _factored_band(sqF, beta, K, c) -> np.ndarray:
+    """M+ = -(A + K)(B - K/2) on a run of m rows, in ``dgbtrf`` storage with margins.
 
-    A = sqrt(F) d1 + 2 beta and B = (sqrt(F) d1 - beta) / 2 are multiplied
-    as bands, (A B)[i, i + s + t] = a_s[i] b_t[i + s], with the d1 weight
-    ``c`` = 1 / (2h); ``out[0, j, i] = M+[i, i + j - 2 (mod n)]``.  The
-    other rho channel M- = -(A - K)(B + K/2) is M+ of -K.
+    A = sqrt(F) d1 + 2 beta and B = (sqrt(F) d1 - beta) / 2, d1 of weight
+    ``c`` = 1 / (2h), multiply as bands: (A B)[i, i + s + t] = a_s[i] b_t[i + s].
+    K = None gives M = -A B; M- = -(A - K)(B + K/2) is M+ of -K.  The
+    coefficients are given on the m + 2 nodes around the run, all that its
+    rows read.  The (7, m + 4) Fortran array holds M[i, j] at
+    [4 + i - j, j + 2], i and j counted from the run's first node:
+    ``[:, 2:-2]`` is the run's band, and the two margin columns on each side
+    hold the entries that reach outside it (:func:`_margins`).
     """
     a_mid, b_mid = ((2.0 * beta, -0.5 * beta) if K is None else
                     (2.0 * beta + K, -0.5 * (beta + K)))
     a = (-c * sqF, a_mid, c * sqF)
     b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
-    out = np.zeros((1, 5, sqF.size))
+    m = sqF.size - 2
+    ab = np.zeros((7, m + 4), order="F")
     for s in (-1, 0, 1):
         for t in (-1, 0, 1):
-            out[0, s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
-    return out
+            d = s + t
+            ab[4 - d, d + 2:d + 2 + m] -= a[s + 1][1:m + 1] * b[t + 1][1 + s:m + 1 + s]
+    return ab
 
 
-def _cut_band(diags) -> np.ndarray:
-    """LAPACK ``dgbtrf`` storage of cyclic diagonals with the corners cut.
+def _margin_cells(m: int) -> list:
+    """``(i, j)`` of each margin entry of :func:`_factored_band` on m rows, row
+    by row in column order: the column j is -2, -1, m or m + 1."""
+    return [(i, j) for i in (*range(min(m, 2)), *range(max(m - 2, 2), m))
+            for j in range(i - 2, i + 3) if not 0 <= j < m]
 
-    ``diags`` is (c, 2p + 1, n) as in :func:`_cyclic_corners`; the channels
-    are stacked in natural node order in a (3p + 1, c n) Fortran array (p
-    rows of fill, then the band), which LAPACK's wrapper does not copy.
-    """
-    c, w, n = diags.shape
-    p = w // 2
-    buf = np.zeros((c, n, 3 * p + 1))
-    for j in range(w):
-        # M[i, i + d] sits in band row 2p - d, column i + d; a wrapping one is cut
-        d = j - p
-        lo, hi = max(d, 0), n + min(d, 0)
-        buf[:, lo:hi, 2 * p - d] = diags[:, j, lo - d:hi - d]
-    return buf.reshape(c * n, -1).T
+
+def _margins(ab):
+    """``(rows, cols, vals)``: the entries in the margins of ``ab``
+    (:func:`_margin_cells`)."""
+    rows, cols = np.array(_margin_cells(ab.shape[1] - 4)).T
+    return rows, cols, ab[4 + rows - cols, cols + 2]
 
 
 def _band_solve(ab):
     """A solve with the ``dgbtrf`` factors of the half-width-2 band ``ab``.
 
-    ``ab`` is LAPACK band storage, (7, m) in Fortran order as
-    :func:`_cut_band` and :func:`_odd_band` write it, and is factored in
-    place.  The returned solve holds the factors and nothing else, so a
+    ``ab`` is LAPACK band storage, (7, m) in Fortran order, such as a run's
+    band of :func:`_factored_band` (a view into its array), and is factored
+    in place.  The returned solve holds the factors and nothing else, so a
     solver that keeps it forms no reference cycle and is freed without the
     garbage collector.
     """
@@ -1060,36 +1073,31 @@ def _band_solve(ab):
     return lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0]
 
 
-def _sector_diagonals(diags, n: int, parity: float) -> np.ndarray:
-    """The (1, 5, m) diagonals of M on the sector of R: i -> n - i of ``parity``
-    (+1 even, -1 odd).
+def _sector_band(ab, lo: int, h: int, parity: float) -> np.ndarray:
+    """The band of ``ab``'s run, the nodes lo, lo + 1, ..., on the sector of
+    R: i -> 2h - i of ``parity``, folded in place; a view of ``ab``.
 
-    ``diags`` is (1, 5, n) as in :func:`_cyclic_corners`, for an M that
-    commutes with R on n nodes (only the sector's rows are read, so those of
-    the nodes 0 ... n/2 do).  The odd sector has the nodes 1 ... n/2 - 1
-    (u_0 = u_{n/2} = 0), the even one 0 ... n/2.  A column outside the
-    sector is folded onto its mirror by u_{-j} = parity u_j, u_{n/2 + j} =
-    parity u_{n/2 - j}; the entries left outside are the wrapped ones that
-    :func:`_cut_band` cuts.  The solver writes the odd sector's band
-    directly, in two blocks (:func:`_odd_band`, :class:`OddCap`); this one
-    is the reference that they are checked against.
+    ``ab`` is :func:`_factored_band`'s, for an M that commutes with R on
+    n = 2h nodes.  The odd sector (-1) has the nodes 1 ... h - 1, the even
+    one (+1) 0 ... h.  A margin entry folds onto its mirror by u_{-j} =
+    parity u_j, u_{h + j} = parity u_{h - j} when the mirror is in the run,
+    and is dropped otherwise.
     """
-    lo, hi = (1, n // 2 - 1) if parity < 0 else (0, n // 2)
-    out = diags[:, :, lo:hi + 1].copy()
-    for i in sorted({lo, lo + 1, hi - 1, hi} & set(range(lo, hi + 1))):
-        for d in (-2, -1, 1, 2):
-            j = i + d
-            mirror = -j if j < lo else n - j
-            if not lo <= j <= hi and lo <= mirror <= hi:
-                out[:, 2 + mirror - i, i - lo] += parity * diags[:, 2 + d, i]
-    return out
+    m = ab.shape[1] - 4
+    # in margin order: on a one-node run both ends fold onto its diagonal
+    for i, j in _margin_cells(m):
+        to = -j - 2 * lo if j < 0 else 2 * (h - lo) - j  # the mirror, from lo
+        if 0 <= to < m:
+            ab[4 + i - to, to + 2] += parity * ab[4 + i - j, j + 2]
+    return ab[:, 2:-2]
 
 
-def _even_sector(diags, sqF, weights) -> _Closure:
+def _even_sector(sqF, beta, c, weights) -> _Closure:
     """The bordered solve of the k = 0 operator on its even sector, n/2 + 1 nodes.
 
-    The sector keeps both of M's null directions, so the band
-    (:func:`_sector_diagonals`) keeps only the diagonal entry of two rows,
+    Its band is written on the rows 0 ... n/2 (:func:`_factored_band`) and
+    folded (:func:`_sector_band`).  The sector keeps both of M's null
+    directions, so the band keeps only the diagonal entry of two rows,
     those of the pole (node 0) and of the neck (node n/2, where the
     checkerboard's left null vector lives).  At n = 2048 the pinned band has
     condition 0.9e6 to 2.7e6 over ell in [1e-3, 0.365]; with the neck pin
@@ -1102,59 +1110,19 @@ def _even_sector(diags, sqF, weights) -> _Closure:
     """
     n = sqF.size
     h = n // 2
-    band = _sector_diagonals(diags, n, 1.0)
+    # the rows 0 ... h read the nodes -1 ... h + 1
+    band = _sector_band(_factored_band(*(np.r_[x[-1:], x[:h + 2]] for x in (sqF, beta)),
+                                       None, c), 0, h, 1.0)
     rows, cols = np.array([0, 0, h, h]), np.array([1, 2, h - 2, h - 1])
-    vals = band[0, 2 + cols - rows, rows]
-    band[0, 2 + cols - rows, rows] = 0.0
+    vals = band[4 + rows - cols, cols]
+    band[4 + rows - cols, cols] = 0.0
     twice = np.full((h + 1, 1), 2.0)
     twice[[0, h]] = 1.0
     b = np.zeros((1, h + 1, 2))
     for j, u in enumerate((sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)):
         b[0, :, j] = (weights * u / np.linalg.norm(u))[:h + 1]
-    return _cut_closure(_band_solve(_cut_band(band)), h + 1, (rows, cols, vals),
+    return _cut_closure(_band_solve(band), h + 1, (rows, cols, vals),
                         border=(b, twice * b, np.zeros((1, 2))))
-
-
-def _odd_band(sqF, beta, c, pole: bool, neck: bool) -> np.ndarray:
-    """The ``dgbtrf`` storage (7, m) of M = -A B on a run of its odd sector's rows.
-
-    ``sqF`` and ``beta`` are given on m + 2 consecutive nodes of the grid's
-    mirror half, the only ones that the rows of the m nodes between them
-    read, and ``c`` is the d1 weight.  Columns outside the run are cut, but
-    with ``pole`` (the run starts at node 1) the column -1 folds onto its
-    mirror 1, and with ``neck`` (the run ends at n/2 - 1) the column
-    n/2 + 1 onto n/2 - 1 (u_{-j} = -u_j; the columns 0 and n/2 hold u = 0).
-    Each entry is that of :func:`_cut_band` of the odd
-    :func:`_sector_diagonals` of :func:`_factored_diagonals`, bit for bit: it
-    sums the same products in the same order, read by slices instead of
-    rolls, straight into its place in the band.
-    """
-    h = sqF.size - 1
-    a = (-c * sqF, 2.0 * beta, c * sqF)
-    b = (-0.5 * c * sqF, -0.5 * beta, 0.5 * c * sqF)
-    ab = np.zeros((7, h - 1), order="F")
-    for s in (-1, 0, 1):
-        for t in (-1, 0, 1):
-            # M[i, i + d] sits in band row 4 - d, column i + d - 1, for the
-            # rows i with both i and i + d in the run 1 ... h - 1
-            d = s + t
-            lo, hi = 1 + max(-d, 0), h - max(d, 0)
-            ab[4 - d, lo + d - 1:hi + d - 1] -= a[s + 1][lo:hi] * b[t + 1][lo + s:hi + s]
-    if pole:
-        ab[4, 0] -= 0.0 - a[0][1] * b[0][0]
-    if neck:
-        ab[4, h - 2] -= 0.0 - a[2][h - 1] * b[2][h]
-    return ab
-
-
-def _band_block(ab, rows, cols) -> np.ndarray:
-    """The dense block rows x cols of the half-width-2 band in ``dgbtrf`` storage."""
-    out = np.zeros((len(rows), len(cols)))
-    for r, i in enumerate(rows):
-        for q, j in enumerate(cols):
-            if abs(i - j) <= 2:
-                out[r, q] = ab[4 + i - j, j]
-    return out
 
 
 class OddCap:
@@ -1170,7 +1138,11 @@ class OddCap:
 
         (A22 - A21 Z) x2 = r2 - A21 A11^-1 r1,  x1 = A11^-1 r1 - Z x2[:2],
 
-    Z = A11^-1 A12, of shape (p, 2).  A11 (``dgbtrf``), Z and the 2 x 2
+    Z = A11^-1 A12, of shape (p, 2).  The band writer
+    (:func:`_factored_band`) gives the blocks: A11 is the cap run 1 ... p,
+    its pole margin folded (:func:`_sector_band`), A12 that run's right
+    margin, and A21 (:attr:`coupling`) the left margin of the rows p + 1,
+    p + 2.  A11 (``dgbtrf``), Z and the 2 x 2
     :attr:`update` A21 Z are made once per grid and kept with it
     (:meth:`~wpneck.grids.RadialGrid.keep`), so a WP row factors and solves
     the neck rows alone (:meth:`condensed`).  On a right-hand side that
@@ -1204,18 +1176,20 @@ class OddCap:
             # the coefficients of the nodes 0 ... p + 3, the same at every ell
             still = ModelSurfaceMetric(ell=0.0).grid_jet(half.span(0, p + 4))
             sqF, beta = _coefficients(still)
-            rows = _odd_band(sqF, beta, c, pole=True, neck=False)  # rows 1 ... p + 2
-            band = rows[:, :p].copy(order="F")
-            for i, j in ((p, p - 1), (p + 1, p - 1), (p, p - 2)):
-                if j >= 0:  # A11 keeps no coupling to the rows p + 1, p + 2
-                    band[4 + i - j, j] = 0.0
-            tail = range(max(p - 2, 0), p)
+            cap = _factored_band(sqF[:p + 2], beta[:p + 2], None, c)
             A12 = np.zeros((p, 2), order="F")
-            A12[tail.start:] = _band_block(rows, tail, (p, p + 1))
-            self.coupling = _band_block(rows, (p, p + 1), tail)
-            self.solve = _band_solve(band)
+            rows, cols, vals = _margins(cap)
+            right = cols >= p
+            A12[rows[right], cols[right] - p] = vals[right]
+            A21 = np.zeros((2, 2))
+            rows, cols, vals = _margins(_factored_band(sqF[p:], beta[p:], None, c))
+            left = cols < 0
+            A21[rows[left], cols[left] + 2] = vals[left]
+            q = min(p, 2)
+            self.coupling = A21[:, 2 - q:]
+            self.solve = _band_solve(_sector_band(cap, 1, h, -1.0))
             Z = self.solve(A12)
-            self.update = self.coupling @ Z[tail.start:]
+            self.update = self.coupling @ Z[p - q:]
         self.Z = Z
         # x_j for j = -1 ... p + 2, one column per unit a
         X = np.zeros((p + 4, 2))
@@ -1231,7 +1205,8 @@ class OddCap:
 
     def condensed(self, sqF, beta) -> np.ndarray:
         """The ``dgbtrf`` storage of A22 - A21 Z, from the coefficients on the window."""
-        ab = _odd_band(sqF, beta, self._c, pole=not self.p, neck=True)
+        ab = _sector_band(_factored_band(sqF, beta, None, self._c), self.p + 1,
+                          self._mirror.n - 1, -1.0)
         k = min(2, ab.shape[1])
         for i in range(k):
             for j in range(k):
@@ -1292,21 +1267,23 @@ class FactoredGlobalSolver:
         M+- = -(A +- K)(B -+ K/2),
 
     five cyclic diagonals each, from the stencil coefficients with no sparse
-    matrix.  F is even and the grid reflection R: i -> n - i reverses the
-    central difference, so M- = R M+ R, and only M+ is built (:attr:`diagonals`,
-    on first read).  For k >= 1 it is factored, a LAPACK ``dgbtrf`` band of
-    half-width 2 with the cyclic corners cut (:func:`_cut_band`) and put back
-    as six cut entries (:func:`_cut_closure`); a solve is one ``dgbtrs`` with
-    the channel + right-hand side and the reflected channel - one as its two
-    columns.
+    matrix.  Every band here is written by :func:`_factored_band`, on a run
+    of rows in LAPACK ``dgbtrf`` storage (half-width 2), with the entries
+    that reach outside the run in its margins.  F is even and the grid
+    reflection R: i -> n - i reverses the central difference, so
+    M- = R M+ R, and only M+ is built (:attr:`band`, the whole cycle, on
+    first read).  For k >= 1 it is factored, its margins the six cyclic
+    corners that :func:`_cut_closure` puts back; a solve is one ``dgbtrs``
+    with the channel + right-hand side and the reflected channel - one as
+    its two columns.
 
     At k = 0 the channels are one matrix M = -A B, and M commutes with R.
     A solve splits each sigma component into its even and odd parts and
-    solves each in its sector of R (:func:`_sector_diagonals`), both
-    components as the columns of one ``dgbtrs`` per sector.  The odd sector
-    is a plain band, condensed onto its neck rows (:class:`OddCap`, kept
-    with the grid): here only those rows are written into LAPACK storage
-    (:func:`_odd_band`) and factored, from the coefficients of the
+    solves each in its sector of R (:func:`_sector_band` folds a run's
+    margins onto their mirrors), both components as the columns of one
+    ``dgbtrs`` per sector.  The odd sector is a plain band, condensed onto
+    its neck rows (:class:`OddCap`, kept with the grid): here only those
+    rows are written and factored, from the coefficients of the
     :attr:`OddCap.window` alone; those of the whole grid are built on first
     read.  The even sector holds M's two null directions, sqrt(F) and the
     checkerboard (-1)^i / sqrt(F); its bordered solve (:func:`_even_sector`,
@@ -1338,8 +1315,9 @@ class FactoredGlobalSolver:
         self._K = self.cap = None
         if self.k:
             self._K = self.k / self.sqF
-            self._solve = _cut_closure(_band_solve(_cut_band(self.diagonals)), n,
-                                       _cyclic_corners(self.diagonals))
+            rows, cols, vals = _margins(self.band)
+            self._solve = _cut_closure(_band_solve(self.band[:, 2:-2].copy(order="F")), n,
+                                       (rows, cols % n, vals))
         else:
             self.cap = grid.keep("odd cap", OddCap)
             # the neck rows p + 1 ... n/2 - 1 read the window's nodes alone
@@ -1354,7 +1332,7 @@ class FactoredGlobalSolver:
     @cached_property
     def _even(self) -> _Closure:
         """The even sector's bordered solve, built on the first whole-grid solve."""
-        return _even_sector(self.diagonals, self.sqF, self.grid.weights)
+        return _even_sector(self.sqF, self.beta, self._c, self.grid.weights)
 
     @property
     def sqF(self) -> np.ndarray:
@@ -1365,9 +1343,13 @@ class FactoredGlobalSolver:
         return self._whole[1]
 
     @cached_property
-    def diagonals(self) -> np.ndarray:
-        """(1, 5, n): the cyclic diagonals of M+ (at k = 0, of M)."""
-        return _factored_diagonals(self.sqF, self.beta, self._K, self._c)
+    def band(self) -> np.ndarray:
+        """M+ (at k = 0, M) on the whole cycle, the run of all n nodes: its
+        :func:`_factored_band` from the nodes -1 ... n, whose margins hold the
+        cut corners."""
+        wrap = partial(np.pad, pad_width=1, mode="wrap")
+        return _factored_band(wrap(self.sqF), wrap(self.beta),
+                              None if self._K is None else wrap(self._K), self._c)
 
     def _on_window(self, m: int) -> bool:
         """Whether a field of m columns lives on the window; False on all n nodes."""

@@ -238,6 +238,20 @@ def test_config_validation(capsys, tmp_path):
         cfg_file.write_text(line + "\n")
         assert main(["verify", suite, "--config", str(cfg_file)]) == 2
         assert "wpneck: config error" in capsys.readouterr().err
+    # below the model's ell floor the conformal Newton raises (1e-12, 3e-12)
+    # or the WP row is NaN (1e-200): refused at load, and the floor runs
+    for lo in (1e-12, 3e-12, 1e-200):
+        with pytest.raises(ValueError, match="ell floor"):
+            RunConfig(ell_min=lo)
+    for quantity in ("wp", "conformal"):
+        for lo, code in (("1e-12", 2), ("1e-200", 2), ("1e-10", 0)):
+            assert main(["sweep", quantity, "--ell-count", "2", "--ell-min", lo,
+                         "--ell-max", "1e-9"]) == code, (quantity, lo)
+            err = capsys.readouterr().err.splitlines()
+            if code:
+                assert len(err) == 1 and err[0].startswith("wpneck: config error"), err
+            else:
+                assert not any("config error" in line for line in err), err
     grid = RunConfig(ell_min=1e-2, ell_max=1e-1, ell_count=4).ell_grid()
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
 

@@ -14,9 +14,8 @@ from wpneck.modefields import ModeField, Rank
 from wpneck.operators import mode_operators
 from wpneck.parametrix import SolverBank, project_tt
 from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
-                            _coefficients, _cut_band, _cyclic_corners,
-                            _factored_diagonals, _odd_band,
-                            _reflect, _sector_diagonals,
+                            _coefficients, _cyclic_corners, _factored_band,
+                            _margins, _reflect, _sector_band,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
                             thick_indices, thin_indices)
@@ -536,26 +535,49 @@ def test_global_solvers_are_freed_without_the_collector(surface_grid):
         gc.enable()
 
 
-@pytest.mark.parametrize("c, p", [(2, 1), (1, 2), (2, 2)])
-def test_cut_band_and_corners_rebuild_the_cyclic_matrix(c, p):
-    # both global solvers stack their channels as one band with the wrapped
-    # entries cut and put the corners back in their Schur closure: band plus
-    # corners must be the block-diagonal cyclic matrix, entry for entry
+@pytest.mark.parametrize("c, p, k", [(2, 1, None), (1, 2, None), (2, 2, None),
+                                     (1, 2, 1), (1, 2, 4)],
+                         ids=["2-1", "1-2", "2-2", "k1", "k4"])
+def test_cut_band_and_corners_rebuild_the_cyclic_matrix(c, p, k):
+    # both global solvers factor their cyclic band with the wrapped entries
+    # cut and put the corners back in their Schur closure: band plus corners
+    # must be the block-diagonal cyclic matrix, entry for entry.  The channel
+    # stencils (c channels, half-width p) list their corners with
+    # _cyclic_corners; the factored solver's M+ = -(A + K)(B - K/2) (k = 1,
+    # 4) is written with its corners in the margins, its diagonals here
+    # summed in the writer's order from the same coefficients
     n = 12
-    diags = np.random.default_rng(c + 10 * p).standard_normal((c, 2 * p + 1, n))
-    want = np.zeros((c * n, c * n))
     i = np.arange(n)
+    if k is None:
+        diags = np.random.default_rng(c + 10 * p).standard_normal((c, 2 * p + 1, n))
+    else:
+        fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.1), periodic_grid(-2.0, 2.0, n), k)
+        a = (-fs._c * fs.sqF, 2.0 * fs.beta + fs._K, fs._c * fs.sqF)
+        b = (-0.5 * fs._c * fs.sqF, -0.5 * (fs.beta + fs._K), 0.5 * fs._c * fs.sqF)
+        diags = np.zeros((1, 5, n))
+        for s in (-1, 0, 1):
+            for t in (-1, 0, 1):
+                diags[0, s + t + 2] -= a[s + 1] * np.roll(b[t + 1], -s)
+    want = np.zeros((c * n, c * n))
     for ch in range(c):
         for j in range(2 * p + 1):
             want[ch * n + i, ch * n + (i + j - p) % n] = diags[ch, j]
-    ab = _cut_band(diags)
-    assert ab.shape == (3 * p + 1, c * n) and ab.flags.f_contiguous
     got = np.zeros_like(want)
-    for r in range(c * n):
-        for col in range(max(r - p, 0), min(r + p + 1, c * n)):
-            got[r, col] = ab[2 * p + r - col, col]
-    assert not ab[:p].any()  # LAPACK's fill rows
-    rows, cols, vals = _cyclic_corners(diags)
+    if k is None:
+        for ch in range(c):
+            for j in range(2 * p + 1):
+                inside = (i + j - p >= 0) & (i + j - p < n)
+                got[ch * n + i[inside], ch * n + (i + j - p)[inside]] = diags[ch, j, inside]
+        rows, cols, vals = _cyclic_corners(diags)
+    else:
+        ab = fs.band
+        assert ab.shape == (7, n + 4) and ab.flags.f_contiguous
+        assert not ab[:2].any()  # LAPACK's fill rows
+        for r in range(n):
+            for col in range(max(r - 2, 0), min(r + 3, n)):
+                got[r, col] = ab[4 + r - col, col + 2]
+        rows, cols, vals = _margins(ab)
+        cols = cols % n
     assert rows.size == c * p * (p + 1)
     # a corner listed twice, or left in the band as well, would add up
     np.add.at(got, (rows, cols), vals)
@@ -641,9 +663,22 @@ def test_factored_k0_channel_solve_matches_coupled(surface_grid):
                              periodic_grid(-2.0, 2.0, 2049), 0)
 
 
+def _minus_band(fs):
+    """M- = M+ of -K on the whole cycle, as the solver writes M+ (:attr:`band`)."""
+    return _factored_band(*(np.pad(x, 1, mode="wrap") for x in (fs.sqF, fs.beta, -fs._K)),
+                          fs._c)
+
+
+def _diagonals(ab):
+    """The (5, n) cyclic diagonals of a whole cycle's band with its margins:
+    M[i, i + d (mod n)] at [d + 2, i]."""
+    n = ab.shape[1] - 4
+    return np.array([ab[4 - d, d + 2:d + 2 + n] for d in range(-2, 3)])
+
+
 def test_factored_k0_band_is_the_matmat(surface_grid):
-    # the five diagonals come from sqrt(F), beta and k / sqrt(F), not from the
-    # product divergence_tf @ conformal_killing that they replace: at k = 0
+    # the band comes from sqrt(F), beta and k / sqrt(F), not from the
+    # product divergence_tf @ conformal_killing that it replaces: at k = 0
     # its equal diagonal blocks P, at k >= 1 its rho channels P +- Q, with
     # [[P, Q], [Q, P]] the product in sigma components
     n = surface_grid.n
@@ -657,10 +692,10 @@ def test_factored_k0_band_is_the_matmat(surface_grid):
             mat = sp.csr_matrix(ops.divergence_tf @ ops.conformal_killing)
             P, Q = mat[:n, :n], mat[:n, n:]
             wants = [P] if k == 0 else [P + Q, P - Q]
-            assert fs.diagonals.shape == (1, 5, n)  # only M+ is built
-            got = [fs.diagonals[0]]
+            assert fs.band.shape == (7, n + 4)  # only M+ is built
+            got = [_diagonals(fs.band)]
             if k:  # M- is M+ of -K
-                got.append(_factored_diagonals(fs.sqF, fs.beta, -fs._K, fs._c)[0])
+                got.append(_diagonals(_minus_band(fs)))
             for diags, want in zip(got, wants, strict=True):
                 band = sp.csr_matrix((diags.reshape(-1), (np.tile(i, 5), cols)),
                                      shape=(n, n))
@@ -734,7 +769,7 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
     n = 16
     grid = periodic_grid(-2.0, 2.0, n)
     fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=0.1), grid, 0)
-    M = _dense(fs.diagonals[0])
+    M = _dense(_diagonals(fs.band))
     for parity, lo, hi in ((-1.0, 1, n // 2 - 1), (1.0, 0, n // 2)):
         nodes = np.arange(lo, hi + 1)
         basis = np.zeros((n, nodes.size))
@@ -742,7 +777,9 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
         mirrored = nodes[(nodes != 0) & (nodes != n // 2)]
         basis[n - mirrored, mirrored - lo] = parity
         want = (M @ basis)[lo:hi + 1]
-        ab = _cut_band(_sector_diagonals(fs.diagonals, n, parity))
+        # the rows lo ... hi read the nodes lo - 1 ... hi + 1
+        around = [np.r_[x, x][n + lo - 1:n + hi + 2] for x in (fs.sqF, fs.beta)]
+        ab = _sector_band(_factored_band(*around, None, fs._c), lo, n // 2, parity)
         got = np.zeros_like(want)
         for r in range(nodes.size):
             for c in range(max(r - 2, 0), min(r + 3, nodes.size)):
@@ -772,8 +809,10 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
         rhs[:, h + 1:] = -rhs[:, h - 1:0:-1]
         for ell in (1e-3, 0.05, 0.365, 0.9):
             fs = FactoredGlobalSolver(ModelSurfaceMetric(ell=ell), grid, 0)
-            assert "diagonals" not in vars(fs)  # not built for the odd sector
-            want = _cut_band(_sector_diagonals(fs.diagonals, n, -1.0))
+            assert "band" not in vars(fs)  # not built for the odd sector
+            # the whole odd sector's band, the rows 1 ... h - 1
+            want = _sector_band(_factored_band(fs.sqF[:h + 1], fs.beta[:h + 1], None, fs._c),
+                                1, h, -1.0)
             p = fs.cap.p
             cap, neck = want[:, :p].copy(), want[:, p:].copy()
             for j in range(max(p - 2, 0), p):
@@ -783,10 +822,15 @@ def test_sector_bands_are_the_operator_on_mirror_vectors():
             if p:
                 half = grid.mirror_half
                 still = ModelSurfaceMetric(ell=0.0).grid_jet(half.span(0, p + 2))
-                assert np.array_equal(_odd_band(*_coefficients(still), fs._c, pole=True,
-                                                neck=False), cap), (n, ell)
-            assert np.array_equal(_odd_band(*fs._window, fs._c, pole=not p, neck=True),
-                                  neck), (n, ell)
+                got = _factored_band(*_coefficients(still), None, fs._c)
+                assert np.array_equal(_sector_band(got, 1, h, -1.0), cap), (n, ell)
+                # A21, the rows p + 1, p + 2 in the cap's last columns
+                q = min(p, 2)
+                A21 = [[want[4 + i - j, j] if abs(i - j) <= 2 else 0.0
+                        for j in range(p - q, p)] for i in (p, p + 1)]
+                assert np.array_equal(fs.cap.coupling, A21), (n, ell)
+            got = _factored_band(*fs._window, None, fs._c)
+            assert np.array_equal(_sector_band(got, p + 1, h, -1.0), neck), (n, ell)
             lu, piv, info = lapack.dgbtrf(want, 2, 2)
             kappa = 1.0 / lapack.dgbcon(2, 2, lu, piv, np.abs(want[2:]).sum(axis=0).max())[0]
             b = rhs[:, 1:h].T
@@ -808,8 +852,8 @@ def test_factored_channels_are_mirror_images(surface_grid):
         surf = ModelSurfaceMetric(ell=ell)
         for k in (1, 4):
             fs = FactoredGlobalSolver(surf, surface_grid, k)
-            plus = fs.diagonals[0]
-            minus = _factored_diagonals(fs.sqF, fs.beta, -fs._K, fs._c)[0]
+            plus = _diagonals(fs.band)
+            minus = _diagonals(_minus_band(fs))
             err = np.abs(minus - _reflect(plus[::-1])).max() / np.abs(minus).max()
             assert err <= 1e-15, (ell, k, err)  # measured <= 1.9e-16
 

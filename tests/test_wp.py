@@ -112,8 +112,8 @@ def test_wp_row_never_builds_the_even_sector(setup):
     bank = SolverBank(surf, grid)
     wp_matrix(surf, grid, solvers=bank)
     assert "_even" not in vars(bank.get(0))
-    # nor the diagonals of the whole k = 0 operator, which only it reads
-    assert "diagonals" not in vars(bank.get(0))
+    # nor the band of the whole k = 0 operator
+    assert "band" not in vars(bank.get(0))
 
 
 def test_wp_row_runs_on_the_mirror_half(monkeypatch):
