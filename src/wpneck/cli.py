@@ -5,8 +5,9 @@ Subcommands
 * ``wpneck verify <suite>``: run a named invariant suite and write a strict
   JSON report {suite, checks: [{name, value, bound, pass}]}, with null for
   a missing or non-finite value or bound; exit 0 iff all checks pass, 1 on
-  any failure, 2 for usage/config errors (a ``--grid-n`` below the smallest
-  grid the suite runs on, too).  Measurements that the tests also make come
+  any failure, 2 for usage/config errors, and for a ``--grid-n`` that a
+  suite's solver refuses (one ``wpneck: config error`` line, as a sweep
+  does).  Measurements that the tests also make come
   from :mod:`wpneck.checks`; the names and bounds are the suites' own.
 * ``wpneck sweep <quantity>``: CSV emission (header ``ell,quantity,value``;
   the wp quantity uses ``ell,g_ll,g_lw,g_ww``), full double precision,
@@ -235,15 +236,6 @@ def _suite_uniformization(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-# a grid_n from which on each suite runs on every even grid, to exit 0 or 1:
-# where it runs, not where its checks pass.  Below it the Weitzenboeck
-# residual has no interior node, the projection's test tensors vanish, or
-# the parametrix's channel bands lose definiteness (at some n <= 50).  Of
-# the even n from 52 to 400 the parametrix suite passes at all but 62,
-# 68-72, 78-82, 100, 102 and 110-114, where neumann_residual(l=0.4) misses
-# its 1e-6 bound
-_MIN_GRID_N = {"weitzenboeck": 28, "projection": 18, "parametrix": 52}
-
 SUITES = {
     "cylinder": _suite_cylinder,
     "weitzenboeck": _suite_weitzenboeck,
@@ -370,31 +362,26 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         # sweeps run on sweep_grid_n; --grid-n names that grid here
         overrides["sweep_grid_n"] = overrides.pop("grid_n")
-    try:
+    try:  # a config, or a grid a solver cannot serve: no report or row is written
         cfg = load_config(args.config, overrides)
-        if args.command == "verify" and cfg.grid_n < _MIN_GRID_N.get(args.suite, 0):
-            raise ValueError(f"verify {args.suite} needs grid_n >= "
-                             f"{_MIN_GRID_N[args.suite]} (got {cfg.grid_n})")
+        if args.command == "verify":
+            if args.suite not in SUITES:
+                print(f"wpneck: unknown suite {args.suite!r}; choose from "
+                      f"{', '.join(sorted(SUITES))}", file=sys.stderr)
+                return 2
+            report = run_suite(args.suite, cfg)
+        elif args.command == "sweep":
+            header, rows = _sweep_rows(args.quantity, cfg)
     except (ValueError, OSError) as exc:
         print(f"wpneck: config error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "verify":
-        if args.suite not in SUITES:
-            print(f"wpneck: unknown suite {args.suite!r}; choose from "
-                  f"{', '.join(sorted(SUITES))}", file=sys.stderr)
-            return 2
-        report = run_suite(args.suite, cfg)
         _write_out(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                    + "\n", cfg.out)
         return 0 if report["pass"] else 1
 
     if args.command == "sweep":
-        try:
-            header, rows = _sweep_rows(args.quantity, cfg)
-        except ValueError as exc:  # a grid the sweep cannot serve; no row is written
-            print(f"wpneck: config error: {exc}", file=sys.stderr)
-            return 2
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180
         writer.writerow(header)

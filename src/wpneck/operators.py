@@ -308,6 +308,9 @@ def weitzenboeck_residual(m, w: ModeField, interior: int = 4) -> float:
     delta d assembly: two independent discrete paths.  Normalized by the
     sup of the compared quantity P w.
     """
+    if w.grid.n <= 2 * interior:
+        raise ValueError(f"the {w.grid.n}-node grid has no node past the "
+                         f"{interior}-node margin of the Weitzenboeck residual")
     K = -0.5 * np.asarray(m.Fpp(w.grid.nodes), dtype=float)
     Pw = apply_gauge_laplacian(m, w)
     Dw = apply_hodge_laplacian(m, w)

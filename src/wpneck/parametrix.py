@@ -320,9 +320,11 @@ class ReferenceBank:
     (:func:`~wpneck.surface.cap_indices`) besides, so that the cap, whose
     channel rows are the same at every ell, is a run of its own: shared by
     the references, it is factored once per band and its end columns are
-    kept once.  The kept pieces are stacked with zero coupling into one
-    symmetrized band per kind, so each of the four solves in F and F^T is
-    one band solve over the kept rows of all references.  Dense right-hand
+    kept once.  A grid whose node before the first layer row lies on the
+    cap would split that run, and is refused.  The kept pieces are stacked
+    with zero coupling into one symmetrized band per kind, so each of the
+    four solves in F and F^T is one band solve over the kept rows of all
+    references.  Dense right-hand
     sides enter through the eliminated runs' end columns and dense outputs
     are rebuilt from them.  Two steps of the per-reference route change the
     result by round-off only and are not taken: at k = 0 the reference's
@@ -354,6 +356,8 @@ class ReferenceBank:
         cap_ends = [(cap[0] - 1) % n, (cap[-1] + 1) % n]
         # the circle in period order from its first layer row, both channels
         neck = np.roll(np.arange(n), -np.min(layers.rows % n))
+        if neck[-1] in cap:
+            raise ValueError("the node before the first layer row lies on the cap")
         neck2 = np.r_[neck, neck + n]
 
         def stacked(runs):
@@ -737,7 +741,7 @@ class ParametrixFamily:
         layers = _Layers.of_blocks(grid, self.cutoffs)
         try:
             self._banks = {k: ReferenceBank(grid, k, layers, self.ell_refs) for k in self.ks}
-        except np.linalg.LinAlgError as exc:
+        except ValueError as exc:  # a LinAlgError too: a band lost definiteness
             raise ValueError(f"the {grid.n}-node grid is too coarse for the parametrix: "
                              f"{exc}") from None
         self._ell: float | None = None

@@ -188,6 +188,9 @@ class ModelSurfaceMetric:
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError("ell must be >= 0")
+        if 0 < self.ell < ELL_FLOOR:  # ell = 0 is the cap's own profile
+            raise ValueError(f"ell must be 0 or at least {ELL_FLOOR:g}, the model's ell "
+                             f"floor (got {self.ell:g})")
 
     # -- profile pieces ------------------------------------------------------
     @staticmethod

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wpneck.cli import _MIN_GRID_N, _check, main, run_suite
+from wpneck.cli import _check, main, run_suite
 from wpneck.config import RunConfig, load_config
 from wpneck.wp import sweep_wp_coefficients
 
@@ -224,12 +224,12 @@ def test_config_validation(capsys, tmp_path):
     assert "sweep_grid_n must be at least 4" in capsys.readouterr().err
     assert main(["verify", "projection", "--grid-n", "2"]) == 2
     assert "grid_n must be at least 4" in capsys.readouterr().err
-    # below the smallest grid a suite runs on: refused before it builds anything
+    # a grid that a suite's solver refuses is a config error too
     for suite, n in (("weitzenboeck", 16), ("projection", 16), ("parametrix", 16),
                      ("parametrix", 40)):
         assert main(["verify", suite, "--grid-n", str(n)]) == 2
-        assert f"config error: verify {suite} needs grid_n >=" in capsys.readouterr().err
-    for suite, n in _MIN_GRID_N.items():
+        assert "wpneck: config error" in capsys.readouterr().err
+    for suite, n in (("weitzenboeck", 28), ("projection", 18), ("parametrix", 52)):
         run_suite(suite, RunConfig(grid_n=n))
     # a config file that would empty the l2norms suite, or put the barrier
     # cutoff past the source bump at 1/2, is refused at load
@@ -254,6 +254,25 @@ def test_config_validation(capsys, tmp_path):
                 assert not any("config error" in line for line in err), err
     grid = RunConfig(ell_min=1e-2, ell_max=1e-1, ell_count=4).ell_grid()
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
+
+
+def test_no_coarse_grid_prints_a_traceback(capsys):
+    # every even grid_n up to where each suite runs: a JSON report and exit
+    # 0 or 1, or exit 2 with one config error line.  --modes 4 is the
+    # parametrix suite's own cap, so no cap note joins stderr
+    for suite, top in (("weitzenboeck", 28), ("projection", 18), ("parametrix", 56)):
+        for n in range(4, top + 1, 2):
+            code = main(["verify", suite, "--grid-n", str(n), "--modes", "4"])
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err, (suite, n)
+            if code == 2:
+                assert not out, (suite, n)
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("wpneck: config error:"), \
+                    (suite, n, lines)
+            else:
+                assert code in (0, 1) and json.loads(out)["suite"] == suite, (suite, n)
+    assert main(["verify", "parametrix", "--grid-n", "54"]) == 2
 
 
 def test_config_refuses_non_finite_floats(capsys, tmp_path):

@@ -313,6 +313,16 @@ def test_weitzenboeck_zero_field(cyl_half, grid_1025):
     assert ops.weitzenboeck_residual(cyl_half, z) == 0.0
 
 
+def test_weitzenboeck_residual_refuses_a_grid_with_no_interior_node(cyl_half):
+    # with the default 4-node margin, 9 nodes leave one node to compare, 7 none
+    # (a uniform grid has an odd node count)
+    assert np.isfinite(ops.weitzenboeck_residual(cyl_half, _oneform(uniform_grid(-1, 1, 9), 2)))
+    for n in (3, 5, 7):
+        grid = uniform_grid(-1, 1, n)
+        with pytest.raises(ValueError, match=f"the {grid.n}-node grid has no node past"):
+            ops.weitzenboeck_residual(cyl_half, _oneform(grid, 2))
+
+
 # -- linearized operators --------------------------------------------------------
 
 def test_linearized_einstein_kernel_is_tt(cyl_half, grid_2049):

@@ -19,7 +19,7 @@ from wpneck.surface import (_C4, _C5, CutoffPair, FactoredGlobalSolver,
                             GlobalModeSolver, ModelSurfaceMetric,
                             SubdomainSolver, band_matvec, channel_diagonals,
                             thick_indices, thin_indices)
-from wpneck.wp import length_variation, twist_variation
+from wpneck.wp import length_variation, sweep_wp_coefficients, twist_variation
 
 from conftest import channel_matrices, cyclic_diagonals
 
@@ -34,6 +34,18 @@ def test_profile_regions():
     t = np.linspace(0.875, 2.0, 101)
     assert np.array_equal(ModelSurfaceMetric(ell=0.1).F(t),
                           ModelSurfaceMetric(ell=0.01).F(t))
+
+
+def test_ell_below_the_floor_is_refused_by_the_surface():
+    # below the floor the conformal Newton band is not symmetrizable; the
+    # surface refuses such an ell before any solve, and ell = 0 (the cap's
+    # own profile) and the floor itself still build
+    with pytest.raises(ValueError, match="ell floor"):
+        sweep_wp_coefficients([1e-12, 1e-11], grid_n=2048)
+    with pytest.raises(ValueError, match=f"at least {surface_module.ELL_FLOOR:g}"):
+        ModelSurfaceMetric(ell=1e-11)
+    for ell in (0.0, 1e-10):
+        assert ModelSurfaceMetric(ell=ell).ell == ell
 
 
 def test_profile_positive_periodic_even():
