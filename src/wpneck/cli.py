@@ -272,15 +272,15 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
     out = []
     if quantity == "divergence":
         from .grids import periodic_grid
-        from .parametrix import build_cutoff_tensors
+        from .parametrix import cutoff_div_norm
         from .surface import ModelSurfaceMetric
 
         grid = periodic_grid(-2, 2, _capped("sweep divergence", "sweep_grid_n",
                                             cfg.sweep_grid_n, 16384))
         _note_coarse_grid(quantity, ells, grid.n)
         for ell in ells:
-            ct = build_cutoff_tensors(ModelSurfaceMetric(ell=ell), grid)
-            out.append([_fmt(ell), "divergence_norm", _fmt(ct.div_norm)])
+            out.append([_fmt(ell), "divergence_norm",
+                        _fmt(cutoff_div_norm(ModelSurfaceMetric(ell=ell), grid))])
     elif quantity == "ttnorm":
         from .ttbasis import tt_l2norm
 

@@ -139,6 +139,7 @@ __all__ = [
     "SolverBank",
     "CutoffTensors",
     "build_cutoff_tensors",
+    "cutoff_div_norm",
     "TTFrame",
     "assemble_tt_frame",
     "mu_cutoff",
@@ -877,25 +878,39 @@ class CutoffTensors:
     correction_norms: tuple[float, float]
 
 
-def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
-                         solvers: SolverBank | None = None) -> CutoffTensors:
-    """Concentrating approximately-TT tensors and their projections.
+def cutoff_div_norm(surface: ModelSurfaceMetric, grid: RadialGrid) -> float:
+    """The L^2 norm of the divergence of mu_hat^1 = chi kappa_{ell,0}, in closed form.
 
-    The divergence of mu_hat^1 = chi kappa_{ell,0} is supported in the
-    transition band 1/2 <= |tau| <= 3/4 and equals -(d chi/d tau) sqrt(F)
-    times the kappa amplitude (our divergence sign) along sigma1; its L^2
-    norm has the closed form 2 pi amp^2 int (chi')^2 / F d tau, evaluated
-    here by quadrature of the analytic integrand (the discrete-operator
-    route is reported alongside; both kinds share the norm).  A grid with no
-    node strictly inside the band, where that norm reads 0, is refused.
+    The divergence is supported in the transition band 1/2 <= |tau| <= 3/4
+    and equals -(d chi/d tau) sqrt(F) times the kappa amplitude (our
+    divergence sign) along sigma1; its L^2 norm is 2 pi amp^2 int (chi')^2 /
+    F d tau, evaluated here by quadrature of the analytic integrand on
+    ``grid``.  A grid with no node strictly inside the band, where it reads
+    0, is refused.
     """
     ell = surface.ell
     if ell <= 0:
         raise ValueError("cutoff tensors need ell > 0")
-    tau = grid.nodes
-    chid = mu_cutoff_d1(tau)
+    chid = mu_cutoff_d1(grid.nodes)
     if not np.any(chid):
         raise ValueError(f"the {grid.n}-node grid has no node in 1/2 < |tau| < 3/4")
+    F = surface.grid_jet(grid)[0]
+    amp = ell**1.5 / math.sqrt(math.atan(1.0 / ell))
+    return math.sqrt(2.0 * math.pi * amp**2 * float(grid.integrate(chid**2 / F)))
+
+
+def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
+                         solvers: SolverBank | None = None) -> CutoffTensors:
+    """Concentrating approximately-TT tensors and their projections.
+
+    ``div_norm`` is the closed-form norm of mu_hat^1's divergence
+    (:func:`cutoff_div_norm`, whose refusals come first); the
+    discrete-operator route is reported alongside, and both kinds share the
+    norm.
+    """
+    div_norm = cutoff_div_norm(surface, grid)
+    ell = surface.ell
+    tau = grid.nodes
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     chi = mu_cutoff(tau)
 
@@ -906,11 +921,6 @@ def build_cutoff_tensors(surface: ModelSurfaceMetric, grid: RadialGrid,
         fields.append(ModeField(0, Rank.SYM2_TRACEFREE, grid,
                                 np.vstack([chi * phi, chi * psi])))
     mu_hat = tuple(fields)
-
-    F = surface.grid_jet(grid)[0]
-    amp = ell**1.5 / math.sqrt(math.atan(1.0 / ell))
-    div_norm = math.sqrt(2.0 * math.pi * amp**2
-                         * float(grid.integrate(chid**2 / F)))
 
     # mu_hat is trace-free, so its Bianchi image is its divergence
     div1 = bank.get(0).bianchi(mu_hat[0].as_full().data)

@@ -51,21 +51,21 @@ that the TT projection inverts: five cyclic diagonals per channel, a band
 of half-width 2.  One writer (:func:`_factored_band`) gives every band of
 it: the operator's rows on a run of nodes, with the entries that reach
 outside the run in two margin columns on each side, which each caller
-reads its own way.  It uses the grid reflection R: i -> n - i
-(tau -> -tau), under which the even profile is symmetric.  At k >= 1, R
-swaps the two channels, so only one is factored, on the whole cycle, its
-margins the corners that the same closure puts back.  At k = 0, R commutes
-with the operator, which splits into an odd and an even sector, each a
-plain band on half the nodes, whose margins fold onto their mirrors
-(:func:`_sector_band`).  The odd sector is invertible and is all that a
-Weil-Petersson row needs, since the Bianchi images of even variations are
-odd.  Its rows on the ell-independent thick part, the cap, are condensed
-once per grid (:class:`OddCap`, whose coupling blocks are margins too), so
-such a row runs on the rest of the grid's mirror half, the neck window,
-alone.  The even sector holds both null directions, sqrt(F) and, on an
-even grid, the checkerboard (-1)^i / sqrt(F) of the central difference; a
-closure borders both.  The solver refuses odd grids, where the exact null
-direction is a checkerboard remnant that no border removes.
+reads its own way.  A field on the whole grid is solved on the whole
+cycle, its margins the corners that the same closure puts back, at every
+k.  At k >= 1 the grid reflection R: i -> n - i (tau -> -tau), under which
+the even profile is symmetric, swaps the two channels, so only one is
+factored.  At k = 0 the operator is singular, with the null directions
+sqrt(F) and, on an even grid, the checkerboard (-1)^i / sqrt(F) of the
+central difference, and the closure borders both.  There R commutes with
+the operator, whose odd sector, a plain band on half the nodes with its
+margins folded onto their mirrors (:func:`_sector_band`), is invertible
+and is all that a Weil-Petersson row needs, since the Bianchi images of
+even variations are odd.  Its rows on the ell-independent thick part, the
+cap, are condensed once per grid (:class:`OddCap`, whose coupling blocks
+are margins too), so such a row runs on the rest of the grid's mirror
+half, the neck window, alone.  The solver refuses odd grids, where the
+exact null direction is a checkerboard remnant that no border removes.
 """
 
 from __future__ import annotations
@@ -1076,60 +1076,27 @@ def _band_solve(ab):
     return lambda b: lapack.dgbtrs(lu, 2, 2, b, piv)[0]
 
 
-def _sector_band(ab, lo: int, h: int, parity: float) -> np.ndarray:
-    """The band of ``ab``'s run, the nodes lo, lo + 1, ..., on the sector of
-    R: i -> 2h - i of ``parity``, folded in place; a view of ``ab``.
+def _sector_band(ab, lo: int, h: int) -> np.ndarray:
+    """The band of ``ab``'s run, the nodes lo, lo + 1, ..., on the odd sector
+    of R: i -> 2h - i, folded in place; a view of ``ab``.
 
     ``ab`` is :func:`_factored_band`'s, for an M that commutes with R on
-    n = 2h nodes.  The odd sector (-1) has the nodes 1 ... h - 1, the even
-    one (+1) 0 ... h.  A margin entry folds onto its mirror by u_{-j} =
-    parity u_j, u_{h + j} = parity u_{h - j} when the mirror is in the run,
-    and is dropped otherwise.
+    n = 2h nodes.  The odd sector has the nodes 1 ... h - 1.  A margin entry
+    folds onto its mirror by u_{-j} = -u_j, u_{h + j} = -u_{h - j} when the
+    mirror is in the run, and is dropped otherwise.
     """
     m = ab.shape[1] - 4
     # in margin order: on a one-node run both ends fold onto its diagonal
     for i, j in _margin_cells(m):
         to = -j - 2 * lo if j < 0 else 2 * (h - lo) - j  # the mirror, from lo
         if 0 <= to < m:
-            ab[4 + i - to, to + 2] += parity * ab[4 + i - j, j + 2]
+            ab[4 + i - to, to + 2] -= ab[4 + i - j, j + 2]
     return ab[:, 2:-2]
 
 
-def _even_sector(sqF, beta, c, weights) -> _Closure:
-    """The bordered solve of the k = 0 operator on its even sector, n/2 + 1 nodes.
-
-    Its band is written on the rows 0 ... n/2 (:func:`_factored_band`) and
-    folded (:func:`_sector_band`).  The sector keeps both of M's null
-    directions, so the band keeps only the diagonal entry of two rows,
-    those of the pole (node 0) and of the neck (node n/2, where the
-    checkerboard's left null vector lives).  At n = 2048 the pinned band has
-    condition 0.9e6 to 2.7e6 over ell in [1e-3, 0.365]; with the neck pin
-    alone it is singular (condition 1e16 or more), and unit rows for the
-    pins (condition 7e6 to 8e6) cost four digits of the solve.  The closure
-    puts the pinned rows' other entries back as cut entries and borders the
-    weighted pair sqrt(F) and the checkerboard: the multiplier column is its
-    restriction to the sector and the constraint its sum over the whole
-    grid, which for an even vector counts the nodes 1 ... n/2 - 1 twice.
-    """
-    n = sqF.size
-    h = n // 2
-    # the rows 0 ... h read the nodes -1 ... h + 1
-    band = _sector_band(_factored_band(*(np.r_[x[-1:], x[:h + 2]] for x in (sqF, beta)),
-                                       None, c), 0, h, 1.0)
-    rows, cols = np.array([0, 0, h, h]), np.array([1, 2, h - 2, h - 1])
-    vals = band[4 + rows - cols, cols]
-    band[4 + rows - cols, cols] = 0.0
-    twice = np.full((h + 1, 1), 2.0)
-    twice[[0, h]] = 1.0
-    b = np.zeros((1, h + 1, 2))
-    for j, u in enumerate((sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / sqF)):
-        b[0, :, j] = (weights * u / np.linalg.norm(u))[:h + 1]
-    return _cut_closure(_band_solve(band), h + 1, (rows, cols, vals),
-                        border=(b, twice * b, np.zeros((1, 2))))
-
-
 class OddCap:
-    """The ell-independent cap of the k = 0 odd sector on one grid, condensed.
+    """The ell-independent cap of the k = 0 odd sector on one grid, condensed
+    for the neck window, where a Weil-Petersson row solves.
 
     F = Q + ell^2 w, and w and w' vanish exactly on |tau| >= 7/8, so on the
     grid's mirror half the nodes before the first where they do not
@@ -1137,25 +1104,23 @@ class OddCap:
     beta, bit for bit, at every ell.  The cap is the sector's unknowns
     1 ... p whose rows, and the two coupling rows p + 1 and p + 2, read only
     such nodes; it is empty on coarse grids (n <= 14).  In blocks, with 1
-    the cap and 2 the neck rows p + 1 ... n/2 - 1, M x = r is
+    the cap and 2 the neck rows p + 1 ... n/2 - 1, M x = r for an r that
+    vanishes on the cap is
 
-        (A22 - A21 Z) x2 = r2 - A21 A11^-1 r1,  x1 = A11^-1 r1 - Z x2[:2],
+        (A22 - A21 Z) x2 = r2,  x1 = -Z a,  a = (x_{p+1}, x_{p+2}),
 
-    Z = A11^-1 A12, of shape (p, 2).  The band writer
-    (:func:`_factored_band`) gives the blocks: A11 is the cap run 1 ... p,
-    its pole margin folded (:func:`_sector_band`), A12 that run's right
-    margin, and A21 (:attr:`coupling`) the left margin of the rows p + 1,
-    p + 2.  A11 (``dgbtrf``), Z and the 2 x 2
-    :attr:`update` A21 Z are made once per grid and kept with it
-    (:meth:`~wpneck.grids.RadialGrid.keep`), so a WP row factors and solves
-    the neck rows alone (:meth:`condensed`).  On a right-hand side that
-    vanishes on the cap, x1 = -Z a, a = (x_{p+1}, x_{p+2}): the cap's
-    values are linear in the two interface values.  :attr:`edge` gives
-    (x_{p-1}, x_p) from a (with p = 0, x_{-1} = -x_1 and x_0 = 0); the
-    conformal Killing image of x on the cap nodes 0 ... p - 1, the only ones
-    that read cap values alone, is :attr:`Y` a, and its pairing over them is
-    a^T G a with G = Y^T W Y (:meth:`gram`).  :attr:`window` is the nodes
-    p ... n/2, where a row's fields live.
+    Z = A11^-1 A12, of shape (p, 2): the cap's values are linear in the two
+    interface values.  The band writer (:func:`_factored_band`) gives the
+    blocks: A11 is the cap run 1 ... p, its pole margin folded
+    (:func:`_sector_band`), A12 that run's right margin, and A21 the left
+    margin of the rows p + 1, p + 2.  The 2 x 2 :attr:`update` A21 Z is made
+    once per grid and kept with it (:meth:`~wpneck.grids.RadialGrid.keep`),
+    so a WP row factors and solves the neck rows alone (:meth:`condensed`).
+    :attr:`edge` gives (x_{p-1}, x_p) from a (with p = 0, x_{-1} = -x_1 and
+    x_0 = 0); the conformal Killing image of x on the cap nodes 0 ... p - 1,
+    the only ones that read cap values alone, is :attr:`Y` a, and its
+    pairing over them is a^T G a with G = Y^T W Y (:meth:`gram`).
+    :attr:`window` is the nodes p ... n/2, where a row's fields live.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -1172,8 +1137,6 @@ class OddCap:
         self.window = half.span(p, h + 1)
         self.update = np.zeros((2, 2))
         Z = np.zeros((0, 2))
-        self.coupling = np.zeros((2, 0))
-        self.solve = None
         sqF = beta = np.zeros(0)
         if p:
             # the coefficients of the nodes 0 ... p + 3, the same at every ell
@@ -1189,11 +1152,8 @@ class OddCap:
             left = cols < 0
             A21[rows[left], cols[left] + 2] = vals[left]
             q = min(p, 2)
-            self.coupling = A21[:, 2 - q:]
-            self.solve = _band_solve(_sector_band(cap, 1, h, -1.0))
-            Z = self.solve(A12)
-            self.update = self.coupling @ Z[p - q:]
-        self.Z = Z
+            Z = _band_solve(_sector_band(cap, 1, h))(A12)
+            self.update = A21[:, 2 - q:] @ Z[p - q:]
         # x_j for j = -1 ... p + 2, one column per unit a
         X = np.zeros((p + 4, 2))
         X[p + 2, 0] = X[p + 3, 1] = 1.0
@@ -1209,7 +1169,7 @@ class OddCap:
     def condensed(self, sqF, beta) -> np.ndarray:
         """The ``dgbtrf`` storage of A22 - A21 Z, from the coefficients on the window."""
         ab = _sector_band(_factored_band(sqF, beta, None, self._c), self.p + 1,
-                          self._mirror.n - 1, -1.0)
+                          self._mirror.n - 1)
         k = min(2, ab.shape[1])
         for i in range(k):
             for j in range(k):
@@ -1275,35 +1235,32 @@ class FactoredGlobalSolver:
     that reach outside the run in its margins.  F is even and the grid
     reflection R: i -> n - i reverses the central difference, so
     M- = R M+ R, and only M+ is built (:attr:`band`, the whole cycle, on
-    first read).  For k >= 1 it is factored, its margins the six cyclic
-    corners that :func:`_cut_closure` puts back; a solve is one ``dgbtrs``
-    with the channel + right-hand side and the reflected channel - one as
-    its two columns.
+    first read).  A whole-grid solve factors it, its margins the cyclic
+    corners that :func:`_cut_closure` puts back (:attr:`_cycle`, built on
+    the first such solve).  At k >= 1 the channel + right-hand side and the
+    reflected channel - one are its two columns.  At k = 0 the channels are
+    one matrix M = -A B, singular, and the closure borders its two null
+    directions, sqrt(F) and the checkerboard (-1)^i / sqrt(F), so that the
+    solution lies in the complement of the weighted pair; the two sigma
+    components are its two columns.
 
-    At k = 0 the channels are one matrix M = -A B, and M commutes with R.
-    A solve splits each sigma component into its even and odd parts and
-    solves each in its sector of R (:func:`_sector_band` folds a run's
-    margins onto their mirrors), both components as the columns of one
-    ``dgbtrs`` per sector.  The odd sector is a plain band, condensed onto
-    its neck rows (:class:`OddCap`, kept with the grid): here only those
-    rows are written and factored, from the coefficients of the
+    M commutes with R at k = 0, and its odd sector is a plain band
+    (:func:`_sector_band` folds a run's margins onto their mirrors),
+    condensed onto its neck rows (:class:`OddCap`, kept with the grid): here
+    only those rows are written and factored, from the coefficients of the
     :attr:`OddCap.window` alone; those of the whole grid are built on first
-    read.  The even sector holds M's two null directions, sqrt(F) and the
-    checkerboard (-1)^i / sqrt(F); its bordered solve (:func:`_even_sector`,
-    built on the first solve that needs it) keeps the solution in the
-    complement of the weighted pair, as a bordered solve with the whole of
-    M does.
+    read.
 
     A field's column count says where it lives: on all n nodes, or at
     k = 0 on the window (``cap.window.n`` columns), where a WP row computes
     its fields; any other count is refused.  On the window a tensor is even
     and a one-form odd under R, and each stands for one that vanishes on
     the cap: a tensor on the nodes 0 ... p + 1, a right-hand side on
-    0 ... p.  There :meth:`solve_sigma` solves the odd sector alone and
-    continues its solution onto the cap as -Z a, and :meth:`bianchi` and
-    :meth:`conformal_killing` give their images on the window.  Odd grids
-    are refused: there the exact null direction is a checkerboard remnant
-    that nothing borders.
+    0 ... p.  There :meth:`solve_sigma` solves the odd sector's neck rows
+    alone and gives node p's value by :attr:`OddCap.edge`, and
+    :meth:`bianchi` and :meth:`conformal_killing` give their images on the
+    window.  Odd grids are refused: there the exact null direction is a
+    checkerboard remnant that nothing borders.
     """
 
     def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int):
@@ -1318,9 +1275,6 @@ class FactoredGlobalSolver:
         self._K = self.cap = None
         if self.k:
             self._K = self.k / self.sqF
-            rows, cols, vals = _margins(self.band)
-            self._solve = _cut_closure(_band_solve(self.band[:, 2:-2].copy(order="F")), n,
-                                       (rows, cols % n, vals))
         else:
             self.cap = grid.keep("odd cap", OddCap)
             # the neck rows p + 1 ... n/2 - 1 read the window's nodes alone
@@ -1333,9 +1287,26 @@ class FactoredGlobalSolver:
         return _coefficients(self.surface.grid_jet(self.grid))
 
     @cached_property
-    def _even(self) -> _Closure:
-        """The even sector's bordered solve, built on the first whole-grid solve."""
-        return _even_sector(self.sqF, self.beta, self._c, self.grid.weights)
+    def _cycle(self) -> _Closure:
+        """The whole-grid solve, built on the first one: :attr:`band`'s run
+        factored, its margins the cut corners that :func:`_cut_closure` puts
+        back.  At k = 0 it borders M's null directions, [[M, b], [b^T, 0]]
+        with b the weighted pair sqrt(F) and (-1)^i / sqrt(F), each
+        normalized, so the solution is weighted-orthogonal to both.  At
+        n = 16384 the cut band's condition (``dgbcon``) runs from 1.9e8 at
+        ell = 0.9 to 7.4e17 at ell = 1e-3, yet for the Bianchi image of a
+        random tensor, in M's range, the residual of M x = r measured at most
+        8.3e-16 ||M|| ||x|| (8.0e-14 ||r||) over ell in [1e-3, 0.9].
+        """
+        n, border = self.grid.n, None
+        if not self.k:
+            b = np.zeros((1, n, 2))
+            for j, u in enumerate((self.sqF, np.where(np.arange(n) % 2, -1.0, 1.0) / self.sqF)):
+                b[0, :, j] = self.grid.weights * u / np.linalg.norm(u)
+            border = (b, b, np.zeros((1, 2)))
+        rows, cols, vals = _margins(self.band)
+        return _cut_closure(_band_solve(self.band[:, 2:-2].copy(order="F")), n,
+                            (rows, cols % n, vals), border=border)
 
     @property
     def sqF(self) -> np.ndarray:
@@ -1379,54 +1350,20 @@ class FactoredGlobalSolver:
                 raise ValueError("the right-hand side is not odd under the grid reflection")
             if p and rhs[:, 0].any():
                 raise ValueError("a right-hand side on the window must vanish on the cap")
-            return self._solve_odd(rhs, p)
-        if self.k:
-            b = np.empty((rhs.shape[1], 2), order="F")
-            b[:, 0] = rhs[0] + rhs[1]
-            b[:, 1] = _reflect(rhs[0] - rhs[1])
-            y = self._solve(b)[0]
-            p, m = y[:, 0], _reflect(y[:, 1])
-            return 0.5 * np.array([p + m, p - m])
-        n = self.grid.n
-        h = n // 2
-        mirror = rhs[:, :h:-1]  # the nodes n - 1 ... h + 1, mirrors of 1 ... h - 1
-        even = np.empty((2, h + 1))
-        even[:, [0, h]] = rhs[:, [0, h]]
-        even[:, 1:h] = 0.5 * (rhs[:, 1:h] + mirror)
-        x = np.zeros((2, n))
-        x[:, :h + 1] = self._even(even.T)[0].T
-        x[:, h + 1:] = x[:, h - 1:0:-1]
-        odd_part = np.zeros((2, h + 1))
-        odd_part[:, 1:h] = 0.5 * (rhs[:, 1:h] - mirror)
-        y = self._solve_odd(odd_part, 0)[:, 1:h]
-        x[:, 1:h] += y
-        x[:, h + 1:] -= y[:, ::-1]
-        return x
-
-    def _solve_odd(self, rhs: np.ndarray, s: int) -> np.ndarray:
-        """The odd sector's solve of an rhs on the mirror half's nodes s ... n/2
-        (s = 0, or s = p on the window), condensed onto the neck rows
-        (:class:`OddCap`)."""
-        cap, h = self.cap, self.grid.n // 2
-        p = cap.p
-        b = rhs[:, p + 1 - s:h - s].T
-        y = None
-        if not s and rhs[:, 1:p + 1].any():
-            # A11^-1 r1 on the cap, and its coupling into the rows p + 1, p + 2
-            y = cap.solve(rhs[:, 1:p + 1].T)
-            b = np.array(b, order="F")
-            b[:2] -= cap.coupling @ y[p - cap.coupling.shape[1]:]
-        x = np.zeros((2, h + 1 - s))
-        x[:, p + 1 - s:h - s] = self._solve(b).T
-        a = x[:, p + 1 - s:p + 3 - s]  # (x_{p+1}, x_{p+2}) of each component
-        if s:
-            x[:, 0] = a @ cap.edge[1]
-        else:
-            xc = -(cap.Z @ a.T)
-            if y is not None:
-                xc += y
-            x[:, 1:p + 1] = xc.T
-        return x
+            # the neck rows, and node p's value from (x_{p+1}, x_{p+2}); 0 with no cap
+            x = np.zeros(rhs.shape)
+            x[:, 1:-1] = self._solve(rhs[:, 1:-1].T).T
+            if p:
+                x[:, 0] = x[:, 1:3] @ self.cap.edge[1]
+            return x
+        if not self.k:
+            return self._cycle(rhs.T)[0].T
+        b = np.empty((rhs.shape[1], 2), order="F")
+        b[:, 0] = rhs[0] + rhs[1]
+        b[:, 1] = _reflect(rhs[0] - rhs[1])
+        y = self._cycle(b)[0]
+        p, m = y[:, 0], _reflect(y[:, 1])
+        return 0.5 * np.array([p + m, p - m])
 
     def _on(self, u: np.ndarray, parity: float):
         """(sqrt(F), beta, ends) for ``u`` on the grid (ends None) or the

@@ -141,6 +141,18 @@ def test_sweep_divergence_refuses_a_grid_without_transition_nodes(tmp_path, caps
     assert len(rows) == 2 and all(float(r.split(",")[2]) > 0.0 for r in rows)
 
 
+def test_sweep_divergence_builds_no_projection(monkeypatch, tmp_path):
+    # a row is the closed-form norm alone: no factored solver is built for it
+    from wpneck.surface import FactoredGlobalSolver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a FactoredGlobalSolver")
+
+    monkeypatch.setattr(FactoredGlobalSolver, "__init__", refuse)
+    assert main(["sweep", "divergence", "--ell-count", "2",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+
+
 def test_fit_roundtrip_through_files(tmp_path):
     csv_path = tmp_path / "series.csv"
     ells = np.geomspace(1e-3, 1e-1, 36)
