@@ -13,7 +13,8 @@ Subcommands
   the wp quantity uses ``ell,g_ll,g_lw,g_ww``), full double precision,
   rows sorted by ell; reruns are byte-identical.
 * ``wpneck fit <csv>``: least-squares half-integer/log expansion fit of a
-  sweep file, JSON output; ill-conditioning exits nonzero.
+  sweep file of one quantity, JSON output; ill-conditioning exits nonzero,
+  and a file whose ``quantity`` column holds more than one exits 2.
 """
 
 from __future__ import annotations
@@ -405,9 +406,16 @@ def main(argv=None) -> int:
                     col = "value"
                 else:
                     col = reader.fieldnames[1]
-                data = [(float(row["ell"]), float(row[col])) for row in reader]
-        except (OSError, KeyError, ValueError) as exc:
+                rows = list(reader)
+                data = [(float(row["ell"]), float(row[col])) for row in rows]
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
             print(f"wpneck: cannot read fit input: {exc}", file=sys.stderr)
+            return 2
+        # one fit is of one function of ell
+        kinds = list(dict.fromkeys(row.get("quantity") for row in rows))
+        if len(kinds) > 1:
+            print(f"wpneck: fit input mixes quantities {', '.join(map(str, kinds))}; "
+                  "fit one at a time", file=sys.stderr)
             return 2
         ells = [d[0] for d in data]
         vals = [d[1] for d in data]

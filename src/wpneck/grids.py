@@ -97,7 +97,6 @@ class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
-    order: int
     periodic: bool = False
     _stencils: object = field(repr=False, default=None)
     _kept: dict = field(default_factory=dict, repr=False)
@@ -163,7 +162,7 @@ class RadialGrid:
         h = self.n // 2
         weights = self.weights[:h + 1].copy()
         weights[1:h] *= 2.0
-        return RadialGrid(self.nodes[:h + 1], weights, "mirror half", self.order)
+        return RadialGrid(self.nodes[:h + 1], weights, "mirror half")
 
     def span(self, start: int, stop: int) -> "RadialGrid":
         """The nodes start ... stop - 1 of the grid, with their weights.
@@ -171,7 +170,7 @@ class RadialGrid:
         Nodes and weights are views of the grid's; the span holds no
         reference to the grid.
         """
-        return RadialGrid(self.nodes[start:stop], self.weights[start:stop], "span", self.order)
+        return RadialGrid(self.nodes[start:stop], self.weights[start:stop], "span")
 
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ f)
@@ -307,7 +306,6 @@ def uniform_grid(a: float, b: float, n: int) -> RadialGrid:
         nodes=x,
         weights=simpson_weights(n, h),
         scheme="uniform",
-        order=2,
         _stencils=partial(_fd_stencils, n, h, False),
     )
 
@@ -319,7 +317,6 @@ def periodic_grid(a: float, b: float, n: int) -> RadialGrid:
         nodes=a + h * np.arange(n),
         weights=np.full(n, h),
         scheme="periodic",
-        order=2,
         periodic=True,
         _stencils=partial(_fd_stencils, n, h, True),
     )
@@ -336,7 +333,6 @@ def chebyshev_grid(a: float, b: float, n: int) -> RadialGrid:
         nodes=x,
         weights=w.copy(),
         scheme="chebyshev",
-        order=n,  # spectral; refinement tests treat residuals as floor-limited
         _stencils=lambda: (sp.csr_matrix(d1), sp.csr_matrix(d1 @ d1)),
     )
 

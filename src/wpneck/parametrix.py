@@ -81,8 +81,9 @@ S is written as exact zeros there, F and P are formed off the cap (and on
 the cap's two end nodes, which P reads), and S^T reads no cap row.  The
 blocks of one length share what no k changes: the surface and its jet, L
 and U and their symmetric form, the commutators' entries and F's
-Lagrange weights (:meth:`ReferenceBank.length`).  A block built without a
-bank factors its whole band as one :class:`~wpneck.surface.SubdomainSolver`.
+Lagrange weights (:meth:`ReferenceBank.length`).  Every block is its
+family's (:meth:`ParametrixFamily.block`), which computes these once per
+length and hands them to each block of it.
 
 Operator norms of R and S are estimated by Golub-Kahan-Lanczos
 bidiagonalization (Golub & Kahan 1965, :func:`golub_kahan_norm`): each step
@@ -109,7 +110,6 @@ from .surface import (
     CutoffPair,
     FactoredGlobalSolver,
     ModelSurfaceMetric,
-    SubdomainSolver,
     _period_run,
     band_matvec,
     cap_indices,
@@ -239,7 +239,8 @@ def _start(seed: int, n: int) -> np.ndarray:
 class _Layers:
     """Stacked Dirichlet runs and where their commutators act; no ell, no k.
 
-    ``runs`` are node runs stacked run by run, both channels of each (as
+    Every bank of a family reads the same layers.  ``runs`` are node runs
+    stacked run by run, both channels of each (as
     :class:`~wpneck.surface.SubdomainSolver` stacks its period-ordered runs);
     ``tables`` are chi and chi~ at the grid's nodes, (2, n) each, one row per
     run.  ``flat`` places the stacked unknowns in the flattened (2, n)
@@ -270,9 +271,6 @@ class _Layers:
             neg.append(-diff[p])
         self._split = rows[0].size
         self.rows, self.cols, self._neg = (np.concatenate(a) for a in (rows, cols, neg))
-        # the k-free parts of the blocks at the last length asked
-        # (ReferenceBank.length), shared by every bank on these layers
-        self.last_length = [None, None]
 
     @classmethod
     def of_blocks(cls, grid: RadialGrid, cutoffs: CutoffPair) -> "_Layers":
@@ -432,22 +430,20 @@ class ReferenceBank:
         band's condensation reads of the couplings L and U
         (:func:`~wpneck.surface.channel_couplings`) and their symmetric form
         (:meth:`~wpneck.surface._Condensed.coupled`), and the commutators'
-        entries.  They are kept with the layers, which every bank of a
-        family shares, for the last surface asked.
+        entries.  None depends on the bank's k, and every bank of a family
+        has the same subdomain layout, so the family asks one bank once per
+        length (:meth:`ParametrixFamily.block`); nothing is kept here.
         """
-        key = (surface, self.s_nodes)
-        if self.layers.last_length[0] != key:
-            s = surface.ell**2
-            lagrange = np.array([
-                math.prod((s - si) / (sj - si)
-                          for i, si in enumerate(self.s_nodes) if i != j)
-                for j, sj in enumerate(self.s_nodes)])
-            L, U = channel_couplings(surface, self.grid)
-            flat = self.layers.flat
-            lower, upper = L.reshape(-1)[flat[1:]], U.reshape(-1)[flat[:-1]]
-            coupled = self._sub.coupled(lower[None], upper[None])
-            self.layers.last_length[:] = [key, (lagrange, coupled, self.layers.commutator(L, U))]
-        return self.layers.last_length[1]
+        s = surface.ell**2
+        lagrange = np.array([
+            math.prod((s - si) / (sj - si)
+                      for i, si in enumerate(self.s_nodes) if i != j)
+            for j, sj in enumerate(self.s_nodes)])
+        L, U = channel_couplings(surface, self.grid)
+        flat = self.layers.flat
+        lower, upper = L.reshape(-1)[flat[1:]], U.reshape(-1)[flat[:-1]]
+        coupled = self._sub.coupled(lower[None], upper[None])
+        return lagrange, coupled, self.layers.commutator(L, U)
 
     def correct(self, lam: np.ndarray, rhs: np.ndarray, shared=None,
                 window: bool = False) -> np.ndarray:
@@ -502,20 +498,15 @@ class ReferenceBank:
         q = np.bincount(cols, vals * z[rows], minlength=J * ms)
         return sub.band.solve(q, trans="T").reshape(J, ms)
 
-    def correct_T(self, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_j lam_j R(ell_j)^T G_glob(ell_j)^T w for w of shape (2, n)."""
-        v = self.kept_T(w)
-        out = np.bincount(self._sub_flat,
-                          self._sub_chi * np.concatenate([lam @ v, self._sub.extend(v, lam)]),
-                          minlength=w.size)
-        return out.reshape(w.shape)
-
 
 class ModeParametrix:
-    """Per-mode operator pieces at one (ell, k); the frozen references of its
-    correction F are a shared :class:`ReferenceBank`.
+    """Per-mode operator pieces at one (ell, k), a member of its mode's
+    :class:`ReferenceBank`, which holds the frozen references of its
+    correction F.  Built by :meth:`ParametrixFamily.block`, which hands it
+    ``length``, what the blocks of its length share
+    (:meth:`ReferenceBank.length`).
 
-    A block with a bank joins the bank's subdomain condensation
+    The block joins the bank's subdomain condensation
     (:meth:`~wpneck.surface._Condensed.member`): it eliminates its own runs
     off the layer rows and the cap, and takes the cap run, the same at every
     ell, with its factor and end columns from the bank.  So R reads, and
@@ -526,39 +517,22 @@ class ModeParametrix:
     P(ell) G_glob(ell_j) r_j = r_j = 0 for r_j = R(ell_j) w, R w = 0 too,
     and S w = R w - P F w vanishes: S is written as exact zeros on the
     cap, F and P are formed on the bank's :attr:`~ReferenceBank.window`
-    only, and S^T reads no cap row.  A block
-    without a bank solves its whole Dirichlet band (:class:`SubdomainSolver`).
+    only, and S^T reads no cap row.
     """
 
-    def __init__(self, surface: ModelSurfaceMetric, grid: RadialGrid, k: int,
-                 cutoffs: CutoffPair, bank: ReferenceBank | None = None):
+    def __init__(self, surface: ModelSurfaceMetric, k: int, bank: ReferenceBank, length: tuple):
         self.surface = surface
-        self.grid = grid
+        self.grid = bank.grid
         self.k = int(k)
-        self.cutoffs = cutoffs
         self.bank = bank
         if self.k == 0:
-            self.diags, self.kernel = zero_mode(surface, grid)
+            self.diags, self.kernel = zero_mode(surface, self.grid)
         else:
-            self.diags, self.kernel = channel_diagonals(surface, grid, self.k), None
-        if bank is None:
-            layers = _Layers.of_blocks(grid, cutoffs)
-            self.G = SubdomainSolver(self.diags, layers.runs)
-            # the band's stacked order is the layers': run by run, both channels of each
-            self._flat, self._chi, self._chiw = self.G.flat, layers.chi, layers.chiw
-            self._R_cols = layers.cols
-            self._R_vals = layers.commutator(self.diags[0], self.diags[2])
-        else:
-            layers = bank.layers
-            self._lagrange, coupled, self._R_vals = bank.length(surface)
-            self._sub = bank._sub.member(self.diags[1].reshape(-1)[bank._sub_flat], coupled)
-            # the bank's order: the kept rows, then the eliminated ones
-            self._flat, self._chi, self._chiw = bank._sub_flat, bank._sub_chi, bank._sub_chiw
-            self._R_cols = bank._cols
-        # R = -sum_j [P, chi~_j] G_j chi_j as one (2n) x (stacked) matrix; a
-        # banked block's stacked columns are its kept rows
-        self._R_rows = layers.rows
-        self._R_width = self._flat.size if bank is None else self._sub.kept.size
+            self.diags, self.kernel = channel_diagonals(surface, self.grid, self.k), None
+        self._lagrange, coupled, self._R_vals = length
+        self._sub = bank._sub.member(self.diags[1].reshape(-1)[bank._sub_flat], coupled)
+        # the bank's order: the kept rows, then the eliminated ones
+        self._flat, self._chi, self._chiw = bank._sub_flat, bank._sub_chi, bank._sub_chiw
 
     # -- channel-level applications (w has shape (2, n)) -------------------
     def apply_P(self, w, trans: str = "N"):
@@ -572,46 +546,35 @@ class ModeParametrix:
         """A stacked vector summed onto the (2, n) channels."""
         return np.bincount(self._flat, x, minlength=2 * self.grid.n).reshape(2, -1)
 
-    def _solve_pieces(self, w):
-        """G_j chi_j w for both subdomains, in the band's stacked order."""
-        rhs = self._gather(w)
-        if self.bank is None:
-            return self.G.solve_channels(rhs)
-        return np.concatenate(self._sub.solve(rhs[:self._sub.kept.size],
-                                              rhs[self._sub.kept.size:]))
-
     def _kept(self, rhs, shared=None):
-        """A banked block's G_j chi_j w on its kept rows, from ``rhs`` = chi w."""
+        """G_j chi_j w on the kept rows, from ``rhs`` = chi w."""
         ms = self._sub.kept.size
         return self._sub.band.solve(self._sub.restrict(rhs[:ms], rhs[ms:], shared)[0])
 
     def _commute(self, x):
-        """-sum_j [P, chi~_j] x_j for a stacked x (a banked block's kept
-        rows); reads x on the layers only."""
-        return np.bincount(self._R_rows, self._R_vals * x[self._R_cols],
+        """-sum_j [P, chi~_j] x_j for x on the kept rows; reads x on the
+        layers only."""
+        return np.bincount(self.bank.layers.rows, self._R_vals * x[self.bank._cols],
                            minlength=2 * self.grid.n).reshape(2, -1)
 
     def _commute_T(self, w):
-        """The transpose of :meth:`_commute`: (2, n) in, stacked out."""
-        return np.bincount(self._R_cols, self._R_vals * w.reshape(-1)[self._R_rows],
-                           minlength=self._R_width)
+        """The transpose of :meth:`_commute`: (2, n) in, kept rows out."""
+        return np.bincount(self.bank._cols, self._R_vals * w.reshape(-1)[self.bank.layers.rows],
+                           minlength=self._sub.kept.size)
 
     def _kept_T(self, w):
-        """A banked block's kept rows of G_j^T [P, chi~_j]^T w, summed."""
+        """The kept rows of G_j^T [P, chi~_j]^T w, summed."""
         return self._sub.band.solve(self._commute_T(w), "T")
 
     def apply_Gtilde(self, w):
-        return self._scatter(self._chiw * self._solve_pieces(w))
+        rhs = self._gather(w)
+        ms = self._sub.kept.size
+        return self._scatter(self._chiw * np.concatenate(self._sub.solve(rhs[:ms], rhs[ms:])))
 
     def apply_R(self, w):
-        if self.bank is None:
-            return self._commute(self._solve_pieces(w))
         return self._commute(self._kept(self._gather(w)))
 
     def apply_R_T(self, w):
-        if self.bank is None:
-            return self._scatter(self._chi * self.G.solve_channels(self._commute_T(w),
-                                                                   trans="T"))
         v = self._kept_T(w)
         return self._scatter(self._chi * np.concatenate([v, self._sub.extend(v[None], _ONE)]))
 
@@ -622,19 +585,10 @@ class ModeParametrix:
         directions: any kernel ride-along is harmless analytically but its
         O(h^2) discrete image under P would pollute the Neumann solution.
         """
-        bank = self._refs()
-        return self._project(bank.correct(self._lagrange, self._gather(np.asarray(w, float))))
-
-    def apply_F_T(self, w):
-        return self._refs().correct_T(self._lagrange, self._project(np.asarray(w, float)))
-
-    def _refs(self) -> ReferenceBank:
-        if self.bank is None:
-            raise ValueError("this block has no frozen references; no correction")
-        return self.bank
+        return self._project(self.bank.correct(self._lagrange, self._gather(np.asarray(w, float))))
 
     def apply_S(self, w):
-        bank = self._refs()
+        bank = self.bank
         rhs = self._gather(np.asarray(w, float))
         shared = bank._sub.shared_sums(rhs[self._sub.kept.size:])
         out = self._commute(self._kept(rhs, shared))
@@ -646,7 +600,7 @@ class ModeParametrix:
         return out
 
     def apply_S_T(self, w):
-        bank = self._refs()
+        bank = self.bank
         lam = self._lagrange
         w = np.asarray(w, float)
         v_b = self._kept_T(w)
@@ -747,6 +701,7 @@ class ParametrixFamily:
                              f"{exc}") from None
         self._ell: float | None = None
         self._surface: ModelSurfaceMetric | None = None
+        self._length: tuple | None = None
         self._blocks: dict[int, ModeParametrix] = {}
 
     def block(self, ell: float, k: int) -> ModeParametrix:
@@ -754,11 +709,13 @@ class ParametrixFamily:
         for are kept, so a scan over ell does not grow memory."""
         ell, k = float(ell), int(k)
         if ell != self._ell:
-            self._ell, self._surface, self._blocks = ell, ModelSurfaceMetric(ell=ell), {}
+            # one surface and one set of k-free parts for the blocks of a
+            # length; every bank has the same subdomain layout, so any gives them
+            surface = ModelSurfaceMetric(ell=ell)
+            length = self._banks[k].length(surface)
+            self._ell, self._surface, self._length, self._blocks = ell, surface, length, {}
         if k not in self._blocks:
-            # one surface for the blocks of a length, which share its k-free parts
-            self._blocks[k] = ModeParametrix(self._surface, self.grid, k, self.cutoffs,
-                                             bank=self._banks[k])
+            self._blocks[k] = ModeParametrix(self._surface, k, self._banks[k], self._length)
         return self._blocks[k]
 
     def report(self, ell: float, norm_seed: int = 0) -> ParametrixReport:

@@ -30,8 +30,8 @@ solves the direct rho-channel stencils, a tridiagonal band: the channels are
 stacked in natural node order with their cyclic corners cut
 (:func:`_cyclic_corners`), and a Woodbury closure puts the corners back as
 cut entries (:func:`_cut_closure`, the one closure of every cut band).  Its
-band, and the Dirichlet pieces of the parametrix's :class:`SubdomainSolver`,
-are the nonconservative stencil of -(F u')' + V: each piece is S T S^-1
+band, and the Dirichlet pieces of :class:`SubdomainSolver`, are the
+nonconservative stencil of -(F u')' + V: each piece is S T S^-1
 with S diagonal and T symmetric positive definite, and is factored as T
 without pivoting (:func:`_stacked_band`, :class:`~wpneck.grids._SymmetrizedBand`).
 A band without such a form is refused.  The parametrix's frozen
@@ -44,7 +44,10 @@ each keeping its first and last rows, so the corners join kept rows and are
 put back by the band's closure as they are.  A parametrix block joins its
 references' subdomain condensation (:meth:`_Condensed.member`): it
 eliminates its own runs only and takes the cap run, factor and end
-columns, as it is.  The channels' couplings L and U do not depend on k
+columns, as it is.  No block solves its subdomains' whole band:
+:class:`SubdomainSolver` does, and serves as the independent whole-band
+route that the tests check the blocks' condensed one against.  The
+channels' couplings L and U do not depend on k
 (:func:`channel_couplings`), so every mode on one surface shares them.
 :class:`FactoredGlobalSolver` solves the factored operator divergence o D
 that the TT projection inverts: five cyclic diagonals per channel, a band

@@ -9,8 +9,9 @@ from wpneck.cylinder import CylinderMetric
 from wpneck.green import HomogeneousSolutions
 from wpneck.grids import chebyshev_grid, periodic_grid, uniform_grid
 from wpneck.operators import mode_operators
-from wpneck.parametrix import _NORM_RTOL
-from wpneck.surface import GlobalModeSolver
+from wpneck.parametrix import _NORM_RTOL, _Layers
+from wpneck.surface import (CutoffPair, GlobalModeSolver, SubdomainSolver,
+                            channel_diagonals, zero_mode)
 from wpneck.ttbasis import tt_element, tt_limit
 
 
@@ -132,3 +133,50 @@ def power_norm(block, which: str = "S", iters: int = 20, seed: int = 0):
             return new_sigma, step, True
         sigma = new_sigma
     return sigma, iters, False
+
+
+class WholeBandRoute:
+    """Oracle: R, R^T and G~ of the parametrix block at (``surface``, k) by
+    the whole-band route, independent of the bank's condensation.
+
+    Both subdomains' Dirichlet bands, both channels of each, are one
+    :class:`~wpneck.surface.SubdomainSolver` on the runs of
+    ``_Layers.of_blocks``, solved whole, as the blocks applied them before
+    they joined their banks.  R = -sum_j [P, chi~_j] G_j chi_j, with the
+    commutators' entries from ``layers.commutator`` at the layers' (rows,
+    cols).  A stacked vector is in the band's order, ``layers.flat``: run
+    by run, both channels of each.
+    """
+
+    def __init__(self, surface, grid, k: int):
+        self.layers = layers = _Layers.of_blocks(grid, CutoffPair())
+        diags = zero_mode(surface, grid)[0] if k == 0 else channel_diagonals(surface, grid, k)
+        self.solver = SubdomainSolver(diags, layers.runs)
+        self._vals = layers.commutator(diags[0], diags[2])
+        self._n = grid.n
+
+    def commute(self, x):
+        """-sum_j [P, chi~_j] x_j for a stacked x."""
+        return np.bincount(self.layers.rows, self._vals * x[self.layers.cols],
+                           minlength=2 * self._n).reshape(2, -1)
+
+    def commute_T(self, w):
+        """The transpose of :meth:`commute`: (2, n) in, stacked out."""
+        return np.bincount(self.layers.cols, self._vals * w.reshape(-1)[self.layers.rows],
+                           minlength=self.layers.flat.size)
+
+    def _solve(self, w):
+        """G_j chi_j w for both subdomains, stacked."""
+        return self.solver.solve_channels(self.layers.chi * w.reshape(-1)[self.layers.flat])
+
+    def _scatter(self, x):
+        return np.bincount(self.layers.flat, x, minlength=2 * self._n).reshape(2, -1)
+
+    def apply_R(self, w):
+        return self.commute(self._solve(w))
+
+    def apply_R_T(self, w):
+        return self._scatter(self.layers.chi * self.solver.solve_channels(self.commute_T(w), "T"))
+
+    def apply_Gtilde(self, w):
+        return self._scatter(self.layers.chiw * self._solve(w))

@@ -185,6 +185,32 @@ def test_fit_missing_file_is_usage_error(capsys):
     assert main(["fit", "/nonexistent/file.csv"]) == 2
 
 
+def test_fit_refuses_a_short_row_with_one_line(tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("ell,value\n0.01,1.0\n0.02\n0.03,1.2\n")
+    assert main(["fit", str(csv_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wpneck: cannot read fit input"), err
+
+
+def test_fit_refuses_a_csv_of_mixed_quantities(tmp_path, capsys):
+    # sweep ttnorm writes one quantity per k, which no one function of ell
+    # fits: one line names them and the exit is 2.  One quantity's rows fit
+    sweep = tmp_path / "ttnorm.csv"
+    assert main(["sweep", "ttnorm", "--ell-count", "6", "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    args = ["--half-powers", "1", "--log-powers", "0", "--out", str(tmp_path / "fit.json")]
+    assert main(["fit", str(sweep), *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("wpneck: fit input mixes quantities ttnorm_k1, ttnorm_k2, "), err
+    lines = sweep.read_text().splitlines()
+    one = tmp_path / "ttnorm_k1.csv"
+    one.write_text("\n".join([lines[0]] + [r for r in lines[1:] if ",ttnorm_k1," in r]) + "\n")
+    assert main(["fit", str(one), *args]) == 0
+    assert json.loads((tmp_path / "fit.json").read_text())["samples"] == 6
+
+
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# comment\nell_min = 0.002\nmodes = 4\n")

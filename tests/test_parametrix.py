@@ -22,7 +22,7 @@ from wpneck.surface import (CutoffPair, GlobalModeSolver, ModelSurfaceMetric,
 from wpneck.ttbasis import tt_element
 from wpneck.wp import length_variation, twist_variation
 
-from conftest import channel_matrices, cyclic_diagonals, power_norm
+from conftest import WholeBandRoute, channel_matrices, cyclic_diagonals, power_norm
 
 
 @pytest.fixture(scope="module")
@@ -215,8 +215,9 @@ def test_block_diagonal_apply_P_matches_per_channel_matvecs():
     surf = ModelSurfaceMetric(ell=0.1)
     x = grid.nodes
     w = np.vstack([np.cos(np.pi * x / 2.0), np.exp(np.sin(np.pi * x))])
+    family = ParametrixFamily(grid, ks=[0, 3])
     for k in (0, 3):
-        blk = ModeParametrix(surf, grid, k, CutoffPair())
+        blk = family.block(surf.ell, k)
         ops = mode_operators(surf, grid, k)
         pair = [sp.csc_matrix(ops.channel_matrix(sign, 0.5)) for sign in (+1, -1)]
         assert np.array_equal(blk.apply_P(w),
@@ -235,7 +236,7 @@ def test_band_commutators_match_the_commutator_formula():
     chiw = [cut.chi0_widened(grid.nodes), cut.chi1_widened(grid.nodes)]
     rng = np.random.default_rng(7)
     for k in (0, 3):
-        blk = ModeParametrix(surf, grid, k, cut)
+        route = WholeBandRoute(surf, grid, k)
         P, _ = channel_matrices(surf, grid, k)
 
         def apply(v, trans="N"):
@@ -249,30 +250,31 @@ def test_band_commutators_match_the_commutator_formula():
             return chiw[j] * apply(v, "T") - apply(chiw[j] * v, "T")
 
         scale = spla.norm(P, np.inf)
-        x = rng.standard_normal(blk.G.flat.size)
+        flat = route.layers.flat
+        x = rng.standard_normal(flat.size)
         # the stacked unknowns of the thick run come first, then the thin run's
         split = 2 * thick_indices(grid).size
-        flats = [blk.G.flat[:split], blk.G.flat[split:]]
+        flats = [flat[:split], flat[split:]]
         pads = [np.zeros(2 * grid.n), np.zeros(2 * grid.n)]
         for pad, flat, xj in zip(pads, flats, (x[:split], x[split:])):
             pad[flat] = xj
         ref = -sum(commutator(j, v.reshape(2, -1)) for j, v in enumerate(pads))
-        got = blk._commute(x)
+        got = route.commute(x)
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale * np.max(np.abs(x)), k
 
         w = rng.standard_normal((2, grid.n))
         ref_T = np.concatenate([-commutator_T(j, w).reshape(-1)[flat]
                                 for j, flat in enumerate(flats)])
-        got_T = blk._commute_T(w)
+        got_T = route.commute_T(w)
         assert np.max(np.abs(got_T - ref_T)) <= 1e-12 * scale * np.max(np.abs(w)), k
 
 
 def test_stacked_gtilde_matches_per_subdomain_solves():
-    # oracle: one band per subdomain (both channels stacked), taken from the
-    # sparse channel matrix, as each block solved before the two subdomains
-    # shared one band.  The symmetrizing scaling restarts on each piece, so
-    # stacking changes no bit; test_surface.py holds the factor itself
-    # against pivoted dgttrf
+    # one SubdomainSolver of both subdomains' runs stacked (the whole-band
+    # route's) against one per run (both channels stacked), taken from the
+    # sparse channel matrix.  The symmetrizing scaling restarts on each
+    # piece, so stacking changes no bit; test_surface.py holds the factor
+    # itself against pivoted dgttrf
     grid = periodic_grid(-2.0, 2.0, 2048)
     cut = CutoffPair()
     x = grid.nodes
@@ -283,7 +285,7 @@ def test_stacked_gtilde_matches_per_subdomain_solves():
     for ell in (0.035, 0.1, 0.4):
         surf = ModelSurfaceMetric(ell=ell)
         for k in (0, 3, 8):
-            blk = ModeParametrix(surf, grid, k, cut)
+            stacked = WholeBandRoute(surf, grid, k)
             diags = cyclic_diagonals(channel_matrices(surf, grid, k)[0])
             ref = np.zeros_like(w)
             for idx, chi, chiw in pairs:
@@ -291,7 +293,7 @@ def test_stacked_gtilde_matches_per_subdomain_solves():
                 pad = np.zeros(2 * n)
                 pad[sub.flat] = sub.solve_channels((chi * w).reshape(-1)[sub.flat])
                 ref += chiw * pad.reshape(2, n)
-            assert np.array_equal(blk.apply_Gtilde(w), ref), (ell, k)
+            assert np.array_equal(stacked.apply_Gtilde(w), ref), (ell, k)
 
 
 def test_error_operator_is_zero_off_the_transition_layers(family, grid):
@@ -307,17 +309,6 @@ def test_error_operator_is_zero_off_the_transition_layers(family, grid):
         out = family.block(0.15, k).apply_R(rng.standard_normal((2, grid.n)))
         assert np.all(out[:, ~layers] == 0.0), k
         assert np.any(out[:, layers] != 0.0), k
-
-
-def test_reference_block_has_no_correction(family):
-    # a block built at a reference length without the family's references,
-    # as the references themselves once were, has no correction to apply
-    ref = ModeParametrix(ModelSurfaceMetric(ell=family.ell_refs[0]), family.grid, 0,
-                         family.cutoffs)
-    w = np.ones((2, family.grid.n))
-    for name in ("apply_F", "apply_F_T", "apply_S", "apply_S_T"):
-        with pytest.raises(ValueError, match="no frozen references"):
-            getattr(ref, name)(w)
 
 
 def _shared_runs(cond):
@@ -441,20 +432,17 @@ def test_a_coarse_grid_builds_or_is_refused_with_one_error():
 
 
 def test_zero_mode_blocks_and_banks_build_no_global_solver(monkeypatch):
-    # the k = 0 channel diagonals and kernel come from zero_mode; a block or
-    # a bank builds no whole direct solver for them
+    # the k = 0 channel diagonals and kernel come from zero_mode; a block
+    # and its bank build no whole direct solver for them
     def refuse(*args, **kwargs):
         raise AssertionError("built a GlobalModeSolver")
 
     monkeypatch.setattr(GlobalModeSolver, "__init__", refuse)
-    grid = periodic_grid(-2.0, 2.0, 512)
-    cut = CutoffPair()
-    ModeParametrix(ModelSurfaceMetric(ell=0.1), grid, 0, cut)
-    parametrix.ReferenceBank(grid, 0, parametrix._Layers.of_blocks(grid, cut), (0.05, 0.3))
+    ParametrixFamily(periodic_grid(-2.0, 2.0, 512), ks=[0]).block(0.1, 0)
 
 
-# the relative gap of a banked block's R, R^T and G~, condensed on its bank's
-# layout, to a bankless block's whole-band route, by mode: measured at most
+# the relative gap of a block's R, R^T and G~, condensed on its bank's
+# layout, to the whole-band route (conftest.WholeBandRoute), by mode: measured at most
 # 1.6e-11 (k = 0), 2.6e-13 (k = 3) and 1.3e-13 (k = 8) at n = 2048 over the
 # lengths below (1.3e-12, 6.2e-14 and 4.6e-14 at n = 1024)
 _MEMBER_GAP = {0: 1e-10, 3: 2e-12, 8: 1e-12}
@@ -467,7 +455,7 @@ def test_banked_block_matches_the_whole_band_route():
     for ell in (0.035, 0.1, 0.4):
         for k, bound in _MEMBER_GAP.items():
             blk = family.block(ell, k)
-            ref = ModeParametrix(blk.surface, grid, k, family.cutoffs)
+            ref = WholeBandRoute(blk.surface, grid, k)
             w = rng.standard_normal((2, grid.n))
             for name in ("apply_R", "apply_R_T", "apply_Gtilde"):
                 got, want = getattr(blk, name)(w), getattr(ref, name)(w)
@@ -476,8 +464,8 @@ def test_banked_block_matches_the_whole_band_route():
 
 
 def test_a_report_builds_no_subdomain_solver(monkeypatch):
-    # the blocks of a family condense on their banks' layout; only a block
-    # without a bank factors its whole Dirichlet band
+    # the blocks of a family condense on their banks' layout; none factors
+    # its whole Dirichlet band
     built = []
     real = SubdomainSolver.__init__
 
@@ -489,8 +477,6 @@ def test_a_report_builds_no_subdomain_solver(monkeypatch):
     grid = periodic_grid(-2.0, 2.0, 512)
     rep = ParametrixFamily(grid, ks=[0, 2]).report(0.1)
     assert rep.norm_S < 1.0 and built == []
-    ModeParametrix(ModelSurfaceMetric(ell=0.1), grid, 2, CutoffPair())
-    assert len(built) == 1
 
 
 def test_blocks_of_one_length_share_their_k_free_parts(family):
@@ -500,8 +486,6 @@ def test_blocks_of_one_length_share_their_k_free_parts(family):
         assert blk.surface is first.surface
         assert blk.diags[0] is first.diags[0] and blk.diags[2] is first.diags[2]
         assert blk._lagrange is first._lagrange and blk._R_vals is first._R_vals
-        # the couplings' symmetric form and what the condensation reads of it
-        assert blk.bank.length(blk.surface) is first.bank.length(first.surface)
 
 
 def test_a_report_draws_its_random_start_once(monkeypatch):
@@ -779,10 +763,10 @@ def test_condensed_band_shares_the_runs_equal_in_every_block(cyclic, bordered):
 
 def _per_reference(grid, k, ell_refs):
     """Oracle: F and F^T of a block composed reference by reference, each
-    reference's R through its own SubdomainSolver and its global solve
-    through a GlobalModeSolver, as the blocks applied them before the
-    references shared a bank."""
-    refs = [(ModeParametrix(surf, grid, k, CutoffPair()), GlobalModeSolver(surf, grid, k))
+    reference's R through its own whole-band route (conftest.WholeBandRoute)
+    and its global solve through a GlobalModeSolver, as the blocks applied
+    them before the references shared a bank."""
+    refs = [(WholeBandRoute(surf, grid, k), GlobalModeSolver(surf, grid, k))
             for surf in map(ModelSurfaceMetric, ell_refs)]
 
     def F(blk, w):
@@ -802,10 +786,18 @@ def _per_reference(grid, k, ell_refs):
     return F, F_T
 
 
-# the relative gap of the bank to the per-reference route, by mode: measured
-# up to 9.8e-11 at k = 0, 1.9e-11 at k = 1, 9.1e-13 at k = 3 and 2.7e-14 at
-# k = 8 over the n, ell and both directions below
+# the relative gap of the bank's F to the per-reference route, by mode:
+# measured up to 9.9e-11 at k = 0, 1.7e-11 at k = 1, 9.7e-13 at k = 3 and
+# 6.6e-14 at k = 8 over the n and ell below
 _BANK_GAP = {0: 1e-9, 1: 2e-10, 3: 1e-11, 8: 3e-13}
+# the gap of a block's S^T w to R^T w - F^T P^T w by the whole-band and
+# per-reference routes, relative to |R^T w|: S is a small difference of R and
+# P F (|S^T w| / |R^T w| down to 6e-14 at a reference node), so a gap
+# relative to |S^T w| would measure the cancellation, not the route.
+# Measured up to 1.2e-9 at k = 0, 4.6e-11 at k = 1, 5.0e-12 at k = 3 and
+# 5.9e-13 at k = 8 over the n, ell and draws below (all at n = 2048, ell =
+# 0.3); at k = 0 it spreads with w, up to 1.1e-9 over 80 other draws there
+_S_T_GAP = {0: 5e-9, 1: 3e-10, 3: 3e-11, 8: 5e-12}
 
 
 def test_reference_bank_matches_the_per_reference_route():
@@ -820,10 +812,14 @@ def test_reference_bank_matches_the_per_reference_route():
             for ell in (0.05, 0.1, 0.3, 0.06):
                 blk = family.block(ell, k)
                 w = rng.standard_normal((2, n))
-                for got, want in ((blk.apply_F(w), F(blk, w)),
-                                  (blk.apply_F_T(w), F_T(blk, w))):
-                    gap = np.linalg.norm(got - want) / np.linalg.norm(want)
-                    assert gap <= bound, (n, k, ell, gap)
+                want = F(blk, w)
+                gap = np.linalg.norm(blk.apply_F(w) - want) / np.linalg.norm(want)
+                assert gap <= bound, (n, k, ell, gap)
+                # F^T takes P^T w projected, as the block's S^T does at k = 0
+                R_T = WholeBandRoute(blk.surface, grid, k).apply_R_T(w)
+                want = R_T - F_T(blk, blk.apply_P(w, trans="T"))
+                gap = np.linalg.norm(blk.apply_S_T(w) - want) / np.linalg.norm(R_T)
+                assert gap <= _S_T_GAP[k], (n, k, ell, gap)
 
 
 def test_refuses_outside_working_range(grid):

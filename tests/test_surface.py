@@ -757,12 +757,13 @@ def test_build_rejects_bad_profile():
 
 
 def _dense(diags):
-    """The dense (n, n) matrix of (5, n) cyclic diagonals."""
+    """The dense (n, n) matrix of (5, n) cyclic diagonals (on n = 4 nodes the
+    diagonals -2 and 2 meet in one column, and add)."""
     n = diags.shape[1]
     out = np.zeros((n, n))
     i = np.arange(n)
     for j in range(5):
-        out[i, (i + j - 2) % n] = diags[j]
+        np.add.at(out, (i, (i + j - 2) % n), diags[j])
     return out
 
 
