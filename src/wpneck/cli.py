@@ -66,11 +66,10 @@ def _note_coarse_grid(quantity: str, ells: list[float], n: int) -> None:
               f"have ell below the grid spacing 4/{n} = {h:.6g}", file=sys.stderr)
 
 
-def _note_unweighted(rows: list[dict]) -> None:
-    """Note on stderr the sweep wp rows that have no conformal factor (phi = 0)."""
-    ells = [r["ell"] for r in rows if np.isnan(r["conformal_bound"])]
+def _note_unweighted(quantity: str, ells: list[float], rows: int) -> None:
+    """Note on stderr the sweep rows at ``ells`` that have no conformal factor (phi = 0)."""
     if ells:
-        print(f"wpneck: note: sweep wp: {len(ells)} of {len(rows)} rows use phi = 0 "
+        print(f"wpneck: note: sweep {quantity}: {len(ells)} of {rows} rows use phi = 0 "
               f"(the neck curvature is not negative), the first at ell = {min(ells):.6g}",
               file=sys.stderr)
 
@@ -265,7 +264,8 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
         _note_coarse_grid(quantity, ells, cfg.sweep_grid_n)
         rows = sweep_wp_coefficients(ells, grid_n=cfg.sweep_grid_n,
                                      jobs=cfg.jobs)
-        _note_unweighted(rows)
+        _note_unweighted(quantity, [r["ell"] for r in rows
+                                    if np.isnan(r["conformal_bound"])], len(rows))
         header = ["ell", "g_ll", "g_lw", "g_ww"]
         return header, [[_fmt(r["ell"]), _fmt(r["g_ll"]), _fmt(r["g_lw"]),
                          _fmt(r["g_ww"])] for r in rows]
@@ -300,6 +300,8 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
             except ValueError:
                 val = float("nan")
             out.append([_fmt(ell), "conformal_sup", _fmt(val)])
+        _note_unweighted(quantity, [ell for ell, row in zip(ells, out)
+                                    if row[2] == "nan"], len(ells))
     else:
         raise KeyError(quantity)
     return header, out

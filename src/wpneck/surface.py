@@ -182,7 +182,9 @@ class ModelSurfaceMetric:
     (:meth:`~wpneck.grids.RadialGrid.keep`), so every surface on the grid,
     every row of a sweep, only recombines them.  A mirror half, a span and
     the whole grid compute them each at their own nodes, with the same
-    elementwise arithmetic, so the same node gets the same bits on each.
+    elementwise arithmetic, so the same node gets the same bits on each; the
+    spans of the odd cap take theirs as views of their half's
+    (:meth:`span_pieces`).
     """
 
     ell: float
@@ -228,6 +230,17 @@ class ModelSurfaceMetric:
     def grid_pieces(grid: RadialGrid):
         """:meth:`pieces` at the nodes of ``grid``, computed once per grid."""
         return grid.keep("profile pieces", lambda g: ModelSurfaceMetric.pieces(g.nodes))
+
+    @staticmethod
+    def span_pieces(grid: RadialGrid, start: int, stop: int) -> RadialGrid:
+        """``grid.span(start, stop)``, whose :meth:`grid_pieces` are views of
+        ``grid``'s: the pieces are elementwise in tau."""
+        span = grid.span(start, stop)
+        s, *parts = ModelSurfaceMetric.grid_pieces(grid)
+        cut = slice(start, stop)
+        span.keep("profile pieces", lambda g: (s[cut], *(tuple(x[cut] for x in part)
+                                                         for part in parts)))
+        return span
 
     def _combine(self, pieces):
         s, (Q, Qp, Qpp), (w, wp, wpp) = pieces
@@ -1030,23 +1043,28 @@ def _factored_band(sqF, beta, K, c) -> np.ndarray:
 
     A = sqrt(F) d1 + 2 beta and B = (sqrt(F) d1 - beta) / 2, d1 of weight
     ``c`` = 1 / (2h), multiply as bands: (A B)[i, i + s + t] = a_s[i] b_t[i + s].
-    K = None gives M = -A B; M- = -(A - K)(B + K/2) is M+ of -K.  The
-    coefficients are given on the m + 2 nodes around the run, all that its
-    rows read.  The (7, m + 4) Fortran array holds M[i, j] at
-    [4 + i - j, j + 2], i and j counted from the run's first node:
-    ``[:, 2:-2]`` is the run's band, and the two margin columns on each side
-    hold the entries that reach outside it (:func:`_margins`).
+    With q = c sqrt(F), a_-1 = -q, a_1 = q and b_+-1 = +-q / 2 exactly, so
+    each of the five diagonals is written once, from the products q_i q_{i+1}
+    / 2 and a_0 q, as the sum of its terms in the (s, t) order.  K = None
+    gives M = -A B; M- = -(A - K)(B + K/2) is M+ of -K.  The coefficients
+    are given on the m + 2 nodes around the run, all that its rows read.
+    The (7, m + 4) Fortran array holds M[i, j] at [4 + i - j, j + 2], i and
+    j counted from the run's first node: ``[:, 2:-2]`` is the run's band, and
+    the two margin columns on each side hold the entries that reach outside
+    it (:func:`_margins`).
     """
-    a_mid, b_mid = ((2.0 * beta, -0.5 * beta) if K is None else
-                    (2.0 * beta + K, -0.5 * (beta + K)))
-    a = (-c * sqF, a_mid, c * sqF)
-    b = (-0.5 * c * sqF, b_mid, 0.5 * c * sqF)
+    a0, b0 = ((2.0 * beta, -0.5 * beta) if K is None else
+              (2.0 * beta + K, -0.5 * (beta + K)))
+    q = c * sqF
+    qq = 0.5 * (q[:-1] * q[1:])  # -a_-1 b_1 on the left, -a_1 b_-1 on the right
+    aq = 0.5 * (a0[1:-1] * q[1:-1])  # a_0 b_1, -a_0 b_-1
     m = sqF.size - 2
     ab = np.zeros((7, m + 4), order="F")
-    for s in (-1, 0, 1):
-        for t in (-1, 0, 1):
-            d = s + t
-            ab[4 - d, d + 2:d + 2 + m] -= a[s + 1][1:m + 1] * b[t + 1][1 + s:m + 1 + s]
+    ab[6, :m] = -qq[:-1]
+    ab[5, 1:m + 1] = q[1:-1] * b0[:-2] + aq
+    ab[4, 2:m + 2] = (qq[:-1] - a0[1:-1] * b0[1:-1]) + qq[1:]
+    ab[3, 3:m + 3] = -(aq + q[1:-1] * b0[2:])
+    ab[2, 4:] = -qq[1:]
     return ab
 
 
@@ -1123,7 +1141,10 @@ class OddCap:
     x_0 = 0); the conformal Killing image of x on the cap nodes 0 ... p - 1,
     the only ones that read cap values alone, is :attr:`Y` a, and its
     pairing over them is a^T G a with G = Y^T W Y (:meth:`gram`).
-    :attr:`window` is the nodes p ... n/2, where a row's fields live.
+    :attr:`window` is the nodes p ... n/2, where a row's fields live.  The
+    window and the cap span 0 ... p + 3 keep views of the mirror half's
+    profile pieces (:meth:`~ModelSurfaceMetric.span_pieces`), so the pieces
+    are computed once, on the half.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -1137,13 +1158,14 @@ class OddCap:
         c = 0.5 / grid.weights[0]
         self._c = c
         self._mirror = half
-        self.window = half.span(p, h + 1)
+        self.window = ModelSurfaceMetric.span_pieces(half, p, h + 1)
         self.update = np.zeros((2, 2))
         Z = np.zeros((0, 2))
         sqF = beta = np.zeros(0)
         if p:
             # the coefficients of the nodes 0 ... p + 3, the same at every ell
-            still = ModelSurfaceMetric(ell=0.0).grid_jet(half.span(0, p + 4))
+            still = ModelSurfaceMetric(ell=0.0).grid_jet(
+                ModelSurfaceMetric.span_pieces(half, 0, p + 4))
             sqF, beta = _coefficients(still)
             cap = _factored_band(sqF[:p + 2], beta[:p + 2], None, c)
             A12 = np.zeros((p, 2), order="F")

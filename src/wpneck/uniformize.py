@@ -18,7 +18,9 @@ Constants +-c with c = max |log|K_g|| / 2 are super/subsolutions, so
 -c <= u <= c; the Newton iteration (Jacobian J = Delta_neg - 2 e^{2u},
 negative definite) converges quadratically from u = 0 and the bound is
 checked on the result.  Each step solves with -J, an M-matrix, without
-pivoting (:class:`~wpneck.grids._SymmetrizedBand`).
+pivoting (:class:`~wpneck.grids._SymmetrizedBand`).  The model surface's
+profile, and so u, is even in tau: its Newton runs on the mirror half of
+the neck grid (2049 of 4097 nodes), with a mirror row at tau = 0.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import RadialGrid, _symmetric_form, _SymmetrizedBand, uniform_grid
-from .surface import ModelSurfaceMetric, fold_tau
+from .surface import ModelSurfaceMetric, _abs_max, fold_tau
 
 __all__ = ["ConformalFactor", "solve_conformal_factor", "curvature_after"]
 
@@ -72,13 +74,15 @@ def _inside(tau: np.ndarray, b: float):
 
 
 # The sup-norm residual that ends the Newton iteration.  It sits just above
-# the residual of the third step for ell in [0.072, 0.0737], the top of the
-# negatively curved range: at ell = 0.072 and 0.0735 that step stops at
-# 7.7e-12 and 8.9e-12, with u 1.6e-12 and 1.8e-12 short of the converged
-# discrete solution.  A new linear solver moves that residual by round-off
-# (5e-14 at 0.0735), but a change to the residual's own arithmetic can add
-# a fourth step there and move g_ll by up to 1.8e-12 relative, above the
-# 1e-12 drift that a refactor may cause; elsewhere it moves by round-off.
+# the residual of the third step for ell in [0.072, 0.0736], the top of the
+# negatively curved range: on the mirror half, at ell = 0.072 and 0.0735
+# that step stops at 7.8e-12 and 9.0e-12 (the largest over 288 ells in
+# [0.068, 0.0736] is 9.0e-12), with u about 1.7e-12 short of the converged
+# discrete solution.  A new linear solver, or the mirror half, moves that
+# residual by round-off (on the whole grid it read 7.7e-12 and 8.9e-12), but
+# a change to the residual's own arithmetic can add a fourth step there and
+# move g_ll by up to 1.8e-12 relative, above the 1e-12 drift that a
+# refactor may cause; elsewhere it moves by round-off.
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 50
 
@@ -108,6 +112,11 @@ def _neck_profile(surface, grid: RadialGrid):
             np.asarray(surface.curvature(tau), float))
 
 
+def _mirror_half(grid: RadialGrid) -> RadialGrid:
+    """The nodes n // 2 ... n - 1 of the neck grid, tau >= 0, kept with it."""
+    return grid.keep("mirror half", lambda g: g.span(g.n // 2, g.n))
+
+
 def solve_conformal_factor(
     surface: ModelSurfaceMetric,
     *,
@@ -125,56 +134,71 @@ def solve_conformal_factor(
     surface reads its profile there from the grid's shared pieces, so a
     sweep builds neither per row.  An even ``n`` gets n + 1 nodes, as
     :func:`~wpneck.grids.uniform_grid` gives it.
+
+    A model surface's profile is even in tau, and so is u: its Newton runs
+    on the grid's mirror half, the nodes n // 2 ... n - 1, whose first row,
+    at tau = 0, reads u_{-1} = u_1.  Any other surface runs on the whole
+    grid, through the same loop with a Dirichlet row at each end.  The
+    factor keeps u on the whole grid, the half's mirrored.
     """
     grid = _neck_grid(domain, n)
-    tau = grid.nodes
-    F, Fp, Kg = _neck_profile(surface, grid)
+    mirror = isinstance(surface, ModelSurfaceMetric)
+    on = _mirror_half(grid) if mirror else grid
+    F, Fp, Kg = _neck_profile(surface, on)
     if np.any(Kg >= 0.0):
         raise ValueError(
             f"curvature is not negative on |tau| <= {domain} at ell = "
             f"{surface.ell}; the prescription problem is outside its hypotheses"
         )
-    h = tau[1] - tau[0]
+    h = grid.nodes[1] - grid.nodes[0]
+    # the unknowns: all but the Dirichlet nodes, and the mirror row on a half
+    rows = slice(0 if mirror else 1, -1)
 
     # interior tridiagonal of Delta_neg = F d^2 + F' d; the off-diagonals of
     # -J = -Delta_neg + 2 e^{2u}, and their symmetric form, fit every step
-    lower = F[1:-1] / h**2 - Fp[1:-1] / (2.0 * h)
-    upper = F[1:-1] / h**2 + Fp[1:-1] / (2.0 * h)
-    diag_lap = -2.0 * F[1:-1] / h**2
+    a, b = F[rows] / h**2, Fp[rows] / (2.0 * h)
+    lower, upper, diag_lap = a - b, a + b, -2.0 * a
+    if mirror:
+        upper[0] += lower[0]
     try:
         off, scale = _symmetric_form(-lower[1:], -upper[:-1], [lower.size])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"Newton Jacobian: {exc}") from None
+    # the RMS of the line search over the whole grid's interior, where each
+    # node of the half but the mirror row stands for two
+    share = np.full(lower.size, 2.0 if mirror else 1.0)
+    share[0] = 1.0
+    share /= share.sum()
 
     # u, exp(2u) and the residual at u; an accepted trial carries its own
-    u, e2u = np.zeros(tau.size), np.ones(tau.size)
+    u, e2u = np.zeros(on.n), np.ones(on.n)
     resid = _apply_neg_lap(F, Fp, u, h) - Kg - e2u
     iterations = 0
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        if float(np.max(np.abs(resid[1:-1]))) <= _NEWTON_TOL:
+        if _abs_max(resid[rows]) <= _NEWTON_TOL:
             break
-        rnorm = float(np.sqrt(np.mean(resid[1:-1] ** 2)))
+        rnorm = float(np.sqrt(share @ resid[rows] ** 2))
         try:
-            band = _SymmetrizedBand(2.0 * e2u[1:-1] - diag_lap, off.copy(), scale)
+            band = _SymmetrizedBand(2.0 * e2u[rows] - diag_lap, off.copy(), scale)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"Newton Jacobian: {exc}") from None
-        step = band.solve(resid[1:-1])
+        step = band.solve(resid[rows])
         # damped step accepted on an Armijo-style RMS decrease (the sup norm
         # is too brittle for the boundary layers of shifted problems)
         lam = 1.0
         for _ in range(30):
             trial = u.copy()
-            trial[1:-1] += lam * step
+            trial[rows] += lam * step
             etrial = np.exp(2.0 * trial)
             rtrial = _apply_neg_lap(F, Fp, trial, h) - Kg - etrial
-            if np.sqrt(np.mean(rtrial[1:-1] ** 2)) <= rnorm * (1.0 - 0.25 * lam):
+            if np.sqrt(share @ rtrial[rows] ** 2) <= rnorm * (1.0 - 0.25 * lam):
                 u, e2u, resid = trial, etrial, rtrial
                 break
             lam *= 0.5
         else:
             # no improvement possible: accept iff already at the rounding
             # floor of the discrete residual, else it is a real failure
-            if float(np.max(np.abs(resid[1:-1]))) <= 1e4 * _NEWTON_TOL:
+            if _abs_max(resid[rows]) <= 1e4 * _NEWTON_TOL:
                 break
             raise ArithmeticError("Newton line search stalled")
     else:
@@ -184,19 +208,24 @@ def solve_conformal_factor(
     return ConformalFactor(
         ell=surface.ell,
         grid=grid,
-        u=u,
-        residual=float(np.max(np.abs(resid[1:-1]))),
+        u=np.concatenate((u[:0:-1], u)) if mirror else u,
+        residual=float(_abs_max(resid[rows])),
         bound=c,
-        bound_satisfied=bool(np.max(np.abs(u)) <= c + 1e-12),
+        bound_satisfied=bool(_abs_max(u) <= c + 1e-12),
         curvature_range=(float(np.min(Kg)), float(np.max(Kg))),
         newton_iterations=iterations,
     )
 
 
 def _apply_neg_lap(F, Fp, u, h):
-    out = np.zeros_like(u)
+    """Delta_neg u at the nodes 1 ... n - 2, and at node 0 as a mirror row
+    (u_{-1} = u_1); 0 at node n - 1."""
+    out = np.empty_like(u)
     out[1:-1] = (F[1:-1] * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
                  + Fp[1:-1] * (u[2:] - u[:-2]) / (2.0 * h))
+    out[0] = (F[0] * (u[1] - 2.0 * u[0] + u[1]) / h**2
+              + Fp[0] * (u[1] - u[1]) / (2.0 * h))
+    out[-1] = 0.0
     return out
 
 

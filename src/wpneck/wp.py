@@ -130,8 +130,9 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
 
     The phi and psi systems never meet at k = 0, so one projection of
     (phi_l, psi_w, 0) gives the rows of both variations' projections, bit
-    for bit.  (t_l, 0) and (0, t_w) are paired, so g_lw is computed, not
-    assumed: each of its terms pairs a row with the other's zero row.
+    for bit.  g_ll and g_ww are the weighted squares of the two rows.
+    (t_l, 0) and (0, t_w) are paired, so g_lw is computed, not assumed: each
+    of its terms pairs a row with the other's zero row.
     """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     # both variations are even in tau and vanish on the odd sector's cap:
@@ -154,17 +155,18 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
     if conformal is not None:
         weight = conformal.weight(window)
         gram = cap.gram(conformal.weight, conformal.grid.b)
+    # |h|^2 = 2 (phi^2 + psi^2) and the k = 0 theta factor 2 pi, as
+    # mode_inner_product takes them
+    c = 4.0 * np.pi
+    weights = window.weights if weight is None else window.weights * weight
 
-    def pair(f1, a1, f2, a2):
-        # the cap's share with |h|^2 = 2 (phi^2 + psi^2) and the k = 0 theta
-        # factor 2 pi, as mode_inner_product takes them
-        cap_share = 4.0 * np.pi * float(np.sum(a1 * (a2 @ gram)))
-        return mode_inner_product(f1, f2, weight) + cap_share
+    def cap_share(a1, a2):
+        return c * float(np.sum(a1 * (a2 @ gram)))
 
     return {
-        "g_ll": pair(tl, al, tl, al),
-        "g_lw": pair(tl, al, tw, aw),
-        "g_ww": pair(tw, aw, tw, aw),
+        "g_ll": c * float(weights @ t.data[0] ** 2) + cap_share(al, al),
+        "g_lw": mode_inner_product(tl, tw, weight) + cap_share(al, aw),
+        "g_ww": c * float(weights @ t.data[1] ** 2) + cap_share(aw, aw),
     }
 
 

@@ -127,6 +127,23 @@ def test_coarse_sweep_grid_is_noted_on_stderr(tmp_path, capsys):
         assert capsys.readouterr().err == err
 
 
+def test_sweep_conformal_notes_its_nan_rows(tmp_path, capsys):
+    # a row without a conformal factor is written as nan, and noted with the
+    # line that sweep wp prints for its phi = 0 rows; the exit code stays 0
+    out = tmp_path / "c.csv"
+    for args, flat, first in ((["--ell-count", "12"], 1, "0.1"),
+                              (["--ell-min", "0.05", "--ell-max", "0.9",
+                                "--ell-count", "3"], 2, "0.212132")):
+        assert main(["sweep", "conformal", *args, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert sum(row.endswith(",nan") for row in rows) == flat
+        assert capsys.readouterr().err == _unweighted_note(flat, len(rows), first).replace(
+            "sweep wp", "sweep conformal")
+    assert main(["sweep", "conformal", "--ell-count", "2", "--ell-max", "0.07",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_divergence_refuses_a_grid_without_transition_nodes(tmp_path, capsys):
     # on 16 nodes none lies strictly inside 1/2 < |tau| < 3/4, where the
     # divergence lives: every row would read 0.  Refused before any row

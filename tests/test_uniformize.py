@@ -132,4 +132,48 @@ def test_newton_evaluates_the_residual_once_per_trial(monkeypatch):
         assert not evaluated[0].any()  # the start, u = 0
         assert len(evaluated) == 1 + len(steps), ell
         assert not any(np.array_equal(a, b) for a, b in combinations(evaluated, 2))
-        assert np.array_equal(evaluated[-1], cf.u)
+        assert np.array_equal(evaluated[-1], cf.u[cf.grid.n // 2:])
+
+
+class _Even:
+    """The model surface behind the generic interface: its Newton runs on the
+    whole neck grid, with a Dirichlet row at each end."""
+
+    def __init__(self, surf):
+        self.surf, self.ell = surf, surf.ell
+
+    def F(self, t):
+        return self.surf.F(t)
+
+    def Fp(self, t):
+        return self.surf.Fp(t)
+
+    def curvature(self, t):
+        return self.surf.curvature(t)
+
+
+def test_the_mirror_half_solves_as_the_whole_grid():
+    # a model surface's Newton runs on the neck grid's mirror half; the same
+    # profile through the generic interface runs on the whole grid.  u agrees
+    # to round-off (measured <= 7.2e-17) in the same number of steps, and u
+    # is exactly even on the half route
+    for ell in (1e-3, 0.02, 0.062, 0.072, 0.0735):
+        surf = ModelSurfaceMetric(ell=ell)
+        half, whole = solve_conformal_factor(surf), solve_conformal_factor(_Even(surf))
+        assert half.newton_iterations == whole.newton_iterations, ell
+        assert np.max(np.abs(half.u - whole.u)) <= 1e-15, ell
+        assert max(half.residual, whole.residual) <= uniformize._NEWTON_TOL, ell
+        assert np.array_equal(half.u, half.u[::-1]) and half.u.size == half.grid.n
+
+
+def test_the_top_of_the_negative_range_takes_three_steps():
+    # the third step's residual sits just below _NEWTON_TOL at the top of the
+    # negatively curved range, where a fourth step would move g_ll; above
+    # ell ~ 0.07357 the curvature is not negative and the solve refuses
+    steps = []
+    for ell in np.linspace(0.072, 0.07368, 20):
+        try:
+            steps.append(solve_conformal_factor(ModelSurfaceMetric(ell=float(ell))).newton_iterations)
+        except ValueError:
+            assert ell > 0.07357
+    assert steps == [3] * 18

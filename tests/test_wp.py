@@ -139,7 +139,7 @@ def test_wp_row_runs_on_the_mirror_half(monkeypatch):
     bank = SolverBank(surf, grid)
     mat = wp_matrix(surf, grid, conformal=cf, solvers=bank)
     window = bank.get(0).cap.window
-    assert sizes == [cf.grid.n, window.n] and window.n < half.n
+    assert sizes == [cf.grid.n // 2 + 1, window.n] and window.n < half.n
     assert "_whole" not in vars(bank.get(0))
     assert cf.weight(half).shape == (half.n,)
     assert mat["g_lw"] == 0.0
@@ -572,3 +572,20 @@ def test_sweep_values_are_pinned_at_the_benchmark_grid():
         assert row["g_ll"] == pytest.approx(g_ll, rel=1e-14, abs=0.0), row
         assert row["g_ww"] == pytest.approx(g_ww, rel=1e-14, abs=0.0), row
         assert row["g_lw"] == 0.0, row
+
+
+def test_the_cap_spans_share_the_mirror_half_pieces():
+    # the odd cap's window and cap span keep views of the mirror half's
+    # profile pieces, and combine them to what fresh pieces at their nodes give
+    grid = periodic_grid(-2.0, 2.0, 2048)
+    half = grid.mirror_half
+    cap = OddCap(grid)
+    kept = ModelSurfaceMetric.grid_pieces(half)
+    surf = ModelSurfaceMetric(ell=0.05)
+    for span in (cap.window, ModelSurfaceMetric.span_pieces(half, 0, cap.p + 4)):
+        pieces = ModelSurfaceMetric.grid_pieces(span)
+        assert np.shares_memory(pieces[0], kept[0])
+        assert all(np.shares_memory(x, y) for part, whole in zip(pieces[1:], kept[1:])
+                   for x, y in zip(part, whole))
+        fresh = surf._combine(ModelSurfaceMetric.pieces(span.nodes))
+        assert all(np.array_equal(x, y) for x, y in zip(surf.grid_jet(span), fresh))
