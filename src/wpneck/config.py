@@ -1,8 +1,8 @@
 """Run configuration: declarative key = value file plus flag overrides.
 
 The config file format is one ``key = value`` pair per line, ``#`` comments
-allowed.  Unknown keys are rejected (typos should fail loudly in batch
-runs).  The default config path can be set with the WPNECK_CONFIG
+allowed.  Unknown and repeated keys are rejected (typos should fail loudly
+in batch runs).  The default config path can be set with the WPNECK_CONFIG
 environment variable.
 """
 
@@ -26,13 +26,10 @@ class RunConfig:
     ell_count: int = 12
     grid_n: int = 16384
     sweep_grid_n: int = 16384
-    modes: int = 8
-    identity_tol: float = 1e-6
+    modes: int = 4
     cutoff_c: float = 0.5
     barrier_alpha: float = 0.3
     tt_k_max: int = 8
-    fit_half_powers: int = 4
-    fit_log_powers: int = 1
     jobs: int = 1
     seed: int = 1234
     out: str = "-"
@@ -60,8 +57,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be even")
         if self.modes < 0:
             raise ValueError("modes must be non-negative")
-        if self.identity_tol <= 0:
-            raise ValueError("identity_tol must be positive")
         if not 0.0 < self.barrier_alpha < 1.0:
             raise ValueError("barrier_alpha must lie in (0, 1)")
         if self.tt_k_max < 1:
@@ -106,6 +101,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 key, raw = (part.strip() for part in line.split("=", 1))
                 if key not in _FIELD_TYPES:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in updates:
+                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
                 updates[key] = _coerce(key, raw)
         cfg = replace(cfg, **updates)
     if overrides:

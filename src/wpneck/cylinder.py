@@ -1,6 +1,7 @@
 """The degenerating hyperbolic cylinder and its coordinate charts.
 
-The model metric on C = (-1, 1) x S^1 is
+The model metric on the collar C = (-1, 1) x S^1 (|tau| <= TAU_BOUND = 1,
+the charts' domain and that of the channel solves in :mod:`wpneck.green`) is
 
     g_ell = d tau^2 / F + F d theta^2,      F(tau) = tau^2 + ell^2,
 
@@ -38,23 +39,18 @@ __all__ = [
 ]
 
 
+TAU_BOUND = 1.0  # the collar is |tau| <= TAU_BOUND
+
+
 @dataclass(frozen=True)
 class CylinderMetric:
-    """Profile description of g_ell; ell = 0 is the noded limit."""
+    """Profile description of g_ell on the collar; ell = 0 is the noded limit."""
 
     ell: float
-    tau_min: float = -1.0
-    tau_max: float = 1.0
 
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError("ell must be >= 0")
-        if not self.tau_min < self.tau_max:
-            raise ValueError("empty tau range")
-
-    @property
-    def noded(self) -> bool:
-        return self.ell == 0.0
 
     def F(self, tau) -> np.ndarray:
         return np.asarray(tau, dtype=float) ** 2 + self.ell**2
@@ -131,7 +127,7 @@ def make_chart(kind: str, m: CylinderMetric) -> CoordinateChart:
     ell = m.ell
     if kind == "tau":
         return CoordinateChart("tau", lambda x: np.asarray(x, float),
-                               lambda x: np.asarray(x, float), (m.tau_min, m.tau_max))
+                               lambda x: np.asarray(x, float), (-TAU_BOUND, TAU_BOUND))
     if ell <= 0:
         raise ValueError(f"chart {kind!r} needs ell > 0")
     if kind == "arcsinh":
@@ -139,14 +135,14 @@ def make_chart(kind: str, m: CylinderMetric) -> CoordinateChart:
             "arcsinh",
             lambda tau: np.arcsinh(np.asarray(tau, float) / ell),
             lambda t: ell * np.sinh(np.asarray(t, float)),
-            (m.tau_min, m.tau_max),
+            (-TAU_BOUND, TAU_BOUND),
         )
     if kind == "rescaled":
         return CoordinateChart(
             "rescaled",
             lambda tau: np.asarray(tau, float) / ell,
             lambda T: ell * np.asarray(T, float),
-            (m.tau_min, m.tau_max),
+            (-TAU_BOUND, TAU_BOUND),
         )
     if kind == "plumbing":
         t = plumbing_parameter(ell)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cylinder import CylinderMetric
+from .cylinder import TAU_BOUND, CylinderMetric
 from .grids import ArcsinhGrid, RadialGrid, _symmetrized, _SymmetrizedBand, arcsinh_grid
 from .modefields import ModeField, Rank
 from .operators import mode_operators
@@ -141,9 +141,6 @@ def _enforce_support_gap(tau: np.ndarray, h: np.ndarray, c: float, what: str):
         )
 
 
-_TAU_BOUND = 1.0  # b: the channel solves and the barrier check cover |tau| <= b
-
-
 def solve_zero_mode(
     ell: float,
     h,
@@ -153,7 +150,8 @@ def solve_zero_mode(
     c: float = 0.5,
     n: int = 4097,
 ) -> GreenSolveReport:
-    """Explicit inverse of the unscaled zero-mode operator on [-b, b], b = 1.
+    """Explicit inverse of the unscaled zero-mode operator on the collar [-b, b],
+    b = :data:`~wpneck.cylinder.TAU_BOUND`.
 
     ``h`` is a callable or samples on the solver grid.  The full one-form
     gauge Laplacian is half the channel operator, so to invert it on a
@@ -164,7 +162,7 @@ def solve_zero_mode(
     """
     if ell <= 0:
         raise ValueError("explicit zero-mode inverse needs ell > 0")
-    agrid = arcsinh_grid(ell, _TAU_BOUND, n)
+    agrid = arcsinh_grid(ell, TAU_BOUND, n)
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     if hv.shape != tau.shape:
@@ -227,7 +225,7 @@ def solve_zero_mode_fd(ell, h, eta_plus=0.0, eta_minus=0.0, *,
 
     Second-order FD in t = arcsinh(tau/ell); returns (tau nodes, solution).
     """
-    return _channel_bvp_t(arcsinh_grid(ell, _TAU_BOUND, n), 0, +1, h,
+    return _channel_bvp_t(arcsinh_grid(ell, TAU_BOUND, n), 0, +1, h,
                           eta_plus, eta_minus)
 
 
@@ -278,7 +276,7 @@ def solve_nonzero_mode(
         raise ValueError("use solve_zero_mode for k = 0")
     if ell <= 0:
         raise ValueError("nonzero-mode solve needs ell > 0")
-    agrid = arcsinh_grid(ell, _TAU_BOUND, n)
+    agrid = arcsinh_grid(ell, TAU_BOUND, n)
     tau = agrid.tau
     hv = np.asarray(h(tau), float) if callable(h) else np.asarray(h, float)
     _enforce_support_gap(tau, hv, c, "nonzero-mode rhs")
@@ -346,7 +344,7 @@ def certify_barrier(ells, ks, alpha: float, c: float = 0.5) -> BarrierCertificat
         raise ValueError("the barrier bound concerns k != 0 only")
     n = _BARRIER_NODES
     # symmetric grid avoiding tau = 0 exactly; one row per ell
-    tau = np.linspace(_TAU_BOUND / n, _TAU_BOUND, n)
+    tau = np.linspace(TAU_BOUND / n, TAU_BOUND, n)
     F = tau**2 + np.array([ell**2 for ell in ells])[:, None]
     tau2_F = tau**2 / F
     worst = np.full(F.shape, np.inf)

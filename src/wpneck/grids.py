@@ -112,10 +112,6 @@ class RadialGrid:
         return self.nodes.size
 
     @property
-    def a(self) -> float:
-        return float(self.nodes[0])
-
-    @property
     def b(self) -> float:
         if self.periodic:
             return float(self.nodes[0] + self.n * (self.nodes[1] - self.nodes[0]))
@@ -173,17 +169,9 @@ class RadialGrid:
         return RadialGrid(self.nodes[start:stop], self.weights[start:stop], "span")
 
     def integrate(self, f: np.ndarray) -> float:
-        return float(self.weights @ f)
-
-    def refine(self) -> "RadialGrid":
-        """Grid of the same scheme with (roughly) doubled resolution."""
-        if self.scheme == "uniform":
-            return uniform_grid(self.a, self.b, 2 * self.n - 1)
-        if self.scheme == "periodic":
-            return periodic_grid(self.a, self.b, 2 * self.n)
-        if self.scheme == "chebyshev":
-            return chebyshev_grid(self.a, self.b, 2 * self.n - 1)
-        raise ValueError(self.scheme)
+        # a pairwise sum: BLAS ddot splits a long one across its threads,
+        # and the last bit with it
+        return float(np.sum(self.weights * f))
 
 
 def _read_only(value):
@@ -380,9 +368,6 @@ class ArcsinhGrid:
         lower, upper = -1.0 / ht**2 + drift, -1.0 / ht**2 - drift
         form = _symmetric_form(lower[1:].copy(), upper[:-1].copy(), [drift.size])
         return _read_only(((self.ell * np.cosh(t[1:-1])) ** 2, lower, upper, *form))
-
-    def integrate_dtau(self, f: np.ndarray) -> float:
-        return self.t_grid.integrate(f * self.jacobian)
 
 
 @lru_cache(maxsize=4)

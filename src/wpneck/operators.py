@@ -40,7 +40,6 @@ __all__ = [
     "apply_divergence",
     "apply_div_star",
     "apply_trace",
-    "project_tracefree",
     "apply_bianchi",
     "apply_conformal_killing",
     "apply_codifferential",
@@ -261,13 +260,6 @@ def apply_trace(m, h: ModeField) -> ModeField:
         raise ValueError("trace acts on sym2_full fields")
     _, f = h.trace_split()
     return f * 2.0
-
-
-def project_tracefree(m, h: ModeField) -> ModeField:
-    if h.rank is Rank.SYM2_TRACEFREE:
-        return h
-    h0, _ = h.trace_split()
-    return h0
 
 
 def apply_bianchi(m, h: ModeField) -> ModeField:

@@ -302,25 +302,21 @@ class CutoffPair:
     the wideners with chi~j chi_j = chi_j and supp(chi~j') disjoint from
     supp(chi_j).  All functions of |tau| on the fundamental domain.
 
-    The default radii give chi0's widener and chi1's widener the widest
-    transitions the overlap [1/2, 3/4] allows: the error operator R is
-    built from [P, chi~j], and its norm scales with the wideners' first
-    and second derivatives, not with chi1's own steepness.
+    The radii are fixed, in the order 1/2 < chi1's plateau < its support <
+    chi1~'s plateau < its support < 3/4, and chi0~ = 0 up to a radius past
+    1/2 and 1 from one at or below chi1's plateau.  They give chi0's widener
+    and chi1's widener the widest transitions the overlap [1/2, 3/4] allows:
+    the error operator R is built from [P, chi~j], and its norm scales with
+    the wideners' first and second derivatives, not with chi1's own
+    steepness.  Frozen: an instance holds no radius of its own.
     """
 
-    chi1_plateau: float = 0.580
-    chi1_support: float = 0.645
-    chi1w_plateau: float = 0.650
-    chi1w_support: float = 0.745
-    chi0w_zero: float = 0.505
-    chi0w_one: float = 0.575
-
-    def __post_init__(self):
-        if not (0.5 < self.chi1_plateau < self.chi1_support < self.chi1w_plateau
-                < self.chi1w_support < 0.75):
-            raise ValueError("cutoff radii out of order")
-        if not (self.chi0w_zero < self.chi0w_one <= self.chi1_plateau):
-            raise ValueError("thick widener must reach 1 before chi0 turns on")
+    chi1_plateau = 0.580
+    chi1_support = 0.645
+    chi1w_plateau = 0.650
+    chi1w_support = 0.745
+    chi0w_zero = 0.505
+    chi0w_one = 0.575
 
     def _r(self, tau):
         return np.abs(fold_tau(tau))

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderMetric
 from .grids import RadialGrid
 from .modefields import ModeField, Rank, Variant
 
@@ -116,9 +115,6 @@ class TTBasisElement:
         phi, psi = self.profiles(grid.nodes)
         return ModeField(self.k, Rank.SYM2_TRACEFREE, grid,
                          np.vstack([phi, psi]), self.variant)
-
-    def metric(self) -> CylinderMetric:
-        return CylinderMetric(self.ell)
 
 
 def tt_element(kind: str, k: int, ell: float) -> TTBasisElement:

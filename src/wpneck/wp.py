@@ -60,7 +60,7 @@ import numpy as np
 from .grids import RadialGrid, periodic_grid
 from .modefields import ModeField, Rank, mode_inner_product
 from .parametrix import SolverBank, project_tt
-from .surface import ModelSurfaceMetric, fold_tau, smoothstep, smoothstep_d1
+from .surface import ModelSurfaceMetric, fold_tau, smoothstep_d1
 from .uniformize import ConformalFactor, solve_conformal_factor
 
 __all__ = [
@@ -93,12 +93,8 @@ def length_variation(surface: ModelSurfaceMetric, grid: RadialGrid) -> ModeField
     return _variations(surface, grid, length=True, twist=False)
 
 
-def twist_step(tau):
-    """Smooth step s: 0 for tau <= -3/4, 1 for tau >= 3/4."""
-    return smoothstep((np.asarray(tau, float) + 0.75) / 1.5)
-
-
 def twist_step_d1(tau):
+    """s'(tau) of the smooth twist step s: 0 for tau <= -3/4, 1 for tau >= 3/4."""
     return smoothstep_d1((np.asarray(tau, float) + 0.75) / 1.5) / 1.5
 
 
@@ -164,9 +160,9 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
         return c * float(np.sum(a1 * (a2 @ gram)))
 
     return {
-        "g_ll": c * float(weights @ t.data[0] ** 2) + cap_share(al, al),
+        "g_ll": c * float(np.sum(weights * t.data[0] ** 2)) + cap_share(al, al),
         "g_lw": mode_inner_product(tl, tw, weight) + cap_share(al, aw),
-        "g_ww": c * float(weights @ t.data[1] ** 2) + cap_share(aw, aw),
+        "g_ww": c * float(np.sum(weights * t.data[1] ** 2)) + cap_share(aw, aw),
     }
 
 
@@ -241,13 +237,6 @@ class ExpansionFit:
             if (k, j) == (half_power, log_power):
                 return a
         raise KeyError((half_power, log_power))
-
-    def evaluate(self, ell) -> np.ndarray:
-        ell = np.asarray(ell, float)
-        out = np.zeros_like(ell)
-        for k, j, a in self.terms:
-            out += a * ell ** (k / 2.0) * np.log(ell) ** j
-        return out
 
 
 class FitConditionError(RuntimeError):

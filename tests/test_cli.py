@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import wpneck.cli as cli
 from wpneck.cli import _check, main, run_suite
 from wpneck.config import RunConfig, load_config
 from wpneck.wp import sweep_wp_coefficients
@@ -68,17 +69,14 @@ def test_sweep_honours_grid_n(tmp_path):
 
 
 def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
-    for cmd, cap, name in ((["sweep", "divergence", "--ell-count", "2"], 16384,
-                            "sweep divergence caps sweep_grid_n"),
-                           (["verify", "projection"], 4096,
-                            "verify projection caps grid_n")):
-        assert main(cmd + ["--grid-n", str(cap)]) == 0
-        exact = capsys.readouterr()
-        assert exact.err == ""
-        assert main(cmd + ["--grid-n", str(cap + 2)]) == 0
-        capped = capsys.readouterr()
-        assert capped.out == exact.out
-        assert capped.err == f"wpneck: note: {name} at {cap} (got {cap + 2})\n"
+    cmd, cap, name = ["verify", "projection"], 4096, "verify projection caps grid_n"
+    assert main(cmd + ["--grid-n", str(cap)]) == 0
+    exact = capsys.readouterr()
+    assert exact.err == ""
+    assert main(cmd + ["--grid-n", str(cap + 2)]) == 0
+    capped = capsys.readouterr()
+    assert capped.out == exact.out
+    assert capped.err == f"wpneck: note: {name} at {cap} (got {cap + 2})\n"
 
     import wpneck.parametrix
 
@@ -92,12 +90,13 @@ def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
             return SimpleNamespace(norm_S=ell, residual=0.0)
 
     monkeypatch.setattr(wpneck.parametrix, "ParametrixFamily", Family)
+    # modes is taken as given: the default is the 4 the suite runs
     run_suite("parametrix", RunConfig(grid_n=4096, modes=6))
-    assert built == [(2048, [0, 1, 2, 3, 4])]
+    assert built == [(2048, list(range(7)))]
     assert capsys.readouterr().err.splitlines() == [
-        "wpneck: note: verify parametrix caps grid_n at 2048 (got 4096)",
-        "wpneck: note: verify parametrix caps modes at 4 (got 6)"]
-    run_suite("parametrix", RunConfig(grid_n=2048, modes=4))
+        "wpneck: note: verify parametrix caps grid_n at 2048 (got 4096)"]
+    run_suite("parametrix", RunConfig(grid_n=2048))
+    assert built[-1] == (2048, [0, 1, 2, 3, 4])
     assert capsys.readouterr().err == ""
 
 
@@ -241,17 +240,44 @@ def test_config_file_and_env(tmp_path, monkeypatch):
     assert cfg3.modes == 6
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("elll_min = 0.1\n")
     with pytest.raises(ValueError):
         load_config(str(bad))
     with pytest.raises(ValueError):
         load_config(None, overrides={"nonsense": 3})
-    for retired in ("frame_size = 6", "solver_tol = 1e-10"):
+    # identity_tol could loosen a verify bound; fit_*_powers repeated the
+    # fit's flags
+    for retired in ("frame_size = 6", "solver_tol = 1e-10", "identity_tol = 1",
+                    "fit_half_powers = 4", "fit_log_powers = 1"):
         bad.write_text(retired + "\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(str(bad))
+        assert main(["verify", "cylinder", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown key" in err[0], err
+
+
+def test_config_refuses_a_repeated_key(tmp_path, capsys):
+    # the last value would win silently
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("ell_min = 0.002\n# comment\nell_min = 0.003\n")
+    with pytest.raises(ValueError, match=r"twice.cfg:3: duplicate key 'ell_min'"):
+        load_config(str(cfg_file))
+    assert main(["sweep", "wp", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"wpneck: config error: {cfg_file}:3: duplicate key "
+                            "'ell_min'\n")
+
+
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "cylinder", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wpneck: cannot write {out}: "), err
+    assert not out.parent.exists()
 
 
 def test_config_validation(capsys, tmp_path):
@@ -332,10 +358,8 @@ def test_no_coarse_grid_prints_a_traceback(capsys):
 
 def test_config_refuses_non_finite_floats(capsys, tmp_path):
     # NaN passes every ordering check and inf passes as a bound; unrefused, a
-    # NaN ell_min stalls the Newton line search and a NaN identity_tol fails
-    # every identity check
-    for key, raw in (("ell_min", "nan"), ("ell_max", "inf"), ("identity_tol", "nan"),
-                     ("barrier_alpha", "-inf")):
+    # NaN ell_min stalls the Newton line search
+    for key, raw in (("ell_min", "nan"), ("ell_max", "inf"), ("barrier_alpha", "-inf")):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             RunConfig(**{key: float(raw)})
         cfg_file = tmp_path / f"{key}.cfg"
@@ -379,10 +403,11 @@ def test_run_suite_registry():
     assert report["pass"]
 
 
-def test_verify_failure_exits_one(tmp_path):
+def test_verify_failure_exits_one(tmp_path, monkeypatch):
     # absurd identity tolerance forces check failures -> exit code 1
+    monkeypatch.setattr(cli, "_IDENTITY_TOL", 1e-30)
     cfg_file = tmp_path / "strict.cfg"
-    cfg_file.write_text("identity_tol = 1e-30\ngrid_n = 2048\n")
+    cfg_file.write_text("grid_n = 2048\n")
     out = tmp_path / "r.json"
     code = main(["verify", "weitzenboeck", "--config", str(cfg_file),
                  "--out", str(out)])

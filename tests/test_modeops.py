@@ -221,13 +221,6 @@ def test_bianchi_of_mixed_is_divergence_of_tracefree_part(cyl_half, grid_1025):
     assert np.max(np.abs((b.data - d.data)[:, 4:-4])) < 1e-10
 
 
-def test_project_tracefree_kills_pure_trace(cyl_half, grid_1025):
-    x = grid_1025.nodes
-    h = ModeField(1, Rank.SYM2_FULL, grid_1025,
-                  np.vstack([np.zeros_like(x), np.zeros_like(x), np.cos(x)]))
-    assert np.max(np.abs(ops.project_tracefree(cyl_half, h).data)) == 0.0
-
-
 # -- conformal Killing operator ---------------------------------------------------
 
 def test_conformal_killing_output_tracefree_by_construction(cyl_half, grid_1025):

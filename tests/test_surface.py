@@ -138,11 +138,13 @@ def test_cutoff_partition_properties(surface_grid):
     assert np.all(cp.chi1_widened(t)[r >= 0.75] == 0.0)
 
 
-def test_cutoff_bad_geometry_rejected():
-    with pytest.raises(ValueError):
-        CutoffPair(chi1_plateau=0.45)  # plateau below the thick boundary
-    with pytest.raises(ValueError):
-        CutoffPair(chi0w_one=0.70)     # widener reaches 1 after chi0 turns on
+def test_cutoff_radii_are_in_order():
+    cp = CutoffPair
+    # the transitions lie in the overlap (1/2, 3/4), chi1's inside its widener's
+    assert (0.5 < cp.chi1_plateau < cp.chi1_support < cp.chi1w_plateau
+            < cp.chi1w_support < 0.75)
+    # the thick widener reaches 1 before chi0 turns on
+    assert 0.5 < cp.chi0w_zero < cp.chi0w_one <= cp.chi1_plateau
 
 
 def test_subdomain_solver_is_dirichlet(surface_grid):
