@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .surface import ELL_FLOOR
+from .surface import ELL_CEILING, ELL_FLOOR
 
 __all__ = ["RunConfig", "load_config", "CONFIG_ENV_VAR"]
 
@@ -44,6 +44,9 @@ class RunConfig:
         if self.ell_min < ELL_FLOOR:
             raise ValueError(f"ell_min must be at least {ELL_FLOOR:g}, the model's ell floor "
                              f"(got {self.ell_min:g})")
+        if self.ell_max > ELL_CEILING:
+            raise ValueError(f"ell_max must be at most {ELL_CEILING:.6g} = pi/log 4, the "
+                             f"model's ell ceiling (got {self.ell_max:g})")
         if self.ell_count < 2:
             raise ValueError("need at least two sweep points")
         if self.jobs < 1:

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import RadialGrid
+from .surface import ELL_CEILING
 
 __all__ = [
     "CylinderMetric",
@@ -111,8 +112,15 @@ class CoordinateChart:
 
 
 def plumbing_parameter(ell: float) -> float:
-    """t with ell = pi/|log t|; real and in (0, 1/4) for ell < pi/log 4."""
-    return math.exp(-math.pi / ell)
+    """t with ell = pi/|log t|, refused outside (0, 1/4): for ell at or above
+    :data:`~wpneck.surface.ELL_CEILING` = pi/log 4, and for ell below about
+    pi/745 = 0.0042, where t underflows to 0."""
+    t = math.exp(-math.pi / ell)
+    if not 0.0 < t < 0.25:
+        raise ValueError(f"plumbing parameter exp(-pi/ell) = {t:g} at ell = {ell:g} is "
+                         f"outside (0, 1/4): ell must lie below pi/log 4 = "
+                         f"{ELL_CEILING:.6g}, and above about 0.0042 for t not to underflow")
+    return t
 
 
 def make_chart(kind: str, m: CylinderMetric) -> CoordinateChart:
@@ -146,8 +154,6 @@ def make_chart(kind: str, m: CylinderMetric) -> CoordinateChart:
         )
     if kind == "plumbing":
         t = plumbing_parameter(ell)
-        if not 0.0 < t < 0.25:
-            raise ValueError("plumbing parameter outside (0, 1/4); ell too large")
 
         def fwd(r):
             r = np.asarray(r, dtype=float)
@@ -177,8 +183,6 @@ def plumbing_substitution_check(ell: float, n_samples: int = 50) -> float:
     pullback are compared on log-spaced radii in [sqrt(t), 1/2].
     """
     t = plumbing_parameter(ell)
-    if not 0.0 < t < 0.25:
-        raise ValueError("plumbing parameter outside (0, 1/4); ell too large")
     r = np.exp(np.linspace(math.log(math.sqrt(t)), math.log(0.5), n_samples))
 
     chi = np.pi * np.log(r) / math.log(t)  # = ell * |log r|, in (0, pi/2]

@@ -130,9 +130,6 @@ class ModeField:
     def key(self) -> ModeKey:
         return (self.k, self.variant)
 
-    def sigma(self) -> np.ndarray:
-        return self.data
-
     def rho(self) -> np.ndarray:
         """Rho-frame pairs; involutive with the constructors above."""
         if self.rank is Rank.ONE_FORM:

@@ -165,6 +165,9 @@ _C4, _C5 = _cap_coeffs()
 # band stops being symmetrizable (it raises at ell = 1e-12 and 3e-12, on
 # the default grid), and at ell = 1e-200 a WP row is NaN
 ELL_FLOOR = 1e-10
+# the largest ell a run accepts: pi / log 4, the largest length at which the
+# collar is a plumbing annulus (:func:`~wpneck.cylinder.plumbing_parameter`)
+ELL_CEILING = math.pi / math.log(4.0)
 
 
 def fold_tau(tau):
@@ -1135,8 +1138,12 @@ class OddCap:
     so a WP row factors and solves the neck rows alone (:meth:`condensed`).
     :attr:`edge` gives (x_{p-1}, x_p) from a (with p = 0, x_{-1} = -x_1 and
     x_0 = 0); the conformal Killing image of x on the cap nodes 0 ... p - 1,
-    the only ones that read cap values alone, is :attr:`Y` a, and its
-    pairing over them is a^T G a with G = Y^T W Y (:meth:`gram`).
+    the only ones that read cap values alone, is Y a, and its pairing over
+    them is a^T G a with G = Y^T W Y, W the mirror half's weights there
+    (:attr:`gram`).  Every cap node lies at least four spacings beyond
+    |tau| = 7/8, outside the neck where the conformal factor is solved
+    (:func:`~wpneck.uniformize.solve_conformal_factor`), so the factor's
+    weight is 1 there and G serves every row.
     :attr:`window` is the nodes p ... n/2, where a row's fields live.  The
     window and the cap span 0 ... p + 3 keep views of the mirror half's
     profile pieces (:meth:`~ModelSurfaceMetric.span_pieces`), so the pieces
@@ -1153,7 +1160,7 @@ class OddCap:
         self.p = p
         c = 0.5 / grid.weights[0]
         self._c = c
-        self._mirror = half
+        self._h = h
         self.window = ModelSurfaceMetric.span_pieces(half, p, h + 1)
         self.update = np.zeros((2, 2))
         Z = np.zeros((0, 2))
@@ -1182,36 +1189,17 @@ class OddCap:
         X[0] = -X[2]
         self.edge = X[p:p + 2].copy()
         sq, be = sqF[:p, None], beta[:p, None]
-        self.Y = 0.5 * (sq * (c * (X[2:p + 2] - X[:p])) - be * X[1:p + 1])
-        self._gram = self.Y.T @ (half.weights[:p, None] * self.Y)
-        # the smallest |tau| on the cap nodes
-        self._reach = abs(float(fold_tau(half.nodes[p - 1]))) if p else math.inf
+        Y = 0.5 * (sq * (c * (X[2:p + 2] - X[:p])) - be * X[1:p + 1])
+        self.gram = Y.T @ (half.weights[:p, None] * Y)
 
     def condensed(self, sqF, beta) -> np.ndarray:
         """The ``dgbtrf`` storage of A22 - A21 Z, from the coefficients on the window."""
-        ab = _sector_band(_factored_band(sqF, beta, None, self._c), self.p + 1,
-                          self._mirror.n - 1)
+        ab = _sector_band(_factored_band(sqF, beta, None, self._c), self.p + 1, self._h)
         k = min(2, ab.shape[1])
         for i in range(k):
             for j in range(k):
                 ab[4 + i - j, j] -= self.update[i, j]
         return ab
-
-    def gram(self, weight=None, domain: float = 0.0) -> np.ndarray:
-        """G = Y^T W Y, W the mirror half's weights on the cap nodes 0 ... p - 1.
-
-        ``weight`` is a pointwise factor (a function of a grid) that is 1 at
-        the nodes with |tau| > ``domain``; where the domain reaches the cap,
-        G is weighted by it there, from the nodes that it reaches alone.
-        """
-        if weight is None or domain < self._reach:
-            return self._gram
-        # |tau| falls along the cap; one node more than searched, whose
-        # weight is 1 if it lies outside
-        lo = max(int(np.searchsorted(self._mirror.nodes[:self.p], -domain)) - 1, 0)
-        part = self._mirror.span(lo, self.p)
-        Y = self.Y[lo:]
-        return self._gram + Y.T @ ((part.weights * (weight(part) - 1.0))[:, None] * Y)
 
 
 def _coefficients(jet) -> tuple[np.ndarray, np.ndarray]:

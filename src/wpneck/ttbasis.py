@@ -166,15 +166,16 @@ def _quad_norm_sq(k: int, ell: float) -> float:
         amp2 = ell**3 / math.atan(1.0 / ell)
         return 2.0 * math.pi * 2.0 * amp2 * 2.0 * val
     eta1 = math.atan(1.0 / ell) / ell
-    A1 = 2.0 * k * eta1
 
     # |kappa|^2 = 2 C^2 cosh(2 k eta)/F^2; C^2 cosh(2k eta) =
-    #   k/2 (e^{2k(eta - eta1)} + e^{-2k(eta + eta1)})
+    #   k/2 (e^{2k(eta - eta1)} + e^{-2k(eta + eta1)}).  eta - eta1 is taken
+    # as one arctangent, atan(t/ell) - atan(1/ell) = atan(ell (t - 1) / (ell^2 + t))
+    # for t >= 0: the difference of two numbers near pi / (2 ell) loses digits
+    # at small ell
     def integrand(t):
-        eta = math.atan(t / ell) / ell
         F = t * t + ell * ell
-        return (math.exp(2.0 * k * (eta - eta1))
-                + math.exp(-2.0 * k * (eta + eta1))) / F**2
+        return (math.exp(2.0 * k * math.atan(ell * (t - 1.0) / (ell * ell + t)) / ell)
+                + math.exp(-2.0 * k * (math.atan(t / ell) / ell + eta1))) / F**2
 
     val, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400,
                   points=[ell] if ell < 0.5 else None)

@@ -3,9 +3,10 @@
 On the closed rotational surrogate the curvature cannot be negative
 everywhere (Gauss-Bonnet on the torus forces total curvature zero), so the
 hyperbolic-prescription problem is posed on the neck region |tau| <= 7/8,
-where K < 0 holds for all small enough ell, with zero Dirichlet data at
-the matching circles (exactly hyperbolic for |tau| <= 3/4, so u = 0 there
-is consistent at leading order).
+the support of the model's ell^2 plateau, where K < 0 holds for all small
+enough ell, with zero Dirichlet data at the matching circles (exactly
+hyperbolic for |tau| <= 3/4, so u = 0 there is consistent at leading
+order).  Outside the neck the factor's weight is 1.
 
 With the sign conventions here (Delta_neg = negative-semidefinite scalar
 Laplacian, (F u')' for rotational u), the factor u with K_{e^{2u} g} = -1
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import RadialGrid, _symmetric_form, _SymmetrizedBand, uniform_grid
-from .surface import ModelSurfaceMetric, _abs_max, fold_tau
+from .surface import _THIN_SUPPORT, ModelSurfaceMetric, _abs_max, fold_tau
 
 __all__ = ["ConformalFactor", "solve_conformal_factor", "curvature_after"]
 
@@ -88,13 +89,13 @@ _NEWTON_MAX_ITER = 50
 
 
 @lru_cache(maxsize=4)
-def _neck_grid(domain: float, n: int) -> RadialGrid:
-    """The grid of the solve on |tau| <= domain, built once per (domain, n).
+def _neck_grid(n: int) -> RadialGrid:
+    """The grid of the solve on the neck |tau| <= 7/8, built once per n.
 
     At most four are kept; a model surface's profile pieces at its nodes
     are kept with it (:meth:`~wpneck.surface.ModelSurfaceMetric.grid_pieces`).
     """
-    return uniform_grid(-domain, domain, n)
+    return uniform_grid(-_THIN_SUPPORT, _THIN_SUPPORT, n)
 
 
 def _neck_profile(surface, grid: RadialGrid):
@@ -120,17 +121,18 @@ def _mirror_half(grid: RadialGrid) -> RadialGrid:
 def solve_conformal_factor(
     surface: ModelSurfaceMetric,
     *,
-    domain: float = 0.875,
     n: int = 4097,
 ) -> ConformalFactor:
     """Damped Newton solve of the curvature prescription on the neck.
 
-    Refuses when K_g >= 0 somewhere on the domain (the maximum-principle
+    The neck is the support |tau| <= 7/8 of the model's ell^2 plateau, so
+    the factor's weight is 1 wherever the profile does not depend on ell.
+    Refuses when K_g >= 0 somewhere on the neck (the maximum-principle
     setup needs strictly negative curvature, which for this profile family
     means ell below roughly sqrt(2 / max|w''|) ~ 0.073).
 
     ``surface`` needs ``F``, ``Fp``, ``curvature`` and ``ell``.  The grid
-    is shared by every solve with the same (domain, n), and a model
+    is shared by every solve with the same n, and a model
     surface reads its profile there from the grid's shared pieces, so a
     sweep builds neither per row.  An even ``n`` gets n + 1 nodes, as
     :func:`~wpneck.grids.uniform_grid` gives it.
@@ -141,13 +143,13 @@ def solve_conformal_factor(
     grid, through the same loop with a Dirichlet row at each end.  The
     factor keeps u on the whole grid, the half's mirrored.
     """
-    grid = _neck_grid(domain, n)
+    grid = _neck_grid(n)
     mirror = isinstance(surface, ModelSurfaceMetric)
     on = _mirror_half(grid) if mirror else grid
     F, Fp, Kg = _neck_profile(surface, on)
     if np.any(Kg >= 0.0):
         raise ValueError(
-            f"curvature is not negative on |tau| <= {domain} at ell = "
+            f"curvature is not negative on |tau| <= {_THIN_SUPPORT} at ell = "
             f"{surface.ell}; the prescription problem is outside its hypotheses"
         )
     h = grid.nodes[1] - grid.nodes[0]

@@ -14,8 +14,8 @@ k = 0 variation fields of the model family:
 Pairings are <T g1., T g2.> integrated against exp(-2 phi) dA with T the
 TT projection and phi the neck conformal factor.  On the rotational
 surrogate the phi- and psi-systems decouple at k = 0, so one projection of
-(phi_l, psi_w, 0) projects both variations, and the cross coefficient g_lw,
-computed by pairing the split rows, vanishes by theta-reflection parity.
+(phi_l, psi_w, 0) projects both variations, and the cross coefficient g_lw
+is zero.
 Both variations are even under tau -> -tau, so a row lives on the nodes
 0 ... n/2 of the periodic grid (its mirror half).  They vanish on the
 ell-independent cap of the projection's odd sector
@@ -23,7 +23,8 @@ ell-independent cap of the projection's odd sector
 computed on the neck window p ... n/2 alone: the variations, the
 projection and the weight there, the pairings with the half's weights plus
 the cap's share, a 2 x 2 Gram matrix in the interface values of the
-projection's potential.
+projection's potential, the same for every row (the conformal weight is 1
+on the cap).
 
 Normalization.  The pairing integrates |h|^2 = 2 (phi^2 + psi^2) over
 dA = dtau dtheta, in the frame s1 = dtau / sqrt(F), s2 = sqrt(F) dtheta of
@@ -126,44 +127,28 @@ def wp_matrix(surface: ModelSurfaceMetric, grid: RadialGrid,
 
     The phi and psi systems never meet at k = 0, so one projection of
     (phi_l, psi_w, 0) gives the rows of both variations' projections, bit
-    for bit.  g_ll and g_ww are the weighted squares of the two rows.
-    (t_l, 0) and (0, t_w) are paired, so g_lw is computed, not assumed: each
-    of its terms pairs a row with the other's zero row.
+    for bit, and the two projections pair to zero: g_lw = 0.  g_ll and g_ww
+    are the weighted squares of the two rows plus the cap's share.
     """
     bank = solvers if solvers is not None else SolverBank(surface, grid)
     # both variations are even in tau and vanish on the odd sector's cap:
     # they, their projections and the pairings live on the neck window, and
     # the cap's share of a pairing is a^T G a in the potential's interface
-    # values a
+    # values a, where the conformal weight is 1
     cap = bank.get(0).cap
     window = cap.window
     t, w = project_tt(surface, grid,
                       _variations(surface, window, length=True, twist=True),
                       solvers=bank, potential=True)
-    # (t_l, 0) and (0, t_w) as two views of [t_l; 0; t_w], sharing the zero
-    # row, and so their interface values
-    rows, edge = np.zeros((3, window.n)), np.zeros((3, 2))
-    rows[0], rows[2] = t.data
-    edge[0], edge[2] = w[:, 1:3]
-    tl, tw = (ModeField(0, Rank.SYM2_TRACEFREE, window, rows[i:i + 2]) for i in (0, 1))
-    al, aw = edge[0:2], edge[1:3]
-    weight, gram = None, cap.gram()
+    weights = window.weights
     if conformal is not None:
-        weight = conformal.weight(window)
-        gram = cap.gram(conformal.weight, conformal.grid.b)
+        weights = weights * conformal.weight(window)
     # |h|^2 = 2 (phi^2 + psi^2) and the k = 0 theta factor 2 pi, as
     # mode_inner_product takes them
     c = 4.0 * np.pi
-    weights = window.weights if weight is None else window.weights * weight
-
-    def cap_share(a1, a2):
-        return c * float(np.sum(a1 * (a2 @ gram)))
-
-    return {
-        "g_ll": c * float(np.sum(weights * t.data[0] ** 2)) + cap_share(al, al),
-        "g_lw": mode_inner_product(tl, tw, weight) + cap_share(al, aw),
-        "g_ww": c * float(np.sum(weights * t.data[1] ** 2)) + cap_share(aw, aw),
-    }
+    g_ll, g_ww = (c * float(np.sum(weights * t.data[i] ** 2))
+                  + c * float(np.sum(w[i, 1:3] * (w[i, 1:3] @ cap.gram))) for i in (0, 1))
+    return {"g_ll": g_ll, "g_lw": 0.0, "g_ww": g_ww}
 
 
 def sweep_wp_coefficients(

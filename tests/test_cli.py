@@ -1,14 +1,21 @@
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpneck.cli as cli
 from wpneck.cli import _check, main, run_suite
 from wpneck.config import RunConfig, load_config
+from wpneck.surface import ELL_CEILING, ELL_FLOOR
 from wpneck.wp import sweep_wp_coefficients
 
 
@@ -335,6 +342,61 @@ def test_config_validation(capsys, tmp_path):
                 assert not any("config error" in line for line in err), err
     grid = RunConfig(ell_min=1e-2, ell_max=1e-1, ell_count=4).ell_grid()
     assert len(grid) == 4 and grid[0] == pytest.approx(1e-2)
+    # above pi / log 4 the collar is no plumbing annulus, and a profile
+    # overflows (1e300) or a WP row is NaN (1e100): refused at load, and the
+    # ceiling runs
+    for hi in (ELL_CEILING * (1.0 + 1e-15), 2.27, 1e100, 1e300):
+        with pytest.raises(ValueError, match="ell ceiling"):
+            RunConfig(ell_max=hi)
+    assert RunConfig(ell_max=ELL_CEILING).ell_grid()[-1] == pytest.approx(ELL_CEILING)
+
+
+def test_an_ell_above_the_ceiling_is_a_config_error(capsys):
+    for quantity in ("wp", "ttnorm", "divergence", "conformal"):
+        assert main(["sweep", quantity, "--ell-count", "2", "--ell-max", "1e300"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == [
+            "wpneck: config error: ell_max must be at most 2.26618 = pi/log 4, the "
+            "model's ell ceiling (got 1e+300)"], quantity
+
+
+def test_sweep_ttnorm_runs_down_to_the_ell_floor(capsys):
+    # tt_l2norm's 1e-8 cross-check holds down to the ell floor (a quadrature
+    # that formed eta - eta1 as a difference failed it, rel err 8.5e-7)
+    assert main(["sweep", "ttnorm", "--ell-min", "1e-10", "--ell-max", "2.2"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 + 12 * 8 and not err
+
+
+@given(quantity=st.sampled_from(["wp", "ttnorm", "divergence", "conformal"]),
+       half_n=st.integers(2, 128), count=st.integers(2, 4),
+       exponents=st.lists(st.floats(math.log10(ELL_FLOOR), math.log10(ELL_CEILING)),
+                          min_size=2, max_size=2, unique=True))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_an_accepted_sweep_is_finite_or_a_config_error(quantity, half_n, count, exponents):
+    # any sweep over the accepted ell window: exit 0 with finite values (but
+    # for the noted NaN rows of sweep conformal), or exit 2 with a config error
+    # line, and never a traceback
+    lo, hi = sorted(10.0 ** x for x in exponents)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", quantity, "--grid-n", str(2 * half_n), "--ell-count",
+                     str(count), "--ell-min", repr(lo), "--ell-max", repr(hi)])
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert lines[-1].startswith("wpneck: config error"), lines
+        return
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+    values = [float(cell) for row in rows
+              for cell in (row if quantity == "wp" else row[::2])]
+    nan = sum(math.isnan(v) for v in values)
+    if nan:
+        assert quantity == "conformal", rows
+        assert any(f"sweep conformal: {nan} of {count} rows use phi = 0" in line
+                   for line in lines), lines
+    assert all(math.isfinite(v) for v in values if not math.isnan(v)), rows
 
 
 def test_no_coarse_grid_prints_a_traceback(capsys):

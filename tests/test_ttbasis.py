@@ -63,6 +63,16 @@ def test_closed_norm_vs_quadrature():
             assert tt_l2norm_error("kappa", k, ell)[1] < 1e-8
 
 
+def test_closed_norm_vs_quadrature_at_the_ell_floor():
+    # formed as the difference of two numbers near pi / (2 ell), eta - eta1
+    # loses digits at small ell (7.6e-6 at worst over these cases); the
+    # quadrature takes it as one arctangent (measured 8.7e-16)
+    for kind in ("kappa", "nu"):
+        for ell in (1e-10, 1e-8, 1e-7):
+            for k in range(1, 9):
+                assert tt_l2norm_error(kind, k, ell)[1] <= 1e-13, (kind, ell, k)
+
+
 def test_norms_finite_at_extreme_parameters():
     # k/ell ~ 2.5e5: naive cosh would overflow at ~700
     val = tt_l2norm("kappa", 256, 1e-3, check=False)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 import wpneck.uniformize as uniformize
+from wpneck.cylinder import CylinderMetric
 from wpneck.surface import ModelSurfaceMetric
 from wpneck.uniformize import curvature_after, solve_conformal_factor
 
 
 def test_already_hyperbolic_gives_zero():
-    # restrict the solve to the exact-cylinder region: K = -1, u = 0
-    surf = ModelSurfaceMetric(ell=0.05)
-    cf = solve_conformal_factor(surf, domain=0.7)
+    # the collar profile F = tau^2 + ell^2 has K = -1 on the whole neck:
+    # u = 0 solves at once
+    cf = solve_conformal_factor(CylinderMetric(0.05))
     assert np.max(np.abs(cf.u)) < 1e-12
     assert cf.newton_iterations <= 2
 

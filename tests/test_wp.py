@@ -9,6 +9,7 @@ import pytest
 
 import wpneck.uniformize as uniformize
 import wpneck.wp as wp
+from wpneck.cylinder import CylinderMetric
 from wpneck.grids import periodic_grid
 from wpneck.modefields import ModeField, Rank, mode_inner_product, mode_norm
 from wpneck.operators import apply_divergence, apply_trace
@@ -90,9 +91,10 @@ def test_wp_product_symmetric_bilinear_cauchy_schwarz(setup):
 
 def test_weight_trivial_on_hyperbolic_region(setup):
     grid, surf, bank = setup
-    # conformal factor solved on the exactly hyperbolic part is zero, so the
-    # weighted and unweighted pairings coincide
-    cf = solve_conformal_factor(surf, domain=0.7)
+    # the conformal factor of an exactly hyperbolic neck (the collar profile
+    # F = tau^2 + ell^2, K = -1) is zero, so the weighted and unweighted
+    # pairings coincide
+    cf = solve_conformal_factor(CylinderMetric(surf.ell))
     assert np.max(np.abs(cf.u)) < 1e-12
     gl = length_variation(surf, grid)
     with_w = wp_inner_product(surf, grid, gl, gl, conformal=cf, solvers=bank)
@@ -417,36 +419,8 @@ def test_sweeps_leave_no_surface_and_few_grids_alive(monkeypatch):
              for kind, refs in made.items()}
     assert [len(made[kind]) for kind in ("surface", "periodic")] == [6, 3]
     # each periodic grid, with the pieces kept on it, dies with its sweep;
-    # the one neck grid of the default (domain, n) is shared by all of them
+    # the one neck grid of the default n is shared by all of them
     assert alive == {"surface": 0, "periodic": 0, "neck": 1}
-
-
-def test_wp_matrix_weights_the_cap_where_the_conformal_domain_reaches_it():
-    # a conformal factor solved on |tau| <= 1 is not 1 on part of the odd
-    # sector's cap (|tau| >= 0.883 at n = 2048): there the cap's share of each
-    # pairing is weighted, and the row is the explicit pairing of the whole
-    # grid's projection on the mirror half (measured <= 2.3e-16).  Taking the
-    # weight as 1 on the cap moves it by more than 1e-11
-    grid = periodic_grid(-2.0, 2.0, 2048)
-    half = grid.mirror_half
-    surf = ModelSurfaceMetric(ell=0.02)
-    cf = solve_conformal_factor(surf, domain=1.0)
-    bank = SolverBank(surf, grid)
-    got = wp_matrix(surf, grid, conformal=cf, solvers=bank)
-    p = bank.get(0).cap.p
-    weight = cf.weight(half)
-    assert np.any(weight[:p] != 1.0)
-    t = project_tt(surf, grid, wp._variations(surf, grid, length=True, twist=True),
-                   solvers=bank).data[:, :half.n]
-    tl = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([t[0], 0.0 * t[0]]))
-    tw = ModeField(0, Rank.SYM2_TRACEFREE, half, np.vstack([0.0 * t[1], t[1]]))
-    outside = weight.copy()
-    outside[:p] = 1.0
-    for key, f in (("g_ll", tl), ("g_ww", tw)):
-        want = mode_inner_product(f, f, weight)
-        assert abs(got[key] - want) <= 1e-12 * want, key
-        assert abs(mode_inner_product(f, f, outside) - want) > 1e-11 * want, key
-    assert got["g_lw"] == 0.0
 
 
 def test_odd_cap_is_factored_once_per_grid_and_dies_with_it(monkeypatch):
