@@ -130,7 +130,8 @@ def make_chart(kind: str, m: CylinderMetric) -> CoordinateChart:
     The plumbing chart covers the half-annulus sqrt(t) <= |z| <= 1/2 and maps
     it to tau >= 0; the mirrored half of the annulus (the other branch of the
     quadric) is taken to be the odd reflection tau -> -tau.  The central
-    geodesic is the circle |z| = sqrt(t).
+    geodesic is the circle |z| = sqrt(t).  Its domain is in r = |z|, so it
+    is refused below ell ~ 0.0042, where t underflows (:func:`plumbing_parameter`).
     """
     ell = m.ell
     if kind == "tau":
@@ -180,21 +181,20 @@ def plumbing_substitution_check(ell: float, n_samples: int = 50) -> float:
         ((pi log|z| / log t) csc(pi log|z| / log t))^2 / (|z| log|z|)^2
 
     with ell = pi/|log t|.  Both the d r^2 and r^2 d phi^2 coefficients of the
-    pullback are compared on log-spaced radii in [sqrt(t), 1/2].
+    pullback are compared on log-spaced radii in [sqrt(t), 1/2], each times
+    r^2 and at s = |log r| in [log 2, pi/(2 ell)], so that no r (nor t, which
+    underflows below ell ~ 0.0042) is formed and every ell of the window holds.
     """
-    t = plumbing_parameter(ell)
-    r = np.exp(np.linspace(math.log(math.sqrt(t)), math.log(0.5), n_samples))
-
-    chi = np.pi * np.log(r) / math.log(t)  # = ell * |log r|, in (0, pi/2]
-    density = (chi / np.sin(chi)) ** 2 / (r * np.log(r)) ** 2
-
-    # pullback of d tau^2/F + F d theta^2 under tau = ell cot(chi), theta = phi
+    if not 0.0 < ell < ELL_CEILING:
+        raise ValueError(f"the plumbing substitution needs 0 < ell < pi/log 4 (got {ell:g})")
+    s = np.linspace(math.pi / (2.0 * ell), math.log(2.0), n_samples)
+    chi = ell * s  # = pi log|z| / log t, in (0, pi/2]
+    density = (chi / np.sin(chi)) ** 2 / s**2  # times r^2
+    # pullback of d tau^2/F + F d theta^2 under tau = ell cot(chi), theta = phi,
+    # times r^2: r d tau/d r = ell^2 csc^2(chi)
     tau = ell / np.tan(chi)
     F = tau**2 + ell**2
-    dtau_dr = ell**2 / (np.sin(chi) ** 2 * r)  # d tau/d r = ell csc^2(chi) * dchi/dr
-    coeff_dr2 = dtau_dr**2 / F
-    coeff_dphi2 = F
-
+    coeff_dr2 = (ell**2 / np.sin(chi) ** 2) ** 2 / F
     rel1 = np.abs(coeff_dr2 - density) / density
-    rel2 = np.abs(coeff_dphi2 - density * r**2) / (density * r**2)
+    rel2 = np.abs(F - density) / density
     return float(max(rel1.max(), rel2.max()))

@@ -85,19 +85,18 @@ class RadialGrid:
     """Nodes, differentiation matrices, and quadrature weights on an interval.
 
     ``d1``/``d2`` are CSR matrices acting on samples at ``nodes``; ``weights``
-    integrate against them.  ``scheme`` is one of ``uniform``, ``chebyshev``,
-    ``periodic``, ``mirror half`` (:attr:`mirror_half`) or ``span``
-    (:meth:`span`); the last two have no stencils.  ``_stencils()`` returns
-    (d1, d2) and runs on the first read of either (twice, with equal results,
-    if two threads read first at once).  :meth:`keep` keeps anything else
-    built from the grid with it.  Instances are otherwise immutable and safe
-    to share.
+    integrate against them.  ``scheme`` is the grid's kind: ``uniform``,
+    ``chebyshev``, ``periodic`` (wrap-around stencils), ``mirror half``
+    (:attr:`mirror_half`) or ``span`` (:meth:`span`); the last two have no
+    stencils.  ``_stencils()`` returns (d1, d2) and runs on the first read of
+    either (twice, with equal results, if two threads read first at once).
+    :meth:`keep` keeps anything else built from the grid with it.  Instances
+    are otherwise immutable and safe to share.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
-    periodic: bool = False
     _stencils: object = field(repr=False, default=None)
     _kept: dict = field(default_factory=dict, repr=False)
 
@@ -110,12 +109,6 @@ class RadialGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    @property
-    def b(self) -> float:
-        if self.periodic:
-            return float(self.nodes[0] + self.n * (self.nodes[1] - self.nodes[0]))
-        return float(self.nodes[-1])
 
     @cached_property
     def _built(self) -> tuple:
@@ -153,7 +146,7 @@ class RadialGrid:
         the half's.  The nodes are a view of the grid's; the half holds no
         reference to the grid.
         """
-        if not self.periodic or self.n % 2:
+        if self.scheme != "periodic" or self.n % 2:
             raise ValueError("only an even periodic grid has a mirror half")
         h = self.n // 2
         weights = self.weights[:h + 1].copy()
@@ -305,7 +298,6 @@ def periodic_grid(a: float, b: float, n: int) -> RadialGrid:
         nodes=a + h * np.arange(n),
         weights=np.full(n, h),
         scheme="periodic",
-        periodic=True,
         _stencils=partial(_fd_stencils, n, h, True),
     )
 

@@ -159,10 +159,6 @@ class ModeField:
         return ModeField(self.k, Rank.SYM2_FULL, self.grid,
                          np.vstack([self.data, f]), self.variant)
 
-    def __add__(self, other: "ModeField") -> "ModeField":
-        self._check_compatible(other)
-        return ModeField(self.k, self.rank, self.grid, self.data + other.data, self.variant)
-
     def __sub__(self, other: "ModeField") -> "ModeField":
         self._check_compatible(other)
         return ModeField(self.k, self.rank, self.grid, self.data - other.data, self.variant)

@@ -105,7 +105,6 @@ from scipy.linalg import lapack
 
 from .grids import RadialGrid
 from .modefields import ModeField, ModeKey, Rank, mode_inner_product, mode_norm
-from .operators import mode_operators
 from .surface import (
     CutoffPair,
     FactoredGlobalSolver,
@@ -126,7 +125,7 @@ from .surface import (
     _cut_closure,
     zero_mode,
 )
-from .ttbasis import tt_element, tt_limit
+from .ttbasis import tt_element, tt_limit, zero_mode_amplitude
 
 __all__ = [
     "ModeParametrix",
@@ -789,12 +788,12 @@ def project_tt(
     inverts the factored discrete operator divergence o D, which makes T an
     exact discrete projector: outputs are divergence-free and T^2 = T to
     solver precision.  It is oblique, not orthogonal, in the grid's
-    pairing: <T a, b> and <a, T b> differ at O(h^2).  B, G and D then come
-    from the bank's :class:`~wpneck.surface.FactoredGlobalSolver`: at every
-    k they are stencils and banded solves, with no sparse matrix.  With
-    ``family`` given, G is instead the Neumann-series parametrix built on
-    the direct channel stencils, and B and D are the sparse mode operators;
-    the two agree up to discretization order.
+    pairing: <T a, b> and <a, T b> differ at O(h^2).  B and D always come
+    from the bank's :class:`~wpneck.surface.FactoredGlobalSolver`, as
+    stencils with no sparse matrix, and by default so does G, as banded
+    solves.  With ``family`` given, G is instead the Neumann-series
+    parametrix built on the direct channel stencils; the two routes differ
+    in G alone, and agree up to discretization order.
 
     ``h``'s column count says where it lives.  A k = 0 ``h`` on the odd
     sector's neck window (:attr:`~wpneck.surface.OddCap.window`) is an even
@@ -807,18 +806,15 @@ def project_tt(
     """
     if h.rank is Rank.SYM2_TRACEFREE:
         h = h.as_full()
+    fs = (solvers if solvers is not None else SolverBank(surface, grid)).get(h.k)
+    b = fs.bianchi(h.data)
     if family is None:
-        bank = solvers if solvers is not None else SolverBank(surface, grid)
-        fs = bank.get(h.k)
-        w = fs.solve_sigma(fs.bianchi(h.data))
-        corr = fs.conformal_killing(w)
+        w = fs.solve_sigma(b)
     else:
-        opk = mode_operators(surface, grid, h.k)
-        b = (opk.bianchi @ h.data.reshape(-1)).reshape(2, -1)
         sol, _ = family.block(surface.ell, h.k).neumann_solve(
             ModeField(h.k, Rank.ONE_FORM, grid, b, h.variant).rho())
         w = ModeField.one_form_rho(h.k, grid, sol[0], sol[1], h.variant).data
-        corr = (opk.conformal_killing @ w.reshape(-1)).reshape(2, -1)
+    corr = fs.conformal_killing(w)
     t = ModeField(h.k, Rank.SYM2_TRACEFREE, h.grid, h.data[:2] - corr, h.variant)
     return (t, w) if potential else t
 
@@ -852,7 +848,7 @@ def cutoff_div_norm(surface: ModelSurfaceMetric, grid: RadialGrid) -> float:
     if not np.any(chid):
         raise ValueError(f"the {grid.n}-node grid has no node in 1/2 < |tau| < 3/4")
     F = surface.grid_jet(grid)[0]
-    amp = ell**1.5 / math.sqrt(math.atan(1.0 / ell))
+    amp = zero_mode_amplitude(ell)
     return math.sqrt(2.0 * math.pi * amp**2 * float(grid.integrate(chid**2 / F)))
 
 

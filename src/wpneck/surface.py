@@ -492,14 +492,10 @@ def _cut_closure(solve, m: int, cut, trans: str = "N", border=None) -> _Closure:
                     gamma)
 
 
-def _flush(*pairs):
-    """Zero every entry, or every pair of entries, with one below the
-    smallest normal float: subnormals are slow and carry no digits here."""
-    small = np.abs(pairs[0]) < np.finfo(float).tiny
-    for a in pairs[1:]:
-        small |= np.abs(a) < np.finfo(float).tiny
-    for a in pairs:
-        a[small] = 0.0
+def _flush(a):
+    """Zero every entry of ``a`` below the smallest normal float: subnormals
+    are slow and carry no digits here."""
+    a[np.abs(a) < np.finfo(float).tiny] = 0.0
 
 
 def _chain(blocks: np.ndarray, cut: float = 1.0) -> np.ndarray:

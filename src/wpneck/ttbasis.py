@@ -11,10 +11,10 @@ normalized by C = sqrt(k) exp(-k eta(1)).  The rho channels are then
 evaluation is done in log space: cosh/sinh against the normalizing
 exponential never overflow (naive evaluation dies near k/ell ~ 700).
 
-The zero modes carry the amplitude ell^{3/2} / arctan(1/ell)^{1/2} on
-(1/F, 0) and (0, 1/F).  Limits at ell = 0 are separate closed forms (decay
-like e^{-k/|tau|} toward the node), never evaluations of the ell > 0
-formulas at ell = 0.
+The zero modes carry the amplitude ell^{3/2} / arctan(1/ell)^{1/2}
+(:func:`zero_mode_amplitude`) on (1/F, 0) and (0, 1/F).  Limits at ell = 0
+are separate closed forms (decay like e^{-k/|tau|} toward the node), never
+evaluations of the ell > 0 formulas at ell = 0.
 
 Squared L^2 norms use the tensor contraction |h|^2 = 2(phi^2 + psi^2); the
 closed form for k >= 1 is
@@ -46,10 +46,15 @@ __all__ = [
     "tt_l2norm_error",
     "tt_rescaled_zero_mode",
     "growing_solutions",
+    "zero_mode_amplitude",
 ]
 
 _VARIANT = {"kappa": Variant.COS, "nu": Variant.SIN}
-_NORM_RTOL = 1e-8  # closed form vs quadrature in tt_l2norm
+
+
+def zero_mode_amplitude(ell: float) -> float:
+    """The k = 0 tensors' amplitude ell^{3/2} / arctan(1/ell)^{1/2}."""
+    return ell**1.5 / math.sqrt(math.atan(1.0 / ell))
 
 
 @dataclass(frozen=True)
@@ -74,17 +79,6 @@ class TTBasisElement:
         # k = 0 stores literal components; both kinds live in the COS slot
         return Variant.COS if self.k == 0 else _VARIANT[self.kind]
 
-    @property
-    def normalization(self) -> float:
-        """C_{ell,k}; the ell^{3/2}/arctan^{1/2} amplitude for k = 0."""
-        if self.k == 0:
-            return self.ell**1.5 / math.sqrt(math.atan(1.0 / self.ell))
-        if self.ell == 0.0:
-            return math.sqrt(self.k)  # limit normalization e^{(1-1/|tau|)k} absorbed
-        return math.sqrt(self.k) * math.exp(
-            -self.k * math.atan(1.0 / self.ell) / self.ell
-        )
-
     def profiles(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, psi) radial profiles in the sigma tensor frame."""
         tau = np.asarray(tau, float)
@@ -98,7 +92,7 @@ class TTBasisElement:
         ell = self.ell
         F = tau**2 + ell**2
         if k == 0:
-            amp = self.normalization / F
+            amp = zero_mode_amplitude(ell) / F
             if self.kind == "kappa":
                 return amp, np.zeros_like(tau)
             return np.zeros_like(tau), amp
@@ -183,15 +177,10 @@ def _quad_norm_sq(k: int, ell: float) -> float:
     return math.pi * 2.0 * 2.0 * (k / 2.0) * val
 
 
-def tt_l2norm(kind: str, k: int, ell: float, *, check: bool = True) -> float:
-    """L^2 norm over the cylinder; with ``check`` the closed form is
-    cross-checked by quadrature to ``_NORM_RTOL`` relative."""
-    if not check:
-        return math.sqrt(_closed_norm_sq(kind, k, ell))
-    closed, rel = tt_l2norm_error(kind, k, ell)
-    if rel > _NORM_RTOL:
-        raise ArithmeticError(f"closed-form vs quadrature norm disagree: rel err {rel:.3e}")
-    return math.sqrt(closed)
+def tt_l2norm(kind: str, k: int, ell: float) -> float:
+    """L^2 norm over the cylinder, in closed form (its quadrature cross-check
+    is :func:`tt_l2norm_error`, which ``verify l2norms`` runs)."""
+    return math.sqrt(_closed_norm_sq(kind, k, ell))
 
 
 def tt_l2norm_error(kind: str, k: int, ell: float) -> tuple[float, float]:

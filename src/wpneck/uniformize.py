@@ -61,7 +61,7 @@ class ConformalFactor:
         (:meth:`~wpneck.grids.RadialGrid.keep`), so a sweep folds the nodes
         of its window once.
         """
-        b = self.grid.b
+        b = _THIN_SUPPORT  # the neck grid's last node
         inside, t = grid.keep(f"nodes inside |tau| <= {b!r}", lambda g: _inside(g.nodes, b))
         out = np.ones(grid.n)
         out[inside] = np.exp(-2.0 * np.interp(t[inside], self.grid.nodes, self.u))

@@ -361,8 +361,8 @@ def test_an_ell_above_the_ceiling_is_a_config_error(capsys):
 
 
 def test_sweep_ttnorm_runs_down_to_the_ell_floor(capsys):
-    # tt_l2norm's 1e-8 cross-check holds down to the ell floor (a quadrature
-    # that formed eta - eta1 as a difference failed it, rel err 8.5e-7)
+    # the closed-form norms are finite down to the ell floor; their quadrature
+    # cross-check is verify l2norms' (test_ttbasis checks it at the floor)
     assert main(["sweep", "ttnorm", "--ell-min", "1e-10", "--ell-max", "2.2"]) == 0
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1 + 12 * 8 and not err

@@ -108,9 +108,16 @@ def test_plumbing_parameter_range_enforced():
     with pytest.raises(ValueError):
         make_chart("plumbing", CylinderMetric(3.0))  # t > 1/4
     with pytest.raises(ValueError):
-        plumbing_substitution_check(3.0)
+        make_chart("plumbing", CylinderMetric(1e-3))  # t underflows to 0
+    for ell in (3.0, math.pi / math.log(4.0), 0.0, -0.1):
+        with pytest.raises(ValueError, match="0 < ell < pi/log 4"):
+            plumbing_substitution_check(ell)
 
 
 def test_plumbing_substitution_identity():
     assert plumbing_substitution_check(math.pi / math.log(100.0), 50) < 1e-10
     assert plumbing_substitution_check(0.5, 80) < 1e-10
+    # below ell ~ 0.0042, where t = exp(-pi/ell) underflows: the check forms
+    # no r (measured 6.8e-16 at 1e-3 and 5.8e-16 at 1e-10)
+    for ell in (1e-3, 1e-10):
+        assert plumbing_substitution_check(ell) < 1e-10, ell

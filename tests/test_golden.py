@@ -39,6 +39,22 @@ def test_the_gate_refuses_a_drift_past_its_bound():
         assert [d.ok for d in golden.compare(runs, moved)] == [ok]
 
 
+def test_check_writes_nothing_and_fails_on_a_drift(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("WPNECK_CONFIG", raising=False)
+    for f in golden.GOLDEN.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    name = "sweep_ttnorm.csv"
+    text = (tmp_path / name).read_text(encoding="utf-8")
+    cell = text.splitlines()[1].split(",")[2]
+    (tmp_path / name).write_text(text.replace(cell, repr(float(cell) * (1 + 1e-9)), 1),
+                                 encoding="utf-8")
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    monkeypatch.setattr(golden, "GOLDEN", tmp_path)
+    assert golden.main(["--check"]) == 1
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    assert capsys.readouterr().out.splitlines()[-1] == "1 values moved, 1 past the gate"
+
+
 def test_sweep_divergence_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a long dot product across its threads, and the sum's
     # last bit with it

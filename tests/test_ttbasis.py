@@ -75,52 +75,55 @@ def test_closed_norm_vs_quadrature_at_the_ell_floor():
 
 def test_norms_finite_at_extreme_parameters():
     # k/ell ~ 2.5e5: naive cosh would overflow at ~700
-    val = tt_l2norm("kappa", 256, 1e-3, check=False)
+    val = tt_l2norm("kappa", 256, 1e-3)
     assert np.isfinite(val) and 0.1 < val < 100.0
 
 
 def test_import_leaves_the_quadrature_oracle_unloaded():
     # only the closed-form cross-check needs scipy.integrate (~0.3 s on an
-    # import of ~0.45 s); the verification checks and the CLI are not loaded
+    # import of ~0.45 s); the verification checks and the CLI are not loaded,
+    # and sweep ttnorm writes closed forms without loading it either
     import wpneck
 
     src = Path(wpneck.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, wpneck; print([m for m in ('scipy.integrate', 'wpneck.checks', "
-         "'wpneck.cli') if m in sys.modules])"],
+         "'wpneck.cli') if m in sys.modules])\n"
+         "import contextlib, io, wpneck.cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert wpneck.cli.main(['sweep', 'ttnorm']) == 0\n"
+         "print('scipy.integrate' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 def test_unchecked_norm_runs_no_quadrature(monkeypatch):
     import scipy.integrate
 
     def refuse(*args, **kwargs):
-        raise AssertionError("tt_l2norm(check=False) ran the quadrature")
+        raise AssertionError("tt_l2norm ran the quadrature")
 
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
     # the values the closed form gave while the quadrature still ran
     for args, want in ((("kappa", 3, 0.2), 2.045390412398593),
                        (("nu", 0, 0.1), 3.662255187092959),
                        (("kappa", 256, 1e-3), 1.7759181609615966)):
-        assert tt_l2norm(*args, check=False) == want
-    with pytest.raises(AssertionError, match="ran the quadrature"):
-        tt_l2norm("kappa", 3, 0.2)
+        assert tt_l2norm(*args) == want
     with pytest.raises(ValueError):
-        tt_l2norm("kappa", 3, 0.0, check=False)
+        tt_l2norm("kappa", 3, 0.0)
 
 
 def test_normalization_band():
-    norms = [tt_l2norm("kappa", k, ell, check=False)
+    norms = [tt_l2norm("kappa", k, ell)
              for k in range(1, 65) for ell in (1e-3, 1e-2, 0.1, 1.0)]
     assert max(norms) / min(norms) < 10.0
 
 
 def test_kappa_nu_share_norm():
-    a = tt_l2norm("kappa", 3, 0.2, check=False)
-    b = tt_l2norm("nu", 3, 0.2, check=False)
+    a = tt_l2norm("kappa", 3, 0.2)
+    b = tt_l2norm("nu", 3, 0.2)
     assert a == b
 
 

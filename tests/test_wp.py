@@ -241,7 +241,7 @@ def test_conformal_weight_folds_each_grid_once(monkeypatch):
     folds = _count_calls(monkeypatch, uniformize, "fold_tau")
     for cf in cfs:
         t = fold_tau(grid.nodes)
-        inside = np.abs(t) <= cf.grid.b
+        inside = np.abs(t) <= cf.grid.nodes[-1]
         want = np.ones(grid.n)
         want[inside] = np.exp(-2.0 * np.interp(t[inside], cf.grid.nodes, cf.u))
         assert np.array_equal(cf.weight(grid), want)  # bit for bit

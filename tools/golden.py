@@ -4,9 +4,10 @@
 
 runs the four default ``sweep`` CSVs and the eight default ``verify`` reports
 in-process, prints every value that moved from the files under
-``tests/golden/`` with its relative drift, and rewrites the files.
-``tests/test_golden.py`` runs the same outputs and fails on a drift past the
-gate.
+``tests/golden/`` with its relative drift, and rewrites the files.  With
+``--check`` it only compares and prints: it writes nothing, and exits 1 when
+a value is past the gate.  ``tests/test_golden.py`` runs the same outputs and
+fails on a drift past the gate.
 
 The gate (:func:`compare`): text, stderr and exit codes exactly; a check
 whose value measures round-off (:data:`ROUND_OFF`) by its power of ten, its
@@ -20,6 +21,7 @@ import io
 import json
 import math
 import os
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -152,10 +154,24 @@ def compare(old: dict[str, dict], new: dict[str, dict]) -> list[Drift]:
     return [d for d in drifts if d is not None]
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    """Compare and print; rewrite the files unless ``argv`` is ``["--check"]``.
+
+    Returns 1 when ``--check`` finds a value past the gate, else 0.
+    """
+    if argv not in ([], ["--check"]):
+        raise SystemExit("usage: golden.py [--check]")
     new = regenerate()
     drifts = compare(load(), new) if (GOLDEN / META).exists() else []
     for d in drifts:
         print(d)
-    print(f"{len(drifts)} values moved, {sum(not d.ok for d in drifts)} past the gate")
+    failed = sum(not d.ok for d in drifts)
+    print(f"{len(drifts)} values moved, {failed} past the gate")
+    if argv:
+        return 1 if failed else 0
     write(new)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
