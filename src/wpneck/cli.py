@@ -16,10 +16,18 @@ Subcommands
   sweep file of one quantity, JSON output; ill-conditioning exits 1, and a
   file whose ``quantity`` column holds more than one exits 2.
 
-Every command exits 2, with one ``wpneck:`` line on stderr, for a usage or
-config error: an unknown or repeated config key, an invalid value, a
-``--grid-n`` that a suite's solver refuses, or an ``--out`` that cannot be
-written.
+Each command takes only the flags it reads: ``verify`` takes ``--config``,
+``--out`` and ``--grid-n``; ``sweep`` adds ``--ell-min``, ``--ell-max`` and
+``--ell-count``; ``fit`` takes ``--config``, ``--out``, ``--column``,
+``--half-powers`` and ``--log-powers``.  A ``grid_n`` that is set is used as
+given; unset, each command runs its own grid.  A suite's criterion
+parameters are module constants.
+
+A flag that a command does not read, or a malformed one, is a usage error:
+argparse prints the usage and one error line on stderr, and exits 2.  A
+config error exits 2 with one ``wpneck:`` line on stderr: an unknown or
+repeated config key, an invalid value, a ``--grid-n`` that a suite's solver
+refuses, or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,15 +62,11 @@ def _check(name: str, value: float, bound: float | None, ok=None) -> dict:
 
 # -- verification suites -------------------------------------------------------
 
+# The criteria's own parameters: no setting changes what a suite certifies.
 _IDENTITY_TOL = 1e-6  # the bound of verify weitzenboeck's and parametrix's identities
-
-
-def _capped(where: str, name: str, value: int, cap: int) -> int:
-    """min(value, cap), with a note on stderr when the cap changes the value."""
-    if value > cap:
-        print(f"wpneck: note: {where} caps {name} at {cap} (got {value})",
-              file=sys.stderr)
-    return min(value, cap)
+_TT_KS = range(1, 9)  # verify l2norms' TT modes (criterion 2)
+_BARRIER_ALPHA, _CUTOFF_C = 0.3, 0.5  # verify barrier's decay rate and cutoff (criterion 6)
+_PARAMETRIX_KS, _NORM_SEED = range(0, 5), 1234  # verify parametrix's modes, norm start (7)
 
 
 def _note_coarse_grid(quantity: str, ells: list[float], n: int) -> None:
@@ -123,9 +127,10 @@ def _suite_weitzenboeck(cfg: RunConfig) -> list[dict]:
 
     checks = []
     m = CylinderMetric(0.5)
+    n_fine = cfg.grid_n or 16384
     for k in (0, 2, 5):
         res = []
-        for n in (cfg.grid_n // 4 + 1, cfg.grid_n // 2 + 1):
+        for n in (n_fine // 4 + 1, n_fine // 2 + 1):
             grid = uniform_grid(-1, 1, n)
             x = grid.nodes
             data = np.vstack([np.cos(np.pi * x / 2) * np.sin(np.pi * x),
@@ -143,7 +148,7 @@ def _suite_l2norms(cfg: RunConfig) -> list[dict]:
     from .ttbasis import tt_l2norm_error
 
     return [_check(f"l2norm(k={k},l={ell})", tt_l2norm_error("kappa", k, ell)[1], 1e-8)
-            for ell in (0.5, 0.1, 0.02) for k in range(1, cfg.tt_k_max + 1)]
+            for ell in (0.5, 0.1, 0.02) for k in _TT_KS]
 
 
 def _suite_green(cfg: RunConfig) -> list[dict]:
@@ -174,10 +179,10 @@ def _suite_barrier(cfg: RunConfig) -> list[dict]:
 
     checks = []
     ells = (1e-3, 1e-2, 0.1)
-    cert = certify_barrier(ells, tuple(range(1, 33)), cfg.barrier_alpha, cfg.cutoff_c)
+    cert = certify_barrier(ells, tuple(range(1, 33)), _BARRIER_ALPHA, _CUTOFF_C)
     # an ell certified at no radius inside the cutoff leaves nothing to
     # compare against, so both checks fail instead of passing vacuously
-    covered = all(cert.inner_radius[ell] <= cfg.cutoff_c for ell in ells)
+    covered = all(cert.inner_radius[ell] <= _CUTOFF_C for ell in ells)
     checks.append(_check("barrier_certified_margin", -cert.min_margin_certified,
                          0.0, ok=covered and cert.min_margin_certified >= 0.0))
 
@@ -195,10 +200,8 @@ def _suite_parametrix(cfg: RunConfig) -> list[dict]:
     from .parametrix import ParametrixFamily
 
     checks = []
-    grid = periodic_grid(-2, 2, _capped("verify parametrix", "grid_n",
-                                        cfg.grid_n, 2048))
-    fam = ParametrixFamily(grid, ks=range(0, cfg.modes + 1))
-    for ell, rep, prev in parametrix_reports(fam, cfg.seed):
+    fam = ParametrixFamily(periodic_grid(-2, 2, cfg.grid_n or 2048), ks=_PARAMETRIX_KS)
+    for ell, rep, prev in parametrix_reports(fam, _NORM_SEED):
         checks.append(_check(f"S_norm(l={ell})", rep.norm_S, 1.0,
                              ok=rep.norm_S < 1.0))
         checks.append(_check(f"S_decreasing(l={ell})", rep.norm_S, prev,
@@ -214,8 +217,7 @@ def _suite_projection(cfg: RunConfig) -> list[dict]:
     from .surface import ModelSurfaceMetric
 
     checks = []
-    grid = periodic_grid(-2, 2, _capped("verify projection", "grid_n",
-                                        cfg.grid_n, 4096))
+    grid = periodic_grid(-2, 2, cfg.grid_n or 4096)
     for ell in (0.1, 0.05):
         d = projection_defects(SolverBank(ModelSurfaceMetric(ell=ell), grid))
         checks.append(_check(f"idempotency(l={ell})", d["idempotency"], 1e-10))
@@ -262,13 +264,12 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
 # -- sweeps ---------------------------------------------------------------------
 
 def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
-    ells = cfg.ell_grid()
+    ells, n = cfg.ell_grid(), cfg.grid_n or 16384
     if quantity == "wp":
         from .wp import sweep_wp_coefficients
 
-        _note_coarse_grid(quantity, ells, cfg.sweep_grid_n)
-        rows = sweep_wp_coefficients(ells, grid_n=cfg.sweep_grid_n,
-                                     jobs=cfg.jobs)
+        _note_coarse_grid(quantity, ells, n)
+        rows = sweep_wp_coefficients(ells, grid_n=n)
         _note_unweighted(quantity, [r["ell"] for r in rows
                                     if np.isnan(r["conformal_bound"])], len(rows))
         header = ["ell", "g_ll", "g_lw", "g_ww"]
@@ -281,8 +282,8 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
         from .parametrix import cutoff_div_norm
         from .surface import ModelSurfaceMetric
 
-        grid = periodic_grid(-2, 2, cfg.sweep_grid_n)
-        _note_coarse_grid(quantity, ells, grid.n)
+        grid = periodic_grid(-2, 2, n)
+        _note_coarse_grid(quantity, ells, n)
         for ell in ells:
             out.append([_fmt(ell), "divergence_norm",
                         _fmt(cutoff_div_norm(ModelSurfaceMetric(ell=ell), grid))])
@@ -314,16 +315,7 @@ def _sweep_rows(quantity: str, cfg: RunConfig) -> tuple[list[str], list[list[str
 # -- entry point ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--ell-min", type=float, dest="ell_min")
-    common.add_argument("--ell-max", type=float, dest="ell_max")
-    common.add_argument("--ell-count", type=int, dest="ell_count")
-    common.add_argument("--grid-n", type=int, dest="grid_n")
-    common.add_argument("--modes", type=int, dest="modes")
-    common.add_argument("--jobs", type=int, dest="jobs")
-    common.add_argument("--out", dest="out", help="output path ('-' = stdout)")
-
+    """Each command takes the flags it reads, and no other."""
     p = argparse.ArgumentParser(
         prog="wpneck",
         description="Degenerating-cylinder numerics: verification suites, "
@@ -332,20 +324,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", parents=[common],
-                       help="run a named invariant suite")
+    v = sub.add_parser("verify", help="run a named invariant suite")
     v.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
 
-    s = sub.add_parser("sweep", parents=[common], help="emit a CSV sweep")
+    s = sub.add_parser("sweep", help="emit a CSV sweep")
     s.add_argument("quantity", choices=["wp", "ttnorm", "divergence", "conformal"])
 
-    f = sub.add_parser("fit", parents=[common],
-                       help="fit a sweep CSV against the expansion grading")
+    f = sub.add_parser("fit", help="fit a sweep CSV against the expansion grading")
     f.add_argument("csv", help="input CSV with ell in the first column")
     f.add_argument("--column", default=None,
                    help="value column name (default: second column)")
     f.add_argument("--half-powers", type=int, dest="half_powers", default=4)
     f.add_argument("--log-powers", type=int, dest="log_powers", default=1)
+
+    for cmd in (v, s, f):
+        cmd.add_argument("--config", help="key = value config file")
+        cmd.add_argument("--out", dest="out", help="output path ('-' = stdout)")
+    for cmd in (v, s):
+        cmd.add_argument("--grid-n", type=int, dest="grid_n",
+                         help="grid size (default: the command's own)")
+    s.add_argument("--ell-min", type=float, dest="ell_min")
+    s.add_argument("--ell-max", type=float, dest="ell_max")
+    s.add_argument("--ell-count", type=int, dest="ell_count")
     return p
 
 
@@ -368,11 +368,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {k: getattr(args, k, None)
-                 for k in ("ell_min", "ell_max", "ell_count", "grid_n",
-                           "modes", "jobs", "out")}
-    if args.command == "sweep":
-        # sweeps run on sweep_grid_n; --grid-n names that grid here
-        overrides["sweep_grid_n"] = overrides.pop("grid_n")
+                 for k in ("ell_min", "ell_max", "ell_count", "grid_n", "out")}
     try:  # a config, or a grid a solver cannot serve: no report or row is written
         cfg = load_config(args.config, overrides)
         if args.command == "verify":

@@ -24,14 +24,8 @@ class RunConfig:
     ell_min: float = 1e-3
     ell_max: float = 1e-1
     ell_count: int = 12
-    grid_n: int = 16384
-    sweep_grid_n: int = 16384
-    modes: int = 4
-    cutoff_c: float = 0.5
-    barrier_alpha: float = 0.3
+    grid_n: int | None = None  # unset: each command's own grid
     tt_k_max: int = 8
-    jobs: int = 1
-    seed: int = 1234
     out: str = "-"
 
     def __post_init__(self):
@@ -49,23 +43,15 @@ class RunConfig:
                              f"model's ell ceiling (got {self.ell_max:g})")
         if self.ell_count < 2:
             raise ValueError("need at least two sweep points")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        for name in ("grid_n", "sweep_grid_n"):
+        if self.grid_n is not None:
             # the TT projection's factored solver borders the k = 0 null
             # directions of an even grid only, and its odd sector needs a node
-            if getattr(self, name) < 4:
-                raise ValueError(f"{name} must be at least 4")
-            if getattr(self, name) % 2:
-                raise ValueError(f"{name} must be even")
-        if self.modes < 0:
-            raise ValueError("modes must be non-negative")
-        if not 0.0 < self.barrier_alpha < 1.0:
-            raise ValueError("barrier_alpha must lie in (0, 1)")
+            if self.grid_n < 4:
+                raise ValueError("grid_n must be at least 4")
+            if self.grid_n % 2:
+                raise ValueError("grid_n must be even")
         if self.tt_k_max < 1:
             raise ValueError("tt_k_max must be at least 1")
-        if not 0.0 < self.cutoff_c <= 0.5:
-            raise ValueError("cutoff_c must lie in (0, 1/2], below the barrier source")
 
     def ell_grid(self) -> list[float]:
         import numpy as np
@@ -79,9 +65,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(name: str, raw: str):
     t = _FIELD_TYPES[name]
-    if t in ("int", int):
+    if t in ("int", "int | None"):
         return int(raw)
-    if t in ("float", float):
+    if t == "float":
         return float(raw)
     return raw
 

@@ -15,7 +15,8 @@ shared by every caller, read-only.
 
 Every grid stores ``d1``/``d2`` as CSR matrices, built on the first read, so
 callers that use only nodes and weights never pay for them.  Threads first
-reading one grid at once (``--jobs``) may build them twice, with equal results.
+reading one grid at once (``sweep_wp_coefficients(jobs=...)``) may build them
+twice, with equal results.
 
 An even periodic grid has a mirror half (:attr:`RadialGrid.mirror_half`): the
 nodes 0 ... n/2, which carry a field that is even or odd under the grid

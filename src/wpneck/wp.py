@@ -262,6 +262,9 @@ def fit_polyhomogeneous(
     if not (np.all(np.isfinite(ell)) and np.all(np.isfinite(val))):
         raise ValueError("samples must be finite")
     K, J = int(max_half_power), int(max_log_power)
+    if K < 0 or J < 0:
+        raise ValueError(f"max_half_power and max_log_power must be non-negative "
+                         f"(got {K} and {J})")
     n_terms = (K + 1) * (J + 1)
     if ell.size < 3 * n_terms:
         raise ValueError(

@@ -61,10 +61,10 @@ def test_sweep_wp_header(tmp_path):
 
 
 def test_sweep_honours_grid_n(tmp_path):
-    # on sweep, --grid-n sets sweep_grid_n, as a config file line would
+    # --grid-n sets grid_n, as a config file line would
     flag, conf, plain = (tmp_path / f"{x}.csv" for x in ("flag", "conf", "plain"))
     cfg_file = tmp_path / "n.cfg"
-    cfg_file.write_text("sweep_grid_n = 512\n")
+    cfg_file.write_text("grid_n = 512\n")
     args = ["sweep", "wp", "--ell-count", "2"]
     assert main(args + ["--grid-n", "512", "--out", str(flag)]) == 0
     assert main(args + ["--config", str(cfg_file), "--out", str(conf)]) == 0
@@ -75,15 +75,10 @@ def test_sweep_honours_grid_n(tmp_path):
     assert float(flag.read_text().splitlines()[1].split(",")[1]) == row["g_ll"]
 
 
-def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
-    cmd, cap, name = ["verify", "projection"], 4096, "verify projection caps grid_n"
-    assert main(cmd + ["--grid-n", str(cap)]) == 0
-    exact = capsys.readouterr()
-    assert exact.err == ""
-    assert main(cmd + ["--grid-n", str(cap + 2)]) == 0
-    capped = capsys.readouterr()
-    assert capped.out == exact.out
-    assert capped.err == f"wpneck: note: {name} at {cap} (got {cap + 2})\n"
+def test_a_given_grid_is_used_as_given(monkeypatch, capsys):
+    # no command caps a grid_n that is set, and none notes one
+    assert main(["verify", "projection", "--grid-n", "4098"]) == 0
+    assert capsys.readouterr().err == ""
 
     import wpneck.parametrix
 
@@ -97,14 +92,36 @@ def test_clamps_are_noted_on_stderr(monkeypatch, capsys):
             return SimpleNamespace(norm_S=ell, residual=0.0)
 
     monkeypatch.setattr(wpneck.parametrix, "ParametrixFamily", Family)
-    # modes is taken as given: the default is the 4 the suite runs
-    run_suite("parametrix", RunConfig(grid_n=4096, modes=6))
-    assert built == [(2048, list(range(7)))]
-    assert capsys.readouterr().err.splitlines() == [
-        "wpneck: note: verify parametrix caps grid_n at 2048 (got 4096)"]
-    run_suite("parametrix", RunConfig(grid_n=2048))
-    assert built[-1] == (2048, [0, 1, 2, 3, 4])
+    # unset, grid_n is the suite's own 2048; its modes are criterion 7's k = 0 ... 4
+    run_suite("parametrix", RunConfig(grid_n=4096))
+    run_suite("parametrix", RunConfig())
+    assert built == [(4096, [0, 1, 2, 3, 4]), (2048, [0, 1, 2, 3, 4])]
     assert capsys.readouterr().err == ""
+
+
+def test_a_command_refuses_a_flag_it_does_not_read(tmp_path, capsys):
+    # argparse's usage error: exit 2 before any run, with the flag named
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("ell,value\n0.01,1.0\n")
+    for argv in (["verify", "cylinder", "--ell-count", "5"], ["verify", "cylinder", "--jobs", "2"],
+                 ["sweep", "ttnorm", "--modes", "3"], ["fit", str(csv_path), "--grid-n", "2048"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and f"unrecognized arguments: {' '.join(argv[-2:])}" in err, argv
+
+
+def test_fit_refuses_a_negative_power(tmp_path, capsys):
+    # a negative power leaves no term to fit: refused by name, not by numpy
+    csv_path = tmp_path / "series.csv"
+    ells = np.geomspace(1e-3, 1e-1, 36)
+    csv_path.write_text("\n".join(["ell,value"] + [f"{e},1.0" for e in ells]) + "\n")
+    for flags in (["--half-powers", "-1"], ["--log-powers", "-1"]):
+        assert main(["fit", str(csv_path), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "wpneck: fit error: max_half_power and max_log_power must be non-negative"), err
 
 
 def _unweighted_note(flat: int, rows: int, first: str = "0.1") -> str:
@@ -236,15 +253,15 @@ def test_fit_refuses_a_csv_of_mixed_quantities(tmp_path, capsys):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("# comment\nell_min = 0.002\nmodes = 4\n")
+    cfg_file.write_text("# comment\nell_min = 0.002\ntt_k_max = 4\n")
     cfg = load_config(str(cfg_file))
     assert cfg.ell_min == 0.002
-    assert cfg.modes == 4
+    assert cfg.tt_k_max == 4
     monkeypatch.setenv("WPNECK_CONFIG", str(cfg_file))
     cfg2 = load_config()
     assert cfg2.ell_min == 0.002
-    cfg3 = load_config(str(cfg_file), overrides={"modes": 6})
-    assert cfg3.modes == 6
+    cfg3 = load_config(str(cfg_file), overrides={"tt_k_max": 6})
+    assert cfg3.tt_k_max == 6
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -255,15 +272,36 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(ValueError):
         load_config(None, overrides={"nonsense": 3})
     # identity_tol could loosen a verify bound; fit_*_powers repeated the
-    # fit's flags
+    # fit's flags; grid_n is the one grid; modes, seed, cutoff_c and
+    # barrier_alpha are the suites' own constants, and jobs only slowed a sweep
     for retired in ("frame_size = 6", "solver_tol = 1e-10", "identity_tol = 1",
-                    "fit_half_powers = 4", "fit_log_powers = 1"):
+                    "fit_half_powers = 4", "fit_log_powers = 1", "sweep_grid_n = 512",
+                    "modes = 0", "seed = 7", "cutoff_c = 2", "barrier_alpha = 0.99",
+                    "jobs = 2"):
         bad.write_text(retired + "\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(str(bad))
         assert main(["verify", "cylinder", "--config", str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "unknown key" in err[0], err
+
+
+def test_readme_states_the_config_keys_and_their_defaults():
+    # README's "The config keys, with their defaults, are ..." sentence, held
+    # to RunConfig: `key = value` for a default, a bare `key` for an unset one
+    import re
+    from dataclasses import fields
+    from pathlib import Path
+
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").split())
+    sentence = re.search(r"The config keys, with their defaults, are (.*?)\.(?:\s|$)", text)
+    stated = dict(re.findall(r"`(\w+)(?: = ([^`]+))?`", sentence.group(1)))
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    assert list(stated) == list(defaults)
+    for key, raw in stated.items():
+        default = defaults[key]
+        assert (raw == "") if default is None else (type(default)(raw) == default), key
 
 
 def test_config_refuses_a_repeated_key(tmp_path, capsys):
@@ -290,26 +328,19 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
 def test_config_validation(capsys, tmp_path):
     with pytest.raises(ValueError):
         RunConfig(ell_min=0.5, ell_max=0.1)
-    with pytest.raises(ValueError):
-        RunConfig(barrier_alpha=1.5)
-    for bad in ({"grid_n": 0}, {"grid_n": -5}, {"sweep_grid_n": 0},
-                {"jobs": 0}, {"modes": -1}, {"grid_n": 1}, {"grid_n": 2049},
-                {"sweep_grid_n": 16383}, {"grid_n": 2}, {"sweep_grid_n": 2},
-                {"tt_k_max": 0}, {"tt_k_max": -1},
-                {"cutoff_c": 0.0}, {"cutoff_c": -0.1}, {"cutoff_c": 0.51},
-                {"cutoff_c": 2.0}):
+    for bad in ({"grid_n": 0}, {"grid_n": -5}, {"grid_n": 1}, {"grid_n": 2049},
+                {"grid_n": 16383}, {"grid_n": 2}, {"tt_k_max": 0}, {"tt_k_max": -1}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    assert RunConfig(modes=0, jobs=1, grid_n=4, sweep_grid_n=4).modes == 0
-    for flag in (["--grid-n", "-5"], ["--grid-n", "2049"], ["--modes", "-1"],
-                 ["--jobs", "0"]):
+    assert RunConfig(grid_n=4).grid_n == 4
+    for flag in (["--grid-n", "-5"], ["--grid-n", "2049"]):
         assert main(["verify", "cylinder"] + flag) == 2
         assert "wpneck: config error" in capsys.readouterr().err
     assert main(["sweep", "wp", "--grid-n", "2049"]) == 2
-    assert "sweep_grid_n must be even" in capsys.readouterr().err
+    assert "config error: grid_n must be even" in capsys.readouterr().err
     # a two-node grid leaves the odd sector no node: refused at load, not a traceback
     assert main(["sweep", "wp", "--grid-n", "2"]) == 2
-    assert "sweep_grid_n must be at least 4" in capsys.readouterr().err
+    assert "config error: grid_n must be at least 4" in capsys.readouterr().err
     assert main(["verify", "projection", "--grid-n", "2"]) == 2
     assert "grid_n must be at least 4" in capsys.readouterr().err
     # a grid that a suite's solver refuses is a config error too
@@ -319,13 +350,11 @@ def test_config_validation(capsys, tmp_path):
         assert "wpneck: config error" in capsys.readouterr().err
     for suite, n in (("weitzenboeck", 28), ("projection", 18), ("parametrix", 52)):
         run_suite(suite, RunConfig(grid_n=n))
-    # a config file that would empty the l2norms suite, or put the barrier
-    # cutoff past the source bump at 1/2, is refused at load
-    for suite, line in (("l2norms", "tt_k_max = 0"), ("barrier", "cutoff_c = 2")):
-        cfg_file = tmp_path / f"{suite}.cfg"
-        cfg_file.write_text(line + "\n")
-        assert main(["verify", suite, "--config", str(cfg_file)]) == 2
-        assert "wpneck: config error" in capsys.readouterr().err
+    # a config file that would empty the ttnorm sweep is refused at load
+    cfg_file = tmp_path / "ttnorm.cfg"
+    cfg_file.write_text("tt_k_max = 0\n")
+    assert main(["sweep", "ttnorm", "--config", str(cfg_file)]) == 2
+    assert "wpneck: config error" in capsys.readouterr().err
     # below the model's ell floor the conformal Newton raises (1e-12, 3e-12)
     # or the WP row is NaN (1e-200): refused at load, and the floor runs
     for lo in (1e-12, 3e-12, 1e-200):
@@ -401,11 +430,10 @@ def test_an_accepted_sweep_is_finite_or_a_config_error(quantity, half_n, count, 
 
 def test_no_coarse_grid_prints_a_traceback(capsys):
     # every even grid_n up to where each suite runs: a JSON report and exit
-    # 0 or 1, or exit 2 with one config error line.  --modes 4 is the
-    # parametrix suite's own cap, so no cap note joins stderr
+    # 0 or 1, or exit 2 with one config error line
     for suite, top in (("weitzenboeck", 28), ("projection", 18), ("parametrix", 56)):
         for n in range(4, top + 1, 2):
-            code = main(["verify", suite, "--grid-n", str(n), "--modes", "4"])
+            code = main(["verify", suite, "--grid-n", str(n)])
             out, err = capsys.readouterr()
             assert "Traceback" not in err, (suite, n)
             if code == 2:
@@ -421,7 +449,7 @@ def test_no_coarse_grid_prints_a_traceback(capsys):
 def test_config_refuses_non_finite_floats(capsys, tmp_path):
     # NaN passes every ordering check and inf passes as a bound; unrefused, a
     # NaN ell_min stalls the Newton line search
-    for key, raw in (("ell_min", "nan"), ("ell_max", "inf"), ("barrier_alpha", "-inf")):
+    for key, raw in (("ell_min", "nan"), ("ell_max", "inf")):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             RunConfig(**{key: float(raw)})
         cfg_file = tmp_path / f"{key}.cfg"
@@ -433,14 +461,12 @@ def test_config_refuses_non_finite_floats(capsys, tmp_path):
         assert "must be finite" in capsys.readouterr().err
 
 
-def test_verify_barrier_fails_when_nothing_is_certified(tmp_path):
+def test_verify_barrier_fails_when_nothing_is_certified(tmp_path, monkeypatch):
     # alpha near 1 certifies no radius at any ell: both checks must fail,
     # in a strict JSON report, rather than crash or pass on an inf margin
-    cfg_file = tmp_path / "alpha.cfg"
-    cfg_file.write_text("barrier_alpha = 0.99\n")
+    monkeypatch.setattr(cli, "_BARRIER_ALPHA", 0.99)
     out = tmp_path / "barrier.json"
-    assert main(["verify", "barrier", "--config", str(cfg_file),
-                 "--out", str(out)]) == 1
+    assert main(["verify", "barrier", "--out", str(out)]) == 1
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert report["pass"] is False
     checks = {c["name"]: c for c in report["checks"]}
